@@ -2,7 +2,7 @@
 
 Constructions and checkers (graphs), exact Lagrangians (lagrangian),
 symmetrization merges (reduction), simplex maximization of the complete
-graph closed form (simplex), and a rigorous branch-and-bound positivity
+graph closed form (simplex), and an exact simplex Bernstein positivity
 certificate for the final trivariate inequality (certify).
 """
 
@@ -47,16 +47,12 @@ from .simplex import (
     trivariate_g,
     majorization_bound_check,
 )
-from .polynomials import Poly3, g_polynomial, h_polynomial
+from .polynomials import Poly3, g_polynomial, h_polynomial, simplex_bernstein
 from .certify import (
-    Cell,
     Certificate,
-    Excision,
+    Leaf,
     certify,
     check_point_exact,
-    expand_h,
-    interval_lower_bound,
-    bernstein_lower_bound,
 )
 from .harness import (
     EnumerationReport,

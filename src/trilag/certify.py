@@ -1,144 +1,66 @@
-"""Rigorous positivity certification of h = 3/32 - g on the sorted domain.
+"""Exact certificate that h = 3/32 - g is nonnegative on the sorted domain.
 
-The domain is D = {x1 >= x2 >= x3 >= 0, x1 + x2 + x3 <= 1}, boxed inside
-[0,1]^3.  Branch-and-bound subdivides the box (longest edge, worst bound
-first); a cell is discharged when
+The domain D = {x1 >= x2 >= x3 >= 0, x1 + x2 + x3 <= 1} is the tetrahedron
+with vertices (0,0,0), (1,0,0), (1/2,1/2,0) and (1/3,1/3,1/3).  Starting
+from D, a simplex is discharged when every Bernstein-Bezier coefficient of
+h on it is >= 0 (``simplex_bernstein``); otherwise its longest edge is
+bisected.  The discharged leaves tile D, so h >= 0 on all of D.
 
-  * a linear constraint of D is negative on the whole cell (outside-D), or
-  * it sits inside a declared excision ball around an equality candidate, or
-  * the interval or Bernstein lower bound proves h >= 0 on the cell.
-
-h vanishes at the equality point, and dips negative just outside D next to
-it, so no uniform positive bound exists on cells straddling that corner:
-the excision ball is unavoidable.  Inside each excision the certifier
-gathers exact evidence instead: h evaluated on a rational grid of pitch
-delta/64 restricted to D, reporting the minimum and where it is attained.
-A leaf method tag "local-proof" is reserved for a future rigorous
-certificate inside the ball; it is never emitted today.
-
-Every number in the certificate is an exact rational; output is canonical
-(sorted leaves) and independent of processing order.
+h vanishes at the vertex (1/2,1/2,0), where its coefficient is exactly 0;
+one bisection of D suffices.  Every number in the certificate is an exact
+rational; output is canonical (sorted leaves) and independent of
+processing order.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .polynomials import (
-    Poly3,
-    bernstein_min,
-    h_polynomial,
-    interval_box_bounds,
-)
+from .polynomials import Poly3, h_polynomial, simplex_bernstein
 
-CERTIFIED = "CERTIFIED-OUTSIDE-EXCISIONS"
+CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
 
+Point = tuple[Fraction, Fraction, Fraction]
+Simplex = tuple[Point, Point, Point, Point]
 
-@dataclass(frozen=True)
-class Cell:
-    """Axis-aligned box with rational endpoints."""
-
-    lo: tuple[Fraction, Fraction, Fraction]
-    hi: tuple[Fraction, Fraction, Fraction]
-    depth: int = 0
-
-    def widths(self):
-        return tuple(u - l for l, u in zip(self.lo, self.hi))
-
-    def split(self):
-        """Bisect the longest edge (ties to the smallest axis index)."""
-        w = self.widths()
-        axis = max(range(3), key=lambda d: (w[d], -d))
-        mid = (self.lo[axis] + self.hi[axis]) / 2
-        lo_hi = list(self.hi)
-        lo_hi[axis] = mid
-        hi_lo = list(self.lo)
-        hi_lo[axis] = mid
-        return (
-            Cell(self.lo, tuple(lo_hi), self.depth + 1),
-            Cell(tuple(hi_lo), self.hi, self.depth + 1),
-        )
+DOMAIN_VERTICES: Simplex = (
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+)
 
 
 @dataclass(frozen=True)
 class Leaf:
-    cell: Cell
-    status: str  # proven-nonneg | excised | indeterminate
-    method: str | None  # outside-D | interval | bernstein | excision | None
-    bound: Fraction | None
-
-
-@dataclass(frozen=True)
-class Excision:
-    center: tuple[Fraction, Fraction, Fraction]
-    radius: Fraction
-    grid_pitch: Fraction
-    grid_min: Fraction
-    grid_argmin: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    points_checked: int
+    vertices: Simplex
+    depth: int
+    bound: Fraction  # least Bernstein coefficient; >= 0 means discharged
 
 
 @dataclass
 class Certificate:
     result: str
-    delta: Fraction
-    max_depth: int
-    method: str
     leaves: list[Leaf]
-    excisions: list[Excision]
-    indeterminate_cells: list[Cell] = field(default_factory=list)
-    cells_processed: int = 0
-    max_depth_reached: int = 0
+    simplices_processed: int
+    max_depth_reached: int
 
     def to_jsonable(self) -> dict:
-        def rat(x):
-            return str(x)
-
-        def cell_json(c: Cell):
-            return {
-                "lo": [rat(v) for v in c.lo],
-                "hi": [rat(v) for v in c.hi],
-                "depth": c.depth,
-            }
-
         return {
             "result": self.result,
-            "delta": rat(self.delta),
-            "max_depth": self.max_depth,
-            "method": self.method,
-            "cells_processed": self.cells_processed,
+            "simplices_processed": self.simplices_processed,
             "max_depth_reached": self.max_depth_reached,
             "leaves": [
                 {
-                    **cell_json(leaf.cell),
-                    "status": leaf.status,
-                    "method": leaf.method,
-                    "bound": None if leaf.bound is None else rat(leaf.bound),
+                    "vertices": [[str(c) for c in v] for v in leaf.vertices],
+                    "depth": leaf.depth,
+                    "bound": str(leaf.bound),
                 }
                 for leaf in self.leaves
             ],
-            "excisions": [
-                {
-                    "center": [rat(v) for v in e.center],
-                    "radius": rat(e.radius),
-                    "grid_pitch": rat(e.grid_pitch),
-                    "grid_min": rat(e.grid_min),
-                    "grid_argmin": [[rat(v) for v in p] for p in e.grid_argmin],
-                    "points_checked": e.points_checked,
-                }
-                for e in self.excisions
-            ],
-            "indeterminate_cells": [cell_json(c) for c in self.indeterminate_cells],
         }
-
-
-def expand_h() -> Poly3:
-    """Exact expanded coefficients of h = 3/32 - g."""
-    return h_polynomial()
 
 
 def point_in_domain(x1, x2, x3) -> bool:
@@ -154,214 +76,68 @@ def check_point_exact(x1, x2, x3) -> Fraction:
     return h_polynomial().evaluate(Fraction(x1), Fraction(x2), Fraction(x3))
 
 
-def cell_outside_domain(cell: Cell) -> bool:
-    """True when some linear constraint of D is negative on the whole cell.
+def bisect(simplex: Simplex) -> tuple[Simplex, Simplex]:
+    """Halve the longest edge (ties to the lowest vertex-index pair).
 
-    Linear functions attain box extremes at corners, so each test is a
-    single exact comparison; strict negativity means the closed cell
-    misses D entirely.
+    Each child keeps the vertex order, with the edge's midpoint in place of
+    one of its ends.
     """
-    lo, hi = cell.lo, cell.hi
-    if hi[0] - lo[1] < 0:  # max of x1 - x2
-        return True
-    if hi[1] - lo[2] < 0:  # max of x2 - x3
-        return True
-    if hi[2] < 0:  # max of x3
-        return True
-    if 1 - lo[0] - lo[1] - lo[2] < 0:  # max of 1 - x1 - x2 - x3
-        return True
-    return False
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def length2(pair):
+        a, b = simplex[pair[0]], simplex[pair[1]]
+        return sum((u - v) ** 2 for u, v in zip(a, b))
+
+    i, j = max(pairs, key=length2)  # max keeps the first of equal keys
+    mid = tuple((u + v) / 2 for u, v in zip(simplex[i], simplex[j]))
+    low, high = list(simplex), list(simplex)
+    low[j] = mid
+    high[i] = mid
+    return tuple(low), tuple(high)
 
 
-def interval_lower_bound(p: Poly3, cell: Cell) -> Fraction:
-    """Monomial-wise exact interval lower bound for p on the cell."""
-    return interval_box_bounds(p, cell.lo, cell.hi)[0]
-
-
-def bernstein_lower_bound(p: Poly3, cell: Cell) -> Fraction:
-    """Minimum Bernstein coefficient of p on the cell."""
-    return bernstein_min(p, cell.lo, cell.hi)
-
-
-def default_equality_candidates(seed: int = 0, restarts: int = 32):
-    """Equality candidates reported by the simplex optimizer.
-
-    Runs the n=3 maximization, sorts the rational argmax descending, and
-    keeps it only if h vanishes there exactly.  Not assumed: returned
-    candidates are verified zeros, and certification simply fails loudly
-    (INDETERMINATE) if a true zero is missing from the list.
-    """
-    from .simplex import maximize
-
-    result = maximize(3, restarts=restarts, seed=seed)
-    point = tuple(sorted(result.exact_point, reverse=True))
-    if point_in_domain(*point) and check_point_exact(*point) == 0:
-        return [point]
-    return []
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _excision_evidence(p: Poly3, center, radius: Fraction) -> Excision:
-    """Exact h minimum over the grid of pitch radius/64 inside ball-cap D.
-
-    All grid coordinates share one denominator, so the scan runs in pure
-    integer arithmetic: sign and argmin are exact.
-    """
-    pitch = radius / 64
-    den = 1
-    for c in center:
-        den = _lcm(den, Fraction(c).denominator)
-    den = _lcm(den, pitch.denominator)
-    ci = [int(Fraction(c) * den) for c in center]
-    step = int(pitch * den)
-
-    scale = 1
-    for c in p.coeffs.values():
-        scale = _lcm(scale, c.denominator)
-    deg = max((i + j + k for (i, j, k) in p.coeffs), default=0)
-    terms = [
-        (int(c * scale), i, j, k, den ** (deg - i - j - k))
-        for (i, j, k), c in p.coeffs.items()
-    ]
-
-    axes = [[ci[d] + t * step for t in range(-64, 65)] for d in range(3)]
-    powers = [{v: [v**e for e in range(deg + 1)] for v in ax} for ax in axes]
-
-    checked = 0
-    best = None
-    argmin: list[tuple[int, int, int]] = []
-    for a in axes[0]:
-        pa = powers[0][a]
-        for b in axes[1]:
-            if b > a:
-                continue
-            pb = powers[1][b]
-            for c in axes[2]:
-                if c > b or c < 0 or a + b + c > den:
-                    continue
-                checked += 1
-                pc = powers[2][c]
-                v = 0
-                for coef, i, j, k, dpow in terms:
-                    v += coef * pa[i] * pb[j] * pc[k] * dpow
-                if best is None or v < best:
-                    best, argmin = v, [(a, b, c)]
-                elif v == best:
-                    argmin.append((a, b, c))
-    if best is None:
-        raise ValueError(f"excision ball at {center} contains no domain grid point")
-    return Excision(
-        center=tuple(Fraction(c) for c in center),
-        radius=radius,
-        grid_pitch=pitch,
-        grid_min=Fraction(best, scale * den**deg if deg else scale),
-        grid_argmin=tuple(
-            tuple(Fraction(x, den) for x in pt) for pt in sorted(argmin)
-        ),
-        points_checked=checked,
+def simplex_volume(simplex: Simplex) -> Fraction:
+    """Exact volume: |det(v1 - v0, v2 - v0, v3 - v0)| / 6."""
+    a, b, c = [tuple(u - v for u, v in zip(p, simplex[0])) for p in simplex[1:]]
+    det = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
+    return abs(det) / 6
 
 
-def certify(
-    delta,
-    max_depth: int = 40,
-    method: str = "both",
-    candidates=None,
-    seed: int = 0,
-    poly: Poly3 | None = None,
-) -> Certificate:
-    """Certify poly >= 0 (default: h) on D outside excision balls of radius delta.
+def certify(max_depth: int = 40, poly: Poly3 | None = None) -> Certificate:
+    """Certify poly >= 0 (default: h) on D by simplex Bernstein subdivision.
 
-    candidates=None derives the equality candidates from the optimizer.
-    The discharged leaves tile [0,1]^3 exactly; result is INDETERMINATE
-    when undischarged cells survive at max_depth (insufficient depth or a
-    missing equality candidate, never a disproof).
+    The leaves tile D exactly.  The result is INDETERMINATE when a simplex
+    at max_depth still has a negative coefficient: insufficient depth, or
+    poly really is negative somewhere on that simplex, never a disproof.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if method not in ("interval", "bernstein", "both"):
-        raise ValueError(f"unknown method {method!r}")
     p = h_polynomial() if poly is None else poly
-    if candidates is None:
-        candidates = default_equality_candidates(seed=seed)
-    balls = [
-        (
-            tuple(Fraction(c) - delta for c in cand),
-            tuple(Fraction(c) + delta for c in cand),
-        )
-        for cand in candidates
-    ]
-
-    root = Cell((Fraction(0),) * 3, (Fraction(1),) * 3)
-    heap = [(Fraction(0), 0, root)]
-    push_count = 1
+    stack = [(DOMAIN_VERTICES, 0)]
     leaves: list[Leaf] = []
-    indeterminate: list[Cell] = []
     processed = 0
     deepest = 0
-
-    while heap:
-        _, _, cell = heapq.heappop(heap)
+    while stack:
+        simplex, depth = stack.pop()
         processed += 1
-        deepest = max(deepest, cell.depth)
+        deepest = max(deepest, depth)
+        bound = min(simplex_bernstein(p, simplex).values())
+        if bound >= 0 or depth >= max_depth:
+            leaves.append(Leaf(simplex, depth, bound))
+        else:
+            stack.extend((child, depth + 1) for child in bisect(simplex))
 
-        if cell_outside_domain(cell):
-            leaves.append(Leaf(cell, "proven-nonneg", "outside-D", None))
-            continue
-        if any(
-            all(cell.lo[d] >= blo[d] and cell.hi[d] <= bhi[d] for d in range(3))
-            for blo, bhi in balls
-        ):
-            leaves.append(Leaf(cell, "excised", "excision", None))
-            continue
-
-        bound = None
-        if method in ("interval", "both"):
-            bound = interval_lower_bound(p, cell)
-            if bound >= 0:
-                leaves.append(Leaf(cell, "proven-nonneg", "interval", bound))
-                continue
-        if method in ("bernstein", "both"):
-            bound = bernstein_lower_bound(p, cell)
-            if bound >= 0:
-                leaves.append(Leaf(cell, "proven-nonneg", "bernstein", bound))
-                continue
-
-        if cell.depth >= max_depth:
-            indeterminate.append(cell)
-            leaves.append(Leaf(cell, "indeterminate", None, bound))
-            continue
-        for child in cell.split():
-            heapq.heappush(heap, (bound, push_count, child))
-            push_count += 1
-
-    leaves.sort(key=lambda leaf: (leaf.cell.lo, leaf.cell.hi))
-    excisions = [_excision_evidence(p, cand, delta) for cand in sorted(candidates)]
+    leaves.sort(key=lambda leaf: leaf.vertices)
     return Certificate(
-        result=INDETERMINATE if indeterminate else CERTIFIED,
-        delta=delta,
-        max_depth=max_depth,
-        method=method,
+        result=CERTIFIED if all(leaf.bound >= 0 for leaf in leaves) else INDETERMINATE,
         leaves=leaves,
-        excisions=excisions,
-        indeterminate_cells=sorted(
-            indeterminate, key=lambda c: (c.lo, c.hi)
-        ),
-        cells_processed=processed,
+        simplices_processed=processed,
         max_depth_reached=deepest,
     )
 
 
 def leaf_volume_total(cert: Certificate) -> Fraction:
-    """Exact total volume of the certificate's leaves (1 for a full tiling)."""
-    total = Fraction(0)
-    for leaf in cert.leaves:
-        v = Fraction(1)
-        for w in leaf.cell.widths():
-            v *= w
-        total += v
-    return total
+    """Exact total volume of the certificate's leaves (1/36, D's volume, for a tiling)."""
+    return sum((simplex_volume(leaf.vertices) for leaf in cert.leaves), Fraction(0))

@@ -18,7 +18,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certify import CERTIFIED, certify
 from .fileio import ParseError, parse_graph, parse_weights
@@ -165,20 +164,13 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 
 def _cmd_certify(args, cfg: RunConfig) -> int:
-    cert = certify(
-        Fraction(args.delta), max_depth=args.max_depth, method=args.method, seed=cfg.seed
-    )
-    payload = cert.to_jsonable()
+    cert = certify()
     text = [
         f"result: {cert.result}",
-        f"cells processed: {cert.cells_processed}, leaves: {len(cert.leaves)}, "
+        f"simplices processed: {cert.simplices_processed}, leaves: {len(cert.leaves)}, "
         f"max depth reached: {cert.max_depth_reached}",
-    ] + [
-        f"excision at ({','.join(str(c) for c in e.center)}): grid min {e.grid_min} "
-        f"over {e.points_checked} points"
-        for e in cert.excisions
     ]
-    _emit(payload, cfg, text_lines=text)
+    _emit(cert.to_jsonable(), cfg, text_lines=text)
     return EXIT_OK if cert.result == CERTIFIED else EXIT_MATH_FAIL
 
 
@@ -230,6 +222,14 @@ def _cmd_pipeline(args, cfg: RunConfig) -> int:
 GLOBAL_DEFAULTS = {"format": "json", "out": None, "seed": 0, "threads": 1}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage, but 2 means a failed mathematical check here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _global_flags() -> argparse.ArgumentParser:
     """Flags accepted both before and after the subcommand."""
     common = argparse.ArgumentParser(add_help=False)
@@ -242,7 +242,7 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trilag",
         description="Exact toolkit for 3-graph Lagrangian bounds and their certification.",
         parents=[common],
@@ -272,10 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(run=_cmd_optimize)
 
-    p = add("certify", help="branch-and-bound positivity certificate for 3/32 - g")
-    p.add_argument("--delta", default="1/1024", help="excision radius (rational)")
-    p.add_argument("--max-depth", type=int, default=40)
-    p.add_argument("--method", choices=("interval", "bernstein", "both"), default="both")
+    p = add("certify", help="simplex Bernstein positivity certificate for 3/32 - g on D")
     p.set_defaults(run=_cmd_certify)
 
     p = add("enumerate", help="exhaustive checks over all labeled orientations")

@@ -72,9 +72,18 @@ def parse_graph_text(text: str, path: str = "<string>"):
     return UndirectedGraph(n, pairs)
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text (byte {data[exc.start]:#04x})") from None
+
+
 def parse_graph(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), path=path)
+    return parse_graph_text(_read_text(path), path=path)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -84,18 +93,26 @@ def parse_rational(token: str) -> Fraction:
 
 def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
     entries = []
+    line_nos = []
     for line_no, line in _content_lines(text):
         try:
-            entries.append(parse_rational(line))
+            w = parse_rational(line)
         except (ValueError, ZeroDivisionError):
             raise ParseError(path, line_no, f"bad rational {line!r}") from None
+        if w < 0:
+            raise ParseError(path, line_no, f"negative weight {line!r}")
+        entries.append(w)
+        line_nos.append(line_no)
+    last = line_nos[-1] if line_nos else 1
     if expected_n is not None and len(entries) != expected_n:
-        raise ParseError(
-            path, 0, f"expected {expected_n} weights, got {len(entries)}"
-        )
-    return WeightVector(entries)
+        # cite the first surplus weight, or the last one when weights are missing
+        line_no = line_nos[expected_n] if len(entries) > expected_n else last
+        raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(entries)}")
+    try:
+        return WeightVector(entries)
+    except ValueError as exc:  # empty, or the sum is not 1
+        raise ParseError(path, last, str(exc)) from None
 
 
 def parse_weights(path: str, expected_n: int | None = None) -> WeightVector:
-    with open(path, encoding="utf-8") as fh:
-        return parse_weights_text(fh.read(), expected_n=expected_n, path=path)
+    return parse_weights_text(_read_text(path), expected_n=expected_n, path=path)

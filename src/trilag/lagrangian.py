@@ -25,35 +25,22 @@ from .graphs import OrientedGraph, UndirectedGraph, build_cf, build_bf, edge_den
 
 
 class WeightVector:
-    """Nonnegative vertex weights summing to one.
+    """Nonnegative rational vertex weights summing to exactly one."""
 
-    Exact mode (Fraction entries) enforces the sum exactly; float mode
-    tolerates 1e-12 and exists only for optimizer interop.
-    """
-
-    __slots__ = ("entries", "exact")
-
-    FLOAT_TOL = 1e-12
+    __slots__ = ("entries",)
 
     def __init__(self, entries) -> None:
         entries = tuple(entries)
         if not entries:
             raise ValueError("weight vector must be nonempty")
-        exact = all(isinstance(w, (Fraction, int)) for w in entries)
-        if exact:
-            entries = tuple(Fraction(w) for w in entries)
-            if any(w < 0 for w in entries):
-                raise ValueError("negative weight")
-            if sum(entries) != 1:
-                raise ValueError(f"weights sum to {sum(entries)}, expected 1")
-        else:
-            entries = tuple(float(w) for w in entries)
-            if any(w < 0 for w in entries):
-                raise ValueError("negative weight")
-            if abs(sum(entries) - 1.0) > self.FLOAT_TOL:
-                raise ValueError(f"weights sum to {sum(entries)}, expected 1")
+        if not all(isinstance(w, (Fraction, int)) for w in entries):
+            raise ValueError("weights must be rationals (Fraction or int)")
+        entries = tuple(Fraction(w) for w in entries)
+        if any(w < 0 for w in entries):
+            raise ValueError("negative weight")
+        if sum(entries) != 1:
+            raise ValueError(f"weights sum to {sum(entries)}, expected 1")
         self.entries = entries
-        self.exact = exact
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,20 +1,16 @@
-"""Exact sparse trivariate polynomials and certified lower-bound machinery.
+"""Exact sparse trivariate polynomials and their Bernstein form on a tetrahedron.
 
 Everything here is rational arithmetic: no floats, no rounding modes, no
-computer algebra system.  Two certified box lower bounds are provided:
-
-  * monotone interval evaluation, monomial by monomial (cheap, loose);
-  * the minimum tensor Bernstein coefficient after affine
-    reparameterization of the box to the unit cube (sharper near zeros;
-    corner coefficients equal exact corner values).
-
-Both never overstate the true minimum on the box.
+computer algebra system.  ``simplex_bernstein`` writes a polynomial in the
+Bernstein-Bezier basis of a tetrahedron; the least coefficient is a
+certified lower bound for the polynomial there, and the coefficient at a
+vertex is its exact value at that vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 ZERO = Fraction(0)
 
@@ -81,23 +77,12 @@ class Poly3:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly3) and self.coeffs == other.coeffs
 
-    def degrees(self) -> tuple[int, int, int]:
-        """Maximum exponent per variable (0,0,0 for constants)."""
-        if not self.coeffs:
-            return (0, 0, 0)
-        return tuple(max(m[d] for m in self.coeffs) for d in range(3))
-
-    def evaluate(self, x1, x2, x3):
-        """Exact for Fraction/int arguments, float for floats."""
-        exact = all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3))
-        if exact:
-            x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
-            total = ZERO
-        else:
-            x1, x2, x3 = float(x1), float(x2), float(x3)
-            total = 0.0
+    def evaluate(self, x1, x2, x3) -> Fraction:
+        """Exact value at rational (Fraction or int) arguments."""
+        x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
+        total = ZERO
         for (i, j, k), c in self.coeffs.items():
-            total += (float(c) if not exact else c) * x1**i * x2**j * x3**k
+            total += c * x1**i * x2**j * x3**k
         return total
 
     def sorted_terms(self):
@@ -121,149 +106,58 @@ def h_polynomial() -> Poly3:
     return Poly3.constant(Fraction(3, 32)) - g_polynomial()
 
 
-# ---------------------------------------------------------------------------
-# rational interval arithmetic (sufficient for monomial-wise box bounds)
-# ---------------------------------------------------------------------------
-
-def interval_pow(lo: Fraction, hi: Fraction, e: int):
-    """Range of t^e over [lo, hi]."""
-    if e == 0:
-        return Fraction(1), Fraction(1)
-    if lo >= 0:
-        return lo**e, hi**e
-    if hi <= 0:
-        return (lo**e, hi**e) if e % 2 == 1 else (hi**e, lo**e)
-    # straddles zero
-    if e % 2 == 1:
-        return lo**e, hi**e
-    return ZERO, max(lo**e, hi**e)
 
 
-def interval_mul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+def _form_mul(a: dict, b: dict) -> dict:
+    """Product of two polynomials in the four barycentric coordinates."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2], ma[3] + mb[3])
+            out[m] = out.get(m, ZERO) + ca * cb
+    return out
 
 
-def monomial_range_on_box(c: Fraction, mono, lo, hi):
-    """Range of c * x1^i x2^j x3^k over the box [lo, hi]^3 (componentwise)."""
-    rng = (Fraction(1), Fraction(1))
-    for d in range(3):
-        if mono[d]:
-            rng = interval_mul(rng, interval_pow(lo[d], hi[d], mono[d]))
-    if c >= 0:
-        return c * rng[0], c * rng[1]
-    return c * rng[1], c * rng[0]
+def simplex_bernstein(p: Poly3, vertices) -> dict[tuple[int, int, int, int], Fraction]:
+    """Bernstein-Bezier coefficients b[a] of p on the tetrahedron with these vertices.
 
-
-def interval_box_bounds(p: Poly3, lo, hi):
-    """Certified (lower, upper) enclosure of p over the box."""
-    total_lo, total_hi = ZERO, ZERO
-    for mono, c in p.coeffs.items():
-        a, b = monomial_range_on_box(c, mono, lo, hi)
-        total_lo += a
-        total_hi += b
-    return total_lo, total_hi
-
-
-# ---------------------------------------------------------------------------
-# Bernstein coefficients on a box
-# ---------------------------------------------------------------------------
-
-def to_dense(p: Poly3, degs=None):
-    """Nested-list coefficient tensor a[i][j][k]."""
-    if degs is None:
-        degs = p.degrees()
-    n1, n2, n3 = degs
-    a = [[[ZERO] * (n3 + 1) for _ in range(n2 + 1)] for _ in range(n1 + 1)]
-    for (i, j, k), c in p.coeffs.items():
-        a[i][j][k] = c
-    return a
-
-
-def _affine_matrix(n: int, left: Fraction, scale: Fraction):
-    """Row i of the matrix mapping coefficients of p(t) to those of p(left + scale*t)."""
-    return [
-        [comb(k, i) * left ** (k - i) * scale**i if k >= i else ZERO for k in range(n + 1)]
-        for i in range(n + 1)
-    ]
-
-
-def _bernstein_matrix(n: int):
-    """Monomial-to-Bernstein conversion: b_i = sum_{j<=i} C(i,j)/C(n,j) * a_j."""
-    return [
-        [Fraction(comb(i, j), comb(n, j)) if j <= i else ZERO for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-
-
-_BERNSTEIN_CACHE: dict[int, list[list[Fraction]]] = {}
-
-
-def _bernstein_matrix_cached(n: int):
-    if n not in _BERNSTEIN_CACHE:
-        _BERNSTEIN_CACHE[n] = _bernstein_matrix(n)
-    return _BERNSTEIN_CACHE[n]
-
-
-def _apply_axis0(mat, a):
-    n1 = len(a)
-    return [
-        [
-            [
-                sum((mat[i][k] * a[k][j][l] for k in range(n1) if mat[i][k]), ZERO)
-                for l in range(len(a[0][0]))
-            ]
-            for j in range(len(a[0]))
-        ]
-        for i in range(n1)
-    ]
-
-
-def _apply_axis1(mat, a):
-    n2 = len(a[0])
-    return [
-        [
-            [
-                sum((mat[j][k] * plane[k][l] for k in range(n2) if mat[j][k]), ZERO)
-                for l in range(len(a[0][0]))
-            ]
-            for j in range(n2)
-        ]
-        for plane in a
-    ]
-
-
-def _apply_axis2(mat, a):
-    n3 = len(a[0][0])
-    return [
-        [
-            [
-                sum((mat[l][k] * row[k] for k in range(n3) if mat[l][k]), ZERO)
-                for l in range(n3)
-            ]
-            for row in plane
-        ]
-        for plane in a
-    ]
-
-
-def bernstein_coefficients(p: Poly3, lo, hi):
-    """Tensor Bernstein coefficients of p reparameterized to the given box.
-
-    The coefficient at a corner multi-index equals p at that box corner;
-    the minimum over all coefficients is a certified lower bound for p on
-    the box.
+    In barycentric coordinates l (x = sum_i l_i v_i, sum_i l_i = 1) every
+    monomial of degree d is multiplied by (l_0 + l_1 + l_2 + l_3)^(n - d),
+    n being p's total degree, which makes p a form of degree n in l.  Its
+    coefficient of l^a divided by the multinomial n!/(a_0! a_1! a_2! a_3!) is
+    b[a], so that p = sum_a b[a] B_a with B_a = n!/a! l^a (Lai & Schumaker,
+    Spline Functions on Triangulations).  The B_a are nonnegative on the
+    tetrahedron and sum to one, so min b <= p <= max b there, and b at
+    n * e_i is p at vertex i.  Every multi-index with |a| = n is present.
     """
-    degs = p.degrees()
-    a = to_dense(p, degs)
-    for axis, apply in enumerate((_apply_axis0, _apply_axis1, _apply_axis2)):
-        scale = hi[axis] - lo[axis]
-        a = apply(_affine_matrix(degs[axis], lo[axis], scale), a)
-        a = apply(_bernstein_matrix_cached(degs[axis]), a)
-    return a
+    n = max((sum(m) for m in p.coeffs), default=0)
+    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    # x1, x2, x3 and 1 as linear forms in l; powers[axis][e] is the e-th power
+    linear = [[v[axis] for v in verts] for axis in range(3)] + [[Fraction(1)] * 4]
+    powers = []
+    for weights in linear:
+        form = {(0, 0, 0, 0): Fraction(1)}
+        row = [form]
+        step = {tuple(int(i == j) for j in range(4)): w for i, w in enumerate(weights) if w}
+        for _ in range(n):
+            form = _form_mul(form, step)
+            row.append(form)
+        powers.append(row)
 
+    total = {}
+    for (i, j, k), c in p.coeffs.items():
+        term = _form_mul(_form_mul(powers[0][i], powers[1][j]),
+                         _form_mul(powers[2][k], powers[3][n - i - j - k]))
+        for m, t in term.items():
+            total[m] = total.get(m, ZERO) + c * t
 
-def bernstein_min(p: Poly3, lo, hi) -> Fraction:
-    """Minimum Bernstein coefficient: a certified lower bound on the box."""
-    coeffs = bernstein_coefficients(p, lo, hi)
-    return min(min(min(row) for row in plane) for plane in coeffs)
+    coeffs = {}
+    for a0 in range(n + 1):
+        for a1 in range(n + 1 - a0):
+            for a2 in range(n + 1 - a0 - a1):
+                a = (a0, a1, a2, n - a0 - a1 - a2)
+                multinomial = factorial(n)
+                for e in a:
+                    multinomial //= factorial(e)
+                coeffs[a] = total.get(a, ZERO) / multinomial
+    return coeffs

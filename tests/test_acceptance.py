@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, certify, default_equality_candidates, expand_h
+from trilag.certify import CERTIFIED, certify, leaf_volume_total
 from trilag.graphs import UndirectedGraph, underlying
 from trilag.harness import enumerate_orientations, pipeline_report, validate_fdf_family
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from trilag.polynomials import h_polynomial, simplex_bernstein
 from trilag.reduction import WeightedGraph, merge_identity_check, reduce_to_complete
 from trilag.simplex import closed_form, gradient, maximize, trivariate_g
 
@@ -138,14 +139,18 @@ def test_criterion_5_optimizer():
 
 
 def test_criterion_6_certifier():
-    candidates = default_equality_candidates(seed=0)
-    cert = certify(Fraction(1, 1024), max_depth=40)
-    excision_centers = [e.center for e in cert.excisions]
-    grid_ok = all(
-        e.grid_min == 0 and e.grid_argmin == (e.center,) for e in cert.excisions
-    )
+    cert = certify()
+    h = h_polynomial()
+    zero = (HALF, HALF, Fraction(0))
+    coeffs_ok = True
+    zero_ok = True
+    for leaf in cert.leaves:
+        coeffs = simplex_bernstein(h, leaf.vertices)
+        coeffs_ok = coeffs_ok and min(coeffs.values()) == leaf.bound >= 0
+        i = leaf.vertices.index(zero) if zero in leaf.vertices else None
+        zero_ok = zero_ok and i is not None and coeffs[tuple(4 * (j == i) for j in range(4))] == 0
+    volume = leaf_volume_total(cert)
 
-    h = expand_h()
     rng = random.Random(1000)
     agree = 0
     while agree < 1000:
@@ -159,16 +164,18 @@ def test_criterion_6_certifier():
 
     ok = (
         cert.result == CERTIFIED
-        and excision_centers == candidates
-        and len(cert.indeterminate_cells) == 0
-        and grid_ok
+        and len(cert.leaves) == 2
+        and volume == Fraction(1, 36)
+        and coeffs_ok
+        and zero_ok
         and agree == 1000
     )
     _report(
-        "criterion 6 (certifier, delta=1/1024, depth 40)",
+        "criterion 6 (certifier, simplex Bernstein on D)",
         ok,
-        f"result={cert.result}, excisions={[[str(c) for c in e] for e in excision_centers]}, "
-        f"grid min 0 only at zero: {grid_ok}, expand agreement {agree}/1000",
+        f"result={cert.result}, leaves={len(cert.leaves)}, volume={volume}, "
+        f"all coefficients >= 0: {coeffs_ok}, coefficient 0 at (1/2,1/2,0): {zero_ok}, "
+        f"h agreement {agree}/1000",
     )
 
 

@@ -1,29 +1,24 @@
-import random
+import ast
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from trilag.certify import (
     CERTIFIED,
+    DOMAIN_VERTICES,
     INDETERMINATE,
-    Cell,
-    cell_outside_domain,
+    bisect,
     certify,
     check_point_exact,
-    default_equality_candidates,
-    expand_h,
     leaf_volume_total,
     point_in_domain,
+    simplex_volume,
 )
-from trilag.polynomials import Poly3
+from trilag.polynomials import Poly3, h_polynomial
 
 HALF = Fraction(1, 2)
-
-
-def test_expand_h_is_h():
-    h = expand_h()
-    assert h.evaluate(HALF, HALF, Fraction(0)) == 0
-    assert h.evaluate(Fraction(1), Fraction(0), Fraction(0)) == Fraction(3, 32)
 
 
 def test_point_domain_checks():
@@ -37,90 +32,85 @@ def test_point_domain_checks():
 
 
 def test_cell_split_longest_edge():
-    cell = Cell((Fraction(0),) * 3, (Fraction(1), HALF, HALF))
-    a, b = cell.split()
-    assert a.hi[0] == HALF and b.lo[0] == HALF
-    assert a.depth == b.depth == 1
-
-
-def test_cell_outside_domain():
-    # entirely above the sum constraint
-    assert cell_outside_domain(Cell((HALF, HALF, HALF), (Fraction(1),) * 3))
-    # x1 < x2 on the whole box
-    assert cell_outside_domain(Cell((Fraction(0), HALF, Fraction(0)), (Fraction(1, 4), Fraction(1), HALF)))
-    # touches the domain boundary: stays
-    assert not cell_outside_domain(Cell((Fraction(0),) * 3, (HALF,) * 3))
+    # D's longest edge joins (0,0,0) and (1,0,0)
+    low, high = bisect(DOMAIN_VERTICES)
+    mid = (HALF, Fraction(0), Fraction(0))
+    assert low == (DOMAIN_VERTICES[0], mid) + DOMAIN_VERTICES[2:]
+    assert high == (mid,) + DOMAIN_VERTICES[1:]
+    assert simplex_volume(low) == simplex_volume(high) == simplex_volume(DOMAIN_VERTICES) / 2
+    # equal edges: the lowest vertex-index pair is split
+    cube_corner = tuple(
+        tuple(Fraction(c) for c in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
+    low, _ = bisect(cube_corner)
+    assert low[2] == (HALF, HALF, Fraction(0))
 
 
 def test_constant_poly_certifies_at_depth_zero():
-    cert = certify(Fraction(1, 4), max_depth=10, candidates=[], poly=Poly3.constant(Fraction(3, 32)))
+    cert = certify(max_depth=10, poly=Poly3.constant(Fraction(3, 32)))
     assert cert.result == CERTIFIED
-    assert cert.excisions == []
     assert len(cert.leaves) == 1
-    assert cert.leaves[0].cell.depth == 0
+    assert cert.leaves[0].depth == 0
+    assert cert.leaves[0].bound == Fraction(3, 32)
+    assert cert.simplices_processed == 1
     assert cert.max_depth_reached == 0
 
 
-def test_coarse_delta_certifies():
-    cert = certify(Fraction(1, 4), max_depth=30, candidates=[(HALF, HALF, Fraction(0))])
-    assert cert.result == CERTIFIED
-    assert len(cert.excisions) == 1
-    assert cert.excisions[0].radius == Fraction(1, 4)
-    assert cert.excisions[0].grid_min == 0
-    assert leaf_volume_total(cert) == 1
-
-
 def test_insufficient_depth_is_indeterminate():
-    cert = certify(Fraction(1, 1024), max_depth=4, candidates=[(HALF, HALF, Fraction(0))])
+    cert = certify(max_depth=0)
     assert cert.result == INDETERMINATE
-    assert cert.indeterminate_cells
-    for leaf in cert.leaves:
-        if leaf.status == "indeterminate":
-            assert leaf.bound is not None and leaf.bound < 0
-
-
-def test_default_candidates_from_optimizer():
-    cands = default_equality_candidates(seed=0, restarts=8)
-    assert cands == [(HALF, HALF, Fraction(0))]
+    assert len(cert.leaves) == 1
+    assert cert.leaves[0].vertices == DOMAIN_VERTICES
+    assert cert.leaves[0].bound == Fraction(-1, 32)
 
 
 def test_certificate_tiling_and_coverage():
-    cert = certify(Fraction(1, 16), max_depth=30, candidates=[(HALF, HALF, Fraction(0))])
+    cert = certify()
     assert cert.result == CERTIFIED
-    assert leaf_volume_total(cert) == 1
-    # every interior point lies strictly inside exactly one leaf
-    rng = random.Random(91)
-    for _ in range(500):
-        pt = tuple(Fraction(rng.randint(1, 2**14 - 1), 2**14) + Fraction(1, 2**20) for _ in range(3))
-        hits = [
-            leaf
-            for leaf in cert.leaves
-            if all(leaf.cell.lo[d] < pt[d] < leaf.cell.hi[d] for d in range(3))
-        ]
-        assert len(hits) == 1
-    # leaves are canonically sorted
-    keys = [(leaf.cell.lo, leaf.cell.hi) for leaf in cert.leaves]
+    assert (cert.simplices_processed, cert.max_depth_reached, len(cert.leaves)) == (3, 1, 2)
+    assert leaf_volume_total(cert) == Fraction(1, 36) == simplex_volume(DOMAIN_VERTICES)
+    assert all(leaf.bound == 0 for leaf in cert.leaves)
+    # every leaf lies in D: D is convex, so its vertices suffice
+    assert all(point_in_domain(*v) for leaf in cert.leaves for v in leaf.vertices)
+    keys = [leaf.vertices for leaf in cert.leaves]
     assert keys == sorted(keys)
 
 
 def test_certificate_json_shape():
-    cert = certify(Fraction(1, 4), max_depth=20, candidates=[(HALF, HALF, Fraction(0))])
-    js = cert.to_jsonable()
+    js = certify().to_jsonable()
+    assert set(js) == {"result", "simplices_processed", "max_depth_reached", "leaves"}
     assert js["result"] == CERTIFIED
-    assert js["delta"] == "1/4"
-    assert all(set(l) >= {"lo", "hi", "status", "method", "bound"} for l in js["leaves"])
-    exc = js["excisions"][0]
-    assert exc["center"] == ["1/2", "1/2", "0"]
-    assert exc["grid_min"] == "0"
-    assert exc["grid_argmin"] == [["1/2", "1/2", "0"]]
+    assert js["leaves"][0] == {
+        "vertices": [["0", "0", "0"], ["1/2", "0", "0"], ["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"]],
+        "depth": 1,
+        "bound": "0",
+    }
+    assert certify().to_jsonable() == js
 
 
-def test_method_selection():
-    cert_b = certify(Fraction(1, 4), max_depth=25, method="bernstein",
-                     candidates=[(HALF, HALF, Fraction(0))])
-    assert cert_b.result == CERTIFIED
-    assert all(leaf.method != "interval" for leaf in cert_b.leaves)
-    with pytest.raises(ValueError):
-        certify(Fraction(1, 4), method="simplex")
-    with pytest.raises(ValueError):
-        certify(Fraction(0))
+def test_h_nonnegative_on_domain_grid():
+    h = h_polynomial()
+    den = 48
+    points = [
+        (Fraction(a, den), Fraction(b, den), Fraction(c, den))
+        for a in range(den + 1)
+        for b in range(a + 1)
+        for c in range(min(b, den - a - b) + 1)
+    ]
+    assert len(points) == 3789
+    zeros = [pt for pt in points if h.evaluate(*pt) == 0]
+    assert zeros == [(HALF, HALF, Fraction(0))]
+    assert all(h.evaluate(*pt) >= 0 for pt in points)
+
+
+def test_certify_imports_no_optimizer():
+    """certify and the polynomials it uses import neither the optimizer nor numpy."""
+    imported = set()
+    for name in ("trilag.certify", "trilag.polynomials"):
+        source = Path(importlib.import_module(name).__file__).read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+    assert imported == {"__future__", "dataclasses", "fractions", "math", "polynomials"}

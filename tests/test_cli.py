@@ -98,12 +98,19 @@ def test_validate_fdf(capsys):
     assert payload["counterexamples"] == []
 
 
-def test_certify_coarse(capsys):
-    code, out = run(capsys, ["certify", "--delta", "1/8", "--max-depth", "30"])
+def test_certify_coarse(capsys, tmp_path):
+    """The default certificate is coarse: one bisection of D, and reruns agree byte for byte."""
+    code, out = run(capsys, ["certify"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["result"] == "CERTIFIED-OUTSIDE-EXCISIONS"
-    assert payload["excisions"][0]["center"] == ["1/2", "1/2", "0"]
+    assert payload["result"] == "CERTIFIED"
+    assert payload["simplices_processed"] == 3
+    assert payload["max_depth_reached"] == 1
+    assert [leaf["bound"] for leaf in payload["leaves"]] == ["0", "0"]
+    _, again = run(capsys, ["certify"])
+    assert again == out
+    code, out = run(capsys, ["--format", "text", "certify"])
+    assert out.startswith("result: CERTIFIED\n")
 
 
 def test_global_flags_after_subcommand(capsys, cherry_files):
@@ -139,3 +146,23 @@ def test_usage_errors(capsys, tmp_path):
     g.write_text(CHERRY)
     code, _ = run(capsys, ["--format", "csv", "construct", str(g)])
     assert code == 1
+
+    # argparse errors exit 1, like other usage errors; 2 means a failed check
+    for argv in (
+        ["bogus"],
+        ["enumerate"],
+        ["--threads", "0", "enumerate", "--n", "3"],
+        ["certify", "--delta", "1/8"],
+        ["certify", "--method", "interval"],
+        ["certify", "--max-depth", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+    capsys.readouterr()
+
+    # a weight file that is not UTF-8 is a usage error naming its path
+    w = tmp_path / "w.txt"
+    w.write_bytes(b"1/3\n1/3\n\xff\n")
+    assert main(["pipeline", str(g), str(w)]) == 1
+    assert f"{w}:3: not UTF-8" in capsys.readouterr().err

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from trilag.fileio import ParseError, parse_graph_text, parse_weights_text
+from trilag.fileio import ParseError, parse_graph, parse_graph_text, parse_weights, parse_weights_text
 from trilag.graphs import OrientedGraph, UndirectedGraph
 
 
@@ -56,7 +56,35 @@ def test_parse_weights_errors():
         parse_weights_text("1/2\nhalf\n")
     with pytest.raises(ParseError, match="expected 3 weights"):
         parse_weights_text("1/2\n1/2\n", expected_n=3)
-    with pytest.raises(ValueError):
-        parse_weights_text("1/2\n1/4\n")  # sums to 3/4
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="sum to 3/4"):
+        parse_weights_text("1/2\n1/4\n")
+    with pytest.raises(ParseError, match="negative weight"):
         parse_weights_text("3/2\n-1/2\n")
+
+
+def test_parse_weights_errors_carry_line_numbers():
+    # the sum is checked at the last weight line
+    with pytest.raises(ParseError, match="^w.txt:4: weights sum to 3/4"):
+        parse_weights_text("1/2\n\n# note\n1/4\n", path="w.txt")
+    with pytest.raises(ParseError, match="^w.txt:2: negative weight"):
+        parse_weights_text("3/2\n-1/2\n", path="w.txt")
+    # too few: the last weight line; too many: the first surplus line
+    with pytest.raises(ParseError, match="^w.txt:2: expected 3 weights, got 2"):
+        parse_weights_text("1/2\n1/2\n", expected_n=3, path="w.txt")
+    with pytest.raises(ParseError, match="^w.txt:3: expected 2 weights, got 3"):
+        parse_weights_text("1/2\n1/2\n0\n", expected_n=2, path="w.txt")
+    with pytest.raises(ParseError, match="^w.txt:1: expected 2 weights, got 0"):
+        parse_weights_text("", expected_n=2, path="w.txt")
+    with pytest.raises(ParseError, match="^w.txt:1: weight vector must be nonempty"):
+        parse_weights_text("# none\n", path="w.txt")
+
+
+def test_parse_files_reject_non_utf8(tmp_path):
+    w = tmp_path / "w.txt"
+    w.write_bytes(b"1/2\n\xff\n")
+    with pytest.raises(ParseError, match=f"^{w}:2: not UTF-8"):
+        parse_weights(str(w))
+    g = tmp_path / "g.txt"
+    g.write_bytes(b"\xfe digraph 2\n")
+    with pytest.raises(ParseError, match=f"^{g}:1: not UTF-8"):
+        parse_graph(str(g))

@@ -30,10 +30,11 @@ def test_weight_vector_invariants():
         WeightVector([Fraction(3, 2), Fraction(-1, 2)])
     with pytest.raises(ValueError):
         WeightVector([])
-    float_ok = WeightVector([0.5, 0.5])
-    assert not float_ok.exact
-    with pytest.raises(ValueError):
-        WeightVector([0.5, 0.5 + 1e-9])
+    # only rationals: floats are rejected even when they sum to one
+    with pytest.raises(ValueError, match="rationals"):
+        WeightVector([0.5, 0.5])
+    with pytest.raises(ValueError, match="rationals"):
+        WeightVector([Fraction(1, 2), 0.5])
 
 
 def test_uniform_weights():

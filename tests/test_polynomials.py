@@ -1,14 +1,10 @@
 import random
 from fractions import Fraction
 
-from trilag.certify import Cell, bernstein_lower_bound, interval_lower_bound
-from trilag.polynomials import (
-    Poly3,
-    bernstein_coefficients,
-    g_polynomial,
-    h_polynomial,
-    interval_box_bounds,
-)
+from math import factorial
+
+from trilag.certify import DOMAIN_VERTICES, certify
+from trilag.polynomials import Poly3, g_polynomial, h_polynomial, simplex_bernstein
 from trilag.simplex import trivariate_g
 
 
@@ -21,7 +17,7 @@ def test_h_key_values():
     assert h.evaluate(Fraction(1, 2), Fraction(1, 2), Fraction(0)) == 0
     assert h.evaluate(Fraction(1), Fraction(0), Fraction(0)) == Fraction(3, 32)
     assert h.evaluate(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == Fraction(1, 864)
-    assert h.degrees() == (4, 4, 3)
+    assert max(sum(m) for m in h.coeffs) == 4
 
 
 def test_g_poly_matches_direct_expression():
@@ -42,77 +38,90 @@ def test_poly_arithmetic():
     p = (x1 + x2) * (x1 - x2)
     assert p == x1 * x1 - x2 * x2
     assert (x1 + 1).evaluate(Fraction(2), 0, 0) == 3
-    assert (x1**3).degrees() == (3, 0, 0)
-    assert Poly3.constant(0).degrees() == (0, 0, 0)
+    assert (x1**3).coeffs == {(3, 0, 0): 1}
+    assert Poly3.constant(0).coeffs == {}
 
 
-def test_interval_bound_trivial_cases():
-    box = Cell((Fraction(0),) * 3, (Fraction(1),) * 3)
-    assert interval_lower_bound(Poly3.constant(Fraction(3, 32)), box) == Fraction(3, 32)
-    assert interval_lower_bound(Poly3.variable(0), box) == 0
+def rand_simplex(rng, den=64):
+    while True:
+        verts = tuple(tuple(rand_rational(rng, den) for _ in range(3)) for _ in range(4))
+        if len(set(verts)) == 4:
+            return verts
 
 
-def test_interval_bound_soundness_by_sampling():
+def rand_barycentric(rng):
+    weights = [Fraction(rng.randint(0, 1000)) for _ in range(4)]
+    if not any(weights):
+        weights[0] = Fraction(1)
+    return [w / sum(weights) for w in weights]
+
+
+def bernstein_value(coeffs, lam):
+    """sum_a b[a] n!/a! lam^a: the polynomial from its Bernstein coefficients."""
+    total = Fraction(0)
+    for a, b in coeffs.items():
+        term = b * factorial(sum(a))
+        for l, e in zip(lam, a):
+            term = term * l**e / factorial(e)
+        total += term
+    return total
+
+
+def at(vertices, lam):
+    return tuple(sum(l * v[k] for l, v in zip(lam, vertices)) for k in range(3))
+
+
+def vertex_index(n, i):
+    return tuple(n if j == i else 0 for j in range(4))
+
+
+def test_bernstein_form_reproduces_h_on_each_leaf():
     h = h_polynomial()
-    rng = random.Random(19)
-    for _ in range(40):
-        lo = tuple(Fraction(rng.randint(0, 50), 64) for _ in range(3))
-        hi = tuple(l + Fraction(rng.randint(1, 14), 64) for l in lo)
-        bound = interval_box_bounds(h, lo, hi)[0]
-        for _ in range(300):
-            pt = [
-                l + Fraction(rng.randint(0, 32), 32) * (u - l)
-                for l, u in zip(lo, hi)
-            ]
-            assert bound <= h.evaluate(*pt)
+    rng = random.Random(400)
+    simplices = [DOMAIN_VERTICES] + [leaf.vertices for leaf in certify().leaves]
+    for vertices in simplices:
+        coeffs = simplex_bernstein(h, vertices)
+        assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
+        for _ in range(150):
+            lam = rand_barycentric(rng)
+            assert bernstein_value(coeffs, lam) == h.evaluate(*at(vertices, lam))
 
 
 def test_bernstein_linear_poly_is_exact_corner_min():
     p = Poly3.variable(0) - 2 * Poly3.variable(1) + Poly3.constant(Fraction(1, 4))
-    lo = (Fraction(1, 8), Fraction(1, 4), Fraction(0))
-    hi = (Fraction(3, 8), Fraction(3, 4), Fraction(1, 2))
-    corners = [
-        p.evaluate(x, y, z)
-        for x in (lo[0], hi[0])
-        for y in (lo[1], hi[1])
-        for z in (lo[2], hi[2])
-    ]
-    assert bernstein_lower_bound(p, Cell(lo, hi)) == min(corners)
+    rng = random.Random(7)
+    for _ in range(20):
+        vertices = rand_simplex(rng)
+        coeffs = simplex_bernstein(p, vertices)
+        assert sorted(coeffs.values()) == sorted(p.evaluate(*v) for v in vertices)
 
 
 def test_bernstein_corner_coefficients_are_exact_values():
     h = h_polynomial()
-    lo = (Fraction(1, 4), Fraction(1, 8), Fraction(0))
-    hi = (Fraction(3, 4), Fraction(5, 8), Fraction(1, 2))
-    coeffs = bernstein_coefficients(h, lo, hi)
-    d1, d2, d3 = h.degrees()
-    for ci, x in ((0, lo[0]), (d1, hi[0])):
-        for cj, y in ((0, lo[1]), (d2, hi[1])):
-            for ck, z in ((0, lo[2]), (d3, hi[2])):
-                assert coeffs[ci][cj][ck] == h.evaluate(x, y, z)
+    rng = random.Random(11)
+    simplices = [leaf.vertices for leaf in certify().leaves] + [rand_simplex(rng) for _ in range(5)]
+    for vertices in simplices:
+        coeffs = simplex_bernstein(h, vertices)
+        for i, v in enumerate(vertices):
+            assert coeffs[vertex_index(4, i)] == h.evaluate(*v)
 
 
 def test_bernstein_zero_corner_cell():
-    # cell with corner exactly at the equality point of h
+    # every leaf has the equality point of h as a vertex, with coefficient 0
     h = h_polynomial()
-    lo = (Fraction(1, 2) - Fraction(1, 64), Fraction(1, 2) - Fraction(1, 64), Fraction(0))
-    hi = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 64))
-    coeffs = bernstein_coefficients(h, lo, hi)
-    d1, d2, _ = h.degrees()
-    assert coeffs[d1][d2][0] == 0  # corner coefficient = h(1/2,1/2,0)
-    assert bernstein_lower_bound(h, Cell(lo, hi)) <= 0
+    zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    for leaf in certify().leaves:
+        coeffs = simplex_bernstein(h, leaf.vertices)
+        assert coeffs[vertex_index(4, leaf.vertices.index(zero))] == 0
+        assert min(coeffs.values()) == 0
 
 
 def test_bernstein_soundness_by_sampling():
     h = h_polynomial()
     rng = random.Random(23)
-    for _ in range(40):
-        lo = tuple(Fraction(rng.randint(0, 50), 64) for _ in range(3))
-        hi = tuple(l + Fraction(rng.randint(1, 14), 64) for l in lo)
-        bound = bernstein_lower_bound(h, Cell(lo, hi))
-        for _ in range(300):
-            pt = [
-                l + Fraction(rng.randint(0, 32), 32) * (u - l)
-                for l, u in zip(lo, hi)
-            ]
-            assert bound <= h.evaluate(*pt)
+    for _ in range(20):
+        vertices = rand_simplex(rng)
+        coeffs = simplex_bernstein(h, vertices)
+        low, high = min(coeffs.values()), max(coeffs.values())
+        for _ in range(100):
+            assert low <= h.evaluate(*at(vertices, rand_barycentric(rng))) <= high

@@ -59,7 +59,6 @@ from .harness import (
     enumerate_orientations,
     validate_fdf_family,
     pipeline_report,
-    run_pipeline,
 )
 from .fileio import ParseError, parse_graph, parse_weights
 

@@ -69,11 +69,17 @@ def point_in_domain(x1, x2, x3) -> bool:
     return x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1
 
 
+_h: Poly3 | None = None  # h_polynomial(), built on the first check_point_exact call
+
+
 def check_point_exact(x1, x2, x3) -> Fraction:
     """Exact h value at a point of D."""
+    global _h
     if not point_in_domain(x1, x2, x3):
         raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-    return h_polynomial().evaluate(Fraction(x1), Fraction(x2), Fraction(x3))
+    if _h is None:
+        _h = h_polynomial()
+    return _h.evaluate(Fraction(x1), Fraction(x2), Fraction(x3))
 
 
 def bisect(simplex: Simplex) -> tuple[Simplex, Simplex]:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .certify import CERTIFIED, certify
 from .fileio import ParseError, parse_graph, parse_weights
@@ -32,22 +32,12 @@ EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: list[str]
-    seed: int
-    out: str | None
-    fmt: str
-    threads: int
-
-
-def _emit(payload, cfg: RunConfig, text_lines=None, csv_rows=None) -> None:
-    if cfg.fmt == "json":
+def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
+    if args.format == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         if csv_rows is None:
-            raise ParseError("<args>", 0, f"csv format not supported for {cfg.subcommand}")
+            raise ParseError("<args>", 0, f"csv format not supported for {args.subcommand}")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -55,8 +45,8 @@ def _emit(payload, cfg: RunConfig, text_lines=None, csv_rows=None) -> None:
         rendered = buf.getvalue()
     else:
         rendered = "\n".join(text_lines or [json.dumps(payload)]) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
@@ -71,7 +61,7 @@ def _lag_json(lv) -> dict:
     }
 
 
-def _cmd_construct(args, cfg: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     g = parse_graph(args.graph)
     if isinstance(g, OrientedGraph):
         f, cf = build_f(g), build_cf(g)
@@ -99,11 +89,11 @@ def _cmd_construct(args, cfg: RunConfig) -> int:
             "bf_density": str(edge_density(bf)) if g.n >= 3 else None,
         }
         text = [f"graph on {g.n} vertices", f"BF triples: {bf.sorted_triples()}"]
-    _emit(payload, cfg, text_lines=text)
+    _emit(payload, args, text_lines=text)
     return EXIT_OK
 
 
-def _cmd_lagrangian(args, cfg: RunConfig) -> int:
+def _cmd_lagrangian(args) -> int:
     g = parse_graph(args.graph)
     w = parse_weights(args.weights, expected_n=g.n)
     if isinstance(g, OrientedGraph):
@@ -115,11 +105,11 @@ def _cmd_lagrangian(args, cfg: RunConfig) -> int:
         lbf = lagrangian_bf(g, w)
         payload = {"lagrangian_bf": _lag_json(lbf)}
         text = [f"L_BF = {lbf.value}"]
-    _emit(payload, cfg, text_lines=text)
+    _emit(payload, args, text_lines=text)
     return EXIT_OK
 
 
-def _cmd_reduce(args, cfg: RunConfig) -> int:
+def _cmd_reduce(args) -> int:
     g = parse_graph(args.graph)
     if isinstance(g, OrientedGraph):
         g = underlying(g)
@@ -138,12 +128,12 @@ def _cmd_reduce(args, cfg: RunConfig) -> int:
         f"final L_BF = {payload['final_lagrangian']}",
         f"monotone: {monotone}",
     ]
-    _emit(payload, cfg, text_lines=text)
+    _emit(payload, args, text_lines=text)
     return EXIT_OK if monotone else EXIT_MATH_FAIL
 
 
-def _cmd_optimize(args, cfg: RunConfig) -> int:
-    result = maximize(args.n, restarts=args.restarts, seed=cfg.seed, tol=args.tol)
+def _cmd_optimize(args) -> int:
+    result = maximize(args.n, restarts=args.restarts, seed=args.seed, tol=args.tol)
     payload = {
         "n": result.n,
         "value": float(result.value),
@@ -159,23 +149,23 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
         f"n={result.n}: max ~ {float(result.value):.12f} (exact {result.value})",
         f"argmax ~ {tuple(round(v, 6) for v in result.point)}",
     ]
-    _emit(payload, cfg, text_lines=text)
+    _emit(payload, args, text_lines=text)
     return EXIT_OK
 
 
-def _cmd_certify(args, cfg: RunConfig) -> int:
+def _cmd_certify(args) -> int:
     cert = certify()
     text = [
         f"result: {cert.result}",
         f"simplices processed: {cert.simplices_processed}, leaves: {len(cert.leaves)}, "
         f"max depth reached: {cert.max_depth_reached}",
     ]
-    _emit(cert.to_jsonable(), cfg, text_lines=text)
+    _emit(cert.to_jsonable(), args, text_lines=text)
     return EXIT_OK if cert.result == CERTIFIED else EXIT_MATH_FAIL
 
 
-def _cmd_enumerate(args, cfg: RunConfig) -> int:
-    report = enumerate_orientations(args.n, threads=cfg.threads)
+def _cmd_enumerate(args) -> int:
+    report = enumerate_orientations(args.n)
     payload = report.to_jsonable()
     csv_rows = [
         ["n", "count", "max_cf_density", "max_cf_density_witness",
@@ -188,21 +178,21 @@ def _cmd_enumerate(args, cfg: RunConfig) -> int:
         f"max CF density {report.max_cf_density} at index {report.max_cf_density_witness}",
         f"max uniform L_CF {report.max_uniform_lcf} at index {report.max_uniform_lcf_witness}",
     ]
-    _emit(payload, cfg, text_lines=text, csv_rows=csv_rows)
+    _emit(payload, args, text_lines=text, csv_rows=csv_rows)
     return EXIT_OK if not report.violations else EXIT_MATH_FAIL
 
 
-def _cmd_validate_fdf(args, cfg: RunConfig) -> int:
-    report = validate_fdf_family(args.n, threads=cfg.threads)
+def _cmd_validate_fdf(args) -> int:
+    report = validate_fdf_family(args.n)
     text = [
         f"n={report['n']}: {report['c4_free_count']} C4-free orientations of {report['count']}, "
         f"{len(report['counterexamples'])} counterexamples",
     ]
-    _emit(report, cfg, text_lines=text)
+    _emit(report, args, text_lines=text)
     return EXIT_OK if not report["counterexamples"] else EXIT_MATH_FAIL
 
 
-def _cmd_pipeline(args, cfg: RunConfig) -> int:
+def _cmd_pipeline(args) -> int:
     g = parse_graph(args.graph)
     if not isinstance(g, OrientedGraph):
         raise ParseError(args.graph, 1, "pipeline expects a digraph")
@@ -215,11 +205,11 @@ def _cmd_pipeline(args, cfg: RunConfig) -> int:
     text = [f"chain: {chain}"] + [
         f"  {'PASS' if link['pass'] else 'FAIL'} {link['name']}" for link in report["links"]
     ]
-    _emit(report, cfg, text_lines=text)
+    _emit(report, args, text_lines=text)
     return EXIT_OK if report["all_pass"] else EXIT_MATH_FAIL
 
 
-GLOBAL_DEFAULTS = {"format": "json", "out": None, "seed": 0, "threads": 1}
+GLOBAL_DEFAULTS = {"format": "json", "out": None, "seed": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,10 +226,10 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS, help="write the report to this path")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     return common
 
 
+@functools.cache  # built once, on the first main call: a build costs about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
     parser = _Parser(
@@ -291,27 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for key, default in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        inputs=[getattr(args, k) for k in ("graph", "weights") if hasattr(args, k)],
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
+    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
-        return args.run(args, cfg)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        return args.run(args)
+    except (OSError, ValueError) as exc:  # ValueError covers ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

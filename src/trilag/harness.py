@@ -2,17 +2,20 @@
 
 Orientations on labeled vertices are indexed 0..3^C(n,2)-1: each vertex
 pair contributes one base-3 digit (0 absent, 1 forward, 2 backward), so
-sweeps partition cleanly across worker processes and every witness is
-reproducible from its index.
+every witness is reproducible from its index.  The sweeps take blocks of
+indices as digit arrays and look every triple and 4-set up in tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
+
+import numpy as np
 
 from .certify import check_point_exact
 from .graphs import (
@@ -24,28 +27,21 @@ from .graphs import (
     has_induced_directed_c4,
     underlying,
 )
-from .lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
+from .lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from .reduction import WeightedGraph, reduce_to_complete, trace_to_jsonable
 from .simplex import closed_form, majorization_bound_check, trivariate_g
 
 BOUND = Fraction(3, 32)
-
-
-def pair_slots(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+BLOCK_DIGITS = 8  # 3^8 = 6561 orientations per block keeps memory flat at n = 6
 
 
 def orientation_from_index(n: int, index: int) -> OrientedGraph:
-    """Decode one labeled orientation from its base-3 index."""
+    """Decode one labeled orientation from its base-3 index (any n: Python ints)."""
     arcs = []
-    x = index
-    for (u, v) in pair_slots(n):
-        r = x % 3
-        x //= 3
-        if r == 1:
-            arcs.append((u, v))
-        elif r == 2:
-            arcs.append((v, u))
+    for (u, v) in itertools.combinations(range(n), 2):
+        index, digit = divmod(index, 3)
+        if digit:
+            arcs.append((u, v) if digit == 1 else (v, u))
     return OrientedGraph(n, arcs)
 
 
@@ -65,132 +61,165 @@ class EnumerationReport:
             "n": self.n,
             "count": self.count,
             "max_cf_density": str(self.max_cf_density),
-            "max_cf_density_witness": {
-                "index": self.max_cf_density_witness,
-                "arcs": orientation_from_index(self.n, self.max_cf_density_witness).sorted_arcs(),
-            },
+            "max_cf_density_witness": self._witness(self.max_cf_density_witness),
             "max_uniform_lcf": str(self.max_uniform_lcf),
-            "max_uniform_lcf_witness": {
-                "index": self.max_uniform_lcf_witness,
-                "arcs": orientation_from_index(self.n, self.max_uniform_lcf_witness).sorted_arcs(),
-            },
+            "max_uniform_lcf_witness": self._witness(self.max_uniform_lcf_witness),
             "violations": self.violations,
             "wall_time_s": self.wall_time_s,
         }
 
-
-def _enumerate_range(n: int, start: int, stop: int):
-    """Check one index range; returns partial aggregates."""
-    from math import comb
-
-    n_triples = comb(n, 3)
-    w = uniform_weights(n)
-    best_density = (Fraction(-1), -1)
-    best_lcf = (Fraction(-1), -1)
-    violations = []
-    for idx in range(start, stop):
-        g = orientation_from_index(n, idx)
-        f = build_f(g)
-        cf = build_cf(g)
-        und = underlying(g)
-        bf = build_bf(und)
-        if f.triples & cf.triples or len(f) + len(cf) != n_triples:
-            violations.append({"index": idx, "check": "partition"})
-        if not cf.triples <= bf.triples:
-            violations.append({"index": idx, "check": "containment"})
-        lcf = lagrangian_cf(g, w).value
-        lbf = lagrangian_bf(und, w).value
-        if lcf > BOUND:
-            violations.append({"index": idx, "check": "lcf_bound", "lcf": str(lcf)})
-        if lcf > lbf:
-            violations.append({"index": idx, "check": "step_inequality"})
-        density = Fraction(len(cf), n_triples)
-        if (density, -idx) > (best_density[0], -best_density[1]):
-            best_density = (density, idx)
-        if (lcf, -idx) > (best_lcf[0], -best_lcf[1]):
-            best_lcf = (lcf, idx)
-    return best_density, best_lcf, violations
+    def _witness(self, index: int) -> dict:
+        return {"index": index, "arcs": orientation_from_index(self.n, index).sorted_arcs()}
 
 
-def enumerate_orientations(n: int, threads: int = 1) -> EnumerationReport:
+@functools.cache
+def lookup_tables() -> dict[str, np.ndarray]:
+    """Facts about one triple (27 rows) or one 4-set (729 rows), built once per process.
+
+    Row t describes ``orientation_from_index(k, t)``: a subset's row reads its
+    pair digits in ``combinations`` order as a base-3 number, so a triple's
+    row is d_xy + 3 d_xz + 9 d_yz.  Per triple: ``cf``, ``bf`` (membership
+    in CF, and in BF of the underlying graph), ``partition_bad`` (not in
+    exactly one of F and CF), ``containment_bad`` (in CF, not in BF).  Per
+    4-set: ``c4`` (induces a directed 4-cycle), ``independent`` (holds no
+    triple of F).  Each fact depends only on the arcs inside the subset.
+    """
+    triples = [orientation_from_index(3, t) for t in range(27)]
+    in_f = [len(build_f(g)) for g in triples]
+    in_cf = [len(build_cf(g)) for g in triples]
+    in_bf = [len(build_bf(underlying(g))) for g in triples]
+    quads = [orientation_from_index(4, t) for t in range(729)]
+    tables = {
+        "cf": np.array(in_cf, dtype=np.int8),
+        "bf": np.array(in_bf, dtype=np.int8),
+        "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
+        "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
+        "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
+        "independent": np.array([has_independent_4set(build_f(g))[0] for g in quads]),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def pair_digits(indices, width: int) -> np.ndarray:
+    """Base-3 digits of orientation indices, pair slot 0 first: (width x len) int8."""
+    x = np.asarray(indices, dtype=np.int64)
+    powers = 3 ** np.arange(width, dtype=np.int64).reshape((width,) + (1,) * x.ndim)
+    return (x // powers % 3).astype(np.int8)
+
+
+def _blocks(n: int):
+    """Yield (first index, pair digits) per block of 3^BLOCK_DIGITS indices; the array is reused."""
+    low = min(comb(n, 2), BLOCK_DIGITS)
+    digits = pair_digits(np.arange(3**low), comb(n, 2))
+    for block in range(3 ** (comb(n, 2) - low)):
+        digits[low:] = pair_digits(block, comb(n, 2) - low)[:, None]
+        yield block * 3**low, digits
+
+
+def _table_rows(n: int, k: int, digits: np.ndarray) -> np.ndarray:
+    """(k-subsets x orientations) table rows, subsets in ``combinations`` order."""
+    slot = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    subsets = itertools.combinations(range(n), k)
+    slots = np.array([[slot[p] for p in itertools.combinations(s, 2)] for s in subsets])
+    rows = np.zeros((len(slots), digits.shape[1]), dtype=np.int16)
+    for e, col in enumerate(slots.T):
+        rows += digits[col] * np.int16(3**e)
+    return rows
+
+
+def triple_counts(n: int, digits: np.ndarray):
+    """Per orientation (column of pair digits): |CF|, |BF|, |A|, and whether
+    some triple breaks the F/CF partition or CF within BF."""
+    tables, rows = lookup_tables(), _table_rows(n, 3, digits)
+    return (
+        tables["cf"].take(rows).sum(axis=0, dtype=np.int32),
+        tables["bf"].take(rows).sum(axis=0, dtype=np.int32),
+        np.count_nonzero(digits, axis=0),
+        tables["partition_bad"].take(rows).any(axis=0),
+        tables["containment_bad"].take(rows).any(axis=0),
+    )
+
+
+def quad_flags(n: int, digits: np.ndarray):
+    """Per orientation (column of pair digits): whether some 4-set induces a
+    directed C4, and the (4-sets x orientations) flags of 4-sets independent in F."""
+    tables, rows = lookup_tables(), _table_rows(n, 4, digits)
+    return tables["c4"].take(rows).any(axis=0), tables["independent"].take(rows)
+
+
+def enumerate_orientations(n: int) -> EnumerationReport:
     """Sweep all 3^C(n,2) labeled orientations, 3 <= n <= 6.
 
     Per orientation: F/CF partition, CF within BF, uniform-weight
     L_CF <= 3/32 and L_CF <= L_BF, all exact.  Maxima are reported with
-    the smallest achieving index as witness.
+    the smallest achieving index as witness.  At weights 1/n,
+    2n^3 L_CF = 2|CF| + |A| and 2n^4 L_BF = 2n|BF| + 2n|E| - |E|^2 with
+    |E| = |A|, so every check is an integer comparison.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supports 3 <= n <= 6")
-    total = 3 ** len(pair_slots(n))
     t0 = time.perf_counter()
-    if threads <= 1:
-        parts = [_enumerate_range(n, 0, total)]
-    else:
-        chunk = -(-total // threads)
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_enumerate_range, *zip(*((n, a, b) for a, b in spans))))
-    best_density = (Fraction(-1), -1)
-    best_lcf = (Fraction(-1), -1)
+    best_cf = best_lcf = (-1, 0)  # (numerator, minus the smallest achieving index)
     violations = []
-    for bd, bl, viol in parts:
-        if (bd[0], -bd[1]) > (best_density[0], -best_density[1]):
-            best_density = bd
-        if (bl[0], -bl[1]) > (best_lcf[0], -best_lcf[1]):
-            best_lcf = bl
-        violations.extend(viol)
+    for start, digits in _blocks(n):
+        cf, bf, arcs, partition, containment = triple_counts(n, digits)
+        lcf = 2 * cf + arcs
+        lcf_bound = 32 * lcf > 6 * n**3
+        step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
+        checks = {"partition": partition, "containment": containment,
+                  "lcf_bound": lcf_bound, "step_inequality": step}
+        for j in np.flatnonzero(partition | containment | lcf_bound | step):
+            for check, failed in checks.items():
+                if failed[j]:
+                    violation = {"index": start + int(j), "check": check}
+                    if check == "lcf_bound":
+                        violation["lcf"] = str(Fraction(int(lcf[j]), 2 * n**3))
+                    violations.append(violation)
+        best_cf = max(best_cf, (int(cf.max()), -start - int(cf.argmax())))
+        best_lcf = max(best_lcf, (int(lcf.max()), -start - int(lcf.argmax())))
     return EnumerationReport(
         n=n,
-        count=total,
-        max_cf_density=best_density[0],
-        max_cf_density_witness=best_density[1],
-        max_uniform_lcf=best_lcf[0],
-        max_uniform_lcf_witness=best_lcf[1],
+        count=3 ** comb(n, 2),
+        max_cf_density=Fraction(best_cf[0], comb(n, 3)),
+        max_cf_density_witness=-best_cf[1],
+        max_uniform_lcf=Fraction(best_lcf[0], 2 * n**3),
+        max_uniform_lcf_witness=-best_lcf[1],
         violations=violations,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
-def _fdf_range(n: int, start: int, stop: int):
-    c4_free = 0
-    counterexamples = []
-    for idx in range(start, stop):
-        g = orientation_from_index(n, idx)
-        found, _ = has_induced_directed_c4(g)
-        if found:
-            continue
-        c4_free += 1
-        indep, quad = has_independent_4set(build_f(g))
-        if indep:
-            counterexamples.append(
-                {"index": idx, "arcs": g.sorted_arcs(), "independent_4set": list(quad)}
-            )
-    return c4_free, counterexamples
-
-
-def validate_fdf_family(n: int, threads: int = 1) -> dict:
+def validate_fdf_family(n: int) -> dict:
     """Check that C4-free orientations give 3-graphs with no independent 4-set.
 
-    Sweeps every labeled orientation on 4 <= n <= 5 vertices without an
+    Sweeps every labeled orientation on 4 <= n <= 6 vertices without an
     induced directed 4-cycle and asserts the triple construction leaves
-    no empty 4-set; counterexamples (none expected) are reported verbatim.
+    no empty 4-set; counterexamples are reported verbatim, with the first
+    independent 4-set in ``combinations`` order.  None can exist at any n:
+    of the 729 orientations of 4 vertices exactly 6 induce a directed C4,
+    and they are the only 6 that span no triple of F (pinned in the tests).
     """
-    if not 4 <= n <= 5:
-        raise ValueError("family validation supports 4 <= n <= 5")
-    total = 3 ** len(pair_slots(n))
+    if not 4 <= n <= 6:
+        raise ValueError("family validation supports 4 <= n <= 6")
     t0 = time.perf_counter()
-    if threads <= 1:
-        parts = [_fdf_range(n, 0, total)]
-    else:
-        chunk = -(-total // threads)
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_fdf_range, *zip(*((n, a, b) for a, b in spans))))
-    c4_free = sum(p[0] for p in parts)
-    counterexamples = [c for p in parts for c in p[1]]
+    quads = list(itertools.combinations(range(n), 4))
+    c4_free = 0
+    counterexamples = []
+    for start, digits in _blocks(n):
+        has_c4, independent = quad_flags(n, digits)
+        c4_free += int(np.count_nonzero(~has_c4))
+        for j in np.flatnonzero(~has_c4 & independent.any(axis=0)):
+            index = start + int(j)
+            counterexamples.append({
+                "index": index,
+                "arcs": orientation_from_index(n, index).sorted_arcs(),
+                "independent_4set": list(quads[int(np.argmax(independent[:, j]))]),
+            })
     return {
         "n": n,
-        "count": total,
+        "count": 3 ** comb(n, 2),
         "c4_free_count": c4_free,
         "counterexamples": counterexamples,
         "wall_time_s": time.perf_counter() - t0,
@@ -238,14 +267,3 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
         "links": [{"name": name, "pass": ok} for name, ok in links],
         "all_pass": all(ok for _, ok in links),
     }
-
-
-def run_pipeline(graph_path: str, weights_path: str) -> dict:
-    """File-based front end for pipeline_report (digraph input)."""
-    from .fileio import parse_graph, parse_weights
-
-    g = parse_graph(graph_path)
-    if not isinstance(g, OrientedGraph):
-        raise ValueError("pipeline expects a digraph input")
-    w = parse_weights(weights_path, expected_n=g.n)
-    return pipeline_report(g, w)

@@ -11,9 +11,14 @@ from fractions import Fraction
 import numpy as np
 
 from trilag.certify import CERTIFIED, certify, leaf_volume_total
-from trilag.graphs import UndirectedGraph, underlying
-from trilag.harness import enumerate_orientations, pipeline_report, validate_fdf_family
-from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
+from trilag.harness import (
+    enumerate_orientations,
+    orientation_from_index,
+    pipeline_report,
+    validate_fdf_family,
+)
+from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.polynomials import h_polynomial, simplex_bernstein
 from trilag.reduction import WeightedGraph, merge_identity_check, reduce_to_complete
 from trilag.simplex import closed_form, gradient, maximize, trivariate_g
@@ -43,7 +48,7 @@ def test_criterion_1_extremal_value():
 
 
 def test_criterion_2_exhaustive_small_orders():
-    expected = {3: 27, 4: 729, 5: 59049}
+    expected = {3: 27, 4: 729, 5: 59049, 6: 14348907}
     ok = True
     details = []
     for n, count in expected.items():
@@ -51,7 +56,20 @@ def test_criterion_2_exhaustive_small_orders():
         good = report.count == count and report.violations == []
         ok = ok and good
         details.append(f"n={n}: {report.count} orientations, {len(report.violations)} violations")
-    _report("criterion 2 (exhaustive n=3,4,5)", ok, "; ".join(details))
+    # n = 6 maxima, each witness re-checked on the object-level path
+    density_witness = orientation_from_index(6, report.max_cf_density_witness)
+    lcf_witness = orientation_from_index(6, report.max_uniform_lcf_witness)
+    ok = ok and (
+        (report.max_cf_density, report.max_cf_density_witness) == (Fraction(3, 4), 285993)
+        and (report.max_uniform_lcf, report.max_uniform_lcf_witness) == (Fraction(5, 54), 2380656)
+        and edge_density(build_cf(density_witness)) == Fraction(3, 4)
+        and lagrangian_cf(lcf_witness, uniform_weights(6)).value == Fraction(5, 54)
+    )
+    details.append(
+        f"n=6 max CF density {report.max_cf_density} at {report.max_cf_density_witness}, "
+        f"max uniform L_CF {report.max_uniform_lcf} at {report.max_uniform_lcf_witness}"
+    )
+    _report("criterion 2 (exhaustive n=3,4,5,6)", ok, "; ".join(details))
 
 
 def test_criterion_3_cf_bf_comparison_suite():
@@ -182,9 +200,10 @@ def test_criterion_6_certifier():
 def test_criterion_7_family_check():
     ok = True
     details = []
-    for n in (4, 5):
+    c4_free = {4: 723, 5: 56799, 6: 12853407}
+    for n in (4, 5, 6):
         report = validate_fdf_family(n)
-        good = report["counterexamples"] == []
+        good = report["counterexamples"] == [] and report["c4_free_count"] == c4_free[n]
         ok = ok and good
         details.append(
             f"n={n}: {report['c4_free_count']} C4-free of {report['count']}, "

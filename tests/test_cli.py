@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trilag.cli import main
+from trilag.cli import build_parser, main
 
 CHERRY = "digraph 3\n0 1\n2 1\n"
 UNIFORM3 = "1/3\n1/3\n1/3\n"
@@ -132,6 +132,23 @@ def test_out_file(tmp_path, capsys, cherry_files):
     assert json.loads(out_path.read_text())["all_pass"]
 
 
+def test_repeated_main_calls_share_no_state(tmp_path, capsys, cherry_files):
+    """main reuses one parser; no flag or argument of one call carries into the next."""
+    g, w = cherry_files
+    out_path = tmp_path / "report.json"
+    assert run(capsys, ["--out", str(out_path), "--seed", "9", "enumerate", "--n", "3"]) == (0, "")
+    code, out = run(capsys, ["--format", "text", "pipeline", g, w])
+    assert code == 0 and out.startswith("chain:")
+    code, out = run(capsys, ["optimize", "--n", "3", "--restarts", "5"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+    code, out = run(capsys, ["validate-fdf", "--n", "4"])
+    assert code == 0 and json.loads(out)["n"] == 4
+    code, out = run(capsys, ["--format", "csv", "enumerate", "--n", "4"])
+    assert code == 0 and out.splitlines()[1].startswith("4,729,")
+    assert json.loads(out_path.read_text())["n"] == 3
+    assert build_parser() is build_parser()
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("digraph 2\n0 1\n1 0\n")
@@ -151,7 +168,7 @@ def test_usage_errors(capsys, tmp_path):
     for argv in (
         ["bogus"],
         ["enumerate"],
-        ["--threads", "0", "enumerate", "--n", "3"],
+        ["--threads", "0", "enumerate", "--n", "3"],  # no such flag
         ["certify", "--delta", "1/8"],
         ["certify", "--method", "interval"],
         ["certify", "--max-depth", "3"],

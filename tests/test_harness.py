@@ -1,15 +1,31 @@
+import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
-from trilag.graphs import OrientedGraph, has_induced_directed_c4
+from trilag import harness
+from trilag.graphs import (
+    OrientedGraph,
+    build_bf,
+    build_cf,
+    build_f,
+    has_independent_4set,
+    has_induced_directed_c4,
+    underlying,
+)
 from trilag.harness import (
     enumerate_orientations,
+    lookup_tables,
     orientation_from_index,
+    pair_digits,
     pipeline_report,
+    quad_flags,
+    triple_counts,
     validate_fdf_family,
 )
-from trilag.lagrangian import WeightVector, uniform_weights
+from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 
 
 def test_orientation_index_roundtrip():
@@ -37,19 +53,100 @@ def test_enumerate_n4():
     assert witness.n == 4
 
 
-def test_enumerate_threads_agree():
-    a = enumerate_orientations(3, threads=1)
-    b = enumerate_orientations(3, threads=2)
-    ja, jb = a.to_jsonable(), b.to_jsonable()
-    ja.pop("wall_time_s"), jb.pop("wall_time_s")
-    assert ja == jb
-
-
 def test_enumerate_range_errors():
     with pytest.raises(ValueError):
         enumerate_orientations(2)
     with pytest.raises(ValueError):
         enumerate_orientations(7)
+
+
+def _kernel_indices(n):
+    """Every index for n <= 4; 300 seeded ones for n = 5 and 6."""
+    total = 3 ** comb(n, 2)
+    if n <= 4:
+        return list(range(total))
+    return random.Random(n).sample(range(total), 300)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_matches_object_oracle(n):
+    """Per orientation, the table kernel agrees with the object-level constructions."""
+    indices = _kernel_indices(n)
+    digits = pair_digits(indices, comb(n, 2))
+    cf, bf, arcs, partition, containment = triple_counts(n, digits)
+    has_c4, independent = quad_flags(n, digits)
+    w = uniform_weights(n)
+    for j, idx in enumerate(indices):
+        g = orientation_from_index(n, idx)
+        f, cf_sys, und = build_f(g), build_cf(g), underlying(g)
+        bf_sys = build_bf(und)
+        assert (cf[j], bf[j], arcs[j]) == (len(cf_sys), len(bf_sys), len(g.arcs)), idx
+        assert partition[j] == (bool(f.triples & cf_sys.triples)
+                                or len(f) + len(cf_sys) != comb(n, 3)), idx
+        assert containment[j] == (not cf_sys.triples <= bf_sys.triples), idx
+        assert Fraction(int(2 * cf[j] + arcs[j]), 2 * n**3) == lagrangian_cf(g, w).value
+        lbf = 2 * n * bf[j] + 2 * n * arcs[j] - arcs[j] ** 2
+        assert Fraction(int(lbf), 2 * n**4) == lagrangian_bf(und, w).value
+        assert has_c4[j] == has_induced_directed_c4(g)[0], idx
+        indep = n >= 4 and has_independent_4set(f)[0]
+        assert independent[:, j].any() == indep, idx
+
+
+def test_lookup_tables():
+    """Every triple row keeps the partition and containment; C4 4-sets are the independent ones.
+
+    The second fact proves validate-fdf has no counterexample at any n:
+    a 4-set spanning no triple of F induces a directed C4.
+    """
+    tables = lookup_tables()
+    assert tables["cf"].shape == tables["bf"].shape == (27,)
+    assert not tables["partition_bad"].any() and not tables["containment_bad"].any()
+    assert np.count_nonzero(tables["c4"]) == 6
+    assert np.array_equal(tables["independent"], tables["c4"])
+    with pytest.raises(ValueError):
+        tables["c4"][0] = True
+
+
+def test_enumerate_reports_violations(monkeypatch):
+    """Corrupted tables give violations in index order, each index's checks in fixed order."""
+    tables = dict(lookup_tables())
+    tables["cf"] = np.ones(27, dtype=np.int8)  # every triple in CF: L_CF too large
+    tables["partition_bad"] = np.arange(27) == 0
+    tables["containment_bad"] = np.arange(27) == 1
+    monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+    violations = enumerate_orientations(3).violations
+    assert violations[:3] == [
+        {"index": 0, "check": "partition"},
+        {"index": 0, "check": "step_inequality"},
+        {"index": 1, "check": "containment"},
+    ]
+    violations = enumerate_orientations(4).violations
+    assert [v["index"] for v in violations] == sorted(v["index"] for v in violations)
+    complete = sum(3**k for k in range(6))  # every pair forward: six arcs
+    assert [v for v in violations if v["index"] == complete] == [
+        {"index": complete, "check": "lcf_bound", "lcf": "7/64"},
+        {"index": complete, "check": "step_inequality"},
+    ]
+
+
+def test_validate_fdf_reports_counterexamples(monkeypatch):
+    """With the C4 table cleared, every independent 4-set is a counterexample,
+    reported with the first such 4-set in combinations order."""
+    tables = dict(lookup_tables())
+    tables["c4"] = np.zeros(729, dtype=bool)
+    monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+    report = validate_fdf_family(5)
+    assert report["c4_free_count"] == report["count"] == 59049
+    assert report["counterexamples"]
+    indices = [c["index"] for c in report["counterexamples"]]
+    assert indices == sorted(indices)
+    for c in report["counterexamples"]:
+        g = orientation_from_index(5, c["index"])
+        assert c["arcs"] == g.sorted_arcs()
+        assert has_independent_4set(build_f(g)) == (True, tuple(c["independent_4set"]))
+    flagged = sum(has_independent_4set(build_f(orientation_from_index(5, i)))[0]
+                  for i in range(0, 59049, 7))
+    assert sum(1 for i in indices if i % 7 == 0) == flagged
 
 
 def test_validate_fdf_n4():
@@ -72,7 +169,7 @@ def test_validate_fdf_range_errors():
     with pytest.raises(ValueError):
         validate_fdf_family(3)
     with pytest.raises(ValueError):
-        validate_fdf_family(6)
+        validate_fdf_family(7)
 
 
 def test_pipeline_cherry_chain():

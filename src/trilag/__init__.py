@@ -37,7 +37,6 @@ from .reduction import (
     reduce_to_complete,
 )
 from .simplex import (
-    ClosedFormInput,
     OptResult,
     closed_form,
     closed_form_matches_definition,

@@ -144,6 +144,10 @@ def _cmd_optimize(args) -> int:
         "seed": result.seed,
         "residual": result.residual,
         "converged": result.converged,
+        "stats": {
+            "iterations": result.iterations,
+            "restarts_converged": result.restarts_converged,
+        },
     }
     text = [
         f"n={result.n}: max ~ {float(result.value):.12f} (exact {result.value})",
@@ -284,7 +288,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
         return args.run(args)
-    except (OSError, ValueError) as exc:  # ValueError covers ParseError
+    # ValueError covers ParseError; MemoryError a batch too large to allocate
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,9 +6,12 @@ sums alone:
     f(x) = (1/6)(1 - sum x_i^3) - (1/8)(1 - sum x_i^2)^2
 
 which is maximized over the probability simplex by projected gradient
-ascent with backtracking line search and seeded random restarts.  The
-float argmax is then rounded to rationals and re-evaluated exactly, so
-the reported value carries no floating-point doubt.
+ascent with backtracking line search from seeded random restarts.  All
+restarts run as one (restarts x n) array: the float objective, gradient
+and projection work along the last axis, and each row keeps its own step
+and stopping rule.  The float argmax is then rounded to rationals and
+re-evaluated exactly, so the reported value carries no floating-point
+doubt.
 
 The trivariate bound function
 
@@ -23,6 +26,7 @@ establishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +39,10 @@ FLOAT_SIMPLEX_TOL = 1e-9
 
 
 def _check_simplex(x) -> bool:
-    """True if x is exact; raises on constraint violation either way."""
+    """True if x is exact; raises on constraint violation either way.
+
+    Float input is checked row by row along its last axis.
+    """
     exact = all(isinstance(v, (Fraction, int)) for v in x)
     if exact:
         if any(v < 0 for v in x):
@@ -43,51 +50,29 @@ def _check_simplex(x) -> bool:
         if sum(Fraction(v) for v in x) != 1:
             raise ValueError("coordinates must sum to 1")
     else:
-        if any(v < -FLOAT_SIMPLEX_TOL for v in x):
+        arr = np.asarray(x, dtype=float)
+        if (arr < -FLOAT_SIMPLEX_TOL).any():
             raise ValueError("negative coordinate")
-        if abs(sum(float(v) for v in x) - 1.0) > FLOAT_SIMPLEX_TOL:
+        if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
             raise ValueError("coordinates must sum to 1")
     return exact
-
-
-@dataclass(frozen=True)
-class ClosedFormInput:
-    """Simplex point with its power sums cached."""
-
-    x: tuple
-    s2: Fraction | float
-    s3: Fraction | float
-
-    @classmethod
-    def from_weights(cls, x) -> "ClosedFormInput":
-        x = tuple(x)
-        if _check_simplex(x):
-            x = tuple(Fraction(v) for v in x)
-            s2 = sum((v**2 for v in x), Fraction(0))
-            s3 = sum((v**3 for v in x), Fraction(0))
-        else:
-            x = tuple(float(v) for v in x)
-            s2 = sum(v**2 for v in x)
-            s3 = sum(v**3 for v in x)
-        return cls(x=x, s2=s2, s3=s3)
 
 
 def closed_form(x):
     """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex.
 
-    Exact input (Fractions/ints) gives an exact Fraction; float input a float.
-    Accepts a sequence or a prepared ClosedFormInput.
+    Exact input (Fractions/ints) gives an exact Fraction.  Float input is
+    reduced along its last axis: a vector gives a float, a (rows x n) array
+    one value per row.
     """
-    if not isinstance(x, ClosedFormInput):
-        x = ClosedFormInput.from_weights(x)
-    if isinstance(x.s2, Fraction):
-        return Fraction(1, 6) * (1 - x.s3) - Fraction(1, 8) * (1 - x.s2) ** 2
-    return (1.0 - x.s3) / 6.0 - (1.0 - x.s2) ** 2 / 8.0
-
-
-def _closed_form_np(x: np.ndarray) -> float:
-    s2 = float(np.dot(x, x))
-    s3 = float(np.sum(x**3))
+    if _check_simplex(x):
+        x = [Fraction(v) for v in x]
+        s2 = sum((v * v for v in x), Fraction(0))
+        s3 = sum((v**3 for v in x), Fraction(0))
+        return Fraction(1, 6) * (1 - s3) - Fraction(1, 8) * (1 - s2) ** 2
+    arr = np.asarray(x, dtype=float)
+    s2 = (arr * arr).sum(axis=-1)
+    s3 = (arr**3).sum(axis=-1)
     return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0
 
 
@@ -101,20 +86,28 @@ def closed_form_matches_definition(n: int, w: WeightVector) -> bool:
 
 
 def gradient(x) -> np.ndarray:
-    """Gradient of the closed form: component i is -x_i^2/2 + (1 - sum x^2) x_i / 2."""
+    """Gradient of the closed form along the last axis.
+
+    Component i is -x_i^2/2 + (1 - sum x^2) x_i / 2; a (rows x n) array
+    gives one gradient per row.
+    """
     arr = np.asarray(x, dtype=float)
-    s2 = float(np.dot(arr, arr))
+    s2 = (arr * arr).sum(axis=-1, keepdims=True)
     return -(arr**2) / 2.0 + (1.0 - s2) * arr / 2.0
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, n + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+def project_to_simplex(v) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1} along the last axis (sort-based)."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    rows = v.reshape(-1, n)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1)
+    positive = u + (1.0 - css) / np.arange(1, n + 1) > 0
+    # rho is the last positive index; for finite input index 0 always is
+    rho = n - 1 - positive[:, ::-1].argmax(axis=1)
+    lam = (1.0 - css[np.arange(len(rows)), rho]) / (rho + 1.0)
+    return np.maximum(v + lam.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,9 @@ class OptResult:
 
     value is the exact closed form at exact_point (the argmax rounded to
     rationals with denominator <= 10^6 and renormalized); float_value is
-    the raw ascent objective.
+    the raw ascent objective.  iterations counts the outer iterations of
+    the batched ascent (the most any one start took), restarts_converged
+    the starts that ended with residual < tol.
     """
 
     n: int
@@ -135,33 +130,60 @@ class OptResult:
     seed: int
     converged: bool
     residual: float
+    iterations: int
+    restarts_converged: int
 
 
-def _ascend(x: np.ndarray, tol: float, max_iter: int = 4000):
-    """Projected gradient ascent with backtracking from one start."""
-    step0 = 1.0
-    fx = _closed_form_np(x)
-    residual = np.inf
-    for _ in range(max_iter):
-        grad = gradient(x)
-        moved = project_to_simplex(x + step0 * grad)
-        residual = float(np.linalg.norm(moved - x) / step0)
-        if residual < tol:
-            return x, fx, residual, True
-        step = step0
-        accepted = False
-        # Armijo backtracking on the projected step
-        for _ in range(60):
-            trial = project_to_simplex(x + step * grad) if step != step0 else moved
-            ft = _closed_form_np(trial)
-            if ft > fx + 1e-4 * float(grad @ (trial - x)):
-                x, fx = trial, ft
-                accepted = True
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
+
+
+def ascend(starts, tol: float, max_iter: int = 4000):
+    """Projected gradient ascent with Armijo backtracking, one start per row.
+
+    Each row follows its own ascent: from step 1, halve up to MAX_HALVINGS
+    times until the Armijo condition holds.  A row stops when its residual
+    |P(x + grad) - x| falls below tol (converged) or when no step is
+    accepted; only the rows still active are advanced.  Returns the final
+    points, their objective values, residuals and converged flags, and the
+    number of outer iterations run.
+    """
+    x = np.array(starts, dtype=float)
+    fx = closed_form(x)
+    residual = np.full(len(x), np.inf)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    iterations = 0
+    while active.size and iterations < max_iter:
+        iterations += 1
+        xa = x[active]
+        grad = gradient(xa)
+        moved = project_to_simplex(xa + grad)
+        res = np.sqrt(((moved - xa) ** 2).sum(axis=-1))
+        residual[active] = res
+        done = res < tol
+        if done.any():
+            converged[active[done]] = True
+            active, xa, grad, moved = active[~done], xa[~done], grad[~done], moved[~done]
+            if not active.size:
                 break
-            step *= 0.5
-        if not accepted:
-            return x, fx, residual, residual < tol
-    return x, fx, residual, False
+        trial = moved
+        fa = fx[active]
+        searching = np.arange(active.size)  # positions in active still halving
+        for k in range(MAX_HALVINGS):
+            if k:
+                trial = project_to_simplex(xa[searching] + 0.5**k * grad[searching])
+            ft = closed_form(trial)
+            slope = (grad[searching] * (trial - xa[searching])).sum(axis=-1)
+            accepted = ft > fa[searching] + ARMIJO * slope
+            rows = active[searching[accepted]]
+            x[rows], fx[rows] = trial[accepted], ft[accepted]
+            searching = searching[~accepted]
+            if not searching.size:
+                break
+        else:
+            active = np.delete(active, searching)  # no step accepted: these rows stop
+    return x, fx, residual, converged, iterations
 
 
 def round_point_exact(point, max_denominator: int = 10**6):
@@ -177,35 +199,34 @@ def round_point_exact(point, max_denominator: int = 10**6):
 def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> OptResult:
     """Best closed-form value over the (n-1)-simplex from seeded random starts.
 
-    Starts are flat-Dirichlet samples; the winner is the maximum float
-    objective (ties by lexicographically smallest point), then rounded to
-    rationals and re-evaluated exactly.
+    Starts are flat-Dirichlet samples, ascended together as one
+    (restarts x n) batch; the winner is the maximum float objective (ties
+    by lexicographically smallest point), then rounded to rationals and
+    re-evaluated exactly.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        x0 = rng.dirichlet(np.ones(n))
-        x, fx, residual, converged = _ascend(x0, tol)
-        key = (fx, tuple(-x))  # max value, then lexicographically smallest point
-        if best is None or key > best[0]:
-            best = (key, x, fx, residual, converged)
-    _, x, fx, residual, converged = best
-    exact_point = round_point_exact(x)
-    exact_value = closed_form(exact_point)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=restarts)
+    x, fx, residual, converged, iterations = ascend(starts, tol)
+    # max value, then lexicographically smallest point
+    best = max(range(restarts), key=lambda i: (fx[i], tuple(-x[i])))
+    exact_point = round_point_exact(x[best])
     return OptResult(
         n=n,
-        value=exact_value,
-        point=tuple(float(v) for v in x),
+        value=closed_form(exact_point),
+        point=tuple(float(v) for v in x[best]),
         exact_point=exact_point,
-        float_value=fx,
+        float_value=float(fx[best]),
         restarts=restarts,
         seed=seed,
-        converged=converged,
-        residual=residual,
+        converged=bool(converged[best]),
+        residual=float(residual[best]),
+        iterations=iterations,
+        restarts_converged=int(converged.sum()),
     )
 
 

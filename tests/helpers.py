@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from trilag.graphs import OrientedGraph, UndirectedGraph
 from trilag.lagrangian import WeightVector
 
@@ -95,3 +97,58 @@ def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:
     return OrientedGraph(
         g.n - 1, [(shift(a), shift(b)) for (a, b) in g.arcs if v not in (a, b)]
     )
+
+
+def _closed_form_1d(x: np.ndarray) -> float:
+    s2 = float(np.sum(x * x))
+    s3 = float(np.sum(x**3))
+    return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0
+
+
+def _gradient_1d(x: np.ndarray) -> np.ndarray:
+    s2 = float(np.sum(x * x))
+    return -(x**2) / 2.0 + (1.0 - s2) * x / 2.0
+
+
+def _project_1d(v: np.ndarray) -> np.ndarray:
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u + (1.0 - css) / np.arange(1, n + 1) > 0)[0][-1]
+    lam = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + lam, 0.0)
+
+
+def ascend_one(x: np.ndarray, tol: float, max_iter: int = 4000):
+    """Projected gradient ascent with Armijo backtracking from one start.
+
+    The per-start oracle for the batched ``simplex.ascend``, with its own
+    vector objective, gradient and projection.  Its sums are plain
+    ``np.sum`` reductions, the arithmetic the batch does on each row, not
+    BLAS dot products, whose last bits depend on the BLAS kernel.  Returns
+    the final point, its objective value, the last residual and the
+    converged flag.
+    """
+    step0 = 1.0
+    fx = _closed_form_1d(x)
+    residual = np.inf
+    for _ in range(max_iter):
+        grad = _gradient_1d(x)
+        moved = _project_1d(x + step0 * grad)
+        residual = float(np.sqrt(np.sum((moved - x) ** 2)) / step0)
+        if residual < tol:
+            return x, fx, residual, True
+        step = step0
+        accepted = False
+        # Armijo backtracking on the projected step
+        for _ in range(60):
+            trial = _project_1d(x + step * grad) if step != step0 else moved
+            ft = _closed_form_1d(trial)
+            if ft > fx + 1e-4 * float(np.sum(grad * (trial - x))):
+                x, fx = trial, ft
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return x, fx, residual, residual < tol
+    return x, fx, residual, False

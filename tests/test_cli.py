@@ -68,6 +68,8 @@ def test_optimize(capsys):
     payload = json.loads(out)
     assert payload["value_exact"] == "3/32"
     assert len(payload["point"]) == 4
+    # the most outer iterations any of the 15 starts took, and how many converged
+    assert payload["stats"] == {"iterations": 257, "restarts_converged": 15}
 
 
 def test_enumerate_json_and_csv(capsys):
@@ -177,6 +179,15 @@ def test_usage_errors(capsys, tmp_path):
             main(argv)
         assert exc.value.code == 1, argv
     capsys.readouterr()
+
+    # a tolerance that is not finite and > 0, and a batch too large to allocate
+    for argv in (
+        ["optimize", "--n", "3", "--tol", "nan"],
+        ["optimize", "--n", "3", "--tol", "-1"],
+        ["optimize", "--n", "12", "--restarts", str(10**15)],  # petabytes: fails at once
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
     # a weight file that is not UTF-8 is a usage error naming its path
     w = tmp_path / "w.txt"

@@ -6,7 +6,7 @@ import pytest
 
 from trilag.lagrangian import WeightVector
 from trilag.simplex import (
-    ClosedFormInput,
+    ascend,
     closed_form,
     closed_form_matches_definition,
     gradient,
@@ -17,7 +17,7 @@ from trilag.simplex import (
     trivariate_g,
 )
 
-from helpers import rand_weights
+from helpers import ascend_one, rand_weights
 
 HALF = Fraction(1, 2)
 
@@ -28,12 +28,14 @@ def test_closed_form_values():
     assert closed_form([Fraction(1, 3)] * 3) == Fraction(5, 54)
 
 
-def test_closed_form_input_caches_power_sums():
-    ci = ClosedFormInput.from_weights([Fraction(1, 3)] * 3)
-    assert ci.s2 == Fraction(1, 3) and ci.s3 == Fraction(1, 9)
-    assert closed_form(ci) == Fraction(5, 54)
-    float_ci = ClosedFormInput.from_weights([0.5, 0.5])
-    assert abs(closed_form(float_ci) - 3 / 32) < 1e-15
+def test_closed_form_exact_and_float():
+    value = closed_form([Fraction(1, 3)] * 3)
+    assert isinstance(value, Fraction) and value == Fraction(5, 54)
+    assert abs(closed_form([0.5, 0.5]) - 3 / 32) < 1e-15
+    rows = closed_form(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    assert rows.shape == (2,) and abs(rows[0] - 3 / 32) < 1e-15 and rows[1] == 0
+    with pytest.raises(ValueError):
+        closed_form(np.array([[0.5, 0.5], [0.5, 0.25]]))
 
 
 def test_closed_form_rejects_off_simplex():
@@ -99,6 +101,47 @@ def test_project_to_simplex():
         assert p.min() >= 0 and abs(p.sum() - 1) < 1e-12
 
 
+def test_batch_rows_equal_vector_calls():
+    """gradient, project_to_simplex and the float closed_form reduce along the last axis."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        points = rng.dirichlet(np.ones(n), size=9)
+        v = rng.normal(size=(9, n))
+        grads, projections, values = gradient(points), project_to_simplex(v), closed_form(points)
+        assert grads.shape == projections.shape == (9, n) and values.shape == (9,)
+        for i in range(9):
+            assert np.array_equal(grads[i], gradient(points[i]))
+            assert np.array_equal(projections[i], project_to_simplex(v[i]))
+            assert values[i] == closed_form(points[i])
+
+
+@pytest.mark.parametrize(
+    "seed,restarts,tol", [(0, 100, 1e-8), (1, 10, 1e-8), (2, 10, 1e-8), (3, 10, 1e-300)]
+)
+def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
+    """Every row of the batch ends exactly where the per-start loop ends.
+
+    Seed 0 with 100 restarts is the CLI default run.  No row can meet
+    tol = 1e-300, so there every row backtracks until no step is accepted.
+    """
+    for n in range(1, 13):
+        starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=restarts)
+        x, fx, residual, converged, iterations = ascend(starts, tol)
+        assert 1 <= iterations <= 4000
+        for i, start in enumerate(starts):
+            ox, ofx, oresidual, oconverged = ascend_one(start, tol)
+            assert np.array_equal(x[i], ox), (n, i)
+            assert (fx[i], residual[i], converged[i]) == (ofx, oresidual, oconverged), (n, i)
+
+
+def test_maximize_draws_starts_as_one_batch():
+    """The (restarts x n) Dirichlet draw equals the sequential one-start draws."""
+    for n in (1, 2, 5, 12):
+        batch = np.random.default_rng(0).dirichlet(np.ones(n), size=30)
+        rng = np.random.default_rng(0)
+        assert np.array_equal(batch, [rng.dirichlet(np.ones(n)) for _ in range(30)])
+
+
 def test_round_point_exact():
     pt = round_point_exact([0.4999999997, 0.5000000003])
     assert pt == (HALF, HALF)
@@ -132,6 +175,18 @@ def test_maximize_never_exceeds_bound():
         res = maximize(n, restarts=12, seed=n)
         assert res.value <= Fraction(3, 32)
         assert float(res.float_value) <= 3 / 32 + 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_maximize_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        maximize(3, restarts=2, tol=tol)
+
+
+def test_maximize_stats_without_convergence():
+    res = maximize(4, restarts=15, seed=3, tol=1e-300)  # no row can get that close
+    assert res.restarts_converged == 0 and not res.converged
+    assert 1 <= res.iterations <= 4000
 
 
 def test_maximize_deterministic_in_seed():

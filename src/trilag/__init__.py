@@ -29,7 +29,6 @@ from .lagrangian import (
     density_from_uniform,
 )
 from .reduction import (
-    WeightedGraph,
     MergeStep,
     neighbor_sums,
     merge,
@@ -47,12 +46,7 @@ from .simplex import (
     majorization_bound_check,
 )
 from .polynomials import Poly3, g_polynomial, h_polynomial, simplex_bernstein
-from .certify import (
-    Certificate,
-    Leaf,
-    certify,
-    check_point_exact,
-)
+from .certify import Certificate, Leaf, certify
 from .harness import (
     EnumerationReport,
     enumerate_orientations,

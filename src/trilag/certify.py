@@ -10,6 +10,10 @@ h vanishes at the vertex (1/2,1/2,0), where its coefficient is exactly 0;
 one bisection of D suffices.  Every number in the certificate is an exact
 rational; output is canonical (sorted leaves) and independent of
 processing order.
+
+This module proves the polynomial inequality only.  The pipeline's value
+of h at one point is 3/32 - g, from the exact simplex.trivariate_g; the
+tests pin that it equals h_polynomial() evaluated there.
 """
 
 from __future__ import annotations
@@ -67,19 +71,6 @@ def point_in_domain(x1, x2, x3) -> bool:
     """Exact membership in D (rationals only)."""
     x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
     return x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1
-
-
-_h: Poly3 | None = None  # h_polynomial(), built on the first check_point_exact call
-
-
-def check_point_exact(x1, x2, x3) -> Fraction:
-    """Exact h value at a point of D."""
-    global _h
-    if not point_in_domain(x1, x2, x3):
-        raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-    if _h is None:
-        _h = h_polynomial()
-    return _h.evaluate(Fraction(x1), Fraction(x2), Fraction(x3))
 
 
 def bisect(simplex: Simplex) -> tuple[Simplex, Simplex]:

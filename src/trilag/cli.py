@@ -24,7 +24,7 @@ from .fileio import ParseError, parse_graph, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
 from .harness import enumerate_orientations, pipeline_report, validate_fdf_family
 from .lagrangian import lagrangian_bf, lagrangian_cf
-from .reduction import WeightedGraph, reduce_to_complete, trace_to_jsonable
+from .reduction import reduce_to_complete, trace_to_jsonable
 from .simplex import maximize
 
 EXIT_OK = 0
@@ -114,17 +114,17 @@ def _cmd_reduce(args) -> int:
     if isinstance(g, OrientedGraph):
         g = underlying(g)
     w = parse_weights(args.weights, expected_n=g.n)
-    final, trace = reduce_to_complete(WeightedGraph(g, w))
+    final_graph, final_weights, trace = reduce_to_complete(g, w)
     monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
     payload = {
         "trace": trace_to_jsonable(trace),
-        "final_order": final.graph.n,
-        "final_weights": [str(v) for v in final.weights],
-        "final_lagrangian": str(lagrangian_bf(final.graph, final.weights).value),
+        "final_order": final_graph.n,
+        "final_weights": [str(v) for v in final_weights],
+        "final_lagrangian": str(lagrangian_bf(final_graph, final_weights).value),
         "monotone": monotone,
     }
     text = [
-        f"merges: {len(trace)}, final complete graph order {final.graph.n}",
+        f"merges: {len(trace)}, final complete graph order {final_graph.n}",
         f"final L_BF = {payload['final_lagrangian']}",
         f"monotone: {monotone}",
     ]

@@ -9,6 +9,8 @@ graph order and the sum must be exactly 1.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .graphs import OrientedGraph, UndirectedGraph
@@ -86,8 +88,20 @@ def parse_graph(path: str):
     return parse_graph_text(_read_text(path), path=path)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(token: str) -> Fraction:
-    """p/q, integer, or decimal literal, parsed exactly."""
+    """p/q, integer, or decimal literal, parsed exactly.
+
+    A decimal exponent beyond sys.int_info.default_max_str_digits in
+    magnitude raises OverflowError before Fraction builds 10^exponent: no
+    such weight could be printed in a report.
+    """
+    match = _EXPONENT.search(token)
+    limit = sys.int_info.default_max_str_digits
+    if match and abs(int(match.group(1))) > limit:
+        raise OverflowError(f"decimal exponent of {token!r} is beyond +-{limit}")
     return Fraction(token)
 
 
@@ -97,6 +111,8 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
     for line_no, line in _content_lines(text):
         try:
             w = parse_rational(line)
+        except OverflowError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         except (ValueError, ZeroDivisionError):
             raise ParseError(path, line_no, f"bad rational {line!r}") from None
         if w < 0:

@@ -46,9 +46,6 @@ class OrientedGraph:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
-    def out_neighbors(self, u: int) -> list[int]:
-        return sorted(v for (x, v) in self.arcs if x == u)
-
     def relabel(self, perm) -> "OrientedGraph":
         """Apply a vertex permutation (perm[v] is the new label of v)."""
         return OrientedGraph(self.n, ((perm[u], perm[v]) for (u, v) in self.arcs))

@@ -17,7 +17,6 @@ from math import comb
 
 import numpy as np
 
-from .certify import check_point_exact
 from .graphs import (
     OrientedGraph,
     build_bf,
@@ -28,7 +27,7 @@ from .graphs import (
     underlying,
 )
 from .lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
-from .reduction import WeightedGraph, reduce_to_complete, trace_to_jsonable
+from .reduction import reduce_to_complete, trace_to_jsonable
 from .simplex import closed_form, majorization_bound_check, trivariate_g
 
 BOUND = Fraction(3, 32)
@@ -231,34 +230,34 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
 
     Chain: L_CF <= L_BF <= L_BF(final complete) = closed form
            <= trivariate bound at the sorted final weights <= 3/32.
+    Each value is computed once; h_at_point is 3/32 - g at that point.
     """
     lcf = lagrangian_cf(g, w).value
     und = underlying(g)
     lbf = lagrangian_bf(und, w).value
-    final, trace = reduce_to_complete(WeightedGraph(und, w))
-    lfinal = lagrangian_bf(final.graph, final.weights).value
-    closed = closed_form(list(final.weights))
-    wsorted = sorted(final.weights, reverse=True)
+    final_graph, final_weights, trace = reduce_to_complete(und, w)
+    lfinal = lagrangian_bf(final_graph, final_weights).value
+    closed = closed_form(list(final_weights))
+    wsorted = sorted(final_weights, reverse=True)
     while len(wsorted) < 3:
         wsorted.append(Fraction(0))
     x1, x2, x3 = wsorted[0], wsorted[1], wsorted[2]
-    major_ok = majorization_bound_check(wsorted)
     gval = trivariate_g(x1, x2, x3)
-    hval = check_point_exact(x1, x2, x3)
+    hval = BOUND - gval
 
     links = [
         ("lcf_le_lbf", lcf <= lbf),
         ("lbf_le_final", lbf <= lfinal),
         ("final_eq_closed_form", lfinal == closed),
-        ("closed_form_le_trivariate", major_ok and closed <= gval),
+        ("closed_form_le_trivariate", majorization_bound_check(wsorted) and closed <= gval),
         ("trivariate_le_3_32", hval >= 0),
     ]
     return {
         "lagrangian_cf": str(lcf),
         "lagrangian_bf": str(lbf),
         "reduction_trace": trace_to_jsonable(trace),
-        "final_order": final.graph.n,
-        "final_weights": [str(v) for v in final.weights],
+        "final_order": final_graph.n,
+        "final_weights": [str(v) for v in final_weights],
         "closed_form_value": str(closed),
         "trivariate_point": [str(x1), str(x2), str(x3)],
         "trivariate_value": str(gval),

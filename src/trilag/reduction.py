@@ -11,6 +11,10 @@ holds, and the right side is nonnegative because S_ab <= min(S_a,S_b)
 and |S_a - S_b| <= 1 on the simplex.  Hence at least one branch does not
 decrease the Lagrangian, and repeating until no non-edge remains reaches
 a complete graph in at most n-1 merges.
+
+Every function takes an undirected graph g and its weights w as two
+arguments, with len(w) == g.n; merge and reduce_to_complete return the
+new pair.
 """
 
 from __future__ import annotations
@@ -20,18 +24,6 @@ from fractions import Fraction
 
 from .graphs import UndirectedGraph
 from .lagrangian import WeightVector, lagrangian_bf
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    graph: UndirectedGraph
-    weights: WeightVector
-
-    def __post_init__(self):
-        if len(self.weights) != self.graph.n:
-            raise ValueError(
-                f"weight length {len(self.weights)} != vertex count {self.graph.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -51,17 +43,22 @@ class MergeStep:
     lagrangian_after: Fraction
 
 
-def neighbor_sums(wg: WeightedGraph, a: int, b: int):
+def _check_pair(g: UndirectedGraph, w: WeightVector, a: int, b: int) -> None:
+    if len(w) != g.n:
+        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
+    if a == b:
+        raise ValueError("pair must be two distinct vertices")
+    if g.has_edge(a, b):
+        raise ValueError(f"({a},{b}) is an edge; merging needs a non-edge")
+
+
+def neighbor_sums(g: UndirectedGraph, w: WeightVector, a: int, b: int):
     """(S_a, S_b, S_ab) for the non-edge (a,b).
 
     S_ab sums the weights of x with {a,b,x} a BF-triple; since (a,b) is a
     non-edge these are exactly the common neighbors of a and b.
     """
-    g, w = wg.graph, wg.weights
-    if a == b:
-        raise ValueError("pair must be two distinct vertices")
-    if g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is an edge; merging needs a non-edge")
+    _check_pair(g, w, a, b)
     na = set(g.neighbors(a))
     nb = set(g.neighbors(b))
     s_a = sum((w[x] for x in na), Fraction(0))
@@ -70,40 +67,35 @@ def neighbor_sums(wg: WeightedGraph, a: int, b: int):
     return s_a, s_b, s_ab
 
 
-def merge(wg: WeightedGraph, a: int, b: int, keep: int) -> WeightedGraph:
+def merge(g: UndirectedGraph, w: WeightVector, a: int, b: int, keep: int):
     """Delete the discarded endpoint of the non-edge (a,b); keep gets both weights.
 
-    Remaining vertices are reindexed contiguously (labels above the
-    deleted one shift down by one).
+    Returns (graph, weights).  Remaining vertices are reindexed
+    contiguously (labels above the deleted one shift down by one).
     """
     if keep not in (a, b):
         raise ValueError("keep must be one of the merged pair")
-    if a == b:
-        raise ValueError("pair must be two distinct vertices")
-    g, w = wg.graph, wg.weights
-    if g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is an edge; merging needs a non-edge")
+    _check_pair(g, w, a, b)
     drop = b if keep == a else a
     new_weights = []
     for v in range(g.n):
         if v == drop:
             continue
         new_weights.append(w[a] + w[b] if v == keep else w[v])
-    return WeightedGraph(g.delete_vertex(drop), WeightVector(new_weights))
+    return g.delete_vertex(drop), WeightVector(new_weights)
 
 
-def merge_identity_check(wg: WeightedGraph, a: int, b: int):
+def merge_identity_check(g: UndirectedGraph, w: WeightVector, a: int, b: int):
     """Both sides of the merge identity, for exact comparison.
 
     lhs = a*L(G_a) + b*L(G_b) - (a+b)*L(G)
     rhs = a*b*(a+b) * ((1/2)(S_a + S_b - (S_a - S_b)^2) - S_ab)
     """
-    s_a, s_b, s_ab = neighbor_sums(wg, a, b)
-    w = wg.weights
+    s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
     wa, wb = w[a], w[b]
-    lg = lagrangian_bf(wg.graph, w).value
-    la = lagrangian_bf(*_parts(merge(wg, a, b, keep=a))).value
-    lb = lagrangian_bf(*_parts(merge(wg, a, b, keep=b))).value
+    lg = lagrangian_bf(g, w).value
+    la = lagrangian_bf(*merge(g, w, a, b, keep=a)).value
+    lb = lagrangian_bf(*merge(g, w, a, b, keep=b)).value
     lhs = wa * la + wb * lb - (wa + wb) * lg
     rhs = wa * wb * (wa + wb) * (
         Fraction(1, 2) * (s_a + s_b - (s_a - s_b) ** 2) - s_ab
@@ -111,38 +103,31 @@ def merge_identity_check(wg: WeightedGraph, a: int, b: int):
     return {"lhs": lhs, "rhs": rhs}
 
 
-def _parts(wg: WeightedGraph):
-    return wg.graph, wg.weights
-
-
-def reduce_to_complete(wg: WeightedGraph):
+def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     """Merge lexicographically-smallest non-edges until the graph is complete.
 
     Both branches are evaluated exactly and the larger kept (ties keep the
     smaller vertex index), so L_BF never decreases along the trace.
-    Returns (final WeightedGraph, list of MergeStep in original labels).
+    Returns (final graph, final weights, list of MergeStep in original labels).
     """
-    labels = list(range(wg.graph.n))
+    labels = list(range(g.n))
     trace: list[MergeStep] = []
-    current = wg
-    l_before = lagrangian_bf(current.graph, current.weights).value
-    while not current.graph.is_complete():
-        a, b = current.graph.non_edges()[0]
-        s_a, s_b, s_ab = neighbor_sums(current, a, b)
-        cand_a = merge(current, a, b, keep=a)
-        cand_b = merge(current, a, b, keep=b)
-        val_a = lagrangian_bf(cand_a.graph, cand_a.weights).value
-        val_b = lagrangian_bf(cand_b.graph, cand_b.weights).value
+    l_before = lagrangian_bf(g, w).value  # raises on a weight length != g.n
+    while not g.is_complete():
+        a, b = g.non_edges()[0]
+        s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
+        cand_a = merge(g, w, a, b, keep=a)
+        cand_b = merge(g, w, a, b, keep=b)
+        val_a = lagrangian_bf(*cand_a).value
+        val_b = lagrangian_bf(*cand_b).value
         if val_a >= val_b:
-            chosen, l_after, kept_local, branch = cand_a, val_a, a, "a"
-            dropped_local = b
+            (g, w), l_after, kept, dropped, branch = cand_a, val_a, a, b, "a"
         else:
-            chosen, l_after, kept_local, branch = cand_b, val_b, b, "b"
-            dropped_local = a
+            (g, w), l_after, kept, dropped, branch = cand_b, val_b, b, a, "b"
         trace.append(
             MergeStep(
                 pair=(labels[a], labels[b]),
-                kept=labels[kept_local],
+                kept=labels[kept],
                 branch=branch,
                 s_a=s_a,
                 s_b=s_b,
@@ -151,10 +136,9 @@ def reduce_to_complete(wg: WeightedGraph):
                 lagrangian_after=l_after,
             )
         )
-        del labels[dropped_local]
-        current = chosen
+        del labels[dropped]
         l_before = l_after
-    return current, trace
+    return g, w, trace
 
 
 def trace_to_jsonable(trace) -> list[dict]:

@@ -21,7 +21,7 @@ The trivariate bound function
 dominates f at any sorted simplex point (majorization of the square sum),
 reducing the global bound to positivity of 3/32 - g on
 D = {x1 >= x2 >= x3 >= 0, x1+x2+x3 <= 1}, which the certifier module
-establishes.
+establishes.  g is evaluated in exact arithmetic only.
 """
 
 from __future__ import annotations
@@ -230,28 +230,18 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
     )
 
 
-def trivariate_g(x1, x2, x3):
+def trivariate_g(x1, x2, x3) -> Fraction:
     """The trivariate domination function g on D = {x1>=x2>=x3>=0, sum<=1}.
 
-    Exact for Fraction/int inputs, float otherwise; raises outside D.
+    Exact: inputs must be Fractions or ints; raises ValueError otherwise
+    and outside D.
     """
-    exact = all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3))
-    if exact:
-        x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
-        if not (x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1):
-            raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-        sixth, eighth = Fraction(1, 6), Fraction(1, 8)
-    else:
-        x1, x2, x3 = float(x1), float(x2), float(x3)
-        if not (
-            x1 >= x2 - FLOAT_SIMPLEX_TOL
-            and x2 >= x3 - FLOAT_SIMPLEX_TOL
-            and x3 >= -FLOAT_SIMPLEX_TOL
-            and x1 + x2 + x3 <= 1 + FLOAT_SIMPLEX_TOL
-        ):
-            raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-        sixth, eighth = 1.0 / 6.0, 1.0 / 8.0
-    return sixth * (1 - x1**3 - x2**3 - x3**3) - eighth * (
+    if not all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3)):
+        raise ValueError("trivariate_g takes rationals (Fraction or int)")
+    x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
+    if not (x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1):
+        raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
+    return Fraction(1, 6) * (1 - x1**3 - x2**3 - x3**3) - Fraction(1, 8) * (
         1 - x1**2 - x2**2 - x3 * (1 - x1 - x2)
     ) ** 2
 
@@ -259,8 +249,9 @@ def trivariate_g(x1, x2, x3):
 def majorization_bound_check(w) -> bool:
     """For sorted-descending exact weights, verify the square-sum majorization.
 
-    Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) and the consequence
-    closed_form(w) <= g(x1,x2,x3), both exactly.  Raises on unsorted input.
+    Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) exactly; with it,
+    closed_form(w) <= g(x1,x2,x3) follows, which the pipeline checks on
+    its own values.  Raises on unsorted input.
     """
     w = [Fraction(v) for v in w]
     if len(w) < 3:
@@ -269,7 +260,4 @@ def majorization_bound_check(w) -> bool:
         raise ValueError("weights must be sorted descending")
     _check_simplex(w)
     x1, x2, x3 = w[0], w[1], w[2]
-    s2 = sum((v * v for v in w), Fraction(0))
-    if s2 > x1 * x1 + x2 * x2 + x3 * (1 - x1 - x2):
-        return False
-    return closed_form(w) <= trivariate_g(x1, x2, x3)
+    return sum((v * v for v in w), Fraction(0)) <= x1 * x1 + x2 * x2 + x3 * (1 - x1 - x2)

@@ -20,7 +20,7 @@ from trilag.harness import (
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.polynomials import h_polynomial, simplex_bernstein
-from trilag.reduction import WeightedGraph, merge_identity_check, reduce_to_complete
+from trilag.reduction import merge_identity_check, reduce_to_complete
 from trilag.simplex import closed_form, gradient, maximize, trivariate_g
 
 from helpers import rand_graph, rand_orientation, rand_weights
@@ -110,13 +110,12 @@ def test_criterion_4_merge_suite():
         if not non_edges:
             continue
         w = rand_weights(rng, n)
-        wg = WeightedGraph(g, w)
         a, b = non_edges[rng.randrange(len(non_edges))]
-        res = merge_identity_check(wg, a, b)
-        final, trace = reduce_to_complete(wg)
+        res = merge_identity_check(g, w, a, b)
+        final_graph, _, trace = reduce_to_complete(g, w)
         monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
         if not (res["lhs"] == res["rhs"] and monotone and len(trace) <= n - 1
-                and final.graph.is_complete()):
+                and final_graph.is_complete()):
             failures += 1
         done += 1
     _report(

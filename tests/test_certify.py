@@ -3,15 +3,12 @@ import importlib
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from trilag.certify import (
     CERTIFIED,
     DOMAIN_VERTICES,
     INDETERMINATE,
     bisect,
     certify,
-    check_point_exact,
     leaf_volume_total,
     point_in_domain,
     simplex_volume,
@@ -19,7 +16,6 @@ from trilag.certify import (
 from trilag.polynomials import Poly3, h_polynomial
 
 HALF = Fraction(1, 2)
-certify_module = importlib.import_module("trilag.certify")  # the package binds ``certify`` to the function
 
 
 def test_point_domain_checks():
@@ -27,24 +23,6 @@ def test_point_domain_checks():
     assert point_in_domain(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     assert not point_in_domain(Fraction(1, 4), HALF, 0)
     assert not point_in_domain(HALF, HALF, HALF)
-    assert check_point_exact(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == Fraction(1, 864)
-    with pytest.raises(ValueError):
-        check_point_exact(Fraction(1, 4), HALF, 0)
-
-
-def test_check_point_exact_builds_h_once(monkeypatch):
-    builds = []
-
-    def counting_h():
-        builds.append(1)
-        return h_polynomial()
-
-    monkeypatch.setattr(certify_module, "_h", None)
-    monkeypatch.setattr(certify_module, "h_polynomial", counting_h)
-    points = [(HALF, HALF, 0), (Fraction(1, 3),) * 3, (Fraction(3, 5), Fraction(1, 5), Fraction(1, 7))]
-    values = [check_point_exact(*p) for p in points]
-    assert values == [h_polynomial().evaluate(*p) for p in points]
-    assert len(builds) == 1
 
 
 def test_cell_split_longest_edge():

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trilag.fileio import ParseError, parse_graph, parse_graph_text, parse_weights, parse_weights_text
 from trilag.graphs import OrientedGraph, UndirectedGraph
+from trilag.lagrangian import WeightVector
 
 
 def test_parse_digraph():
@@ -79,6 +82,18 @@ def test_parse_weights_errors_carry_line_numbers():
         parse_weights_text("# none\n", path="w.txt")
 
 
+def test_parse_weights_rejects_huge_exponents():
+    # Fraction would build 10^(10^8) for the first: minutes of work, not an error
+    with pytest.raises(ParseError, match=r"^w.txt:2: decimal exponent of '1e-100000000' is beyond"):
+        parse_weights_text("1\n1e-100000000\n", path="w.txt")
+    with pytest.raises(ParseError, match=r"^w.txt:1: decimal exponent of '1e100000' is beyond"):
+        parse_weights_text("1e100000\n", path="w.txt")
+    with pytest.raises(ParseError, match="beyond"):
+        parse_weights_text("1E+99999\n")
+    w = parse_weights_text("25e-2\n0.0025E+2\n5e-1\n")
+    assert list(w) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+
+
 def test_parse_files_reject_non_utf8(tmp_path):
     w = tmp_path / "w.txt"
     w.write_bytes(b"1/2\n\xff\n")
@@ -88,3 +103,42 @@ def test_parse_files_reject_non_utf8(tmp_path):
     g.write_bytes(b"\xfe digraph 2\n")
     with pytest.raises(ParseError, match=f"^{g}:1: not UTF-8"):
         parse_graph(str(g))
+
+
+LINES = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"\A[-+]?[0-9]*\.?[0-9]*[eE][-+]?[0-9]{1,10}\Z"),  # exponent tokens
+    st.from_regex(r"\A[-+]?[0-9]{1,3}(/[0-9]{1,3})?\Z"),
+    st.builds("{} {}".format, st.integers(-2, 9), st.integers(-2, 9)),
+    st.builds("{} {}".format, st.sampled_from(["digraph", "graph"]), st.integers(-1, 9)),
+    st.sampled_from(["", "# note", "1/2", "1/0", "0.25"]),
+)
+TEXTS = st.lists(LINES, max_size=8).map("\n".join)
+
+
+def _assert_line_in_text(exc: ParseError, text: str) -> None:
+    assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
+    assert str(exc).startswith(f"f.txt:{exc.line_no}: ")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(TEXTS)
+def test_fuzz_parse_graph_text(text):
+    try:
+        g = parse_graph_text(text, path="f.txt")
+    except ParseError as exc:
+        _assert_line_in_text(exc, text)
+    else:
+        assert isinstance(g, (OrientedGraph, UndirectedGraph))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(TEXTS, st.one_of(st.none(), st.integers(0, 4)))
+def test_fuzz_parse_weights_text(text, expected_n):
+    try:
+        w = parse_weights_text(text, expected_n=expected_n, path="f.txt")
+    except ParseError as exc:
+        _assert_line_in_text(exc, text)
+    else:
+        assert isinstance(w, WeightVector) and sum(w) == 1
+        assert expected_n is None or len(w) == expected_n

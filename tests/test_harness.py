@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from trilag import harness
+from trilag import harness, simplex
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -26,6 +26,9 @@ from trilag.harness import (
     validate_fdf_family,
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
+from trilag.polynomials import g_polynomial, h_polynomial
+
+from helpers import rand_orientation, rand_weights
 
 
 def test_orientation_index_roundtrip():
@@ -196,3 +199,34 @@ def test_pipeline_single_arc_k2():
     assert report["lagrangian_bf"] == "3/32"
     assert report["reduction_trace"] == []
     assert report["all_pass"]
+
+
+def test_pipeline_point_values_match_certified_polynomials():
+    """h_at_point = 3/32 - g is the certified h, and g is g_polynomial, at the pipeline's point."""
+    rng = random.Random(300)
+    h, g = h_polynomial(), g_polynomial()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        report = pipeline_report(rand_orientation(rng, n), rand_weights(rng, n))
+        point = [Fraction(x) for x in report["trivariate_point"]]
+        assert Fraction(report["h_at_point"]) == h.evaluate(*point)
+        assert Fraction(report["trivariate_value"]) == g.evaluate(*point)
+        assert report["all_pass"]
+
+
+def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
+    calls = []
+    for name in ("closed_form", "trivariate_g"):
+        fn = getattr(simplex, name)
+
+        def counting(*args, name=name, fn=fn):
+            calls.append(name)
+            return fn(*args)
+
+        # both bindings: the pipeline's own, and the one simplex calls internally
+        monkeypatch.setattr(harness, name, counting)
+        monkeypatch.setattr(simplex, name, counting)
+    g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
+    report = pipeline_report(g, WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]))
+    assert report["all_pass"] and report["reduction_trace"]
+    assert sorted(calls) == ["closed_form", "trivariate_g"]

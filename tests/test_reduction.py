@@ -6,7 +6,6 @@ import pytest
 from trilag.graphs import UndirectedGraph, complete_graph
 from trilag.lagrangian import WeightVector, lagrangian_bf
 from trilag.reduction import (
-    WeightedGraph,
     merge,
     merge_identity_check,
     neighbor_sums,
@@ -15,68 +14,63 @@ from trilag.reduction import (
 
 from helpers import brute_lagrangian_bf, rand_graph, rand_weights
 
-CHERRY = WeightedGraph(
+CHERRY = (
     UndirectedGraph(3, [(0, 2), (1, 2)]),
     WeightVector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]),
 )
 
 
 def test_neighbor_sums_examples():
-    assert neighbor_sums(CHERRY, 0, 1) == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    assert neighbor_sums(*CHERRY, 0, 1) == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
-    empty = WeightedGraph(UndirectedGraph(3, []), rand_weights(random.Random(0), 3))
-    assert neighbor_sums(empty, 0, 1) == (0, 0, 0)
+    empty = UndirectedGraph(3, [])
+    assert neighbor_sums(empty, rand_weights(random.Random(0), 3), 0, 1) == (0, 0, 0)
 
-    star = WeightedGraph(
-        UndirectedGraph(4, [(0, 2), (1, 2), (2, 3)]),
-        WeightVector([Fraction(1, 4)] * 4),
-    )
-    assert neighbor_sums(star, 0, 1) == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    star = UndirectedGraph(4, [(0, 2), (1, 2), (2, 3)])
+    assert neighbor_sums(star, WeightVector([Fraction(1, 4)] * 4), 0, 1) == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
 
 
 def test_neighbor_sums_errors():
     with pytest.raises(ValueError):
-        neighbor_sums(CHERRY, 0, 2)  # edge, not a non-edge
+        neighbor_sums(*CHERRY, 0, 2)  # edge, not a non-edge
     with pytest.raises(ValueError):
-        neighbor_sums(CHERRY, 1, 1)
+        neighbor_sums(*CHERRY, 1, 1)
 
 
 def test_merge_examples():
-    two = WeightedGraph(UndirectedGraph(2, []), WeightVector([Fraction(1, 2)] * 2))
-    merged = merge(two, 0, 1, keep=0)
-    assert merged.graph.n == 1 and list(merged.weights) == [1]
+    two = (UndirectedGraph(2, []), WeightVector([Fraction(1, 2)] * 2))
+    graph, weights = merge(*two, 0, 1, keep=0)
+    assert graph.n == 1 and list(weights) == [1]
 
-    merged = merge(CHERRY, 0, 1, keep=0)
-    assert merged.graph == UndirectedGraph(2, [(0, 1)])
-    assert list(merged.weights) == [Fraction(1, 2), Fraction(1, 2)]
-    assert lagrangian_bf(merged.graph, merged.weights).value == Fraction(3, 32)
+    graph, weights = merge(*CHERRY, 0, 1, keep=0)
+    assert graph == UndirectedGraph(2, [(0, 1)])
+    assert list(weights) == [Fraction(1, 2), Fraction(1, 2)]
+    assert lagrangian_bf(graph, weights).value == Fraction(3, 32)
 
 
 def test_merge_zero_weight_branch_keeps_lagrangian():
     g = UndirectedGraph(4, [(0, 2), (1, 2), (2, 3)])
     w = WeightVector([Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-    wg = WeightedGraph(g, w)
     before = lagrangian_bf(g, w).value
-    merged = merge(wg, 0, 1, keep=1)  # discards the zero-weight vertex
-    after = lagrangian_bf(merged.graph, merged.weights).value
+    after = lagrangian_bf(*merge(g, w, 0, 1, keep=1)).value  # discards the zero-weight vertex
     assert after == before
 
 
 def test_merge_errors():
     with pytest.raises(ValueError):
-        merge(CHERRY, 0, 2, keep=0)
+        merge(*CHERRY, 0, 2, keep=0)
     with pytest.raises(ValueError):
-        merge(CHERRY, 0, 0, keep=0)
+        merge(*CHERRY, 0, 0, keep=0)
     with pytest.raises(ValueError):
-        merge(CHERRY, 0, 1, keep=2)
+        merge(*CHERRY, 0, 1, keep=2)
 
 
 def test_merge_identity_examples():
-    res = merge_identity_check(CHERRY, 0, 1)
+    res = merge_identity_check(*CHERRY, 0, 1)
     assert res["lhs"] == 0 and res["rhs"] == 0
 
-    two = WeightedGraph(UndirectedGraph(2, []), WeightVector([Fraction(1, 2)] * 2))
-    res = merge_identity_check(two, 0, 1)
+    two = (UndirectedGraph(2, []), WeightVector([Fraction(1, 2)] * 2))
+    res = merge_identity_check(*two, 0, 1)
     assert res["lhs"] == 0 and res["rhs"] == 0
 
 
@@ -91,17 +85,14 @@ def test_merge_identity_random_with_expansion_oracle():
         if not non_edges:
             continue
         w = rand_weights(rng, n)
-        wg = WeightedGraph(g, w)
         a, b = non_edges[rng.randrange(len(non_edges))]
-        res = merge_identity_check(wg, a, b)
+        res = merge_identity_check(g, w, a, b)
         assert res["lhs"] == res["rhs"]
 
         # independent expansion of the left side
-        ga = merge(wg, a, b, keep=a)
-        gb = merge(wg, a, b, keep=b)
         lhs = (
-            w[a] * brute_lagrangian_bf(ga.graph, ga.weights)
-            + w[b] * brute_lagrangian_bf(gb.graph, gb.weights)
+            w[a] * brute_lagrangian_bf(*merge(g, w, a, b, keep=a))
+            + w[b] * brute_lagrangian_bf(*merge(g, w, a, b, keep=b))
             - (w[a] + w[b]) * brute_lagrangian_bf(g, w)
         )
         assert lhs == res["rhs"]
@@ -110,25 +101,25 @@ def test_merge_identity_random_with_expansion_oracle():
 
 def test_reduce_complete_input_is_identity():
     w = rand_weights(random.Random(3), 4)
-    wg = WeightedGraph(complete_graph(4), w)
-    final, trace = reduce_to_complete(wg)
+    graph, weights, trace = reduce_to_complete(complete_graph(4), w)
     assert trace == []
-    assert final.graph == wg.graph and list(final.weights) == list(w)
+    assert graph == complete_graph(4) and list(weights) == list(w)
 
 
 def test_reduce_empty_graph_collapses_to_point():
-    wg = WeightedGraph(UndirectedGraph(3, []), rand_weights(random.Random(9), 3))
-    final, trace = reduce_to_complete(wg)
-    assert final.graph.n == 1
-    assert list(final.weights) == [1]
+    graph, weights, trace = reduce_to_complete(
+        UndirectedGraph(3, []), rand_weights(random.Random(9), 3)
+    )
+    assert graph.n == 1
+    assert list(weights) == [1]
     assert len(trace) == 2
-    assert lagrangian_bf(final.graph, final.weights).value == 0
+    assert lagrangian_bf(graph, weights).value == 0
 
 
 def test_reduce_cherry():
-    final, trace = reduce_to_complete(CHERRY)
-    assert final.graph.is_complete() and final.graph.n == 2
-    assert sorted(final.weights) == [Fraction(1, 2), Fraction(1, 2)]
+    graph, weights, trace = reduce_to_complete(*CHERRY)
+    assert graph.is_complete() and graph.n == 2
+    assert sorted(weights) == [Fraction(1, 2), Fraction(1, 2)]
     assert len(trace) == 1
     assert trace[0].pair == (0, 1)
     assert trace[0].lagrangian_after == Fraction(3, 32)
@@ -140,10 +131,9 @@ def test_reduce_monotone_and_terminates():
         n = rng.randint(2, 7)
         g = rand_graph(rng, n, p=rng.random())
         w = rand_weights(rng, n)
-        wg = WeightedGraph(g, w)
         start = lagrangian_bf(g, w).value
-        final, trace = reduce_to_complete(wg)
-        assert final.graph.is_complete()
+        graph, weights, trace = reduce_to_complete(g, w)
+        assert graph.is_complete()
         assert len(trace) <= n - 1
         level = start
         for step in trace:
@@ -152,5 +142,18 @@ def test_reduce_monotone_and_terminates():
             assert 0 <= step.s_ab <= min(step.s_a, step.s_b)
             assert abs(step.s_a - step.s_b) <= 1
             level = step.lagrangian_after
-        assert lagrangian_bf(final.graph, final.weights).value == level
+        assert lagrangian_bf(graph, weights).value == level
         assert level >= start
+
+
+def test_weight_length_must_match_order():
+    g = UndirectedGraph(3, [(0, 2), (1, 2)])
+    short = WeightVector([Fraction(1, 2)] * 2)
+    with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
+        neighbor_sums(g, short, 0, 1)
+    with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
+        merge(g, short, 0, 1, keep=0)
+    with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
+        reduce_to_complete(g, short)
+    with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
+        reduce_to_complete(complete_graph(3), short)  # no merge to run

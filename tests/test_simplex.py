@@ -210,6 +210,13 @@ def test_trivariate_g_domain_errors():
         trivariate_g(HALF, Fraction(1, 4), Fraction(-1, 8))
 
 
+def test_trivariate_g_rejects_floats():
+    with pytest.raises(ValueError, match="rationals"):
+        trivariate_g(0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="rationals"):
+        trivariate_g(HALF, HALF, 0.0)
+
+
 def test_majorization_examples():
     assert majorization_bound_check([Fraction(1, 4)] * 4)
     assert majorization_bound_check([HALF, HALF, Fraction(0), Fraction(0)])

@@ -38,7 +38,6 @@ from .reduction import (
 from .simplex import (
     OptResult,
     closed_form,
-    closed_form_matches_definition,
     gradient,
     maximize,
     project_to_simplex,

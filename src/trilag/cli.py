@@ -114,13 +114,13 @@ def _cmd_reduce(args) -> int:
     if isinstance(g, OrientedGraph):
         g = underlying(g)
     w = parse_weights(args.weights, expected_n=g.n)
-    final_graph, final_weights, trace = reduce_to_complete(g, w)
+    final_graph, final_weights, trace, _, final_lagrangian = reduce_to_complete(g, w)
     monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
     payload = {
         "trace": trace_to_jsonable(trace),
         "final_order": final_graph.n,
         "final_weights": [str(v) for v in final_weights],
-        "final_lagrangian": str(lagrangian_bf(final_graph, final_weights).value),
+        "final_lagrangian": str(final_lagrangian),
         "monotone": monotone,
     }
     text = [

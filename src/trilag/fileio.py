@@ -4,11 +4,15 @@ Graph files: first line ``digraph <n>`` or ``graph <n>``; each following
 non-empty line is one arc/edge ``u v`` (0-based); ``#`` starts a comment.
 Arcs are ordered u->v, edges unordered.  Weight files hold one rational
 per line: ``p/q``, an integer, or a decimal; the count must match the
-graph order and the sum must be exactly 1.
+graph order and the sum must be exactly 1.  Reports print values of
+degree <= 4 in the weights, at most 1 in magnitude, whose denominators
+divide 96 D^4 (D the weights' common denominator): a D of more than
+MAX_DENOMINATOR_DIGITS digits is rejected, as Python could not print them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -88,6 +92,7 @@ def parse_graph(path: str):
     return parse_graph_text(_read_text(path), path=path)
 
 
+MAX_DENOMINATOR_DIGITS = (sys.int_info.default_max_str_digits - 4) // 4  # 96 D^4 < 10^4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -108,6 +113,7 @@ def parse_rational(token: str) -> Fraction:
 def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
     entries = []
     line_nos = []
+    denominator = 1
     for line_no, line in _content_lines(text):
         try:
             w = parse_rational(line)
@@ -117,6 +123,10 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
             raise ParseError(path, line_no, f"bad rational {line!r}") from None
         if w < 0:
             raise ParseError(path, line_no, f"negative weight {line!r}")
+        denominator = math.lcm(denominator, w.denominator)
+        if denominator >= 10**MAX_DENOMINATOR_DIGITS:
+            raise ParseError(path, line_no, "common denominator of the weights so far has more than "
+                             f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
         entries.append(w)
         line_nos.append(line_no)
     last = line_nos[-1] if line_nos else 1

@@ -26,7 +26,7 @@ from .graphs import (
     has_induced_directed_c4,
     underlying,
 )
-from .lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from .lagrangian import WeightVector, lagrangian_cf
 from .reduction import reduce_to_complete, trace_to_jsonable
 from .simplex import closed_form, majorization_bound_check, trivariate_g
 
@@ -230,18 +230,14 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
 
     Chain: L_CF <= L_BF <= L_BF(final complete) = closed form
            <= trivariate bound at the sorted final weights <= 3/32.
-    Each value is computed once; h_at_point is 3/32 - g at that point.
+    Each value is computed once, both L_BF values by reduce_to_complete on
+    its way; h_at_point is 3/32 - g at that point.
     """
     lcf = lagrangian_cf(g, w).value
-    und = underlying(g)
-    lbf = lagrangian_bf(und, w).value
-    final_graph, final_weights, trace = reduce_to_complete(und, w)
-    lfinal = lagrangian_bf(final_graph, final_weights).value
+    final_graph, final_weights, trace, lbf, lfinal = reduce_to_complete(underlying(g), w)
     closed = closed_form(list(final_weights))
-    wsorted = sorted(final_weights, reverse=True)
-    while len(wsorted) < 3:
-        wsorted.append(Fraction(0))
-    x1, x2, x3 = wsorted[0], wsorted[1], wsorted[2]
+    wsorted = sorted(final_weights, reverse=True) + [Fraction(0)] * (3 - len(final_weights))
+    x1, x2, x3 = wsorted[:3]
     gval = trivariate_g(x1, x2, x3)
     hval = BOUND - gval
 

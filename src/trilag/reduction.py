@@ -13,8 +13,9 @@ decrease the Lagrangian, and repeating until no non-edge remains reaches
 a complete graph in at most n-1 merges.
 
 Every function takes an undirected graph g and its weights w as two
-arguments, with len(w) == g.n; merge and reduce_to_complete return the
-new pair.
+arguments, with len(w) == g.n.  merge returns the new pair;
+reduce_to_complete the final pair, the trace, and L_BF of the input and
+of the final graph, which it evaluates on the way, so callers need not.
 """
 
 from __future__ import annotations
@@ -108,11 +109,13 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
 
     Both branches are evaluated exactly and the larger kept (ties keep the
     smaller vertex index), so L_BF never decreases along the trace.
-    Returns (final graph, final weights, list of MergeStep in original labels).
+    Returns (final graph, final weights, list of MergeStep in original labels,
+    start, final): start is L_BF of the input and final the last step's
+    lagrangian_after, which is also start when no merge runs.
     """
     labels = list(range(g.n))
     trace: list[MergeStep] = []
-    l_before = lagrangian_bf(g, w).value  # raises on a weight length != g.n
+    l_start = l_before = lagrangian_bf(g, w).value  # raises on a weight length != g.n
     while not g.is_complete():
         a, b = g.non_edges()[0]
         s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
@@ -138,7 +141,7 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
         )
         del labels[dropped]
         l_before = l_after
-    return g, w, trace
+    return g, w, trace, l_start, l_before
 
 
 def trace_to_jsonable(trace) -> list[dict]:

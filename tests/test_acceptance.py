@@ -112,7 +112,7 @@ def test_criterion_4_merge_suite():
         w = rand_weights(rng, n)
         a, b = non_edges[rng.randrange(len(non_edges))]
         res = merge_identity_check(g, w, a, b)
-        final_graph, _, trace = reduce_to_complete(g, w)
+        final_graph, _, trace, _, _ = reduce_to_complete(g, w)
         monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
         if not (res["lhs"] == res["rhs"] and monotone and len(trace) <= n - 1
                 and final_graph.is_complete()):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trilag import cli, lagrangian, reduction
 from trilag.cli import build_parser, main
 
 CHERRY = "digraph 3\n0 1\n2 1\n"
@@ -49,9 +50,43 @@ def test_reduce(capsys, tmp_path):
     code, out = run(capsys, ["reduce", str(g), str(w)])
     assert code == 0
     payload = json.loads(out)
-    assert payload["final_lagrangian"] == "3/32"
+    assert payload["final_lagrangian"] == "3/32" == payload["trace"][-1]["lagrangian_after"]
     assert payload["monotone"]
     assert len(payload["trace"]) == 1
+
+    g.write_text("graph 2\n0 1\n")  # complete: no merge runs
+    w.write_text("1/2\n1/2\n")
+    code, out = run(capsys, ["reduce", str(g), str(w)])
+    assert code == 0
+    assert json.loads(out)["trace"] == [] and json.loads(out)["final_lagrangian"] == "3/32"
+
+
+def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counting(*args, fn=lagrangian.lagrangian_bf):
+        calls.append(args)
+        return fn(*args)
+
+    for binding in (cli, reduction, lagrangian):
+        monkeypatch.setattr(binding, "lagrangian_bf", counting)
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text("graph 4\n0 1\n")
+    w.write_text("1/8\n3/8\n1/4\n1/4\n")
+    code, out = run(capsys, ["reduce", str(g), str(w)])
+    assert code == 0
+    assert len(calls) == 1 + 2 * len(json.loads(out)["trace"]) == 5
+
+
+def test_weights_whose_lagrangians_exceed_printable_digits(capsys, tmp_path):
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text("digraph 2\n0 1\n")
+    w.write_text("1e-1500\n0." + "9" * 1500 + "\n")  # sums to exactly 1
+    for command in ("pipeline", "lagrangian", "reduce"):
+        assert main([command, str(g), str(w)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {w}:1: common denominator of the weights")
 
 
 def test_pipeline(capsys, cherry_files):

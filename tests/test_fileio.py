@@ -94,6 +94,18 @@ def test_parse_weights_rejects_huge_exponents():
     assert list(w) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
 
 
+def test_parse_weights_rejects_denominators_too_long_to_print():
+    # 1074 digits is the most for which 96 D^4, the report values' denominator bound, prints
+    limit = "^w.txt:{}: common denominator of the weights so far has more than 1074 digits"
+    w = parse_weights_text("1e-1073\n0." + "9" * 1073 + "\n")
+    assert w[0] == Fraction(1, 10**1073)
+    with pytest.raises(ParseError, match=limit.format(1)):
+        parse_weights_text("1e-1074\n0." + "9" * 1074 + "\n", path="w.txt")
+    # two coprime denominators of 600 digits each: the line that crosses is cited
+    with pytest.raises(ParseError, match=limit.format(3)):
+        parse_weights_text(f"# two halves\n1/{2**1993}\n1/{3**1257}\n", path="w.txt")
+
+
 def test_parse_files_reject_non_utf8(tmp_path):
     w = tmp_path / "w.txt"
     w.write_bytes(b"1/2\n\xff\n")

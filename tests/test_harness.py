@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from trilag import harness, simplex
+from trilag import harness, lagrangian, reduction, simplex
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -216,17 +216,20 @@ def test_pipeline_point_values_match_certified_polynomials():
 
 def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     calls = []
-    for name in ("closed_form", "trivariate_g"):
-        fn = getattr(simplex, name)
+    for module, name in ((simplex, "closed_form"), (simplex, "trivariate_g"), (lagrangian, "lagrangian_bf")):
+        fn = getattr(module, name)
 
         def counting(*args, name=name, fn=fn):
             calls.append(name)
             return fn(*args)
 
-        # both bindings: the pipeline's own, and the one simplex calls internally
-        monkeypatch.setattr(harness, name, counting)
-        monkeypatch.setattr(simplex, name, counting)
+        # every binding, the pipeline's own and those of the modules it calls;
+        # raising=False also plants lagrangian_bf in harness, which imports none
+        for binding in (harness, simplex, reduction, lagrangian):
+            monkeypatch.setattr(binding, name, counting, raising=False)
     g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
     report = pipeline_report(g, WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]))
     assert report["all_pass"] and report["reduction_trace"]
-    assert sorted(calls) == ["closed_form", "trivariate_g"]
+    assert calls.count("closed_form") == calls.count("trivariate_g") == 1
+    # L_BF of the input, then both branches of each merge
+    assert calls.count("lagrangian_bf") == 1 + 2 * len(report["reduction_trace"])

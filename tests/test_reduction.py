@@ -100,29 +100,32 @@ def test_merge_identity_random_with_expansion_oracle():
 
 
 def test_reduce_complete_input_is_identity():
-    w = rand_weights(random.Random(3), 4)
-    graph, weights, trace = reduce_to_complete(complete_graph(4), w)
-    assert trace == []
-    assert graph == complete_graph(4) and list(weights) == list(w)
+    for n, seed in ((1, 0), (2, 1), (4, 3), (6, 5)):
+        w = rand_weights(random.Random(seed), n)
+        graph, weights, trace, start, final = reduce_to_complete(complete_graph(n), w)
+        assert trace == []  # no merge runs
+        assert graph == complete_graph(n) and list(weights) == list(w)
+        assert start == final == lagrangian_bf(complete_graph(n), w).value
 
 
 def test_reduce_empty_graph_collapses_to_point():
-    graph, weights, trace = reduce_to_complete(
+    graph, weights, trace, start, final = reduce_to_complete(
         UndirectedGraph(3, []), rand_weights(random.Random(9), 3)
     )
     assert graph.n == 1
     assert list(weights) == [1]
     assert len(trace) == 2
-    assert lagrangian_bf(graph, weights).value == 0
+    assert lagrangian_bf(graph, weights).value == final == 0 == start
 
 
 def test_reduce_cherry():
-    graph, weights, trace = reduce_to_complete(*CHERRY)
+    graph, weights, trace, start, final = reduce_to_complete(*CHERRY)
     assert graph.is_complete() and graph.n == 2
     assert sorted(weights) == [Fraction(1, 2), Fraction(1, 2)]
     assert len(trace) == 1
     assert trace[0].pair == (0, 1)
-    assert trace[0].lagrangian_after == Fraction(3, 32)
+    assert trace[0].lagrangian_after == final == Fraction(3, 32)
+    assert trace[0].lagrangian_before == start == lagrangian_bf(*CHERRY).value
 
 
 def test_reduce_monotone_and_terminates():
@@ -132,9 +135,10 @@ def test_reduce_monotone_and_terminates():
         g = rand_graph(rng, n, p=rng.random())
         w = rand_weights(rng, n)
         start = lagrangian_bf(g, w).value
-        graph, weights, trace = reduce_to_complete(g, w)
+        graph, weights, trace, returned_start, final = reduce_to_complete(g, w)
         assert graph.is_complete()
         assert len(trace) <= n - 1
+        assert returned_start == start
         level = start
         for step in trace:
             assert step.lagrangian_before == level
@@ -142,7 +146,7 @@ def test_reduce_monotone_and_terminates():
             assert 0 <= step.s_ab <= min(step.s_a, step.s_b)
             assert abs(step.s_a - step.s_b) <= 1
             level = step.lagrangian_after
-        assert lagrangian_bf(graph, weights).value == level
+        assert lagrangian_bf(graph, weights).value == level == final
         assert level >= start
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trilag.lagrangian import WeightVector
+from trilag import simplex
+from trilag.graphs import complete_graph
+from trilag.lagrangian import WeightVector, lagrangian_bf
 from trilag.simplex import (
     ascend,
     closed_form,
-    closed_form_matches_definition,
     gradient,
     majorization_bound_check,
     maximize,
@@ -46,9 +47,8 @@ def test_closed_form_rejects_off_simplex():
 
 
 def test_closed_form_matches_definition_examples():
-    assert closed_form_matches_definition(2, WeightVector([HALF, HALF]))
-    assert closed_form_matches_definition(3, WeightVector([Fraction(1, 3)] * 3))
-    assert closed_form_matches_definition(1, WeightVector([Fraction(1)]))
+    for w in ([HALF, HALF], [Fraction(1, 3)] * 3, [Fraction(1)]):
+        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)).value == closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
@@ -56,7 +56,7 @@ def test_closed_form_matches_definition_random():
     for _ in range(10_000):
         n = rng.randint(1, 10)
         w = rand_weights(rng, n, max_part=12)
-        assert closed_form_matches_definition(n, w)
+        assert lagrangian_bf(complete_graph(n), w).value == closed_form(list(w))
 
 
 def test_gradient_hand_values():
@@ -187,6 +187,22 @@ def test_maximize_stats_without_convergence():
     res = maximize(4, restarts=15, seed=3, tol=1e-300)  # no row can get that close
     assert res.restarts_converged == 0 and not res.converged
     assert 1 <= res.iterations <= 4000
+
+
+@pytest.mark.parametrize("first", [np.inf, -np.inf])
+def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
+    """Nudging each restart's fx by one ulp, in alternating directions, keeps the point."""
+    reported = {n: maximize(n) for n in range(2, 13)}
+
+    def nudged_ascend(starts, tol):
+        x, fx, *rest = ascend(starts, tol)
+        toward = np.where(np.arange(len(fx)) % 2, -first, first)
+        return (x, np.nextafter(fx, toward), *rest)
+
+    monkeypatch.setattr(simplex, "ascend", nudged_ascend)
+    for n, res in reported.items():
+        assert res.value == Fraction(3, 32)
+        assert maximize(n).point == res.point
 
 
 def test_maximize_deterministic_in_seed():

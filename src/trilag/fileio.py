@@ -4,10 +4,11 @@ Graph files: first line ``digraph <n>`` or ``graph <n>``; each following
 non-empty line is one arc/edge ``u v`` (0-based); ``#`` starts a comment.
 Arcs are ordered u->v, edges unordered.  Weight files hold one rational
 per line: ``p/q``, an integer, or a decimal; the count must match the
-graph order and the sum must be exactly 1.  Reports print values of
-degree <= 4 in the weights, at most 1 in magnitude, whose denominators
-divide 96 D^4 (D the weights' common denominator): a D of more than
-MAX_DENOMINATOR_DIGITS digits is rejected, as Python could not print them.
+graph order, no weight may exceed 1, and the sum must be exactly 1.
+Reports print values of degree <= 4 in the weights, at most 1 in
+magnitude, whose denominators divide 96 D^4 (D the weights' common
+denominator): a D of more than MAX_DENOMINATOR_DIGITS digits is
+rejected, as Python could not print them.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
     entries = []
     line_nos = []
     denominator = 1
+    too_big = None
     for line_no, line in _content_lines(text):
         try:
             w = parse_rational(line)
@@ -127,8 +129,14 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
         if denominator >= 10**MAX_DENOMINATOR_DIGITS:
             raise ParseError(path, line_no, "common denominator of the weights so far has more than "
                              f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
+        if w > 1 and too_big is None:
+            too_big = ParseError(path, line_no, f"weight {line!r} exceeds 1")
         entries.append(w)
         line_nos.append(line_no)
+    # raised after the loop: a later negative weight is the cause, and is cited instead;
+    # raised before the sum check, whose message could have too many digits to print
+    if too_big is not None:
+        raise too_big
     last = line_nos[-1] if line_nos else 1
     if expected_n is not None and len(entries) != expected_n:
         # cite the first surplus weight, or the last one when weights are missing

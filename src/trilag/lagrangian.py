@@ -12,14 +12,17 @@ For an undirected graph G with triple system BF:
 
 The arc term of L_CF takes x^2 y only (ordered arc x->y); the edge term
 of L_BF takes both x^2 y and x y^2 per unordered edge.  Everything here
-is exact rational arithmetic; floats appear only in the optimizer module.
+is exact: with d the least common denominator of the weights and p = d x
+their integer numerators (see integer_weights), each sum runs over the
+integers p and one Fraction is made per term, e.g. the BF triple term is
+(sum p_x p_y p_z) / d^3.  Floats appear only in the optimizer module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .graphs import OrientedGraph, UndirectedGraph, build_cf, build_bf, edge_density
 
@@ -75,18 +78,26 @@ def uniform_weights(n: int) -> WeightVector:
     return WeightVector([Fraction(1, n)] * n)
 
 
+def integer_weights(w: WeightVector) -> tuple[int, list[int]]:
+    """(d, p): d the least common denominator of the weights, p = d * w as ints.
+
+    sum(p) == d for weights on the simplex.
+    """
+    d = lcm(*(x.denominator for x in w))
+    return d, [x.numerator * (d // x.denominator) for x in w]
+
+
 def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
     """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    cf = build_cf(g)
-    triple = sum((w[x] * w[y] * w[z] for (x, y, z) in cf.triples), Fraction(0))
-    arc = sum((w[u] * w[u] * w[v] for (u, v) in g.arcs), Fraction(0))
-    pair = Fraction(1, 2) * arc
+    d, p = integer_weights(w)
+    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_cf(g).triples)
+    arcs = sum(p[u] * p[u] * p[v] for (u, v) in g.arcs)
     return LagrangianValue(
-        value=triple + pair,
-        triple_term=triple,
-        pair_term=pair,
+        value=Fraction(2 * triples + arcs, 2 * d**3),
+        triple_term=Fraction(triples, d**3),
+        pair_term=Fraction(arcs, 2 * d**3),
         quadratic_term=Fraction(0),
     )
 
@@ -95,21 +106,15 @@ def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
     """L_BF of an undirected graph, edges summed once each."""
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    bf = build_bf(g)
-    triple = sum((w[x] * w[y] * w[z] for (x, y, z) in bf.triples), Fraction(0))
-    pair = Fraction(0)
-    edge_sum = Fraction(0)
-    for (u, v) in g.edges:
-        wu, wv = w[u], w[v]
-        pair += wu * wu * wv + wu * wv * wv
-        edge_sum += wu * wv
-    pair = Fraction(1, 2) * pair
-    quad = Fraction(1, 2) * edge_sum * edge_sum
+    d, p = integer_weights(w)
+    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_bf(g).triples)
+    pairs = sum(p[u] * p[v] * (p[u] + p[v]) for (u, v) in g.edges)
+    edges = sum(p[u] * p[v] for (u, v) in g.edges)
     return LagrangianValue(
-        value=triple + pair - quad,
-        triple_term=triple,
-        pair_term=pair,
-        quadratic_term=quad,
+        value=Fraction(2 * d * triples + d * pairs - edges * edges, 2 * d**4),
+        triple_term=Fraction(triples, d**3),
+        pair_term=Fraction(pairs, 2 * d**3),
+        quadratic_term=Fraction(edges * edges, 2 * d**4),
     )
 
 

@@ -12,6 +12,26 @@ and |S_a - S_b| <= 1 on the simplex.  Hence at least one branch does not
 decrease the Lagrangian, and repeating until no non-edge remains reaches
 a complete graph in at most n-1 merges.
 
+reduce_to_complete evaluates both branches without rebuilding BF.  Split
+L_BF by whether a term touches a or b; with V' the other vertices,
+
+    L = C + x_a U_a + x_b U_b + x_a x_b S_ab + (1/2)(x_a^2 S_a + x_b^2 S_b)
+          - (1/2)(E_0 + x_a S_a + x_b S_b)^2,
+
+where C collects the terms inside V', E_0 is the edge sum x_y x_z inside
+V', and U_v = T_v + (1/2) R_v: T_v sums x_y x_z over the pairs y, z of V'
+for which {v, y, z} spans at least two edges, and R_v sums x_y^2 over the
+neighbours y of v.  G_a keeps C, E_0, S_a and U_a, and a weighs X = x_a + x_b:
+
+    L(G_a) = C + X U_a + (1/2) X^2 S_a - (1/2)(E_0 + X S_a)^2,
+
+and L(G_b) likewise.  C is recovered from the current value.  All of this
+runs on integers: with d the least common denominator of the input
+weights and p = d x, a merge adds two numerators, so d is fixed along the
+chain, and N = 2 d^4 L_BF is an integer.  lagrangian_bf is called once,
+for the input; each merge costs O(n^2) integer operations for its sums
+and compares the two branch values N(G_a) and N(G_b) directly.
+
 Every function takes an undirected graph g and its weights w as two
 arguments, with len(w) == g.n.  merge returns the new pair;
 reduce_to_complete the final pair, the trace, and L_BF of the input and
@@ -22,9 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .graphs import UndirectedGraph
-from .lagrangian import WeightVector, lagrangian_bf
+from .graphs import UndirectedGraph, complete_graph
+from .lagrangian import WeightVector, integer_weights, lagrangian_bf
 
 
 @dataclass(frozen=True)
@@ -104,6 +125,19 @@ def merge_identity_check(g: UndirectedGraph, w: WeightVector, a: int, b: int):
     return {"lhs": lhs, "rhs": rhs}
 
 
+def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
+    """(s_v, u_v) of v in {a, b}: s_v = d S_v, u_v = 2 d^2 U_v = 2 t_v + r_v.
+
+    A pair y < z of V' counts in t_v when both are neighbours of v, or when
+    one is and yz is an edge, so u_v = s_v^2 + 2 sum_{y ~ v} p_y q_y, where
+    q_y sums p_z over the neighbours z of y in V' that are not neighbours of v.
+    """
+    near = adj[v]
+    s_v = sum(p[y] for y in near)
+    cross = sum(p[y] * sum(p[z] for z in adj[y] - near - {a, b}) for y in near)
+    return s_v, s_v * s_v + 2 * cross
+
+
 def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     """Merge lexicographically-smallest non-edges until the graph is complete.
 
@@ -113,35 +147,57 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     start, final): start is L_BF of the input and final the last step's
     lagrangian_after, which is also start when no merge runs.
     """
-    labels = list(range(g.n))
+    l_start = lagrangian_bf(g, w).value  # raises on a weight length != g.n
+    d, p = integer_weights(w)
+    scale = 2 * d**4
+    level = (l_start * scale).numerator  # N = 2 d^4 L_BF: the denominator is 1
+    adj = [set() for _ in range(g.n)]
+    for (u, v) in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    edges = sum(p[u] * p[v] for (u, v) in g.edges)  # d^2 E
+    alive = list(range(g.n))  # vertices keep their input labels
+    l_before = l_start
     trace: list[MergeStep] = []
-    l_start = l_before = lagrangian_bf(g, w).value  # raises on a weight length != g.n
-    while not g.is_complete():
-        a, b = g.non_edges()[0]
-        s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
-        cand_a = merge(g, w, a, b, keep=a)
-        cand_b = merge(g, w, a, b, keep=b)
-        val_a = lagrangian_bf(*cand_a).value
-        val_b = lagrangian_bf(*cand_b).value
-        if val_a >= val_b:
-            (g, w), l_after, kept, dropped, branch = cand_a, val_a, a, b, "a"
+    while True:
+        pair = next(((a, b) for a, b in combinations(alive, 2) if b not in adj[a]), None)
+        if pair is None:
+            break
+        a, b = pair
+        (s_a, u_a), (s_b, u_b) = _branch_terms(adj, p, a, a, b), _branch_terms(adj, p, b, a, b)
+        s_ab = sum(p[y] for y in adj[a] & adj[b])
+        x_a, x_b, x = p[a], p[b], p[a] + p[b]
+        e0 = edges - x_a * s_a - x_b * s_b
+        # 2 d^4 C: the current value less every term that touches a or b
+        rest = level - d * (x_a * u_a + x_b * u_b + 2 * x_a * x_b * s_ab
+                            + x_a * x_a * s_a + x_b * x_b * s_b) + edges * edges
+        n_a = rest + d * x * (u_a + x * s_a) - (e0 + x * s_a) ** 2
+        n_b = rest + d * x * (u_b + x * s_b) - (e0 + x * s_b) ** 2
+        if n_a >= n_b:
+            level, kept, dropped, branch, s_kept = n_a, a, b, "a", s_a
         else:
-            (g, w), l_after, kept, dropped, branch = cand_b, val_b, b, a, "b"
+            level, kept, dropped, branch, s_kept = n_b, b, a, "b", s_b
+        l_after = Fraction(level, scale)
         trace.append(
             MergeStep(
-                pair=(labels[a], labels[b]),
-                kept=labels[kept],
+                pair=(a, b),
+                kept=kept,
                 branch=branch,
-                s_a=s_a,
-                s_b=s_b,
-                s_ab=s_ab,
+                s_a=Fraction(s_a, d),
+                s_b=Fraction(s_b, d),
+                s_ab=Fraction(s_ab, d),
                 lagrangian_before=l_before,
                 lagrangian_after=l_after,
             )
         )
-        del labels[dropped]
+        p[kept] = x
+        edges = e0 + x * s_kept
+        alive.remove(dropped)
+        for y in adj[dropped]:
+            adj[y].discard(dropped)
         l_before = l_after
-    return g, w, trace, l_start, l_before
+    final_weights = WeightVector(Fraction(p[v], d) for v in alive)
+    return complete_graph(len(alive)), final_weights, trace, l_start, l_before
 
 
 def trace_to_jsonable(trace) -> list[dict]:

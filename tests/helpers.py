@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from trilag.graphs import OrientedGraph, UndirectedGraph
-from trilag.lagrangian import WeightVector
+from trilag.lagrangian import WeightVector, lagrangian_bf
+from trilag.reduction import MergeStep, merge, neighbor_sums
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -88,6 +89,35 @@ def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
         total += Fraction(1, 2) * (w[u] * w[u] * w[v] + w[u] * w[v] * w[v])
         esum += w[u] * w[v]
     return total - Fraction(1, 2) * esum * esum
+
+
+def reduce_oracle(g: UndirectedGraph, w: WeightVector):
+    """reduce_to_complete at the object level: build both merged graphs.
+
+    Each step merges the lexicographically smallest non-edge both ways,
+    evaluates lagrangian_bf of each branch and keeps the larger (ties keep
+    the smaller index).  Returns the same 5-tuple as reduce_to_complete.
+    """
+    labels = list(range(g.n))
+    trace = []
+    l_start = l_before = lagrangian_bf(g, w).value
+    while not g.is_complete():
+        a, b = g.non_edges()[0]
+        s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
+        cand_a = merge(g, w, a, b, keep=a)
+        cand_b = merge(g, w, a, b, keep=b)
+        val_a = lagrangian_bf(*cand_a).value
+        val_b = lagrangian_bf(*cand_b).value
+        if val_a >= val_b:
+            (g, w), l_after, kept, dropped, branch = cand_a, val_a, a, b, "a"
+        else:
+            (g, w), l_after, kept, dropped, branch = cand_b, val_b, b, a, "b"
+        trace.append(
+            MergeStep((labels[a], labels[b]), labels[kept], branch, s_a, s_b, s_ab, l_before, l_after)
+        )
+        del labels[dropped]
+        l_before = l_after
+    return g, w, trace, l_start, l_before
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

@@ -94,6 +94,18 @@ def test_parse_weights_rejects_huge_exponents():
     assert list(w) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
 
 
+def test_parse_weights_rejects_weights_above_one():
+    # the sum of the first would have 4301 digits, too many to print in its message
+    with pytest.raises(ParseError, match=r"^w.txt:1: weight '1e4300' exceeds 1$"):
+        parse_weights_text("1e4300\n0\n", path="w.txt")
+    with pytest.raises(ParseError, match=r"^w.txt:3: weight '3/2' exceeds 1$"):
+        parse_weights_text("# note\n0\n3/2\n2\n", path="w.txt")
+    # a negative weight is the cause of any weight above 1 in a sum of 1: it is cited
+    with pytest.raises(ParseError, match="^w.txt:2: negative weight"):
+        parse_weights_text("3/2\n-1/2\n", path="w.txt")
+    assert list(parse_weights_text("1\n0\n")) == [1, 0]
+
+
 def test_parse_weights_rejects_denominators_too_long_to_print():
     # 1074 digits is the most for which 96 D^4, the report values' denominator bound, prints
     limit = "^w.txt:{}: common denominator of the weights so far has more than 1074 digits"

@@ -231,5 +231,5 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     report = pipeline_report(g, WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]))
     assert report["all_pass"] and report["reduction_trace"]
     assert calls.count("closed_form") == calls.count("trivariate_g") == 1
-    # L_BF of the input, then both branches of each merge
-    assert calls.count("lagrangian_bf") == 1 + 2 * len(report["reduction_trace"])
+    # L_BF of the input only: each merge's branches come from integer sums
+    assert calls.count("lagrangian_bf") == 1

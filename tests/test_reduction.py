@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from trilag.fileio import parse_weights_text
 from trilag.graphs import UndirectedGraph, complete_graph
-from trilag.lagrangian import WeightVector, lagrangian_bf
+from trilag.lagrangian import WeightVector, lagrangian_bf, uniform_weights
 from trilag.reduction import (
     merge,
     merge_identity_check,
@@ -12,7 +13,7 @@ from trilag.reduction import (
     reduce_to_complete,
 )
 
-from helpers import brute_lagrangian_bf, rand_graph, rand_weights
+from helpers import brute_lagrangian_bf, rand_graph, rand_weights, reduce_oracle
 
 CHERRY = (
     UndirectedGraph(3, [(0, 2), (1, 2)]),
@@ -148,6 +149,35 @@ def test_reduce_monotone_and_terminates():
             level = step.lagrangian_after
         assert lagrangian_bf(graph, weights).value == level == final
         assert level >= start
+
+
+def _oracle_cases():
+    rng = random.Random(53)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        # small parts give zero weights and equal weights often
+        yield rand_graph(rng, n, p=rng.random()), rand_weights(rng, n, max_part=rng.choice((2, 5, 30)))
+    for n in range(1, 10):
+        cycle = UndirectedGraph(n, [(v, (v + 1) % n) for v in range(n)] if n >= 3 else [])
+        yield UndirectedGraph(n, []), uniform_weights(n)  # every merge an exact tie
+        yield cycle, uniform_weights(n)
+    zeros = WeightVector([Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)])
+    yield UndirectedGraph(5, [(0, 1), (1, 2), (3, 4)]), zeros
+    yield UndirectedGraph(5, []), zeros
+    # a common denominator of 1073 digits
+    tiny = Fraction(1, 10**1072)
+    yield UndirectedGraph(4, [(0, 1), (1, 2)]), parse_weights_text(f"{tiny}\n1/4\n1/4\n{Fraction(1, 2) - tiny}\n")
+
+
+def test_reduce_matches_object_oracle():
+    count = 0
+    for g, w in _oracle_cases():
+        graph, weights, trace, start, final = reduce_to_complete(g, w)
+        assert (graph, weights, trace, start, final) == reduce_oracle(g, w)
+        assert start == brute_lagrangian_bf(g, w)
+        assert final == brute_lagrangian_bf(graph, weights)
+        count += 1
+    assert count >= 2000
 
 
 def test_weight_length_must_match_order():

@@ -94,6 +94,7 @@ def parse_graph(path: str):
 
 
 MAX_DENOMINATOR_DIGITS = (sys.int_info.default_max_str_digits - 4) // 4  # 96 D^4 < 10^4300
+_DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS  # the least D with too many digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -126,7 +127,7 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
         if w < 0:
             raise ParseError(path, line_no, f"negative weight {line!r}")
         denominator = math.lcm(denominator, w.denominator)
-        if denominator >= 10**MAX_DENOMINATOR_DIGITS:
+        if denominator >= _DENOMINATOR_LIMIT:
             raise ParseError(path, line_no, "common denominator of the weights so far has more than "
                              f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
         if w > 1 and too_big is None:

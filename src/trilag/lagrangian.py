@@ -15,7 +15,9 @@ of L_BF takes both x^2 y and x y^2 per unordered edge.  Everything here
 is exact: with d the least common denominator of the weights and p = d x
 their integer numerators (see integer_weights), each sum runs over the
 integers p and one Fraction is made per term, e.g. the BF triple term is
-(sum p_x p_y p_z) / d^3.  Floats appear only in the optimizer module.
+(sum p_x p_y p_z) / d^3.  A WeightVector computes d and p once, when it
+is built, and keeps them as ``denominator`` and ``numerators``.  Floats
+appear only in the optimizer module.
 """
 
 from __future__ import annotations
@@ -28,9 +30,15 @@ from .graphs import OrientedGraph, UndirectedGraph, build_cf, build_bf, edge_den
 
 
 class WeightVector:
-    """Nonnegative rational vertex weights summing to exactly one."""
+    """Nonnegative rational vertex weights summing to exactly one.
 
-    __slots__ = ("entries",)
+    The constructor computes d, the least common denominator of the
+    entries, and the integer numerators p = d * w once; it validates on
+    them (every p >= 0, sum(p) == d).  Both stay available, read-only, as
+    ``denominator`` and ``numerators`` (a tuple).
+    """
+
+    __slots__ = ("entries", "_denominator", "_numerators")
 
     def __init__(self, entries) -> None:
         entries = tuple(entries)
@@ -38,12 +46,26 @@ class WeightVector:
             raise ValueError("weight vector must be nonempty")
         if not all(isinstance(w, (Fraction, int)) for w in entries):
             raise ValueError("weights must be rationals (Fraction or int)")
-        entries = tuple(Fraction(w) for w in entries)
-        if any(w < 0 for w in entries):
+        entries = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in entries)
+        d = lcm(*(w.denominator for w in entries))
+        p = tuple(w.numerator * (d // w.denominator) for w in entries)
+        if any(v < 0 for v in p):
             raise ValueError("negative weight")
-        if sum(entries) != 1:
-            raise ValueError(f"weights sum to {sum(entries)}, expected 1")
+        if sum(p) != d:
+            raise ValueError(f"weights sum to {Fraction(sum(p), d)}, expected 1")
         self.entries = entries
+        self._denominator = d
+        self._numerators = p
+
+    @property
+    def denominator(self) -> int:
+        """d, the least common denominator of the entries."""
+        return self._denominator
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """p = d * w, the entries as integers over ``denominator``."""
+        return self._numerators
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,10 +103,9 @@ def uniform_weights(n: int) -> WeightVector:
 def integer_weights(w: WeightVector) -> tuple[int, list[int]]:
     """(d, p): d the least common denominator of the weights, p = d * w as ints.
 
-    sum(p) == d for weights on the simplex.
+    sum(p) == d.  p is a fresh list, which the caller may mutate.
     """
-    d = lcm(*(x.denominator for x in w))
-    return d, [x.numerator * (d // x.denominator) for x in w]
+    return w.denominator, list(w.numerators)
 
 
 def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:

@@ -22,6 +22,11 @@ dominates f at any sorted simplex point (majorization of the square sum),
 reducing the global bound to positivity of 3/32 - g on
 D = {x1 >= x2 >= x3 >= 0, x1+x2+x3 <= 1}, which the certifier module
 establishes.  g is evaluated in exact arithmetic only.
+
+Exact input is evaluated on integers: with d the least common denominator
+of the coordinates and p = d x their integer numerators, g and the exact
+closed form sum and compare ints over the one denominator d and build one
+Fraction each from two ints at the end.
 """
 
 from __future__ import annotations
@@ -38,38 +43,54 @@ FLOAT_SIMPLEX_TOL = 1e-9
 RANK_TOL = 1e-15
 
 
-def _check_simplex(x) -> bool:
-    """True if x is exact; raises on constraint violation either way.
+def _numerators(x) -> tuple[int, list[int]]:
+    """(d, p): d the least common denominator of exact x, p = d x as ints."""
+    ratios = [v.as_integer_ratio() for v in x]
+    d = math.lcm(*(q for _, q in ratios))
+    return d, [a * (d // q) for a, q in ratios]
 
-    Float input is checked row by row along its last axis.
+
+def _simplex_numerators(x) -> tuple[int, list[int]]:
+    """_numerators of exact x; raises unless every p >= 0 and sum(p) == d."""
+    d, p = _numerators(x)
+    if any(v < 0 for v in p):
+        raise ValueError("negative coordinate")
+    if sum(p) != d:
+        raise ValueError("coordinates must sum to 1")
+    return d, p
+
+
+def _check_simplex(x):
+    """(d, p) of exact x (see _numerators), None for float x.
+
+    Raises on constraint violation either way; float input is checked row
+    by row along its last axis.
     """
-    exact = all(isinstance(v, (Fraction, int)) for v in x)
-    if exact:
-        if any(v < 0 for v in x):
-            raise ValueError("negative coordinate")
-        if sum(Fraction(v) for v in x) != 1:
-            raise ValueError("coordinates must sum to 1")
-    else:
-        arr = np.asarray(x, dtype=float)
-        if (arr < -FLOAT_SIMPLEX_TOL).any():
-            raise ValueError("negative coordinate")
-        if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
-            raise ValueError("coordinates must sum to 1")
-    return exact
+    if all(isinstance(v, (Fraction, int)) for v in x):
+        return _simplex_numerators(x)
+    arr = np.asarray(x, dtype=float)
+    if (arr < -FLOAT_SIMPLEX_TOL).any():
+        raise ValueError("negative coordinate")
+    if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
+        raise ValueError("coordinates must sum to 1")
+    return None
 
 
 def closed_form(x):
     """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex.
 
-    Exact input (Fractions/ints) gives an exact Fraction.  Float input is
+    Exact input (Fractions/ints) gives an exact Fraction: with p = d x,
+    (4d(d^3 - sum p^3) - 3(d^2 - sum p^2)^2) / (24 d^4).  Float input is
     reduced along its last axis: a vector gives a float, a (rows x n) array
     one value per row.
     """
-    if _check_simplex(x):
-        x = [Fraction(v) for v in x]
-        s2 = sum((v * v for v in x), Fraction(0))
-        s3 = sum((v**3 for v in x), Fraction(0))
-        return Fraction(1, 6) * (1 - s3) - Fraction(1, 8) * (1 - s2) ** 2
+    exact = _check_simplex(x)
+    if exact is not None:
+        d, p = exact
+        d2 = d * d
+        s2 = sum(v * v for v in p)
+        s3 = sum(v * v * v for v in p)
+        return Fraction(4 * d * (d2 * d - s3) - 3 * (d2 - s2) ** 2, 24 * d2 * d2)
     arr = np.asarray(x, dtype=float)
     s2 = (arr * arr).sum(axis=-1)
     s3 = (arr**3).sum(axis=-1)
@@ -225,30 +246,33 @@ def trivariate_g(x1, x2, x3) -> Fraction:
     """The trivariate domination function g on D = {x1>=x2>=x3>=0, sum<=1}.
 
     Exact: inputs must be Fractions or ints; raises ValueError otherwise
-    and outside D.
+    and outside D.  With p = d x, g = (4d(d^3 - sum p_i^3) - 3q^2) / (24 d^4)
+    for q = d^2 - p1^2 - p2^2 - p3(d - p1 - p2).
     """
     if not all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3)):
         raise ValueError("trivariate_g takes rationals (Fraction or int)")
-    x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
-    if not (x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1):
+    d, (p1, p2, p3) = _numerators((x1, x2, x3))
+    if not (p1 >= p2 >= p3 >= 0 and p1 + p2 + p3 <= d):
+        x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
         raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-    return Fraction(1, 6) * (1 - x1**3 - x2**3 - x3**3) - Fraction(1, 8) * (
-        1 - x1**2 - x2**2 - x3 * (1 - x1 - x2)
-    ) ** 2
+    d2 = d * d
+    q = d2 - p1 * p1 - p2 * p2 - p3 * (d - p1 - p2)
+    return Fraction(4 * d * (d2 * d - p1**3 - p2**3 - p3**3) - 3 * q * q, 24 * d2 * d2)
 
 
 def majorization_bound_check(w) -> bool:
     """For sorted-descending exact weights, verify the square-sum majorization.
 
-    Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) exactly; with it,
-    closed_form(w) <= g(x1,x2,x3) follows, which the pipeline checks on
-    its own values.  Raises on unsorted input.
+    Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) exactly, on the
+    numerators p = d x as sum p^2 <= p1^2 + p2^2 + p3(d - p1 - p2); with
+    it, closed_form(w) <= g(x1,x2,x3) follows, which the pipeline checks
+    on its own values.  Raises on unsorted input.
     """
-    w = [Fraction(v) for v in w]
+    w = list(w)
     if len(w) < 3:
         raise ValueError("need at least 3 coordinates (pad with zeros)")
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+    d, p = _simplex_numerators(w)
+    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError("weights must be sorted descending")
-    _check_simplex(w)
-    x1, x2, x3 = w[0], w[1], w[2]
-    return sum((v * v for v in w), Fraction(0)) <= x1 * x1 + x2 * x2 + x3 * (1 - x1 - x2)
+    p1, p2, p3 = p[:3]
+    return sum(v * v for v in p) <= p1 * p1 + p2 * p2 + p3 * (d - p1 - p2)

@@ -120,6 +120,40 @@ def reduce_oracle(g: UndirectedGraph, w: WeightVector):
     return g, w, trace, l_start, l_before
 
 
+def closed_form_oracle(x) -> Fraction:
+    """Exact closed form (1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 in Fractions."""
+    x = [Fraction(v) for v in x]
+    if any(v < 0 for v in x):
+        raise ValueError("negative coordinate")
+    if sum(x) != 1:
+        raise ValueError("coordinates must sum to 1")
+    s2 = sum((v * v for v in x), Fraction(0))
+    s3 = sum((v**3 for v in x), Fraction(0))
+    return Fraction(1, 6) * (1 - s3) - Fraction(1, 8) * (1 - s2) ** 2
+
+
+def trivariate_g_oracle(x1, x2, x3) -> Fraction:
+    """g(x1, x2, x3) in Fractions, with the domain check on D."""
+    x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
+    if not (x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1):
+        raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
+    return Fraction(1, 6) * (1 - x1**3 - x2**3 - x3**3) - Fraction(1, 8) * (
+        1 - x1**2 - x2**2 - x3 * (1 - x1 - x2)
+    ) ** 2
+
+
+def majorization_oracle(w) -> bool:
+    """sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) in Fractions, for sorted w on the simplex."""
+    w = [Fraction(v) for v in w]
+    if len(w) < 3:
+        raise ValueError("need at least 3 coordinates (pad with zeros)")
+    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+        raise ValueError("weights must be sorted descending")
+    closed_form_oracle(w)  # raises off the simplex
+    x1, x2, x3 = w[0], w[1], w[2]
+    return sum((v * v for v in w), Fraction(0)) <= x1 * x1 + x2 * x2 + x3 * (1 - x1 - x2)
+
+
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:
     def shift(x):
         return x if x < v else x - 1

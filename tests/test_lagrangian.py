@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import (
     WeightVector,
     density_from_uniform,
+    integer_weights,
     lagrangian_bf,
     lagrangian_cf,
     uniform_weights,
@@ -24,17 +26,34 @@ UNIFORM3 = WeightVector([Fraction(1, 3)] * 3)
 
 
 def test_weight_vector_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights sum to 3/4, expected 1$"):
         WeightVector([Fraction(1, 2), Fraction(1, 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative weight$"):
         WeightVector([Fraction(3, 2), Fraction(-1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight vector must be nonempty$"):
         WeightVector([])
     # only rationals: floats are rejected even when they sum to one
     with pytest.raises(ValueError, match="rationals"):
         WeightVector([0.5, 0.5])
     with pytest.raises(ValueError, match="rationals"):
         WeightVector([Fraction(1, 2), 0.5])
+
+
+def test_weight_vector_numerators():
+    rng = random.Random(79)
+    for _ in range(300):
+        w = rand_weights(rng, rng.randint(1, 9), max_part=rng.choice((2, 30)))
+        assert isinstance(w.numerators, tuple) and len(w.numerators) == len(w)
+        assert sum(w.numerators) == w.denominator == lcm(*(x.denominator for x in w))
+        assert all(Fraction(p, w.denominator) == x for p, x in zip(w.numerators, w))
+        assert integer_weights(w) == (w.denominator, list(w.numerators))
+    w = WeightVector([0, Fraction(1, 6), 1 - Fraction(1, 6)])
+    assert (w.denominator, w.numerators) == (6, (0, 1, 5))
+    assert all(type(x) is Fraction for x in w)
+    with pytest.raises(AttributeError):
+        w.denominator = 12
+    with pytest.raises(AttributeError):
+        w.numerators = (0, 2, 10)
 
 
 def test_uniform_weights():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -178,6 +179,13 @@ def test_reduce_matches_object_oracle():
         assert final == brute_lagrangian_bf(graph, weights)
         count += 1
     assert count >= 2000
+
+
+def test_reduce_leaves_input_weights_unchanged():
+    for g, w in itertools.islice(_oracle_cases(), 200):
+        before = (w.entries, w.denominator, w.numerators)
+        reduce_to_complete(g, w)
+        assert (w.entries, w.denominator, w.numerators) == before
 
 
 def test_weight_length_must_match_order():

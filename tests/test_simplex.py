@@ -18,7 +18,15 @@ from trilag.simplex import (
     trivariate_g,
 )
 
-from helpers import ascend_one, rand_weights
+from trilag.fileio import parse_weights_text
+
+from helpers import (
+    ascend_one,
+    closed_form_oracle,
+    majorization_oracle,
+    rand_weights,
+    trivariate_g_oracle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -256,3 +264,60 @@ def test_majorization_random_sorted():
         w = sorted(rand_weights(rng, n), reverse=True)
         assert majorization_bound_check(w)
         assert closed_form(w) <= trivariate_g(w[0], w[1], w[2])
+
+
+def _tail_cases():
+    rng = random.Random(71)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        # small parts give zero weights and equal weights often
+        w = list(rand_weights(rng, n, max_part=rng.choice((2, 5, 30))))
+        # entries 0 and 1 given as ints as well
+        yield [int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in w]
+    for n in range(1, 10):
+        yield [Fraction(1, n)] * n  # every coordinate tied
+    yield [1]
+    yield [0, 1, 0, 0]
+    yield [Fraction(0), HALF, 0, HALF, Fraction(0)]
+    # a common denominator of 1073 digits
+    yield list(parse_weights_text("1e-1072\n1/2\n0.4" + "9" * 1071 + "\n"))
+
+
+def test_integer_tail_matches_fraction_oracles():
+    """closed_form, trivariate_g and majorization_bound_check on exact input equal their Fraction oracles."""
+    count = 0
+    for w in _tail_cases():
+        value = closed_form(w)
+        assert type(value) is Fraction and value == closed_form_oracle(w)
+        padded = sorted(w, reverse=True) + [0] * (3 - len(w))
+        assert majorization_bound_check(padded) is majorization_oracle(padded)
+        x1, x2, x3 = padded[:3]
+        g = trivariate_g(x1, x2, x3)
+        assert type(g) is Fraction and g == trivariate_g_oracle(x1, x2, x3)
+        count += 1
+    assert count >= 2000
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_integer_tail_errors_match_fraction_oracles():
+    """Off the simplex, outside D or unsorted: the same value or ValueError as the oracles."""
+    rng = random.Random(73)
+    for _ in range(1000):
+        q = rng.randint(1, 12)
+        x = [Fraction(rng.randint(-1, 2 * q), 3 * q) for _ in range(rng.randint(1, 5))]
+        assert _outcome(closed_form, x) == _outcome(closed_form_oracle, x)
+        padded = (x + [0, 0])[:3]
+        assert _outcome(trivariate_g, *padded) == _outcome(trivariate_g_oracle, *padded)
+        # one fault at a time: sorted but perhaps off the simplex, or on it but perhaps unsorted
+        w = sorted(x + [0, 0], reverse=True)
+        assert _outcome(majorization_bound_check, w) == _outcome(majorization_oracle, w)
+        w = list(rand_weights(rng, rng.randint(1, 6))) + [0, 0]
+        rng.shuffle(w)
+        assert _outcome(majorization_bound_check, w) == _outcome(majorization_oracle, w)
+    assert _outcome(majorization_bound_check, [HALF, HALF]) == _outcome(majorization_oracle, [HALF, HALF])

@@ -30,9 +30,6 @@ from .lagrangian import (
 )
 from .reduction import (
     MergeStep,
-    neighbor_sums,
-    merge,
-    merge_identity_check,
     reduce_to_complete,
 )
 from .simplex import (

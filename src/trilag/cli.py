@@ -36,8 +36,6 @@ def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise ParseError("<args>", 0, f"csv format not supported for {args.subcommand}")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -286,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
+    if args.format == "csv" and args.subcommand != "enumerate":
+        # refused before the command runs: only the enumeration maxima have a table
+        print(f"error: csv format not supported for {args.subcommand}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.run(args)
     # ValueError covers ParseError; MemoryError a batch too large to allocate

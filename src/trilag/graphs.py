@@ -89,37 +89,6 @@ class UndirectedGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == comb(self.n, 2)
-
-    def non_edges(self) -> list[tuple[int, int]]:
-        """Non-adjacent pairs, lexicographically sorted."""
-        return [
-            (u, v)
-            for u, v in itertools.combinations(range(self.n), 2)
-            if (u, v) not in self.edges
-        ]
-
-    def delete_vertex(self, v: int) -> "UndirectedGraph":
-        """Remove vertex v; vertices above v shift down by one."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-
-        def shift(x):
-            return x if x < v else x - 1
-
-        kept = [(shift(a), shift(b)) for (a, b) in self.edges if v not in (a, b)]
-        return UndirectedGraph(self.n - 1, kept)
-
     def relabel(self, perm) -> "UndirectedGraph":
         return UndirectedGraph(self.n, ((perm[u], perm[v]) for (u, v) in self.edges))
 

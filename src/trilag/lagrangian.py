@@ -13,8 +13,8 @@ For an undirected graph G with triple system BF:
 The arc term of L_CF takes x^2 y only (ordered arc x->y); the edge term
 of L_BF takes both x^2 y and x y^2 per unordered edge.  Everything here
 is exact: with d the least common denominator of the weights and p = d x
-their integer numerators (see integer_weights), each sum runs over the
-integers p and one Fraction is made per term, e.g. the BF triple term is
+their integer numerators, each sum runs over the integers p and one
+Fraction is made per term, e.g. the BF triple term is
 (sum p_x p_y p_z) / d^3.  A WeightVector computes d and p once, when it
 is built, and keeps them as ``denominator`` and ``numerators``.  Floats
 appear only in the optimizer module.
@@ -100,19 +100,11 @@ def uniform_weights(n: int) -> WeightVector:
     return WeightVector([Fraction(1, n)] * n)
 
 
-def integer_weights(w: WeightVector) -> tuple[int, list[int]]:
-    """(d, p): d the least common denominator of the weights, p = d * w as ints.
-
-    sum(p) == d.  p is a fresh list, which the caller may mutate.
-    """
-    return w.denominator, list(w.numerators)
-
-
 def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
     """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    d, p = integer_weights(w)
+    d, p = w.denominator, w.numerators
     triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_cf(g).triples)
     arcs = sum(p[u] * p[u] * p[v] for (u, v) in g.arcs)
     return LagrangianValue(
@@ -127,7 +119,7 @@ def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
     """L_BF of an undirected graph, edges summed once each."""
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    d, p = integer_weights(w)
+    d, p = w.denominator, w.numerators
     triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_bf(g).triples)
     pairs = sum(p[u] * p[v] * (p[u] + p[v]) for (u, v) in g.edges)
     edges = sum(p[u] * p[v] for (u, v) in g.edges)

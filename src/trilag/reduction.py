@@ -32,10 +32,13 @@ chain, and N = 2 d^4 L_BF is an integer.  lagrangian_bf is called once,
 for the input; each merge costs O(n^2) integer operations for its sums
 and compares the two branch values N(G_a) and N(G_b) directly.
 
-Every function takes an undirected graph g and its weights w as two
-arguments, with len(w) == g.n.  merge returns the new pair;
-reduce_to_complete the final pair, the trace, and L_BF of the input and
-of the final graph, which it evaluates on the way, so callers need not.
+reduce_to_complete takes an undirected graph g and its weights w, with
+len(w) == g.n, and returns the final pair, the trace, and L_BF of the
+input and of the final graph, which it evaluates on the way, so callers
+need not.  The object-level merge, which deletes a vertex and rebuilds
+the graph, its weights and both branch Lagrangians, is not part of the
+library: it is the oracle in tests/helpers.py that reduce_to_complete and
+the identity above are checked against.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graphs import UndirectedGraph, complete_graph
-from .lagrangian import WeightVector, integer_weights, lagrangian_bf
+from .lagrangian import WeightVector, lagrangian_bf
 
 
 @dataclass(frozen=True)
@@ -63,66 +66,6 @@ class MergeStep:
     s_ab: Fraction
     lagrangian_before: Fraction
     lagrangian_after: Fraction
-
-
-def _check_pair(g: UndirectedGraph, w: WeightVector, a: int, b: int) -> None:
-    if len(w) != g.n:
-        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    if a == b:
-        raise ValueError("pair must be two distinct vertices")
-    if g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is an edge; merging needs a non-edge")
-
-
-def neighbor_sums(g: UndirectedGraph, w: WeightVector, a: int, b: int):
-    """(S_a, S_b, S_ab) for the non-edge (a,b).
-
-    S_ab sums the weights of x with {a,b,x} a BF-triple; since (a,b) is a
-    non-edge these are exactly the common neighbors of a and b.
-    """
-    _check_pair(g, w, a, b)
-    na = set(g.neighbors(a))
-    nb = set(g.neighbors(b))
-    s_a = sum((w[x] for x in na), Fraction(0))
-    s_b = sum((w[x] for x in nb), Fraction(0))
-    s_ab = sum((w[x] for x in na & nb), Fraction(0))
-    return s_a, s_b, s_ab
-
-
-def merge(g: UndirectedGraph, w: WeightVector, a: int, b: int, keep: int):
-    """Delete the discarded endpoint of the non-edge (a,b); keep gets both weights.
-
-    Returns (graph, weights).  Remaining vertices are reindexed
-    contiguously (labels above the deleted one shift down by one).
-    """
-    if keep not in (a, b):
-        raise ValueError("keep must be one of the merged pair")
-    _check_pair(g, w, a, b)
-    drop = b if keep == a else a
-    new_weights = []
-    for v in range(g.n):
-        if v == drop:
-            continue
-        new_weights.append(w[a] + w[b] if v == keep else w[v])
-    return g.delete_vertex(drop), WeightVector(new_weights)
-
-
-def merge_identity_check(g: UndirectedGraph, w: WeightVector, a: int, b: int):
-    """Both sides of the merge identity, for exact comparison.
-
-    lhs = a*L(G_a) + b*L(G_b) - (a+b)*L(G)
-    rhs = a*b*(a+b) * ((1/2)(S_a + S_b - (S_a - S_b)^2) - S_ab)
-    """
-    s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
-    wa, wb = w[a], w[b]
-    lg = lagrangian_bf(g, w).value
-    la = lagrangian_bf(*merge(g, w, a, b, keep=a)).value
-    lb = lagrangian_bf(*merge(g, w, a, b, keep=b)).value
-    lhs = wa * la + wb * lb - (wa + wb) * lg
-    rhs = wa * wb * (wa + wb) * (
-        Fraction(1, 2) * (s_a + s_b - (s_a - s_b) ** 2) - s_ab
-    )
-    return {"lhs": lhs, "rhs": rhs}
 
 
 def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
@@ -148,7 +91,7 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     lagrangian_after, which is also start when no merge runs.
     """
     l_start = lagrangian_bf(g, w).value  # raises on a weight length != g.n
-    d, p = integer_weights(w)
+    d, p = w.denominator, list(w.numerators)  # p is updated in place by each merge
     scale = 2 * d**4
     level = (l_start * scale).numerator  # N = 2 d^4 L_BF: the denominator is 1
     adj = [set() for _ in range(g.n)]

@@ -2,7 +2,10 @@
 
 The oracles recompute everything from the raw definitions (no reuse of
 library construction or summation code), so library results are checked
-against a second, independently written path.
+against a second, independently written path.  The one library call of
+the merge oracles (neighbor_sums, merge, merge_identity_sides and
+reduce_oracle) is lagrangian_bf, itself checked against
+brute_lagrangian_bf.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from trilag.graphs import OrientedGraph, UndirectedGraph
 from trilag.lagrangian import WeightVector, lagrangian_bf
-from trilag.reduction import MergeStep, merge, neighbor_sums
+from trilag.reduction import MergeStep
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -91,6 +94,56 @@ def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
     return total - Fraction(1, 2) * esum * esum
 
 
+def _check_order(g: UndirectedGraph, w) -> None:
+    if len(w) != g.n:
+        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
+
+
+def non_edges(g: UndirectedGraph) -> list[tuple[int, int]]:
+    """Non-adjacent pairs u < v, lexicographically sorted."""
+    return [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
+
+
+def neighbor_sums(g: UndirectedGraph, w, a: int, b: int):
+    """(S_a, S_b, S_ab): the weight sums over the neighbours of a, of b, and of both."""
+    _check_order(g, w)
+    near_a, near_b = ({x for x in range(g.n) if (min(v, x), max(v, x)) in g.edges} for v in (a, b))
+    return tuple(sum((w[x] for x in near), Fraction(0)) for near in (near_a, near_b, near_a & near_b))
+
+
+def merge(g: UndirectedGraph, w, a: int, b: int, keep: int):
+    """Delete the endpoint of (a, b) other than keep, which gets both weights.
+
+    Returns (graph, weights); the vertices above the deleted one shift down by one.
+    """
+    _check_order(g, w)
+    drop = b if keep == a else a
+
+    def shift(x):
+        return x if x < drop else x - 1
+
+    edges = [(shift(u), shift(v)) for (u, v) in g.edges if drop not in (u, v)]
+    weights = [w[a] + w[b] if v == keep else w[v] for v in range(g.n) if v != drop]
+    return UndirectedGraph(g.n - 1, edges), WeightVector(weights)
+
+
+def merge_identity_sides(g: UndirectedGraph, w, a: int, b: int):
+    """(lhs, rhs) of the merge identity of the non-edge (a, b), with x = w[a], y = w[b]:
+
+    lhs = x L(G_a) + y L(G_b) - (x + y) L(G)
+    rhs = x y (x + y) ((1/2)(S_a + S_b - (S_a - S_b)^2) - S_ab)
+    """
+    s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
+    x, y = w[a], w[b]
+    lhs = (
+        x * lagrangian_bf(*merge(g, w, a, b, keep=a)).value
+        + y * lagrangian_bf(*merge(g, w, a, b, keep=b)).value
+        - (x + y) * lagrangian_bf(g, w).value
+    )
+    rhs = x * y * (x + y) * (Fraction(1, 2) * (s_a + s_b - (s_a - s_b) ** 2) - s_ab)
+    return lhs, rhs
+
+
 def reduce_oracle(g: UndirectedGraph, w: WeightVector):
     """reduce_to_complete at the object level: build both merged graphs.
 
@@ -101,8 +154,8 @@ def reduce_oracle(g: UndirectedGraph, w: WeightVector):
     labels = list(range(g.n))
     trace = []
     l_start = l_before = lagrangian_bf(g, w).value
-    while not g.is_complete():
-        a, b = g.non_edges()[0]
+    while pairs := non_edges(g):
+        a, b = pairs[0]
         s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
         cand_a = merge(g, w, a, b, keep=a)
         cand_b = merge(g, w, a, b, keep=b)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from trilag.certify import CERTIFIED, certify, leaf_volume_total
-from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
+from trilag.graphs import UndirectedGraph, build_cf, complete_graph, edge_density, underlying
 from trilag.harness import (
     enumerate_orientations,
     orientation_from_index,
@@ -20,10 +20,10 @@ from trilag.harness import (
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.polynomials import h_polynomial, simplex_bernstein
-from trilag.reduction import merge_identity_check, reduce_to_complete
+from trilag.reduction import reduce_to_complete
 from trilag.simplex import closed_form, gradient, maximize, trivariate_g
 
-from helpers import rand_graph, rand_orientation, rand_weights
+from helpers import merge_identity_sides, non_edges, rand_graph, rand_orientation, rand_weights
 
 BOUND = Fraction(3, 32)
 HALF = Fraction(1, 2)
@@ -106,16 +106,16 @@ def test_criterion_4_merge_suite():
     while done < trials:
         n = rng.randint(3, 7)
         g = rand_graph(rng, n, p=rng.random())
-        non_edges = g.non_edges()
-        if not non_edges:
+        pairs = non_edges(g)
+        if not pairs:
             continue
         w = rand_weights(rng, n)
-        a, b = non_edges[rng.randrange(len(non_edges))]
-        res = merge_identity_check(g, w, a, b)
+        a, b = pairs[rng.randrange(len(pairs))]
+        lhs, rhs = merge_identity_sides(g, w, a, b)
         final_graph, _, trace, _, _ = reduce_to_complete(g, w)
         monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
-        if not (res["lhs"] == res["rhs"] and monotone and len(trace) <= n - 1
-                and final_graph.is_complete()):
+        if not (lhs == rhs and monotone and len(trace) <= n - 1
+                and final_graph == complete_graph(final_graph.n)):
             failures += 1
         done += 1
     _report(

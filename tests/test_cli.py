@@ -42,6 +42,21 @@ def test_lagrangian(capsys, cherry_files):
     assert payload["lagrangian_bf_underlying"]["value"] == "7/81"
 
 
+def test_undirected_input(capsys, tmp_path):
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text("graph 4\n0 1\n1 2\n2 3\n")  # a path
+    w.write_text("1/4\n" * 4)
+    code, out = run(capsys, ["construct", str(g)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["input"] == "graph"
+    assert payload["bf_triples"] == [[0, 1, 2], [1, 2, 3]]
+    assert payload["bf_density"] == "1/2"
+    code, out = run(capsys, ["lagrangian", str(g), str(w)])
+    assert code == 0
+    assert json.loads(out)["lagrangian_bf"]["value"] == "31/512"
+
+
 def test_reduce(capsys, tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("graph 3\n0 2\n1 2\n")
@@ -230,3 +245,25 @@ def test_usage_errors(capsys, tmp_path):
     w.write_bytes(b"1/3\n1/3\n\xff\n")
     assert main(["pipeline", str(g), str(w)]) == 1
     assert f"{w}:3: not UTF-8" in capsys.readouterr().err
+
+
+def test_csv_refused_before_the_command_runs(capsys, monkeypatch, cherry_files):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "validate_fdf_family", ran)
+    monkeypatch.setattr(cli, "pipeline_report", ran)
+    g, w = cherry_files
+    for argv in (
+        ["construct", g],
+        ["lagrangian", g, w],
+        ["reduce", g, w],
+        ["optimize", "--n", "3"],
+        ["certify"],
+        ["validate-fdf", "--n", "6"],
+        ["pipeline", g, w],
+    ):
+        assert main(["--format", "csv", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: csv format not supported for {argv[0]}\n"

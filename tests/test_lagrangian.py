@@ -8,7 +8,6 @@ from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import (
     WeightVector,
     density_from_uniform,
-    integer_weights,
     lagrangian_bf,
     lagrangian_cf,
     uniform_weights,
@@ -46,7 +45,6 @@ def test_weight_vector_numerators():
         assert isinstance(w.numerators, tuple) and len(w.numerators) == len(w)
         assert sum(w.numerators) == w.denominator == lcm(*(x.denominator for x in w))
         assert all(Fraction(p, w.denominator) == x for p, x in zip(w.numerators, w))
-        assert integer_weights(w) == (w.denominator, list(w.numerators))
     w = WeightVector([0, Fraction(1, 6), 1 - Fraction(1, 6)])
     assert (w.denominator, w.numerators) == (6, (0, 1, 5))
     assert all(type(x) is Fraction for x in w)

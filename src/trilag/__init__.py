@@ -9,7 +9,6 @@ certificate for the final trivariate inequality (certify).
 from .graphs import (
     OrientedGraph,
     UndirectedGraph,
-    TripleSystem,
     build_f,
     build_cf,
     build_bf,

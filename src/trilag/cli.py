@@ -20,7 +20,7 @@ import json
 import sys
 
 from .certify import CERTIFIED, certify
-from .fileio import ParseError, parse_graph, parse_weights
+from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
 from .harness import enumerate_orientations, pipeline_report, validate_fdf_family
 from .lagrangian import lagrangian_bf, lagrangian_cf
@@ -67,26 +67,26 @@ def _cmd_construct(args) -> int:
         payload = {
             "input": "digraph",
             "n": g.n,
-            "f_triples": f.sorted_triples(),
-            "cf_triples": cf.sorted_triples(),
-            "bf_triples": bf.sorted_triples(),
-            "cf_density": str(edge_density(cf)) if g.n >= 3 else None,
+            "f_triples": sorted(f),
+            "cf_triples": sorted(cf),
+            "bf_triples": sorted(bf),
+            "cf_density": str(edge_density(g.n, cf)) if g.n >= 3 else None,
         }
         text = [
             f"digraph on {g.n} vertices",
-            f"F  triples: {f.sorted_triples()}",
-            f"CF triples: {cf.sorted_triples()}",
-            f"BF triples: {bf.sorted_triples()}",
+            f"F  triples: {sorted(f)}",
+            f"CF triples: {sorted(cf)}",
+            f"BF triples: {sorted(bf)}",
         ]
     else:
         bf = build_bf(g)
         payload = {
             "input": "graph",
             "n": g.n,
-            "bf_triples": bf.sorted_triples(),
-            "bf_density": str(edge_density(bf)) if g.n >= 3 else None,
+            "bf_triples": sorted(bf),
+            "bf_density": str(edge_density(g.n, bf)) if g.n >= 3 else None,
         }
-        text = [f"graph on {g.n} vertices", f"BF triples: {bf.sorted_triples()}"]
+        text = [f"graph on {g.n} vertices", f"BF triples: {sorted(bf)}"]
     _emit(payload, args, text_lines=text)
     return EXIT_OK
 
@@ -197,7 +197,9 @@ def _cmd_validate_fdf(args) -> int:
 def _cmd_pipeline(args) -> int:
     g = parse_graph(args.graph)
     if not isinstance(g, OrientedGraph):
-        raise ParseError(args.graph, 1, "pipeline expects a digraph")
+        # cite the header, the first content line; only this refusal reads the file again
+        header_no = next(_content_lines(_read_text(args.graph)))[0]
+        raise ParseError(args.graph, header_no, "pipeline expects a digraph")
     w = parse_weights(args.weights, expected_n=g.n)
     report = pipeline_report(g, w)
     chain = " <= ".join(

@@ -1,4 +1,4 @@
-"""Oriented graphs, undirected graphs, 3-graphs, and the triple constructions.
+"""Oriented graphs, undirected graphs, and the triple constructions.
 
 An orientation is a loopless digraph with no antiparallel arc pair, so its
 arcs biject with the edges of the underlying undirected graph.  From an
@@ -15,6 +15,10 @@ From an undirected graph we build
 CF is the complement of F within all C(n,3) triples, and CF is contained
 in BF of the underlying graph; both facts are exercised exhaustively in
 the test suite.
+
+A 3-graph is a plain set of triples: build_f, build_cf and build_bf each
+return a frozenset of vertex triples, every triple sorted ascending.
+edge_density and has_independent_4set take the vertex count beside it.
 """
 
 from __future__ import annotations
@@ -106,53 +110,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
-class TripleSystem:
-    """3-uniform hypergraph; triples stored sorted ascending."""
-
-    __slots__ = ("n", "triples")
-
-    def __init__(self, n: int, triples) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        canon = set()
-        for t in triples:
-            x, y, z = sorted(t)
-            if len({x, y, z}) != 3:
-                raise ValueError(f"triple {t} has repeated vertices")
-            if not (0 <= x and z < n):
-                raise ValueError(f"triple {t} out of range for n={n}")
-            canon.add((x, y, z))
-        self.n = n
-        self.triples = frozenset(canon)
-
-    def sorted_triples(self) -> list[tuple[int, int, int]]:
-        return sorted(self.triples)
-
-    def __contains__(self, t) -> bool:
-        return tuple(sorted(t)) in self.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def relabel(self, perm) -> "TripleSystem":
-        return TripleSystem(
-            self.n, ((perm[x], perm[y], perm[z]) for (x, y, z) in self.triples)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TripleSystem)
-            and self.n == other.n
-            and self.triples == other.triples
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.triples))
-
-    def __repr__(self) -> str:
-        return f"TripleSystem(n={self.n}, triples={self.sorted_triples()})"
-
-
 def complete_graph(n: int) -> UndirectedGraph:
     return UndirectedGraph(n, itertools.combinations(range(n), 2))
 
@@ -178,16 +135,16 @@ def _dominator(g: OrientedGraph, x: int, y: int, z: int):
     return None
 
 
-def build_f(g: OrientedGraph) -> TripleSystem:
+def build_f(g: OrientedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples with at most one induced arc, or with a dominator."""
     triples = []
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         if len(_induced_arcs(g, x, y, z)) <= 1 or _dominator(g, x, y, z) is not None:
             triples.append((x, y, z))
-    return TripleSystem(g.n, triples)
+    return frozenset(triples)
 
 
-def build_cf(g: OrientedGraph) -> TripleSystem:
+def build_cf(g: OrientedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples with at least two induced arcs and no dominator.
 
     Complement of build_f within all C(n,3) triples.
@@ -196,17 +153,17 @@ def build_cf(g: OrientedGraph) -> TripleSystem:
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         if len(_induced_arcs(g, x, y, z)) >= 2 and _dominator(g, x, y, z) is None:
             triples.append((x, y, z))
-    return TripleSystem(g.n, triples)
+    return frozenset(triples)
 
 
-def build_bf(g: UndirectedGraph) -> TripleSystem:
+def build_bf(g: UndirectedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples spanning at least two edges of g."""
     triples = []
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         k = g.has_edge(x, y) + g.has_edge(x, z) + g.has_edge(y, z)
         if k >= 2:
             triples.append((x, y, z))
-    return TripleSystem(g.n, triples)
+    return frozenset(triples)
 
 
 def underlying(g: OrientedGraph) -> UndirectedGraph:
@@ -214,11 +171,11 @@ def underlying(g: OrientedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, g.arcs)
 
 
-def edge_density(t: TripleSystem) -> Fraction:
+def edge_density(n: int, triples) -> Fraction:
     """|triples| / C(n,3), exact."""
-    if t.n < 3:
+    if n < 3:
         raise ValueError("edge density needs at least 3 vertices")
-    return Fraction(len(t.triples), comb(t.n, 3))
+    return Fraction(len(triples), comb(n, 3))
 
 
 def has_induced_directed_c4(g: OrientedGraph):
@@ -245,15 +202,15 @@ def has_induced_directed_c4(g: OrientedGraph):
     return False, None
 
 
-def has_independent_4set(t: TripleSystem):
-    """Detect four vertices spanning none of the system's triples.
+def has_independent_4set(n: int, triples):
+    """Detect four of the vertices 0..n-1 spanning none of the sorted triples.
 
     Returns (True, quad) with the witness sorted ascending, else
     (False, None).
     """
-    if t.n < 4:
+    if n < 4:
         raise ValueError("independent 4-set check needs at least 4 vertices")
-    for quad in itertools.combinations(range(t.n), 4):
-        if not any(sub in t.triples for sub in itertools.combinations(quad, 3)):
+    for quad in itertools.combinations(range(n), 4):
+        if not any(sub in triples for sub in itertools.combinations(quad, 3)):
             return True, quad
     return False, None

@@ -94,7 +94,7 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
-        "independent": np.array([has_independent_4set(build_f(g))[0] for g in quads]),
+        "independent": np.array([has_independent_4set(4, build_f(g))[0] for g in quads]),
     }
     for table in tables.values():
         table.flags.writeable = False

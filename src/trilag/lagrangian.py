@@ -105,7 +105,7 @@ def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
     d, p = w.denominator, w.numerators
-    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_cf(g).triples)
+    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_cf(g))
     arcs = sum(p[u] * p[u] * p[v] for (u, v) in g.arcs)
     return LagrangianValue(
         value=Fraction(2 * triples + arcs, 2 * d**3),
@@ -120,7 +120,7 @@ def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
     if len(w) != g.n:
         raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
     d, p = w.denominator, w.numerators
-    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_bf(g).triples)
+    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_bf(g))
     pairs = sum(p[u] * p[v] * (p[u] + p[v]) for (u, v) in g.edges)
     edges = sum(p[u] * p[v] for (u, v) in g.edges)
     return LagrangianValue(
@@ -154,5 +154,5 @@ def density_from_uniform(g: OrientedGraph) -> DensityReport:
     lag = lagrangian_cf(g, uniform_weights(g.n)).value
     bound = lag * g.n**3 / comb(g.n, 3)
     return DensityReport(
-        density=edge_density(cf), uniform_lagrangian=lag, implied_bound=bound
+        density=edge_density(g.n, cf), uniform_lagrangian=lag, implied_bound=bound
     )

@@ -58,6 +58,11 @@ def all_orientations(n: int):
         yield OrientedGraph(n, arcs)
 
 
+def relabel_triples(triples, perm) -> frozenset:
+    """Apply a vertex permutation (perm[v] is the new label of v), keeping triples sorted."""
+    return frozenset(tuple(sorted((perm[x], perm[y], perm[z]))) for (x, y, z) in triples)
+
+
 def brute_lagrangian_cf(g: OrientedGraph, w) -> Fraction:
     """L_CF from the raw definition: classify each triple by hand."""
     total = Fraction(0)

@@ -62,7 +62,7 @@ def test_criterion_2_exhaustive_small_orders():
     ok = ok and (
         (report.max_cf_density, report.max_cf_density_witness) == (Fraction(3, 4), 285993)
         and (report.max_uniform_lcf, report.max_uniform_lcf_witness) == (Fraction(5, 54), 2380656)
-        and edge_density(build_cf(density_witness)) == Fraction(3, 4)
+        and edge_density(density_witness.n, build_cf(density_witness)) == Fraction(3, 4)
         and lagrangian_cf(lcf_witness, uniform_weights(6)).value == Fraction(5, 54)
     )
     details.append(

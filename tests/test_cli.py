@@ -57,6 +57,34 @@ def test_undirected_input(capsys, tmp_path):
     assert json.loads(out)["lagrangian_bf"]["value"] == "31/512"
 
 
+def test_construct_sorts_triples(capsys, tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("digraph 5\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n")  # a directed 5-cycle with a chord
+    cf = [[0, 1, 4], [0, 2, 3], [0, 2, 4], [0, 3, 4], [1, 2, 3], [2, 3, 4]]
+    code, out = run(capsys, ["construct", str(g)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["f_triples"] == [[0, 1, 2], [0, 1, 3], [1, 2, 4], [1, 3, 4]]
+    assert payload["cf_triples"] == cf
+    assert payload["bf_triples"] == sorted(cf + [[0, 1, 2]])
+    assert payload["cf_density"] == "3/5"
+    code, out = run(capsys, ["--format", "text", "construct", str(g)])
+    assert code == 0
+    assert out.splitlines()[2] == (
+        "CF triples: [(0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (2, 3, 4)]"
+    )
+
+
+def test_pipeline_refuses_undirected_input_at_its_header(capsys, tmp_path):
+    g, w = tmp_path / "gp.txt", tmp_path / "w.txt"
+    g.write_text("# an undirected path\n\ngraph 3\n0 1\n1 2\n")
+    w.write_text(UNIFORM3)
+    assert main(["pipeline", str(g), str(w)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {g}:3: pipeline expects a digraph\n"
+
+
 def test_reduce(capsys, tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("graph 3\n0 2\n1 2\n")

@@ -84,14 +84,14 @@ def test_kernel_matches_object_oracle(n):
         f, cf_sys, und = build_f(g), build_cf(g), underlying(g)
         bf_sys = build_bf(und)
         assert (cf[j], bf[j], arcs[j]) == (len(cf_sys), len(bf_sys), len(g.arcs)), idx
-        assert partition[j] == (bool(f.triples & cf_sys.triples)
+        assert partition[j] == (bool(f & cf_sys)
                                 or len(f) + len(cf_sys) != comb(n, 3)), idx
-        assert containment[j] == (not cf_sys.triples <= bf_sys.triples), idx
+        assert containment[j] == (not cf_sys <= bf_sys), idx
         assert Fraction(int(2 * cf[j] + arcs[j]), 2 * n**3) == lagrangian_cf(g, w).value
         lbf = 2 * n * bf[j] + 2 * n * arcs[j] - arcs[j] ** 2
         assert Fraction(int(lbf), 2 * n**4) == lagrangian_bf(und, w).value
         assert has_c4[j] == has_induced_directed_c4(g)[0], idx
-        indep = n >= 4 and has_independent_4set(f)[0]
+        indep = n >= 4 and has_independent_4set(n, f)[0]
         assert independent[:, j].any() == indep, idx
 
 
@@ -146,8 +146,8 @@ def test_validate_fdf_reports_counterexamples(monkeypatch):
     for c in report["counterexamples"]:
         g = orientation_from_index(5, c["index"])
         assert c["arcs"] == g.sorted_arcs()
-        assert has_independent_4set(build_f(g)) == (True, tuple(c["independent_4set"]))
-    flagged = sum(has_independent_4set(build_f(orientation_from_index(5, i)))[0]
+        assert has_independent_4set(5, build_f(g)) == (True, tuple(c["independent_4set"]))
+    flagged = sum(has_independent_4set(5, build_f(orientation_from_index(5, i)))[0]
                   for i in range(0, 59049, 7))
     assert sum(1 for i in indices if i % 7 == 0) == flagged
 

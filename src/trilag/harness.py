@@ -26,8 +26,8 @@ from .graphs import (
     has_induced_directed_c4,
     underlying,
 )
-from .lagrangian import WeightVector, lagrangian_cf
-from .reduction import reduce_to_complete, trace_to_jsonable
+from .lagrangian import WeightVector, _arc_adjacency, _bf_sums, _cf_sums, _cf_value, _check_order
+from .reduction import _reduce, trace_to_jsonable
 from .simplex import closed_form, majorization_bound_check, trivariate_g
 
 BOUND = Fraction(3, 32)
@@ -230,11 +230,16 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
 
     Chain: L_CF <= L_BF <= L_BF(final complete) = closed form
            <= trivariate bound at the sorted final weights <= 3/32.
-    Each value is computed once, both L_BF values by reduce_to_complete on
-    its way; h_at_point is 3/32 - g at that point.
+    Each value is computed once.  One adjacency and one BF triple sum serve
+    both L_CF, which subtracts the dominated triples from that sum, and the
+    merge chain, which starts from L_BF of the same sums and returns the
+    final L_BF on its way; h_at_point is 3/32 - g at that point.
     """
-    lcf = lagrangian_cf(g, w).value
-    final_graph, final_weights, trace, lbf, lfinal = reduce_to_complete(underlying(g), w)
+    _check_order(w, g.n)
+    out, adj = _arc_adjacency(g)
+    sums = _bf_sums(adj, w.numerators)
+    lcf = _cf_value(w.denominator, *_cf_sums(out, w.numerators, sums[0])).value
+    final_graph, final_weights, trace, lbf, lfinal = _reduce(adj, w, sums)
     closed = closed_form(list(final_weights))
     wsorted = sorted(final_weights, reverse=True) + [Fraction(0)] * (3 - len(final_weights))
     x1, x2, x3 = wsorted[:3]

@@ -18,6 +18,20 @@ Fraction is made per term, e.g. the BF triple term is
 (sum p_x p_y p_z) / d^3.  A WeightVector computes d and p once, when it
 is built, and keeps them as ``denominator`` and ``numerators``.  Floats
 appear only in the optimizer module.
+
+Neither triple sum visits the C(n,3) triples; both are sums over
+neighbourhoods.  With s_v and r_v the sums of p and of p^2 over the
+neighbours of v, e2(N(v)) = (s_v^2 - r_v)/2 sums p_y p_z over the pairs of
+neighbours of v, that is over the triples in which v is adjacent to both
+others.  A BF triple with two edges has one such centre and a triangle has
+three, so the BF triple sum is sum_v p_v e2(N(v)) - 2T, with T the triangle
+sum.  BF minus CF is the set of triples with a dominator, a vertex with
+arcs to both others, and each such triple has exactly one (pinned on the
+27 triple orientations in the tests), so the CF triple sum is the BF one
+less sum_u p_u e2(N+(u)), with N+(u) the out-neighbours of u.  The pair
+terms are sums over neighbourhoods too: sum_v p_v^2 s_v for BF and
+sum_u p_u^2 s+_u for CF.  One evaluation costs O(n + m) integer operations
+for n vertices and m edges, plus one set intersection per edge for T.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .graphs import OrientedGraph, UndirectedGraph, build_cf, build_bf, edge_density
+from .graphs import OrientedGraph, UndirectedGraph
 
 
 class WeightVector:
@@ -100,13 +114,68 @@ def uniform_weights(n: int) -> WeightVector:
     return WeightVector([Fraction(1, n)] * n)
 
 
-def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
-    """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
-    if len(w) != g.n:
-        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    d, p = w.denominator, w.numerators
-    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_cf(g))
-    arcs = sum(p[u] * p[u] * p[v] for (u, v) in g.arcs)
+def _check_order(w: WeightVector, n: int) -> None:
+    if len(w) != n:
+        raise ValueError(f"weight length {len(w)} != vertex count {n}")
+
+
+def _adjacency(n: int, pairs) -> list[set[int]]:
+    """Neighbour sets of the undirected graph on 0..n-1 with the given vertex pairs."""
+    adj = [set() for _ in range(n)]
+    for (u, v) in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _arc_adjacency(g: OrientedGraph) -> tuple[list[set[int]], list[set[int]]]:
+    """(out-neighbour sets, neighbour sets of the underlying graph) of an orientation."""
+    out = [set() for _ in range(g.n)]
+    for (u, v) in g.arcs:
+        out[u].add(v)
+    return out, _adjacency(g.n, g.arcs)
+
+
+def _bf_sums(adj, p) -> tuple[int, int, int]:
+    """(triples, pairs, edges): d^3, 2 d^3 and d^2 times the triple term, the
+    pair term and the edge sum sum_{uv} x_u x_v of L_BF, from neighbour sets.
+
+    ``centres`` is 2 sum_v p_v e2(N(v)); ``triangles`` is T, each triangle
+    v < y < z found once from the neighbours above v and above y.
+    """
+    up = [{y for y in near if y > v} for v, near in enumerate(adj)]
+    centres = triangles = pairs = edges = 0
+    for v, near in enumerate(adj):
+        if not near:
+            continue
+        x = p[v]
+        s = sum(p[y] for y in near)
+        centres += x * (s * s - sum(p[y] * p[y] for y in near))
+        above = up[v]
+        triangles += x * sum(p[y] * sum(p[z] for z in above & up[y]) for y in above)
+        pairs += x * x * s
+        edges += x * s
+    return (centres - 4 * triangles) // 2, pairs, edges // 2
+
+
+def _cf_sums(out, p, bf_triples: int) -> tuple[int, int]:
+    """(triples, arcs): d^3 and 2 d^3 times the triple and the arc term of L_CF.
+
+    The CF triple sum is the BF one, ``bf_triples``, less the triples with a
+    dominator: ``dominated`` is 2 sum_u p_u e2(N+(u)).
+    """
+    dominated = arcs = 0
+    for u, ahead in enumerate(out):
+        if not ahead:
+            continue
+        x = p[u]
+        s = sum(p[v] for v in ahead)
+        dominated += x * (s * s - sum(p[v] * p[v] for v in ahead))
+        arcs += x * x * s
+    return bf_triples - dominated // 2, arcs
+
+
+def _cf_value(d: int, triples: int, arcs: int) -> LagrangianValue:
     return LagrangianValue(
         value=Fraction(2 * triples + arcs, 2 * d**3),
         triple_term=Fraction(triples, d**3),
@@ -115,16 +184,26 @@ def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
     )
 
 
+def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
+    """N = 2 d^4 L_BF from the integer sums of ``_bf_sums``."""
+    return 2 * d * triples + d * pairs - edges * edges
+
+
+def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
+    """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
+    _check_order(w, g.n)
+    out, adj = _arc_adjacency(g)
+    p = w.numerators
+    return _cf_value(w.denominator, *_cf_sums(out, p, _bf_sums(adj, p)[0]))
+
+
 def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
     """L_BF of an undirected graph, edges summed once each."""
-    if len(w) != g.n:
-        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
-    d, p = w.denominator, w.numerators
-    triples = sum(p[x] * p[y] * p[z] for (x, y, z) in build_bf(g))
-    pairs = sum(p[u] * p[v] * (p[u] + p[v]) for (u, v) in g.edges)
-    edges = sum(p[u] * p[v] for (u, v) in g.edges)
+    _check_order(w, g.n)
+    d = w.denominator
+    triples, pairs, edges = _bf_sums(_adjacency(g.n, g.edges), w.numerators)
     return LagrangianValue(
-        value=Fraction(2 * d * triples + d * pairs - edges * edges, 2 * d**4),
+        value=Fraction(_bf_numerator(d, triples, pairs, edges), 2 * d**4),
         triple_term=Fraction(triples, d**3),
         pair_term=Fraction(pairs, 2 * d**3),
         quadratic_term=Fraction(edges * edges, 2 * d**4),
@@ -147,12 +226,15 @@ class DensityReport:
 
 
 def density_from_uniform(g: OrientedGraph) -> DensityReport:
-    """CF edge density, uniform-weight L_CF, and the implied density bound."""
+    """CF density, uniform-weight L_CF, and the implied density bound.
+
+    At weights 1/n the CF triple term is |CF| / n^3, so the density comes
+    from the same evaluation as the Lagrangian.
+    """
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    cf = build_cf(g)
-    lag = lagrangian_cf(g, uniform_weights(g.n)).value
-    bound = lag * g.n**3 / comb(g.n, 3)
+    lag = lagrangian_cf(g, uniform_weights(g.n))
+    scale = Fraction(g.n**3, comb(g.n, 3))
     return DensityReport(
-        density=edge_density(g.n, cf), uniform_lagrangian=lag, implied_bound=bound
+        density=lag.triple_term * scale, uniform_lagrangian=lag.value, implied_bound=lag.value * scale
     )

@@ -28,17 +28,21 @@ neighbours y of v.  G_a keeps C, E_0, S_a and U_a, and a weighs X = x_a + x_b:
 and L(G_b) likewise.  C is recovered from the current value.  All of this
 runs on integers: with d the least common denominator of the input
 weights and p = d x, a merge adds two numerators, so d is fixed along the
-chain, and N = 2 d^4 L_BF is an integer.  lagrangian_bf is called once,
-for the input; each merge costs O(n^2) integer operations for its sums
+chain, and N = 2 d^4 L_BF is an integer.  The starting N comes from the
+neighbourhood sums of trilag.lagrangian on the adjacency sets that the
+merges update; each merge costs O(n^2) integer operations for its sums
 and compares the two branch values N(G_a) and N(G_b) directly.
 
 reduce_to_complete takes an undirected graph g and its weights w, with
 len(w) == g.n, and returns the final pair, the trace, and L_BF of the
 input and of the final graph, which it evaluates on the way, so callers
-need not.  The object-level merge, which deletes a vertex and rebuilds
-the graph, its weights and both branch Lagrangians, is not part of the
-library: it is the oracle in tests/helpers.py that reduce_to_complete and
-the identity above are checked against.
+need not.  It builds the adjacency sets and their sums and hands them to
+_reduce, the chain itself, which the pipeline calls directly with the
+adjacency and the BF sums it has already computed for L_CF.  The
+object-level merge, which deletes a vertex and rebuilds the graph, its
+weights and both branch Lagrangians, is not part of the library: it is
+the oracle in tests/helpers.py that reduce_to_complete and the identity
+above are checked against.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graphs import UndirectedGraph, complete_graph
-from .lagrangian import WeightVector, lagrangian_bf
+from .lagrangian import WeightVector, _adjacency, _bf_numerator, _bf_sums, _check_order
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,20 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     start, final): start is L_BF of the input and final the last step's
     lagrangian_after, which is also start when no merge runs.
     """
-    l_start = lagrangian_bf(g, w).value  # raises on a weight length != g.n
+    _check_order(w, g.n)
+    adj = _adjacency(g.n, g.edges)
+    return _reduce(adj, w, _bf_sums(adj, w.numerators))
+
+
+def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
+    """reduce_to_complete from the neighbour sets ``adj`` of the input graph
+    and its ``_bf_sums`` at w; ``adj`` is updated in place by each merge."""
     d, p = w.denominator, list(w.numerators)  # p is updated in place by each merge
     scale = 2 * d**4
-    level = (l_start * scale).numerator  # N = 2 d^4 L_BF: the denominator is 1
-    adj = [set() for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    edges = sum(p[u] * p[v] for (u, v) in g.edges)  # d^2 E
-    alive = list(range(g.n))  # vertices keep their input labels
-    l_before = l_start
+    level = _bf_numerator(d, *sums)  # N = 2 d^4 L_BF
+    edges = sums[2]  # d^2 E
+    alive = list(range(len(adj)))  # vertices keep their input labels
+    l_start = l_before = Fraction(level, scale)
     trace: list[MergeStep] = []
     while True:
         pair = next(((a, b) for a, b in combinations(alive, 2) if b not in adj[a]), None)

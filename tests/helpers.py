@@ -63,9 +63,9 @@ def relabel_triples(triples, perm) -> frozenset:
     return frozenset(tuple(sorted((perm[x], perm[y], perm[z]))) for (x, y, z) in triples)
 
 
-def brute_lagrangian_cf(g: OrientedGraph, w) -> Fraction:
-    """L_CF from the raw definition: classify each triple by hand."""
-    total = Fraction(0)
+def brute_cf_terms(g: OrientedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
+    """(triple, pair, quadratic) terms of L_CF from the raw definition: classify each triple by hand."""
+    triple = Fraction(0)
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         arcs = [
             (u, v) for (u, v) in itertools.permutations((x, y, z), 2) if (u, v) in g.arcs
@@ -75,15 +75,14 @@ def brute_lagrangian_cf(g: OrientedGraph, w) -> Fraction:
             for (a, b, c) in ((x, y, z), (y, x, z), (z, x, y))
         )
         if len(arcs) >= 2 and not dom:
-            total += w[x] * w[y] * w[z]
-    for (u, v) in g.arcs:
-        total += Fraction(1, 2) * w[u] * w[u] * w[v]
-    return total
+            triple += w[x] * w[y] * w[z]
+    pair = sum((Fraction(1, 2) * w[u] * w[u] * w[v] for (u, v) in g.arcs), Fraction(0))
+    return triple, pair, Fraction(0)
 
 
-def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
-    """L_BF from the raw definition: triple scan plus edge sums."""
-    total = Fraction(0)
+def brute_bf_terms(g: UndirectedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
+    """(triple, pair, quadratic) terms of L_BF from the raw definition: triple scan plus edge sums."""
+    triple = Fraction(0)
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         k = sum(
             1
@@ -91,12 +90,24 @@ def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
             if (min(a, b), max(a, b)) in g.edges
         )
         if k >= 2:
-            total += w[x] * w[y] * w[z]
-    esum = Fraction(0)
+            triple += w[x] * w[y] * w[z]
+    pair = esum = Fraction(0)
     for (u, v) in g.edges:
-        total += Fraction(1, 2) * (w[u] * w[u] * w[v] + w[u] * w[v] * w[v])
+        pair += Fraction(1, 2) * (w[u] * w[u] * w[v] + w[u] * w[v] * w[v])
         esum += w[u] * w[v]
-    return total - Fraction(1, 2) * esum * esum
+    return triple, pair, Fraction(1, 2) * esum * esum
+
+
+def brute_lagrangian_cf(g: OrientedGraph, w) -> Fraction:
+    """L_CF from the raw definition."""
+    triple, pair, quadratic = brute_cf_terms(g, w)
+    return triple + pair - quadratic
+
+
+def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
+    """L_BF from the raw definition."""
+    triple, pair, quadratic = brute_bf_terms(g, w)
+    return triple + pair - quadratic
 
 
 def _check_order(g: UndirectedGraph, w) -> None:

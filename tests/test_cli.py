@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trilag import cli, lagrangian, reduction
+from trilag import cli, graphs, lagrangian, reduction
 from trilag.cli import build_parser, main
 
 CHERRY = "digraph 3\n0 1\n2 1\n"
@@ -106,20 +106,25 @@ def test_reduce(capsys, tmp_path):
 
 def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):
     calls = []
+    for module, name in ((lagrangian, "lagrangian_bf"), (lagrangian, "_bf_sums"),
+                         (graphs, "build_bf"), (graphs, "build_cf")):
 
-    def counting(*args, fn=lagrangian.lagrangian_bf):
-        calls.append(args)
-        return fn(*args)
+        def counting(*args, name=name, fn=getattr(module, name)):
+            calls.append(name)
+            return fn(*args)
 
-    for binding in (cli, reduction, lagrangian):
-        monkeypatch.setattr(binding, "lagrangian_bf", counting)
+        # every binding; raising=False plants the name in modules that import none
+        for binding in (cli, graphs, lagrangian, reduction):
+            monkeypatch.setattr(binding, name, counting, raising=False)
     g, w = tmp_path / "g.txt", tmp_path / "w.txt"
     g.write_text("graph 4\n0 1\n")
     w.write_text("1/8\n3/8\n1/4\n1/4\n")
     code, out = run(capsys, ["reduce", str(g), str(w)])
     assert code == 0
     assert len(json.loads(out)["trace"]) == 2
-    assert len(calls) == 1  # the input's L_BF; the merges evaluate no L_BF of their own
+    # the input's L_BF from one neighbourhood sum; the merges evaluate no
+    # L_BF of their own, and no triple system is built
+    assert calls == ["_bf_sums"]
 
 
 def test_weights_whose_lagrangians_exceed_printable_digits(capsys, tmp_path):

@@ -16,6 +16,7 @@ from trilag.graphs import (
     has_induced_directed_c4,
     underlying,
 )
+from trilag.harness import orientation_from_index
 
 from helpers import all_orientations, rand_orientation, relabel_triples
 
@@ -108,6 +109,25 @@ def test_partition_containment_difference_exhaustive(n):
                 if (a, b) in g.arcs and (a, c) in g.arcs
             ]
             assert len(doms) == 1
+
+
+def test_bf_minus_cf_is_exactly_the_dominated_triples():
+    """On each of the 27 orientations of a triple: the triple lies in BF \\ CF
+    iff some vertex has arcs to both others, and then exactly one does.
+
+    Membership in CF and in BF depends only on the arcs inside the triple,
+    so both directions hold at every n; together they make the CF triple sum
+    the BF one less sum_u x_u e2(N+(u)), and they give L_CF <= L_BF.
+    """
+    dominated = 0
+    for t in range(27):
+        g = orientation_from_index(3, t)
+        doms = [a for a in range(3) if all((a, b) in g.arcs for b in range(3) if b != a)]
+        in_difference = (0, 1, 2) in build_bf(underlying(g)) - build_cf(g)
+        assert in_difference == bool(doms), (t, g)
+        assert len(doms) <= 1
+        dominated += in_difference
+    assert dominated == 9  # 3 dominators times 3 states of the other pair
 
 
 def test_partition_random_n5():

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from trilag import harness, lagrangian, reduction, simplex
+from trilag import graphs, harness, lagrangian, reduction, simplex
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -28,7 +28,7 @@ from trilag.harness import (
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.polynomials import g_polynomial, h_polynomial
 
-from helpers import rand_orientation, rand_weights
+from helpers import brute_lagrangian_bf, brute_lagrangian_cf, rand_orientation, rand_weights
 
 
 def test_orientation_index_roundtrip():
@@ -216,7 +216,11 @@ def test_pipeline_point_values_match_certified_polynomials():
 
 def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     calls = []
-    for module, name in ((simplex, "closed_form"), (simplex, "trivariate_g"), (lagrangian, "lagrangian_bf")):
+    counted = ((simplex, "closed_form"), (simplex, "trivariate_g"), (lagrangian, "lagrangian_bf"),
+               (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"), (lagrangian, "_arc_adjacency"),
+               (lagrangian, "_bf_sums"), (reduction, "reduce_to_complete"), (graphs, "build_bf"),
+               (graphs, "build_cf"))
+    for module, name in counted:
         fn = getattr(module, name)
 
         def counting(*args, name=name, fn=fn):
@@ -224,12 +228,26 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
             return fn(*args)
 
         # every binding, the pipeline's own and those of the modules it calls;
-        # raising=False also plants lagrangian_bf in harness, which imports none
-        for binding in (harness, simplex, reduction, lagrangian):
+        # raising=False also plants the name in modules that import none
+        for binding in (harness, graphs, simplex, reduction, lagrangian):
             monkeypatch.setattr(binding, name, counting, raising=False)
     g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
     report = pipeline_report(g, WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]))
     assert report["all_pass"] and report["reduction_trace"]
-    assert calls.count("closed_form") == calls.count("trivariate_g") == 1
-    # L_BF of the input only: each merge's branches come from integer sums
-    assert calls.count("lagrangian_bf") == 1
+    # closed form and g once; one adjacency (the neighbour sets of
+    # _adjacency, with the out-neighbour sets of _arc_adjacency) and one BF
+    # triple sum serve L_CF and every L_BF: no Lagrangian is evaluated on its
+    # own, each merge's branches come from integer sums, and no triple system
+    # is built
+    assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "closed_form", "trivariate_g"]
+
+
+def test_pipeline_lagrangians_match_brute_force_oracles():
+    rng = random.Random(302)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g, w = rand_orientation(rng, n), rand_weights(rng, n, max_part=rng.choice((2, 30)))
+        report = pipeline_report(g, w)
+        assert report["lagrangian_cf"] == str(brute_lagrangian_cf(g, w))
+        assert report["lagrangian_bf"] == str(brute_lagrangian_bf(underlying(g), w))
+        assert report["all_pass"]

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
+from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, edge_density, underlying
+from trilag.harness import pipeline_report
 from trilag.lagrangian import (
     WeightVector,
     density_from_uniform,
@@ -14,8 +16,8 @@ from trilag.lagrangian import (
 )
 
 from helpers import (
-    brute_lagrangian_bf,
-    brute_lagrangian_cf,
+    brute_bf_terms,
+    brute_cf_terms,
     delete_vertex_oriented,
     rand_orientation,
     rand_weights,
@@ -91,21 +93,69 @@ def test_lagrangian_bf_values():
 
 
 def test_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight length 3 != vertex count 4$"):
         lagrangian_cf(OrientedGraph(4, []), UNIFORM3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight length 3 != vertex count 2$"):
         lagrangian_bf(UndirectedGraph(2, []), UNIFORM3)
+    with pytest.raises(ValueError, match="^weight length 3 != vertex count 4$"):
+        pipeline_report(OrientedGraph(4, [(0, 1)]), UNIFORM3)
+
+
+def _terms(v):
+    return (v.value, v.triple_term, v.pair_term, v.quadratic_term)
+
+
+def _oracle_terms(triple, pair, quadratic):
+    return (triple + pair - quadratic, triple, pair, quadratic)
+
+
+def _huge_denominator_weights(rng, n: int) -> WeightVector:
+    """n >= 2 weights over D = 10^1072, a 1073-digit common denominator:
+    1/D, which is in lowest terms, and the rest of 1 cut at random over D."""
+    big = 10**1072
+    cuts = sorted(rng.randrange(1, big) for _ in range(n - 2))
+    parts = [1] + [b - a for a, b in zip([1] + cuts, cuts + [big])]
+    rng.shuffle(parts)
+    return WeightVector([Fraction(x, big) for x in parts])
+
+
+def _shaped_orientation(rng, n: int, shape: int) -> OrientedGraph:
+    """The empty graph, a transitive tournament (arcs from earlier to later
+    vertices of a random order), a random tournament, or a random orientation."""
+    if shape == 0:
+        return OrientedGraph(n, [])
+    if shape == 1:
+        order = rng.sample(range(n), n)
+        return OrientedGraph(n, itertools.combinations(order, 2))
+    if shape == 2:
+        return OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                                 for (u, v) in itertools.combinations(range(n), 2)])
+    return rand_orientation(rng, n)
+
+
+def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
+    assert _terms(lagrangian_cf(g, w)) == _oracle_terms(*brute_cf_terms(g, w))
+    und = underlying(g)
+    assert _terms(lagrangian_bf(und, w)) == _oracle_terms(*brute_bf_terms(und, w))
 
 
 def test_against_brute_force_oracles():
+    """Every component of both Lagrangians equals the raw-definition oracles.
+
+    The empty graph, transitive tournaments, random tournaments (complete
+    underlying graphs) and random orientations on 1..12 vertices, at
+    weights with many zeros (parts 0..2) and with parts 0..30, then each
+    shape on 2..12 vertices over a 1073-digit common denominator.
+    """
     rng = random.Random(101)
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        g = rand_orientation(rng, n)
-        w = rand_weights(rng, n)
-        assert lagrangian_cf(g, w).value == brute_lagrangian_cf(g, w)
-        und = underlying(g)
-        assert lagrangian_bf(und, w).value == brute_lagrangian_bf(und, w)
+    for i in range(2000):
+        n = rng.randint(1, 12)
+        w = rand_weights(rng, n, max_part=2 if i // 4 % 2 else 30)
+        _assert_matches_oracles(_shaped_orientation(rng, n, i % 4), w)
+    for n in range(2, 13):
+        w = _huge_denominator_weights(rng, n)
+        assert len(str(w.denominator)) == 1073
+        _assert_matches_oracles(_shaped_orientation(rng, n, n % 4), w)
 
 
 def test_step_inequality_and_difference_identity():
@@ -172,6 +222,7 @@ def test_density_from_uniform():
     assert rep.uniform_lagrangian == Fraction(2, 27)
     # finite-n factor n^3 / (n(n-1)(n-2)) with the 6 from C(n,3)
     assert rep.implied_bound == Fraction(2, 27) * 27 / 1
+    assert type(rep.density) is type(rep.implied_bound) is Fraction
 
     with pytest.raises(ValueError):
         density_from_uniform(OrientedGraph(2, [(0, 1)]))
@@ -181,5 +232,7 @@ def test_implied_bound_dominates_density():
     rng = random.Random(23)
     for _ in range(100):
         n = rng.randint(3, 6)
-        rep = density_from_uniform(rand_orientation(rng, n))
+        g = rand_orientation(rng, n)
+        rep = density_from_uniform(g)
+        assert rep.density == edge_density(n, build_cf(g))
         assert rep.density <= rep.implied_bound

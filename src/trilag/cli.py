@@ -23,7 +23,7 @@ from .certify import CERTIFIED, certify
 from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
 from .harness import enumerate_orientations, pipeline_report, validate_fdf_family
-from .lagrangian import lagrangian_bf, lagrangian_cf
+from .lagrangian import lagrangian_bf, orientation_lagrangians
 from .reduction import reduce_to_complete, trace_to_jsonable
 from .simplex import maximize
 
@@ -95,8 +95,7 @@ def _cmd_lagrangian(args) -> int:
     g = parse_graph(args.graph)
     w = parse_weights(args.weights, expected_n=g.n)
     if isinstance(g, OrientedGraph):
-        lcf = lagrangian_cf(g, w)
-        lbf = lagrangian_bf(underlying(g), w)
+        lcf, lbf = orientation_lagrangians(g, w)
         payload = {"lagrangian_cf": _lag_json(lcf), "lagrangian_bf_underlying": _lag_json(lbf)}
         text = [f"L_CF = {lcf.value}", f"L_BF(underlying) = {lbf.value}"]
     else:

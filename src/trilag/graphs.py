@@ -50,10 +50,6 @@ class OrientedGraph:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
-    def relabel(self, perm) -> "OrientedGraph":
-        """Apply a vertex permutation (perm[v] is the new label of v)."""
-        return OrientedGraph(self.n, ((perm[u], perm[v]) for (u, v) in self.arcs))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrientedGraph)
@@ -92,9 +88,6 @@ class UndirectedGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def relabel(self, perm) -> "UndirectedGraph":
-        return UndirectedGraph(self.n, ((perm[u], perm[v]) for (u, v) in self.edges))
 
     def __eq__(self, other) -> bool:
         return (

@@ -189,25 +189,33 @@ def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
     return 2 * d * triples + d * pairs - edges * edges
 
 
-def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
-    """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
-    _check_order(w, g.n)
-    out, adj = _arc_adjacency(g)
-    p = w.numerators
-    return _cf_value(w.denominator, *_cf_sums(out, p, _bf_sums(adj, p)[0]))
-
-
-def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
-    """L_BF of an undirected graph, edges summed once each."""
-    _check_order(w, g.n)
-    d = w.denominator
-    triples, pairs, edges = _bf_sums(_adjacency(g.n, g.edges), w.numerators)
+def _bf_value(d: int, triples: int, pairs: int, edges: int) -> LagrangianValue:
     return LagrangianValue(
         value=Fraction(_bf_numerator(d, triples, pairs, edges), 2 * d**4),
         triple_term=Fraction(triples, d**3),
         pair_term=Fraction(pairs, 2 * d**3),
         quadratic_term=Fraction(edges * edges, 2 * d**4),
     )
+
+
+def orientation_lagrangians(g: OrientedGraph, w: WeightVector) -> tuple[LagrangianValue, LagrangianValue]:
+    """(L_CF of g, L_BF of its underlying graph) from one adjacency and one BF sum."""
+    _check_order(w, g.n)
+    out, adj = _arc_adjacency(g)
+    p = w.numerators
+    sums = _bf_sums(adj, p)
+    return _cf_value(w.denominator, *_cf_sums(out, p, sums[0])), _bf_value(w.denominator, *sums)
+
+
+def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
+    """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
+    return orientation_lagrangians(g, w)[0]
+
+
+def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
+    """L_BF of an undirected graph, edges summed once each."""
+    _check_order(w, g.n)
+    return _bf_value(w.denominator, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))
 
 
 @dataclass(frozen=True)

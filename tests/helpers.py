@@ -58,6 +58,12 @@ def all_orientations(n: int):
         yield OrientedGraph(n, arcs)
 
 
+def relabel(g, perm):
+    """Apply a vertex permutation (perm[v] is the new label of v) to an OrientedGraph or UndirectedGraph."""
+    pairs = g.arcs if isinstance(g, OrientedGraph) else g.edges
+    return type(g)(g.n, ((perm[u], perm[v]) for (u, v) in pairs))
+
+
 def relabel_triples(triples, perm) -> frozenset:
     """Apply a vertex permutation (perm[v] is the new label of v), keeping triples sorted."""
     return frozenset(tuple(sorted((perm[x], perm[y], perm[z]))) for (x, y, z) in triples)
@@ -262,7 +268,7 @@ def ascend_one(x: np.ndarray, tol: float, max_iter: int = 4000):
     the final point, its objective value, the last residual and the
     converged flag.
     """
-    step0 = 1.0
+    step0 = 6.0
     fx = _closed_form_1d(x)
     residual = np.inf
     for _ in range(max_iter):

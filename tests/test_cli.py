@@ -42,6 +42,22 @@ def test_lagrangian(capsys, cherry_files):
     assert payload["lagrangian_bf_underlying"]["value"] == "7/81"
 
 
+def test_lagrangian_of_a_digraph_takes_one_bf_sum(capsys, monkeypatch, cherry_files):
+    """L_CF and L_BF of the underlying graph share one adjacency and one BF triple sum."""
+    calls = []
+    for name in ("_adjacency", "_arc_adjacency", "_bf_sums"):
+
+        def counting(*args, name=name, fn=getattr(lagrangian, name)):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(lagrangian, name, counting)
+    code, out = run(capsys, ["lagrangian", *cherry_files])
+    assert code == 0
+    assert json.loads(out)["lagrangian_bf_underlying"]["value"] == "7/81"
+    assert calls == ["_arc_adjacency", "_adjacency", "_bf_sums"]
+
+
 def test_undirected_input(capsys, tmp_path):
     g, w = tmp_path / "g.txt", tmp_path / "w.txt"
     g.write_text("graph 4\n0 1\n1 2\n2 3\n")  # a path
@@ -153,7 +169,7 @@ def test_optimize(capsys):
     assert payload["value_exact"] == "3/32"
     assert len(payload["point"]) == 4
     # the most outer iterations any of the 15 starts took, and how many converged
-    assert payload["stats"] == {"iterations": 257, "restarts_converged": 15}
+    assert payload["stats"] == {"iterations": 38, "restarts_converged": 15}
 
 
 def test_enumerate_json_and_csv(capsys):

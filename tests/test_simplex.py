@@ -142,6 +142,42 @@ def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
             assert (fx[i], residual[i], converged[i]) == (ofx, oresidual, oconverged), (n, i)
 
 
+def test_maximize_seed23_n8_converges_every_restart():
+    """With step 1 this run hit the 4000-iteration cap with 99 of 100 restarts converged."""
+    res = maximize(8, restarts=100, seed=23)
+    assert res.value == Fraction(3, 32)
+    assert res.restarts_converged == 100
+    assert res.iterations == 756
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_one_step_halves_the_error_at_the_maximizer(n):
+    """From v + eps d, v = (1/2, 1/2, 0, ...), one ascent step lands at v - (eps/2) d
+    along the split d = (1, -1, 0, ...) and at v + (eps/2) d into the zero
+    coordinate, d = (-1/2, -1/2, 1, 0, ...): factors 1 - STEP/4 and 1 - STEP/12."""
+    eps = 1e-5
+    v = np.zeros(n)
+    v[:2] = 0.5
+    split, into_zero = np.zeros(n), np.zeros(n)
+    split[:2] = 1.0, -1.0
+    into_zero[:3] = -0.5, -0.5, 1.0
+    x, *_ = ascend(np.array([v + eps * split, v + eps * into_zero]), tol=1e-12, max_iter=1)
+    for row, d, factor in ((x[0], split, -0.5), (x[1], into_zero, 0.5)):
+        assert np.allclose(row - v, factor * eps * d, rtol=0, atol=1e-3 * eps), (n, factor)
+
+
+def test_final_rows_meet_tol_at_step_one():
+    """Every final row's step-1 residual |P(x + grad) - x| is below tol too, so
+    stopping on the step-STEP gradient mapping is no looser than stopping on it."""
+    tol = 1e-8
+    for n in range(2, 13):
+        starts = np.random.default_rng(0).dirichlet(np.ones(n), size=100)
+        x, _, _, converged, _ = ascend(starts, tol)
+        assert converged.all(), n
+        residual = np.sqrt(((project_to_simplex(x + gradient(x)) - x) ** 2).sum(axis=-1))
+        assert (residual < tol).all(), (n, residual.max())
+
+
 def test_maximize_draws_starts_as_one_batch():
     """The (restarts x n) Dirichlet draw equals the sequential one-start draws."""
     for n in (1, 2, 5, 12):

@@ -40,10 +40,9 @@ from .simplex import (
     trivariate_g,
     majorization_bound_check,
 )
-from .polynomials import Poly3, g_polynomial, h_polynomial, simplex_bernstein
+from .polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 from .certify import Certificate, Leaf, certify
 from .harness import (
-    EnumerationReport,
     enumerate_orientations,
     validate_fdf_family,
     pipeline_report,

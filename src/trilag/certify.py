@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Poly3, h_polynomial, simplex_bernstein
+from .polynomials import Poly, h_polynomial, simplex_bernstein
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -104,7 +104,7 @@ def simplex_volume(simplex: Simplex) -> Fraction:
     return abs(det) / 6
 
 
-def certify(max_depth: int = 40, poly: Poly3 | None = None) -> Certificate:
+def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     """Certify poly >= 0 (default: h) on D by simplex Bernstein subdivision.
 
     The leaves tile D exactly.  The result is INDETERMINATE when a simplex

@@ -167,20 +167,22 @@ def _cmd_certify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     report = enumerate_orientations(args.n)
-    payload = report.to_jsonable()
+    density_at = report["max_cf_density_witness"]["index"]
+    lcf_at = report["max_uniform_lcf_witness"]["index"]
+    violations = len(report["violations"])
     csv_rows = [
         ["n", "count", "max_cf_density", "max_cf_density_witness",
          "max_uniform_lcf", "max_uniform_lcf_witness", "violations"],
-        [report.n, report.count, str(report.max_cf_density), report.max_cf_density_witness,
-         str(report.max_uniform_lcf), report.max_uniform_lcf_witness, len(report.violations)],
+        [report["n"], report["count"], report["max_cf_density"], density_at,
+         report["max_uniform_lcf"], lcf_at, violations],
     ]
     text = [
-        f"n={report.n}: {report.count} orientations, {len(report.violations)} violations",
-        f"max CF density {report.max_cf_density} at index {report.max_cf_density_witness}",
-        f"max uniform L_CF {report.max_uniform_lcf} at index {report.max_uniform_lcf_witness}",
+        f"n={report['n']}: {report['count']} orientations, {violations} violations",
+        f"max CF density {report['max_cf_density']} at index {density_at}",
+        f"max uniform L_CF {report['max_uniform_lcf']} at index {lcf_at}",
     ]
-    _emit(payload, args, text_lines=text, csv_rows=csv_rows)
-    return EXIT_OK if not report.violations else EXIT_MATH_FAIL
+    _emit(report, args, text_lines=text, csv_rows=csv_rows)
+    return EXIT_OK if not violations else EXIT_MATH_FAIL
 
 
 def _cmd_validate_fdf(args) -> int:

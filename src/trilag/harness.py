@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -42,33 +41,6 @@ def orientation_from_index(n: int, index: int) -> OrientedGraph:
         if digit:
             arcs.append((u, v) if digit == 1 else (v, u))
     return OrientedGraph(n, arcs)
-
-
-@dataclass
-class EnumerationReport:
-    n: int
-    count: int
-    max_cf_density: Fraction
-    max_cf_density_witness: int
-    max_uniform_lcf: Fraction
-    max_uniform_lcf_witness: int
-    violations: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "max_cf_density": str(self.max_cf_density),
-            "max_cf_density_witness": self._witness(self.max_cf_density_witness),
-            "max_uniform_lcf": str(self.max_uniform_lcf),
-            "max_uniform_lcf_witness": self._witness(self.max_uniform_lcf_witness),
-            "violations": self.violations,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    def _witness(self, index: int) -> dict:
-        return {"index": index, "arcs": orientation_from_index(self.n, index).sorted_arcs()}
 
 
 @functools.cache
@@ -148,12 +120,12 @@ def quad_flags(n: int, digits: np.ndarray):
     return tables["c4"].take(rows).any(axis=0), tables["independent"].take(rows)
 
 
-def enumerate_orientations(n: int) -> EnumerationReport:
+def enumerate_orientations(n: int) -> dict:
     """Sweep all 3^C(n,2) labeled orientations, 3 <= n <= 6.
 
     Per orientation: F/CF partition, CF within BF, uniform-weight
     L_CF <= 3/32 and L_CF <= L_BF, all exact.  Maxima are reported with
-    the smallest achieving index as witness.  At weights 1/n,
+    the smallest achieving index, and its arcs, as witness.  At weights 1/n,
     2n^3 L_CF = 2|CF| + |A| and 2n^4 L_BF = 2n|BF| + 2n|E| - |E|^2 with
     |E| = |A|, so every check is an integer comparison.
     """
@@ -178,16 +150,20 @@ def enumerate_orientations(n: int) -> EnumerationReport:
                     violations.append(violation)
         best_cf = max(best_cf, (int(cf.max()), -start - int(cf.argmax())))
         best_lcf = max(best_lcf, (int(lcf.max()), -start - int(lcf.argmax())))
-    return EnumerationReport(
-        n=n,
-        count=3 ** comb(n, 2),
-        max_cf_density=Fraction(best_cf[0], comb(n, 3)),
-        max_cf_density_witness=-best_cf[1],
-        max_uniform_lcf=Fraction(best_lcf[0], 2 * n**3),
-        max_uniform_lcf_witness=-best_lcf[1],
-        violations=violations,
-        wall_time_s=time.perf_counter() - t0,
-    )
+
+    def witness(index: int) -> dict:
+        return {"index": index, "arcs": orientation_from_index(n, index).sorted_arcs()}
+
+    return {
+        "n": n,
+        "count": 3 ** comb(n, 2),
+        "max_cf_density": str(Fraction(best_cf[0], comb(n, 3))),
+        "max_cf_density_witness": witness(-best_cf[1]),
+        "max_uniform_lcf": str(Fraction(best_lcf[0], 2 * n**3)),
+        "max_uniform_lcf_witness": witness(-best_lcf[1]),
+        "violations": violations,
+        "wall_time_s": time.perf_counter() - t0,
+    }
 
 
 def validate_fdf_family(n: int) -> dict:

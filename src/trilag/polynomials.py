@@ -1,124 +1,118 @@
-"""Exact sparse trivariate polynomials and their Bernstein form on a tetrahedron.
+"""Exact sparse polynomials over k variables and their Bernstein form on a tetrahedron.
 
 Everything here is rational arithmetic: no floats, no rounding modes, no
-computer algebra system.  ``simplex_bernstein`` writes a polynomial in the
-Bernstein-Bezier basis of a tetrahedron; the least coefficient is a
-certified lower bound for the polynomial there, and the coefficient at a
-vertex is its exact value at that vertex.
+computer algebra system.  A ``Poly`` is a sparse map from exponent tuples
+of length k to int or Fraction coefficients: g and h use k = 3, the
+barycentric forms of ``simplex_bernstein`` k = 4.  That function writes a
+polynomial in the Bernstein-Bezier basis of a tetrahedron; the least
+coefficient is a certified lower bound for the polynomial there, and the
+coefficient at a vertex is its exact value at that vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-
-ZERO = Fraction(0)
+from math import factorial, lcm
 
 
-class Poly3:
-    """Polynomial in x1,x2,x3 as a sparse map (i,j,k) -> rational coefficient."""
+class Poly:
+    """Polynomial in k variables as a sparse map exponent tuple -> int or Fraction.
 
-    __slots__ = ("coeffs",)
+    k is fixed when the polynomial is built.  Integer coefficients stay
+    integers under +, - and *: every sum starts from the int 0.  Any other
+    coefficient or scalar is made a Fraction, exactly, on the way in.
+    """
 
-    def __init__(self, coeffs=None) -> None:
-        canon = {}
-        for mono, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                canon[tuple(mono)] = c
-        self.coeffs = canon
+    __slots__ = ("coeffs", "k")
 
-    @staticmethod
-    def constant(c) -> "Poly3":
-        return Poly3({(0, 0, 0): Fraction(c)})
+    def __init__(self, coeffs=None, k: int = 3) -> None:
+        terms = (coeffs or {}).items()
+        self.coeffs = {tuple(m): c if type(c) is int else Fraction(c) for m, c in terms if c != 0}
+        self.k = k
 
     @staticmethod
-    def variable(axis: int) -> "Poly3":
-        mono = [0, 0, 0]
-        mono[axis] = 1
-        return Poly3({tuple(mono): Fraction(1)})
+    def constant(c, k: int = 3) -> "Poly":
+        return Poly({(0,) * k: c}, k)
 
-    def __add__(self, other) -> "Poly3":
-        if not isinstance(other, Poly3):
-            other = Poly3.constant(other)
+    @staticmethod
+    def variable(axis: int, k: int = 3) -> "Poly":
+        return Poly({tuple(int(i == axis) for i in range(k)): 1}, k)
+
+    def _check_k(self, other: "Poly") -> None:
+        if other.k != self.k:
+            raise ValueError(f"polynomials in {self.k} and {other.k} variables")
+
+    def __add__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = Poly.constant(other, self.k)
+        self._check_k(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, ZERO) + c
-        return Poly3(out)
+            out[m] = out.get(m, 0) + c
+        return Poly(out, self.k)
 
-    def __sub__(self, other) -> "Poly3":
-        if not isinstance(other, Poly3):
-            other = Poly3.constant(other)
+    def __sub__(self, other) -> "Poly":
         return self + (-other)
 
-    def __neg__(self) -> "Poly3":
-        return Poly3({m: -c for m, c in self.coeffs.items()})
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.coeffs.items()}, self.k)
 
-    def __mul__(self, other) -> "Poly3":
-        if not isinstance(other, Poly3):
-            return Poly3({m: c * Fraction(other) for m, c in self.coeffs.items()})
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = other if type(other) is int else Fraction(other)
+            return Poly({m: c * other for m, c in self.coeffs.items()}, self.k)
+        self._check_k(other)
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[m] = out.get(m, ZERO) + c1 * c2
-        return Poly3(out)
+                m = tuple([e1 + e2 for e1, e2 in zip(m1, m2)])
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly(out, self.k)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "Poly3":
+    def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
-        out = Poly3.constant(1)
+        out = Poly.constant(1, self.k)
         for _ in range(e):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly3) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and (self.k, self.coeffs) == (other.k, other.coeffs)
 
-    def evaluate(self, x1, x2, x3) -> Fraction:
-        """Exact value at rational (Fraction or int) arguments."""
-        x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
-        total = ZERO
-        for (i, j, k), c in self.coeffs.items():
-            total += c * x1**i * x2**j * x3**k
+    def evaluate(self, *xs) -> Fraction:
+        """Exact value at k rational (Fraction or int) arguments."""
+        if len(xs) != self.k:
+            raise TypeError(f"{len(xs)} arguments for {self.k} variables")
+        xs = [Fraction(x) for x in xs]
+        total = Fraction(0)
+        for m, c in self.coeffs.items():
+            for x, e in zip(xs, m):
+                c = c * x**e
+            total += c
         return total
 
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
-
     def __repr__(self) -> str:
-        return f"Poly3({dict(self.sorted_terms())})"
+        return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
 
 
-def g_polynomial() -> Poly3:
+def g_polynomial() -> Poly:
     """The trivariate domination function g, expanded exactly."""
-    x1, x2, x3 = (Poly3.variable(d) for d in range(3))
-    one = Poly3.constant(1)
+    x1, x2, x3 = (Poly.variable(d) for d in range(3))
+    one = Poly.constant(1)
     cubic = one - x1**3 - x2**3 - x3**3
     inner = one - x1**2 - x2**2 - x3 * (one - x1 - x2)
     return Fraction(1, 6) * cubic - Fraction(1, 8) * (inner * inner)
 
 
-def h_polynomial() -> Poly3:
+def h_polynomial() -> Poly:
     """h = 3/32 - g; nonnegativity of h on D is the certified claim."""
-    return Poly3.constant(Fraction(3, 32)) - g_polynomial()
+    return Poly.constant(Fraction(3, 32)) - g_polynomial()
 
 
-
-
-def _form_mul(a: dict, b: dict) -> dict:
-    """Product of two polynomials in the four barycentric coordinates."""
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2], ma[3] + mb[3])
-            out[m] = out.get(m, ZERO) + ca * cb
-    return out
-
-
-def simplex_bernstein(p: Poly3, vertices) -> dict[tuple[int, int, int, int], Fraction]:
+def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fraction]:
     """Bernstein-Bezier coefficients b[a] of p on the tetrahedron with these vertices.
 
     In barycentric coordinates l (x = sum_i l_i v_i, sum_i l_i = 1) every
@@ -129,27 +123,30 @@ def simplex_bernstein(p: Poly3, vertices) -> dict[tuple[int, int, int, int], Fra
     Spline Functions on Triangulations).  The B_a are nonnegative on the
     tetrahedron and sum to one, so min b <= p <= max b there, and b at
     n * e_i is p at vertex i.  Every multi-index with |a| = n is present.
+
+    The forms are built on integers.  With D the vertices' common
+    denominator, D x1, D x2, D x3 and D are linear in l with integer
+    coefficients; with S that of p's coefficients, the sum of the terms is
+    S D^n p, and each b[a] is one division.
     """
     n = max((sum(m) for m in p.coeffs), default=0)
     verts = [tuple(Fraction(c) for c in v) for v in vertices]
-    # x1, x2, x3 and 1 as linear forms in l; powers[axis][e] is the e-th power
-    linear = [[v[axis] for v in verts] for axis in range(3)] + [[Fraction(1)] * 4]
-    powers = []
-    for weights in linear:
-        form = {(0, 0, 0, 0): Fraction(1)}
-        row = [form]
-        step = {tuple(int(i == j) for j in range(4)): w for i, w in enumerate(weights) if w}
+    den = lcm(*(c.denominator for v in verts for c in v))
+    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]  # the monomial l_i
+    linear = [Poly({u: int(v[axis] * den) for u, v in zip(unit, verts)}, 4) for axis in range(3)]
+    linear.append(Poly({u: den for u in unit}, 4))
+    powers = []  # powers[axis][e] is the e-th power of linear[axis]
+    for form in linear:
+        row = [Poly.constant(1, 4)]
         for _ in range(n):
-            form = _form_mul(form, step)
-            row.append(form)
+            row.append(row[-1] * form)
         powers.append(row)
 
-    total = {}
+    total = Poly.constant(0, 4)
     for (i, j, k), c in p.coeffs.items():
-        term = _form_mul(_form_mul(powers[0][i], powers[1][j]),
-                         _form_mul(powers[2][k], powers[3][n - i - j - k]))
-        for m, t in term.items():
-            total[m] = total.get(m, ZERO) + c * t
+        term = powers[0][i] * powers[1][j] * powers[2][k] * powers[3][n - i - j - k]
+        total = total + int(c * scale) * term
 
     coeffs = {}
     for a0 in range(n + 1):
@@ -159,5 +156,5 @@ def simplex_bernstein(p: Poly3, vertices) -> dict[tuple[int, int, int, int], Fra
                 multinomial = factorial(n)
                 for e in a:
                     multinomial //= factorial(e)
-                coeffs[a] = total.get(a, ZERO) / multinomial
+                coeffs[a] = Fraction(total.coeffs.get(a, 0), scale * multinomial * den**n)
     return coeffs

@@ -53,21 +53,23 @@ def test_criterion_2_exhaustive_small_orders():
     details = []
     for n, count in expected.items():
         report = enumerate_orientations(n)
-        good = report.count == count and report.violations == []
+        good = report["count"] == count and report["violations"] == []
         ok = ok and good
-        details.append(f"n={n}: {report.count} orientations, {len(report.violations)} violations")
+        details.append(f"n={n}: {report['count']} orientations, {len(report['violations'])} violations")
     # n = 6 maxima, each witness re-checked on the object-level path
-    density_witness = orientation_from_index(6, report.max_cf_density_witness)
-    lcf_witness = orientation_from_index(6, report.max_uniform_lcf_witness)
+    density = (report["max_cf_density"], report["max_cf_density_witness"]["index"])
+    lcf = (report["max_uniform_lcf"], report["max_uniform_lcf_witness"]["index"])
+    density_witness = orientation_from_index(6, density[1])
+    lcf_witness = orientation_from_index(6, lcf[1])
     ok = ok and (
-        (report.max_cf_density, report.max_cf_density_witness) == (Fraction(3, 4), 285993)
-        and (report.max_uniform_lcf, report.max_uniform_lcf_witness) == (Fraction(5, 54), 2380656)
+        density == ("3/4", 285993)
+        and lcf == ("5/54", 2380656)
         and edge_density(density_witness.n, build_cf(density_witness)) == Fraction(3, 4)
         and lagrangian_cf(lcf_witness, uniform_weights(6)).value == Fraction(5, 54)
     )
     details.append(
-        f"n=6 max CF density {report.max_cf_density} at {report.max_cf_density_witness}, "
-        f"max uniform L_CF {report.max_uniform_lcf} at {report.max_uniform_lcf_witness}"
+        f"n=6 max CF density {density[0]} at {density[1]}, "
+        f"max uniform L_CF {lcf[0]} at {lcf[1]}"
     )
     _report("criterion 2 (exhaustive n=3,4,5,6)", ok, "; ".join(details))
 

@@ -13,7 +13,7 @@ from trilag.certify import (
     point_in_domain,
     simplex_volume,
 )
-from trilag.polynomials import Poly3, h_polynomial
+from trilag.polynomials import Poly, h_polynomial
 
 HALF = Fraction(1, 2)
 
@@ -41,13 +41,33 @@ def test_cell_split_longest_edge():
 
 
 def test_constant_poly_certifies_at_depth_zero():
-    cert = certify(max_depth=10, poly=Poly3.constant(Fraction(3, 32)))
+    cert = certify(max_depth=10, poly=Poly.constant(Fraction(3, 32)))
     assert cert.result == CERTIFIED
     assert len(cert.leaves) == 1
     assert cert.leaves[0].depth == 0
     assert cert.leaves[0].bound == Fraction(3, 32)
     assert cert.simplices_processed == 1
     assert cert.max_depth_reached == 0
+
+
+def test_stability_bound_with_sharp_constant():
+    """3/32 - g >= |x - (1/2, 1/2, 0)|^2 / 144 on D, and 1/144 cannot be raised.
+
+    The bound is certified with the same single bisection as h.  At the
+    vertex (1/3, 1/3, 1/3), h = 1/864 and the squared distance is 1/6, so
+    the bound is tight there and false for 1/143 (which is never run
+    through certify: it cannot certify and would only stop at max_depth).
+    """
+    h = h_polynomial()
+    x1, x2, x3 = (Poly.variable(d) for d in range(3))
+    dist = (x1 - HALF) ** 2 + (x2 - HALF) ** 2 + x3**2
+    third = Fraction(1, 3)
+    stable = h - Fraction(1, 144) * dist
+    cert = certify(poly=stable)
+    assert cert.result == CERTIFIED
+    assert (cert.simplices_processed, cert.max_depth_reached, len(cert.leaves)) == (3, 1, 2)
+    assert stable.evaluate(third, third, third) == 0
+    assert (h - Fraction(1, 143) * dist).evaluate(third, third, third) < 0
 
 
 def test_insufficient_depth_is_indeterminate():

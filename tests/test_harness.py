@@ -41,18 +41,18 @@ def test_orientation_index_roundtrip():
 
 def test_enumerate_n3():
     report = enumerate_orientations(3)
-    assert report.count == 27
-    assert report.violations == []
+    assert report["count"] == 27
+    assert report["violations"] == []
     # a single cherry fills the only triple: density 1 is attained
-    assert report.max_cf_density == 1
-    assert report.max_uniform_lcf <= Fraction(3, 32)
+    assert report["max_cf_density"] == "1"
+    assert Fraction(report["max_uniform_lcf"]) <= Fraction(3, 32)
 
 
 def test_enumerate_n4():
     report = enumerate_orientations(4)
-    assert report.count == 729
-    assert report.violations == []
-    witness = orientation_from_index(4, report.max_uniform_lcf_witness)
+    assert report["count"] == 729
+    assert report["violations"] == []
+    witness = orientation_from_index(4, report["max_uniform_lcf_witness"]["index"])
     assert witness.n == 4
 
 
@@ -117,13 +117,13 @@ def test_enumerate_reports_violations(monkeypatch):
     tables["partition_bad"] = np.arange(27) == 0
     tables["containment_bad"] = np.arange(27) == 1
     monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
-    violations = enumerate_orientations(3).violations
+    violations = enumerate_orientations(3)["violations"]
     assert violations[:3] == [
         {"index": 0, "check": "partition"},
         {"index": 0, "check": "step_inequality"},
         {"index": 1, "check": "containment"},
     ]
-    violations = enumerate_orientations(4).violations
+    violations = enumerate_orientations(4)["violations"]
     assert [v["index"] for v in violations] == sorted(v["index"] for v in violations)
     complete = sum(3**k for k in range(6))  # every pair forward: six arcs
     assert [v for v in violations if v["index"] == complete] == [

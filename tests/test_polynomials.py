@@ -3,8 +3,10 @@ from fractions import Fraction
 
 from math import factorial
 
+import pytest
+
 from trilag.certify import DOMAIN_VERTICES, certify
-from trilag.polynomials import Poly3, g_polynomial, h_polynomial, simplex_bernstein
+from trilag.polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 from trilag.simplex import trivariate_g
 
 
@@ -33,13 +35,31 @@ def test_g_poly_matches_direct_expression():
 
 
 def test_poly_arithmetic():
-    x1 = Poly3.variable(0)
-    x2 = Poly3.variable(1)
+    x1 = Poly.variable(0)
+    x2 = Poly.variable(1)
     p = (x1 + x2) * (x1 - x2)
     assert p == x1 * x1 - x2 * x2
     assert (x1 + 1).evaluate(Fraction(2), 0, 0) == 3
     assert (x1**3).coeffs == {(3, 0, 0): 1}
-    assert Poly3.constant(0).coeffs == {}
+    assert Poly.constant(0).coeffs == {}
+    half = 0.5 * x1 + 0.25  # floats become exact Fractions
+    assert half.coeffs == {(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(1, 4)}
+    assert all(type(c) is Fraction for c in half.coeffs.values())
+    # the same product over k = 4: a linear form squared equals its expansion
+    l0, l1, _, l3 = (Poly.variable(i, k=4) for i in range(4))
+    form = l0 + 2 * l1 - l3
+    assert (form * form).coeffs == {
+        (2, 0, 0, 0): 1, (1, 1, 0, 0): 4, (0, 2, 0, 0): 4,
+        (1, 0, 0, 1): -2, (0, 1, 0, 1): -4, (0, 0, 0, 2): 1,
+    }
+    assert form * form == form**2
+    assert Poly.constant(1, k=4) != Poly.constant(1)
+    assert form.evaluate(1, 1, 0, 1) == 2
+    with pytest.raises(TypeError):
+        form.evaluate(1, 1, 0)
+    for mixed in (lambda: x1 + l0, lambda: x1 * l3):
+        with pytest.raises(ValueError):
+            mixed()
 
 
 def rand_simplex(rng, den=64):
@@ -88,7 +108,7 @@ def test_bernstein_form_reproduces_h_on_each_leaf():
 
 
 def test_bernstein_linear_poly_is_exact_corner_min():
-    p = Poly3.variable(0) - 2 * Poly3.variable(1) + Poly3.constant(Fraction(1, 4))
+    p = Poly.variable(0) - 2 * Poly.variable(1) + Poly.constant(Fraction(1, 4))
     rng = random.Random(7)
     for _ in range(20):
         vertices = rand_simplex(rng)
@@ -125,3 +145,20 @@ def test_bernstein_soundness_by_sampling():
         low, high = min(coeffs.values()), max(coeffs.values())
         for _ in range(100):
             assert low <= h.evaluate(*at(vertices, rand_barycentric(rng))) <= high
+
+
+def test_bernstein_coefficients_are_fractions():
+    h = h_polynomial()
+    for leaf in certify().leaves:
+        assert all(type(b) is Fraction for b in simplex_bernstein(h, leaf.vertices).values())
+    # integer coefficients on an integer-vertex simplex (common denominator 1): an
+    # int / int division would give floats here
+    p = Poly.variable(0) - 2 * Poly.variable(1) + 1
+    corner = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rng = random.Random(5)
+    for q in (p, p * p):
+        coeffs = simplex_bernstein(q, corner)
+        assert all(type(b) is Fraction for b in coeffs.values())
+        for _ in range(20):
+            lam = rand_barycentric(rng)
+            assert bernstein_value(coeffs, lam) == q.evaluate(*at(corner, lam))

@@ -124,13 +124,13 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
             raise ParseError(path, line_no, str(exc)) from None
         except (ValueError, ZeroDivisionError):
             raise ParseError(path, line_no, f"bad rational {line!r}") from None
-        if w < 0:
+        if w.numerator < 0:  # a Fraction's denominator is positive
             raise ParseError(path, line_no, f"negative weight {line!r}")
         denominator = math.lcm(denominator, w.denominator)
         if denominator >= _DENOMINATOR_LIMIT:
             raise ParseError(path, line_no, "common denominator of the weights so far has more than "
                              f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
-        if w > 1 and too_big is None:
+        if w.numerator > w.denominator and too_big is None:
             too_big = ParseError(path, line_no, f"weight {line!r} exceeds 1")
         entries.append(w)
         line_nos.append(line_no)

@@ -25,9 +25,9 @@ from .graphs import (
     has_induced_directed_c4,
     underlying,
 )
-from .lagrangian import WeightVector, _arc_adjacency, _bf_sums, _cf_sums, _cf_value, _check_order
+from .lagrangian import WeightVector, _arc_adjacency, _bf_sums, _cf_numerator, _cf_sums, _check_order
 from .reduction import _reduce, trace_to_jsonable
-from .simplex import closed_form, majorization_bound_check, trivariate_g
+from .simplex import _check_numerators, _closed_form_numerator, _g_numerator, _majorized
 
 BOUND = Fraction(3, 32)
 BLOCK_DIGITS = 8  # 3^8 = 6561 orientations per block keeps memory flat at n = 6
@@ -210,35 +210,45 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
     both L_CF, which subtracts the dominated triples from that sum, and the
     merge chain, which starts from L_BF of the same sums and returns the
     final L_BF on its way; h_at_point is 3/32 - g at that point.
+
+    The links are compared on integers.  With d the weights' denominator,
+    which the merges keep, and q the final numerators, sorted descending
+    and padded with zeros to three: L_CF = a / 2d^3, L_BF = N / 2d^4, and
+    the closed form and g are c / 24d^4 and c_g / 24d^4.  So the links read
+    d a <= N_start, N_start <= N_final, 12 N_final == c, the majorization of
+    q with c <= c_g, and 32 c_g <= 72 d^4.  Fractions are made only for the
+    report's strings.
     """
     _check_order(w, g.n)
+    d = w.denominator
     out, adj = _arc_adjacency(g)
     sums = _bf_sums(adj, w.numerators)
-    lcf = _cf_value(w.denominator, *_cf_sums(out, w.numerators, sums[0])).value
-    final_graph, final_weights, trace, lbf, lfinal = _reduce(adj, w, sums)
-    closed = closed_form(list(final_weights))
-    wsorted = sorted(final_weights, reverse=True) + [Fraction(0)] * (3 - len(final_weights))
-    x1, x2, x3 = wsorted[:3]
-    gval = trivariate_g(x1, x2, x3)
-    hval = BOUND - gval
+    lcf = _cf_numerator(*_cf_sums(out, w.numerators, sums[0]))
+    _, final, trace, start, end = _reduce(adj, w, sums)
+    _check_numerators(d, final)
+    q = sorted(final, reverse=True) + [0] * (3 - len(final))
+    closed = _closed_form_numerator(d, final)
+    gval = _g_numerator(d, *q[:3])
+    d4 = d**4
 
     links = [
-        ("lcf_le_lbf", lcf <= lbf),
-        ("lbf_le_final", lbf <= lfinal),
-        ("final_eq_closed_form", lfinal == closed),
-        ("closed_form_le_trivariate", majorization_bound_check(wsorted) and closed <= gval),
-        ("trivariate_le_3_32", hval >= 0),
+        ("lcf_le_lbf", d * lcf <= start),
+        ("lbf_le_final", start <= end),
+        ("final_eq_closed_form", 12 * end == closed),
+        ("closed_form_le_trivariate", _majorized(d, q) and closed <= gval),
+        ("trivariate_le_3_32", 32 * gval <= 72 * d4),
     ]
+    g_value = Fraction(gval, 24 * d4)
     return {
-        "lagrangian_cf": str(lcf),
-        "lagrangian_bf": str(lbf),
+        "lagrangian_cf": str(Fraction(lcf, 2 * d**3)),
+        "lagrangian_bf": str(Fraction(start, 2 * d4)),
         "reduction_trace": trace_to_jsonable(trace),
-        "final_order": final_graph.n,
-        "final_weights": [str(v) for v in final_weights],
-        "closed_form_value": str(closed),
-        "trivariate_point": [str(x1), str(x2), str(x3)],
-        "trivariate_value": str(gval),
-        "h_at_point": str(hval),
+        "final_order": len(final),
+        "final_weights": [str(Fraction(v, d)) for v in final],
+        "closed_form_value": str(Fraction(closed, 24 * d4)),
+        "trivariate_point": [str(Fraction(v, d)) for v in q[:3]],
+        "trivariate_value": str(g_value),
+        "h_at_point": str(BOUND - g_value),
         "bound": str(BOUND),
         "links": [{"name": name, "pass": ok} for name, ok in links],
         "all_pass": all(ok for _, ok in links),

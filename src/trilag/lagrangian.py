@@ -175,9 +175,14 @@ def _cf_sums(out, p, bf_triples: int) -> tuple[int, int]:
     return bf_triples - dominated // 2, arcs
 
 
+def _cf_numerator(triples: int, arcs: int) -> int:
+    """a = 2 d^3 L_CF from the integer sums of ``_cf_sums``."""
+    return 2 * triples + arcs
+
+
 def _cf_value(d: int, triples: int, arcs: int) -> LagrangianValue:
     return LagrangianValue(
-        value=Fraction(2 * triples + arcs, 2 * d**3),
+        value=Fraction(_cf_numerator(triples, arcs), 2 * d**3),
         triple_term=Fraction(triples, d**3),
         pair_term=Fraction(arcs, 2 * d**3),
         quadratic_term=Fraction(0),

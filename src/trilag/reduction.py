@@ -37,8 +37,12 @@ reduce_to_complete takes an undirected graph g and its weights w, with
 len(w) == g.n, and returns the final pair, the trace, and L_BF of the
 input and of the final graph, which it evaluates on the way, so callers
 need not.  It builds the adjacency sets and their sums and hands them to
-_reduce, the chain itself, which the pipeline calls directly with the
-adjacency and the BF sums it has already computed for L_CF.  The
+_reduce, the chain itself, which returns integers: d, the final
+numerators and N of the input and of the final graph.  reduce_to_complete
+makes the complete graph, the weight vector and the two Fractions from
+them; the pipeline calls _reduce directly, with the adjacency and the BF
+sums it has already computed for L_CF, and checks its links on the
+integers.  The
 object-level merge, which deletes a vertex and rebuilds the graph, its
 weights and both branch Lagrangians, is not part of the library: it is
 the oracle in tests/helpers.py that reduce_to_complete and the identity
@@ -96,18 +100,27 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     """
     _check_order(w, g.n)
     adj = _adjacency(g.n, g.edges)
-    return _reduce(adj, w, _bf_sums(adj, w.numerators))
+    d, final, trace, start, end = _reduce(adj, w, _bf_sums(adj, w.numerators))
+    scale = 2 * d**4
+    return (complete_graph(len(final)), WeightVector(Fraction(v, d) for v in final), trace,
+            Fraction(start, scale), Fraction(end, scale))
 
 
 def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
-    """reduce_to_complete from the neighbour sets ``adj`` of the input graph
-    and its ``_bf_sums`` at w; ``adj`` is updated in place by each merge."""
+    """The merge chain on integers, from the neighbour sets ``adj`` of the
+    input graph and its ``_bf_sums`` at w; ``adj`` is updated in place by
+    each merge.
+
+    Returns (d, q, trace, N_start, N_final): d the denominator of w, q the
+    numerators over d of the final weights in input-label order, and N =
+    2 d^4 L_BF of the input and of the final graph.
+    """
     d, p = w.denominator, list(w.numerators)  # p is updated in place by each merge
     scale = 2 * d**4
-    level = _bf_numerator(d, *sums)  # N = 2 d^4 L_BF
+    level = start = _bf_numerator(d, *sums)  # N = 2 d^4 L_BF
     edges = sums[2]  # d^2 E
     alive = list(range(len(adj)))  # vertices keep their input labels
-    l_start = l_before = Fraction(level, scale)
+    l_before = Fraction(level, scale)
     trace: list[MergeStep] = []
     while True:
         pair = next(((a, b) for a, b in combinations(alive, 2) if b not in adj[a]), None)
@@ -146,8 +159,7 @@ def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
         for y in adj[dropped]:
             adj[y].discard(dropped)
         l_before = l_after
-    final_weights = WeightVector(Fraction(p[v], d) for v in alive)
-    return complete_graph(len(alive)), final_weights, trace, l_start, l_before
+    return d, [p[v] for v in alive], trace, start, level
 
 
 def trace_to_jsonable(trace) -> list[dict]:

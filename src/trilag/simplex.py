@@ -38,7 +38,11 @@ establishes.  g is evaluated in exact arithmetic only.
 Exact input is evaluated on integers: with d the least common denominator
 of the coordinates and p = d x their integer numerators, g and the exact
 closed form sum and compare ints over the one denominator d and build one
-Fraction each from two ints at the end.
+Fraction each from two ints at the end.  Each exact function is a
+validating entrance around one unchecked integer core on (d, p):
+_closed_form_numerator and _g_numerator give 24 d^4 times the closed form
+and g, and _majorized is the majorization test.  The pipeline, whose
+numerators come from the merge chain, calls the cores directly.
 """
 
 from __future__ import annotations
@@ -62,13 +66,18 @@ def _numerators(x) -> tuple[int, list[int]]:
     return d, [a * (d // q) for a, q in ratios]
 
 
-def _simplex_numerators(x) -> tuple[int, list[int]]:
-    """_numerators of exact x; raises unless every p >= 0 and sum(p) == d."""
-    d, p = _numerators(x)
+def _check_numerators(d: int, p) -> None:
+    """Raise unless p / d is on the simplex: every p >= 0 and sum(p) == d."""
     if any(v < 0 for v in p):
         raise ValueError("negative coordinate")
     if sum(p) != d:
         raise ValueError("coordinates must sum to 1")
+
+
+def _simplex_numerators(x) -> tuple[int, list[int]]:
+    """_numerators of exact x, checked by _check_numerators."""
+    d, p = _numerators(x)
+    _check_numerators(d, p)
     return d, p
 
 
@@ -88,21 +97,26 @@ def _check_simplex(x):
     return None
 
 
+def _closed_form_numerator(d: int, p) -> int:
+    """24 d^4 f(p / d) = 4d(d^3 - sum p^3) - 3(d^2 - sum p^2)^2, unchecked."""
+    d2 = d * d
+    s2 = sum(v * v for v in p)
+    s3 = sum(v * v * v for v in p)
+    return 4 * d * (d2 * d - s3) - 3 * (d2 - s2) ** 2
+
+
 def closed_form(x):
     """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex.
 
     Exact input (Fractions/ints) gives an exact Fraction: with p = d x,
-    (4d(d^3 - sum p^3) - 3(d^2 - sum p^2)^2) / (24 d^4).  Float input is
+    _closed_form_numerator(d, p) / (24 d^4).  Float input is
     reduced along its last axis: a vector gives a float, a (rows x n) array
     one value per row.
     """
     exact = _check_simplex(x)
     if exact is not None:
         d, p = exact
-        d2 = d * d
-        s2 = sum(v * v for v in p)
-        s3 = sum(v * v * v for v in p)
-        return Fraction(4 * d * (d2 * d - s3) - 3 * (d2 - s2) ** 2, 24 * d2 * d2)
+        return Fraction(_closed_form_numerator(d, p), 24 * d**4)
     arr = np.asarray(x, dtype=float)
     s2 = (arr * arr).sum(axis=-1)
     s3 = (arr**3).sum(axis=-1)
@@ -256,12 +270,19 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
     )
 
 
+def _g_numerator(d: int, p1: int, p2: int, p3: int) -> int:
+    """24 d^4 g(p1/d, p2/d, p3/d) = 4d(d^3 - sum p_i^3) - 3q^2, unchecked,
+    with q = d^2 - p1^2 - p2^2 - p3(d - p1 - p2)."""
+    d2 = d * d
+    q = d2 - p1 * p1 - p2 * p2 - p3 * (d - p1 - p2)
+    return 4 * d * (d2 * d - p1**3 - p2**3 - p3**3) - 3 * q * q
+
+
 def trivariate_g(x1, x2, x3) -> Fraction:
     """The trivariate domination function g on D = {x1>=x2>=x3>=0, sum<=1}.
 
     Exact: inputs must be Fractions or ints; raises ValueError otherwise
-    and outside D.  With p = d x, g = (4d(d^3 - sum p_i^3) - 3q^2) / (24 d^4)
-    for q = d^2 - p1^2 - p2^2 - p3(d - p1 - p2).
+    and outside D.  With p = d x, g = _g_numerator(d, p1, p2, p3) / (24 d^4).
     """
     if not all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3)):
         raise ValueError("trivariate_g takes rationals (Fraction or int)")
@@ -269,18 +290,23 @@ def trivariate_g(x1, x2, x3) -> Fraction:
     if not (p1 >= p2 >= p3 >= 0 and p1 + p2 + p3 <= d):
         x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
         raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-    d2 = d * d
-    q = d2 - p1 * p1 - p2 * p2 - p3 * (d - p1 - p2)
-    return Fraction(4 * d * (d2 * d - p1**3 - p2**3 - p3**3) - 3 * q * q, 24 * d2 * d2)
+    return Fraction(_g_numerator(d, p1, p2, p3), 24 * d**4)
+
+
+def _majorized(d: int, p) -> bool:
+    """sum p^2 <= p1^2 + p2^2 + p3(d - p1 - p2) for the numerators p = d x of
+    sorted-descending x with at least 3 coordinates, unchecked."""
+    p1, p2, p3 = p[:3]
+    return sum(v * v for v in p) <= p1 * p1 + p2 * p2 + p3 * (d - p1 - p2)
 
 
 def majorization_bound_check(w) -> bool:
     """For sorted-descending exact weights, verify the square-sum majorization.
 
     Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) exactly, on the
-    numerators p = d x as sum p^2 <= p1^2 + p2^2 + p3(d - p1 - p2); with
-    it, closed_form(w) <= g(x1,x2,x3) follows, which the pipeline checks
-    on its own values.  Raises on unsorted input.
+    numerators p = d x (see _majorized); with it, closed_form(w) <=
+    g(x1,x2,x3) follows, which the pipeline checks on its own values.
+    Raises on unsorted input.
     """
     w = list(w)
     if len(w) < 3:
@@ -288,5 +314,4 @@ def majorization_bound_check(w) -> bool:
     d, p = _simplex_numerators(w)
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError("weights must be sorted descending")
-    p1, p2, p3 = p[:3]
-    return sum(v * v for v in p) <= p1 * p1 + p2 * p2 + p3 * (d - p1 - p2)
+    return _majorized(d, p)

@@ -5,7 +5,9 @@ library construction or summation code), so library results are checked
 against a second, independently written path.  The one library call of
 the merge oracles (neighbor_sums, merge, merge_identity_sides and
 reduce_oracle) is lagrangian_bf, itself checked against
-brute_lagrangian_bf.
+brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
+and the closed form, g and the majorization from the exact entrances of
+trilag.simplex, each checked against the Fraction oracles below.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.graphs import OrientedGraph, UndirectedGraph
-from trilag.lagrangian import WeightVector, lagrangian_bf
-from trilag.reduction import MergeStep
+from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
+from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from trilag.reduction import MergeStep, trace_to_jsonable
+from trilag.simplex import closed_form, majorization_bound_check, trivariate_g
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -43,6 +46,30 @@ def rand_weights(rng, n: int, max_part: int = 30) -> WeightVector:
         total = sum(parts)
         if total:
             return WeightVector([Fraction(a, total) for a in parts])
+
+
+def shaped_orientation(rng, n: int, shape: int) -> OrientedGraph:
+    """The empty graph, a transitive tournament (arcs from earlier to later
+    vertices of a random order), a random tournament, or a random orientation."""
+    if shape == 0:
+        return OrientedGraph(n, [])
+    if shape == 1:
+        order = rng.sample(range(n), n)
+        return OrientedGraph(n, itertools.combinations(order, 2))
+    if shape == 2:
+        return OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                                 for (u, v) in itertools.combinations(range(n), 2)])
+    return rand_orientation(rng, n)
+
+
+def huge_denominator_weights(rng, n: int) -> WeightVector:
+    """n >= 2 weights over D = 10^1072, a 1073-digit common denominator:
+    1/D, which is in lowest terms, and the rest of 1 cut at random over D."""
+    big = 10**1072
+    cuts = sorted(rng.randrange(1, big) for _ in range(n - 2))
+    parts = [1] + [b - a for a, b in zip([1] + cuts, cuts + [big])]
+    rng.shuffle(parts)
+    return WeightVector([Fraction(x, big) for x in parts])
 
 
 def all_orientations(n: int):
@@ -227,6 +254,50 @@ def majorization_oracle(w) -> bool:
     closed_form_oracle(w)  # raises off the simplex
     x1, x2, x3 = w[0], w[1], w[2]
     return sum((v * v for v in w), Fraction(0)) <= x1 * x1 + x2 * x2 + x3 * (1 - x1 - x2)
+
+
+def pipeline_tail_oracle(lcf, lbf, lfinal, final_weights) -> dict:
+    """The pipeline report without its trace, from the chain's values in Fractions.
+
+    The closed form, g and the majorization come from the library's exact
+    closed_form, trivariate_g and majorization_bound_check on the final
+    weights, each link is a Fraction comparison, and h is 3/32 - g.
+    """
+    closed = closed_form(list(final_weights))
+    wsorted = sorted(final_weights, reverse=True) + [Fraction(0)] * (3 - len(final_weights))
+    x1, x2, x3 = wsorted[:3]
+    gval = trivariate_g(x1, x2, x3)
+    hval = Fraction(3, 32) - gval
+    links = [
+        ("lcf_le_lbf", lcf <= lbf),
+        ("lbf_le_final", lbf <= lfinal),
+        ("final_eq_closed_form", lfinal == closed),
+        ("closed_form_le_trivariate", majorization_bound_check(wsorted) and closed <= gval),
+        ("trivariate_le_3_32", hval >= 0),
+    ]
+    return {
+        "lagrangian_cf": str(lcf),
+        "lagrangian_bf": str(lbf),
+        "final_order": len(final_weights),
+        "final_weights": [str(v) for v in final_weights],
+        "closed_form_value": str(closed),
+        "trivariate_point": [str(x1), str(x2), str(x3)],
+        "trivariate_value": str(gval),
+        "h_at_point": str(hval),
+        "bound": "3/32",
+        "links": [{"name": name, "pass": ok} for name, ok in links],
+        "all_pass": all(ok for _, ok in links),
+    }
+
+
+def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
+    """pipeline_report from lagrangian_cf, the object-level reduce_oracle and
+    pipeline_tail_oracle."""
+    final_graph, final_weights, trace, lbf, lfinal = reduce_oracle(underlying(g), w)
+    report = pipeline_tail_oracle(lagrangian_cf(g, w).value, lbf, lfinal, list(final_weights))
+    assert report["final_order"] == final_graph.n
+    report["reduction_trace"] = trace_to_jsonable(trace)
+    return report
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

@@ -106,6 +106,18 @@ def test_parse_weights_rejects_weights_above_one():
     assert list(parse_weights_text("1\n0\n")) == [1, 0]
 
 
+def test_parse_weights_bounds_are_inclusive():
+    """0 and 1 are weights, however written; the least step past either is not."""
+    assert list(parse_weights_text("-0\n0/7\n4/4\n")) == [0, 0, 1]
+    assert list(parse_weights_text("1.000\n-0.0\n")) == [1, 0]
+    with pytest.raises(ParseError, match="^w.txt:1: negative weight '-1e-1072'$"):
+        parse_weights_text("-1e-1072\n1\n", path="w.txt")
+    with pytest.raises(ParseError, match=r"^w.txt:1: weight '1.000000001' exceeds 1$"):
+        parse_weights_text("1.000000001\n0\n", path="w.txt")
+    with pytest.raises(ParseError, match=r"^w.txt:2: weight '1000001/1000000' exceeds 1$"):
+        parse_weights_text("0\n1000001/1000000\n", path="w.txt")
+
+
 def test_parse_weights_rejects_denominators_too_long_to_print():
     # 1074 digits is the most for which 96 D^4, the report values' denominator bound, prints
     limit = "^w.txt:{}: common denominator of the weights so far has more than 1074 digits"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +29,16 @@ from trilag.harness import (
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.polynomials import g_polynomial, h_polynomial
 
-from helpers import brute_lagrangian_bf, brute_lagrangian_cf, rand_orientation, rand_weights
+from helpers import (
+    brute_lagrangian_bf,
+    brute_lagrangian_cf,
+    huge_denominator_weights,
+    pipeline_oracle,
+    pipeline_tail_oracle,
+    rand_orientation,
+    rand_weights,
+    shaped_orientation,
+)
 
 
 def test_orientation_index_roundtrip():
@@ -193,11 +203,16 @@ def test_pipeline_empty_digraph():
 
 
 def test_pipeline_single_arc_k2():
+    """The tight instance: links 2-5 hold with equality, and each still passes."""
     g = OrientedGraph(2, [(0, 1)])
     report = pipeline_report(g, WeightVector([Fraction(1, 2), Fraction(1, 2)]))
     assert report["lagrangian_cf"] == "1/16"
     assert report["lagrangian_bf"] == "3/32"
     assert report["reduction_trace"] == []
+    assert report["closed_form_value"] == report["trivariate_value"] == "3/32"
+    assert report["trivariate_point"] == ["1/2", "1/2", "0"]
+    assert report["h_at_point"] == "0"
+    assert [l["pass"] for l in report["links"]] == [True] * 5
     assert report["all_pass"]
 
 
@@ -216,10 +231,11 @@ def test_pipeline_point_values_match_certified_polynomials():
 
 def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     calls = []
-    counted = ((simplex, "closed_form"), (simplex, "trivariate_g"), (lagrangian, "lagrangian_bf"),
-               (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"), (lagrangian, "_arc_adjacency"),
-               (lagrangian, "_bf_sums"), (reduction, "reduce_to_complete"), (graphs, "build_bf"),
-               (graphs, "build_cf"))
+    counted = ((simplex, "closed_form"), (simplex, "trivariate_g"), (simplex, "majorization_bound_check"),
+               (simplex, "_closed_form_numerator"), (simplex, "_g_numerator"), (simplex, "_majorized"),
+               (lagrangian, "lagrangian_bf"), (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"),
+               (lagrangian, "_arc_adjacency"), (lagrangian, "_bf_sums"), (reduction, "reduce_to_complete"),
+               (graphs, "build_bf"), (graphs, "build_cf"), (graphs, "complete_graph"))
     for module, name in counted:
         fn = getattr(module, name)
 
@@ -232,14 +248,94 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
         for binding in (harness, graphs, simplex, reduction, lagrangian):
             monkeypatch.setattr(binding, name, counting, raising=False)
     g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
-    report = pipeline_report(g, WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]))
+    w = WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)])
+    init = WeightVector.__init__
+
+    def counting_init(self, entries):
+        calls.append("WeightVector")
+        init(self, entries)
+
+    monkeypatch.setattr(WeightVector, "__init__", counting_init)
+    report = pipeline_report(g, w)
     assert report["all_pass"] and report["reduction_trace"]
-    # closed form and g once; one adjacency (the neighbour sets of
-    # _adjacency, with the out-neighbour sets of _arc_adjacency) and one BF
-    # triple sum serve L_CF and every L_BF: no Lagrangian is evaluated on its
-    # own, each merge's branches come from integer sums, and no triple system
-    # is built
-    assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "closed_form", "trivariate_g"]
+    # one adjacency (the neighbour sets of _adjacency, with the out-neighbour
+    # sets of _arc_adjacency) and one BF triple sum serve L_CF and every L_BF:
+    # no Lagrangian is evaluated on its own, each merge's branches come from
+    # integer sums, and no triple system is built.  The tail runs each integer
+    # core of simplex once, on the final numerators, and builds no weight
+    # vector or complete graph for them.
+    assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "_closed_form_numerator",
+                             "_g_numerator", "_majorized"]
+
+
+def _chain_values(d, q, start, end, lcf):
+    """The Fractions of L_CF, L_BF, final L_BF and final weights from the integer chain."""
+    return Fraction(lcf, 2 * d**3), Fraction(start, 2 * d**4), Fraction(end, 2 * d**4), [Fraction(v, d) for v in q]
+
+
+def test_pipeline_matches_fraction_tail_oracle():
+    """Every report value and link equals the Fraction-level pipeline's.
+
+    The empty graph, transitive tournaments, random tournaments and random
+    orientations on 1..10 vertices, at weights with parts 0..2 (many ties
+    and zeros, so links hold with equality) and 0..30, then each shape on
+    2..10 vertices over a 1073-digit common denominator.
+    """
+    rng = random.Random(303)
+    for i in range(500):
+        n = rng.randint(1, 10)
+        w = rand_weights(rng, n, max_part=2 if i // 4 % 2 else 30)
+        g = shaped_orientation(rng, n, i % 4)
+        assert pipeline_report(g, w) == pipeline_oracle(g, w)
+    for n in range(2, 11):
+        w = huge_denominator_weights(rng, n)
+        assert len(str(w.denominator)) == 1073
+        g = shaped_orientation(rng, n, n % 4)
+        assert pipeline_report(g, w) == pipeline_oracle(g, w)
+
+
+def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
+    """Off by one in a chain value, the integer links fail where the Fraction
+    links do; final numerators off the simplex raise, as the oracle does."""
+    rng = random.Random(304)
+    case = {}  # kind and delta of the current perturbation, and the values the pipeline saw
+
+    def perturbed_cf(*sums):
+        case["lcf"] = lagrangian._cf_numerator(*sums) + (case["delta"] if case["kind"] == 0 else 0)
+        return case["lcf"]
+
+    def perturbed_reduce(*args):
+        d, q, trace, start, end = reduction._reduce(*args)
+        kind, delta = case["kind"], case["delta"]
+        start += delta if kind == 1 else 0
+        end += delta if kind == 2 else 0
+        if kind == 3:
+            q[rng.randrange(len(q))] += delta
+            if len(q) > 1 and rng.random() < 0.5:
+                q[rng.randrange(len(q))] -= delta
+        case["chain"] = d, q, start, end
+        return d, q, trace, start, end
+
+    monkeypatch.setattr(harness, "_cf_numerator", perturbed_cf)
+    monkeypatch.setattr(harness, "_reduce", perturbed_reduce)
+    seen = set()
+    for i in range(400):
+        n = rng.randint(1, 8)
+        g, w = rand_orientation(rng, n), rand_weights(rng, n, max_part=rng.choice((2, 30)))
+        case.update(kind=i % 4, delta=rng.choice((-1, 1)))
+        try:
+            report = pipeline_report(g, w)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                pipeline_tail_oracle(*_chain_values(*case["chain"], case["lcf"]))
+            seen.add(str(exc))
+            continue
+        del report["reduction_trace"]
+        assert report == pipeline_tail_oracle(*_chain_values(*case["chain"], case["lcf"]))
+        seen.update(link["name"] for link in report["links"] if not link["pass"])
+    # every link that a chain value feeds fails somewhere, and both raises are met
+    assert seen == {"negative coordinate", "coordinates must sum to 1",
+                    "lcf_le_lbf", "lbf_le_final", "final_eq_closed_form"}
 
 
 def test_pipeline_lagrangians_match_brute_force_oracles():

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,9 +18,11 @@ from helpers import (
     brute_bf_terms,
     brute_cf_terms,
     delete_vertex_oriented,
+    huge_denominator_weights,
     rand_orientation,
     rand_weights,
     relabel,
+    shaped_orientation,
 )
 
 UNIFORM3 = WeightVector([Fraction(1, 3)] * 3)
@@ -110,30 +111,6 @@ def _oracle_terms(triple, pair, quadratic):
     return (triple + pair - quadratic, triple, pair, quadratic)
 
 
-def _huge_denominator_weights(rng, n: int) -> WeightVector:
-    """n >= 2 weights over D = 10^1072, a 1073-digit common denominator:
-    1/D, which is in lowest terms, and the rest of 1 cut at random over D."""
-    big = 10**1072
-    cuts = sorted(rng.randrange(1, big) for _ in range(n - 2))
-    parts = [1] + [b - a for a, b in zip([1] + cuts, cuts + [big])]
-    rng.shuffle(parts)
-    return WeightVector([Fraction(x, big) for x in parts])
-
-
-def _shaped_orientation(rng, n: int, shape: int) -> OrientedGraph:
-    """The empty graph, a transitive tournament (arcs from earlier to later
-    vertices of a random order), a random tournament, or a random orientation."""
-    if shape == 0:
-        return OrientedGraph(n, [])
-    if shape == 1:
-        order = rng.sample(range(n), n)
-        return OrientedGraph(n, itertools.combinations(order, 2))
-    if shape == 2:
-        return OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
-                                 for (u, v) in itertools.combinations(range(n), 2)])
-    return rand_orientation(rng, n)
-
-
 def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
     assert _terms(lagrangian_cf(g, w)) == _oracle_terms(*brute_cf_terms(g, w))
     und = underlying(g)
@@ -152,11 +129,11 @@ def test_against_brute_force_oracles():
     for i in range(2000):
         n = rng.randint(1, 12)
         w = rand_weights(rng, n, max_part=2 if i // 4 % 2 else 30)
-        _assert_matches_oracles(_shaped_orientation(rng, n, i % 4), w)
+        _assert_matches_oracles(shaped_orientation(rng, n, i % 4), w)
     for n in range(2, 13):
-        w = _huge_denominator_weights(rng, n)
+        w = huge_denominator_weights(rng, n)
         assert len(str(w.denominator)) == 1073
-        _assert_matches_oracles(_shaped_orientation(rng, n, n % 4), w)
+        _assert_matches_oracles(shaped_orientation(rng, n, n % 4), w)
 
 
 def test_step_inequality_and_difference_identity():

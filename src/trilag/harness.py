@@ -2,8 +2,18 @@
 
 Orientations on labeled vertices are indexed 0..3^C(n,2)-1: each vertex
 pair contributes one base-3 digit (0 absent, 1 forward, 2 backward), so
-every witness is reproducible from its index.  The sweeps take blocks of
-indices as digit arrays and look every triple and 4-set up in tables.
+every witness is reproducible from its index.  The sweeps look every triple
+and 4-set up in tables, by its row: its pair digits read in ``combinations``
+order as a base-3 number.
+
+A row is linear in the pair digits.  For ``start`` a multiple of 3^low and
+j < 3^low, index start + j has j's digits in the low slots and start's in
+the others, and nothing carries, so rows(start + j) = rows(j) + rows(start).
+A sweep builds the rows of 0..3^low-1 and of each block's first index once,
+and each block of 3^low indices costs one add.  The four triple facts share
+one int32 table in 5-bit fields, since a sum over at most C(6, 3) = 20
+triples fits one field, and the two 4-set facts one int8 table, so a block
+takes one table lookup per subset size.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from .simplex import _check_numerators, _closed_form_numerator, _g_numerator, _m
 
 BOUND = Fraction(3, 32)
 BLOCK_DIGITS = 8  # 3^8 = 6561 orientations per block keeps memory flat at n = 6
+FIELD_BITS = 5  # a sum over at most C(6, 3) = 20 triples fits one field
+TRIPLE_FIELDS = ("cf", "bf", "partition_bad", "containment_bad")
 
 
 def orientation_from_index(n: int, index: int) -> OrientedGraph:
@@ -73,24 +85,15 @@ def lookup_tables() -> dict[str, np.ndarray]:
     return tables
 
 
-def pair_digits(indices, width: int) -> np.ndarray:
-    """Base-3 digits of orientation indices, pair slot 0 first: (width x len) int8."""
-    x = np.asarray(indices, dtype=np.int64)
-    powers = 3 ** np.arange(width, dtype=np.int64).reshape((width,) + (1,) * x.ndim)
-    return (x // powers % 3).astype(np.int8)
-
-
-def _blocks(n: int):
-    """Yield (first index, pair digits) per block of 3^BLOCK_DIGITS indices; the array is reused."""
-    low = min(comb(n, 2), BLOCK_DIGITS)
-    digits = pair_digits(np.arange(3**low), comb(n, 2))
-    for block in range(3 ** (comb(n, 2) - low)):
-        digits[low:] = pair_digits(block, comb(n, 2) - low)[:, None]
-        yield block * 3**low, digits
+def _digit_grid(width: int, lo: int, hi: int) -> np.ndarray:
+    """(width x 3^(hi-lo)) pair digits of the indices c 3^lo, c < 3^(hi-lo): slots lo..hi-1 vary."""
+    grid = np.zeros((width, 3 ** (hi - lo)), dtype=np.int8)
+    grid[lo:hi] = np.indices((3,) * (hi - lo), dtype=np.int8).reshape(grid[lo:hi].shape)[::-1]
+    return grid
 
 
 def _table_rows(n: int, k: int, digits: np.ndarray) -> np.ndarray:
-    """(k-subsets x orientations) table rows, subsets in ``combinations`` order."""
+    """(k-subsets x orientations) table rows of pair digits, subsets in ``combinations`` order."""
     slot = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     subsets = itertools.combinations(range(n), k)
     slots = np.array([[slot[p] for p in itertools.combinations(s, 2)] for s in subsets])
@@ -100,24 +103,44 @@ def _table_rows(n: int, k: int, digits: np.ndarray) -> np.ndarray:
     return rows
 
 
-def triple_counts(n: int, digits: np.ndarray):
-    """Per orientation (column of pair digits): |CF|, |BF|, |A|, and whether
-    some triple breaks the F/CF partition or CF within BF."""
-    tables, rows = lookup_tables(), _table_rows(n, 3, digits)
-    return (
-        tables["cf"].take(rows).sum(axis=0, dtype=np.int32),
-        tables["bf"].take(rows).sum(axis=0, dtype=np.int32),
-        np.count_nonzero(digits, axis=0),
-        tables["partition_bad"].take(rows).any(axis=0),
-        tables["containment_bad"].take(rows).any(axis=0),
-    )
+def _block_rows(n: int, k: int):
+    """Yield (first index, arc counts, k-subset table rows) per block of 3^BLOCK_DIGITS indices.
+
+    The rows array is reused: a block's rows are the rows of 0..3^low-1 plus
+    the rows of the block's first index, and both are built once per call.
+    """
+    pairs = comb(n, 2)
+    low = min(pairs, BLOCK_DIGITS)
+    base, starts = _digit_grid(pairs, 0, low), _digit_grid(pairs, low, pairs)
+    base_rows, start_rows = _table_rows(n, k, base), _table_rows(n, k, starts)
+    base_arcs, start_arcs = np.count_nonzero(base, axis=0), np.count_nonzero(starts, axis=0)
+    rows = np.empty_like(base_rows)
+    for block in range(starts.shape[1]):
+        np.add(base_rows, start_rows[:, block, None], out=rows)
+        yield block * 3**low, base_arcs + start_arcs[block], rows
 
 
-def quad_flags(n: int, digits: np.ndarray):
-    """Per orientation (column of pair digits): whether some 4-set induces a
+def _packed(names: tuple[str, ...], dtype) -> np.ndarray:
+    """The named tables of ``lookup_tables()`` in one, entry i of table t in field t of entry i."""
+    tables = lookup_tables()
+    return sum(tables[name].astype(dtype) << (FIELD_BITS * t) for t, name in enumerate(names))
+
+
+def triple_counts(rows: np.ndarray):
+    """Per orientation (column of triple rows): |CF|, |BF|, and whether some
+    triple breaks the F/CF partition or CF within BF."""
+    if len(rows) >= 2**FIELD_BITS:
+        raise ValueError(f"{len(rows)} triples overflow a {FIELD_BITS}-bit field")
+    total = _packed(TRIPLE_FIELDS, np.int32).take(rows).sum(axis=0, dtype=np.int32)
+    cf, bf, partition, containment = (total >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(4))
+    return cf, bf, partition != 0, containment != 0
+
+
+def quad_flags(rows: np.ndarray):
+    """Per orientation (column of 4-set rows): whether some 4-set induces a
     directed C4, and the (4-sets x orientations) flags of 4-sets independent in F."""
-    tables, rows = lookup_tables(), _table_rows(n, 4, digits)
-    return tables["c4"].take(rows).any(axis=0), tables["independent"].take(rows)
+    flags = _packed(("c4", "independent"), np.int8).take(rows)
+    return np.bitwise_or.reduce(flags, axis=0) & 1 != 0, flags >> FIELD_BITS != 0
 
 
 def enumerate_orientations(n: int) -> dict:
@@ -134,8 +157,8 @@ def enumerate_orientations(n: int) -> dict:
     t0 = time.perf_counter()
     best_cf = best_lcf = (-1, 0)  # (numerator, minus the smallest achieving index)
     violations = []
-    for start, digits in _blocks(n):
-        cf, bf, arcs, partition, containment = triple_counts(n, digits)
+    for start, arcs, rows in _block_rows(n, 3):
+        cf, bf, partition, containment = triple_counts(rows)
         lcf = 2 * cf + arcs
         lcf_bound = 32 * lcf > 6 * n**3
         step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
@@ -182,8 +205,8 @@ def validate_fdf_family(n: int) -> dict:
     quads = list(itertools.combinations(range(n), 4))
     c4_free = 0
     counterexamples = []
-    for start, digits in _blocks(n):
-        has_c4, independent = quad_flags(n, digits)
+    for start, _, rows in _block_rows(n, 4):
+        has_c4, independent = quad_flags(rows)
         c4_free += int(np.count_nonzero(~has_c4))
         for j in np.flatnonzero(~has_c4 & independent.any(axis=0)):
             index = start + int(j)

@@ -85,6 +85,13 @@ def all_orientations(n: int):
         yield OrientedGraph(n, arcs)
 
 
+def pair_digits(indices, width: int) -> np.ndarray:
+    """Base-3 digits of orientation indices by division, pair slot 0 first: (width x len) int8."""
+    x = np.asarray(indices, dtype=np.int64)
+    powers = 3 ** np.arange(width, dtype=np.int64).reshape((width,) + (1,) * x.ndim)
+    return (x // powers % 3).astype(np.int8)
+
+
 def relabel(g, perm):
     """Apply a vertex permutation (perm[v] is the new label of v) to an OrientedGraph or UndirectedGraph."""
     pairs = g.arcs if isinstance(g, OrientedGraph) else g.edges

@@ -17,10 +17,12 @@ from trilag.graphs import (
     underlying,
 )
 from trilag.harness import (
+    BLOCK_DIGITS,
+    _block_rows,
+    _table_rows,
     enumerate_orientations,
     lookup_tables,
     orientation_from_index,
-    pair_digits,
     pipeline_report,
     quad_flags,
     triple_counts,
@@ -33,6 +35,7 @@ from helpers import (
     brute_lagrangian_bf,
     brute_lagrangian_cf,
     huge_denominator_weights,
+    pair_digits,
     pipeline_oracle,
     pipeline_tail_oracle,
     rand_orientation,
@@ -86,8 +89,9 @@ def test_kernel_matches_object_oracle(n):
     """Per orientation, the table kernel agrees with the object-level constructions."""
     indices = _kernel_indices(n)
     digits = pair_digits(indices, comb(n, 2))
-    cf, bf, arcs, partition, containment = triple_counts(n, digits)
-    has_c4, independent = quad_flags(n, digits)
+    cf, bf, partition, containment = triple_counts(_table_rows(n, 3, digits))
+    has_c4, independent = quad_flags(_table_rows(n, 4, digits))
+    arcs = np.count_nonzero(digits, axis=0)
     w = uniform_weights(n)
     for j, idx in enumerate(indices):
         g = orientation_from_index(n, idx)
@@ -103,6 +107,52 @@ def test_kernel_matches_object_oracle(n):
         assert has_c4[j] == has_induced_directed_c4(g)[0], idx
         indep = n >= 4 and has_independent_4set(n, f)[0]
         assert independent[:, j].any() == indep, idx
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_rows_match_rows_of_each_index(n):
+    """Each block's rows and arc counts equal those built from its indices' own digits.
+
+    Every block for n <= 5; at n = 6, 20 seeded blocks of the 2187, the last among them.
+    """
+    pairs = comb(n, 2)
+    size = 3 ** min(pairs, BLOCK_DIGITS)
+    count = 3**pairs // size
+    checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
+    for k in (3, 4):
+        for block, (start, arcs, rows) in enumerate(_block_rows(n, k)):
+            assert start == block * size
+            if block in checked:
+                digits = pair_digits(np.arange(start, start + size), pairs)
+                assert np.array_equal(rows, _table_rows(n, k, digits)), (k, block)
+                assert np.array_equal(arcs, np.count_nonzero(digits, axis=0)), (k, block)
+        assert block == count - 1
+
+
+def test_triple_fields_hold_every_sum(monkeypatch):
+    """Each field of the packed triple table reads its own table's sum, alone or beside the others.
+
+    With every table row set to 1, an n = 6 orientation fills all four fields
+    with its C(6, 3) = 20 triples.  With only the empty triple's row set, the
+    first and last blocks at n = 6 give each field the sums 0..13, 16 and 20.
+    """
+    names = ("cf", "bf", "partition_bad", "containment_bad")
+    tables = dict(lookup_tables())
+    dtypes = {name: tables[name].dtype for name in names}
+    monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+    indices = np.r_[0 : 3**8, 3**15 - 3**8 : 3**15]
+    rows = _table_rows(6, 3, pair_digits(indices, 15))
+    tables.update((name, np.ones(27, dtype=dtypes[name])) for name in names)
+    cf, bf, partition, containment = triple_counts(rows)
+    assert (cf == 20).all() and (bf == 20).all() and partition.all() and containment.all()
+    empty = np.count_nonzero(rows == 0, axis=0)
+    for full in (names, *((name,) for name in names)):
+        tables.update((name, np.array([name in full] + [0] * 26, dtype=dtypes[name])) for name in names)
+        for name, value in zip(names, triple_counts(rows)):
+            expected = empty if name in full else np.zeros_like(empty)
+            assert np.array_equal(value, expected if name in ("cf", "bf") else expected != 0), (full, name)
+    with pytest.raises(ValueError, match="35 triples overflow a 5-bit field"):
+        triple_counts(_table_rows(7, 3, pair_digits([0], 21)))
 
 
 def test_lookup_tables():

@@ -15,17 +15,14 @@ from .graphs import (
     underlying,
     edge_density,
     has_induced_directed_c4,
-    has_independent_4set,
     complete_graph,
 )
 from .lagrangian import (
     WeightVector,
     LagrangianValue,
-    DensityReport,
     lagrangian_cf,
     lagrangian_bf,
     uniform_weights,
-    density_from_uniform,
 )
 from .reduction import (
     MergeStep,

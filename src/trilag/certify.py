@@ -12,8 +12,9 @@ rational; output is canonical (sorted leaves) and independent of
 processing order.
 
 This module proves the polynomial inequality only.  The pipeline's value
-of h at one point is 3/32 - g, from the exact simplex.trivariate_g; the
-tests pin that it equals h_polynomial() evaluated there.
+of h at one point is 3/32 - g, with g from the integer core
+simplex._g_numerator, called in harness.pipeline_report; the tests pin
+that it equals h_polynomial() evaluated there.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ the test suite.
 
 A 3-graph is a plain set of triples: build_f, build_cf and build_bf each
 return a frozenset of vertex triples, every triple sorted ascending.
-edge_density and has_independent_4set take the vertex count beside it.
+edge_density takes the vertex count beside it.
 """
 
 from __future__ import annotations
@@ -194,16 +194,3 @@ def has_induced_directed_c4(g: OrientedGraph):
                 return True, (a, b, c, d)
     return False, None
 
-
-def has_independent_4set(n: int, triples):
-    """Detect four of the vertices 0..n-1 spanning none of the sorted triples.
-
-    Returns (True, quad) with the witness sorted ascending, else
-    (False, None).
-    """
-    if n < 4:
-        raise ValueError("independent 4-set check needs at least 4 vertices")
-    for quad in itertools.combinations(range(n), 4):
-        if not any(sub in triples for sub in itertools.combinations(quad, 3)):
-            return True, quad
-    return False, None

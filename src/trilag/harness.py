@@ -31,7 +31,6 @@ from .graphs import (
     build_bf,
     build_cf,
     build_f,
-    has_independent_4set,
     has_induced_directed_c4,
     underlying,
 )
@@ -66,9 +65,14 @@ def lookup_tables() -> dict[str, np.ndarray]:
     exactly one of F and CF), ``containment_bad`` (in CF, not in BF).  Per
     4-set: ``c4`` (induces a directed 4-cycle), ``independent`` (holds no
     triple of F).  Each fact depends only on the arcs inside the subset.
+
+    The triple facts and ``c4`` come from the object-level constructions.
+    ``independent`` comes from the F rows: ``_table_rows`` gives each 4-set
+    row its four triples' rows, and the 4-set is independent exactly when
+    none of them is in F.
     """
     triples = [orientation_from_index(3, t) for t in range(27)]
-    in_f = [len(build_f(g)) for g in triples]
+    in_f = np.array([len(build_f(g)) for g in triples], dtype=bool)
     in_cf = [len(build_cf(g)) for g in triples]
     in_bf = [len(build_bf(underlying(g))) for g in triples]
     quads = [orientation_from_index(4, t) for t in range(729)]
@@ -78,7 +82,7 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
-        "independent": np.array([has_independent_4set(4, build_f(g))[0] for g in quads]),
+        "independent": ~in_f.take(_table_rows(4, 3, _digit_grid(6, 0, 6))).any(axis=0),
     }
     for table in tables.values():
         table.flags.writeable = False

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .graphs import OrientedGraph, UndirectedGraph
 
@@ -222,32 +222,3 @@ def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
     _check_order(w, g.n)
     return _bf_value(w.denominator, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))
 
-
-@dataclass(frozen=True)
-class DensityReport:
-    """CF density at uniform weights and the finite-n bound it implies.
-
-    implied_bound = 6 * uniform_lagrangian * n^3 / (n(n-1)(n-2)): the CF
-    triple count satisfies |CF|/n^3 <= L_CF(uniform), so the density is at
-    most that finite-n value.  Asymptotically (n -> infinity) the factor
-    tends to 6, but the report never claims the limit.
-    """
-
-    density: Fraction
-    uniform_lagrangian: Fraction
-    implied_bound: Fraction
-
-
-def density_from_uniform(g: OrientedGraph) -> DensityReport:
-    """CF density, uniform-weight L_CF, and the implied density bound.
-
-    At weights 1/n the CF triple term is |CF| / n^3, so the density comes
-    from the same evaluation as the Lagrangian.
-    """
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
-    lag = lagrangian_cf(g, uniform_weights(g.n))
-    scale = Fraction(g.n**3, comb(g.n, 3))
-    return DensityReport(
-        density=lag.triple_term * scale, uniform_lagrangian=lag.value, implied_bound=lag.value * scale
-    )

@@ -103,6 +103,21 @@ def relabel_triples(triples, perm) -> frozenset:
     return frozenset(tuple(sorted((perm[x], perm[y], perm[z]))) for (x, y, z) in triples)
 
 
+def has_independent_4set(n: int, triples):
+    """Detect four of the vertices 0..n-1 spanning none of the sorted triples.
+
+    Returns (True, quad) with the witness sorted ascending, else
+    (False, None).  The object-level oracle of the sweeps' ``independent``
+    table.
+    """
+    if n < 4:
+        raise ValueError("independent 4-set check needs at least 4 vertices")
+    for quad in itertools.combinations(range(n), 4):
+        if not any(sub in triples for sub in itertools.combinations(quad, 3)):
+            return True, quad
+    return False, None
+
+
 def brute_cf_terms(g: OrientedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
     """(triple, pair, quadratic) terms of L_CF from the raw definition: classify each triple by hand."""
     triple = Fraction(0)

@@ -12,13 +12,12 @@ from trilag.graphs import (
     build_cf,
     build_f,
     edge_density,
-    has_independent_4set,
     has_induced_directed_c4,
     underlying,
 )
 from trilag.harness import orientation_from_index
 
-from helpers import all_orientations, rand_orientation, relabel, relabel_triples
+from helpers import all_orientations, has_independent_4set, rand_orientation, relabel, relabel_triples
 
 
 def test_oriented_graph_rejects_digons_and_loops():

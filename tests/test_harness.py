@@ -12,7 +12,6 @@ from trilag.graphs import (
     build_bf,
     build_cf,
     build_f,
-    has_independent_4set,
     has_induced_directed_c4,
     underlying,
 )
@@ -34,6 +33,7 @@ from trilag.polynomials import g_polynomial, h_polynomial
 from helpers import (
     brute_lagrangian_bf,
     brute_lagrangian_cf,
+    has_independent_4set,
     huge_denominator_weights,
     pair_digits,
     pipeline_oracle,
@@ -155,11 +155,13 @@ def test_triple_fields_hold_every_sum(monkeypatch):
         triple_counts(_table_rows(7, 3, pair_digits([0], 21)))
 
 
-def test_lookup_tables():
+def test_lookup_tables(monkeypatch):
     """Every triple row keeps the partition and containment; C4 4-sets are the independent ones.
 
     The second fact proves validate-fdf has no counterexample at any n:
-    a 4-set spanning no triple of F induces a directed C4.
+    a 4-set spanning no triple of F induces a directed C4.  The independent
+    table, derived from the 27 F rows, matches the object-level oracle on
+    all 729 rows, and building the tables calls build_f on the triples only.
     """
     tables = lookup_tables()
     assert tables["cf"].shape == tables["bf"].shape == (27,)
@@ -168,6 +170,20 @@ def test_lookup_tables():
     assert np.array_equal(tables["independent"], tables["c4"])
     with pytest.raises(ValueError):
         tables["c4"][0] = True
+    assert tables["independent"].dtype == bool
+    oracle = [has_independent_4set(4, build_f(orientation_from_index(4, t)))[0] for t in range(729)]
+    assert tables["independent"].tolist() == oracle
+
+    orders = []
+
+    def counting_build_f(g):
+        orders.append(g.n)
+        return build_f(g)
+
+    monkeypatch.setattr(harness, "build_f", counting_build_f)
+    fresh = lookup_tables.__wrapped__()
+    assert orders == [3] * 27
+    assert all(np.array_equal(fresh[name], table) for name, table in tables.items())
 
 
 def test_enumerate_reports_violations(monkeypatch):

@@ -4,11 +4,10 @@ from math import lcm
 
 import pytest
 
-from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, edge_density, underlying
+from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.harness import pipeline_report
 from trilag.lagrangian import (
     WeightVector,
-    density_from_uniform,
     lagrangian_bf,
     lagrangian_cf,
     uniform_weights,
@@ -191,26 +190,10 @@ def test_zero_weight_vertex_deletion():
         )
 
 
-def test_density_from_uniform():
-    rep = density_from_uniform(OrientedGraph(4, []))
-    assert rep.density == 0
-
-    rep = density_from_uniform(OrientedGraph(3, [(0, 1), (2, 1)]))
-    assert rep.density == 1
-    assert rep.uniform_lagrangian == Fraction(2, 27)
-    # finite-n factor n^3 / (n(n-1)(n-2)) with the 6 from C(n,3)
-    assert rep.implied_bound == Fraction(2, 27) * 27 / 1
-    assert type(rep.density) is type(rep.implied_bound) is Fraction
-
-    with pytest.raises(ValueError):
-        density_from_uniform(OrientedGraph(2, [(0, 1)]))
-
-
-def test_implied_bound_dominates_density():
+def test_uniform_cf_triple_term_counts_cf():
+    """At weights 1/n the CF triple term is |CF| / n^3: the sweeps' 2n^3 L_CF = 2|CF| + |A| rests on it."""
     rng = random.Random(23)
     for _ in range(100):
         n = rng.randint(3, 6)
         g = rand_orientation(rng, n)
-        rep = density_from_uniform(g)
-        assert rep.density == edge_density(n, build_cf(g))
-        assert rep.density <= rep.implied_bound
+        assert lagrangian_cf(g, uniform_weights(n)).triple_term * n**3 == len(build_cf(g))

@@ -2,9 +2,17 @@
 
 Constructions and checkers (graphs), exact Lagrangians (lagrangian),
 symmetrization merges (reduction), simplex maximization of the complete
-graph closed form (simplex), and an exact simplex Bernstein positivity
-certificate for the final trivariate inequality (certify).
+graph closed form (simplex), an exact simplex Bernstein positivity
+certificate for the final trivariate inequality (certify), and the whole
+chain on one instance (pipeline).
+
+numpy is imported only by the float optimizer (simplex) and the sweeps
+(harness).  Their names below resolve through the module __getattr__
+(PEP 562), which imports the module on first use, so ``import trilag``
+and the exact modules load no numpy.
 """
+
+import importlib
 
 from .graphs import (
     OrientedGraph,
@@ -28,22 +36,27 @@ from .reduction import (
     MergeStep,
     reduce_to_complete,
 )
-from .simplex import (
-    OptResult,
-    closed_form,
-    gradient,
-    maximize,
-    project_to_simplex,
-    trivariate_g,
-    majorization_bound_check,
-)
 from .polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 from .certify import Certificate, Leaf, certify
-from .harness import (
-    enumerate_orientations,
-    validate_fdf_family,
-    pipeline_report,
-)
+from .pipeline import pipeline_report
 from .fileio import ParseError, parse_graph, parse_weights
 
 __version__ = "0.1.0"
+
+# name -> the numpy-backed module that defines it, imported on first use
+_LAZY = {
+    **dict.fromkeys(
+        ("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex",
+         "trivariate_g", "majorization_bound_check"),
+        "simplex",
+    ),
+    **dict.fromkeys(("enumerate_orientations", "validate_fdf_family"), "harness"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

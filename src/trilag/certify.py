@@ -13,7 +13,7 @@ processing order.
 
 This module proves the polynomial inequality only.  The pipeline's value
 of h at one point is 3/32 - g, with g from the integer core
-simplex._g_numerator, called in harness.pipeline_report; the tests pin
+_g_numerator of trilag.pipeline, called in pipeline_report; the tests pin
 that it equals h_polynomial() evaluated there.
 """
 

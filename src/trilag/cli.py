@@ -8,6 +8,10 @@ one-screen summary.
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a mathematical
 check failed (a violation, a failed chain link, or an indeterminate
 certificate -- worth a bug report either way).
+
+numpy serves only optimize, enumerate and validate-fdf: their commands
+import trilag.simplex and trilag.harness when they run, so the exact
+commands start without numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ import sys
 from .certify import CERTIFIED, certify
 from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
-from .harness import enumerate_orientations, pipeline_report, validate_fdf_family
 from .lagrangian import lagrangian_bf, orientation_lagrangians
+from .pipeline import pipeline_report
 from .reduction import reduce_to_complete, trace_to_jsonable
-from .simplex import maximize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,6 +133,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .simplex import maximize
+
     result = maximize(args.n, restarts=args.restarts, seed=args.seed, tol=args.tol)
     payload = {
         "n": result.n,
@@ -166,6 +171,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .harness import enumerate_orientations
+
     report = enumerate_orientations(args.n)
     density_at = report["max_cf_density_witness"]["index"]
     lcf_at = report["max_uniform_lcf_witness"]["index"]
@@ -186,6 +193,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_validate_fdf(args) -> int:
+    from .harness import validate_fdf_family
+
     report = validate_fdf_family(args.n)
     text = [
         f"n={report['n']}: {report['c4_free_count']} C4-free orientations of {report['count']}, "

@@ -1,4 +1,4 @@
-"""Exhaustive small-orientation sweeps and the end-to-end inequality pipeline.
+"""Exhaustive small-orientation sweeps over numpy lookup tables.
 
 Orientations on labeled vertices are indexed 0..3^C(n,2)-1: each vertex
 pair contributes one base-3 digit (0 absent, 1 forward, 2 backward), so
@@ -14,6 +14,11 @@ and each block of 3^low indices costs one add.  The four triple facts share
 one int32 table in 5-bit fields, since a sum over at most C(6, 3) = 20
 triples fits one field, and the two 4-set facts one int8 table, so a block
 takes one table lookup per subset size.
+
+This module and trilag.simplex's optimizer are the only ones that import
+numpy.  The package and the command line load them on first use, so the
+exact commands, the pipeline (trilag.pipeline) among them, start without
+numpy.
 """
 
 from __future__ import annotations
@@ -34,11 +39,7 @@ from .graphs import (
     has_induced_directed_c4,
     underlying,
 )
-from .lagrangian import WeightVector, _arc_adjacency, _bf_sums, _cf_numerator, _cf_sums, _check_order
-from .reduction import _reduce, trace_to_jsonable
-from .simplex import _check_numerators, _closed_form_numerator, _g_numerator, _majorized
 
-BOUND = Fraction(3, 32)
 BLOCK_DIGITS = 8  # 3^8 = 6561 orientations per block keeps memory flat at n = 6
 FIELD_BITS = 5  # a sum over at most C(6, 3) = 20 triples fits one field
 TRIPLE_FIELDS = ("cf", "bf", "partition_bad", "containment_bad")
@@ -225,58 +226,4 @@ def validate_fdf_family(n: int) -> dict:
         "c4_free_count": c4_free,
         "counterexamples": counterexamples,
         "wall_time_s": time.perf_counter() - t0,
-    }
-
-
-def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
-    """Run the whole inequality chain on one instance, re-checking each link exactly.
-
-    Chain: L_CF <= L_BF <= L_BF(final complete) = closed form
-           <= trivariate bound at the sorted final weights <= 3/32.
-    Each value is computed once.  One adjacency and one BF triple sum serve
-    both L_CF, which subtracts the dominated triples from that sum, and the
-    merge chain, which starts from L_BF of the same sums and returns the
-    final L_BF on its way; h_at_point is 3/32 - g at that point.
-
-    The links are compared on integers.  With d the weights' denominator,
-    which the merges keep, and q the final numerators, sorted descending
-    and padded with zeros to three: L_CF = a / 2d^3, L_BF = N / 2d^4, and
-    the closed form and g are c / 24d^4 and c_g / 24d^4.  So the links read
-    d a <= N_start, N_start <= N_final, 12 N_final == c, the majorization of
-    q with c <= c_g, and 32 c_g <= 72 d^4.  Fractions are made only for the
-    report's strings.
-    """
-    _check_order(w, g.n)
-    d = w.denominator
-    out, adj = _arc_adjacency(g)
-    sums = _bf_sums(adj, w.numerators)
-    lcf = _cf_numerator(*_cf_sums(out, w.numerators, sums[0]))
-    _, final, trace, start, end = _reduce(adj, w, sums)
-    _check_numerators(d, final)
-    q = sorted(final, reverse=True) + [0] * (3 - len(final))
-    closed = _closed_form_numerator(d, final)
-    gval = _g_numerator(d, *q[:3])
-    d4 = d**4
-
-    links = [
-        ("lcf_le_lbf", d * lcf <= start),
-        ("lbf_le_final", start <= end),
-        ("final_eq_closed_form", 12 * end == closed),
-        ("closed_form_le_trivariate", _majorized(d, q) and closed <= gval),
-        ("trivariate_le_3_32", 32 * gval <= 72 * d4),
-    ]
-    g_value = Fraction(gval, 24 * d4)
-    return {
-        "lagrangian_cf": str(Fraction(lcf, 2 * d**3)),
-        "lagrangian_bf": str(Fraction(start, 2 * d4)),
-        "reduction_trace": trace_to_jsonable(trace),
-        "final_order": len(final),
-        "final_weights": [str(Fraction(v, d)) for v in final],
-        "closed_form_value": str(Fraction(closed, 24 * d4)),
-        "trivariate_point": [str(Fraction(v, d)) for v in q[:3]],
-        "trivariate_value": str(g_value),
-        "h_at_point": str(BOUND - g_value),
-        "bound": str(BOUND),
-        "links": [{"name": name, "pass": ok} for name, ok in links],
-        "all_pass": all(ok for _, ok in links),
     }

@@ -41,8 +41,11 @@ closed form sum and compare ints over the one denominator d and build one
 Fraction each from two ints at the end.  Each exact function is a
 validating entrance around one unchecked integer core on (d, p):
 _closed_form_numerator and _g_numerator give 24 d^4 times the closed form
-and g, and _majorized is the majorization test.  The pipeline, whose
-numerators come from the merge chain, calls the cores directly.
+and g, and _majorized is the majorization test.  The cores live in
+trilag.pipeline, which calls them directly on the merge chain's
+numerators and imports no numpy; this module imports numpy for the
+optimizer, and the package loads it only when one of its names is first
+used.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .pipeline import _check_numerators, _closed_form_numerator, _g_numerator, _majorized
 
 FLOAT_SIMPLEX_TOL = 1e-9
 # restarts whose objectives differ by less than this are tied: rounding puts
@@ -64,14 +69,6 @@ def _numerators(x) -> tuple[int, list[int]]:
     ratios = [v.as_integer_ratio() for v in x]
     d = math.lcm(*(q for _, q in ratios))
     return d, [a * (d // q) for a, q in ratios]
-
-
-def _check_numerators(d: int, p) -> None:
-    """Raise unless p / d is on the simplex: every p >= 0 and sum(p) == d."""
-    if any(v < 0 for v in p):
-        raise ValueError("negative coordinate")
-    if sum(p) != d:
-        raise ValueError("coordinates must sum to 1")
 
 
 def _simplex_numerators(x) -> tuple[int, list[int]]:
@@ -95,14 +92,6 @@ def _check_simplex(x):
     if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
         raise ValueError("coordinates must sum to 1")
     return None
-
-
-def _closed_form_numerator(d: int, p) -> int:
-    """24 d^4 f(p / d) = 4d(d^3 - sum p^3) - 3(d^2 - sum p^2)^2, unchecked."""
-    d2 = d * d
-    s2 = sum(v * v for v in p)
-    s3 = sum(v * v * v for v in p)
-    return 4 * d * (d2 * d - s3) - 3 * (d2 - s2) ** 2
 
 
 def closed_form(x):
@@ -270,14 +259,6 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
     )
 
 
-def _g_numerator(d: int, p1: int, p2: int, p3: int) -> int:
-    """24 d^4 g(p1/d, p2/d, p3/d) = 4d(d^3 - sum p_i^3) - 3q^2, unchecked,
-    with q = d^2 - p1^2 - p2^2 - p3(d - p1 - p2)."""
-    d2 = d * d
-    q = d2 - p1 * p1 - p2 * p2 - p3 * (d - p1 - p2)
-    return 4 * d * (d2 * d - p1**3 - p2**3 - p3**3) - 3 * q * q
-
-
 def trivariate_g(x1, x2, x3) -> Fraction:
     """The trivariate domination function g on D = {x1>=x2>=x3>=0, sum<=1}.
 
@@ -291,13 +272,6 @@ def trivariate_g(x1, x2, x3) -> Fraction:
         x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
         raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
     return Fraction(_g_numerator(d, p1, p2, p3), 24 * d**4)
-
-
-def _majorized(d: int, p) -> bool:
-    """sum p^2 <= p1^2 + p2^2 + p3(d - p1 - p2) for the numerators p = d x of
-    sorted-descending x with at least 3 coordinates, unchecked."""
-    p1, p2, p3 = p[:3]
-    return sum(v * v for v in p) <= p1 * p1 + p2 * p2 + p3 * (d - p1 - p2)
 
 
 def majorization_bound_check(w) -> bool:

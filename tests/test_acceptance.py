@@ -12,13 +12,9 @@ import numpy as np
 
 from trilag.certify import CERTIFIED, certify, leaf_volume_total
 from trilag.graphs import UndirectedGraph, build_cf, complete_graph, edge_density, underlying
-from trilag.harness import (
-    enumerate_orientations,
-    orientation_from_index,
-    pipeline_report,
-    validate_fdf_family,
-)
+from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
+from trilag.pipeline import pipeline_report
 from trilag.polynomials import h_polynomial, simplex_bernstein
 from trilag.reduction import reduce_to_complete
 from trilag.simplex import closed_form, gradient, maximize, trivariate_g

@@ -1,7 +1,4 @@
-import ast
-import importlib
 from fractions import Fraction
-from pathlib import Path
 
 from trilag.certify import (
     CERTIFIED,
@@ -116,15 +113,3 @@ def test_h_nonnegative_on_domain_grid():
     assert zeros == [(HALF, HALF, Fraction(0))]
     assert all(h.evaluate(*pt) >= 0 for pt in points)
 
-
-def test_certify_imports_no_optimizer():
-    """certify and the polynomials it uses import neither the optimizer nor numpy."""
-    imported = set()
-    for name in ("trilag.certify", "trilag.polynomials"):
-        source = Path(importlib.import_module(name).__file__).read_text()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-    assert imported == {"__future__", "dataclasses", "fractions", "math", "polynomials"}

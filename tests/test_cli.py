@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trilag import cli, graphs, lagrangian, reduction
+from trilag import cli, graphs, harness, lagrangian, reduction
 from trilag.cli import build_parser, main
 
 CHERRY = "digraph 3\n0 1\n2 1\n"
@@ -300,7 +300,7 @@ def test_csv_refused_before_the_command_runs(capsys, monkeypatch, cherry_files):
     def ran(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    monkeypatch.setattr(cli, "validate_fdf_family", ran)
+    monkeypatch.setattr(harness, "validate_fdf_family", ran)
     monkeypatch.setattr(cli, "pipeline_report", ran)
     g, w = cherry_files
     for argv in (

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from trilag import graphs, harness, lagrangian, reduction, simplex
+from trilag import graphs, harness, lagrangian, pipeline, reduction, simplex
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -22,12 +22,12 @@ from trilag.harness import (
     enumerate_orientations,
     lookup_tables,
     orientation_from_index,
-    pipeline_report,
     quad_flags,
     triple_counts,
     validate_fdf_family,
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
+from trilag.pipeline import pipeline_report
 from trilag.polynomials import g_polynomial, h_polynomial
 
 from helpers import (
@@ -298,7 +298,7 @@ def test_pipeline_point_values_match_certified_polynomials():
 def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     calls = []
     counted = ((simplex, "closed_form"), (simplex, "trivariate_g"), (simplex, "majorization_bound_check"),
-               (simplex, "_closed_form_numerator"), (simplex, "_g_numerator"), (simplex, "_majorized"),
+               (pipeline, "_closed_form_numerator"), (pipeline, "_g_numerator"), (pipeline, "_majorized"),
                (lagrangian, "lagrangian_bf"), (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"),
                (lagrangian, "_arc_adjacency"), (lagrangian, "_bf_sums"), (reduction, "reduce_to_complete"),
                (graphs, "build_bf"), (graphs, "build_cf"), (graphs, "complete_graph"))
@@ -311,7 +311,7 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
 
         # every binding, the pipeline's own and those of the modules it calls;
         # raising=False also plants the name in modules that import none
-        for binding in (harness, graphs, simplex, reduction, lagrangian):
+        for binding in (pipeline, graphs, simplex, reduction, lagrangian):
             monkeypatch.setattr(binding, name, counting, raising=False)
     g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
     w = WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)])
@@ -328,7 +328,7 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     # sets of _arc_adjacency) and one BF triple sum serve L_CF and every L_BF:
     # no Lagrangian is evaluated on its own, each merge's branches come from
     # integer sums, and no triple system is built.  The tail runs each integer
-    # core of simplex once, on the final numerators, and builds no weight
+    # core of trilag.pipeline once, on the final numerators, and builds no weight
     # vector or complete graph for them.
     assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "_closed_form_numerator",
                              "_g_numerator", "_majorized"]
@@ -382,8 +382,8 @@ def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
         case["chain"] = d, q, start, end
         return d, q, trace, start, end
 
-    monkeypatch.setattr(harness, "_cf_numerator", perturbed_cf)
-    monkeypatch.setattr(harness, "_reduce", perturbed_reduce)
+    monkeypatch.setattr(pipeline, "_cf_numerator", perturbed_cf)
+    monkeypatch.setattr(pipeline, "_reduce", perturbed_reduce)
     seen = set()
     for i in range(400):
         n = rng.randint(1, 8)

@@ -5,13 +5,13 @@ from math import lcm
 import pytest
 
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
-from trilag.harness import pipeline_report
 from trilag.lagrangian import (
     WeightVector,
     lagrangian_bf,
     lagrangian_cf,
     uniform_weights,
 )
+from trilag.pipeline import pipeline_report
 
 from helpers import (
     brute_bf_terms,

@@ -3,8 +3,13 @@
 The domain D = {x1 >= x2 >= x3 >= 0, x1 + x2 + x3 <= 1} is the tetrahedron
 with vertices (0,0,0), (1,0,0), (1/2,1/2,0) and (1/3,1/3,1/3).  Starting
 from D, a simplex is discharged when every Bernstein-Bezier coefficient of
-h on it is >= 0 (``simplex_bernstein``); otherwise its longest edge is
-bisected.  The discharged leaves tile D, so h >= 0 on all of D.
+h on it is >= 0; otherwise its longest edge is bisected.  The discharged
+leaves tile D, so h >= 0 on all of D.
+
+The coefficients are computed once, on D, by ``simplex_bernstein``.  Each
+half's coefficients come from its parent's by de Casteljau's algorithm at
+t = 1/2 (``halve_bernstein``), as integer numerators over one denominator
+per depth; a Fraction is made only for each leaf's bound.
 
 h vanishes at the vertex (1/2,1/2,0), where its coefficient is exactly 0;
 one bisection of D suffices.  Every number in the certificate is an exact
@@ -21,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .polynomials import Poly, h_polynomial, simplex_bernstein
+from .polynomials import Poly, h_polynomial, halve_bernstein, simplex_bernstein
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -74,19 +80,25 @@ def point_in_domain(x1, x2, x3) -> bool:
     return x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1
 
 
-def bisect(simplex: Simplex) -> tuple[Simplex, Simplex]:
-    """Halve the longest edge (ties to the lowest vertex-index pair).
-
-    Each child keeps the vertex order, with the edge's midpoint in place of
-    one of its ends.
-    """
+def longest_edge(simplex: Simplex) -> tuple[int, int]:
+    """The vertex-index pair (i, j), i < j, of the longest edge; ties go to the lowest pair."""
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def length2(pair):
         a, b = simplex[pair[0]], simplex[pair[1]]
         return sum((u - v) ** 2 for u, v in zip(a, b))
 
-    i, j = max(pairs, key=length2)  # max keeps the first of equal keys
+    return max(pairs, key=length2)  # max keeps the first of equal keys
+
+
+def bisect(simplex: Simplex, edge: tuple[int, int] | None = None) -> tuple[Simplex, Simplex]:
+    """Halve an edge (i, j), by default the longest.
+
+    Each child keeps the vertex order, with the edge's midpoint in place of
+    one of its ends: vertex j in the low child, vertex i in the high one,
+    as ``halve_bernstein`` expects.
+    """
+    i, j = longest_edge(simplex) if edge is None else edge
     mid = tuple((u + v) / 2 for u, v in zip(simplex[i], simplex[j]))
     low, high = list(simplex), list(simplex)
     low[j] = mid
@@ -113,19 +125,25 @@ def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     poly really is negative somewhere on that simplex, never a disproof.
     """
     p = h_polynomial() if poly is None else poly
-    stack = [(DOMAIN_VERTICES, 0)]
+    root = simplex_bernstein(p, DOMAIN_VERTICES)
+    n = sum(next(iter(root)))
+    den = lcm(*(b.denominator for b in root.values()))  # at depth d it is den * 2^(n d)
+    nums = {a: b.numerator * (den // b.denominator) for a, b in root.items()}
+    stack = [(DOMAIN_VERTICES, nums, 0)]
     leaves: list[Leaf] = []
     processed = 0
     deepest = 0
     while stack:
-        simplex, depth = stack.pop()
+        simplex, nums, depth = stack.pop()
         processed += 1
         deepest = max(deepest, depth)
-        bound = min(simplex_bernstein(p, simplex).values())
-        if bound >= 0 or depth >= max_depth:
-            leaves.append(Leaf(simplex, depth, bound))
+        least = min(nums.values())
+        if least >= 0 or depth >= max_depth:
+            leaves.append(Leaf(simplex, depth, Fraction(least, den << (n * depth))))
         else:
-            stack.extend((child, depth + 1) for child in bisect(simplex))
+            edge = longest_edge(simplex)
+            halves = zip(bisect(simplex, edge), halve_bernstein(nums, *edge))
+            stack.extend((child, half, depth + 1) for child, half in halves)
 
     leaves.sort(key=lambda leaf: leaf.vertices)
     return Certificate(

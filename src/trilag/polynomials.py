@@ -7,6 +7,12 @@ barycentric forms of ``simplex_bernstein`` k = 4.  That function writes a
 polynomial in the Bernstein-Bezier basis of a tetrahedron; the least
 coefficient is a certified lower bound for the polynomial there, and the
 coefficient at a vertex is its exact value at that vertex.
+
+``halve_bernstein`` gets the coefficients on the two halves of a
+tetrahedron bisected at an edge from the coefficients on the whole, by de
+Casteljau's algorithm at t = 1/2 on integer numerators over one
+denominator.  A subdivision search converts once, at its root, and halves
+from there; ``simplex_bernstein`` stays the independent recomputation.
 """
 
 from __future__ import annotations
@@ -129,6 +135,8 @@ def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Frac
     coefficients; with S that of p's coefficients, the sum of the terms is
     S D^n p, and each b[a] is one division.
     """
+    if p.k != 3:
+        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
     n = max((sum(m) for m in p.coeffs), default=0)
     verts = [tuple(Fraction(c) for c in v) for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
@@ -158,3 +166,41 @@ def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Frac
                     multinomial //= factorial(e)
                 coeffs[a] = Fraction(total.coeffs.get(a, 0), scale * multinomial * den**n)
     return coeffs
+
+
+def halve_bernstein(
+    nums: dict[tuple[int, ...], int], i: int, j: int
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """Bernstein numerators on the two halves of a tetrahedron bisected at edge (i, j).
+
+    nums maps every multi-index a with |a| = n to an integer numerator of
+    the coefficient b[a] over a common denominator Q.  The low half has the
+    edge's midpoint in place of vertex j, the high half in place of vertex
+    i, the other vertices kept in order.  Both returned maps are numerators
+    over Q * 2^n.
+
+    Along each line of multi-indices that differ only in a_i and a_j
+    (a_i + a_j = m), the restriction is a 1-D Bernstein polynomial of
+    degree m from vertex i to vertex j, and de Casteljau's algorithm at
+    t = 1/2 splits it: the low half takes the first entry of each row, the
+    high half the last.  Rows hold sums instead of averages, so row r is
+    2^r times its average; shifting it left by n - r bits puts every entry
+    over 2^n.
+    """
+    n = sum(next(iter(nums)))
+    low, high = {}, {}
+    for a in nums:
+        if a[j]:
+            continue
+        m = a[i]  # a starts the line a_i + a_j = m, at a_j = 0
+        line = []
+        for k in range(m + 1):
+            b = list(a)
+            b[i], b[j] = m - k, k
+            line.append(tuple(b))
+        row = [nums[b] for b in line]
+        for r in range(m + 1):
+            low[line[r]] = row[0] << (n - r)
+            high[line[m - r]] = row[-1] << (n - r)
+            row = [x + y for x, y in zip(row, row[1:])]
+    return low, high

@@ -8,6 +8,8 @@ reduce_oracle) is lagrangian_bf, itself checked against
 brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
 and the closed form, g and the majorization from the exact entrances of
 trilag.simplex, each checked against the Fraction oracles below.
+certify_oracle runs the certificate search with a fresh simplex_bernstein
+conversion on every simplex, where certify halves its parent's coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from trilag.certify import (
+    CERTIFIED,
+    DOMAIN_VERTICES,
+    INDETERMINATE,
+    Certificate,
+    Leaf,
+    bisect,
+)
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
 from trilag.reduction import MergeStep, trace_to_jsonable
 from trilag.simplex import closed_form, majorization_bound_check, trivariate_g
 
@@ -320,6 +331,43 @@ def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
     assert report["final_order"] == final_graph.n
     report["reduction_trace"] = trace_to_jsonable(trace)
     return report
+
+
+def stability_polynomial() -> Poly:
+    """h - |x - (1/2, 1/2, 0)|^2 / 144, the stability form of the certified bound."""
+    x1, x2, x3 = (Poly.variable(d) for d in range(3))
+    half = Fraction(1, 2)
+    return h_polynomial() - Fraction(1, 144) * ((x1 - half) ** 2 + (x2 - half) ** 2 + x3**2)
+
+
+def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
+    """certify by converting to Bernstein form afresh on every simplex it visits.
+
+    The same search as trilag.certify.certify (bisect's longest edge, the
+    same depth rule), with each simplex's coefficients recomputed by
+    simplex_bernstein instead of halved from its parent's.
+    """
+    p = h_polynomial() if poly is None else poly
+    stack = [(DOMAIN_VERTICES, 0)]
+    leaves: list[Leaf] = []
+    processed = 0
+    deepest = 0
+    while stack:
+        simplex, depth = stack.pop()
+        processed += 1
+        deepest = max(deepest, depth)
+        bound = min(simplex_bernstein(p, simplex).values())
+        if bound >= 0 or depth >= max_depth:
+            leaves.append(Leaf(simplex, depth, bound))
+        else:
+            stack.extend((child, depth + 1) for child in bisect(simplex))
+    leaves.sort(key=lambda leaf: leaf.vertices)
+    return Certificate(
+        result=CERTIFIED if all(leaf.bound >= 0 for leaf in leaves) else INDETERMINATE,
+        leaves=leaves,
+        simplices_processed=processed,
+        max_depth_reached=deepest,
+    )
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

@@ -1,5 +1,9 @@
+import importlib
 from fractions import Fraction
 
+import pytest
+
+from helpers import certify_oracle, stability_polynomial
 from trilag.certify import (
     CERTIFIED,
     DOMAIN_VERTICES,
@@ -10,7 +14,7 @@ from trilag.certify import (
     point_in_domain,
     simplex_volume,
 )
-from trilag.polynomials import Poly, h_polynomial
+from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
 
 HALF = Fraction(1, 2)
 
@@ -59,7 +63,7 @@ def test_stability_bound_with_sharp_constant():
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
     dist = (x1 - HALF) ** 2 + (x2 - HALF) ** 2 + x3**2
     third = Fraction(1, 3)
-    stable = h - Fraction(1, 144) * dist
+    stable = stability_polynomial()
     cert = certify(poly=stable)
     assert cert.result == CERTIFIED
     assert (cert.simplices_processed, cert.max_depth_reached, len(cert.leaves)) == (3, 1, 2)
@@ -113,3 +117,41 @@ def test_h_nonnegative_on_domain_grid():
     assert zeros == [(HALF, HALF, Fraction(0))]
     assert all(h.evaluate(*pt) >= 0 for pt in points)
 
+
+@pytest.mark.parametrize(
+    "max_depth, poly, shape",
+    [
+        (40, None, (CERTIFIED, 3)),
+        (40, stability_polynomial(), (CERTIFIED, 3)),
+        (40, Poly.constant(Fraction(3, 32)), (CERTIFIED, 1)),
+        (0, None, (INDETERMINATE, 1)),
+        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 41)),
+        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 129)),
+    ],
+    ids=["h", "stability", "constant", "depth0", "h-1/1000-depth6", "h-1/1000-depth9"],
+)
+def test_certify_matches_fresh_conversion_on_every_simplex(max_depth, poly, shape):
+    """Halving from the parent gives the certificate of converting each simplex afresh."""
+    cert = certify(max_depth=max_depth, poly=poly)
+    assert (cert.result, cert.simplices_processed) == shape
+    assert cert.to_jsonable() == certify_oracle(max_depth=max_depth, poly=poly).to_jsonable()
+
+
+def test_certify_converts_once_on_the_domain(monkeypatch):
+    calls = []
+
+    def counted(p, vertices):
+        calls.append(vertices)
+        return simplex_bernstein(p, vertices)
+
+    module = importlib.import_module("trilag.certify")  # the package binds the function to this name
+    monkeypatch.setattr(module, "simplex_bernstein", counted)
+    assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000)).simplices_processed == 41
+    assert calls == [DOMAIN_VERTICES]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_certify_refuses_a_poly_not_in_three_variables(k):
+    for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k)):
+        with pytest.raises(ValueError, match=f"3 variables, not {k}"):
+            certify(poly=poly)

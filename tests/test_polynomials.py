@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
 
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
-from trilag.certify import DOMAIN_VERTICES, certify
-from trilag.polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
+from helpers import stability_polynomial
+from trilag.certify import DOMAIN_VERTICES, bisect, certify
+from trilag.polynomials import (
+    Poly,
+    g_polynomial,
+    h_polynomial,
+    halve_bernstein,
+    simplex_bernstein,
+)
 from trilag.simplex import trivariate_g
 
 
@@ -162,3 +169,42 @@ def test_bernstein_coefficients_are_fractions():
         for _ in range(20):
             lam = rand_barycentric(rng)
             assert bernstein_value(coeffs, lam) == q.evaluate(*at(corner, lam))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_bernstein_refuses_a_poly_not_in_three_variables(k):
+    for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k), Poly(k=k)):
+        with pytest.raises(ValueError, match=f"3 variables, not {k}"):
+            simplex_bernstein(poly, DOMAIN_VERTICES)
+
+
+def rand_poly(rng, degree):
+    """Random rational coefficients on every monomial of degree <= degree, the top one nonzero."""
+    coeffs = {
+        (i, j, k): Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+        for k in range(degree + 1 - i - j)
+    }
+    coeffs[(0, 0, degree)] = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    return Poly(coeffs)
+
+
+def test_halving_matches_fresh_conversion_on_both_children():
+    """De Casteljau halves equal simplex_bernstein on bisect's two children, for every edge."""
+    rng = random.Random(18)
+    polys = [rand_poly(rng, d) for d in range(5)] + [h_polynomial(), stability_polynomial()]
+    simplices = [DOMAIN_VERTICES] + [rand_simplex(rng, den) for den in (7, 64, 360)]
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for p in polys:
+        n = max(sum(m) for m in p.coeffs)
+        for vertices in simplices:
+            coeffs = simplex_bernstein(p, vertices)
+            den = lcm(*(b.denominator for b in coeffs.values()))
+            nums = {a: int(b * den) for a, b in coeffs.items()}
+            for edge in edges:
+                halves = halve_bernstein(nums, *edge)
+                for child, half in zip(bisect(vertices, edge), halves):
+                    assert all(type(v) is int for v in half.values())
+                    got = {a: Fraction(v, den << n) for a, v in half.items()}
+                    assert got == simplex_bernstein(p, child)

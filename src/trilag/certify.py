@@ -6,10 +6,13 @@ from D, a simplex is discharged when every Bernstein-Bezier coefficient of
 h on it is >= 0; otherwise its longest edge is bisected.  The discharged
 leaves tile D, so h >= 0 on all of D.
 
-The coefficients are computed once, on D, by ``simplex_bernstein``.  Each
-half's coefficients come from its parent's by de Casteljau's algorithm at
-t = 1/2 (``halve_bernstein``), as integer numerators over one denominator
-per depth; a Fraction is made only for each leaf's bound.
+The coefficients are computed once, on D, as integer numerators over one
+denominator by the packed-key conversion behind ``simplex_bernstein``.
+Each half's coefficients come from its parent's by de Casteljau's
+algorithm at t = 1/2 (``halve_bernstein``), over one denominator per
+depth; a Fraction is made only for each leaf's bound.  The longest edge
+is chosen on the vertices' integer numerators over their common
+denominator; the vertices themselves stay Fractions.
 
 h vanishes at the vertex (1/2,1/2,0), where its coefficient is exactly 0;
 one bisection of D suffices.  Every number in the certificate is an exact
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Poly, h_polynomial, halve_bernstein, simplex_bernstein
+from .polynomials import Poly, _bernstein_numerators, h_polynomial, halve_bernstein
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -81,11 +84,17 @@ def point_in_domain(x1, x2, x3) -> bool:
 
 
 def longest_edge(simplex: Simplex) -> tuple[int, int]:
-    """The vertex-index pair (i, j), i < j, of the longest edge; ties go to the lowest pair."""
+    """The vertex-index pair (i, j), i < j, of the longest edge; ties go to the lowest pair.
+
+    Squared lengths are compared on the integer numerators of the vertices
+    over their common denominator.
+    """
+    den = lcm(*(c.denominator for v in simplex for c in v))
+    points = [[c.numerator * (den // c.denominator) for c in v] for v in simplex]
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def length2(pair):
-        a, b = simplex[pair[0]], simplex[pair[1]]
+        a, b = points[pair[0]], points[pair[1]]
         return sum((u - v) ** 2 for u, v in zip(a, b))
 
     return max(pairs, key=length2)  # max keeps the first of equal keys
@@ -125,10 +134,8 @@ def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     poly really is negative somewhere on that simplex, never a disproof.
     """
     p = h_polynomial() if poly is None else poly
-    root = simplex_bernstein(p, DOMAIN_VERTICES)
-    n = sum(next(iter(root)))
-    den = lcm(*(b.denominator for b in root.values()))  # at depth d it is den * 2^(n d)
-    nums = {a: b.numerator * (den // b.denominator) for a, b in root.items()}
+    nums, den = _bernstein_numerators(p, DOMAIN_VERTICES)  # at depth d, den * 2^(n d)
+    n = p.degree()
     stack = [(DOMAIN_VERTICES, nums, 0)]
     leaves: list[Leaf] = []
     processed = 0

@@ -2,11 +2,20 @@
 
 Everything here is rational arithmetic: no floats, no rounding modes, no
 computer algebra system.  A ``Poly`` is a sparse map from exponent tuples
-of length k to int or Fraction coefficients: g and h use k = 3, the
-barycentric forms of ``simplex_bernstein`` k = 4.  That function writes a
-polynomial in the Bernstein-Bezier basis of a tetrahedron; the least
-coefficient is a certified lower bound for the polynomial there, and the
-coefficient at a vertex is its exact value at that vertex.
+of k nonnegative ints, checked on the way in, to int or Fraction
+coefficients.  g and h use k = 3 and are expanded on integers, from 24 g
+and 96 h, with one Fraction per coefficient at the end.
+``simplex_bernstein`` writes a polynomial in the Bernstein-Bezier basis of
+a tetrahedron; the least coefficient is a certified lower bound for the
+polynomial there, and the coefficient at a vertex is its exact value at
+that vertex.
+
+There is one product loop, on packed keys: the exponent tuple m is the int
+m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
+product, so multiplying two monomials is one integer addition.  ``Poly``'s
+product packs its operands and unpacks the result; the Bernstein
+conversion keeps its four barycentric linear forms packed throughout
+(b = n + 1) and makes no Poly and no Fraction before its result.
 
 ``halve_bernstein`` gets the coefficients on the two halves of a
 tetrahedron bisected at an edge from the coefficients on the whole, by de
@@ -21,20 +30,62 @@ from fractions import Fraction
 from math import factorial, lcm
 
 
+def _key(m: tuple[int, ...], base: int) -> int:
+    """The packed key m_0 + base m_1 + base^2 m_2 + ... of an exponent tuple."""
+    key = 0
+    for e in reversed(m):
+        key = key * base + e
+    return key
+
+
+def _mul_packed(f: dict, g: dict, out: dict) -> dict:
+    """Add the product of two polynomials on packed keys to out, and return out.
+
+    Multiplying two monomials adds their keys.  The keys must share one
+    base larger than every exponent of the product, so that no sum of keys
+    carries from one exponent into the next.
+    """
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class Poly:
     """Polynomial in k variables as a sparse map exponent tuple -> int or Fraction.
 
-    k is fixed when the polynomial is built.  Integer coefficients stay
-    integers under +, - and *: every sum starts from the int 0.  Any other
-    coefficient or scalar is made a Fraction, exactly, on the way in.
+    k is fixed when the polynomial is built, and every monomial must be a
+    tuple of k nonnegative ints.  Integer coefficients stay integers under
+    +, - and *: every sum starts from the int 0.  Any other coefficient or
+    scalar is made a Fraction, exactly, on the way in.
     """
 
     __slots__ = ("coeffs", "k")
 
     def __init__(self, coeffs=None, k: int = 3) -> None:
-        terms = (coeffs or {}).items()
-        self.coeffs = {tuple(m): c if type(c) is int else Fraction(c) for m, c in terms if c != 0}
+        self.coeffs = {}
         self.k = k
+        for m, c in (coeffs or {}).items():
+            if not (
+                type(m) is tuple and len(m) == k and all(type(e) is int and e >= 0 for e in m)
+            ):
+                raise ValueError(
+                    f"monomial {m!r} is not a tuple of k = {k} nonnegative int exponents"
+                )
+            if c:
+                self.coeffs[m] = c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+    @classmethod
+    def _from_valid(cls, coeffs: dict, k: int) -> "Poly":
+        """A Poly without __init__'s checks, for monomials of valid Polys.
+
+        The coefficients must be ints or Fractions; zeros are dropped.
+        """
+        p = cls.__new__(cls)
+        p.coeffs = {m: c for m, c in coeffs.items() if c}
+        p.k = k
+        return p
 
     @staticmethod
     def constant(c, k: int = 3) -> "Poly":
@@ -43,6 +94,10 @@ class Poly:
     @staticmethod
     def variable(axis: int, k: int = 3) -> "Poly":
         return Poly({tuple(int(i == axis) for i in range(k)): 1}, k)
+
+    def degree(self) -> int:
+        """Total degree; 0 for constants and the zero polynomial."""
+        return max((sum(m) for m in self.coeffs), default=0)
 
     def _check_k(self, other: "Poly") -> None:
         if other.k != self.k:
@@ -55,25 +110,30 @@ class Poly:
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return Poly(out, self.k)
+        return Poly._from_valid(out, self.k)
 
     def __sub__(self, other) -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.coeffs.items()}, self.k)
+        return Poly._from_valid({m: -c for m, c in self.coeffs.items()}, self.k)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = other if type(other) is int else Fraction(other)
-            return Poly({m: c * other for m, c in self.coeffs.items()}, self.k)
+            return Poly._from_valid({m: c * other for m, c in self.coeffs.items()}, self.k)
         self._check_k(other)
+        base = self.degree() + other.degree() + 1  # exceeds every exponent of the product
+        f = {_key(m, base): c for m, c in self.coeffs.items()}
+        g = {_key(m, base): c for m, c in other.coeffs.items()}
         out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple([e1 + e2 for e1, e2 in zip(m1, m2)])
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(out, self.k)
+        for key, c in _mul_packed(f, g, {}).items():
+            m = []
+            for _ in range(self.k):
+                key, e = divmod(key, base)
+                m.append(e)
+            out[tuple(m)] = c
+        return Poly._from_valid(out, self.k)
 
     __rmul__ = __mul__
 
@@ -104,18 +164,89 @@ class Poly:
         return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
 
 
+def _from_q(cubes: int, square: int, const: int, den: int) -> Poly:
+    """(cubes (x1^3 + x2^3 + x3^3) + square q^2 + const) / den, expanded on integers.
+
+    q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3 is the bracket of g; one
+    Fraction is made per coefficient, at the end.
+    """
+    q = Poly(
+        {(0, 0, 0): 1, (2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 1, 1): 1}
+    )
+    rest = Poly({(3, 0, 0): cubes, (0, 3, 0): cubes, (0, 0, 3): cubes, (0, 0, 0): const})
+    form = square * (q * q) + rest
+    return Poly._from_valid({m: Fraction(c, den) for m, c in form.coeffs.items()}, 3)
+
+
 def g_polynomial() -> Poly:
-    """The trivariate domination function g, expanded exactly."""
-    x1, x2, x3 = (Poly.variable(d) for d in range(3))
-    one = Poly.constant(1)
-    cubic = one - x1**3 - x2**3 - x3**3
-    inner = one - x1**2 - x2**2 - x3 * (one - x1 - x2)
-    return Fraction(1, 6) * cubic - Fraction(1, 8) * (inner * inner)
+    """The trivariate domination function g = (1 - sum x^3)/6 - q^2/8, expanded exactly.
+
+    Built from 24 g = 4 - 4 (x1^3 + x2^3 + x3^3) - 3 q^2.
+    """
+    return _from_q(-4, -3, 4, 24)
 
 
 def h_polynomial() -> Poly:
-    """h = 3/32 - g; nonnegativity of h on D is the certified claim."""
-    return Poly.constant(Fraction(3, 32)) - g_polynomial()
+    """h = 3/32 - g; nonnegativity of h on D is the certified claim.
+
+    Built from 96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7.
+    """
+    return _from_q(16, 12, -7, 96)
+
+
+def _bernstein_numerators(p: Poly, vertices) -> tuple[dict[tuple[int, int, int, int], int], int]:
+    """Integer numerators of simplex_bernstein(p, vertices) over one common denominator.
+
+    The conversion of ``simplex_bernstein`` on packed keys: the monomial
+    l^a of the barycentric coordinates is the int
+    a_0 + b a_1 + b^2 a_2 + b^3 a_3 with b = n + 1.  Every exponent stays
+    <= n, so no key aliases another.  Returns the numerators keyed by
+    multi-index, in simplex_bernstein's order (a_0, then a_1, then a_2
+    ascending), and the denominator S D^n n! (S and D as there); the two
+    need not be coprime.
+    """
+    if p.k != 3:
+        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
+    n = p.degree()
+    b = n + 1
+    unit = tuple(b**i for i in range(4))  # unit[i] is the key of l_i
+    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    den = lcm(*(c.denominator for v in verts for c in v))
+    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    forms = [  # D x1, D x2 and D x3 in l, then D
+        {u: v[x].numerator * (den // v[x].denominator) for u, v in zip(unit, verts) if v[x]}
+        for x in range(3)
+    ]
+    forms.append(dict.fromkeys(unit, den))
+    powers = []  # powers[axis][e] is the e-th power of forms[axis]
+    for form in forms:
+        row = [{0: 1}]
+        for _ in range(n):
+            row.append(_mul_packed(row[-1], form, {}))
+        powers.append(row)
+
+    # total = S D^n p, summed over p's terms grouped by (i, j): each group is
+    # (D x1)^i (D x2)^j times the sum of its S c (D x3)^k D^(n - i - j - k)
+    by_ij = {}
+    for (i, j, k), c in p.coeffs.items():
+        by_ij.setdefault((i, j), []).append((k, c.numerator * (scale // c.denominator)))
+    total = {}
+    for (i, j), terms in by_ij.items():
+        tail = {}
+        for k, c in terms:
+            scaled = {m: c * t for m, t in powers[3][n - i - j - k].items()}
+            _mul_packed(powers[2][k], scaled, tail)
+        _mul_packed(_mul_packed(powers[0][i], powers[1][j], {}), tail, total)
+
+    fact = [factorial(e) for e in range(n + 1)]
+    nums = {}
+    for a0 in range(n + 1):
+        for a1 in range(n + 1 - a0):
+            for a2 in range(n + 1 - a0 - a1):
+                a3 = n - a0 - a1 - a2
+                a = (a0, a1, a2, a3)
+                nums[a] = total.get(_key(a, b), 0) * fact[a0] * fact[a1] * fact[a2] * fact[a3]
+    return nums, scale * den**n * fact[n]
 
 
 def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fraction]:
@@ -133,39 +264,11 @@ def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Frac
     The forms are built on integers.  With D the vertices' common
     denominator, D x1, D x2, D x3 and D are linear in l with integer
     coefficients; with S that of p's coefficients, the sum of the terms is
-    S D^n p, and each b[a] is one division.
+    S D^n p, and each b[a] is its coefficient of l^a times a_0! a_1! a_2! a_3!
+    over S D^n n!, one Fraction per multi-index.
     """
-    if p.k != 3:
-        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
-    n = max((sum(m) for m in p.coeffs), default=0)
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
-    den = lcm(*(c.denominator for v in verts for c in v))
-    scale = lcm(*(c.denominator for c in p.coeffs.values()))
-    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]  # the monomial l_i
-    linear = [Poly({u: int(v[axis] * den) for u, v in zip(unit, verts)}, 4) for axis in range(3)]
-    linear.append(Poly({u: den for u in unit}, 4))
-    powers = []  # powers[axis][e] is the e-th power of linear[axis]
-    for form in linear:
-        row = [Poly.constant(1, 4)]
-        for _ in range(n):
-            row.append(row[-1] * form)
-        powers.append(row)
-
-    total = Poly.constant(0, 4)
-    for (i, j, k), c in p.coeffs.items():
-        term = powers[0][i] * powers[1][j] * powers[2][k] * powers[3][n - i - j - k]
-        total = total + int(c * scale) * term
-
-    coeffs = {}
-    for a0 in range(n + 1):
-        for a1 in range(n + 1 - a0):
-            for a2 in range(n + 1 - a0 - a1):
-                a = (a0, a1, a2, n - a0 - a1 - a2)
-                multinomial = factorial(n)
-                for e in a:
-                    multinomial //= factorial(e)
-                coeffs[a] = Fraction(total.coeffs.get(a, 0), scale * multinomial * den**n)
-    return coeffs
+    nums, den = _bernstein_numerators(p, vertices)
+    return {a: Fraction(c, den) for a, c in nums.items()}
 
 
 def halve_bernstein(

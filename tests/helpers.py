@@ -9,13 +9,18 @@ brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
 and the closed form, g and the majorization from the exact entrances of
 trilag.simplex, each checked against the Fraction oracles below.
 certify_oracle runs the certificate search with a fresh simplex_bernstein
-conversion on every simplex, where certify halves its parent's coefficients.
+conversion on every simplex, where certify halves its parent's coefficients,
+and picks each edge with longest_edge_oracle in Fractions.
+bernstein_oracle is the conversion built from Poly products of barycentric
+forms, with tuple keys; simplex_bernstein runs it on packed int keys.
+g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, lcm
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from trilag.certify import (
     INDETERMINATE,
     Certificate,
     Leaf,
+    Simplex,
     bisect,
 )
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
@@ -340,12 +346,81 @@ def stability_polynomial() -> Poly:
     return h_polynomial() - Fraction(1, 144) * ((x1 - half) ** 2 + (x2 - half) ** 2 + x3**2)
 
 
+def g_polynomial_oracle() -> Poly:
+    """The paper's g, (1/6)(1 - x1^3 - x2^3 - x3^3) - (1/8)(1 - x1^2 - x2^2 - x3 (1 - x1 - x2))^2.
+
+    Expanded with Fraction-coefficient Polys, as the library did before it
+    built g on integers.
+    """
+    x1, x2, x3 = (Poly.variable(d) for d in range(3))
+    one = Poly.constant(1)
+    cubic = one - x1**3 - x2**3 - x3**3
+    inner = one - x1**2 - x2**2 - x3 * (one - x1 - x2)
+    return Fraction(1, 6) * cubic - Fraction(1, 8) * (inner * inner)
+
+
+def bernstein_oracle(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fraction]:
+    """simplex_bernstein from Poly products of the barycentric forms, with tuple keys.
+
+    D x1, D x2, D x3 and D (D the vertices' common denominator) are Polys
+    linear in l over k = 4; with S the common denominator of p's
+    coefficients, the sum of the terms is S D^n p, and each b[a] is its
+    coefficient of l^a over S D^n times the multinomial n!/a!.
+    """
+    if p.k != 3:
+        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
+    n = max((sum(m) for m in p.coeffs), default=0)
+    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    den = lcm(*(c.denominator for v in verts for c in v))
+    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]  # the monomial l_i
+    linear = [Poly({u: int(v[axis] * den) for u, v in zip(unit, verts)}, 4) for axis in range(3)]
+    linear.append(Poly({u: den for u in unit}, 4))
+    powers = []  # powers[axis][e] is the e-th power of linear[axis]
+    for form in linear:
+        row = [Poly.constant(1, 4)]
+        for _ in range(n):
+            row.append(row[-1] * form)
+        powers.append(row)
+
+    total = Poly.constant(0, 4)
+    for (i, j, k), c in p.coeffs.items():
+        term = powers[0][i] * powers[1][j] * powers[2][k] * powers[3][n - i - j - k]
+        total = total + int(c * scale) * term
+
+    coeffs = {}
+    for a0 in range(n + 1):
+        for a1 in range(n + 1 - a0):
+            for a2 in range(n + 1 - a0 - a1):
+                a = (a0, a1, a2, n - a0 - a1 - a2)
+                multinomial = factorial(n)
+                for e in a:
+                    multinomial //= factorial(e)
+                coeffs[a] = Fraction(total.coeffs.get(a, 0), scale * multinomial * den**n)
+    return coeffs
+
+
+def longest_edge_oracle(simplex: Simplex) -> tuple[int, int]:
+    """The longest edge (i, j), i < j, from squared lengths in Fractions.
+
+    Ties go to the lowest pair.
+    """
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def length2(pair):
+        a, b = simplex[pair[0]], simplex[pair[1]]
+        return sum((u - v) ** 2 for u, v in zip(a, b))
+
+    return max(pairs, key=length2)  # max keeps the first of equal keys
+
+
 def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     """certify by converting to Bernstein form afresh on every simplex it visits.
 
-    The same search as trilag.certify.certify (bisect's longest edge, the
-    same depth rule), with each simplex's coefficients recomputed by
-    simplex_bernstein instead of halved from its parent's.
+    The same search as trilag.certify.certify (the longest edge, the same
+    depth rule), with each simplex's coefficients recomputed by
+    simplex_bernstein instead of halved from its parent's, and the edge
+    chosen by longest_edge_oracle on the Fraction vertices.
     """
     p = h_polynomial() if poly is None else poly
     stack = [(DOMAIN_VERTICES, 0)]
@@ -360,7 +435,8 @@ def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> Certificate
         if bound >= 0 or depth >= max_depth:
             leaves.append(Leaf(simplex, depth, bound))
         else:
-            stack.extend((child, depth + 1) for child in bisect(simplex))
+            children = bisect(simplex, longest_edge_oracle(simplex))
+            stack.extend((child, depth + 1) for child in children)
     leaves.sort(key=lambda leaf: leaf.vertices)
     return Certificate(
         result=CERTIFIED if all(leaf.bound >= 0 for leaf in leaves) else INDETERMINATE,

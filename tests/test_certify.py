@@ -1,9 +1,10 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import certify_oracle, stability_polynomial
+from helpers import certify_oracle, longest_edge_oracle, stability_polynomial
 from trilag.certify import (
     CERTIFIED,
     DOMAIN_VERTICES,
@@ -11,10 +12,11 @@ from trilag.certify import (
     bisect,
     certify,
     leaf_volume_total,
+    longest_edge,
     point_in_domain,
     simplex_volume,
 )
-from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
+from trilag.polynomials import Poly, _bernstein_numerators, h_polynomial
 
 HALF = Fraction(1, 2)
 
@@ -39,6 +41,20 @@ def test_cell_split_longest_edge():
     )
     low, _ = bisect(cube_corner)
     assert low[2] == (HALF, HALF, Fraction(0))
+
+
+def test_longest_edge_matches_the_fraction_oracle():
+    """Integer squared lengths pick the edge of the Fraction ones, ties included."""
+    rng = random.Random(19)
+    deep = certify(8, h_polynomial() - Fraction(1, 1000))
+    simplices = [DOMAIN_VERTICES] + [leaf.vertices for leaf in deep.leaves]
+    for den in (1, 2, 3, 7, 64, 360):  # small denominators make many ties
+        for _ in range(200):
+            coords = [Fraction(rng.randint(-den, den), den) for _ in range(12)]
+            simplices.append(tuple(tuple(coords[3 * i : 3 * i + 3]) for i in range(4)))
+    picks = [longest_edge(s) for s in simplices]
+    assert picks == [longest_edge_oracle(s) for s in simplices]
+    assert len(set(picks)) == 6
 
 
 def test_constant_poly_certifies_at_depth_zero():
@@ -142,10 +158,10 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
 
     def counted(p, vertices):
         calls.append(vertices)
-        return simplex_bernstein(p, vertices)
+        return _bernstein_numerators(p, vertices)
 
     module = importlib.import_module("trilag.certify")  # the package binds the function to this name
-    monkeypatch.setattr(module, "simplex_bernstein", counted)
+    monkeypatch.setattr(module, "_bernstein_numerators", counted)
     assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000)).simplices_processed == 41
     assert calls == [DOMAIN_VERTICES]
 
@@ -155,3 +171,9 @@ def test_certify_refuses_a_poly_not_in_three_variables(k):
     for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k)):
         with pytest.raises(ValueError, match=f"3 variables, not {k}"):
             certify(poly=poly)
+
+
+def test_certify_refuses_a_malformed_monomial():
+    for monomial in ((-1, 0, 0), (1, 0), (1, 0, 0, 0), (0.5, 0, 0)):
+        with pytest.raises(ValueError, match="nonnegative int exponents"):
+            certify(poly=Poly({monomial: 1}))

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 from math import factorial, lcm
 
 import pytest
 
-from helpers import stability_polynomial
+from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
 from trilag.certify import DOMAIN_VERTICES, bisect, certify
 from trilag.polynomials import (
     Poly,
@@ -41,6 +42,35 @@ def test_g_poly_matches_direct_expression():
         hits += 1
 
 
+def test_g_and_h_expand_the_papers_formula():
+    """g and h, built on integers from 24 g and 96 h, equal g's formula in Fraction Polys."""
+    g, h = g_polynomial(), h_polynomial()
+    assert g == g_polynomial_oracle()
+    assert h == Poly.constant(Fraction(3, 32)) - g
+    assert all(type(c) is Fraction for p in (g, h) for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "monomial, k",
+    [
+        ((-1, 0, 0), 3),
+        ((1, 0), 3),
+        ((1, 0, 0, 0), 3),
+        ((0.5, 0, 0), 3),
+        ((1, 0, 0), 4),
+        ((0, -2, 0, 1), 4),
+    ],
+)
+def test_poly_refuses_a_malformed_monomial(monomial, k):
+    message = re.escape(f"monomial {monomial!r} is not a tuple of k = {k} nonnegative int")
+    with pytest.raises(ValueError, match=message):
+        Poly({monomial: 1}, k)
+    with pytest.raises(ValueError, match=message):
+        Poly({(0,) * k: 1, monomial: 0}, k)  # a zero coefficient does not excuse it
+    with pytest.raises(ValueError, match=message):
+        simplex_bernstein(Poly({monomial: 1}, k), DOMAIN_VERTICES)
+
+
 def test_poly_arithmetic():
     x1 = Poly.variable(0)
     x2 = Poly.variable(1)
@@ -72,6 +102,16 @@ def test_poly_arithmetic():
 def rand_simplex(rng, den=64):
     while True:
         verts = tuple(tuple(rand_rational(rng, den) for _ in range(3)) for _ in range(4))
+        if len(set(verts)) == 4:
+            return verts
+
+
+def signed_simplex(rng, den):
+    """Four distinct vertices with coordinates in [-1, 1] over den."""
+    while True:
+        verts = tuple(
+            tuple(Fraction(rng.randint(-den, den), den) for _ in range(3)) for _ in range(4)
+        )
         if len(set(verts)) == 4:
             return verts
 
@@ -208,3 +248,21 @@ def test_halving_matches_fresh_conversion_on_both_children():
                     assert all(type(v) is int for v in half.values())
                     got = {a: Fraction(v, den << n) for a, v in half.items()}
                     assert got == simplex_bernstein(p, child)
+
+
+def test_bernstein_equals_the_poly_product_oracle():
+    """The packed-key conversion equals the one of Poly products: values, types and key order."""
+    rng = random.Random(19)
+    polys = [rand_poly(rng, d) for d in range(9)] + [
+        Poly.variable(0) ** 9,
+        Poly(),
+        Poly.constant(Fraction(-5, 7)),
+        h_polynomial(),
+        stability_polynomial(),
+    ]
+    simplices = [DOMAIN_VERTICES] + [signed_simplex(rng, den) for den in (7, 64, 360)]
+    for p in polys:
+        for vertices in simplices:
+            got = simplex_bernstein(p, vertices)
+            assert list(got.items()) == list(bernstein_oracle(p, vertices).items())
+            assert all(type(b) is Fraction for b in got.values())

@@ -45,11 +45,7 @@ __version__ = "0.1.0"
 
 # name -> the numpy-backed module that defines it, imported on first use
 _LAZY = {
-    **dict.fromkeys(
-        ("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex",
-         "trivariate_g", "majorization_bound_check"),
-        "simplex",
-    ),
+    **dict.fromkeys(("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex"), "simplex"),
     **dict.fromkeys(("enumerate_orientations", "validate_fdf_family"), "harness"),
 }
 

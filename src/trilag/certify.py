@@ -4,7 +4,8 @@ The domain D = {x1 >= x2 >= x3 >= 0, x1 + x2 + x3 <= 1} is the tetrahedron
 with vertices (0,0,0), (1,0,0), (1/2,1/2,0) and (1/3,1/3,1/3).  Starting
 from D, a simplex is discharged when every Bernstein-Bezier coefficient of
 h on it is >= 0; otherwise its longest edge is bisected.  The discharged
-leaves tile D, so h >= 0 on all of D.
+leaves tile D, so h >= 0 on all of D.  A run processes at most
+MAX_SIMPLICES simplices.
 
 The coefficients are computed once, on D, as integer numerators over one
 denominator by the packed-key conversion behind ``simplex_bernstein``.
@@ -45,6 +46,9 @@ DOMAIN_VERTICES: Simplex = (
     (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
     (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
 )
+
+# simplices one certify run may process; past it every simplex is a leaf
+MAX_SIMPLICES = 2**16
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,14 @@ def longest_edge(simplex: Simplex) -> tuple[int, int]:
     return max(pairs, key=length2)  # max keeps the first of equal keys
 
 
-def bisect(simplex: Simplex, edge: tuple[int, int] | None = None) -> tuple[Simplex, Simplex]:
-    """Halve an edge (i, j), by default the longest.
+def bisect(simplex: Simplex, edge: tuple[int, int]) -> tuple[Simplex, Simplex]:
+    """Halve the edge (i, j).
 
     Each child keeps the vertex order, with the edge's midpoint in place of
     one of its ends: vertex j in the low child, vertex i in the high one,
     as ``halve_bernstein`` expects.
     """
-    i, j = longest_edge(simplex) if edge is None else edge
+    i, j = edge
     mid = tuple((u + v) / 2 for u, v in zip(simplex[i], simplex[j]))
     low, high = list(simplex), list(simplex)
     low[j] = mid
@@ -129,9 +133,12 @@ def simplex_volume(simplex: Simplex) -> Fraction:
 def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     """Certify poly >= 0 (default: h) on D by simplex Bernstein subdivision.
 
-    The leaves tile D exactly.  The result is INDETERMINATE when a simplex
-    at max_depth still has a negative coefficient: insufficient depth, or
-    poly really is negative somewhere on that simplex, never a disproof.
+    The leaves tile D exactly.  Once MAX_SIMPLICES simplices have been
+    processed, the ones still on the stack (at most about max_depth of
+    them) become leaves unsplit.  The result is INDETERMINATE when a leaf
+    still has a negative coefficient, at max_depth or past the cap:
+    insufficient work, or poly really is negative somewhere on that
+    simplex, never a disproof.
     """
     p = h_polynomial() if poly is None else poly
     nums, den = _bernstein_numerators(p, DOMAIN_VERTICES)  # at depth d, den * 2^(n d)
@@ -145,7 +152,7 @@ def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
         processed += 1
         deepest = max(deepest, depth)
         least = min(nums.values())
-        if least >= 0 or depth >= max_depth:
+        if least >= 0 or depth >= max_depth or processed >= MAX_SIMPLICES:
             leaves.append(Leaf(simplex, depth, Fraction(least, den << (n * depth))))
         else:
             edge = longest_edge(simplex)

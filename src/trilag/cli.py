@@ -35,7 +35,7 @@ EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 
 
-def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
+def _emit(payload, args, text_lines, csv_rows=None) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -45,7 +45,7 @@ def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
             writer.writerow(row)
         rendered = buf.getvalue()
     else:
-        rendered = "\n".join(text_lines or [json.dumps(payload)]) + "\n"
+        rendered = "\n".join(text_lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

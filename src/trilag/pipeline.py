@@ -8,9 +8,9 @@ integers: with d the common denominator of the weights and p = d x their
 numerators, _closed_form_numerator and _g_numerator give 24 d^4 times the
 closed form and the trivariate g, _majorized is the square-sum
 majorization and _check_numerators tests that p / d is on the simplex.
-The cores do not validate their input; the exact entrances of
-trilag.simplex (closed_form, trivariate_g, majorization_bound_check)
-check it and call these same functions, so each formula exists once.
+The cores do not validate their input.  pipeline_report checks the final
+numerators with _check_numerators; the optimizer in trilag.simplex takes
+(d, p) from a WeightVector, which validates them.
 
 Everything here is int and Fraction arithmetic; this module, like the
 modules it imports, loads no numpy.

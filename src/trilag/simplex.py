@@ -25,27 +25,10 @@ gives -1/2 and 1/2; at t = 8 the split factor reaches -1 and the ascent
 no longer converges.  The stopping residual is the gradient-mapping norm
 |P(x + t grad) - x| / t at t = STEP.
 
-The trivariate bound function
-
-    g(x1,x2,x3) = (1/6)(1 - x1^3 - x2^3 - x3^3)
-                - (1/8)(1 - x1^2 - x2^2 - x3(1 - x1 - x2))^2
-
-dominates f at any sorted simplex point (majorization of the square sum),
-reducing the global bound to positivity of 3/32 - g on
-D = {x1 >= x2 >= x3 >= 0, x1+x2+x3 <= 1}, which the certifier module
-establishes.  g is evaluated in exact arithmetic only.
-
-Exact input is evaluated on integers: with d the least common denominator
-of the coordinates and p = d x their integer numerators, g and the exact
-closed form sum and compare ints over the one denominator d and build one
-Fraction each from two ints at the end.  Each exact function is a
-validating entrance around one unchecked integer core on (d, p):
-_closed_form_numerator and _g_numerator give 24 d^4 times the closed form
-and g, and _majorized is the majorization test.  The cores live in
-trilag.pipeline, which calls them directly on the merge chain's
-numerators and imports no numpy; this module imports numpy for the
-optimizer, and the package loads it only when one of its names is first
-used.
+The exact value at the rounded argmax comes from the integer core
+_closed_form_numerator of trilag.pipeline, on the (d, p) of a
+WeightVector.  This module imports numpy for the optimizer, and the
+package loads it only when one of its names is first used.
 """
 
 from __future__ import annotations
@@ -56,7 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pipeline import _check_numerators, _closed_form_numerator, _g_numerator, _majorized
+from .lagrangian import WeightVector
+from .pipeline import _closed_form_numerator
 
 FLOAT_SIMPLEX_TOL = 1e-9
 # restarts whose objectives differ by less than this are tied: rounding puts
@@ -64,49 +48,18 @@ FLOAT_SIMPLEX_TOL = 1e-9
 RANK_TOL = 1e-15
 
 
-def _numerators(x) -> tuple[int, list[int]]:
-    """(d, p): d the least common denominator of exact x, p = d x as ints."""
-    ratios = [v.as_integer_ratio() for v in x]
-    d = math.lcm(*(q for _, q in ratios))
-    return d, [a * (d // q) for a, q in ratios]
+def closed_form(x):
+    """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex, in floats.
 
-
-def _simplex_numerators(x) -> tuple[int, list[int]]:
-    """_numerators of exact x, checked by _check_numerators."""
-    d, p = _numerators(x)
-    _check_numerators(d, p)
-    return d, p
-
-
-def _check_simplex(x):
-    """(d, p) of exact x (see _numerators), None for float x.
-
-    Raises on constraint violation either way; float input is checked row
-    by row along its last axis.
+    Reduced along the last axis: a vector gives a float, a (rows x n) array
+    one value per row.  Raises ValueError when any row is off the simplex
+    by more than FLOAT_SIMPLEX_TOL.
     """
-    if all(isinstance(v, (Fraction, int)) for v in x):
-        return _simplex_numerators(x)
     arr = np.asarray(x, dtype=float)
     if (arr < -FLOAT_SIMPLEX_TOL).any():
         raise ValueError("negative coordinate")
     if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
         raise ValueError("coordinates must sum to 1")
-    return None
-
-
-def closed_form(x):
-    """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex.
-
-    Exact input (Fractions/ints) gives an exact Fraction: with p = d x,
-    _closed_form_numerator(d, p) / (24 d^4).  Float input is
-    reduced along its last axis: a vector gives a float, a (rows x n) array
-    one value per row.
-    """
-    exact = _check_simplex(x)
-    if exact is not None:
-        d, p = exact
-        return Fraction(_closed_form_numerator(d, p), 24 * d**4)
-    arr = np.asarray(x, dtype=float)
     s2 = (arr * arr).sum(axis=-1)
     s3 = (arr**3).sum(axis=-1)
     return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0
@@ -244,9 +197,10 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
     x, fx, residual, converged, iterations = ascend(starts, tol)
     best = min(np.flatnonzero(fx >= fx.max() - RANK_TOL), key=lambda i: tuple(x[i]))
     exact_point = round_point_exact(x[best])
+    w = WeightVector(exact_point)
     return OptResult(
         n=n,
-        value=closed_form(exact_point),
+        value=Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4),
         point=tuple(float(v) for v in x[best]),
         exact_point=exact_point,
         float_value=float(fx[best]),
@@ -257,35 +211,3 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
         iterations=iterations,
         restarts_converged=int(converged.sum()),
     )
-
-
-def trivariate_g(x1, x2, x3) -> Fraction:
-    """The trivariate domination function g on D = {x1>=x2>=x3>=0, sum<=1}.
-
-    Exact: inputs must be Fractions or ints; raises ValueError otherwise
-    and outside D.  With p = d x, g = _g_numerator(d, p1, p2, p3) / (24 d^4).
-    """
-    if not all(isinstance(v, (Fraction, int)) for v in (x1, x2, x3)):
-        raise ValueError("trivariate_g takes rationals (Fraction or int)")
-    d, (p1, p2, p3) = _numerators((x1, x2, x3))
-    if not (p1 >= p2 >= p3 >= 0 and p1 + p2 + p3 <= d):
-        x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
-        raise ValueError(f"({x1},{x2},{x3}) outside the sorted domain D")
-    return Fraction(_g_numerator(d, p1, p2, p3), 24 * d**4)
-
-
-def majorization_bound_check(w) -> bool:
-    """For sorted-descending exact weights, verify the square-sum majorization.
-
-    Checks sum x^2 <= x1^2 + x2^2 + x3(1 - x1 - x2) exactly, on the
-    numerators p = d x (see _majorized); with it, closed_form(w) <=
-    g(x1,x2,x3) follows, which the pipeline checks on its own values.
-    Raises on unsorted input.
-    """
-    w = list(w)
-    if len(w) < 3:
-        raise ValueError("need at least 3 coordinates (pad with zeros)")
-    d, p = _simplex_numerators(w)
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError("weights must be sorted descending")
-    return _majorized(d, p)

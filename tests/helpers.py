@@ -6,8 +6,8 @@ against a second, independently written path.  The one library call of
 the merge oracles (neighbor_sums, merge, merge_identity_sides and
 reduce_oracle) is lagrangian_bf, itself checked against
 brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
-and the closed form, g and the majorization from the exact entrances of
-trilag.simplex, each checked against the Fraction oracles below.
+and the closed form, g and the majorization from the Fraction oracles
+below, not from the integer cores of trilag.pipeline that they check.
 certify_oracle runs the certificate search with a fresh simplex_bernstein
 conversion on every simplex, where certify halves its parent's coefficients,
 and picks each edge with longest_edge_oracle in Fractions.
@@ -37,7 +37,6 @@ from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
 from trilag.reduction import MergeStep, trace_to_jsonable
-from trilag.simplex import closed_form, majorization_bound_check, trivariate_g
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -298,20 +297,20 @@ def majorization_oracle(w) -> bool:
 def pipeline_tail_oracle(lcf, lbf, lfinal, final_weights) -> dict:
     """The pipeline report without its trace, from the chain's values in Fractions.
 
-    The closed form, g and the majorization come from the library's exact
-    closed_form, trivariate_g and majorization_bound_check on the final
-    weights, each link is a Fraction comparison, and h is 3/32 - g.
+    The closed form, g and the majorization come from closed_form_oracle,
+    trivariate_g_oracle and majorization_oracle on the final weights, each
+    link is a Fraction comparison, and h is 3/32 - g.
     """
-    closed = closed_form(list(final_weights))
+    closed = closed_form_oracle(final_weights)
     wsorted = sorted(final_weights, reverse=True) + [Fraction(0)] * (3 - len(final_weights))
     x1, x2, x3 = wsorted[:3]
-    gval = trivariate_g(x1, x2, x3)
+    gval = trivariate_g_oracle(x1, x2, x3)
     hval = Fraction(3, 32) - gval
     links = [
         ("lcf_le_lbf", lcf <= lbf),
         ("lbf_le_final", lbf <= lfinal),
         ("final_eq_closed_form", lfinal == closed),
-        ("closed_form_le_trivariate", majorization_bound_check(wsorted) and closed <= gval),
+        ("closed_form_le_trivariate", majorization_oracle(wsorted) and closed <= gval),
         ("trivariate_le_3_32", hval >= 0),
     ]
     return {

@@ -14,10 +14,10 @@ from trilag.certify import CERTIFIED, certify, leaf_volume_total
 from trilag.graphs import UndirectedGraph, build_cf, complete_graph, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
-from trilag.pipeline import pipeline_report
+from trilag.pipeline import _closed_form_numerator, _g_numerator, pipeline_report
 from trilag.polynomials import h_polynomial, simplex_bernstein
 from trilag.reduction import reduce_to_complete
-from trilag.simplex import closed_form, gradient, maximize, trivariate_g
+from trilag.simplex import gradient, maximize
 
 from helpers import merge_identity_sides, non_edges, rand_graph, rand_orientation, rand_weights
 
@@ -34,8 +34,9 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_extremal_value():
-    cf = closed_form([HALF, HALF])
-    k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), WeightVector([HALF, HALF])).value
+    w = WeightVector([HALF, HALF])
+    cf = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
+    k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), w).value
     _report(
         "criterion 1 (extremal value attained)",
         cf == BOUND and k2 == BOUND,
@@ -173,7 +174,9 @@ def test_criterion_6_certifier():
         x1, x2, x3 = vals
         if x1 + x2 + x3 > 1:
             continue
-        if h.evaluate(x1, x2, x3) != BOUND - trivariate_g(x1, x2, x3):
+        w = WeightVector([x1, x2, x3, 1 - x1 - x2 - x3])
+        g = Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
+        if h.evaluate(x1, x2, x3) != BOUND - g:
             break
         agree += 1
 

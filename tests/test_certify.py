@@ -30,7 +30,7 @@ def test_point_domain_checks():
 
 def test_cell_split_longest_edge():
     # D's longest edge joins (0,0,0) and (1,0,0)
-    low, high = bisect(DOMAIN_VERTICES)
+    low, high = bisect(DOMAIN_VERTICES, longest_edge(DOMAIN_VERTICES))
     mid = (HALF, Fraction(0), Fraction(0))
     assert low == (DOMAIN_VERTICES[0], mid) + DOMAIN_VERTICES[2:]
     assert high == (mid,) + DOMAIN_VERTICES[1:]
@@ -39,7 +39,7 @@ def test_cell_split_longest_edge():
     cube_corner = tuple(
         tuple(Fraction(c) for c in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
-    low, _ = bisect(cube_corner)
+    low, _ = bisect(cube_corner, longest_edge(cube_corner))
     assert low[2] == (HALF, HALF, Fraction(0))
 
 
@@ -93,6 +93,18 @@ def test_insufficient_depth_is_indeterminate():
     assert len(cert.leaves) == 1
     assert cert.leaves[0].vertices == DOMAIN_VERTICES
     assert cert.leaves[0].bound == Fraction(-1, 32)
+
+
+def test_simplex_cap_ends_a_run_that_cannot_certify(monkeypatch):
+    """h - 1/1000 is negative on a set of positive volume, so without the cap
+    depth 40 means about 2^40 simplices.  Past the cap the simplices left on
+    the stack, at most one per depth, become leaves: they still tile D."""
+    cap = 100
+    monkeypatch.setattr(importlib.import_module("trilag.certify"), "MAX_SIMPLICES", cap)
+    cert = certify(40, h_polynomial() - Fraction(1, 1000))
+    assert cert.result == INDETERMINATE
+    assert cap <= cert.simplices_processed <= cap + 41
+    assert leaf_volume_total(cert) == Fraction(1, 36)
 
 
 def test_certificate_tiling_and_coverage():

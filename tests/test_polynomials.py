@@ -8,6 +8,8 @@ import pytest
 
 from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
 from trilag.certify import DOMAIN_VERTICES, bisect, certify
+from trilag.lagrangian import WeightVector
+from trilag.pipeline import _g_numerator
 from trilag.polynomials import (
     Poly,
     g_polynomial,
@@ -15,7 +17,6 @@ from trilag.polynomials import (
     halve_bernstein,
     simplex_bernstein,
 )
-from trilag.simplex import trivariate_g
 
 
 def rand_rational(rng, den=64):
@@ -38,7 +39,9 @@ def test_g_poly_matches_direct_expression():
         x = sorted((rand_rational(rng) for _ in range(3)), reverse=True)
         if sum(x) > 1:
             continue
-        assert g.evaluate(*x) == trivariate_g(*x)
+        w = WeightVector([*x, 1 - sum(x)])  # g's core takes the numerators over d
+        d = w.denominator
+        assert g.evaluate(*x) == Fraction(_g_numerator(d, *w.numerators[:3]), 24 * d**4)
         hits += 1
 
 

@@ -7,15 +7,14 @@ import pytest
 from trilag import simplex
 from trilag.graphs import complete_graph
 from trilag.lagrangian import WeightVector, lagrangian_bf
+from trilag.pipeline import _closed_form_numerator, _g_numerator, _majorized
 from trilag.simplex import (
     ascend,
     closed_form,
     gradient,
-    majorization_bound_check,
     maximize,
     project_to_simplex,
     round_point_exact,
-    trivariate_g,
 )
 
 from trilag.fileio import parse_weights_text
@@ -31,15 +30,34 @@ from helpers import (
 HALF = Fraction(1, 2)
 
 
+def exact_closed_form(w) -> Fraction:
+    """The closed form from its integer core, on the (d, p) of a WeightVector."""
+    w = WeightVector(w)
+    return Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
+
+
+def exact_g(x1, x2, x3) -> Fraction:
+    """g from its integer core; the point is completed to the simplex by 1 - x1 - x2 - x3."""
+    w = WeightVector([x1, x2, x3, 1 - x1 - x2 - x3])
+    return Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
+
+
+def majorized(w) -> bool:
+    """The majorization core on the (d, p) of sorted-descending w."""
+    w = WeightVector(w)
+    return _majorized(w.denominator, w.numerators)
+
+
 def test_closed_form_values():
-    assert closed_form([HALF, HALF]) == Fraction(3, 32)
-    assert closed_form([Fraction(1)]) == 0
-    assert closed_form([Fraction(1, 3)] * 3) == Fraction(5, 54)
+    assert exact_closed_form([HALF, HALF]) == Fraction(3, 32)
+    assert exact_closed_form([Fraction(1)]) == 0
+    assert exact_closed_form([Fraction(1, 3)] * 3) == Fraction(5, 54)
 
 
 def test_closed_form_exact_and_float():
+    """Exact input is evaluated in floats too: only maximize evaluates exactly."""
     value = closed_form([Fraction(1, 3)] * 3)
-    assert isinstance(value, Fraction) and value == Fraction(5, 54)
+    assert type(value) is not Fraction and abs(value - 5 / 54) < 1e-15
     assert abs(closed_form([0.5, 0.5]) - 3 / 32) < 1e-15
     rows = closed_form(np.array([[0.5, 0.5], [1.0, 0.0]]))
     assert rows.shape == (2,) and abs(rows[0] - 3 / 32) < 1e-15 and rows[1] == 0
@@ -56,7 +74,7 @@ def test_closed_form_rejects_off_simplex():
 
 def test_closed_form_matches_definition_examples():
     for w in ([HALF, HALF], [Fraction(1, 3)] * 3, [Fraction(1)]):
-        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)).value == closed_form(w)
+        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)).value == exact_closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
@@ -64,7 +82,7 @@ def test_closed_form_matches_definition_random():
     for _ in range(10_000):
         n = rng.randint(1, 10)
         w = rand_weights(rng, n, max_part=12)
-        assert lagrangian_bf(complete_graph(n), w).value == closed_form(list(w))
+        assert lagrangian_bf(complete_graph(n), w).value == exact_closed_form(w)
 
 
 def test_gradient_hand_values():
@@ -256,41 +274,17 @@ def test_maximize_deterministic_in_seed():
 
 
 def test_trivariate_g_values():
-    assert trivariate_g(HALF, HALF, Fraction(0)) == Fraction(3, 32)
-    assert trivariate_g(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == Fraction(5, 54)
-    assert trivariate_g(Fraction(1), Fraction(0), Fraction(0)) == 0
-
-
-def test_trivariate_g_domain_errors():
-    with pytest.raises(ValueError):
-        trivariate_g(Fraction(1, 4), HALF, Fraction(0))  # unsorted
-    with pytest.raises(ValueError):
-        trivariate_g(HALF, HALF, HALF)  # sum > 1
-    with pytest.raises(ValueError):
-        trivariate_g(HALF, Fraction(1, 4), Fraction(-1, 8))
-
-
-def test_trivariate_g_rejects_floats():
-    with pytest.raises(ValueError, match="rationals"):
-        trivariate_g(0.5, 0.5, 0.0)
-    with pytest.raises(ValueError, match="rationals"):
-        trivariate_g(HALF, HALF, 0.0)
+    assert exact_g(HALF, HALF, Fraction(0)) == Fraction(3, 32)
+    assert exact_g(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == Fraction(5, 54)
+    assert exact_g(Fraction(1), Fraction(0), Fraction(0)) == 0
 
 
 def test_majorization_examples():
-    assert majorization_bound_check([Fraction(1, 4)] * 4)
-    assert majorization_bound_check([HALF, HALF, Fraction(0), Fraction(0)])
+    assert majorized([Fraction(1, 4)] * 4)
+    assert majorized([HALF, HALF, Fraction(0), Fraction(0)])
     # tail entries all equal to the third coordinate: equality case
-    assert majorization_bound_check(
-        [Fraction(6, 10), Fraction(2, 10), Fraction(1, 10), Fraction(1, 10)]
-    )
-    assert majorization_bound_check(
-        [Fraction(6, 10), Fraction(2, 10), Fraction(15, 100), Fraction(5, 100)]
-    )
-    with pytest.raises(ValueError):
-        majorization_bound_check([Fraction(1, 4), HALF, Fraction(1, 4)])
-    with pytest.raises(ValueError):
-        majorization_bound_check([HALF, HALF])
+    assert majorized([Fraction(6, 10), Fraction(2, 10), Fraction(1, 10), Fraction(1, 10)])
+    assert majorized([Fraction(6, 10), Fraction(2, 10), Fraction(15, 100), Fraction(5, 100)])
 
 
 def test_majorization_random_sorted():
@@ -298,8 +292,8 @@ def test_majorization_random_sorted():
     for _ in range(400):
         n = rng.randint(3, 9)
         w = sorted(rand_weights(rng, n), reverse=True)
-        assert majorization_bound_check(w)
-        assert closed_form(w) <= trivariate_g(w[0], w[1], w[2])
+        assert majorized(w)
+        assert exact_closed_form(w) <= exact_g(w[0], w[1], w[2])
 
 
 def _tail_cases():
@@ -320,40 +314,16 @@ def _tail_cases():
 
 
 def test_integer_tail_matches_fraction_oracles():
-    """closed_form, trivariate_g and majorization_bound_check on exact input equal their Fraction oracles."""
+    """The integer cores of the closed form, g and the majorization, on the
+    (d, p) of a WeightVector, equal their Fraction oracles."""
     count = 0
     for w in _tail_cases():
-        value = closed_form(w)
+        value = exact_closed_form(w)
         assert type(value) is Fraction and value == closed_form_oracle(w)
         padded = sorted(w, reverse=True) + [0] * (3 - len(w))
-        assert majorization_bound_check(padded) is majorization_oracle(padded)
+        assert majorized(padded) is majorization_oracle(padded)
         x1, x2, x3 = padded[:3]
-        g = trivariate_g(x1, x2, x3)
+        g = exact_g(x1, x2, x3)
         assert type(g) is Fraction and g == trivariate_g_oracle(x1, x2, x3)
         count += 1
     assert count >= 2000
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-def test_integer_tail_errors_match_fraction_oracles():
-    """Off the simplex, outside D or unsorted: the same value or ValueError as the oracles."""
-    rng = random.Random(73)
-    for _ in range(1000):
-        q = rng.randint(1, 12)
-        x = [Fraction(rng.randint(-1, 2 * q), 3 * q) for _ in range(rng.randint(1, 5))]
-        assert _outcome(closed_form, x) == _outcome(closed_form_oracle, x)
-        padded = (x + [0, 0])[:3]
-        assert _outcome(trivariate_g, *padded) == _outcome(trivariate_g_oracle, *padded)
-        # one fault at a time: sorted but perhaps off the simplex, or on it but perhaps unsorted
-        w = sorted(x + [0, 0], reverse=True)
-        assert _outcome(majorization_bound_check, w) == _outcome(majorization_oracle, w)
-        w = list(rand_weights(rng, rng.randint(1, 6))) + [0, 0]
-        rng.shuffle(w)
-        assert _outcome(majorization_bound_check, w) == _outcome(majorization_oracle, w)
-    assert _outcome(majorization_bound_check, [HALF, HALF]) == _outcome(majorization_oracle, [HALF, HALF])

@@ -28,7 +28,7 @@ from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_w
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
 from .lagrangian import lagrangian_bf, orientation_lagrangians
 from .pipeline import pipeline_report
-from .reduction import reduce_to_complete, trace_to_jsonable
+from .reduction import _chain, _ratio, _trace_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,17 +114,17 @@ def _cmd_reduce(args) -> int:
     if isinstance(g, OrientedGraph):
         g = underlying(g)
     w = parse_weights(args.weights, expected_n=g.n)
-    final_graph, final_weights, trace, _, final_lagrangian = reduce_to_complete(g, w)
-    monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
+    d, final, rows, _, end = _chain(g, w)
+    monotone = all(after >= before for *_, before, after in rows)
     payload = {
-        "trace": trace_to_jsonable(trace),
-        "final_order": final_graph.n,
-        "final_weights": [str(v) for v in final_weights],
-        "final_lagrangian": str(final_lagrangian),
+        "trace": _trace_rows(d, rows),
+        "final_order": len(final),
+        "final_weights": [_ratio(v, d) for v in final],
+        "final_lagrangian": _ratio(end, 2 * d**4),
         "monotone": monotone,
     }
     text = [
-        f"merges: {len(trace)}, final complete graph order {final_graph.n}",
+        f"merges: {len(rows)}, final complete graph order {len(final)}",
         f"final L_BF = {payload['final_lagrangian']}",
         f"monotone: {monotone}",
     ]

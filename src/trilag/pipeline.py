@@ -12,19 +12,15 @@ The cores do not validate their input.  pipeline_report checks the final
 numerators with _check_numerators; the optimizer in trilag.simplex takes
 (d, p) from a WeightVector, which validates them.
 
-Everything here is int and Fraction arithmetic; this module, like the
-modules it imports, loads no numpy.
+Everything here is int arithmetic, up to the report's strings, which
+_ratio renders; this module, like the modules it imports, loads no numpy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graphs import OrientedGraph
 from .lagrangian import WeightVector, _arc_adjacency, _bf_sums, _cf_numerator, _cf_sums, _check_order
-from .reduction import _reduce, trace_to_jsonable
-
-BOUND = Fraction(3, 32)
+from .reduction import _ratio, _reduce, _trace_rows
 
 
 def _check_numerators(d: int, p) -> None:
@@ -71,15 +67,15 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
     and padded with zeros to three: L_CF = a / 2d^3, L_BF = N / 2d^4, and
     the closed form and g are c / 24d^4 and c_g / 24d^4.  So the links read
     d a <= N_start, N_start <= N_final, 12 N_final == c, the majorization of
-    q with c <= c_g, and 32 c_g <= 72 d^4.  Fractions are made only for the
-    report's strings.
+    q with c <= c_g, and 32 c_g <= 72 d^4.  No Fraction is made: each value
+    is rendered from its numerator and denominator by _ratio.
     """
     _check_order(w, g.n)
     d = w.denominator
     out, adj = _arc_adjacency(g)
     sums = _bf_sums(adj, w.numerators)
     lcf = _cf_numerator(*_cf_sums(out, w.numerators, sums[0]))
-    _, final, trace, start, end = _reduce(adj, w, sums)
+    _, final, rows, start, end = _reduce(adj, w, sums)
     _check_numerators(d, final)
     q = sorted(final, reverse=True) + [0] * (3 - len(final))
     closed = _closed_form_numerator(d, final)
@@ -93,18 +89,17 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
         ("closed_form_le_trivariate", _majorized(d, q) and closed <= gval),
         ("trivariate_le_3_32", 32 * gval <= 72 * d4),
     ]
-    g_value = Fraction(gval, 24 * d4)
     return {
-        "lagrangian_cf": str(Fraction(lcf, 2 * d**3)),
-        "lagrangian_bf": str(Fraction(start, 2 * d4)),
-        "reduction_trace": trace_to_jsonable(trace),
+        "lagrangian_cf": _ratio(lcf, 2 * d**3),
+        "lagrangian_bf": _ratio(start, 2 * d4),
+        "reduction_trace": _trace_rows(d, rows),
         "final_order": len(final),
-        "final_weights": [str(Fraction(v, d)) for v in final],
-        "closed_form_value": str(Fraction(closed, 24 * d4)),
-        "trivariate_point": [str(Fraction(v, d)) for v in q[:3]],
-        "trivariate_value": str(g_value),
-        "h_at_point": str(BOUND - g_value),
-        "bound": str(BOUND),
+        "final_weights": [_ratio(v, d) for v in final],
+        "closed_form_value": _ratio(closed, 24 * d4),
+        "trivariate_point": [_ratio(v, d) for v in q[:3]],
+        "trivariate_value": _ratio(gval, 24 * d4),
+        "h_at_point": _ratio(72 * d4 - 32 * gval, 768 * d4),
+        "bound": "3/32",
         "links": [{"name": name, "pass": ok} for name, ok in links],
         "all_pass": all(ok for _, ok in links),
     }

@@ -36,13 +36,18 @@ and compares the two branch values N(G_a) and N(G_b) directly.
 reduce_to_complete takes an undirected graph g and its weights w, with
 len(w) == g.n, and returns the final pair, the trace, and L_BF of the
 input and of the final graph, which it evaluates on the way, so callers
-need not.  It builds the adjacency sets and their sums and hands them to
-_reduce, the chain itself, which returns integers: d, the final
-numerators and N of the input and of the final graph.  reduce_to_complete
-makes the complete graph, the weight vector and the two Fractions from
-them; the pipeline calls _reduce directly, with the adjacency and the BF
-sums it has already computed for L_CF, and checks its links on the
-integers.  The
+need not.  _chain builds the adjacency sets and their sums and hands them
+to _reduce, the chain itself, which returns integers only: d, the final
+numerators, one row per merge and N of the input and of the final graph.
+A row holds the pair, the kept vertex, the branch, d S_a, d S_b, d S_ab
+and N before and after the merge.  reduce_to_complete turns them into
+the complete graph, the weight vector, one MergeStep per row and the two
+Fraction values; it is the only place that makes MergeSteps.  The
+pipeline calls _reduce directly, with the adjacency and the BF sums it
+has already computed for L_CF, and checks its links on the integers.
+The pipeline and trilag reduce render the rows with _trace_rows and every
+value num / den with _ratio, which gives str(Fraction(num, den)) from one
+gcd.  The
 object-level merge, which deletes a vertex and rebuilds the graph, its
 weights and both branch Lagrangians, is not part of the library: it is
 the oracle in tests/helpers.py that reduce_to_complete and the identity
@@ -54,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .graphs import UndirectedGraph, complete_graph
 from .lagrangian import WeightVector, _adjacency, _bf_numerator, _bf_sums, _check_order
@@ -98,12 +104,20 @@ def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
     start, final): start is L_BF of the input and final the last step's
     lagrangian_after, which is also start when no merge runs.
     """
-    _check_order(w, g.n)
-    adj = _adjacency(g.n, g.edges)
-    d, final, trace, start, end = _reduce(adj, w, _bf_sums(adj, w.numerators))
+    d, final, rows, start, end = _chain(g, w)
     scale = 2 * d**4
+    trace = [MergeStep(pair, kept, branch, Fraction(s_a, d), Fraction(s_b, d), Fraction(s_ab, d),
+                       Fraction(before, scale), Fraction(after, scale))
+             for pair, kept, branch, s_a, s_b, s_ab, before, after in rows]
     return (complete_graph(len(final)), WeightVector(Fraction(v, d) for v in final), trace,
             Fraction(start, scale), Fraction(end, scale))
+
+
+def _chain(g: UndirectedGraph, w: WeightVector):
+    """_reduce on g and w, from their adjacency sets and BF sums."""
+    _check_order(w, g.n)
+    adj = _adjacency(g.n, g.edges)
+    return _reduce(adj, w, _bf_sums(adj, w.numerators))
 
 
 def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
@@ -111,17 +125,17 @@ def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
     input graph and its ``_bf_sums`` at w; ``adj`` is updated in place by
     each merge.
 
-    Returns (d, q, trace, N_start, N_final): d the denominator of w, q the
-    numerators over d of the final weights in input-label order, and N =
-    2 d^4 L_BF of the input and of the final graph.
+    Returns (d, q, rows, N_start, N_final): d the denominator of w, q the
+    numerators over d of the final weights in input-label order, one row
+    (pair, kept, branch, d S_a, d S_b, d S_ab, N_before, N_after) per merge,
+    the fields of MergeStep, and N = 2 d^4 L_BF of the input and of the
+    final graph.
     """
     d, p = w.denominator, list(w.numerators)  # p is updated in place by each merge
-    scale = 2 * d**4
     level = start = _bf_numerator(d, *sums)  # N = 2 d^4 L_BF
     edges = sums[2]  # d^2 E
     alive = list(range(len(adj)))  # vertices keep their input labels
-    l_before = Fraction(level, scale)
-    trace: list[MergeStep] = []
+    rows = []
     while True:
         pair = next(((a, b) for a, b in combinations(alive, 2) if b not in adj[a]), None)
         if pair is None:
@@ -137,45 +151,29 @@ def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
         n_a = rest + d * x * (u_a + x * s_a) - (e0 + x * s_a) ** 2
         n_b = rest + d * x * (u_b + x * s_b) - (e0 + x * s_b) ** 2
         if n_a >= n_b:
-            level, kept, dropped, branch, s_kept = n_a, a, b, "a", s_a
+            after, kept, dropped, branch, s_kept = n_a, a, b, "a", s_a
         else:
-            level, kept, dropped, branch, s_kept = n_b, b, a, "b", s_b
-        l_after = Fraction(level, scale)
-        trace.append(
-            MergeStep(
-                pair=(a, b),
-                kept=kept,
-                branch=branch,
-                s_a=Fraction(s_a, d),
-                s_b=Fraction(s_b, d),
-                s_ab=Fraction(s_ab, d),
-                lagrangian_before=l_before,
-                lagrangian_after=l_after,
-            )
-        )
+            after, kept, dropped, branch, s_kept = n_b, b, a, "b", s_b
+        rows.append((pair, kept, branch, s_a, s_b, s_ab, level, after))
+        level = after
         p[kept] = x
         edges = e0 + x * s_kept
         alive.remove(dropped)
         for y in adj[dropped]:
             adj[y].discard(dropped)
-        l_before = l_after
-    return d, [p[v] for v in alive], trace, start, level
+    return d, [p[v] for v in alive], rows, start, level
 
 
-def trace_to_jsonable(trace) -> list[dict]:
-    """Merge trace with rationals rendered as p/q strings."""
-    out = []
-    for step in trace:
-        out.append(
-            {
-                "pair": list(step.pair),
-                "kept": step.kept,
-                "branch": step.branch,
-                "S_a": str(step.s_a),
-                "S_b": str(step.s_b),
-                "S_ab": str(step.s_ab),
-                "lagrangian_before": str(step.lagrangian_before),
-                "lagrangian_after": str(step.lagrangian_after),
-            }
-        )
-    return out
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _trace_rows(d: int, rows) -> list[dict]:
+    """The rows of _reduce over the denominator d, values as p/q strings."""
+    scale = 2 * d**4
+    return [{"pair": list(pair), "kept": kept, "branch": branch,
+             "S_a": _ratio(s_a, d), "S_b": _ratio(s_b, d), "S_ab": _ratio(s_ab, d),
+             "lagrangian_before": _ratio(before, scale), "lagrangian_after": _ratio(after, scale)}
+            for pair, kept, branch, s_a, s_b, s_ab, before, after in rows]

@@ -8,6 +8,9 @@ reduce_oracle) is lagrangian_bf, itself checked against
 brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
 and the closed form, g and the majorization from the Fraction oracles
 below, not from the integer cores of trilag.pipeline that they check.
+trace_to_jsonable renders a MergeStep trace with str(Fraction): through
+pipeline_oracle and reduce_report_oracle it is the reference for the
+integer rows and the gcd renderer of pipeline_report and trilag reduce.
 certify_oracle runs the certificate search with a fresh simplex_bernstein
 conversion on every simplex, where certify halves its parent's coefficients,
 and picks each edge with longest_edge_oracle in Fractions.
@@ -36,7 +39,7 @@ from trilag.certify import (
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
-from trilag.reduction import MergeStep, trace_to_jsonable
+from trilag.reduction import MergeStep
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -258,6 +261,35 @@ def reduce_oracle(g: UndirectedGraph, w: WeightVector):
         del labels[dropped]
         l_before = l_after
     return g, w, trace, l_start, l_before
+
+
+def trace_to_jsonable(trace) -> list[dict]:
+    """A MergeStep trace with each rational rendered by str(Fraction)."""
+    return [
+        {
+            "pair": list(step.pair),
+            "kept": step.kept,
+            "branch": step.branch,
+            "S_a": str(step.s_a),
+            "S_b": str(step.s_b),
+            "S_ab": str(step.s_ab),
+            "lagrangian_before": str(step.lagrangian_before),
+            "lagrangian_after": str(step.lagrangian_after),
+        }
+        for step in trace
+    ]
+
+
+def reduce_report_oracle(g: UndirectedGraph, w: WeightVector) -> dict:
+    """The payload of trilag reduce, from reduce_oracle and trace_to_jsonable."""
+    final_graph, final_weights, trace, _, final = reduce_oracle(g, w)
+    return {
+        "trace": trace_to_jsonable(trace),
+        "final_order": final_graph.n,
+        "final_weights": [str(v) for v in final_weights],
+        "final_lagrangian": str(final),
+        "monotone": all(s.lagrangian_after >= s.lagrangian_before for s in trace),
+    }
 
 
 def closed_form_oracle(x) -> Fraction:

@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
 
-from trilag import cli, graphs, harness, lagrangian, reduction
+from trilag import cli, graphs, harness, lagrangian, pipeline, reduction
 from trilag.cli import build_parser, main
+from trilag.fileio import parse_graph, parse_weights
+from trilag.graphs import OrientedGraph, underlying
+
+from helpers import rand_graph, rand_orientation, rand_weights, reduce_report_oracle
 
 CHERRY = "digraph 3\n0 1\n2 1\n"
 UNIFORM3 = "1/3\n1/3\n1/3\n"
@@ -118,6 +123,59 @@ def test_reduce(capsys, tmp_path):
     code, out = run(capsys, ["reduce", str(g), str(w)])
     assert code == 0
     assert json.loads(out)["trace"] == [] and json.loads(out)["final_lagrangian"] == "3/32"
+
+
+def _write_instance(directory, g, w):
+    pairs = g.arcs if isinstance(g, OrientedGraph) else g.edges
+    kind = "digraph" if isinstance(g, OrientedGraph) else "graph"
+    directory.mkdir(exist_ok=True)
+    gpath, wpath = directory / "g.txt", directory / "w.txt"
+    gpath.write_text(f"{kind} {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(pairs)))
+    wpath.write_text("".join(f"{x}\n" for x in w))
+    return str(gpath), str(wpath)
+
+
+def test_reduce_report_matches_object_oracle(capsys, tmp_path):
+    """The reduce report is the object-level reduce_oracle rendered by str(Fraction).
+
+    Graphs and orientations on 1..8 vertices, at weight parts 0..2 (zero
+    weights and tied branches) and 0..30.
+    """
+    rng = random.Random(57)
+    merges = set()
+    for i in range(320):
+        n = rng.randint(1, 8)
+        g = rand_orientation(rng, n) if i % 2 else rand_graph(rng, n, p=rng.random())
+        w = rand_weights(rng, n, max_part=2 if i // 2 % 2 else 30)
+        code, out = run(capsys, ["reduce", *_write_instance(tmp_path, g, w)])
+        expected = reduce_report_oracle(underlying(g) if i % 2 else g, w)
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        merges.update((step["branch"], step["lagrangian_before"] == step["lagrangian_after"])
+                      for step in expected["trace"])
+    # both branches are kept, each with and without a change of L_BF
+    assert merges == {("a", True), ("a", False), ("b", True), ("b", False)}
+
+
+def test_reports_build_no_fraction_or_merge_step(capsys, monkeypatch, tmp_path):
+    """pipeline and reduce render their integers without a Fraction or a MergeStep."""
+    rng = random.Random(58)
+    cases = []
+    for n in range(2, 9):
+        files = _write_instance(tmp_path / str(n), rand_orientation(rng, n), rand_weights(rng, n))
+        cases.append((files, [run(capsys, [command, *files]) for command in ("pipeline", "reduce")]))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Fraction or MergeStep was built")
+
+    for module in (reduction, pipeline, cli):
+        for name in ("Fraction", "MergeStep"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    for files, reports in cases:
+        g, w = parse_graph(files[0]), parse_weights(files[1])
+        assert json.loads(reports[0][1]) == pipeline.pipeline_report(g, w)
+        assert [run(capsys, [command, *files]) for command in ("pipeline", "reduce")] == reports
+    assert any(json.loads(reports[1][1])["trace"] for _, reports in cases)
 
 
 def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trilag.fileio import parse_weights_text
 from trilag.graphs import UndirectedGraph, complete_graph
 from trilag.lagrangian import WeightVector, lagrangian_bf, uniform_weights
-from trilag.reduction import reduce_to_complete
+from trilag.reduction import _ratio, reduce_to_complete
 
 from helpers import (
     brute_lagrangian_bf,
@@ -187,3 +189,27 @@ def test_weight_length_must_match_order():
         reduce_to_complete(g, short)
     with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
         reduce_to_complete(complete_graph(3), short)  # no merge to run
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 7)
+@example(-5, 1)
+@example(-36, 12)
+@example(36, 12)
+@example(-3, 768)
+def test_ratio_is_the_string_of_its_fraction(num, den):
+    assert _ratio(num, den) == str(Fraction(num, den))
+    assert _ratio(num * den, den) == str(num)  # a multiple of den
+    assert _ratio(num, 1) == str(num)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-(10**4290), 10**4290), st.sampled_from((1, 2, 24, 768)), st.integers(1, 4))
+@example(10**1072 // 2, 1, 1)
+@example(-(10**4288), 768, 4)
+def test_ratio_over_powers_of_a_1073_digit_denominator(num, factor, power):
+    """The reports' denominators d, 2 d^4, 24 d^4 and 768 d^4 at d = 10^1072."""
+    den = factor * 10 ** (1072 * power)
+    assert _ratio(num, den) == str(Fraction(num, den))

@@ -27,15 +27,11 @@ from .graphs import (
 )
 from .lagrangian import (
     WeightVector,
-    LagrangianValue,
     lagrangian_cf,
     lagrangian_bf,
     uniform_weights,
 )
-from .reduction import (
-    MergeStep,
-    reduce_to_complete,
-)
+from .reduction import merge_chain
 from .polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 from .certify import Certificate, Leaf, certify
 from .pipeline import pipeline_report

@@ -26,9 +26,9 @@ import sys
 from .certify import CERTIFIED, certify
 from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
-from .lagrangian import lagrangian_bf, orientation_lagrangians
+from .lagrangian import _adjacency, _bf_numerator, _bf_sums, _orientation_sums
 from .pipeline import pipeline_report
-from .reduction import _chain, _ratio, _trace_rows
+from .reduction import _ratio, _trace_rows, merge_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,12 +53,14 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
         sys.stdout.write(rendered)
 
 
-def _lag_json(lv) -> dict:
+def _lag_json(d: int, triples: int, pairs: int, edges: int = 0) -> dict:
+    """L_BF and its terms from its _bf_sums over the denominator d, as p/q
+    strings; L_CF is the same form with no edge sum, from its _cf_sums."""
     return {
-        "value": str(lv.value),
-        "triple_term": str(lv.triple_term),
-        "pair_term": str(lv.pair_term),
-        "quadratic_term": str(lv.quadratic_term),
+        "value": _ratio(_bf_numerator(d, triples, pairs, edges), 2 * d**4),
+        "triple_term": _ratio(triples, d**3),
+        "pair_term": _ratio(pairs, 2 * d**3),
+        "quadratic_term": _ratio(edges * edges, 2 * d**4),
     }
 
 
@@ -98,13 +100,14 @@ def _cmd_lagrangian(args) -> int:
     g = parse_graph(args.graph)
     w = parse_weights(args.weights, expected_n=g.n)
     if isinstance(g, OrientedGraph):
-        lcf, lbf = orientation_lagrangians(g, w)
-        payload = {"lagrangian_cf": _lag_json(lcf), "lagrangian_bf_underlying": _lag_json(lbf)}
-        text = [f"L_CF = {lcf.value}", f"L_BF(underlying) = {lbf.value}"]
+        cf, bf = _orientation_sums(g, w)
+        lcf, lbf = _lag_json(w.denominator, *cf), _lag_json(w.denominator, *bf)
+        payload = {"lagrangian_cf": lcf, "lagrangian_bf_underlying": lbf}
+        text = [f"L_CF = {lcf['value']}", f"L_BF(underlying) = {lbf['value']}"]
     else:
-        lbf = lagrangian_bf(g, w)
-        payload = {"lagrangian_bf": _lag_json(lbf)}
-        text = [f"L_BF = {lbf.value}"]
+        lbf = _lag_json(w.denominator, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))
+        payload = {"lagrangian_bf": lbf}
+        text = [f"L_BF = {lbf['value']}"]
     _emit(payload, args, text_lines=text)
     return EXIT_OK
 
@@ -114,7 +117,7 @@ def _cmd_reduce(args) -> int:
     if isinstance(g, OrientedGraph):
         g = underlying(g)
     w = parse_weights(args.weights, expected_n=g.n)
-    d, final, rows, _, end = _chain(g, w)
+    d, final, rows, _, end = merge_chain(g, w)
     monotone = all(after >= before for *_, before, after in rows)
     payload = {
         "trace": _trace_rows(d, rows),

@@ -13,11 +13,13 @@ For an undirected graph G with triple system BF:
 The arc term of L_CF takes x^2 y only (ordered arc x->y); the edge term
 of L_BF takes both x^2 y and x y^2 per unordered edge.  Everything here
 is exact: with d the least common denominator of the weights and p = d x
-their integer numerators, each sum runs over the integers p and one
-Fraction is made per term, e.g. the BF triple term is
-(sum p_x p_y p_z) / d^3.  A WeightVector computes d and p once, when it
-is built, and keeps them as ``denominator`` and ``numerators``.  Floats
-appear only in the optimizer module.
+their integer numerators, each sum runs over the integers p, so d^3,
+2 d^3 and 2 d^4 times the triple, pair and quadratic terms are integers.
+lagrangian_cf and lagrangian_bf make one Fraction, the value, from them;
+trilag lagrangian renders every term from its integer with
+reduction._ratio, as the pipeline does.  A WeightVector computes d and p
+once, when it is built, and keeps them as ``denominator`` and
+``numerators``.  Floats appear only in the optimizer module.
 
 Neither triple sum visits the C(n,3) triples; both are sums over
 neighbourhoods.  With s_v and r_v the sums of p and of p^2 over the
@@ -36,7 +38,6 @@ for n vertices and m edges, plus one set intersection per edge for T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -95,16 +96,6 @@ class WeightVector:
 
     def __repr__(self) -> str:
         return f"WeightVector({list(self.entries)})"
-
-
-@dataclass(frozen=True)
-class LagrangianValue:
-    """Lagrangian with its three components: value = triple + pair - quadratic."""
-
-    value: Fraction
-    triple_term: Fraction
-    pair_term: Fraction
-    quadratic_term: Fraction
 
 
 def uniform_weights(n: int) -> WeightVector:
@@ -180,45 +171,28 @@ def _cf_numerator(triples: int, arcs: int) -> int:
     return 2 * triples + arcs
 
 
-def _cf_value(d: int, triples: int, arcs: int) -> LagrangianValue:
-    return LagrangianValue(
-        value=Fraction(_cf_numerator(triples, arcs), 2 * d**3),
-        triple_term=Fraction(triples, d**3),
-        pair_term=Fraction(arcs, 2 * d**3),
-        quadratic_term=Fraction(0),
-    )
-
-
 def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
     """N = 2 d^4 L_BF from the integer sums of ``_bf_sums``."""
     return 2 * d * triples + d * pairs - edges * edges
 
 
-def _bf_value(d: int, triples: int, pairs: int, edges: int) -> LagrangianValue:
-    return LagrangianValue(
-        value=Fraction(_bf_numerator(d, triples, pairs, edges), 2 * d**4),
-        triple_term=Fraction(triples, d**3),
-        pair_term=Fraction(pairs, 2 * d**3),
-        quadratic_term=Fraction(edges * edges, 2 * d**4),
-    )
-
-
-def orientation_lagrangians(g: OrientedGraph, w: WeightVector) -> tuple[LagrangianValue, LagrangianValue]:
-    """(L_CF of g, L_BF of its underlying graph) from one adjacency and one BF sum."""
+def _orientation_sums(g: OrientedGraph, w: WeightVector):
+    """(the _cf_sums of g, the _bf_sums of its underlying graph) at w, from
+    one adjacency and one BF sum."""
     _check_order(w, g.n)
     out, adj = _arc_adjacency(g)
     p = w.numerators
     sums = _bf_sums(adj, p)
-    return _cf_value(w.denominator, *_cf_sums(out, p, sums[0])), _bf_value(w.denominator, *sums)
+    return _cf_sums(out, p, sums[0]), sums
 
 
-def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> LagrangianValue:
+def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> Fraction:
     """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
-    return orientation_lagrangians(g, w)[0]
+    return Fraction(_cf_numerator(*_orientation_sums(g, w)[0]), 2 * w.denominator**3)
 
 
-def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> LagrangianValue:
+def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> Fraction:
     """L_BF of an undirected graph, edges summed once each."""
     _check_order(w, g.n)
-    return _bf_value(w.denominator, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))
-
+    sums = _bf_sums(_adjacency(g.n, g.edges), w.numerators)
+    return Fraction(_bf_numerator(w.denominator, *sums), 2 * w.denominator**4)

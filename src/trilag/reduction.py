@@ -12,7 +12,7 @@ and |S_a - S_b| <= 1 on the simplex.  Hence at least one branch does not
 decrease the Lagrangian, and repeating until no non-edge remains reaches
 a complete graph in at most n-1 merges.
 
-reduce_to_complete evaluates both branches without rebuilding BF.  Split
+merge_chain evaluates both branches without rebuilding BF.  Split
 L_BF by whether a term touches a or b; with V' the other vertices,
 
     L = C + x_a U_a + x_b U_b + x_a x_b S_ab + (1/2)(x_a^2 S_a + x_b^2 S_b)
@@ -33,53 +33,30 @@ neighbourhood sums of trilag.lagrangian on the adjacency sets that the
 merges update; each merge costs O(n^2) integer operations for its sums
 and compares the two branch values N(G_a) and N(G_b) directly.
 
-reduce_to_complete takes an undirected graph g and its weights w, with
-len(w) == g.n, and returns the final pair, the trace, and L_BF of the
-input and of the final graph, which it evaluates on the way, so callers
-need not.  _chain builds the adjacency sets and their sums and hands them
-to _reduce, the chain itself, which returns integers only: d, the final
-numerators, one row per merge and N of the input and of the final graph.
-A row holds the pair, the kept vertex, the branch, d S_a, d S_b, d S_ab
-and N before and after the merge.  reduce_to_complete turns them into
-the complete graph, the weight vector, one MergeStep per row and the two
-Fraction values; it is the only place that makes MergeSteps.  The
-pipeline calls _reduce directly, with the adjacency and the BF sums it
-has already computed for L_CF, and checks its links on the integers.
-The pipeline and trilag reduce render the rows with _trace_rows and every
-value num / den with _ratio, which gives str(Fraction(num, den)) from one
-gcd.  The
+merge_chain, the one entrance, takes an undirected graph g and weights w
+with len(w) == g.n and hands their adjacency sets and BF sums to _reduce,
+the chain itself.  It returns integers only, (d, q, rows, N_start,
+N_final): d, the final numerators, one row per merge (the pair, the kept
+vertex, the branch, d S_a, d S_b, d S_ab, and N before and after) and N
+of the input and of the final graph.  That graph is not built: it is
+complete on the vertices that no row drops.  The pipeline calls _reduce
+directly, with the adjacency and the BF sums it has already computed for
+L_CF, and checks its links on the integers.  The pipeline and trilag
+reduce render the rows with _trace_rows and every value num / den with
+_ratio, which gives str(Fraction(num, den)) from one gcd.  The
 object-level merge, which deletes a vertex and rebuilds the graph, its
 weights and both branch Lagrangians, is not part of the library: it is
-the oracle in tests/helpers.py that reduce_to_complete and the identity
-above are checked against.
+the oracle in tests/helpers.py that merge_chain and the identity above
+are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .graphs import UndirectedGraph, complete_graph
+from .graphs import UndirectedGraph
 from .lagrangian import WeightVector, _adjacency, _bf_numerator, _bf_sums, _check_order
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One merge, recorded in the original vertex labels.
-
-    branch is "a" when the lower-indexed vertex of the pair was kept.
-    """
-
-    pair: tuple[int, int]
-    kept: int
-    branch: str
-    s_a: Fraction
-    s_b: Fraction
-    s_ab: Fraction
-    lagrangian_before: Fraction
-    lagrangian_after: Fraction
 
 
 def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
@@ -95,26 +72,13 @@ def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
     return s_v, s_v * s_v + 2 * cross
 
 
-def reduce_to_complete(g: UndirectedGraph, w: WeightVector):
-    """Merge lexicographically-smallest non-edges until the graph is complete.
+def merge_chain(g: UndirectedGraph, w: WeightVector):
+    """Merge lexicographically-smallest non-edges of g until the graph is complete.
 
     Both branches are evaluated exactly and the larger kept (ties keep the
-    smaller vertex index), so L_BF never decreases along the trace.
-    Returns (final graph, final weights, list of MergeStep in original labels,
-    start, final): start is L_BF of the input and final the last step's
-    lagrangian_after, which is also start when no merge runs.
+    smaller vertex index), so L_BF never decreases along the chain.
+    Returns the integers (d, q, rows, N_start, N_final) of _reduce.
     """
-    d, final, rows, start, end = _chain(g, w)
-    scale = 2 * d**4
-    trace = [MergeStep(pair, kept, branch, Fraction(s_a, d), Fraction(s_b, d), Fraction(s_ab, d),
-                       Fraction(before, scale), Fraction(after, scale))
-             for pair, kept, branch, s_a, s_b, s_ab, before, after in rows]
-    return (complete_graph(len(final)), WeightVector(Fraction(v, d) for v in final), trace,
-            Fraction(start, scale), Fraction(end, scale))
-
-
-def _chain(g: UndirectedGraph, w: WeightVector):
-    """_reduce on g and w, from their adjacency sets and BF sums."""
     _check_order(w, g.n)
     adj = _adjacency(g.n, g.edges)
     return _reduce(adj, w, _bf_sums(adj, w.numerators))
@@ -128,8 +92,8 @@ def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
     Returns (d, q, rows, N_start, N_final): d the denominator of w, q the
     numerators over d of the final weights in input-label order, one row
     (pair, kept, branch, d S_a, d S_b, d S_ab, N_before, N_after) per merge,
-    the fields of MergeStep, and N = 2 d^4 L_BF of the input and of the
-    final graph.
+    in input labels, and N = 2 d^4 L_BF of the input and of the final
+    graph.
     """
     d, p = w.denominator, list(w.numerators)  # p is updated in place by each merge
     level = start = _bf_numerator(d, *sums)  # N = 2 d^4 L_BF

@@ -46,6 +46,7 @@ FLOAT_SIMPLEX_TOL = 1e-9
 # restarts whose objectives differ by less than this are tied: rounding puts
 # the float sums at one optimum up to about 1.3e-16 apart (n = 2..12)
 RANK_TOL = 1e-15
+MAX_DENOMINATOR = 10**6
 
 
 def closed_form(x):
@@ -168,9 +169,9 @@ def ascend(starts, tol: float, max_iter: int = 4000):
     return x, fx, residual, converged, iterations
 
 
-def round_point_exact(point, max_denominator: int = 10**6):
-    """Round floats to rationals with bounded denominator and renormalize to sum 1."""
-    fracs = [Fraction(float(p)).limit_denominator(max_denominator) for p in point]
+def round_point_exact(point):
+    """Round floats to rationals with denominator at most MAX_DENOMINATOR and renormalize to sum 1."""
+    fracs = [Fraction(float(p)).limit_denominator(MAX_DENOMINATOR) for p in point]
     fracs = [max(f, Fraction(0)) for f in fracs]
     total = sum(fracs)
     if total == 0:

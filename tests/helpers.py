@@ -5,12 +5,16 @@ library construction or summation code), so library results are checked
 against a second, independently written path.  The one library call of
 the merge oracles (neighbor_sums, merge, merge_identity_sides and
 reduce_oracle) is lagrangian_bf, itself checked against
-brute_lagrangian_bf.  The pipeline oracles take L_CF from lagrangian_cf
-and the closed form, g and the majorization from the Fraction oracles
-below, not from the integer cores of trilag.pipeline that they check.
-trace_to_jsonable renders a MergeStep trace with str(Fraction): through
-pipeline_oracle and reduce_report_oracle it is the reference for the
-integer rows and the gcd renderer of pipeline_report and trilag reduce.
+brute_lagrangian_bf.  reduce_oracle records each merge as a tuple of the
+fields of merge_chain's rows, its rationals as Fractions; chain_fractions
+turns merge_chain's integers into that form, and merges_complete replays
+merge_chain's rows on the input's edge set.  The pipeline oracles take
+L_CF from lagrangian_cf and the closed form, g and the majorization from
+the Fraction oracles below, not from the integer cores of trilag.pipeline
+that they check.  trace_to_jsonable renders an oracle trace with
+str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
+reference for the integer rows and the gcd renderer of pipeline_report
+and trilag reduce.
 certify_oracle runs the certificate search with a fresh simplex_bernstein
 conversion on every simplex, where certify halves its parent's coefficients,
 and picks each edge with longest_edge_oracle in Fractions.
@@ -39,7 +43,6 @@ from trilag.certify import (
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
-from trilag.reduction import MergeStep
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -226,57 +229,84 @@ def merge_identity_sides(g: UndirectedGraph, w, a: int, b: int):
     s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
     x, y = w[a], w[b]
     lhs = (
-        x * lagrangian_bf(*merge(g, w, a, b, keep=a)).value
-        + y * lagrangian_bf(*merge(g, w, a, b, keep=b)).value
-        - (x + y) * lagrangian_bf(g, w).value
+        x * lagrangian_bf(*merge(g, w, a, b, keep=a))
+        + y * lagrangian_bf(*merge(g, w, a, b, keep=b))
+        - (x + y) * lagrangian_bf(g, w)
     )
     rhs = x * y * (x + y) * (Fraction(1, 2) * (s_a + s_b - (s_a - s_b) ** 2) - s_ab)
     return lhs, rhs
 
 
 def reduce_oracle(g: UndirectedGraph, w: WeightVector):
-    """reduce_to_complete at the object level: build both merged graphs.
+    """merge_chain at the object level: build both merged graphs.
 
     Each step merges the lexicographically smallest non-edge both ways,
     evaluates lagrangian_bf of each branch and keeps the larger (ties keep
-    the smaller index).  Returns the same 5-tuple as reduce_to_complete.
+    the smaller index).  Returns (final graph, final weights, trace, start,
+    final): one (pair, kept, branch, S_a, S_b, S_ab, L_before, L_after)
+    tuple per merge, in the original labels, and L_BF of the input and of
+    the final graph.
     """
     labels = list(range(g.n))
     trace = []
-    l_start = l_before = lagrangian_bf(g, w).value
+    l_start = l_before = lagrangian_bf(g, w)
     while pairs := non_edges(g):
         a, b = pairs[0]
         s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
         cand_a = merge(g, w, a, b, keep=a)
         cand_b = merge(g, w, a, b, keep=b)
-        val_a = lagrangian_bf(*cand_a).value
-        val_b = lagrangian_bf(*cand_b).value
+        val_a = lagrangian_bf(*cand_a)
+        val_b = lagrangian_bf(*cand_b)
         if val_a >= val_b:
             (g, w), l_after, kept, dropped, branch = cand_a, val_a, a, b, "a"
         else:
             (g, w), l_after, kept, dropped, branch = cand_b, val_b, b, a, "b"
-        trace.append(
-            MergeStep((labels[a], labels[b]), labels[kept], branch, s_a, s_b, s_ab, l_before, l_after)
-        )
+        trace.append(((labels[a], labels[b]), labels[kept], branch, s_a, s_b, s_ab, l_before, l_after))
         del labels[dropped]
         l_before = l_after
     return g, w, trace, l_start, l_before
 
 
+def chain_fractions(d: int, q, rows, start: int, final: int):
+    """merge_chain's integers in the form of reduce_oracle, without the graph:
+    (final weights, trace, L_BF of the input, L_BF of the final graph)."""
+    scale = 2 * d**4
+    trace = [(pair, kept, branch, Fraction(s_a, d), Fraction(s_b, d), Fraction(s_ab, d),
+              Fraction(before, scale), Fraction(after, scale))
+             for pair, kept, branch, s_a, s_b, s_ab, before, after in rows]
+    return WeightVector(Fraction(v, d) for v in q), trace, Fraction(start, scale), Fraction(final, scale)
+
+
+def merges_complete(g: UndirectedGraph, rows, q) -> bool:
+    """Replay merge_chain's rows on the edge set of its input g.
+
+    True when each row merges a non-adjacent pair of surviving vertices and
+    keeps one of them, and the len(q) vertices that survive are pairwise
+    adjacent in g: a merge deletes the dropped vertex and leaves the kept
+    one's edges as they were.
+    """
+    alive = set(range(g.n))
+    for (a, b), kept, *_ in rows:
+        if not ({a, b} <= alive and (a, b) not in g.edges and kept in (a, b)):
+            return False
+        alive.remove(b if kept == a else a)
+    return len(alive) == len(q) and all(e in g.edges for e in itertools.combinations(sorted(alive), 2))
+
+
 def trace_to_jsonable(trace) -> list[dict]:
-    """A MergeStep trace with each rational rendered by str(Fraction)."""
+    """An oracle trace with each rational rendered by str(Fraction)."""
     return [
         {
-            "pair": list(step.pair),
-            "kept": step.kept,
-            "branch": step.branch,
-            "S_a": str(step.s_a),
-            "S_b": str(step.s_b),
-            "S_ab": str(step.s_ab),
-            "lagrangian_before": str(step.lagrangian_before),
-            "lagrangian_after": str(step.lagrangian_after),
+            "pair": list(pair),
+            "kept": kept,
+            "branch": branch,
+            "S_a": str(s_a),
+            "S_b": str(s_b),
+            "S_ab": str(s_ab),
+            "lagrangian_before": str(before),
+            "lagrangian_after": str(after),
         }
-        for step in trace
+        for pair, kept, branch, s_a, s_b, s_ab, before, after in trace
     ]
 
 
@@ -288,7 +318,7 @@ def reduce_report_oracle(g: UndirectedGraph, w: WeightVector) -> dict:
         "final_order": final_graph.n,
         "final_weights": [str(v) for v in final_weights],
         "final_lagrangian": str(final),
-        "monotone": all(s.lagrangian_after >= s.lagrangian_before for s in trace),
+        "monotone": all(after >= before for *_, before, after in trace),
     }
 
 
@@ -364,7 +394,7 @@ def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
     """pipeline_report from lagrangian_cf, the object-level reduce_oracle and
     pipeline_tail_oracle."""
     final_graph, final_weights, trace, lbf, lfinal = reduce_oracle(underlying(g), w)
-    report = pipeline_tail_oracle(lagrangian_cf(g, w).value, lbf, lfinal, list(final_weights))
+    report = pipeline_tail_oracle(lagrangian_cf(g, w), lbf, lfinal, list(final_weights))
     assert report["final_order"] == final_graph.n
     report["reduction_trace"] = trace_to_jsonable(trace)
     return report

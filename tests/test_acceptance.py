@@ -11,15 +11,15 @@ from fractions import Fraction
 import numpy as np
 
 from trilag.certify import CERTIFIED, certify, leaf_volume_total
-from trilag.graphs import UndirectedGraph, build_cf, complete_graph, edge_density, underlying
+from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
 from trilag.pipeline import _closed_form_numerator, _g_numerator, pipeline_report
 from trilag.polynomials import h_polynomial, simplex_bernstein
-from trilag.reduction import reduce_to_complete
+from trilag.reduction import merge_chain
 from trilag.simplex import gradient, maximize
 
-from helpers import merge_identity_sides, non_edges, rand_graph, rand_orientation, rand_weights
+from helpers import merge_identity_sides, merges_complete, non_edges, rand_graph, rand_orientation, rand_weights
 
 BOUND = Fraction(3, 32)
 HALF = Fraction(1, 2)
@@ -36,7 +36,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 def test_criterion_1_extremal_value():
     w = WeightVector([HALF, HALF])
     cf = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
-    k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), w).value
+    k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), w)
     _report(
         "criterion 1 (extremal value attained)",
         cf == BOUND and k2 == BOUND,
@@ -62,7 +62,7 @@ def test_criterion_2_exhaustive_small_orders():
         density == ("3/4", 285993)
         and lcf == ("5/54", 2380656)
         and edge_density(density_witness.n, build_cf(density_witness)) == Fraction(3, 4)
-        and lagrangian_cf(lcf_witness, uniform_weights(6)).value == Fraction(5, 54)
+        and lagrangian_cf(lcf_witness, uniform_weights(6)) == Fraction(5, 54)
     )
     details.append(
         f"n=6 max CF density {density[0]} at {density[1]}, "
@@ -79,9 +79,9 @@ def test_criterion_3_cf_bf_comparison_suite():
         n = rng.randint(2, 8)
         g = rand_orientation(rng, n)
         w = rand_weights(rng, n)
-        lcf = lagrangian_cf(g, w).value
+        lcf = lagrangian_cf(g, w)
         und = underlying(g)
-        lbf = lagrangian_bf(und, w).value
+        lbf = lagrangian_bf(und, w)
         quad = Fraction(0)
         for x in range(n):
             s = sum((w[y] for (u, y) in g.arcs if u == x), Fraction(0))
@@ -111,10 +111,9 @@ def test_criterion_4_merge_suite():
         w = rand_weights(rng, n)
         a, b = pairs[rng.randrange(len(pairs))]
         lhs, rhs = merge_identity_sides(g, w, a, b)
-        final_graph, _, trace, _, _ = reduce_to_complete(g, w)
-        monotone = all(s.lagrangian_after >= s.lagrangian_before for s in trace)
-        if not (lhs == rhs and monotone and len(trace) <= n - 1
-                and final_graph == complete_graph(final_graph.n)):
+        _, q, rows, _, _ = merge_chain(g, w)
+        monotone = all(after >= before for *_, before, after in rows)
+        if not (lhs == rhs and monotone and len(rows) <= n - 1 and merges_complete(g, rows, q)):
             failures += 1
         done += 1
     _report(

@@ -157,24 +157,24 @@ def test_reduce_report_matches_object_oracle(capsys, tmp_path):
     assert merges == {("a", True), ("a", False), ("b", True), ("b", False)}
 
 
-def test_reports_build_no_fraction_or_merge_step(capsys, monkeypatch, tmp_path):
-    """pipeline and reduce render their integers without a Fraction or a MergeStep."""
+def test_reports_build_no_fraction(capsys, monkeypatch, tmp_path):
+    """pipeline, reduce and lagrangian render their integers without a Fraction."""
     rng = random.Random(58)
+    commands = ("pipeline", "reduce", "lagrangian")
     cases = []
     for n in range(2, 9):
         files = _write_instance(tmp_path / str(n), rand_orientation(rng, n), rand_weights(rng, n))
-        cases.append((files, [run(capsys, [command, *files]) for command in ("pipeline", "reduce")]))
+        cases.append((files, [run(capsys, [command, *files]) for command in commands]))
 
     def refused(*args, **kwargs):
-        raise AssertionError("a Fraction or MergeStep was built")
+        raise AssertionError("a Fraction was built")
 
     for module in (reduction, pipeline, cli):
-        for name in ("Fraction", "MergeStep"):
-            monkeypatch.setattr(module, name, refused, raising=False)
+        monkeypatch.setattr(module, "Fraction", refused, raising=False)
     for files, reports in cases:
         g, w = parse_graph(files[0]), parse_weights(files[1])
         assert json.loads(reports[0][1]) == pipeline.pipeline_report(g, w)
-        assert [run(capsys, [command, *files]) for command in ("pipeline", "reduce")] == reports
+        assert [run(capsys, [command, *files]) for command in commands] == reports
     assert any(json.loads(reports[1][1])["trace"] for _, reports in cases)
 
 

@@ -23,8 +23,8 @@ NUMPY_FREE = ("certify", "polynomials", "graphs", "lagrangian", "reduction", "fi
 EXPORTS = {
     "graphs": ("OrientedGraph", "UndirectedGraph", "build_f", "build_cf", "build_bf", "underlying",
                "edge_density", "has_induced_directed_c4", "complete_graph"),
-    "lagrangian": ("WeightVector", "LagrangianValue", "lagrangian_cf", "lagrangian_bf", "uniform_weights"),
-    "reduction": ("MergeStep", "reduce_to_complete"),
+    "lagrangian": ("WeightVector", "lagrangian_cf", "lagrangian_bf", "uniform_weights"),
+    "reduction": ("merge_chain",),
     "simplex": ("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex"),
     "polynomials": ("Poly", "g_polynomial", "h_polynomial", "simplex_bernstein"),
     "certify": ("Certificate", "Leaf", "certify"),
@@ -112,6 +112,7 @@ def test_package_exports_resolve_to_their_modules():
         home = importlib.import_module(f"trilag.{module}")
         for name in names:
             assert getattr(trilag, name) is getattr(home, name), name
-    for name in ("no_such_name", "trivariate_g", "majorization_bound_check"):
+    for name in ("no_such_name", "trivariate_g", "majorization_bound_check",
+                 "LagrangianValue", "MergeStep", "reduce_to_complete"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)

@@ -4,9 +4,13 @@ from math import lcm
 
 import pytest
 
+from trilag.cli import _lag_json
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.lagrangian import (
     WeightVector,
+    _adjacency,
+    _bf_sums,
+    _orientation_sums,
     lagrangian_bf,
     lagrangian_cf,
     uniform_weights,
@@ -66,31 +70,32 @@ def test_uniform_weights():
 
 
 def test_lagrangian_cf_values():
-    v = lagrangian_cf(OrientedGraph(3, [(0, 1), (2, 1)]), UNIFORM3)
-    assert v.value == Fraction(2, 27)
-    assert v.triple_term == Fraction(1, 27)
-    assert v.pair_term == Fraction(1, 27)
-    assert v.quadratic_term == 0
+    g = OrientedGraph(3, [(0, 1), (2, 1)])
+    assert lagrangian_cf(g, UNIFORM3) == Fraction(2, 27)
+    rendered = _lag_json(3, *_orientation_sums(g, UNIFORM3)[0])
+    assert rendered == {"value": "2/27", "triple_term": "1/27", "pair_term": "1/27", "quadratic_term": "0"}
 
-    v = lagrangian_cf(OrientedGraph(3, [(0, 1), (0, 2)]), UNIFORM3)
-    assert v.value == Fraction(1, 27)
+    assert lagrangian_cf(OrientedGraph(3, [(0, 1), (0, 2)]), UNIFORM3) == Fraction(1, 27)
 
     spike = WeightVector([Fraction(1), Fraction(0), Fraction(0)])
     for arcs in ([(0, 1), (2, 1)], [(0, 1), (0, 2)], [(1, 2)]):
-        assert lagrangian_cf(OrientedGraph(3, arcs), spike).value == 0
+        assert lagrangian_cf(OrientedGraph(3, arcs), spike) == 0
 
 
 def test_lagrangian_bf_values():
     path = UndirectedGraph(3, [(0, 1), (1, 2)])
-    v = lagrangian_bf(path, UNIFORM3)
-    assert v.value == Fraction(7, 81)
-    assert v.value == v.triple_term + v.pair_term - v.quadratic_term
+    assert lagrangian_bf(path, UNIFORM3) == Fraction(7, 81)
+    rendered = _lag_json(3, *_bf_sums(_adjacency(3, path.edges), UNIFORM3.numerators))
+    assert rendered == {"value": "7/81", "triple_term": "1/27", "pair_term": "2/27", "quadratic_term": "2/81"}
+    value, triple, pair, quadratic = (Fraction(rendered[key]) for key in
+                                      ("value", "triple_term", "pair_term", "quadratic_term"))
+    assert value == triple + pair - quadratic
 
     single = UndirectedGraph(3, [(0, 1)])
-    assert lagrangian_bf(single, UNIFORM3).value == Fraction(5, 162)
+    assert lagrangian_bf(single, UNIFORM3) == Fraction(5, 162)
 
     k2 = UndirectedGraph(2, [(0, 1)])
-    assert lagrangian_bf(k2, WeightVector([Fraction(1, 2)] * 2)).value == Fraction(3, 32)
+    assert lagrangian_bf(k2, WeightVector([Fraction(1, 2)] * 2)) == Fraction(3, 32)
 
 
 def test_length_mismatch():
@@ -102,22 +107,28 @@ def test_length_mismatch():
         pipeline_report(OrientedGraph(4, [(0, 1)]), UNIFORM3)
 
 
-def _terms(v):
-    return (v.value, v.triple_term, v.pair_term, v.quadratic_term)
-
-
-def _oracle_terms(triple, pair, quadratic):
-    return (triple + pair - quadratic, triple, pair, quadratic)
+def _oracle_json(triple, pair, quadratic) -> dict:
+    return {"value": str(triple + pair - quadratic), "triple_term": str(triple),
+            "pair_term": str(pair), "quadratic_term": str(quadratic)}
 
 
 def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
-    assert _terms(lagrangian_cf(g, w)) == _oracle_terms(*brute_cf_terms(g, w))
+    """The rendered breakdowns of trilag lagrangian, on the orientation's
+    sums and on the underlying graph's own, and both values."""
+    d = w.denominator
     und = underlying(g)
-    assert _terms(lagrangian_bf(und, w)) == _oracle_terms(*brute_bf_terms(und, w))
+    cf_json, bf_json = _oracle_json(*brute_cf_terms(g, w)), _oracle_json(*brute_bf_terms(und, w))
+    cf, bf = _orientation_sums(g, w)
+    assert _lag_json(d, *cf) == cf_json
+    assert _lag_json(d, *bf) == bf_json
+    assert _lag_json(d, *_bf_sums(_adjacency(und.n, und.edges), w.numerators)) == bf_json
+    assert str(lagrangian_cf(g, w)) == cf_json["value"]
+    assert str(lagrangian_bf(und, w)) == bf_json["value"]
 
 
 def test_against_brute_force_oracles():
-    """Every component of both Lagrangians equals the raw-definition oracles.
+    """Every rendered component of both Lagrangians is the string of the
+    raw-definition oracles' Fraction.
 
     The empty graph, transitive tournaments, random tournaments (complete
     underlying graphs) and random orientations on 1..12 vertices, at
@@ -142,9 +153,9 @@ def test_step_inequality_and_difference_identity():
         n = rng.randint(2, 6)
         g = rand_orientation(rng, n)
         w = rand_weights(rng, n)
-        lcf = lagrangian_cf(g, w).value
+        lcf = lagrangian_cf(g, w)
         und = underlying(g)
-        lbf = lagrangian_bf(und, w).value
+        lbf = lagrangian_bf(und, w)
         assert Fraction(0) <= lcf <= lbf
         rhs = Fraction(0)
         for x in range(n):
@@ -166,9 +177,9 @@ def test_permutation_equivariance():
         for v in range(n):
             wp[perm[v]] = w[v]
         wp = WeightVector(wp)
-        assert lagrangian_cf(g, w).value == lagrangian_cf(relabel(g, perm), wp).value
+        assert lagrangian_cf(g, w) == lagrangian_cf(relabel(g, perm), wp)
         und = underlying(g)
-        assert lagrangian_bf(und, w).value == lagrangian_bf(relabel(und, perm), wp).value
+        assert lagrangian_bf(und, w) == lagrangian_bf(relabel(und, perm), wp)
 
 
 def test_zero_weight_vertex_deletion():
@@ -181,12 +192,12 @@ def test_zero_weight_vertex_deletion():
         padded = list(w)[:v] + [Fraction(0)] + list(w)[v:]
         padded = WeightVector(padded)
         assert (
-            lagrangian_cf(g, padded).value
-            == lagrangian_cf(delete_vertex_oriented(g, v), w).value
+            lagrangian_cf(g, padded)
+            == lagrangian_cf(delete_vertex_oriented(g, v), w)
         )
         assert (
-            lagrangian_bf(underlying(g), padded).value
-            == lagrangian_bf(underlying(delete_vertex_oriented(g, v)), w).value
+            lagrangian_bf(underlying(g), padded)
+            == lagrangian_bf(underlying(delete_vertex_oriented(g, v)), w)
         )
 
 
@@ -196,4 +207,5 @@ def test_uniform_cf_triple_term_counts_cf():
     for _ in range(100):
         n = rng.randint(3, 6)
         g = rand_orientation(rng, n)
-        assert lagrangian_cf(g, uniform_weights(n)).triple_term * n**3 == len(build_cf(g))
+        (triples, _), _ = _orientation_sums(g, uniform_weights(n))  # d = n: n^3 times the triple term
+        assert triples == len(build_cf(g))

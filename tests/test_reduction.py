@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from trilag.fileio import parse_weights_text
 from trilag.graphs import UndirectedGraph, complete_graph
 from trilag.lagrangian import WeightVector, lagrangian_bf, uniform_weights
-from trilag.reduction import _ratio, reduce_to_complete
+from trilag.reduction import _ratio, merge_chain
 
 from helpers import (
     brute_lagrangian_bf,
+    chain_fractions,
     merge,
     merge_identity_sides,
+    merges_complete,
     neighbor_sums,
     non_edges,
     rand_graph,
@@ -46,14 +48,14 @@ def test_merge_examples():
     graph, weights = merge(*CHERRY, 0, 1, keep=0)
     assert graph == UndirectedGraph(2, [(0, 1)])
     assert list(weights) == [Fraction(1, 2), Fraction(1, 2)]
-    assert lagrangian_bf(graph, weights).value == Fraction(3, 32)
+    assert lagrangian_bf(graph, weights) == Fraction(3, 32)
 
 
 def test_merge_zero_weight_branch_keeps_lagrangian():
     g = UndirectedGraph(4, [(0, 2), (1, 2), (2, 3)])
     w = WeightVector([Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-    before = lagrangian_bf(g, w).value
-    after = lagrangian_bf(*merge(g, w, 0, 1, keep=1)).value  # discards the zero-weight vertex
+    before = lagrangian_bf(g, w)
+    after = lagrangian_bf(*merge(g, w, 0, 1, keep=1))  # discards the zero-weight vertex
     assert after == before
 
 
@@ -94,30 +96,33 @@ def test_merge_identity_random_with_expansion_oracle():
 def test_reduce_complete_input_is_identity():
     for n, seed in ((1, 0), (2, 1), (4, 3), (6, 5)):
         w = rand_weights(random.Random(seed), n)
-        graph, weights, trace, start, final = reduce_to_complete(complete_graph(n), w)
-        assert trace == []  # no merge runs
-        assert graph == complete_graph(n) and list(weights) == list(w)
-        assert start == final == lagrangian_bf(complete_graph(n), w).value
+        d, q, rows, start, final = merge_chain(complete_graph(n), w)
+        assert rows == []  # no merge runs
+        assert merges_complete(complete_graph(n), rows, q)
+        assert (d, q) == (w.denominator, list(w.numerators))
+        assert start == final
+        assert Fraction(start, 2 * d**4) == lagrangian_bf(complete_graph(n), w)
 
 
 def test_reduce_empty_graph_collapses_to_point():
-    graph, weights, trace, start, final = reduce_to_complete(
-        UndirectedGraph(3, []), rand_weights(random.Random(9), 3)
-    )
-    assert graph.n == 1
-    assert list(weights) == [1]
-    assert len(trace) == 2
-    assert lagrangian_bf(graph, weights).value == final == 0 == start
+    g = UndirectedGraph(3, [])
+    d, q, rows, start, final = merge_chain(g, rand_weights(random.Random(9), 3))
+    assert q == [d]
+    assert len(rows) == 2
+    assert merges_complete(g, rows, q)
+    assert lagrangian_bf(complete_graph(1), WeightVector([1])) == final == 0 == start
 
 
 def test_reduce_cherry():
-    graph, weights, trace, start, final = reduce_to_complete(*CHERRY)
-    assert graph == complete_graph(graph.n) and graph.n == 2
+    d, q, rows, start, final = merge_chain(*CHERRY)
+    assert merges_complete(CHERRY[0], rows, q) and len(q) == 2
+    weights, trace, start, final = chain_fractions(d, q, rows, start, final)
     assert sorted(weights) == [Fraction(1, 2), Fraction(1, 2)]
     assert len(trace) == 1
-    assert trace[0].pair == (0, 1)
-    assert trace[0].lagrangian_after == final == Fraction(3, 32)
-    assert trace[0].lagrangian_before == start == lagrangian_bf(*CHERRY).value
+    pair, *_, before, after = trace[0]
+    assert pair == (0, 1)
+    assert after == final == Fraction(3, 32)
+    assert before == start == lagrangian_bf(*CHERRY)
 
 
 def test_reduce_monotone_and_terminates():
@@ -126,19 +131,20 @@ def test_reduce_monotone_and_terminates():
         n = rng.randint(2, 7)
         g = rand_graph(rng, n, p=rng.random())
         w = rand_weights(rng, n)
-        start = lagrangian_bf(g, w).value
-        graph, weights, trace, returned_start, final = reduce_to_complete(g, w)
-        assert graph == complete_graph(graph.n)
+        start = lagrangian_bf(g, w)
+        d, q, rows, *ends = merge_chain(g, w)
+        assert merges_complete(g, rows, q)
+        weights, trace, returned_start, final = chain_fractions(d, q, rows, *ends)
         assert len(trace) <= n - 1
         assert returned_start == start
         level = start
-        for step in trace:
-            assert step.lagrangian_before == level
-            assert step.lagrangian_after >= step.lagrangian_before
-            assert 0 <= step.s_ab <= min(step.s_a, step.s_b)
-            assert abs(step.s_a - step.s_b) <= 1
-            level = step.lagrangian_after
-        assert lagrangian_bf(graph, weights).value == level == final
+        for _, _, _, s_a, s_b, s_ab, before, after in trace:
+            assert before == level
+            assert after >= before
+            assert 0 <= s_ab <= min(s_a, s_b)
+            assert abs(s_a - s_b) <= 1
+            level = after
+        assert lagrangian_bf(complete_graph(len(q)), weights) == level == final
         assert level >= start
 
 
@@ -163,10 +169,12 @@ def _oracle_cases():
 def test_reduce_matches_object_oracle():
     count = 0
     for g, w in _oracle_cases():
-        graph, weights, trace, start, final = reduce_to_complete(g, w)
-        assert (graph, weights, trace, start, final) == reduce_oracle(g, w)
-        assert start == brute_lagrangian_bf(g, w)
-        assert final == brute_lagrangian_bf(graph, weights)
+        d, q, rows, start, final = merge_chain(g, w)
+        graph, weights, trace, l_start, l_final = reduce_oracle(g, w)
+        assert chain_fractions(d, q, rows, start, final) == (weights, trace, l_start, l_final)
+        assert graph == complete_graph(len(q))
+        assert l_start == brute_lagrangian_bf(g, w)
+        assert l_final == brute_lagrangian_bf(graph, weights)
         count += 1
     assert count >= 2000
 
@@ -174,7 +182,7 @@ def test_reduce_matches_object_oracle():
 def test_reduce_leaves_input_weights_unchanged():
     for g, w in itertools.islice(_oracle_cases(), 200):
         before = (w.entries, w.denominator, w.numerators)
-        reduce_to_complete(g, w)
+        merge_chain(g, w)
         assert (w.entries, w.denominator, w.numerators) == before
 
 
@@ -186,9 +194,9 @@ def test_weight_length_must_match_order():
     with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
         merge(g, short, 0, 1, keep=0)
     with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
-        reduce_to_complete(g, short)
+        merge_chain(g, short)
     with pytest.raises(ValueError, match="weight length 2 != vertex count 3"):
-        reduce_to_complete(complete_graph(3), short)  # no merge to run
+        merge_chain(complete_graph(3), short)  # no merge to run
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -74,7 +74,7 @@ def test_closed_form_rejects_off_simplex():
 
 def test_closed_form_matches_definition_examples():
     for w in ([HALF, HALF], [Fraction(1, 3)] * 3, [Fraction(1)]):
-        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)).value == exact_closed_form(w)
+        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)) == exact_closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
@@ -82,7 +82,7 @@ def test_closed_form_matches_definition_random():
     for _ in range(10_000):
         n = rng.randint(1, 10)
         w = rand_weights(rng, n, max_part=12)
-        assert lagrangian_bf(complete_graph(n), w).value == exact_closed_form(w)
+        assert lagrangian_bf(complete_graph(n), w) == exact_closed_form(w)
 
 
 def test_gradient_hand_values():

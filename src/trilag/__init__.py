@@ -1,10 +1,10 @@
 """Exact-arithmetic toolkit for 3-graph Lagrangian bounds.
 
-Constructions and checkers (graphs), exact Lagrangians (lagrangian),
-symmetrization merges (reduction), simplex maximization of the complete
-graph closed form (simplex), an exact simplex Bernstein positivity
-certificate for the final trivariate inequality (certify), and the whole
-chain on one instance (pipeline).
+Constructions and checkers (graphs), the exact chain on integers --
+Lagrangians, symmetrization merges, the closed form and g, and the whole
+chain on one instance (lagrangian) -- simplex maximization of the
+complete graph closed form (simplex), and an exact simplex Bernstein
+positivity certificate for the final trivariate inequality (certify).
 
 numpy is imported only by the float optimizer (simplex) and the sweeps
 (harness).  Their names below resolve through the module __getattr__
@@ -30,11 +30,11 @@ from .lagrangian import (
     lagrangian_cf,
     lagrangian_bf,
     uniform_weights,
+    merge_chain,
+    pipeline_report,
 )
-from .reduction import merge_chain
 from .polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 from .certify import Certificate, Leaf, certify
-from .pipeline import pipeline_report
 from .fileio import ParseError, parse_graph, parse_weights
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ processing order.
 
 This module proves the polynomial inequality only.  The pipeline's value
 of h at one point is 3/32 - g, with g from the integer core
-_g_numerator of trilag.pipeline, called in pipeline_report; the tests pin
+_g_numerator of trilag.lagrangian, called in pipeline_report; the tests pin
 that it equals h_polynomial() evaluated there.
 """
 

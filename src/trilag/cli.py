@@ -9,9 +9,11 @@ Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a mathematical
 check failed (a violation, a failed chain link, or an indeterminate
 certificate -- worth a bug report either way).
 
-numpy serves only optimize, enumerate and validate-fdf: their commands
-import trilag.simplex and trilag.harness when they run, so the exact
-commands start without numpy.
+The payloads of lagrangian, reduce and pipeline come from the report
+builders of trilag.lagrangian; this module parses arguments, makes the
+text lines, emits reports and picks exit codes.  numpy serves only
+optimize, enumerate and validate-fdf: their commands import trilag.simplex
+and trilag.harness when they run, so the exact commands start without numpy.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ import json
 import sys
 
 from .certify import CERTIFIED, certify
-from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_weights
+from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_graph_text, parse_weights
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, edge_density, underlying
-from .lagrangian import _adjacency, _bf_numerator, _bf_sums, _orientation_sums
-from .pipeline import pipeline_report
-from .reduction import _ratio, _trace_rows, merge_chain
+from .lagrangian import lagrangian_report, pipeline_report, reduce_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,17 +51,6 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
-
-
-def _lag_json(d: int, triples: int, pairs: int, edges: int = 0) -> dict:
-    """L_BF and its terms from its _bf_sums over the denominator d, as p/q
-    strings; L_CF is the same form with no edge sum, from its _cf_sums."""
-    return {
-        "value": _ratio(_bf_numerator(d, triples, pairs, edges), 2 * d**4),
-        "triple_term": _ratio(triples, d**3),
-        "pair_term": _ratio(pairs, 2 * d**3),
-        "quadratic_term": _ratio(edges * edges, 2 * d**4),
-    }
 
 
 def _cmd_construct(args) -> int:
@@ -98,41 +87,22 @@ def _cmd_construct(args) -> int:
 
 def _cmd_lagrangian(args) -> int:
     g = parse_graph(args.graph)
-    w = parse_weights(args.weights, expected_n=g.n)
-    if isinstance(g, OrientedGraph):
-        cf, bf = _orientation_sums(g, w)
-        lcf, lbf = _lag_json(w.denominator, *cf), _lag_json(w.denominator, *bf)
-        payload = {"lagrangian_cf": lcf, "lagrangian_bf_underlying": lbf}
-        text = [f"L_CF = {lcf['value']}", f"L_BF(underlying) = {lbf['value']}"]
-    else:
-        lbf = _lag_json(w.denominator, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))
-        payload = {"lagrangian_bf": lbf}
-        text = [f"L_BF = {lbf['value']}"]
-    _emit(payload, args, text_lines=text)
+    report = lagrangian_report(g, parse_weights(args.weights, expected_n=g.n))
+    labels = {"lagrangian_cf": "L_CF", "lagrangian_bf_underlying": "L_BF(underlying)", "lagrangian_bf": "L_BF"}
+    _emit(report, args, text_lines=[f"{labels[key]} = {terms['value']}" for key, terms in report.items()])
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
     g = parse_graph(args.graph)
-    if isinstance(g, OrientedGraph):
-        g = underlying(g)
-    w = parse_weights(args.weights, expected_n=g.n)
-    d, final, rows, _, end = merge_chain(g, w)
-    monotone = all(after >= before for *_, before, after in rows)
-    payload = {
-        "trace": _trace_rows(d, rows),
-        "final_order": len(final),
-        "final_weights": [_ratio(v, d) for v in final],
-        "final_lagrangian": _ratio(end, 2 * d**4),
-        "monotone": monotone,
-    }
+    report = reduce_report(g, parse_weights(args.weights, expected_n=g.n))
     text = [
-        f"merges: {len(rows)}, final complete graph order {len(final)}",
-        f"final L_BF = {payload['final_lagrangian']}",
-        f"monotone: {monotone}",
+        f"merges: {len(report['trace'])}, final complete graph order {report['final_order']}",
+        f"final L_BF = {report['final_lagrangian']}",
+        f"monotone: {report['monotone']}",
     ]
-    _emit(payload, args, text_lines=text)
-    return EXIT_OK if monotone else EXIT_MATH_FAIL
+    _emit(report, args, text_lines=text)
+    return EXIT_OK if report["monotone"] else EXIT_MATH_FAIL
 
 
 def _cmd_optimize(args) -> int:
@@ -208,11 +178,11 @@ def _cmd_validate_fdf(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    g = parse_graph(args.graph)
+    source = _read_text(args.graph)  # read once: a pipe cannot be read again
+    g = parse_graph_text(source, args.graph)
     if not isinstance(g, OrientedGraph):
-        # cite the header, the first content line; only this refusal reads the file again
-        header_no = next(_content_lines(_read_text(args.graph)))[0]
-        raise ParseError(args.graph, header_no, "pipeline expects a digraph")
+        # cite the header, the first content line
+        raise ParseError(args.graph, next(_content_lines(source))[0], "pipeline expects a digraph")
     w = parse_weights(args.weights, expected_n=g.n)
     report = pipeline_report(g, w)
     chain = " <= ".join(

@@ -24,8 +24,19 @@ edge_density takes the vertex count beside it.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import comb
+
+
+def _endpoints(pair) -> tuple[int, int]:
+    """The two vertex labels of an arc or edge as ints; a non-integer label,
+    such as 1.0 or 3/2, is a ValueError that names the pair."""
+    u, v = pair
+    try:
+        return operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"non-integer vertex label in {(u, v)}") from None
 
 
 class OrientedGraph:
@@ -36,7 +47,7 @@ class OrientedGraph:
     def __init__(self, n: int, arcs) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arcset = frozenset(tuple(a) for a in arcs)
+        arcset = frozenset(_endpoints(a) for a in arcs)
         for (u, v) in arcset:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
@@ -74,7 +85,7 @@ class UndirectedGraph:
             raise ValueError("vertex count must be nonnegative")
         canon = set()
         for e in edges:
-            u, v = e
+            u, v = _endpoints(e)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {{{u},{v}}} out of range for n={n}")
             if u == v:

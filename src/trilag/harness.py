@@ -17,7 +17,7 @@ takes one table lookup per subset size.
 
 This module and trilag.simplex's optimizer are the only ones that import
 numpy.  The package and the command line load them on first use, so the
-exact commands, the pipeline (trilag.pipeline) among them, start without
+exact commands, the pipeline (trilag.lagrangian) among them, start without
 numpy.
 """
 

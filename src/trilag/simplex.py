@@ -26,7 +26,7 @@ no longer converges.  The stopping residual is the gradient-mapping norm
 |P(x + t grad) - x| / t at t = STEP.
 
 The exact value at the rounded argmax comes from the integer core
-_closed_form_numerator of trilag.pipeline, on the (d, p) of a
+_closed_form_numerator of trilag.lagrangian, on the (d, p) of a
 WeightVector.  This module imports numpy for the optimizer, and the
 package loads it only when one of its names is first used.
 """
@@ -39,8 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lagrangian import WeightVector
-from .pipeline import _closed_form_numerator
+from .lagrangian import WeightVector, _closed_form_numerator
 
 FLOAT_SIMPLEX_TOL = 1e-9
 # restarts whose objectives differ by less than this are tied: rounding puts

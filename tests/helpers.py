@@ -10,7 +10,7 @@ fields of merge_chain's rows, its rationals as Fractions; chain_fractions
 turns merge_chain's integers into that form, and merges_complete replays
 merge_chain's rows on the input's edge set.  The pipeline oracles take
 L_CF from lagrangian_cf and the closed form, g and the majorization from
-the Fraction oracles below, not from the integer cores of trilag.pipeline
+the Fraction oracles below, not from the integer cores of trilag.lagrangian
 that they check.  trace_to_jsonable renders an oracle trace with
 str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
 reference for the integer rows and the gcd renderer of pipeline_report

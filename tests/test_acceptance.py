@@ -13,10 +13,17 @@ import numpy as np
 from trilag.certify import CERTIFIED, certify, leaf_volume_total
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
-from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
-from trilag.pipeline import _closed_form_numerator, _g_numerator, pipeline_report
+from trilag.lagrangian import (
+    WeightVector,
+    _closed_form_numerator,
+    _g_numerator,
+    lagrangian_bf,
+    lagrangian_cf,
+    merge_chain,
+    pipeline_report,
+    uniform_weights,
+)
 from trilag.polynomials import h_polynomial, simplex_bernstein
-from trilag.reduction import merge_chain
 from trilag.simplex import gradient, maximize
 
 from helpers import merge_identity_sides, merges_complete, non_edges, rand_graph, rand_orientation, rand_weights

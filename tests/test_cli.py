@@ -1,9 +1,11 @@
 import json
+import os
 import random
+import threading
 
 import pytest
 
-from trilag import cli, graphs, harness, lagrangian, pipeline, reduction
+from trilag import cli, graphs, harness, lagrangian
 from trilag.cli import build_parser, main
 from trilag.fileio import parse_graph, parse_weights
 from trilag.graphs import OrientedGraph, underlying
@@ -106,6 +108,39 @@ def test_pipeline_refuses_undirected_input_at_its_header(capsys, tmp_path):
     assert captured.err == f"error: {g}:3: pipeline expects a digraph\n"
 
 
+def test_pipeline_reads_a_piped_graph_once(capsys, tmp_path):
+    """Undirected input on a named pipe is refused at its header, from the one read."""
+    fifo, w = tmp_path / "g.fifo", tmp_path / "w.txt"
+    os.mkfifo(fifo)
+    w.write_text(UNIFORM3)
+    done = threading.Event()
+
+    def serve():
+        # the graph to the first reader and an empty stream to any later one, as a drained pipe
+        text = "graph 3\n0 1\n1 2\n"
+        while not done.is_set():
+            with open(fifo, "w") as fh:  # waits for a reader
+                fh.write("" if done.is_set() else text)
+            text = ""
+
+    writer = threading.Thread(target=serve, daemon=True)
+    writer.start()
+    try:
+        code = main(["pipeline", str(fifo), str(w)])
+    finally:
+        done.set()
+        for _ in range(500):  # release the writer's wait for a reader, for up to 5 s
+            if not writer.is_alive():
+                break
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(0.01)
+    assert not writer.is_alive()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fifo}:1: pipeline expects a digraph\n"
+
+
 def test_reduce(capsys, tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("graph 3\n0 2\n1 2\n")
@@ -157,25 +192,40 @@ def test_reduce_report_matches_object_oracle(capsys, tmp_path):
     assert merges == {("a", True), ("a", False), ("b", True), ("b", False)}
 
 
-def test_reports_build_no_fraction(capsys, monkeypatch, tmp_path):
-    """pipeline, reduce and lagrangian render their integers without a Fraction."""
+REPORTS = {"pipeline": "pipeline_report", "reduce": "reduce_report", "lagrangian": "lagrangian_report"}
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a Fraction was built")
+
+
+def _report_cases(capsys, tmp_path):
+    """Orientation files on 2..8 vertices, each with main's (code, output) for every REPORTS command."""
     rng = random.Random(58)
-    commands = ("pipeline", "reduce", "lagrangian")
     cases = []
     for n in range(2, 9):
         files = _write_instance(tmp_path / str(n), rand_orientation(rng, n), rand_weights(rng, n))
-        cases.append((files, [run(capsys, [command, *files]) for command in commands]))
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a Fraction was built")
-
-    for module in (reduction, pipeline, cli):
-        monkeypatch.setattr(module, "Fraction", refused, raising=False)
-    for files, reports in cases:
-        g, w = parse_graph(files[0]), parse_weights(files[1])
-        assert json.loads(reports[0][1]) == pipeline.pipeline_report(g, w)
-        assert [run(capsys, [command, *files]) for command in commands] == reports
+        cases.append((files, [run(capsys, [command, *files]) for command in REPORTS]))
     assert any(json.loads(reports[1][1])["trace"] for _, reports in cases)
+    return cases
+
+
+def test_reports_build_no_fraction(capsys, monkeypatch, tmp_path):
+    """The report builders of pipeline, reduce and lagrangian render their integers without a Fraction."""
+    cases = [(parse_graph(files[0]), parse_weights(files[1]), reports)
+             for files, reports in _report_cases(capsys, tmp_path)]
+    monkeypatch.setattr(lagrangian, "Fraction", _refused)
+    for g, w, reports in cases:
+        built = [getattr(lagrangian, name)(g, w) for name in REPORTS.values()]
+        assert built == [json.loads(out) for _, out in reports]
+
+
+def test_main_emits_reports_without_fraction(capsys, monkeypatch, tmp_path):
+    """main emits the same pipeline, reduce and lagrangian output with Fraction refused in the CLI."""
+    cases = _report_cases(capsys, tmp_path)
+    monkeypatch.setattr(cli, "Fraction", _refused, raising=False)
+    for files, reports in cases:
+        assert [run(capsys, [command, *files]) for command in REPORTS] == reports
 
 
 def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):
@@ -188,7 +238,7 @@ def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):
             return fn(*args)
 
         # every binding; raising=False plants the name in modules that import none
-        for binding in (cli, graphs, lagrangian, reduction):
+        for binding in (cli, graphs, lagrangian):
             monkeypatch.setattr(binding, name, counting, raising=False)
     g, w = tmp_path / "g.txt", tmp_path / "w.txt"
     g.write_text("graph 4\n0 1\n")

@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from trilag.graphs import (
@@ -16,6 +18,7 @@ from trilag.graphs import (
     underlying,
 )
 from trilag.harness import orientation_from_index
+from trilag.lagrangian import lagrangian_bf, lagrangian_cf, merge_chain, pipeline_report, uniform_weights
 
 from helpers import all_orientations, has_independent_4set, rand_orientation, relabel, relabel_triples
 
@@ -27,6 +30,22 @@ def test_oriented_graph_rejects_digons_and_loops():
         OrientedGraph(2, [(1, 1)])
     with pytest.raises(ValueError):
         OrientedGraph(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("cls", [OrientedGraph, UndirectedGraph])
+def test_graphs_take_only_integer_vertex_labels(cls):
+    """A float label, even a whole one, or a fractional label names its pair;
+    an integer of another type becomes an int."""
+    for label, shown in ((1.0, "1.0"), (1.5, "1.5"), (Fraction(3, 2), "Fraction(3, 2)")):
+        with pytest.raises(ValueError, match=rf"^non-integer vertex label in \(0, {re.escape(shown)}\)$"):
+            cls(3, [(0, label)])
+    g = cls(3, [(np.int64(1), 2)])
+    assert [type(v) for pair in (g.arcs if cls is OrientedGraph else g.edges) for v in pair] == [int, int]
+    w = uniform_weights(3)
+    if cls is OrientedGraph:
+        assert lagrangian_cf(g, w) == Fraction(1, 54) and pipeline_report(g, w)["all_pass"]
+    else:
+        assert lagrangian_bf(g, w) == Fraction(5, 162) and merge_chain(g, w)[0] == 3
 
 
 def test_build_f_examples():

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from trilag import graphs, harness, lagrangian, pipeline, reduction, simplex
+from trilag import graphs, harness, lagrangian, simplex
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -26,8 +26,7 @@ from trilag.harness import (
     triple_counts,
     validate_fdf_family,
 )
-from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, uniform_weights
-from trilag.pipeline import pipeline_report
+from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, pipeline_report, uniform_weights
 from trilag.polynomials import g_polynomial, h_polynomial
 
 from helpers import (
@@ -297,10 +296,10 @@ def test_pipeline_point_values_match_certified_polynomials():
 
 def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     calls = []
-    counted = ((simplex, "closed_form"), (pipeline, "_closed_form_numerator"), (pipeline, "_g_numerator"),
-               (pipeline, "_majorized"),
+    counted = ((simplex, "closed_form"), (lagrangian, "_closed_form_numerator"), (lagrangian, "_g_numerator"),
+               (lagrangian, "_majorized"),
                (lagrangian, "lagrangian_bf"), (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"),
-               (lagrangian, "_arc_adjacency"), (lagrangian, "_bf_sums"), (reduction, "merge_chain"),
+               (lagrangian, "_arc_adjacency"), (lagrangian, "_bf_sums"), (lagrangian, "merge_chain"),
                (graphs, "build_bf"), (graphs, "build_cf"), (graphs, "complete_graph"))
     for module, name in counted:
         fn = getattr(module, name)
@@ -311,7 +310,7 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
 
         # every binding, the pipeline's own and those of the modules it calls;
         # raising=False also plants the name in modules that import none
-        for binding in (pipeline, graphs, simplex, reduction, lagrangian):
+        for binding in (graphs, simplex, lagrangian):
             monkeypatch.setattr(binding, name, counting, raising=False)
     g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
     w = WeightVector([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)])
@@ -328,7 +327,7 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     # sets of _arc_adjacency) and one BF triple sum serve L_CF and every L_BF:
     # no Lagrangian is evaluated on its own, each merge's branches come from
     # integer sums, and no triple system is built.  The tail runs each integer
-    # core of trilag.pipeline once, on the final numerators, and builds no weight
+    # core of the chain once, on the final numerators, and builds no weight
     # vector or complete graph for them.
     assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "_closed_form_numerator",
                              "_g_numerator", "_majorized"]
@@ -365,13 +364,15 @@ def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
     links do; final numerators off the simplex raise, as the oracle does."""
     rng = random.Random(304)
     case = {}  # kind and delta of the current perturbation, and the values the pipeline saw
+    # the originals, taken before they are patched in the module that calls them
+    cf_numerator, reduce_chain = lagrangian._cf_numerator, lagrangian._reduce
 
     def perturbed_cf(*sums):
-        case["lcf"] = lagrangian._cf_numerator(*sums) + (case["delta"] if case["kind"] == 0 else 0)
+        case["lcf"] = cf_numerator(*sums) + (case["delta"] if case["kind"] == 0 else 0)
         return case["lcf"]
 
     def perturbed_reduce(*args):
-        d, q, trace, start, end = reduction._reduce(*args)
+        d, q, trace, start, end = reduce_chain(*args)
         kind, delta = case["kind"], case["delta"]
         start += delta if kind == 1 else 0
         end += delta if kind == 2 else 0
@@ -382,8 +383,8 @@ def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
         case["chain"] = d, q, start, end
         return d, q, trace, start, end
 
-    monkeypatch.setattr(pipeline, "_cf_numerator", perturbed_cf)
-    monkeypatch.setattr(pipeline, "_reduce", perturbed_reduce)
+    monkeypatch.setattr(lagrangian, "_cf_numerator", perturbed_cf)
+    monkeypatch.setattr(lagrangian, "_reduce", perturbed_reduce)
     seen = set()
     for i in range(400):
         n = rng.randint(1, 8)

@@ -18,37 +18,37 @@ import pytest
 import trilag
 
 SRC = Path(trilag.__file__).resolve().parents[1]
-NUMPY_FREE = ("certify", "polynomials", "graphs", "lagrangian", "reduction", "fileio", "cli", "pipeline")
+NUMPY_FREE = ("certify", "polynomials", "graphs", "lagrangian", "fileio", "cli")
 # the package's export list, by defining module
 EXPORTS = {
     "graphs": ("OrientedGraph", "UndirectedGraph", "build_f", "build_cf", "build_bf", "underlying",
                "edge_density", "has_induced_directed_c4", "complete_graph"),
-    "lagrangian": ("WeightVector", "lagrangian_cf", "lagrangian_bf", "uniform_weights"),
-    "reduction": ("merge_chain",),
+    "lagrangian": ("WeightVector", "lagrangian_cf", "lagrangian_bf", "uniform_weights", "merge_chain",
+                   "pipeline_report"),
     "simplex": ("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex"),
     "polynomials": ("Poly", "g_polynomial", "h_polynomial", "simplex_bernstein"),
     "certify": ("Certificate", "Leaf", "certify"),
     "harness": ("enumerate_orientations", "validate_fdf_family"),
-    "pipeline": ("pipeline_report",),
     "fileio": ("ParseError", "parse_graph", "parse_weights"),
 }
 
 
 def _module_level_imports(source: str):
-    """Names imported outside function bodies, relative ones with their leading dots."""
+    """(module, names) of each import outside function bodies, relative modules
+    with their leading dots; names are those a ``from`` import binds."""
     stack = list(ast.parse(source).body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
+            yield from ((alias.name, ()) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             dots = "." * node.level
             if node.module is None:
-                yield from (dots + alias.name for alias in node.names)
+                yield from ((dots + alias.name, ()) for alias in node.names)
             else:
-                yield dots + node.module
+                yield dots + node.module, tuple(alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
 
 
@@ -56,7 +56,7 @@ def test_numpy_free_modules_import_only_stdlib_and_each_other():
     """At module level the exact modules and the package import the standard
     library and one another only: no numpy, no simplex, no harness.  Of
     trilag, the certificate imports the polynomials alone."""
-    imports = {name: set(_module_level_imports((SRC / "trilag" / f"{name}.py").read_text()))
+    imports = {name: {module for module, _ in _module_level_imports((SRC / "trilag" / f"{name}.py").read_text())}
                for name in ("__init__", *NUMPY_FREE)}
     for name, imported in imports.items():
         for module in imported:
@@ -66,6 +66,14 @@ def test_numpy_free_modules_import_only_stdlib_and_each_other():
                 assert module.partition(".")[0] in sys.stdlib_module_names, (name, module)
     own = {module for module in imports["certify"] | imports["polynomials"] if module.startswith(".")}
     assert own == {".polynomials"}
+
+
+def test_cli_imports_only_public_names_of_the_chain():
+    """The CLI takes its lagrangian, reduce and pipeline payloads from the report
+    builders of trilag.lagrangian, and none of the chain's private names."""
+    imported = [names for module, names in _module_level_imports((SRC / "trilag" / "cli.py").read_text())
+                if module == ".lagrangian"]
+    assert imported and not [name for names in imported for name in names if name.startswith("_")]
 
 
 def _run(code: str, cwd: Path) -> str:
@@ -116,3 +124,6 @@ def test_package_exports_resolve_to_their_modules():
                  "LagrangianValue", "MergeStep", "reduce_to_complete"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)
+    for module in ("trilag.reduction", "trilag.pipeline"):  # folded into trilag.lagrangian
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

@@ -4,18 +4,18 @@ from math import lcm
 
 import pytest
 
-from trilag.cli import _lag_json
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.lagrangian import (
     WeightVector,
     _adjacency,
     _bf_sums,
+    _lag_json,
     _orientation_sums,
     lagrangian_bf,
     lagrangian_cf,
+    pipeline_report,
     uniform_weights,
 )
-from trilag.pipeline import pipeline_report
 
 from helpers import (
     brute_bf_terms,
@@ -118,7 +118,7 @@ def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
     d = w.denominator
     und = underlying(g)
     cf_json, bf_json = _oracle_json(*brute_cf_terms(g, w)), _oracle_json(*brute_bf_terms(und, w))
-    cf, bf = _orientation_sums(g, w)
+    cf, bf, _ = _orientation_sums(g, w)
     assert _lag_json(d, *cf) == cf_json
     assert _lag_json(d, *bf) == bf_json
     assert _lag_json(d, *_bf_sums(_adjacency(und.n, und.edges), w.numerators)) == bf_json
@@ -207,5 +207,5 @@ def test_uniform_cf_triple_term_counts_cf():
     for _ in range(100):
         n = rng.randint(3, 6)
         g = rand_orientation(rng, n)
-        (triples, _), _ = _orientation_sums(g, uniform_weights(n))  # d = n: n^3 times the triple term
+        (triples, _), _, _ = _orientation_sums(g, uniform_weights(n))  # d = n: n^3 times the triple term
         assert triples == len(build_cf(g))

@@ -8,8 +8,7 @@ import pytest
 
 from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
 from trilag.certify import DOMAIN_VERTICES, bisect, certify
-from trilag.lagrangian import WeightVector
-from trilag.pipeline import _g_numerator
+from trilag.lagrangian import WeightVector, _g_numerator
 from trilag.polynomials import (
     Poly,
     g_polynomial,

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from trilag.fileio import parse_weights_text
 from trilag.graphs import UndirectedGraph, complete_graph
-from trilag.lagrangian import WeightVector, lagrangian_bf, uniform_weights
-from trilag.reduction import _ratio, merge_chain
+from trilag.lagrangian import WeightVector, _ratio, lagrangian_bf, merge_chain, uniform_weights
 
 from helpers import (
     brute_lagrangian_bf,

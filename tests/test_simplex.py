@@ -6,8 +6,7 @@ import pytest
 
 from trilag import simplex
 from trilag.graphs import complete_graph
-from trilag.lagrangian import WeightVector, lagrangian_bf
-from trilag.pipeline import _closed_form_numerator, _g_numerator, _majorized
+from trilag.lagrangian import WeightVector, _closed_form_numerator, _g_numerator, _majorized, lagrangian_bf
 from trilag.simplex import (
     ascend,
     closed_form,

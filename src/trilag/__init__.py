@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 # name -> the numpy-backed module that defines it, imported on first use
 _LAZY = {
-    **dict.fromkeys(("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex"), "simplex"),
+    **dict.fromkeys(("closed_form", "gradient", "maximize", "project_to_simplex"), "simplex"),
     **dict.fromkeys(("enumerate_orientations", "validate_fdf_family"), "harness"),
 }
 

@@ -10,10 +10,10 @@ check failed (a violation, a failed chain link, or an indeterminate
 certificate -- worth a bug report either way).
 
 The payloads of lagrangian, reduce and pipeline come from the report
-builders of trilag.lagrangian; this module parses arguments, makes the
-text lines, emits reports and picks exit codes.  numpy serves only
-optimize, enumerate and validate-fdf: their commands import trilag.simplex
-and trilag.harness when they run, so the exact commands start without numpy.
+builders of trilag.lagrangian, optimize's from trilag.simplex.maximize;
+this module parses arguments, makes the text lines, emits reports and
+picks exit codes.  Only optimize, enumerate and validate-fdf load numpy,
+importing trilag.simplex or trilag.harness when they run.
 """
 
 from __future__ import annotations
@@ -108,27 +108,12 @@ def _cmd_reduce(args) -> int:
 def _cmd_optimize(args) -> int:
     from .simplex import maximize
 
-    result = maximize(args.n, restarts=args.restarts, seed=args.seed, tol=args.tol)
-    payload = {
-        "n": result.n,
-        "value": float(result.value),
-        "value_exact": str(result.value),
-        "point": list(result.point),
-        "exact_point": [str(v) for v in result.exact_point],
-        "restarts": result.restarts,
-        "seed": result.seed,
-        "residual": result.residual,
-        "converged": result.converged,
-        "stats": {
-            "iterations": result.iterations,
-            "restarts_converged": result.restarts_converged,
-        },
-    }
+    report = maximize(args.n, seed=args.seed)
     text = [
-        f"n={result.n}: max ~ {float(result.value):.12f} (exact {result.value})",
-        f"argmax ~ {tuple(round(v, 6) for v in result.point)}",
+        f"n={report['n']}: max ~ {report['value']:.12f} (exact {report['value_exact']})",
+        f"argmax ~ {tuple(round(v, 6) for v in report['point'])}",
     ]
-    _emit(payload, args, text_lines=text)
+    _emit(report, args, text_lines=text)
     return EXIT_OK
 
 
@@ -245,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("optimize", help="maximize the closed form on the simplex")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(run=_cmd_optimize)
 
     p = add("certify", help="simplex Bernstein positivity certificate for 3/32 - g on D")

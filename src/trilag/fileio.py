@@ -1,10 +1,11 @@
 """Text formats for graphs and weight vectors.
 
-Graph files: first line ``digraph <n>`` or ``graph <n>``; each following
-non-empty line is one arc/edge ``u v`` (0-based); ``#`` starts a comment.
-Arcs are ordered u->v, edges unordered.  Weight files hold one rational
-per line: ``p/q``, an integer, or a decimal; the count must match the
-graph order, no weight may exceed 1, and the sum must be exactly 1.
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.  Graph files: first line
+``digraph <n>`` or ``graph <n>``; each following non-empty line is one
+arc/edge ``u v`` (0-based); ``#`` starts a comment.  Arcs are ordered
+u->v, edges unordered.  Weight files hold one rational per line: ``p/q``,
+an integer, or a decimal; the count must match the graph order, no weight
+may exceed 1, and the sum must be exactly 1.
 Reports print values of degree <= 4 in the weights, at most 1 in
 magnitude, whose denominators divide 96 D^4 (D the weights' common
 denominator): a D of more than MAX_DENOMINATOR_DIGITS digits is
@@ -29,8 +30,13 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _lines(text: str) -> list[str]:
+    r"""text split at \n, \r\n and \r only, not at the \x0c, \x85, ... of str.splitlines."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _content_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line
@@ -85,7 +91,7 @@ def _read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no = len(_lines(data[:exc.start].decode("utf-8")))  # the bytes before exc.start decode
         raise ParseError(path, line_no, f"not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 

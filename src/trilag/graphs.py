@@ -39,14 +39,24 @@ def _endpoints(pair) -> tuple[int, int]:
         raise ValueError(f"non-integer vertex label in {(u, v)}") from None
 
 
+def _vertex_count(n) -> int:
+    """n as an int; a non-integer count, such as 2.0, or a negative one is a ValueError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"non-integer vertex count {n!r}") from None
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return n
+
+
 class OrientedGraph:
     """Loopless digraph with no antiparallel arcs, on vertices 0..n-1."""
 
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = _vertex_count(n)
         arcset = frozenset(_endpoints(a) for a in arcs)
         for (u, v) in arcset:
             if not (0 <= u < n and 0 <= v < n):
@@ -81,8 +91,7 @@ class UndirectedGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = _vertex_count(n)
         canon = set()
         for e in edges:
             u, v = _endpoints(e)

@@ -10,8 +10,8 @@ ascent with backtracking line search from seeded random restarts.  All
 restarts run as one (restarts x n) array: the float objective, gradient
 and projection work along the last axis, and each row keeps its own step
 and stopping rule.  The float argmax is then rounded to rationals and
-re-evaluated exactly, so the reported value carries no floating-point
-doubt.
+re-evaluated exactly, so maximize, which builds the optimize report,
+reports a value with no floating-point doubt.
 
 The first trial step, STEP = 6, comes from the curvature at the maximizer
 v = (1/2, 1/2, 0, ...), where the gradient vanishes.  To first order in
@@ -25,16 +25,14 @@ gives -1/2 and 1/2; at t = 8 the split factor reaches -1 and the ascent
 no longer converges.  The stopping residual is the gradient-mapping norm
 |P(x + t grad) - x| / t at t = STEP.
 
-The exact value at the rounded argmax comes from the integer core
-_closed_form_numerator of trilag.lagrangian, on the (d, p) of a
-WeightVector.  This module imports numpy for the optimizer, and the
-package loads it only when one of its names is first used.
+The exact value comes from the integer core _closed_form_numerator of
+trilag.lagrangian, on the (d, p) of a WeightVector.  This module imports
+numpy, and the package loads it only when one of its names is first used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -88,30 +86,6 @@ def project_to_simplex(v) -> np.ndarray:
     rho = n - 1 - positive[:, ::-1].argmax(axis=1)
     lam = (1.0 - css[np.arange(len(rows)), rho]) / (rho + 1.0)
     return np.maximum(v + lam.reshape(v.shape[:-1] + (1,)), 0.0)
-
-
-@dataclass(frozen=True)
-class OptResult:
-    """Best ascent outcome, with the float argmax re-verified exactly.
-
-    value is the exact closed form at exact_point (the argmax rounded to
-    rationals with denominator <= 10^6 and renormalized); float_value is
-    the raw ascent objective.  iterations counts the outer iterations of
-    the batched ascent (the most any one start took), restarts_converged
-    the starts that ended with residual < tol.
-    """
-
-    n: int
-    value: Fraction
-    point: tuple[float, ...]
-    exact_point: tuple[Fraction, ...]
-    float_value: float
-    restarts: int
-    seed: int
-    converged: bool
-    residual: float
-    iterations: int
-    restarts_converged: int
 
 
 ARMIJO = 1e-4
@@ -178,14 +152,16 @@ def round_point_exact(point):
     return tuple(f / total for f in fracs)
 
 
-def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> OptResult:
-    """Best closed-form value over the (n-1)-simplex from seeded random starts.
+def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+    """The optimize report: the best closed-form value on the (n-1)-simplex.
 
-    Starts are flat-Dirichlet samples, ascended together as one
-    (restarts x n) batch.  Every restart within RANK_TOL of the best float
-    objective ties, so last-bit differences in the sums cannot pick among
-    symmetric optima; the lexicographically smallest tied point wins, and
-    is rounded to rationals and re-evaluated exactly.
+    Flat-Dirichlet starts are ascended as one (restarts x n) batch.  Every
+    restart within RANK_TOL of the best float objective ties, so last-bit
+    differences in the sums cannot pick among symmetric optima; the
+    lexicographically smallest tied point wins.  It is rounded by
+    round_point_exact and re-evaluated exactly as value_exact.  stats counts
+    the outer iterations of the batch (the most any one start took) and
+    restarts_converged, the starts that ended with residual < tol.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -198,16 +174,16 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> O
     best = min(np.flatnonzero(fx >= fx.max() - RANK_TOL), key=lambda i: tuple(x[i]))
     exact_point = round_point_exact(x[best])
     w = WeightVector(exact_point)
-    return OptResult(
-        n=n,
-        value=Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4),
-        point=tuple(float(v) for v in x[best]),
-        exact_point=exact_point,
-        float_value=float(fx[best]),
-        restarts=restarts,
-        seed=seed,
-        converged=bool(converged[best]),
-        residual=float(residual[best]),
-        iterations=iterations,
-        restarts_converged=int(converged.sum()),
-    )
+    value = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
+    return {
+        "n": n,
+        "value": float(value),
+        "value_exact": str(value),
+        "point": [float(v) for v in x[best]],
+        "exact_point": [str(v) for v in exact_point],
+        "restarts": restarts,
+        "seed": seed,
+        "residual": float(residual[best]),
+        "converged": bool(converged[best]),
+        "stats": {"iterations": iterations, "restarts_converged": int(converged.sum())},
+    }

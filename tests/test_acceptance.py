@@ -137,8 +137,9 @@ def test_criterion_5_optimizer():
     step = 1e-5
     for n in range(2, 13):
         res = maximize(n, restarts=100, seed=0)
-        gap = float(BOUND - res.value)
-        point = sorted(res.point, reverse=True)
+        value = Fraction(res["value_exact"])
+        gap = float(BOUND - value)
+        point = sorted(res["point"], reverse=True)
         reference = [0.5, 0.5] + [0.0] * (n - 2)
         dev = max(abs(p - r) for p, r in zip(point, reference))
         grad_ok = True
@@ -154,7 +155,7 @@ def test_criterion_5_optimizer():
                 fm = (1 - float(np.sum((x - e) ** 3))) / 6 - (1 - s2m) ** 2 / 8
                 if abs(grad[i] - (fp - fm) / (2 * step)) >= 1e-6:
                     grad_ok = False
-        good = res.value <= BOUND and abs(gap) <= 1e-9 and dev <= 1e-4 and grad_ok
+        good = value <= BOUND and abs(gap) <= 1e-9 and dev <= 1e-4 and grad_ok
         ok = ok and good
         details.append(f"n={n}: gap={gap:.1e}, dev={dev:.1e}")
     _report("criterion 5 (optimizer, n=2..12)", ok, "; ".join(details))

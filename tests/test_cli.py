@@ -9,6 +9,7 @@ from trilag import cli, graphs, harness, lagrangian
 from trilag.cli import build_parser, main
 from trilag.fileio import parse_graph, parse_weights
 from trilag.graphs import OrientedGraph, underlying
+from trilag.simplex import maximize
 
 from helpers import rand_graph, rand_orientation, rand_weights, reduce_report_oracle
 
@@ -271,13 +272,26 @@ def test_pipeline(capsys, cherry_files):
 
 
 def test_optimize(capsys):
-    code, out = run(capsys, ["--seed", "3", "optimize", "--n", "4", "--restarts", "15"])
+    code, out = run(capsys, ["--seed", "3", "optimize", "--n", "4"])
     assert code == 0
     payload = json.loads(out)
     assert payload["value_exact"] == "3/32"
-    assert len(payload["point"]) == 4
-    # the most outer iterations any of the 15 starts took, and how many converged
-    assert payload["stats"] == {"iterations": 38, "restarts_converged": 15}
+    assert len(payload["point"]) == 4 and payload["restarts"] == 100
+    # the most outer iterations any of the 100 starts took, and how many converged
+    assert payload["stats"] == {"iterations": 84, "restarts_converged": 100}
+
+
+def test_optimize_report_is_maximize(capsys):
+    """The optimize payload is maximize's report at 100 restarts and tol 1e-8,
+    which no flag changes."""
+    for n, seed in ((1, 5), (2, 0), (4, 3), (8, 23)):
+        code, out = run(capsys, ["--seed", str(seed), "optimize", "--n", str(n)])
+        assert code == 0 and json.loads(out) == maximize(n, seed=seed), (n, seed)
+    for flag in (["--restarts", "5"], ["--tol", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--n", "3", *flag])
+        assert exc.value.code == 1, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_enumerate_json_and_csv(capsys):
@@ -328,8 +342,8 @@ def test_global_flags_after_subcommand(capsys, cherry_files):
     code, out = run(capsys, ["pipeline", g, w, "--format", "text"])
     assert code == 0
     assert out.startswith("chain:")
-    code_a, out_a = run(capsys, ["optimize", "--n", "3", "--restarts", "5", "--seed", "9"])
-    code_b, out_b = run(capsys, ["--seed", "9", "optimize", "--n", "3", "--restarts", "5"])
+    code_a, out_a = run(capsys, ["optimize", "--n", "3", "--seed", "9"])
+    code_b, out_b = run(capsys, ["--seed", "9", "optimize", "--n", "3"])
     assert code_a == code_b == 0
     assert out_a == out_b
 
@@ -349,7 +363,7 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, cherry_files):
     assert run(capsys, ["--out", str(out_path), "--seed", "9", "enumerate", "--n", "3"]) == (0, "")
     code, out = run(capsys, ["--format", "text", "pipeline", g, w])
     assert code == 0 and out.startswith("chain:")
-    code, out = run(capsys, ["optimize", "--n", "3", "--restarts", "5"])
+    code, out = run(capsys, ["optimize", "--n", "3"])
     assert code == 0 and json.loads(out)["seed"] == 0
     code, out = run(capsys, ["validate-fdf", "--n", "4"])
     assert code == 0 and json.loads(out)["n"] == 4
@@ -382,20 +396,17 @@ def test_usage_errors(capsys, tmp_path):
         ["certify", "--delta", "1/8"],
         ["certify", "--method", "interval"],
         ["certify", "--max-depth", "3"],
+        ["optimize", "--n", "3", "--tol", "nan"],  # no such flag: maximize's tol is fixed
+        ["optimize", "--n", "3", "--tol", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
     capsys.readouterr()
 
-    # a tolerance that is not finite and > 0, and a batch too large to allocate
-    for argv in (
-        ["optimize", "--n", "3", "--tol", "nan"],
-        ["optimize", "--n", "3", "--tol", "-1"],
-        ["optimize", "--n", "12", "--restarts", str(10**15)],  # petabytes: fails at once
-    ):
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+    # a batch too large to allocate: petabytes, so it fails at once
+    assert main(["optimize", "--n", str(10**15)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     # a weight file that is not UTF-8 is a usage error naming its path
     w = tmp_path / "w.txt"

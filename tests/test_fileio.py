@@ -139,6 +139,34 @@ def test_parse_files_reject_non_utf8(tmp_path):
     g.write_bytes(b"\xfe digraph 2\n")
     with pytest.raises(ParseError, match=f"^{g}:1: not UTF-8"):
         parse_graph(str(g))
+    # \r and \r\n end lines there too; a form feed in a comment does not
+    g.write_bytes(b"digraph 3\r# a\x0cb\r\n0 1\r\xfe\r")
+    with pytest.raises(ParseError, match=f"^{g}:4: not UTF-8"):
+        parse_graph(str(g))
+
+
+# every character other than \n and \r at which str.splitlines breaks a line
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("brk", SPLITLINES_BREAKS)
+def test_lines_end_only_at_line_feeds_and_carriage_returns(tmp_path, brk, eol):
+    """A comment may hold a character at which str.splitlines breaks; it stays
+    a comment, and the lines after it keep their numbers."""
+    graph = eol.join(["digraph 3", f"# note{brk}(see page 2)", "0 1", f"1 2  # {brk}2 0", ""])
+    assert parse_graph_text(graph) == OrientedGraph(3, [(0, 1), (1, 2)])
+    bad = eol.join(["digraph 3", f"# note{brk}(see page 2)", "0 1", "0 5", ""])
+    with pytest.raises(ParseError, match="^g.txt:4: endpoint out of range"):
+        parse_graph_text(bad, path="g.txt")
+    weights = eol.join([f"1/2 # half{brk}note", "1/2", ""])
+    assert list(parse_weights_text(weights, expected_n=2)) == [Fraction(1, 2)] * 2
+    with pytest.raises(ParseError, match="^w.txt:3: bad rational 'x'$"):
+        parse_weights_text(eol.join([f"1/2 # half{brk}note", "1/2", "x"]), path="w.txt")
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_bytes(graph.encode())
+    w.write_bytes(weights.encode())
+    assert parse_graph(str(g)).n == 3 and len(parse_weights(str(w))) == 2
 
 
 LINES = st.one_of(
@@ -153,7 +181,8 @@ TEXTS = st.lists(LINES, max_size=8).map("\n".join)
 
 
 def _assert_line_in_text(exc: ParseError, text: str) -> None:
-    assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
+    # lines end at \n, \r\n or \r only, unlike str.splitlines
+    assert 1 <= exc.line_no <= len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
     assert str(exc).startswith(f"f.txt:{exc.line_no}: ")
 
 

@@ -48,6 +48,21 @@ def test_graphs_take_only_integer_vertex_labels(cls):
         assert lagrangian_bf(g, w) == Fraction(5, 162) and merge_chain(g, w)[0] == 3
 
 
+@pytest.mark.parametrize("cls", [OrientedGraph, UndirectedGraph])
+def test_graphs_take_only_an_integer_vertex_count(cls):
+    """A float count, even a whole one, or a Fraction is refused by name; an
+    integer of another type becomes an int, so range(n) works downstream."""
+    for n, shown in ((2.0, "2.0"), (1.5, "1.5"), (Fraction(3), "Fraction(3, 1)")):
+        with pytest.raises(ValueError, match=rf"^non-integer vertex count {re.escape(shown)}$"):
+            cls(n, [(0, 1)])
+    g = cls(np.int64(2), [(0, 1)])
+    assert type(g.n) is int
+    w = uniform_weights(2)
+    assert lagrangian_bf(g if cls is UndirectedGraph else underlying(g), w) == Fraction(3, 32)
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        cls(-1, [])
+
+
 def test_build_f_examples():
     assert sorted(build_f(OrientedGraph(3, [(0, 1), (0, 2)]))) == [(0, 1, 2)]
     assert sorted(build_f(OrientedGraph(3, [(0, 1)]))) == [(0, 1, 2)]

@@ -25,7 +25,7 @@ EXPORTS = {
                "edge_density", "has_induced_directed_c4", "complete_graph"),
     "lagrangian": ("WeightVector", "lagrangian_cf", "lagrangian_bf", "uniform_weights", "merge_chain",
                    "pipeline_report"),
-    "simplex": ("OptResult", "closed_form", "gradient", "maximize", "project_to_simplex"),
+    "simplex": ("closed_form", "gradient", "maximize", "project_to_simplex"),
     "polynomials": ("Poly", "g_polynomial", "h_polynomial", "simplex_bernstein"),
     "certify": ("Certificate", "Leaf", "certify"),
     "harness": ("enumerate_orientations", "validate_fdf_family"),
@@ -121,7 +121,7 @@ def test_package_exports_resolve_to_their_modules():
         for name in names:
             assert getattr(trilag, name) is getattr(home, name), name
     for name in ("no_such_name", "trivariate_g", "majorization_bound_check",
-                 "LagrangianValue", "MergeStep", "reduce_to_complete"):
+                 "LagrangianValue", "MergeStep", "reduce_to_complete", "OptResult"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)
     for module in ("trilag.reduction", "trilag.pipeline"):  # folded into trilag.lagrangian

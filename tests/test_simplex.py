@@ -162,9 +162,8 @@ def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
 def test_maximize_seed23_n8_converges_every_restart():
     """With step 1 this run hit the 4000-iteration cap with 99 of 100 restarts converged."""
     res = maximize(8, restarts=100, seed=23)
-    assert res.value == Fraction(3, 32)
-    assert res.restarts_converged == 100
-    assert res.iterations == 756
+    assert res["value_exact"] == "3/32"
+    assert res["stats"] == {"iterations": 756, "restarts_converged": 100}
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -214,19 +213,19 @@ def test_maximize_n2_against_grid_oracle():
     grid_best = max(closed_form_float(np.array([t / 1000, 1 - t / 1000])) for t in range(1001))
     assert abs(grid_best - 3 / 32) < 1e-6  # oracle locates the extremum itself
     res = maximize(2, restarts=20, seed=4)
-    assert abs(float(res.value) - grid_best) < 1e-9
-    assert abs(res.point[0] - 0.5) < 1e-4 and abs(res.point[1] - 0.5) < 1e-4
+    assert abs(res["value"] - grid_best) < 1e-9
+    assert abs(res["point"][0] - 0.5) < 1e-4 and abs(res["point"][1] - 0.5) < 1e-4
 
 
 def test_maximize_n1():
     res = maximize(1, restarts=1, seed=0)
-    assert res.value == 0 and res.point == (1.0,)
+    assert res["value_exact"] == "0" and res["point"] == [1.0]
 
 
 def test_maximize_n8_two_point_support():
     res = maximize(8, restarts=60, seed=2)
-    assert abs(float(res.value) - 3 / 32) < 1e-9
-    top = sorted(res.point, reverse=True)
+    assert abs(res["value"] - 3 / 32) < 1e-9
+    top = sorted(res["point"], reverse=True)
     assert abs(top[0] - 0.5) < 1e-4 and abs(top[1] - 0.5) < 1e-4
     assert all(abs(v) < 1e-4 for v in top[2:])
 
@@ -234,8 +233,8 @@ def test_maximize_n8_two_point_support():
 def test_maximize_never_exceeds_bound():
     for n in range(1, 13):
         res = maximize(n, restarts=12, seed=n)
-        assert res.value <= Fraction(3, 32)
-        assert float(res.float_value) <= 3 / 32 + 1e-9
+        assert Fraction(res["value_exact"]) <= Fraction(3, 32)
+        assert closed_form(res["point"]) <= 3 / 32 + 1e-9
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
@@ -246,8 +245,8 @@ def test_maximize_rejects_bad_tol(tol):
 
 def test_maximize_stats_without_convergence():
     res = maximize(4, restarts=15, seed=3, tol=1e-300)  # no row can get that close
-    assert res.restarts_converged == 0 and not res.converged
-    assert 1 <= res.iterations <= 4000
+    assert res["stats"]["restarts_converged"] == 0 and not res["converged"]
+    assert 1 <= res["stats"]["iterations"] <= 4000
 
 
 @pytest.mark.parametrize("first", [np.inf, -np.inf])
@@ -262,8 +261,8 @@ def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
 
     monkeypatch.setattr(simplex, "ascend", nudged_ascend)
     for n, res in reported.items():
-        assert res.value == Fraction(3, 32)
-        assert maximize(n).point == res.point
+        assert res["value_exact"] == "3/32"
+        assert maximize(n)["point"] == res["point"]
 
 
 def test_maximize_deterministic_in_seed():

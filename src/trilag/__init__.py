@@ -34,7 +34,7 @@ from .lagrangian import (
     pipeline_report,
 )
 from .polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
-from .certify import Certificate, Leaf, certify
+from .certify import certify
 from .fileio import ParseError, parse_graph, parse_weights
 
 __version__ = "0.1.0"

@@ -20,6 +20,11 @@ one bisection of D suffices.  Every number in the certificate is an exact
 rational; output is canonical (sorted leaves) and independent of
 processing order.
 
+The certificate is the report that ``trilag certify`` prints: certify
+returns it as a dict of ints and p/q strings, with no record in between.
+``leaf_simplex`` and ``leaf_volume_total`` read it, whether it comes from
+certify or from a file that ``certify --out`` wrote, loaded with json.load.
+
 This module proves the polynomial inequality only.  The pipeline's value
 of h at one point is 3/32 - g, with g from the integer core
 _g_numerator of trilag.lagrangian, called in pipeline_report; the tests pin
@@ -28,7 +33,6 @@ that it equals h_polynomial() evaluated there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -49,36 +53,6 @@ DOMAIN_VERTICES: Simplex = (
 
 # simplices one certify run may process; past it every simplex is a leaf
 MAX_SIMPLICES = 2**16
-
-
-@dataclass(frozen=True)
-class Leaf:
-    vertices: Simplex
-    depth: int
-    bound: Fraction  # least Bernstein coefficient; >= 0 means discharged
-
-
-@dataclass
-class Certificate:
-    result: str
-    leaves: list[Leaf]
-    simplices_processed: int
-    max_depth_reached: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "result": self.result,
-            "simplices_processed": self.simplices_processed,
-            "max_depth_reached": self.max_depth_reached,
-            "leaves": [
-                {
-                    "vertices": [[str(c) for c in v] for v in leaf.vertices],
-                    "depth": leaf.depth,
-                    "bound": str(leaf.bound),
-                }
-                for leaf in self.leaves
-            ],
-        }
 
 
 def point_in_domain(x1, x2, x3) -> bool:
@@ -130,8 +104,13 @@ def simplex_volume(simplex: Simplex) -> Fraction:
     return abs(det) / 6
 
 
-def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
+def certify(max_depth: int = 40, poly: Poly | None = None) -> dict:
     """Certify poly >= 0 (default: h) on D by simplex Bernstein subdivision.
+
+    Returns the report that ``trilag certify`` prints: ``result``,
+    ``simplices_processed``, ``max_depth_reached`` and ``leaves``, sorted
+    by vertices, each with its ``vertices`` (p/q strings), ``depth`` and
+    ``bound`` (the least Bernstein coefficient; >= 0 means discharged).
 
     The leaves tile D exactly.  Once MAX_SIMPLICES simplices have been
     processed, the ones still on the stack (at most about max_depth of
@@ -144,7 +123,7 @@ def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
     nums, den = _bernstein_numerators(p, DOMAIN_VERTICES)  # at depth d, den * 2^(n d)
     n = p.degree()
     stack = [(DOMAIN_VERTICES, nums, 0)]
-    leaves: list[Leaf] = []
+    leaves = []  # (simplex, depth, bound)
     processed = 0
     deepest = 0
     while stack:
@@ -153,21 +132,33 @@ def certify(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
         deepest = max(deepest, depth)
         least = min(nums.values())
         if least >= 0 or depth >= max_depth or processed >= MAX_SIMPLICES:
-            leaves.append(Leaf(simplex, depth, Fraction(least, den << (n * depth))))
+            leaves.append((simplex, depth, Fraction(least, den << (n * depth))))
         else:
             edge = longest_edge(simplex)
             halves = zip(bisect(simplex, edge), halve_bernstein(nums, *edge))
             stack.extend((child, half, depth + 1) for child, half in halves)
 
-    leaves.sort(key=lambda leaf: leaf.vertices)
-    return Certificate(
-        result=CERTIFIED if all(leaf.bound >= 0 for leaf in leaves) else INDETERMINATE,
-        leaves=leaves,
-        simplices_processed=processed,
-        max_depth_reached=deepest,
-    )
+    leaves.sort(key=lambda leaf: leaf[0])
+    return {
+        "result": CERTIFIED if all(bound >= 0 for _, _, bound in leaves) else INDETERMINATE,
+        "simplices_processed": processed,
+        "max_depth_reached": deepest,
+        "leaves": [
+            {"vertices": [[str(c) for c in v] for v in simplex], "depth": depth, "bound": str(bound)}
+            for simplex, depth, bound in leaves
+        ],
+    }
 
 
-def leaf_volume_total(cert: Certificate) -> Fraction:
-    """Exact total volume of the certificate's leaves (1/36, D's volume, for a tiling)."""
-    return sum((simplex_volume(leaf.vertices) for leaf in cert.leaves), Fraction(0))
+def leaf_simplex(leaf: dict) -> Simplex:
+    """The Fraction simplex of a report leaf, from its p/q vertex strings."""
+    return tuple(tuple(Fraction(c) for c in v) for v in leaf["vertices"])
+
+
+def leaf_volume_total(report: dict) -> Fraction:
+    """Exact total volume of a report's leaves (1/36, D's volume, for a tiling).
+
+    The report may come from certify or from a file that ``certify --out``
+    wrote, read back with json.load.
+    """
+    return sum((simplex_volume(leaf_simplex(leaf)) for leaf in report["leaves"]), Fraction(0))

@@ -10,10 +10,11 @@ check failed (a violation, a failed chain link, or an indeterminate
 certificate -- worth a bug report either way).
 
 The payloads of lagrangian, reduce and pipeline come from the report
-builders of trilag.lagrangian, optimize's from trilag.simplex.maximize;
-this module parses arguments, makes the text lines, emits reports and
-picks exit codes.  Only optimize, enumerate and validate-fdf load numpy,
-importing trilag.simplex or trilag.harness when they run.
+builders of trilag.lagrangian, optimize's from trilag.simplex.maximize,
+certify's from trilag.certify.certify; this module parses arguments,
+makes the text lines, emits reports and picks exit codes.  Only optimize,
+enumerate and validate-fdf load numpy, importing trilag.simplex or
+trilag.harness when they run.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cert = certify()
+    report = certify()
     text = [
-        f"result: {cert.result}",
-        f"simplices processed: {cert.simplices_processed}, leaves: {len(cert.leaves)}, "
-        f"max depth reached: {cert.max_depth_reached}",
+        f"result: {report['result']}",
+        f"simplices processed: {report['simplices_processed']}, leaves: {len(report['leaves'])}, "
+        f"max depth reached: {report['max_depth_reached']}",
     ]
-    _emit(cert.to_jsonable(), args, text_lines=text)
-    return EXIT_OK if cert.result == CERTIFIED else EXIT_MATH_FAIL
+    _emit(report, args, text_lines=text)
+    return EXIT_OK if report["result"] == CERTIFIED else EXIT_MATH_FAIL
 
 
 def _cmd_enumerate(args) -> int:

@@ -1,6 +1,7 @@
 """Text formats for graphs and weight vectors.
 
-Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.  Graph files: first line
+Files are UTF-8, and one leading byte-order mark is dropped.  Lines end
+at ``\\n``, ``\\r\\n`` or ``\\r``.  Graph files: first line
 ``digraph <n>`` or ``graph <n>``; each following non-empty line is one
 arc/edge ``u v`` (0-based); ``#`` starts a comment.  Arcs are ordered
 u->v, edges unordered.  Weight files hold one rational per line: ``p/q``,
@@ -87,7 +88,7 @@ def parse_graph_text(text: str, path: str = "<string>"):
 
 def _read_text(path: str) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

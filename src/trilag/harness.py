@@ -46,7 +46,9 @@ TRIPLE_FIELDS = ("cf", "bf", "partition_bad", "containment_bad")
 
 
 def orientation_from_index(n: int, index: int) -> OrientedGraph:
-    """Decode one labeled orientation from its base-3 index (any n: Python ints)."""
+    """Decode one labeled orientation from its base-3 index, in 0..3^C(n,2)-1 (any n: Python ints)."""
+    if not 0 <= index < 3 ** comb(n, 2):
+        raise ValueError(f"orientation index {index} is outside 0..3^{comb(n, 2)}-1 for n = {n}")
     arcs = []
     for (u, v) in itertools.combinations(range(n), 2):
         index, digit = divmod(index, 3)

@@ -93,6 +93,8 @@ class Poly:
 
     @staticmethod
     def variable(axis: int, k: int = 3) -> "Poly":
+        if not 0 <= axis < k:
+            raise ValueError(f"axis {axis} is not a variable of a polynomial in k = {k} variables")
         return Poly({tuple(int(i == axis) for i in range(k)): 1}, k)
 
     def degree(self) -> int:

@@ -17,7 +17,8 @@ reference for the integer rows and the gcd renderer of pipeline_report
 and trilag reduce.
 certify_oracle runs the certificate search with a fresh simplex_bernstein
 conversion on every simplex, where certify halves its parent's coefficients,
-and picks each edge with longest_edge_oracle in Fractions.
+and picks each edge with longest_edge_oracle in Fractions; it returns the
+same report dict as certify.
 bernstein_oracle is the conversion built from Poly products of barycentric
 forms, with tuple keys; simplex_bernstein runs it on packed int keys.
 g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys.
@@ -35,8 +36,6 @@ from trilag.certify import (
     CERTIFIED,
     DOMAIN_VERTICES,
     INDETERMINATE,
-    Certificate,
-    Leaf,
     Simplex,
     bisect,
 )
@@ -475,17 +474,18 @@ def longest_edge_oracle(simplex: Simplex) -> tuple[int, int]:
     return max(pairs, key=length2)  # max keeps the first of equal keys
 
 
-def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> Certificate:
+def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> dict:
     """certify by converting to Bernstein form afresh on every simplex it visits.
 
     The same search as trilag.certify.certify (the longest edge, the same
     depth rule), with each simplex's coefficients recomputed by
     simplex_bernstein instead of halved from its parent's, and the edge
-    chosen by longest_edge_oracle on the Fraction vertices.
+    chosen by longest_edge_oracle on the Fraction vertices.  It returns the
+    same report: leaves sorted by vertices, rationals as p/q strings.
     """
     p = h_polynomial() if poly is None else poly
     stack = [(DOMAIN_VERTICES, 0)]
-    leaves: list[Leaf] = []
+    leaves = []
     processed = 0
     deepest = 0
     while stack:
@@ -494,17 +494,20 @@ def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> Certificate
         deepest = max(deepest, depth)
         bound = min(simplex_bernstein(p, simplex).values())
         if bound >= 0 or depth >= max_depth:
-            leaves.append(Leaf(simplex, depth, bound))
+            leaves.append((simplex, depth, bound))
         else:
             children = bisect(simplex, longest_edge_oracle(simplex))
             stack.extend((child, depth + 1) for child in children)
-    leaves.sort(key=lambda leaf: leaf.vertices)
-    return Certificate(
-        result=CERTIFIED if all(leaf.bound >= 0 for leaf in leaves) else INDETERMINATE,
-        leaves=leaves,
-        simplices_processed=processed,
-        max_depth_reached=deepest,
-    )
+    leaves.sort(key=lambda leaf: leaf[0])
+    return {
+        "result": CERTIFIED if all(bound >= 0 for _, _, bound in leaves) else INDETERMINATE,
+        "simplices_processed": processed,
+        "max_depth_reached": deepest,
+        "leaves": [
+            {"vertices": [[str(c) for c in v] for v in simplex], "depth": depth, "bound": str(bound)}
+            for simplex, depth, bound in leaves
+        ],
+    }
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, certify, leaf_volume_total
+from trilag.certify import CERTIFIED, certify, leaf_simplex, leaf_volume_total
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -167,10 +167,11 @@ def test_criterion_6_certifier():
     zero = (HALF, HALF, Fraction(0))
     coeffs_ok = True
     zero_ok = True
-    for leaf in cert.leaves:
-        coeffs = simplex_bernstein(h, leaf.vertices)
-        coeffs_ok = coeffs_ok and min(coeffs.values()) == leaf.bound >= 0
-        i = leaf.vertices.index(zero) if zero in leaf.vertices else None
+    for leaf in cert["leaves"]:
+        vertices = leaf_simplex(leaf)
+        coeffs = simplex_bernstein(h, vertices)
+        coeffs_ok = coeffs_ok and min(coeffs.values()) == Fraction(leaf["bound"]) >= 0
+        i = vertices.index(zero) if zero in vertices else None
         zero_ok = zero_ok and i is not None and coeffs[tuple(4 * (j == i) for j in range(4))] == 0
     volume = leaf_volume_total(cert)
 
@@ -188,8 +189,8 @@ def test_criterion_6_certifier():
         agree += 1
 
     ok = (
-        cert.result == CERTIFIED
-        and len(cert.leaves) == 2
+        cert["result"] == CERTIFIED
+        and len(cert["leaves"]) == 2
         and volume == Fraction(1, 36)
         and coeffs_ok
         and zero_ok
@@ -198,7 +199,7 @@ def test_criterion_6_certifier():
     _report(
         "criterion 6 (certifier, simplex Bernstein on D)",
         ok,
-        f"result={cert.result}, leaves={len(cert.leaves)}, volume={volume}, "
+        f"result={cert['result']}, leaves={len(cert['leaves'])}, volume={volume}, "
         f"all coefficients >= 0: {coeffs_ok}, coefficient 0 at (1/2,1/2,0): {zero_ok}, "
         f"h agreement {agree}/1000",
     )

@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from trilag.certify import (
     INDETERMINATE,
     bisect,
     certify,
+    leaf_simplex,
     leaf_volume_total,
     longest_edge,
     point_in_domain,
@@ -47,7 +49,7 @@ def test_longest_edge_matches_the_fraction_oracle():
     """Integer squared lengths pick the edge of the Fraction ones, ties included."""
     rng = random.Random(19)
     deep = certify(8, h_polynomial() - Fraction(1, 1000))
-    simplices = [DOMAIN_VERTICES] + [leaf.vertices for leaf in deep.leaves]
+    simplices = [DOMAIN_VERTICES] + [leaf_simplex(leaf) for leaf in deep["leaves"]]
     for den in (1, 2, 3, 7, 64, 360):  # small denominators make many ties
         for _ in range(200):
             coords = [Fraction(rng.randint(-den, den), den) for _ in range(12)]
@@ -59,12 +61,12 @@ def test_longest_edge_matches_the_fraction_oracle():
 
 def test_constant_poly_certifies_at_depth_zero():
     cert = certify(max_depth=10, poly=Poly.constant(Fraction(3, 32)))
-    assert cert.result == CERTIFIED
-    assert len(cert.leaves) == 1
-    assert cert.leaves[0].depth == 0
-    assert cert.leaves[0].bound == Fraction(3, 32)
-    assert cert.simplices_processed == 1
-    assert cert.max_depth_reached == 0
+    assert cert["result"] == CERTIFIED
+    assert len(cert["leaves"]) == 1
+    assert cert["leaves"][0]["depth"] == 0
+    assert cert["leaves"][0]["bound"] == "3/32"
+    assert cert["simplices_processed"] == 1
+    assert cert["max_depth_reached"] == 0
 
 
 def test_stability_bound_with_sharp_constant():
@@ -81,18 +83,18 @@ def test_stability_bound_with_sharp_constant():
     third = Fraction(1, 3)
     stable = stability_polynomial()
     cert = certify(poly=stable)
-    assert cert.result == CERTIFIED
-    assert (cert.simplices_processed, cert.max_depth_reached, len(cert.leaves)) == (3, 1, 2)
+    assert cert["result"] == CERTIFIED
+    assert (cert["simplices_processed"], cert["max_depth_reached"], len(cert["leaves"])) == (3, 1, 2)
     assert stable.evaluate(third, third, third) == 0
     assert (h - Fraction(1, 143) * dist).evaluate(third, third, third) < 0
 
 
 def test_insufficient_depth_is_indeterminate():
     cert = certify(max_depth=0)
-    assert cert.result == INDETERMINATE
-    assert len(cert.leaves) == 1
-    assert cert.leaves[0].vertices == DOMAIN_VERTICES
-    assert cert.leaves[0].bound == Fraction(-1, 32)
+    assert cert["result"] == INDETERMINATE
+    assert len(cert["leaves"]) == 1
+    assert leaf_simplex(cert["leaves"][0]) == DOMAIN_VERTICES
+    assert cert["leaves"][0]["bound"] == "-1/32"
 
 
 def test_simplex_cap_ends_a_run_that_cannot_certify(monkeypatch):
@@ -102,25 +104,25 @@ def test_simplex_cap_ends_a_run_that_cannot_certify(monkeypatch):
     cap = 100
     monkeypatch.setattr(importlib.import_module("trilag.certify"), "MAX_SIMPLICES", cap)
     cert = certify(40, h_polynomial() - Fraction(1, 1000))
-    assert cert.result == INDETERMINATE
-    assert cap <= cert.simplices_processed <= cap + 41
+    assert cert["result"] == INDETERMINATE
+    assert cap <= cert["simplices_processed"] <= cap + 41
     assert leaf_volume_total(cert) == Fraction(1, 36)
 
 
 def test_certificate_tiling_and_coverage():
     cert = certify()
-    assert cert.result == CERTIFIED
-    assert (cert.simplices_processed, cert.max_depth_reached, len(cert.leaves)) == (3, 1, 2)
+    assert cert["result"] == CERTIFIED
+    assert (cert["simplices_processed"], cert["max_depth_reached"], len(cert["leaves"])) == (3, 1, 2)
     assert leaf_volume_total(cert) == Fraction(1, 36) == simplex_volume(DOMAIN_VERTICES)
-    assert all(leaf.bound == 0 for leaf in cert.leaves)
+    assert all(leaf["bound"] == "0" for leaf in cert["leaves"])
     # every leaf lies in D: D is convex, so its vertices suffice
-    assert all(point_in_domain(*v) for leaf in cert.leaves for v in leaf.vertices)
-    keys = [leaf.vertices for leaf in cert.leaves]
+    assert all(point_in_domain(*v) for leaf in cert["leaves"] for v in leaf_simplex(leaf))
+    keys = [leaf_simplex(leaf) for leaf in cert["leaves"]]
     assert keys == sorted(keys)
 
 
 def test_certificate_json_shape():
-    js = certify().to_jsonable()
+    js = certify()
     assert set(js) == {"result", "simplices_processed", "max_depth_reached", "leaves"}
     assert js["result"] == CERTIFIED
     assert js["leaves"][0] == {
@@ -128,7 +130,12 @@ def test_certificate_json_shape():
         "depth": 1,
         "bound": "0",
     }
-    assert certify().to_jsonable() == js
+    assert certify() == js
+    # the reader takes the report back from its JSON text, as certify --out writes it
+    loaded = json.loads(json.dumps(js))
+    assert loaded == js
+    assert leaf_simplex(loaded["leaves"][0])[1] == (HALF, Fraction(0), Fraction(0))
+    assert leaf_volume_total(loaded) == Fraction(1, 36)
 
 
 def test_h_nonnegative_on_domain_grid():
@@ -161,8 +168,8 @@ def test_h_nonnegative_on_domain_grid():
 def test_certify_matches_fresh_conversion_on_every_simplex(max_depth, poly, shape):
     """Halving from the parent gives the certificate of converting each simplex afresh."""
     cert = certify(max_depth=max_depth, poly=poly)
-    assert (cert.result, cert.simplices_processed) == shape
-    assert cert.to_jsonable() == certify_oracle(max_depth=max_depth, poly=poly).to_jsonable()
+    assert (cert["result"], cert["simplices_processed"]) == shape
+    assert cert == certify_oracle(max_depth=max_depth, poly=poly)
 
 
 def test_certify_converts_once_on_the_domain(monkeypatch):
@@ -174,7 +181,7 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
 
     module = importlib.import_module("trilag.certify")  # the package binds the function to this name
     monkeypatch.setattr(module, "_bernstein_numerators", counted)
-    assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000)).simplices_processed == 41
+    assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000))["simplices_processed"] == 41
     assert calls == [DOMAIN_VERTICES]
 
 

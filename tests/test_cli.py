@@ -2,10 +2,12 @@ import json
 import os
 import random
 import threading
+from fractions import Fraction
 
 import pytest
 
 from trilag import cli, graphs, harness, lagrangian
+from trilag.certify import certify, leaf_simplex, leaf_volume_total, point_in_domain
 from trilag.cli import build_parser, main
 from trilag.fileio import parse_graph, parse_weights
 from trilag.graphs import OrientedGraph, underlying
@@ -335,6 +337,23 @@ def test_certify_coarse(capsys, tmp_path):
     assert again == out
     code, out = run(capsys, ["--format", "text", "certify"])
     assert out.startswith("result: CERTIFIED\n")
+
+
+def test_certify_report_is_certify(capsys, tmp_path):
+    """certify prints certify()'s report; the file --out writes reads back as that report."""
+    code, out = run(capsys, ["certify"])
+    report = certify()
+    assert code == 0 and json.loads(out) == report
+    path = tmp_path / "cert.json"
+    code, out = run(capsys, ["certify", "--out", str(path)])
+    assert code == 0 and out == ""
+    with open(path, encoding="utf-8") as fh:
+        saved = json.load(fh)
+    assert saved == report
+    assert leaf_volume_total(saved) == Fraction(1, 36)
+    assert all(point_in_domain(*v) for leaf in saved["leaves"] for v in leaf_simplex(leaf))
+    code, out = run(capsys, ["--format", "text", "certify"])
+    assert out == "result: CERTIFIED\nsimplices processed: 3, leaves: 2, max depth reached: 1\n"
 
 
 def test_global_flags_after_subcommand(capsys, cherry_files):

@@ -145,6 +145,32 @@ def test_parse_files_reject_non_utf8(tmp_path):
         parse_graph(str(g))
 
 
+def test_parse_files_skip_a_utf8_byte_order_mark(tmp_path):
+    """A leading UTF-8 byte-order mark is dropped; a bad byte after it keeps its line and value."""
+    bom = b"\xef\xbb\xbf"
+    for eol in (b"\n", b"\r\n"):
+        graph = eol.join([b"digraph 3", b"# a cherry", b"0 2", b"1 2", b""])
+        weights = eol.join([b"1/4", b"1/4", b"1/2", b""])
+        paths = {}
+        for name, data in (("g", graph), ("w", weights), ("bom_g", bom + graph), ("bom_w", bom + weights)):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_bytes(data)
+        cherry = OrientedGraph(3, [(0, 2), (1, 2)])
+        assert parse_graph(str(paths["bom_g"])) == parse_graph(str(paths["g"])) == cherry
+        assert list(parse_weights(str(paths["bom_w"]))) == list(parse_weights(str(paths["w"])))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(bom + b"1/2\n# note\n\xfe\n")
+    with pytest.raises(ParseError, match=f"^{bad}:3: not UTF-8 text \\(byte 0xfe\\)$"):
+        parse_weights(str(bad))
+    bad.write_bytes(bom + b"digraph 2\r\n0 1\r\n\xe9\r\n")
+    with pytest.raises(ParseError, match=f"^{bad}:3: not UTF-8 text \\(byte 0xe9\\)$"):
+        parse_graph(str(bad))
+    # only one mark is dropped: a second one is text, and no header
+    bad.write_bytes(bom + bom + b"digraph 2\n")
+    with pytest.raises(ParseError, match=f"^{bad}:1: expected 'digraph <n>'"):
+        parse_graph(str(bad))
+
+
 # every character other than \n and \r at which str.splitlines breaks a line
 SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

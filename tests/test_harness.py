@@ -51,6 +51,18 @@ def test_orientation_index_roundtrip():
     assert len(seen) == 27
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orientation_index_outside_its_range_is_refused(n):
+    """Indices are 0..3^C(n,2)-1; one past either end would alias another orientation."""
+    top = 3 ** comb(n, 2) - 1
+    for index in (-1, top + 1, np.int64(-1), np.int64(top + 1)):
+        with pytest.raises(ValueError, match=rf"orientation index {index} is outside 0\.\.3\^{comb(n, 2)}-1"):
+            orientation_from_index(n, index)
+    for index in (0, top, np.int64(top), np.int32(top)):
+        assert orientation_from_index(n, index) == orientation_from_index(n, int(index))
+    assert len(orientation_from_index(n, top).arcs) == comb(n, 2)
+
+
 def test_enumerate_n3():
     report = enumerate_orientations(3)
     assert report["count"] == 27

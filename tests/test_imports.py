@@ -27,7 +27,7 @@ EXPORTS = {
                    "pipeline_report"),
     "simplex": ("closed_form", "gradient", "maximize", "project_to_simplex"),
     "polynomials": ("Poly", "g_polynomial", "h_polynomial", "simplex_bernstein"),
-    "certify": ("Certificate", "Leaf", "certify"),
+    "certify": ("certify",),
     "harness": ("enumerate_orientations", "validate_fdf_family"),
     "fileio": ("ParseError", "parse_graph", "parse_weights"),
 }
@@ -101,6 +101,22 @@ print(loaded)
     assert _run(code, tmp_path) == f"{[False] * 6}\n"
 
 
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """No module that ``import trilag.cli``, certify or pipeline loads defines a
+    dataclass: dataclasses would bring inspect, ast, dis, tokenize and copy."""
+    (tmp_path / "g.txt").write_text("digraph 3\n0 1\n2 1\n")
+    (tmp_path / "w.txt").write_text("1/3\n1/3\n1/3\n")
+    code = """
+import contextlib, io, sys
+import trilag.cli
+for argv in (["certify"], ["pipeline", "g.txt", "w.txt"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert trilag.cli.main(argv) == 0, argv
+print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+"""
+    assert _run(code, tmp_path) == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [["enumerate", "--n", "3"], ["validate-fdf", "--n", "4"],
                                   ["optimize", "--n", "2"]])
 def test_array_commands_load_numpy(tmp_path, argv):
@@ -121,7 +137,7 @@ def test_package_exports_resolve_to_their_modules():
         for name in names:
             assert getattr(trilag, name) is getattr(home, name), name
     for name in ("no_such_name", "trivariate_g", "majorization_bound_check",
-                 "LagrangianValue", "MergeStep", "reduce_to_complete", "OptResult"):
+                 "LagrangianValue", "MergeStep", "reduce_to_complete", "OptResult", "Certificate", "Leaf"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)
     for module in ("trilag.reduction", "trilag.pipeline"):  # folded into trilag.lagrangian

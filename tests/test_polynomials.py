@@ -7,7 +7,7 @@ from math import factorial, lcm
 import pytest
 
 from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
-from trilag.certify import DOMAIN_VERTICES, bisect, certify
+from trilag.certify import DOMAIN_VERTICES, bisect, certify, leaf_simplex
 from trilag.lagrangian import WeightVector, _g_numerator
 from trilag.polynomials import (
     Poly,
@@ -71,6 +71,16 @@ def test_poly_refuses_a_malformed_monomial(monomial, k):
         Poly({(0,) * k: 1, monomial: 0}, k)  # a zero coefficient does not excuse it
     with pytest.raises(ValueError, match=message):
         simplex_bernstein(Poly({monomial: 1}, k), DOMAIN_VERTICES)
+
+
+@pytest.mark.parametrize("axis, k", [(3, 3), (-1, 3), (0, 0), (2, 2), (4, 4), (-1, 1)])
+def test_poly_variable_refuses_an_axis_outside_its_variables(axis, k):
+    message = re.escape(f"axis {axis} is not a variable of a polynomial in k = {k} variables")
+    with pytest.raises(ValueError, match=message):
+        Poly.variable(axis, k)
+    # every axis in 0..k-1 gives its variable
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    assert [Poly.variable(i, k).coeffs for i in range(k)] == [{unit: 1} for unit in units]
 
 
 def test_poly_arithmetic():
@@ -147,7 +157,7 @@ def vertex_index(n, i):
 def test_bernstein_form_reproduces_h_on_each_leaf():
     h = h_polynomial()
     rng = random.Random(400)
-    simplices = [DOMAIN_VERTICES] + [leaf.vertices for leaf in certify().leaves]
+    simplices = [DOMAIN_VERTICES] + [leaf_simplex(leaf) for leaf in certify()["leaves"]]
     for vertices in simplices:
         coeffs = simplex_bernstein(h, vertices)
         assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
@@ -168,7 +178,7 @@ def test_bernstein_linear_poly_is_exact_corner_min():
 def test_bernstein_corner_coefficients_are_exact_values():
     h = h_polynomial()
     rng = random.Random(11)
-    simplices = [leaf.vertices for leaf in certify().leaves] + [rand_simplex(rng) for _ in range(5)]
+    simplices = [leaf_simplex(leaf) for leaf in certify()["leaves"]] + [rand_simplex(rng) for _ in range(5)]
     for vertices in simplices:
         coeffs = simplex_bernstein(h, vertices)
         for i, v in enumerate(vertices):
@@ -179,9 +189,9 @@ def test_bernstein_zero_corner_cell():
     # every leaf has the equality point of h as a vertex, with coefficient 0
     h = h_polynomial()
     zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    for leaf in certify().leaves:
-        coeffs = simplex_bernstein(h, leaf.vertices)
-        assert coeffs[vertex_index(4, leaf.vertices.index(zero))] == 0
+    for vertices in map(leaf_simplex, certify()["leaves"]):
+        coeffs = simplex_bernstein(h, vertices)
+        assert coeffs[vertex_index(4, vertices.index(zero))] == 0
         assert min(coeffs.values()) == 0
 
 
@@ -198,8 +208,8 @@ def test_bernstein_soundness_by_sampling():
 
 def test_bernstein_coefficients_are_fractions():
     h = h_polynomial()
-    for leaf in certify().leaves:
-        assert all(type(b) is Fraction for b in simplex_bernstein(h, leaf.vertices).values())
+    for vertices in map(leaf_simplex, certify()["leaves"]):
+        assert all(type(b) is Fraction for b in simplex_bernstein(h, vertices).values())
     # integer coefficients on an integer-vertex simplex (common denominator 1): an
     # int / int division would give floats here
     p = Poly.variable(0) - 2 * Poly.variable(1) + 1

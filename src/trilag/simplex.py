@@ -9,7 +9,10 @@ which is maximized over the probability simplex by projected gradient
 ascent with backtracking line search from seeded random restarts.  All
 restarts run as one (restarts x n) array: the float objective, gradient
 and projection work along the last axis, and each row keeps its own step
-and stopping rule.  The float argmax is then rounded to rationals and
+and stopping rule.  The rows still ascending are held in compact arrays and
+written back into the batch only as each one stops.  The objective of each
+accepted point is computed once, and its s2 = sum x^2 serves the gradient
+at the next step.  The float argmax is then rounded to rationals and
 re-evaluated exactly, so maximize, which builds the optimize report,
 reports a value with no floating-point doubt.
 
@@ -46,21 +49,35 @@ RANK_TOL = 1e-15
 MAX_DENOMINATOR = 10**6
 
 
+def _objective(arr):
+    """The checked closed form of each row of a float array, and s2 = sum x^2.
+
+    The one place the objective is computed: closed_form returns its value,
+    and ascend keeps s2 for the gradient at the point.
+    """
+    if (arr < -FLOAT_SIMPLEX_TOL).any():
+        raise ValueError("negative coordinate")
+    # written so that a NaN sum fails the check too
+    if not (abs(arr.sum(axis=-1) - 1.0) <= FLOAT_SIMPLEX_TOL).all():
+        raise ValueError("coordinates must sum to 1")
+    s2 = (arr * arr).sum(axis=-1)
+    s3 = (arr**3).sum(axis=-1)
+    return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0, s2
+
+
 def closed_form(x):
     """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex, in floats.
 
     Reduced along the last axis: a vector gives a float, a (rows x n) array
     one value per row.  Raises ValueError when any row is off the simplex
-    by more than FLOAT_SIMPLEX_TOL.
+    by more than FLOAT_SIMPLEX_TOL, or has a NaN coordinate.
     """
-    arr = np.asarray(x, dtype=float)
-    if (arr < -FLOAT_SIMPLEX_TOL).any():
-        raise ValueError("negative coordinate")
-    if (np.abs(arr.sum(axis=-1) - 1.0) > FLOAT_SIMPLEX_TOL).any():
-        raise ValueError("coordinates must sum to 1")
-    s2 = (arr * arr).sum(axis=-1)
-    s3 = (arr**3).sum(axis=-1)
-    return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0
+    return _objective(np.asarray(x, dtype=float))[0]
+
+
+def _gradient(arr, s2):
+    """The gradient at arr, given s2 = sum x^2 with its last axis kept."""
+    return -(arr**2) / 2.0 + (1.0 - s2) * arr / 2.0
 
 
 def gradient(x) -> np.ndarray:
@@ -70,8 +87,7 @@ def gradient(x) -> np.ndarray:
     gives one gradient per row.
     """
     arr = np.asarray(x, dtype=float)
-    s2 = (arr * arr).sum(axis=-1, keepdims=True)
-    return -(arr**2) / 2.0 + (1.0 - s2) * arr / 2.0
+    return _gradient(arr, (arr * arr).sum(axis=-1, keepdims=True))
 
 
 def project_to_simplex(v) -> np.ndarray:
@@ -80,11 +96,11 @@ def project_to_simplex(v) -> np.ndarray:
     n = v.shape[-1]
     rows = v.reshape(-1, n)
     u = np.sort(rows, axis=1)[:, ::-1]
-    css = u.cumsum(axis=1)
-    positive = u + (1.0 - css) / np.arange(1, n + 1) > 0
-    # rho is the last positive index; for finite input index 0 always is
-    rho = n - 1 - positive[:, ::-1].argmax(axis=1)
-    lam = (1.0 - css[np.arange(len(rows)), rho]) / (rho + 1.0)
+    # shift[:, j] = (1 - (u_0 + ... + u_j)) / (j + 1), the shift keeping j + 1 coordinates
+    shift = (1.0 - u.cumsum(axis=1)) / np.arange(1, n + 1)
+    # rho is the last index where u + shift > 0; for finite input index 0 always is
+    rho = (n - 1) - (u + shift > 0)[:, ::-1].argmax(axis=1)
+    lam = shift[np.arange(len(rows)), rho]
     return np.maximum(v + lam.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
@@ -103,42 +119,59 @@ def ascend(starts, tol: float, max_iter: int = 4000):
     still active are advanced.  Returns the final points, their objective
     values, residuals and converged flags, and the number of outer
     iterations run.
+
+    The active rows live in compact arrays: live[i] is the row of the
+    batch whose point, value and s2 are xa[i], fa[i] and s2a[i].  A row is
+    written back into the full arrays only when it stops.
     """
     x = np.array(starts, dtype=float)
-    fx = closed_form(x)
+    fx, s2 = _objective(x)
     residual = np.full(len(x), np.inf)
     converged = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    live, xa, fa, s2a, res = np.arange(len(x)), x, fx, s2, residual
     iterations = 0
-    while active.size and iterations < max_iter:
+    while live.size and iterations < max_iter:
         iterations += 1
-        xa = x[active]
-        grad = gradient(xa)
+        grad = _gradient(xa, s2a[:, None])
         moved = project_to_simplex(xa + STEP * grad)
-        res = np.sqrt(((moved - xa) ** 2).sum(axis=-1)) / STEP
-        residual[active] = res
+        delta = moved - xa
+        res = np.sqrt((delta**2).sum(axis=-1)) / STEP
         done = res < tol
         if done.any():
-            converged[active[done]] = True
-            active, xa, grad, moved = active[~done], xa[~done], grad[~done], moved[~done]
-            if not active.size:
+            rows = live[done]
+            x[rows], fx[rows], residual[rows] = xa[done], fa[done], res[done]
+            converged[rows] = True
+            keep = ~done
+            live, xa, fa, grad, moved, delta, res = (
+                a[keep] for a in (live, xa, fa, grad, moved, delta, res)
+            )
+            if not live.size:
                 break
-        trial = moved
-        fa = fx[active]
-        searching = np.arange(active.size)  # positions in active still halving
-        for k in range(MAX_HALVINGS):
-            if k:
-                trial = project_to_simplex(xa[searching] + STEP * 0.5**k * grad[searching])
-            ft = closed_form(trial)
-            slope = (grad[searching] * (trial - xa[searching])).sum(axis=-1)
-            accepted = ft > fa[searching] + ARMIJO * slope
-            rows = active[searching[accepted]]
-            x[rows], fx[rows] = trial[accepted], ft[accepted]
-            searching = searching[~accepted]
-            if not searching.size:
-                break
-        else:
-            active = np.delete(active, searching)  # no step accepted: these rows stop
+        ft, s2t = _objective(moved)
+        accepted = ft > fa + ARMIJO * (grad * delta).sum(axis=-1)
+        if not accepted.all():
+            # halve the step for the refused rows; moved, ft and s2t take what they accept
+            refused = np.flatnonzero(~accepted)
+            for k in range(1, MAX_HALVINGS):
+                xr, gr = xa[refused], grad[refused]
+                trial = project_to_simplex(xr + STEP * 0.5**k * gr)
+                fr, s2r = _objective(trial)
+                ok = fr > fa[refused] + ARMIJO * (gr * (trial - xr)).sum(axis=-1)
+                took = refused[ok]
+                moved[took], ft[took], s2t[took] = trial[ok], fr[ok], s2r[ok]
+                refused = refused[~ok]
+                if not refused.size:
+                    break
+            else:
+                # no step accepted: these rows stop where they are
+                rows = live[refused]
+                x[rows], fx[rows], residual[rows] = xa[refused], fa[refused], res[refused]
+                keep = np.ones(live.size, dtype=bool)
+                keep[refused] = False
+                live, moved, ft, s2t, res = (a[keep] for a in (live, moved, ft, s2t, res))
+        xa, fa, s2a = moved, ft, s2t
+    if live.size:  # stopped by max_iter
+        x[live], fx[live], residual[live] = xa, fa, res
     return x, fx, residual, converged, iterations
 
 
@@ -171,7 +204,9 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> d
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=restarts)
     x, fx, residual, converged, iterations = ascend(starts, tol)
-    best = min(np.flatnonzero(fx >= fx.max() - RANK_TOL), key=lambda i: tuple(x[i]))
+    tied = np.flatnonzero(fx >= fx.max() - RANK_TOL)
+    points = x[tied].tolist()
+    best = tied[min(range(len(tied)), key=points.__getitem__)]
     exact_point = round_point_exact(x[best])
     w = WeightVector(exact_point)
     value = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)

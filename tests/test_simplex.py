@@ -19,6 +19,7 @@ from trilag.simplex import (
 from trilag.fileio import parse_weights_text
 
 from helpers import (
+    _project_1d,
     ascend_one,
     closed_form_oracle,
     majorization_oracle,
@@ -69,6 +70,29 @@ def test_closed_form_rejects_off_simplex():
         closed_form([Fraction(1, 2), Fraction(1, 4)])
     with pytest.raises(ValueError):
         closed_form([Fraction(3, 2), Fraction(-1, 2)])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "x", [[NAN, 1.0], [[0.5, 0.5], [NAN, 1.0]], [NAN]], ids=["vector", "batch", "n1"]
+)
+def test_closed_form_rejects_nan(x):
+    """A NaN coordinate puts a row off the simplex: its sum fails the check."""
+    with pytest.raises(ValueError, match="coordinates must sum to 1"):
+        closed_form(x)
+
+
+def test_closed_form_messages_and_empty_input():
+    with pytest.raises(ValueError, match="negative coordinate"):
+        closed_form([1.5, -0.5])
+    with pytest.raises(ValueError, match="coordinates must sum to 1"):
+        closed_form([0.5, 0.25])
+    with pytest.raises(ValueError, match="coordinates must sum to 1"):
+        closed_form([])
+    empty = closed_form(np.zeros((0, 3)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_closed_form_matches_definition_examples():
@@ -126,6 +150,37 @@ def test_project_to_simplex():
         assert p.min() >= 0 and abs(p.sum() - 1) < 1e-12
 
 
+def _adversarial_rows(n, rng):
+    """Rows that stress the projection's sort and its choice of rho, for one n."""
+    rows = [np.zeros(n), np.full(n, 1.0 / n), -np.ones(n), np.full(n, 7.0)]
+    rows += [np.eye(n)[i] for i in range(n)]  # one-hot rows: already on the simplex
+    rows += [rng.dirichlet(np.ones(n)) for _ in range(3)]  # on the simplex
+    rows += [-rng.random(n) * 10.0**e for e in (-12, 0, 12)]  # all negative
+    rows += [rng.normal(size=n) * 10.0**e for e in range(-12, 13, 3)]
+    rows += [rng.integers(-2, 3, size=n) * 10.0**e for e in (-12, -3, 0, 5, 12)]  # ties
+    # short decimals and small fractions, whose sums land on rounding boundaries
+    decimals = [-0.6, -0.4, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7]
+    rows += [rng.choice(decimals, n) for _ in range(200)]
+    rows += [rng.integers(-3, 4, size=n) / rng.integers(1, 8) for _ in range(200)]
+    rows.append(np.where(np.arange(n) % 2, 1e12, -1e12))
+    return np.array(rows)
+
+
+def test_projection_matches_its_oracle_bit_for_bit():
+    """project_to_simplex equals the 1-D oracle of tests/helpers on every row,
+    for vector, (rows x n) and (blocks x rows x n) input."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 13):
+        rows = _adversarial_rows(n, rng)
+        expected = np.array([_project_1d(row) for row in rows])
+        for row, want in zip(rows, expected):
+            assert np.array_equal(project_to_simplex(row), want), (n, row)
+        assert np.array_equal(project_to_simplex(rows), expected), n
+        even = len(rows) // 2 * 2
+        blocks = rows[:even].reshape(2, -1, n)
+        assert np.array_equal(project_to_simplex(blocks), expected[:even].reshape(blocks.shape)), n
+
+
 def test_batch_rows_equal_vector_calls():
     """gradient, project_to_simplex and the float closed_form reduce along the last axis."""
     rng = np.random.default_rng(11)
@@ -157,6 +212,41 @@ def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
             ox, ofx, oresidual, oconverged = ascend_one(start, tol)
             assert np.array_equal(x[i], ox), (n, i)
             assert (fx[i], residual[i], converged[i]) == (ofx, oresidual, oconverged), (n, i)
+
+
+def _stall_and_converge_batch(n):
+    """The exact maximizer, which converges at iteration 1 for any tol > 0; the
+    end point of a row that stalled at tol = 1e-300, which at that tol stalls
+    again at iteration 1; and fresh flat-Dirichlet starts."""
+    maximizer = np.zeros(n)
+    maximizer[:2] = 0.5
+    stalled = ascend(np.random.default_rng(n).dirichlet(np.ones(n), size=1), 1e-300)[0][0]
+    fresh = np.random.default_rng(0).dirichlet(np.ones(n), size=10)
+    return np.vstack([maximizer, fresh[:5], stalled, fresh[5:]])
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 17])
+@pytest.mark.parametrize("tol", [1e-8, 1e-300])
+def test_ascend_rows_match_oracle_under_a_cap(max_iter, tol):
+    """With max_iter = k every row ends where the per-start loop capped at k
+    ends, also when one row converges and another stalls in the same step."""
+    for n in range(2, 13):
+        starts = _stall_and_converge_batch(n)
+        x, fx, residual, converged, iterations = ascend(starts, tol, max_iter=max_iter)
+        assert iterations == max_iter, n  # fresh rows are still live at the cap
+        ends = [ascend_one(start, tol, max_iter) for start in starts]
+        for i, (ox, ofx, oresidual, oconverged) in enumerate(ends):
+            assert np.array_equal(x[i], ox), (n, i)
+            assert (residual[i], converged[i]) == (oresidual, oconverged), (n, i)
+            # The oracle squares 1 - s2 with Python's float power, which can miss
+            # the correctly rounded square by one ulp (it does for n = 9 at
+            # max_iter = 1); the batch squares with one IEEE product.
+            assert fx[i] == closed_form(ox[None])[0], (n, i)
+            assert abs(fx[i] - ofx) <= np.spacing(ofx), (n, i)
+        assert converged[0] and residual[0] == 0.0, n
+        if tol == 1e-300:  # row 6 stalls in step 1, where row 0 converges
+            assert not converged[6] and residual[6] > 0 and np.array_equal(x[6], starts[6]), n
+        assert np.isfinite(residual).all(), n
 
 
 def test_maximize_seed23_n8_converges_every_restart():
@@ -263,6 +353,29 @@ def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
     for n, res in reported.items():
         assert res["value_exact"] == "3/32"
         assert maximize(n)["point"] == res["point"]
+
+
+def test_maximize_tie_break_keeps_the_tuple_key(monkeypatch):
+    """Among exact ties, signed zeros included, the smallest row by the list
+    key is the one the old tuple(x[i]) key picked: the first in batch order."""
+    rows = [
+        [0.5, 0.5, 0.0], [0.5, 0.5, -0.0], [-0.0, 0.5, 0.5], [0.0, 0.5, 0.5],
+        [0.5, 0.0, 0.5], [0.5, -0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0],
+    ]
+    values = [3 / 32] * 7 + [0.0]  # the last row is smaller but not tied
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        order = rng.permutation(len(rows))
+        x, fx = np.array(rows)[order], np.array(values)[order]
+        residual = np.arange(len(rows), dtype=float)  # names the reported row
+
+        def fake_ascend(starts, tol):
+            return x.copy(), fx.copy(), residual, np.ones(len(x), dtype=bool), 1
+
+        monkeypatch.setattr(simplex, "ascend", fake_ascend)
+        old = min(np.flatnonzero(fx >= fx.max() - simplex.RANK_TOL), key=lambda i: tuple(x[i]))
+        assert maximize(3, restarts=len(rows))["residual"] == residual[old]
+        assert rows[order[old]] in ([-0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
 
 
 def test_maximize_deterministic_in_seed():

@@ -8,12 +8,14 @@ leaves tile D, so h >= 0 on all of D.  A run processes at most
 MAX_SIMPLICES simplices.
 
 The coefficients are computed once, on D, as integer numerators over one
-denominator by the packed-key conversion behind ``simplex_bernstein``.
-Each half's coefficients come from its parent's by de Casteljau's
-algorithm at t = 1/2 (``halve_bernstein``), over one denominator per
-depth; a Fraction is made only for each leaf's bound.  The longest edge
-is chosen on the vertices' integer numerators over their common
-denominator; the vertices themselves stay Fractions.
+denominator Q by the packed-key conversion behind ``simplex_bernstein``.
+``halve_bernstein`` gets each half's coefficients from its parent's by de
+Casteljau's algorithm at t = 1/2 on the numerators, over Q 2^(n d) at
+depth d, n being the degree; a Fraction is made only for each leaf's
+bound.  ``simplex_bernstein`` stays the independent recomputation that
+the tests check the halves against.  The longest edge is chosen on the
+vertices' integer numerators over their common denominator; the vertices
+themselves stay Fractions.
 
 h vanishes at the vertex (1/2,1/2,0), where its coefficient is exactly 0;
 one bisection of D suffices.  Every number in the certificate is an exact
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Poly, _bernstein_numerators, h_polynomial, halve_bernstein
+from .polynomials import Poly, _bernstein_numerators, h_polynomial
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -91,6 +93,44 @@ def bisect(simplex: Simplex, edge: tuple[int, int]) -> tuple[Simplex, Simplex]:
     low[j] = mid
     high[i] = mid
     return tuple(low), tuple(high)
+
+
+def halve_bernstein(
+    nums: dict[tuple[int, ...], int], i: int, j: int
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """Bernstein numerators on the two halves of a tetrahedron bisected at edge (i, j).
+
+    nums maps every multi-index a with |a| = n to an integer numerator of
+    the coefficient b[a] over a common denominator Q.  The low half has the
+    edge's midpoint in place of vertex j, the high half in place of vertex
+    i, the other vertices kept in order.  Both returned maps are numerators
+    over Q * 2^n.
+
+    Along each line of multi-indices that differ only in a_i and a_j
+    (a_i + a_j = m), the restriction is a 1-D Bernstein polynomial of
+    degree m from vertex i to vertex j, and de Casteljau's algorithm at
+    t = 1/2 splits it: the low half takes the first entry of each row, the
+    high half the last.  Rows hold sums instead of averages, so row r is
+    2^r times its average; shifting it left by n - r bits puts every entry
+    over 2^n.
+    """
+    n = sum(next(iter(nums)))
+    low, high = {}, {}
+    for a in nums:
+        if a[j]:
+            continue
+        m = a[i]  # a starts the line a_i + a_j = m, at a_j = 0
+        line = []
+        for k in range(m + 1):
+            b = list(a)
+            b[i], b[j] = m - k, k
+            line.append(tuple(b))
+        row = [nums[b] for b in line]
+        for r in range(m + 1):
+            low[line[r]] = row[0] << (n - r)
+            high[line[m - r]] = row[-1] << (n - r)
+            row = [x + y for x, y in zip(row, row[1:])]
+    return low, high
 
 
 def simplex_volume(simplex: Simplex) -> Fraction:

@@ -16,12 +16,6 @@ product, so multiplying two monomials is one integer addition.  ``Poly``'s
 product packs its operands and unpacks the result; the Bernstein
 conversion keeps its four barycentric linear forms packed throughout
 (b = n + 1) and makes no Poly and no Fraction before its result.
-
-``halve_bernstein`` gets the coefficients on the two halves of a
-tetrahedron bisected at an edge from the coefficients on the whole, by de
-Casteljau's algorithm at t = 1/2 on integer numerators over one
-denominator.  A subdivision search converts once, at its root, and halves
-from there; ``simplex_bernstein`` stays the independent recomputation.
 """
 
 from __future__ import annotations
@@ -272,40 +266,3 @@ def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Frac
     nums, den = _bernstein_numerators(p, vertices)
     return {a: Fraction(c, den) for a, c in nums.items()}
 
-
-def halve_bernstein(
-    nums: dict[tuple[int, ...], int], i: int, j: int
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """Bernstein numerators on the two halves of a tetrahedron bisected at edge (i, j).
-
-    nums maps every multi-index a with |a| = n to an integer numerator of
-    the coefficient b[a] over a common denominator Q.  The low half has the
-    edge's midpoint in place of vertex j, the high half in place of vertex
-    i, the other vertices kept in order.  Both returned maps are numerators
-    over Q * 2^n.
-
-    Along each line of multi-indices that differ only in a_i and a_j
-    (a_i + a_j = m), the restriction is a 1-D Bernstein polynomial of
-    degree m from vertex i to vertex j, and de Casteljau's algorithm at
-    t = 1/2 splits it: the low half takes the first entry of each row, the
-    high half the last.  Rows hold sums instead of averages, so row r is
-    2^r times its average; shifting it left by n - r bits puts every entry
-    over 2^n.
-    """
-    n = sum(next(iter(nums)))
-    low, high = {}, {}
-    for a in nums:
-        if a[j]:
-            continue
-        m = a[i]  # a starts the line a_i + a_j = m, at a_j = 0
-        line = []
-        for k in range(m + 1):
-            b = list(a)
-            b[i], b[j] = m - k, k
-            line.append(tuple(b))
-        row = [nums[b] for b in line]
-        for r in range(m + 1):
-            low[line[r]] = row[0] << (n - r)
-            high[line[m - r]] = row[-1] << (n - r)
-            row = [x + y for x, y in zip(row, row[1:])]
-    return low, high

@@ -522,7 +522,7 @@ def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:
 def _closed_form_1d(x: np.ndarray) -> float:
     s2 = float(np.sum(x * x))
     s3 = float(np.sum(x**3))
-    return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0
+    return (1.0 - s3) / 6.0 - (1.0 - s2) * (1.0 - s2) / 8.0
 
 
 def _gradient_1d(x: np.ndarray) -> np.ndarray:

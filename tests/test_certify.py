@@ -1,10 +1,10 @@
-import importlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import trilag.certify as certify_module
 from helpers import certify_oracle, longest_edge_oracle, stability_polynomial
 from trilag.certify import (
     CERTIFIED,
@@ -102,7 +102,7 @@ def test_simplex_cap_ends_a_run_that_cannot_certify(monkeypatch):
     depth 40 means about 2^40 simplices.  Past the cap the simplices left on
     the stack, at most one per depth, become leaves: they still tile D."""
     cap = 100
-    monkeypatch.setattr(importlib.import_module("trilag.certify"), "MAX_SIMPLICES", cap)
+    monkeypatch.setattr(certify_module, "MAX_SIMPLICES", cap)
     cert = certify(40, h_polynomial() - Fraction(1, 1000))
     assert cert["result"] == INDETERMINATE
     assert cap <= cert["simplices_processed"] <= cap + 41
@@ -179,8 +179,8 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
         calls.append(vertices)
         return _bernstein_numerators(p, vertices)
 
-    module = importlib.import_module("trilag.certify")  # the package binds the function to this name
-    monkeypatch.setattr(module, "_bernstein_numerators", counted)
+    # certify looks the conversion up in its own module's namespace
+    monkeypatch.setattr(certify_module, "_bernstein_numerators", counted)
     assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000))["simplices_processed"] == 41
     assert calls == [DOMAIN_VERTICES]
 

@@ -1,9 +1,9 @@
 """numpy loads only with the float optimizer and the sweeps.
 
 The exact modules import neither numpy nor a numpy-backed module at module
-level, ``import trilag`` and the exact commands start without numpy, and
-the names the package exports resolve, on first use, to the objects of
-their defining modules.
+level, and the exact commands start without numpy.  The package exports
+no names: ``import trilag`` loads no submodule, ``import trilag.polynomials``
+loads the polynomials alone, and ``trilag.certify`` is always the module.
 """
 
 import ast
@@ -19,18 +19,6 @@ import trilag
 
 SRC = Path(trilag.__file__).resolve().parents[1]
 NUMPY_FREE = ("certify", "polynomials", "graphs", "lagrangian", "fileio", "cli")
-# the package's export list, by defining module
-EXPORTS = {
-    "graphs": ("OrientedGraph", "UndirectedGraph", "build_f", "build_cf", "build_bf", "underlying",
-               "edge_density", "has_induced_directed_c4", "complete_graph"),
-    "lagrangian": ("WeightVector", "lagrangian_cf", "lagrangian_bf", "uniform_weights", "merge_chain",
-                   "pipeline_report"),
-    "simplex": ("closed_form", "gradient", "maximize", "project_to_simplex"),
-    "polynomials": ("Poly", "g_polynomial", "h_polynomial", "simplex_bernstein"),
-    "certify": ("certify",),
-    "harness": ("enumerate_orientations", "validate_fdf_family"),
-    "fileio": ("ParseError", "parse_graph", "parse_weights"),
-}
 
 
 def _module_level_imports(source: str):
@@ -131,13 +119,53 @@ print(before, 'numpy' in sys.modules)
     assert _run(code, tmp_path).split() == ["False", "True"]
 
 
-def test_package_exports_resolve_to_their_modules():
-    for module, names in EXPORTS.items():
-        home = importlib.import_module(f"trilag.{module}")
-        for name in names:
-            assert getattr(trilag, name) is getattr(home, name), name
-    for name in ("no_such_name", "trivariate_g", "majorization_bound_check",
-                 "LagrangianValue", "MergeStep", "reduce_to_complete", "OptResult", "Certificate", "Leaf"):
+# the names the package once exported or still resolved; each lives in its module only
+OLD_EXPORTS = (
+    "OrientedGraph", "UndirectedGraph", "build_f", "build_cf", "build_bf", "underlying", "edge_density",
+    "has_induced_directed_c4", "complete_graph", "WeightVector", "lagrangian_cf", "lagrangian_bf",
+    "uniform_weights", "merge_chain", "pipeline_report", "closed_form", "gradient", "maximize",
+    "project_to_simplex", "Poly", "g_polynomial", "h_polynomial", "simplex_bernstein",
+    "enumerate_orientations", "validate_fdf_family", "ParseError", "parse_graph", "parse_weights",
+    "trivariate_g", "majorization_bound_check", "LagrangianValue", "MergeStep", "reduce_to_complete",
+    "OptResult", "Certificate", "Leaf",
+)
+
+
+def test_package_exports_nothing_and_loads_only_what_is_imported(tmp_path):
+    """The polynomial checker's trusted base is the polynomials module alone,
+    and trilag.certify names the module whichever of its names comes first."""
+    code = f"""
+import sys
+def loaded():
+    return sorted(name for name in sys.modules if name.partition('.')[0] == 'trilag')
+import trilag
+steps = [loaded()]
+for name in {(*OLD_EXPORTS, "certify")!r}:  # no module is an attribute before its import
+    try:
+        getattr(trilag, name)
+    except AttributeError as exc:
+        assert f"has no attribute '{{name}}'" in str(exc), exc
+    else:
+        raise AssertionError(name)
+import trilag.polynomials
+steps.append(loaded())
+import trilag.certify
+steps.append(loaded())
+assert trilag.certify is sys.modules['trilag.certify']
+print(steps)
+"""
+    assert _run(code, tmp_path) == (
+        "[['trilag'], ['trilag', 'trilag.polynomials'], "
+        "['trilag', 'trilag.certify', 'trilag.polynomials']]\n"
+    )
+    for first, then in (("from trilag.certify import certify", "import trilag.certify"),
+                        ("import trilag.certify", "from trilag.certify import certify"),
+                        ("import trilag.cli", "from trilag.certify import certify")):
+        code = f"import sys\n{first}\n{then}\nimport trilag\nprint(trilag.certify is sys.modules['trilag.certify'])"
+        assert _run(code, tmp_path) == "True\n", (first, then)
+    for module in (*NUMPY_FREE, "simplex", "harness"):  # importing a module binds no name of it
+        importlib.import_module(f"trilag.{module}")
+    for name in (*OLD_EXPORTS, "no_such_name"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)
     for module in ("trilag.reduction", "trilag.pipeline"):  # folded into trilag.lagrangian

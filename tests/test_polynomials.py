@@ -7,15 +7,9 @@ from math import factorial, lcm
 import pytest
 
 from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
-from trilag.certify import DOMAIN_VERTICES, bisect, certify, leaf_simplex
+from trilag.certify import DOMAIN_VERTICES, bisect, certify, halve_bernstein, leaf_simplex
 from trilag.lagrangian import WeightVector, _g_numerator
-from trilag.polynomials import (
-    Poly,
-    g_polynomial,
-    h_polynomial,
-    halve_bernstein,
-    simplex_bernstein,
-)
+from trilag.polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
 
 
 def rand_rational(rng, den=64):

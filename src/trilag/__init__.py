@@ -11,9 +11,10 @@ alone.
 - ``trilag.simplex``: simplex maximization of the complete graph closed
   form (numpy).
 - ``trilag.polynomials``: exact polynomials, g and h, and their
-  Bernstein form on a tetrahedron.
-- ``trilag.certify``: the exact Bernstein subdivision certificate of the
-  final trivariate inequality.
+  Bernstein form on a tetrahedron, with its degree elevation.
+- ``trilag.certify``: the exact certificate of the final trivariate
+  inequality, one Bernstein form on D raised to the first degree with no
+  negative coefficient.
 - ``trilag.harness``: exhaustive sweeps over orientations (numpy).
 - ``trilag.fileio``: the graph and weight file formats.
 - ``trilag.cli``: the ``trilag`` command line.

@@ -122,8 +122,8 @@ def _cmd_certify(args) -> int:
     report = certify()
     text = [
         f"result: {report['result']}",
-        f"simplices processed: {report['simplices_processed']}, leaves: {len(report['leaves'])}, "
-        f"max depth reached: {report['max_depth_reached']}",
+        f"degree: {report['degree']}, coefficients: {report['coefficients']}, "
+        f"least: {report['least']} at {tuple(report['least_at'])}",
     ]
     _emit(report, args, text_lines=text)
     return EXIT_OK if report["result"] == CERTIFIED else EXIT_MATH_FAIL
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(run=_cmd_optimize)
 
-    p = add("certify", help="simplex Bernstein positivity certificate for 3/32 - g on D")
+    p = add("certify", help="Bernstein certificate of 3/32 - g >= 0 on D by degree elevation")
     p.set_defaults(run=_cmd_certify)
 
     p = add("enumerate", help="exhaustive checks over all labeled orientations")

@@ -13,9 +13,15 @@ that vertex.
 There is one product loop, on packed keys: the exponent tuple m is the int
 m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
 product, so multiplying two monomials is one integer addition.  ``Poly``'s
-product packs its operands and unpacks the result; the Bernstein
-conversion keeps its four barycentric linear forms packed throughout
-(b = n + 1) and makes no Poly and no Fraction before its result.
+product packs its operands and unpacks the result.  The Bernstein
+conversion, ``_power_form``, keeps its four barycentric linear forms
+packed throughout and makes no Poly and no Fraction: its result is a form
+homogeneous of degree n in l_0..l_3, so l^a is keyed on (a_1, a_2, a_3)
+alone and l_0's key is 0.  ``_elevate`` raises that form's degree by one,
+a copy and three shifted sums, for Polya degree elevation: the
+coefficients of a form of high enough degree are all >= 0 wherever the
+polynomial is > 0 on the tetrahedron.  ``simplex_bernstein`` is the form
+at p's own degree times the factorials, ``_bernstein_numerators``.
 """
 
 from __future__ import annotations
@@ -190,22 +196,31 @@ def h_polynomial() -> Poly:
     return _from_q(16, 12, -7, 96)
 
 
-def _bernstein_numerators(p: Poly, vertices) -> tuple[dict[tuple[int, int, int, int], int], int]:
-    """Integer numerators of simplex_bernstein(p, vertices) over one common denominator.
+def _multi_indices(n: int):
+    """Every (a_0, a_1, a_2, a_3) with sum n: a_0, then a_1, then a_2 ascending."""
+    for a0 in range(n + 1):
+        for a1 in range(n + 1 - a0):
+            for a2 in range(n + 1 - a0 - a1):
+                yield a0, a1, a2, n - a0 - a1 - a2
 
-    The conversion of ``simplex_bernstein`` on packed keys: the monomial
-    l^a of the barycentric coordinates is the int
-    a_0 + b a_1 + b^2 a_2 + b^3 a_3 with b = n + 1.  Every exponent stays
-    <= n, so no key aliases another.  Returns the numerators keyed by
-    multi-index, in simplex_bernstein's order (a_0, then a_1, then a_2
-    ascending), and the denominator S D^n n! (S and D as there); the two
-    need not be coprime.
+
+def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
+    """The form S D^n p of degree n = p.degree() in the barycentric coordinates l.
+
+    With D the vertices' common denominator and S that of p's coefficients,
+    D x1, D x2, D x3 and D are linear in l with integer coefficients, and
+    each monomial of degree d of p is multiplied by D^(n - d), which is
+    (D (l_0 + l_1 + l_2 + l_3))^(n - d) since the l sum to 1.  The result
+    is dense: every l^a with |a| = n has an entry, 0 included, in
+    ``_multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
+    with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
+    Returns the form and its denominator S D^n.
     """
     if p.k != 3:
         raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
     n = p.degree()
-    b = n + 1
-    unit = tuple(b**i for i in range(4))  # unit[i] is the key of l_i
+    b = n + 1  # the products' base; for n < 6 their keys are cached small ints
+    unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
     verts = [tuple(Fraction(c) for c in v) for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
     scale = lcm(*(c.denominator for c in p.coeffs.values()))
@@ -234,15 +249,40 @@ def _bernstein_numerators(p: Poly, vertices) -> tuple[dict[tuple[int, int, int, 
             _mul_packed(powers[2][k], scaled, tail)
         _mul_packed(_mul_packed(powers[0][i], powers[1][j], {}), tail, total)
 
-    fact = [factorial(e) for e in range(n + 1)]
-    nums = {}
-    for a0 in range(n + 1):
-        for a1 in range(n + 1 - a0):
-            for a2 in range(n + 1 - a0 - a1):
-                a3 = n - a0 - a1 - a2
-                a = (a0, a1, a2, a3)
-                nums[a] = total.get(_key(a, b), 0) * fact[a0] * fact[a1] * fact[a2] * fact[a3]
-    return nums, scale * den**n * fact[n]
+    return {
+        a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)
+        for _, a1, a2, a3 in _multi_indices(n)
+    }, scale * den**n
+
+
+def _elevate(form: dict[int, int], base: int) -> dict[int, int]:
+    """The form times l_0 + l_1 + l_2 + l_3, on ``_power_form``'s packed keys.
+
+    l_0's key is 0, so its product is a copy of the form; l_1, l_2 and l_3
+    shift every key by 1, base and base^2.  The product has the degree one
+    higher and the same value on the simplex; base must exceed that degree.
+    """
+    out = dict(form)
+    get = out.get
+    for shift in (1, base, base * base):
+        for key, c in form.items():
+            key += shift
+            out[key] = get(key, 0) + c
+    return out
+
+
+def _bernstein_numerators(form: dict[int, int], degree: int, base: int) -> dict[tuple[int, int, int, int], int]:
+    """The Bernstein numerators of a form of this degree on ``_power_form``'s keys.
+
+    Each is the coefficient of l^a times a_0! a_1! a_2! a_3!, keyed by the
+    multi-index a in ``_multi_indices`` order; over the form's denominator
+    times degree!, it is the Bernstein-Bezier coefficient b[a].
+    """
+    fact = [factorial(e) for e in range(degree + 1)]
+    return {
+        a: form[a[1] + base * (a[2] + base * a[3])] * fact[a[0]] * fact[a[1]] * fact[a[2]] * fact[a[3]]
+        for a in _multi_indices(degree)
+    }
 
 
 def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fraction]:
@@ -255,14 +295,14 @@ def simplex_bernstein(p: Poly, vertices) -> dict[tuple[int, int, int, int], Frac
     b[a], so that p = sum_a b[a] B_a with B_a = n!/a! l^a (Lai & Schumaker,
     Spline Functions on Triangulations).  The B_a are nonnegative on the
     tetrahedron and sum to one, so min b <= p <= max b there, and b at
-    n * e_i is p at vertex i.  Every multi-index with |a| = n is present.
+    n * e_i is p at vertex i.  Every multi-index with |a| = n is present,
+    in ``_multi_indices`` order.
 
-    The forms are built on integers.  With D the vertices' common
-    denominator, D x1, D x2, D x3 and D are linear in l with integer
-    coefficients; with S that of p's coefficients, the sum of the terms is
-    S D^n p, and each b[a] is its coefficient of l^a times a_0! a_1! a_2! a_3!
-    over S D^n n!, one Fraction per multi-index.
+    The form is ``_power_form``'s, on integers: each b[a] is its
+    coefficient of l^a times a_0! a_1! a_2! a_3! over S D^n n!
+    (``_bernstein_numerators``), one Fraction per multi-index.
     """
-    nums, den = _bernstein_numerators(p, vertices)
-    return {a: Fraction(c, den) for a, c in nums.items()}
-
+    n = p.degree()
+    form, den = _power_form(p, vertices, n + 1)
+    den *= factorial(n)
+    return {a: Fraction(c, den) for a, c in _bernstein_numerators(form, n, n + 1).items()}

@@ -15,12 +15,12 @@ that they check.  trace_to_jsonable renders an oracle trace with
 str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
 reference for the integer rows and the gcd renderer of pipeline_report
 and trilag reduce.
-certify_oracle runs the certificate search with a fresh simplex_bernstein
-conversion on every simplex, where certify halves its parent's coefficients,
-and picks each edge with longest_edge_oracle in Fractions; it returns the
-same report dict as certify.
+elevate_oracle raises simplex_bernstein's coefficients to a higher degree in
+Fractions, one degree at a time, where certify elevates integer numerators
+on packed keys.
 bernstein_oracle is the conversion built from Poly products of barycentric
-forms, with tuple keys; simplex_bernstein runs it on packed int keys.
+forms, with tuple keys; simplex_bernstein runs it on packed int keys.  At a
+degree above p's it is a fresh conversion, the oracle of certify's elevation.
 g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys.
 """
 
@@ -32,13 +32,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from trilag.certify import (
-    CERTIFIED,
-    DOMAIN_VERTICES,
-    INDETERMINATE,
-    Simplex,
-    bisect,
-)
+from trilag.certify import DOMAIN_VERTICES
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
@@ -419,17 +413,23 @@ def g_polynomial_oracle() -> Poly:
     return Fraction(1, 6) * cubic - Fraction(1, 8) * (inner * inner)
 
 
-def bernstein_oracle(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fraction]:
+def bernstein_oracle(p: Poly, vertices, degree: int | None = None) -> dict[tuple[int, int, int, int], Fraction]:
     """simplex_bernstein from Poly products of the barycentric forms, with tuple keys.
 
     D x1, D x2, D x3 and D (D the vertices' common denominator) are Polys
     linear in l over k = 4; with S the common denominator of p's
     coefficients, the sum of the terms is S D^n p, and each b[a] is its
-    coefficient of l^a over S D^n times the multinomial n!/a!.
+    coefficient of l^a over S D^n times the multinomial n!/a!.  n is p's
+    degree, or the given degree >= p's: a fresh conversion at that degree,
+    with no elevation.
     """
     if p.k != 3:
         raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
     n = max((sum(m) for m in p.coeffs), default=0)
+    if degree is not None:
+        if degree < n:
+            raise ValueError(f"degree {degree} is below the polynomial's {n}")
+        n = degree
     verts = [tuple(Fraction(c) for c in v) for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
     scale = lcm(*(c.denominator for c in p.coeffs.values()))
@@ -460,54 +460,46 @@ def bernstein_oracle(p: Poly, vertices) -> dict[tuple[int, int, int, int], Fract
     return coeffs
 
 
-def longest_edge_oracle(simplex: Simplex) -> tuple[int, int]:
-    """The longest edge (i, j), i < j, from squared lengths in Fractions.
+def point_in_domain(x1, x2, x3) -> bool:
+    """Exact membership in D (rationals only)."""
+    x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
+    return x1 >= x2 >= x3 >= 0 and x1 + x2 + x3 <= 1
 
-    Ties go to the lowest pair.
+
+def multi_indices(m: int):
+    """The multi-indices (a_0, a_1, a_2, a_3) with sum m, in simplex_bernstein's order."""
+    return [
+        (a0, a1, a2, m - a0 - a1 - a2)
+        for a0 in range(m + 1)
+        for a1 in range(m + 1 - a0)
+        for a2 in range(m + 1 - a0 - a1)
+    ]
+
+
+def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
+    """The Bernstein coefficients of p at a degree >= p's, by Fraction degree elevation.
+
+    Starts from simplex_bernstein(p, vertices) at n = p's degree and raises
+    the degree one step at a time: at degree m + 1,
+    b'[a] = sum_i a_i b[a - e_i] / (m + 1), over the i with a_i > 0.  The
+    keys are in simplex_bernstein's order (a_0, then a_1, then a_2
+    ascending).
     """
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-    def length2(pair):
-        a, b = simplex[pair[0]], simplex[pair[1]]
-        return sum((u - v) ** 2 for u, v in zip(a, b))
-
-    return max(pairs, key=length2)  # max keeps the first of equal keys
-
-
-def certify_oracle(max_depth: int = 40, poly: Poly | None = None) -> dict:
-    """certify by converting to Bernstein form afresh on every simplex it visits.
-
-    The same search as trilag.certify.certify (the longest edge, the same
-    depth rule), with each simplex's coefficients recomputed by
-    simplex_bernstein instead of halved from its parent's, and the edge
-    chosen by longest_edge_oracle on the Fraction vertices.  It returns the
-    same report: leaves sorted by vertices, rationals as p/q strings.
-    """
-    p = h_polynomial() if poly is None else poly
-    stack = [(DOMAIN_VERTICES, 0)]
-    leaves = []
-    processed = 0
-    deepest = 0
-    while stack:
-        simplex, depth = stack.pop()
-        processed += 1
-        deepest = max(deepest, depth)
-        bound = min(simplex_bernstein(p, simplex).values())
-        if bound >= 0 or depth >= max_depth:
-            leaves.append((simplex, depth, bound))
-        else:
-            children = bisect(simplex, longest_edge_oracle(simplex))
-            stack.extend((child, depth + 1) for child in children)
-    leaves.sort(key=lambda leaf: leaf[0])
-    return {
-        "result": CERTIFIED if all(bound >= 0 for _, _, bound in leaves) else INDETERMINATE,
-        "simplices_processed": processed,
-        "max_depth_reached": deepest,
-        "leaves": [
-            {"vertices": [[str(c) for c in v] for v in simplex], "depth": depth, "bound": str(bound)}
-            for simplex, depth, bound in leaves
-        ],
-    }
+    coeffs = simplex_bernstein(p, vertices)
+    m = max((sum(mono) for mono in p.coeffs), default=0)
+    if degree < m:
+        raise ValueError(f"degree {degree} is below the polynomial's {m}")
+    while m < degree:
+        m += 1
+        coeffs = {
+            a: sum(
+                (a[i] * coeffs[a[:i] + (a[i] - 1,) + a[i + 1 :]] for i in range(4) if a[i]),
+                Fraction(0),
+            )
+            / m
+            for a in multi_indices(m)
+        }
+    return coeffs
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

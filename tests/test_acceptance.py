@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, certify, leaf_simplex, leaf_volume_total
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -23,10 +23,18 @@ from trilag.lagrangian import (
     pipeline_report,
     uniform_weights,
 )
-from trilag.polynomials import h_polynomial, simplex_bernstein
+from trilag.polynomials import h_polynomial
 from trilag.simplex import gradient, maximize
 
-from helpers import merge_identity_sides, merges_complete, non_edges, rand_graph, rand_orientation, rand_weights
+from helpers import (
+    elevate_oracle,
+    merge_identity_sides,
+    merges_complete,
+    non_edges,
+    rand_graph,
+    rand_orientation,
+    rand_weights,
+)
 
 BOUND = Fraction(3, 32)
 HALF = Fraction(1, 2)
@@ -164,16 +172,18 @@ def test_criterion_5_optimizer():
 def test_criterion_6_certifier():
     cert = certify()
     h = h_polynomial()
-    zero = (HALF, HALF, Fraction(0))
-    coeffs_ok = True
-    zero_ok = True
-    for leaf in cert["leaves"]:
-        vertices = leaf_simplex(leaf)
-        coeffs = simplex_bernstein(h, vertices)
-        coeffs_ok = coeffs_ok and min(coeffs.values()) == Fraction(leaf["bound"]) >= 0
-        i = vertices.index(zero) if zero in vertices else None
-        zero_ok = zero_ok and i is not None and coeffs[tuple(4 * (j == i) for j in range(4))] == 0
-    volume = leaf_volume_total(cert)
+    m = cert["degree"]
+    # every coefficient at the reported degree, recomputed by Fraction elevation
+    coeffs = elevate_oracle(h, m)
+    least = min(coeffs.values())
+    coeffs_ok = (
+        len(coeffs) == cert["coefficients"]
+        and least >= 0
+        and str(least) == cert["least"]
+        and coeffs[tuple(cert["least_at"])] == least
+    )
+    i = DOMAIN_VERTICES.index((HALF, HALF, Fraction(0)))
+    zero_ok = coeffs[tuple(m * (j == i) for j in range(4))] == 0
 
     rng = random.Random(1000)
     agree = 0
@@ -190,16 +200,15 @@ def test_criterion_6_certifier():
 
     ok = (
         cert["result"] == CERTIFIED
-        and len(cert["leaves"]) == 2
-        and volume == Fraction(1, 36)
+        and m == 8
         and coeffs_ok
         and zero_ok
         and agree == 1000
     )
     _report(
-        "criterion 6 (certifier, simplex Bernstein on D)",
+        "criterion 6 (certifier, Bernstein degree elevation on D)",
         ok,
-        f"result={cert['result']}, leaves={len(cert['leaves'])}, volume={volume}, "
+        f"result={cert['result']}, degree={m}, coefficients={len(coeffs)}, "
         f"all coefficients >= 0: {coeffs_ok}, coefficient 0 at (1/2,1/2,0): {zero_ok}, "
         f"h agreement {agree}/1000",
     )

@@ -1,26 +1,39 @@
 import json
-import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 import trilag.certify as certify_module
-from helpers import certify_oracle, longest_edge_oracle, stability_polynomial
-from trilag.certify import (
-    CERTIFIED,
-    DOMAIN_VERTICES,
-    INDETERMINATE,
-    bisect,
-    certify,
-    leaf_simplex,
-    leaf_volume_total,
-    longest_edge,
-    point_in_domain,
-    simplex_volume,
-)
-from trilag.polynomials import Poly, _bernstein_numerators, h_polynomial
+from helpers import bernstein_oracle, elevate_oracle, multi_indices, point_in_domain, stability_polynomial
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, certify
+from trilag.polynomials import Poly, _power_form, h_polynomial
 
 HALF = Fraction(1, 2)
+
+
+def fresh_conversion(p: Poly, degree: int) -> dict:
+    """p's Bernstein coefficients on D at this degree, converted from scratch."""
+    return bernstein_oracle(p, DOMAIN_VERTICES, degree)
+
+
+def report_oracle(p: Poly, cap: int, convert=elevate_oracle) -> dict:
+    """certify's report from Fraction coefficients at each degree (by default by
+    elevation): the first degree from p's own with no negative coefficient,
+    else the cap (or p's degree, if higher)."""
+    m = p.degree()
+    coeffs = convert(p, m)
+    while m < cap and min(coeffs.values()) < 0:
+        m += 1
+        coeffs = convert(p, m)
+    least = min(coeffs.values())
+    return {
+        "result": CERTIFIED if least >= 0 else INDETERMINATE,
+        "degree": m,
+        "coefficients": len(coeffs),
+        "least": str(least),
+        "least_at": list(next(a for a, b in coeffs.items() if b == least)),
+    }
 
 
 def test_point_domain_checks():
@@ -28,54 +41,42 @@ def test_point_domain_checks():
     assert point_in_domain(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     assert not point_in_domain(Fraction(1, 4), HALF, 0)
     assert not point_in_domain(HALF, HALF, HALF)
-
-
-def test_cell_split_longest_edge():
-    # D's longest edge joins (0,0,0) and (1,0,0)
-    low, high = bisect(DOMAIN_VERTICES, longest_edge(DOMAIN_VERTICES))
-    mid = (HALF, Fraction(0), Fraction(0))
-    assert low == (DOMAIN_VERTICES[0], mid) + DOMAIN_VERTICES[2:]
-    assert high == (mid,) + DOMAIN_VERTICES[1:]
-    assert simplex_volume(low) == simplex_volume(high) == simplex_volume(DOMAIN_VERTICES) / 2
-    # equal edges: the lowest vertex-index pair is split
-    cube_corner = tuple(
-        tuple(Fraction(c) for c in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-    low, _ = bisect(cube_corner, longest_edge(cube_corner))
-    assert low[2] == (HALF, HALF, Fraction(0))
-
-
-def test_longest_edge_matches_the_fraction_oracle():
-    """Integer squared lengths pick the edge of the Fraction ones, ties included."""
-    rng = random.Random(19)
-    deep = certify(8, h_polynomial() - Fraction(1, 1000))
-    simplices = [DOMAIN_VERTICES] + [leaf_simplex(leaf) for leaf in deep["leaves"]]
-    for den in (1, 2, 3, 7, 64, 360):  # small denominators make many ties
-        for _ in range(200):
-            coords = [Fraction(rng.randint(-den, den), den) for _ in range(12)]
-            simplices.append(tuple(tuple(coords[3 * i : 3 * i + 3]) for i in range(4)))
-    picks = [longest_edge(s) for s in simplices]
-    assert picks == [longest_edge_oracle(s) for s in simplices]
-    assert len(set(picks)) == 6
+    assert all(point_in_domain(*v) for v in DOMAIN_VERTICES)
 
 
 def test_constant_poly_certifies_at_depth_zero():
-    cert = certify(max_depth=10, poly=Poly.constant(Fraction(3, 32)))
-    assert cert["result"] == CERTIFIED
-    assert len(cert["leaves"]) == 1
-    assert cert["leaves"][0]["depth"] == 0
-    assert cert["leaves"][0]["bound"] == "3/32"
-    assert cert["simplices_processed"] == 1
-    assert cert["max_depth_reached"] == 0
+    """A constant certifies with no elevation step, at degree 0."""
+    cert = certify(poly=Poly.constant(Fraction(3, 32)))
+    assert cert == {
+        "result": CERTIFIED, "degree": 0, "coefficients": 1, "least": "3/32", "least_at": [0, 0, 0, 0],
+    }
+    assert certify(poly=Poly())["least"] == "0"
+
+
+def test_negative_counts_and_the_first_certified_degree():
+    """h has 3, 5, 3, 1 and 0 negative coefficients at degrees 4..8, and the
+    stability form first has none at degree 9: certify reports those degrees."""
+    counts = {}
+    for name, p, degrees in (("h", h_polynomial(), range(4, 9)),
+                             ("stability", stability_polynomial(), range(4, 10))):
+        counts[name] = [sum(b < 0 for b in elevate_oracle(p, m).values()) for m in degrees]
+        assert certify(poly=p)["degree"] == degrees.start + counts[name].index(0)
+    assert counts == {"h": [3, 5, 3, 1, 0], "stability": [3, 5, 6, 3, 1, 0]}
+    coeffs = elevate_oracle(h_polynomial(), 8)
+    assert len(coeffs) == 165
+    # six are 0, the one at the vertex (1/2, 1/2, 0) among them
+    assert [a for a, b in coeffs.items() if b == 0] == [
+        (0, 0, 7, 1), (0, 0, 8, 0), (0, 1, 6, 1), (0, 1, 7, 0), (1, 0, 7, 0), (1, 1, 6, 0),
+    ]
 
 
 def test_stability_bound_with_sharp_constant():
     """3/32 - g >= |x - (1/2, 1/2, 0)|^2 / 144 on D, and 1/144 cannot be raised.
 
-    The bound is certified with the same single bisection as h.  At the
-    vertex (1/3, 1/3, 1/3), h = 1/864 and the squared distance is 1/6, so
-    the bound is tight there and false for 1/143 (which is never run
-    through certify: it cannot certify and would only stop at max_depth).
+    The bound certifies at degree 9.  At the vertex (1/3, 1/3, 1/3),
+    h = 1/864 and the squared distance is 1/6, so the bound is tight there
+    and false for 1/143: that form's coefficient at the vertex is its
+    negative value at every degree, and certify stops at MAX_DEGREE.
     """
     h = h_polynomial()
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
@@ -83,59 +84,71 @@ def test_stability_bound_with_sharp_constant():
     third = Fraction(1, 3)
     stable = stability_polynomial()
     cert = certify(poly=stable)
-    assert cert["result"] == CERTIFIED
-    assert (cert["simplices_processed"], cert["max_depth_reached"], len(cert["leaves"])) == (3, 1, 2)
+    assert (cert["result"], cert["degree"], cert["coefficients"], cert["least"]) == (CERTIFIED, 9, 220, "0")
     assert stable.evaluate(third, third, third) == 0
-    assert (h - Fraction(1, 143) * dist).evaluate(third, third, third) < 0
+    loose = h - Fraction(1, 143) * dist
+    assert loose.evaluate(third, third, third) == Fraction(1, 864) - Fraction(1, 6 * 143) < 0
+    cert = certify(poly=loose)
+    assert (cert["result"], cert["degree"]) == (INDETERMINATE, MAX_DEGREE)
+    assert Fraction(cert["least"]) <= loose.evaluate(third, third, third)
 
 
-def test_insufficient_depth_is_indeterminate():
-    cert = certify(max_depth=0)
-    assert cert["result"] == INDETERMINATE
-    assert len(cert["leaves"]) == 1
-    assert leaf_simplex(cert["leaves"][0]) == DOMAIN_VERTICES
-    assert cert["leaves"][0]["bound"] == "-1/32"
+def test_insufficient_depth_is_indeterminate(monkeypatch):
+    """Fewer than 4 elevation steps from h's degree 4 leave a negative
+    coefficient: a cap below degree 8 ends INDETERMINATE, and a cap below
+    h's own degree converts h at degree 4 and does not elevate."""
+    for cap, degree, least in ((7, 7, None), (4, 4, "-1/32"), (0, 4, "-1/32")):
+        monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
+        cert = certify()
+        assert (cert["result"], cert["degree"]) == (INDETERMINATE, degree)
+        assert cert == report_oracle(h_polynomial(), cap)
+        if least is not None:
+            assert cert["least"] == least
 
 
-def test_simplex_cap_ends_a_run_that_cannot_certify(monkeypatch):
-    """h - 1/1000 is negative on a set of positive volume, so without the cap
-    depth 40 means about 2^40 simplices.  Past the cap the simplices left on
-    the stack, at most one per depth, become leaves: they still tile D."""
-    cap = 100
-    monkeypatch.setattr(certify_module, "MAX_SIMPLICES", cap)
-    cert = certify(40, h_polynomial() - Fraction(1, 1000))
-    assert cert["result"] == INDETERMINATE
-    assert cap <= cert["simplices_processed"] <= cap + 41
-    assert leaf_volume_total(cert) == Fraction(1, 36)
+def test_degree_cap_ends_a_run_that_cannot_certify():
+    """h - 1/1000 is negative near (1/2, 1/2, 0), so no degree certifies it:
+    the run ends at MAX_DEGREE, with the vertex's coefficient -1/1000 least."""
+    cert = certify(poly=h_polynomial() - Fraction(1, 1000))
+    assert cert == {
+        "result": INDETERMINATE,
+        "degree": MAX_DEGREE,
+        "coefficients": (MAX_DEGREE + 1) * (MAX_DEGREE + 2) * (MAX_DEGREE + 3) // 6,
+        "least": "-1/1000",
+        "least_at": [0, 0, MAX_DEGREE - 1, 1],
+    }
 
 
 def test_certificate_tiling_and_coverage():
+    """The certificate's one form covers D: at the reported degree it has one
+    coefficient per multi-index, and sum_a b[a] B_a is h at points across D,
+    so its least coefficient 0 bounds h from below on all of D."""
+    h = h_polynomial()
     cert = certify()
-    assert cert["result"] == CERTIFIED
-    assert (cert["simplices_processed"], cert["max_depth_reached"], len(cert["leaves"])) == (3, 1, 2)
-    assert leaf_volume_total(cert) == Fraction(1, 36) == simplex_volume(DOMAIN_VERTICES)
-    assert all(leaf["bound"] == "0" for leaf in cert["leaves"])
-    # every leaf lies in D: D is convex, so its vertices suffice
-    assert all(point_in_domain(*v) for leaf in cert["leaves"] for v in leaf_simplex(leaf))
-    keys = [leaf_simplex(leaf) for leaf in cert["leaves"]]
-    assert keys == sorted(keys)
+    m = cert["degree"]
+    coeffs = fresh_conversion(h, m)
+    assert list(coeffs) == multi_indices(m)
+    assert cert["coefficients"] == len(coeffs) == (m + 1) * (m + 2) * (m + 3) // 6
+    assert cert["least"] == str(min(coeffs.values())) == "0"
+    assert coeffs[tuple(cert["least_at"])] == 0
+    assert all(point_in_domain(*v) for v in DOMAIN_VERTICES)
+    # the barycentric grid l = c / 6, |c| = 6, vertices and interior points of D
+    for c in multi_indices(6):
+        bary = [Fraction(ci, 6) for ci in c]
+        x = tuple(sum(li * v[d] for li, v in zip(bary, DOMAIN_VERTICES)) for d in range(3))
+        assert point_in_domain(*x)
+        value = sum(
+            b * (factorial(m) // prod(factorial(e) for e in a)) * prod(li**e for li, e in zip(bary, a))
+            for a, b in coeffs.items()
+        )
+        assert value == h.evaluate(*x)
 
 
 def test_certificate_json_shape():
     js = certify()
-    assert set(js) == {"result", "simplices_processed", "max_depth_reached", "leaves"}
-    assert js["result"] == CERTIFIED
-    assert js["leaves"][0] == {
-        "vertices": [["0", "0", "0"], ["1/2", "0", "0"], ["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"]],
-        "depth": 1,
-        "bound": "0",
-    }
+    assert js == {"result": CERTIFIED, "degree": 8, "coefficients": 165, "least": "0", "least_at": [0, 0, 7, 1]}
     assert certify() == js
-    # the reader takes the report back from its JSON text, as certify --out writes it
-    loaded = json.loads(json.dumps(js))
-    assert loaded == js
-    assert leaf_simplex(loaded["leaves"][0])[1] == (HALF, Fraction(0), Fraction(0))
-    assert leaf_volume_total(loaded) == Fraction(1, 36)
+    assert json.loads(json.dumps(js)) == js
 
 
 def test_h_nonnegative_on_domain_grid():
@@ -154,34 +167,44 @@ def test_h_nonnegative_on_domain_grid():
 
 
 @pytest.mark.parametrize(
-    "max_depth, poly, shape",
+    "depth, poly, shape",
     [
-        (40, None, (CERTIFIED, 3)),
-        (40, stability_polynomial(), (CERTIFIED, 3)),
-        (40, Poly.constant(Fraction(3, 32)), (CERTIFIED, 1)),
-        (0, None, (INDETERMINATE, 1)),
-        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 41)),
-        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 129)),
+        (None, None, (CERTIFIED, 8)),
+        (None, stability_polynomial(), (CERTIFIED, 9)),
+        (None, Poly.constant(Fraction(3, 32)), (CERTIFIED, 0)),
+        (0, None, (INDETERMINATE, 4)),
+        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 10)),
+        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 13)),
+        (8, stability_polynomial() - Fraction(1, 10**6), (INDETERMINATE, 12)),
     ],
-    ids=["h", "stability", "constant", "depth0", "h-1/1000-depth6", "h-1/1000-depth9"],
+    ids=["h", "stability", "constant", "depth0", "h-1/1000-depth6", "h-1/1000-depth9", "stability-1/10^6-depth8"],
 )
-def test_certify_matches_fresh_conversion_on_every_simplex(max_depth, poly, shape):
-    """Halving from the parent gives the certificate of converting each simplex afresh."""
-    cert = certify(max_depth=max_depth, poly=poly)
-    assert (cert["result"], cert["simplices_processed"]) == shape
-    assert cert == certify_oracle(max_depth=max_depth, poly=poly)
+def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, poly, shape):
+    """certify's report is the one a fresh Fraction conversion on D, the one
+    simplex, gives at each degree, and the one Fraction elevation gives.
+
+    depth is the number of elevation steps allowed, MAX_DEGREE less the
+    polynomial's degree 4; None keeps MAX_DEGREE.
+    """
+    p = h_polynomial() if poly is None else poly
+    cap = MAX_DEGREE if depth is None else p.degree() + depth
+    monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
+    cert = certify(poly=poly)
+    assert (cert["result"], cert["degree"]) == shape
+    assert cert == report_oracle(p, cap, fresh_conversion) == report_oracle(p, cap)
 
 
 def test_certify_converts_once_on_the_domain(monkeypatch):
     calls = []
 
-    def counted(p, vertices):
+    def counted(p, vertices, base):
         calls.append(vertices)
-        return _bernstein_numerators(p, vertices)
+        return _power_form(p, vertices, base)
 
     # certify looks the conversion up in its own module's namespace
-    monkeypatch.setattr(certify_module, "_bernstein_numerators", counted)
-    assert certify(max_depth=6, poly=h_polynomial() - Fraction(1, 1000))["simplices_processed"] == 41
+    monkeypatch.setattr(certify_module, "_power_form", counted)
+    monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
+    assert certify(poly=h_polynomial() - Fraction(1, 1000))["degree"] == 12
     assert calls == [DOMAIN_VERTICES]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trilag import cli, graphs, harness, lagrangian
-from trilag.certify import certify, leaf_simplex, leaf_volume_total, point_in_domain
+from trilag.certify import certify
 from trilag.cli import build_parser, main
 from trilag.fileio import parse_graph, parse_weights
 from trilag.graphs import OrientedGraph, underlying
@@ -325,14 +325,13 @@ def test_validate_fdf(capsys):
 
 
 def test_certify_coarse(capsys, tmp_path):
-    """The default certificate is coarse: one bisection of D, and reruns agree byte for byte."""
+    """The default certificate is the coarsest: h's form at the first degree
+    with no negative coefficient, 8; reruns agree byte for byte."""
     code, out = run(capsys, ["certify"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["result"] == "CERTIFIED"
-    assert payload["simplices_processed"] == 3
-    assert payload["max_depth_reached"] == 1
-    assert [leaf["bound"] for leaf in payload["leaves"]] == ["0", "0"]
+    assert payload == {"coefficients": 165, "degree": 8, "least": "0", "least_at": [0, 0, 7, 1],
+                       "result": "CERTIFIED"}
     _, again = run(capsys, ["certify"])
     assert again == out
     code, out = run(capsys, ["--format", "text", "certify"])
@@ -340,20 +339,22 @@ def test_certify_coarse(capsys, tmp_path):
 
 
 def test_certify_report_is_certify(capsys, tmp_path):
-    """certify prints certify()'s report; the file --out writes reads back as that report."""
+    """certify prints certify()'s report; the file --out writes reads back as that
+    report, byte for byte the same on a rerun."""
     code, out = run(capsys, ["certify"])
     report = certify()
     assert code == 0 and json.loads(out) == report
-    path = tmp_path / "cert.json"
-    code, out = run(capsys, ["certify", "--out", str(path)])
-    assert code == 0 and out == ""
-    with open(path, encoding="utf-8") as fh:
+    paths = [tmp_path / "cert.json", tmp_path / "again.json"]
+    for path in paths:
+        code, out = run(capsys, ["certify", "--out", str(path)])
+        assert code == 0 and out == ""
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with open(paths[0], encoding="utf-8") as fh:
         saved = json.load(fh)
     assert saved == report
-    assert leaf_volume_total(saved) == Fraction(1, 36)
-    assert all(point_in_domain(*v) for leaf in saved["leaves"] for v in leaf_simplex(leaf))
+    assert saved["degree"] == 8 and saved["least"] == "0"
     code, out = run(capsys, ["--format", "text", "certify"])
-    assert out == "result: CERTIFIED\nsimplices processed: 3, leaves: 2, max depth reached: 1\n"
+    assert out == "result: CERTIFIED\ndegree: 8, coefficients: 165, least: 0 at (0, 0, 7, 1)\n"
 
 
 def test_global_flags_after_subcommand(capsys, cherry_files):

@@ -2,14 +2,22 @@ import random
 import re
 from fractions import Fraction
 
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 
-from helpers import bernstein_oracle, g_polynomial_oracle, stability_polynomial
-from trilag.certify import DOMAIN_VERTICES, bisect, certify, halve_bernstein, leaf_simplex
+from helpers import bernstein_oracle, elevate_oracle, g_polynomial_oracle, multi_indices, stability_polynomial
+from trilag.certify import DOMAIN_VERTICES
 from trilag.lagrangian import WeightVector, _g_numerator
-from trilag.polynomials import Poly, g_polynomial, h_polynomial, simplex_bernstein
+from trilag.polynomials import Poly, _bernstein_numerators, _elevate, _power_form, g_polynomial, h_polynomial, simplex_bernstein
+
+HALF = Fraction(1, 2)
+# the halves of D on either side of its longest edge's midpoint; both have
+# the zero of h, (1/2, 1/2, 0), as a vertex
+HALVES = (
+    (DOMAIN_VERTICES[0], (HALF, Fraction(0), Fraction(0)), *DOMAIN_VERTICES[2:]),
+    ((HALF, Fraction(0), Fraction(0)), *DOMAIN_VERTICES[1:]),
+)
 
 
 def rand_rational(rng, den=64):
@@ -151,7 +159,7 @@ def vertex_index(n, i):
 def test_bernstein_form_reproduces_h_on_each_leaf():
     h = h_polynomial()
     rng = random.Random(400)
-    simplices = [DOMAIN_VERTICES] + [leaf_simplex(leaf) for leaf in certify()["leaves"]]
+    simplices = [DOMAIN_VERTICES, *HALVES]
     for vertices in simplices:
         coeffs = simplex_bernstein(h, vertices)
         assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
@@ -172,7 +180,7 @@ def test_bernstein_linear_poly_is_exact_corner_min():
 def test_bernstein_corner_coefficients_are_exact_values():
     h = h_polynomial()
     rng = random.Random(11)
-    simplices = [leaf_simplex(leaf) for leaf in certify()["leaves"]] + [rand_simplex(rng) for _ in range(5)]
+    simplices = [*HALVES] + [rand_simplex(rng) for _ in range(5)]
     for vertices in simplices:
         coeffs = simplex_bernstein(h, vertices)
         for i, v in enumerate(vertices):
@@ -180,10 +188,10 @@ def test_bernstein_corner_coefficients_are_exact_values():
 
 
 def test_bernstein_zero_corner_cell():
-    # every leaf has the equality point of h as a vertex, with coefficient 0
+    # both halves have the equality point of h as a vertex, with coefficient 0
     h = h_polynomial()
     zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    for vertices in map(leaf_simplex, certify()["leaves"]):
+    for vertices in HALVES:
         coeffs = simplex_bernstein(h, vertices)
         assert coeffs[vertex_index(4, vertices.index(zero))] == 0
         assert min(coeffs.values()) == 0
@@ -202,7 +210,7 @@ def test_bernstein_soundness_by_sampling():
 
 def test_bernstein_coefficients_are_fractions():
     h = h_polynomial()
-    for vertices in map(leaf_simplex, certify()["leaves"]):
+    for vertices in HALVES:
         assert all(type(b) is Fraction for b in simplex_bernstein(h, vertices).values())
     # integer coefficients on an integer-vertex simplex (common denominator 1): an
     # int / int division would give floats here
@@ -236,24 +244,35 @@ def rand_poly(rng, degree):
     return Poly(coeffs)
 
 
-def test_halving_matches_fresh_conversion_on_both_children():
-    """De Casteljau halves equal simplex_bernstein on bisect's two children, for every edge."""
-    rng = random.Random(18)
-    polys = [rand_poly(rng, d) for d in range(5)] + [h_polynomial(), stability_polynomial()]
-    simplices = [DOMAIN_VERTICES] + [rand_simplex(rng, den) for den in (7, 64, 360)]
-    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    for p in polys:
-        n = max(sum(m) for m in p.coeffs)
-        for vertices in simplices:
-            coeffs = simplex_bernstein(p, vertices)
-            den = lcm(*(b.denominator for b in coeffs.values()))
-            nums = {a: int(b * den) for a, b in coeffs.items()}
-            for edge in edges:
-                halves = halve_bernstein(nums, *edge)
-                for child, half in zip(bisect(vertices, edge), halves):
-                    assert all(type(v) is int for v in half.values())
-                    got = {a: Fraction(v, den << n) for a, v in half.items()}
-                    assert got == simplex_bernstein(p, child)
+def packed_coefficients(p, degree, vertices=DOMAIN_VERTICES):
+    """The coefficients at a degree from _power_form, _elevate and _bernstein_numerators."""
+    base = degree + 1
+    form, den = _power_form(p, vertices, base)
+    for _ in range(degree - p.degree()):
+        form = _elevate(form, base)
+    assert len(form) == len(multi_indices(degree))  # dense at every degree
+    nums = _bernstein_numerators(form, degree, base)
+    assert list(nums) == multi_indices(degree)
+    return {a: Fraction(c, den * factorial(degree)) for a, c in nums.items()}
+
+
+def test_elevation_equals_the_fraction_oracle_at_every_degree():
+    """The packed elevation equals Fraction elevation of simplex_bernstein's coefficients."""
+    rng = random.Random(28)
+    cases = [(h_polynomial(), DOMAIN_VERTICES, range(4, 9)),
+             (stability_polynomial(), DOMAIN_VERTICES, range(4, 10)),
+             (Poly.constant(Fraction(-5, 7)), DOMAIN_VERTICES, range(0, 4))]
+    for d in range(5):
+        for den in (7, 64, 360):
+            cases.append((rand_poly(rng, d), signed_simplex(rng, den), range(d, d + 4)))
+    for p, vertices, degrees in cases:
+        for m in degrees:
+            assert packed_coefficients(p, m, vertices) == elevate_oracle(p, m, vertices)
+    # the form's value is kept: at degree 9, h's coefficients still give h
+    coeffs = packed_coefficients(h_polynomial(), 9)
+    for _ in range(20):
+        lam = rand_barycentric(rng)
+        assert bernstein_value(coeffs, lam) == h_polynomial().evaluate(*at(DOMAIN_VERTICES, lam))
 
 
 def test_bernstein_equals_the_poly_product_oracle():

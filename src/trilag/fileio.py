@@ -1,24 +1,30 @@
 """Text formats for graphs and weight vectors.
 
-Files are UTF-8, and one leading byte-order mark is dropped.  Lines end
-at ``\\n``, ``\\r\\n`` or ``\\r``.  Graph files: first line
-``digraph <n>`` or ``graph <n>``; each following non-empty line is one
-arc/edge ``u v`` (0-based); ``#`` starts a comment.  Arcs are ordered
-u->v, edges unordered.  Weight files hold one rational per line: ``p/q``,
-an integer, or a decimal; the count must match the graph order, no weight
-may exceed 1, and the sum must be exactly 1.
+Files are UTF-8, read unbuffered to EOF in one call (a pipe too), and one
+leading byte-order mark is dropped.  Lines end at ``\\n``, ``\\r\\n`` or
+``\\r``.  Graph files: first line ``digraph <n>`` or ``graph <n>``; each
+following non-empty line is one arc/edge ``u v`` (0-based); ``#`` starts
+a comment.  Arcs are ordered u->v, edges unordered.
+
+Weight files hold one rational per line: ``p/q``, an integer, or a
+decimal; the count must match the graph order, no weight may exceed 1,
+and the sum must be exactly 1.  A token of ASCII digits, ``p/q`` or a
+plain integer, is read with int() and put in lowest terms with one gcd;
+any other token (a decimal, an exponent, a sign, underscores, Unicode
+digits) goes through parse_rational and Fraction.  The parser keeps D,
+the least common denominator so far, and hands D and the numerators
+p = D w to WeightVector.from_numerators.
 Reports print values of degree <= 4 in the weights, at most 1 in
-magnitude, whose denominators divide 96 D^4 (D the weights' common
-denominator): a D of more than MAX_DENOMINATOR_DIGITS digits is
-rejected, as Python could not print them.
+magnitude, whose denominators divide 96 D^4: a D of more than
+MAX_DENOMINATOR_DIGITS digits is rejected, as Python could not print them.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .graphs import OrientedGraph, UndirectedGraph
 from .lagrangian import WeightVector
@@ -87,8 +93,8 @@ def parse_graph_text(text: str, path: str = "<string>"):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    with open(path, "rb", buffering=0) as fh:  # readall() reads to EOF, from a pipe too
+        data = fh.readall().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -119,39 +125,64 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(token)
 
 
+def _ascii_digits(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
-    entries = []
+    """The weights of ``text`` as a WeightVector, built from (d, p).
+
+    A token of ASCII digits, ``p/q`` or a plain integer, is read with int()
+    and reduced with one gcd, with no Fraction; any other token goes
+    through parse_rational.  A zero denominator is a bad rational either way.
+    """
+    nums = []  # each weight in lowest terms, a / b
+    dens = []
     line_nos = []
     denominator = 1
     too_big = None
     for line_no, line in _content_lines(text):
-        try:
-            w = parse_rational(line)
-        except OverflowError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, line_no, f"bad rational {line!r}") from None
-        if w.numerator < 0:  # a Fraction's denominator is positive
-            raise ParseError(path, line_no, f"negative weight {line!r}")
-        denominator = math.lcm(denominator, w.denominator)
+        a, slash, b = line.partition("/")
+        if _ascii_digits(a) and (not slash or _ascii_digits(b)):
+            try:
+                a, b = int(a), (int(b) if slash else 1)  # int() refuses more than 4300 digits
+            except ValueError:
+                raise ParseError(path, line_no, f"bad rational {line!r}") from None
+            if b == 0:
+                raise ParseError(path, line_no, f"bad rational {line!r}")
+            if slash:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+        else:
+            try:
+                w = parse_rational(line)
+            except OverflowError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(path, line_no, f"bad rational {line!r}") from None
+            a, b = w.numerator, w.denominator
+            if a < 0:  # a Fraction's denominator is positive
+                raise ParseError(path, line_no, f"negative weight {line!r}")
+        denominator = lcm(denominator, b)
         if denominator >= _DENOMINATOR_LIMIT:
             raise ParseError(path, line_no, "common denominator of the weights so far has more than "
                              f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
-        if w.numerator > w.denominator and too_big is None:
+        if a > b and too_big is None:
             too_big = ParseError(path, line_no, f"weight {line!r} exceeds 1")
-        entries.append(w)
+        nums.append(a)
+        dens.append(b)
         line_nos.append(line_no)
     # raised after the loop: a later negative weight is the cause, and is cited instead;
     # raised before the sum check, whose message could have too many digits to print
     if too_big is not None:
         raise too_big
     last = line_nos[-1] if line_nos else 1
-    if expected_n is not None and len(entries) != expected_n:
+    if expected_n is not None and len(nums) != expected_n:
         # cite the first surplus weight, or the last one when weights are missing
-        line_no = line_nos[expected_n] if len(entries) > expected_n else last
-        raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(entries)}")
+        line_no = line_nos[expected_n] if len(nums) > expected_n else last
+        raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(nums)}")
     try:
-        return WeightVector(entries)
+        return WeightVector.from_numerators(denominator, [a * (denominator // b) for a, b in zip(nums, dens)])
     except ValueError as exc:  # empty, or the sum is not 1
         raise ParseError(path, last, str(exc)) from None
 

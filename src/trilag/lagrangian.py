@@ -14,8 +14,9 @@ For an undirected graph G with triple system BF:
 The arc term of L_CF takes x^2 y only (ordered arc x->y); the edge term
 of L_BF takes both x^2 y and x y^2 per unordered edge.  Every link runs
 on integers: with d the least common denominator of the weights and
-p = d x their numerators, which a WeightVector computes once, d^3, 2 d^3
-and 2 d^4 times the triple, pair and quadratic terms are integers, and
+p = d x their numerators, the only fields of a WeightVector (the weight
+parser builds one from them, with no Fraction), d^3, 2 d^3 and 2 d^4
+times the triple, pair and quadratic terms are integers, and
 so are a = 2 d^3 L_CF and N = 2 d^4 L_BF.  lagrangian_cf and lagrangian_bf
 make one Fraction, the value; the reports render each value num / den
 with _ratio, which gives str(Fraction(num, den)) from one gcd.  Floats
@@ -34,6 +35,9 @@ less sum_u p_u e2(N+(u)), with N+(u) the out-neighbours of u.  The pair
 terms are sums over neighbourhoods too: sum_v p_v^2 s_v for BF and
 sum_u p_u^2 s+_u for CF.  One evaluation costs O(n + m) integer operations
 for n vertices and m edges, plus one set intersection per edge for T.
+These sums, and the branch terms of a merge below, run as plain loops
+over the neighbour sets: on the small neighbourhoods of most inputs a
+generator frame per sum costs more than the sum.
 
 Merges.  For a non-edge (a,b) with weights a,b, deleting b and giving its
 weight to a yields G_a (and symmetrically G_b).  With S_a, S_b the
@@ -86,8 +90,8 @@ loads no numpy.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
+from operator import index
 
 from .graphs import OrientedGraph, UndirectedGraph, underlying
 
@@ -95,28 +99,48 @@ from .graphs import OrientedGraph, UndirectedGraph, underlying
 class WeightVector:
     """Nonnegative rational vertex weights summing to exactly one.
 
-    The constructor computes d, the least common denominator of the
-    entries, and the integer numerators p = d * w once; it validates on
-    them (every p >= 0, sum(p) == d).  Both stay available, read-only, as
-    ``denominator`` and ``numerators`` (a tuple).
+    A vector is stored as d, the least common denominator of its entries,
+    and the integer numerators p = d * w, read-only as ``denominator`` and
+    ``numerators`` (a tuple).  ``WeightVector(entries)`` takes Fractions or
+    ints; ``WeightVector.from_numerators(d, p)`` takes the integers, as the
+    weight parser hands them over.  Both validate on (d, p): every p >= 0
+    and sum(p) == d.  The entries, by ``entries``, iteration or index, are
+    Fractions made on demand; equality compares (d, p).
     """
 
-    __slots__ = ("entries", "_denominator", "_numerators")
+    __slots__ = ("_denominator", "_numerators")
 
     def __init__(self, entries) -> None:
         entries = tuple(entries)
-        if not entries:
-            raise ValueError("weight vector must be nonempty")
         if not all(isinstance(w, (Fraction, int)) for w in entries):
             raise ValueError("weights must be rationals (Fraction or int)")
-        entries = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in entries)
         d = lcm(*(w.denominator for w in entries))
-        p = tuple(w.numerator * (d // w.denominator) for w in entries)
+        self._validate(d, tuple(w.numerator * (d // w.denominator) for w in entries))
+
+    @classmethod
+    def from_numerators(cls, d: int, numerators) -> WeightVector:
+        """The vector p / d, for integers d >= 1 and p; d need not be least."""
+        try:
+            d, p = index(d), tuple(map(index, numerators))
+        except TypeError:
+            raise ValueError("denominator and numerators must be integers") from None
+        if d < 1:
+            raise ValueError(f"denominator must be positive, got {d}")
+        g = gcd(d, *p)
+        if g != 1:
+            d, p = d // g, tuple(v // g for v in p)
+        w = cls.__new__(cls)
+        w._validate(d, p)
+        return w
+
+    def _validate(self, d: int, p: tuple[int, ...]) -> None:
+        """Store (d, p) after the checks of both constructors, d least."""
+        if not p:
+            raise ValueError("weight vector must be nonempty")
         if any(v < 0 for v in p):
             raise ValueError("negative weight")
         if sum(p) != d:
-            raise ValueError(f"weights sum to {Fraction(sum(p), d)}, expected 1")
-        self.entries = entries
+            raise ValueError(f"weights sum to {_ratio(sum(p), d)}, expected 1")
         self._denominator = d
         self._numerators = p
 
@@ -130,17 +154,26 @@ class WeightVector:
         """p = d * w, the entries as integers over ``denominator``."""
         return self._numerators
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The weights p / d as Fractions, made on each call."""
+        d = self._denominator
+        return tuple(Fraction(v, d) for v in self._numerators)
 
-    def __getitem__(self, i: int):
-        return self.entries[i]
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.entries[i]
+        return Fraction(self._numerators[i], self._denominator)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeightVector) and self.entries == other.entries
+        return (isinstance(other, WeightVector) and self._denominator == other._denominator
+                and self._numerators == other._numerators)
 
     def __repr__(self) -> str:
         return f"WeightVector({list(self.entries)})"
@@ -180,18 +213,27 @@ def _bf_sums(adj, p) -> tuple[int, int, int]:
     pair term and the edge sum sum_{uv} x_u x_v of L_BF, from neighbour sets.
 
     ``centres`` is 2 sum_v p_v e2(N(v)); ``triangles`` is T, each triangle
-    v < y < z found once from the neighbours above v and above y.
+    v < y < z found once from the common neighbours ``near & adj[y]`` of
+    the edge v < y.  One loop over the neighbours of v gives s_v, r_v and
+    the triangles at v.
     """
-    up = [{y for y in near if y > v} for v, near in enumerate(adj)]
     centres = triangles = pairs = edges = 0
     for v, near in enumerate(adj):
         if not near:
             continue
         x = p[v]
-        s = sum(p[y] for y in near)
-        centres += x * (s * s - sum(p[y] * p[y] for y in near))
-        above = up[v]
-        triangles += x * sum(p[y] * sum(p[z] for z in above & up[y]) for y in above)
+        s = r = 0
+        for y in near:
+            py = p[y]
+            s += py
+            r += py * py
+            if y > v:
+                above = 0
+                for z in near & adj[y]:
+                    if z > y:
+                        above += p[z]
+                triangles += x * py * above
+        centres += x * (s * s - r)
         pairs += x * x * s
         edges += x * s
     return (centres - 4 * triangles) // 2, pairs, edges // 2
@@ -208,8 +250,12 @@ def _cf_sums(out, p, bf_triples: int) -> tuple[int, int]:
         if not ahead:
             continue
         x = p[u]
-        s = sum(p[v] for v in ahead)
-        dominated += x * (s * s - sum(p[v] * p[v] for v in ahead))
+        s = r = 0
+        for v in ahead:
+            y = p[v]
+            s += y
+            r += y * y
+        dominated += x * (s * s - r)
         arcs += x * x * s
     return bf_triples - dominated // 2, arcs
 
@@ -254,9 +300,26 @@ def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
     q_y sums p_z over the neighbours z of y in V' that are not neighbours of v.
     """
     near = adj[v]
-    s_v = sum(p[y] for y in near)
-    cross = sum(p[y] * sum(p[z] for z in adj[y] - near - {a, b}) for y in near)
+    skip = near | {a, b}
+    s_v = cross = 0
+    for y in near:
+        q = 0
+        for z in adj[y]:
+            if z not in skip:
+                q += p[z]
+        s_v += p[y]
+        cross += p[y] * q
     return s_v, s_v * s_v + 2 * cross
+
+
+def _first_non_edge(adj, alive):
+    """The lexicographically smallest pair a < b of ``alive`` with no edge, or None."""
+    for i, a in enumerate(alive):
+        near = adj[a]
+        for b in alive[i + 1:]:
+            if b not in near:
+                return a, b
+    return None
 
 
 def merge_chain(g: UndirectedGraph, w: WeightVector):
@@ -287,12 +350,14 @@ def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
     alive = list(range(len(adj)))  # vertices keep their input labels
     rows = []
     while True:
-        pair = next(((a, b) for a, b in combinations(alive, 2) if b not in adj[a]), None)
+        pair = _first_non_edge(adj, alive)
         if pair is None:
             break
         a, b = pair
         (s_a, u_a), (s_b, u_b) = _branch_terms(adj, p, a, a, b), _branch_terms(adj, p, b, a, b)
-        s_ab = sum(p[y] for y in adj[a] & adj[b])
+        s_ab = 0
+        for y in adj[a] & adj[b]:
+            s_ab += p[y]
         x_a, x_b, x = p[a], p[b], p[a] + p[b]
         e0 = edges - x_a * s_a - x_b * s_b
         # 2 d^4 C: the current value less every term that touches a or b

@@ -22,6 +22,9 @@ bernstein_oracle is the conversion built from Poly products of barycentric
 forms, with tuple keys; simplex_bernstein runs it on packed int keys.  At a
 degree above p's it is a fresh conversion, the oracle of certify's elevation.
 g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys.
+parse_weights_oracle parses weights one Fraction per line, through
+parse_rational; parse_weights_text reads p/q and integer tokens with int()
+and builds the vector from (d, p).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from math import factorial, lcm
 import numpy as np
 
 from trilag.certify import DOMAIN_VERTICES
+from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
 from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
@@ -85,6 +89,44 @@ def huge_denominator_weights(rng, n: int) -> WeightVector:
     parts = [1] + [b - a for a, b in zip([1] + cuts, cuts + [big])]
     rng.shuffle(parts)
     return WeightVector([Fraction(x, big) for x in parts])
+
+
+def parse_weights_oracle(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
+    """The weight parser on one Fraction per line, from parse_rational, and
+    a vector from its entries: the oracle of parse_weights_text, with the
+    same checks in the same order, so the same (d, p) or the same ParseError.
+    """
+    entries = []
+    line_nos = []
+    denominator = 1
+    too_big = None
+    for line_no, line in _content_lines(text):
+        try:
+            w = parse_rational(line)
+        except OverflowError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(path, line_no, f"bad rational {line!r}") from None
+        if w.numerator < 0:
+            raise ParseError(path, line_no, f"negative weight {line!r}")
+        denominator = lcm(denominator, w.denominator)
+        if denominator >= 10**MAX_DENOMINATOR_DIGITS:
+            raise ParseError(path, line_no, "common denominator of the weights so far has more than "
+                             f"{MAX_DENOMINATOR_DIGITS} digits: their Lagrangians could not be printed")
+        if w.numerator > w.denominator and too_big is None:
+            too_big = ParseError(path, line_no, f"weight {line!r} exceeds 1")
+        entries.append(w)
+        line_nos.append(line_no)
+    if too_big is not None:
+        raise too_big
+    last = line_nos[-1] if line_nos else 1
+    if expected_n is not None and len(entries) != expected_n:
+        line_no = line_nos[expected_n] if len(entries) > expected_n else last
+        raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(entries)}")
+    try:
+        return WeightVector(entries)
+    except ValueError as exc:
+        raise ParseError(path, last, str(exc)) from None
 
 
 def all_orientations(n: int):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -111,37 +112,62 @@ def test_pipeline_refuses_undirected_input_at_its_header(capsys, tmp_path):
     assert captured.err == f"error: {g}:3: pipeline expects a digraph\n"
 
 
-def test_pipeline_reads_a_piped_graph_once(capsys, tmp_path):
-    """Undirected input on a named pipe is refused at its header, from the one read."""
-    fifo, w = tmp_path / "g.fifo", tmp_path / "w.txt"
-    os.mkfifo(fifo)
-    w.write_text(UNIFORM3)
+@contextlib.contextmanager
+def _fifo(path, text):
+    """A named pipe at path that serves text to its first reader and an empty
+    stream to any later one, as a drained pipe; its writer ends on exit."""
+    os.mkfifo(path)
     done = threading.Event()
 
     def serve():
-        # the graph to the first reader and an empty stream to any later one, as a drained pipe
-        text = "graph 3\n0 1\n1 2\n"
+        data = text
         while not done.is_set():
-            with open(fifo, "w") as fh:  # waits for a reader
-                fh.write("" if done.is_set() else text)
-            text = ""
+            with open(path, "w") as fh:  # waits for a reader
+                fh.write("" if done.is_set() else data)
+            data = ""
 
     writer = threading.Thread(target=serve, daemon=True)
     writer.start()
     try:
-        code = main(["pipeline", str(fifo), str(w)])
+        yield str(path)
     finally:
         done.set()
         for _ in range(500):  # release the writer's wait for a reader, for up to 5 s
             if not writer.is_alive():
                 break
-            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(0.01)
     assert not writer.is_alive()
+
+
+def test_pipeline_reads_a_piped_graph_once(capsys, tmp_path):
+    """Undirected input on a named pipe is refused at its header, from the one read."""
+    w = tmp_path / "w.txt"
+    w.write_text(UNIFORM3)
+    with _fifo(tmp_path / "g.fifo", "graph 3\n0 1\n1 2\n") as fifo:
+        code = main(["pipeline", fifo, str(w)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {fifo}:1: pipeline expects a digraph\n"
+
+
+def test_pipeline_reads_graph_and_weights_from_pipes(capsys, tmp_path):
+    """Both files on named pipes, the weights behind a comment line longer than
+    a pipe's 64 KiB buffer: the unbuffered read loops to EOF, and stdout
+    equals the run on regular files."""
+    graph = "digraph 3\n0 2\n1 2\n"
+    weights = "# " + "x" * (1 << 17) + "\n1/4\n0.25\n2/4\n"
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text(graph)
+    w.write_text(weights)
+    code, expected = run(capsys, ["pipeline", str(g), str(w)])
+    assert code == 0 and json.loads(expected)["all_pass"]
+    with _fifo(tmp_path / "g.fifo", graph) as g_fifo, _fifo(tmp_path / "w.fifo", weights) as w_fifo:
+        code, out = run(capsys, ["pipeline", g_fifo, w_fifo])
+    assert code == 0
+    assert out == expected
+    assert capsys.readouterr().err == ""
 
 
 def test_reduce(capsys, tmp_path):

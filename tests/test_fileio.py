@@ -8,6 +8,8 @@ from trilag.fileio import ParseError, parse_graph, parse_graph_text, parse_weigh
 from trilag.graphs import OrientedGraph, UndirectedGraph
 from trilag.lagrangian import WeightVector
 
+from helpers import parse_weights_oracle
+
 
 def test_parse_digraph():
     g = parse_graph_text("digraph 3\n0 1\n2 1\n")
@@ -233,3 +235,87 @@ def test_fuzz_parse_weights_text(text, expected_n):
     else:
         assert isinstance(w, WeightVector) and sum(w) == 1
         assert expected_n is None or len(w) == expected_n
+
+
+ASCII_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+TOKENS = st.one_of(
+    ASCII_DIGITS,  # plain integers, leading zeros and values above 1 included
+    st.builds("{}/{}".format, ASCII_DIGITS, ASCII_DIGITS),  # p/q, with p/0, 0/0 and p > q
+    st.from_regex(r"\A[-+]?[0-9_]{1,4}(/[-+]?[0-9_]{1,4})?\Z"),  # signs and underscores
+    st.from_regex(r"\A[-+]?[0-9]{0,3}\.?[0-9]{0,3}([eE][-+]?[0-9]{1,3})?\Z"),  # decimals and exponents
+    st.text(st.characters(categories=["Nd", "No"]), min_size=1, max_size=3),  # Unicode digits
+    st.sampled_from([
+        "0/0", "1/0", "000/0", "0/007", "0001/0004", "1_0/2_0", "+1/4", "-1/4", "-0", "+0",
+        "١/٢", "²/3", "1" + "0" * 4300, "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/1",
+        "0.25", ".5", "2.", "25e-2", "1E0", "3/2", "2", "1e-100000000", "1 / 2", "/2", "1/", "1/2/3",
+    ]),
+)
+
+
+@st.composite
+def exact_vectors(draw):
+    """A vector of weights that sums to 1, each written as an unreduced p/q, a
+    plain integer or a token of TOKENS' families, with comments and blank lines."""
+    parts = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6).filter(any))
+    total = sum(parts)
+    lines = []
+    for a in parts:
+        k = draw(st.integers(1, 12))
+        zeros = "0" * draw(st.integers(0, 2))
+        form = draw(st.sampled_from(["p/q", "int", "decimal", "underscore"]))
+        if form == "int" and a in (0, total):
+            lines.append(zeros + str(a // total))
+        elif form == "decimal" and 10**6 * a % total == 0:
+            lines.append(f"{a / total:.6f}")
+        elif form == "underscore":
+            lines.append(f"{k * a}_0/{k * total}_0")
+        else:
+            lines.append(f"{zeros}{k * a}/{zeros}{k * total}")
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1)))
+    return "\n".join(lines) + "\n"
+
+
+def _weights_outcome(parse, text, expected_n):
+    try:
+        w = parse(text, expected_n=expected_n, path="w.txt")
+    except ParseError as exc:
+        return "error", str(exc), exc.line_no
+    assert type(w.denominator) is int and all(type(v) is int for v in w.numerators)
+    return w.denominator, w.numerators
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(TOKENS, max_size=6).map("\n".join), exact_vectors()),
+       st.one_of(st.none(), st.integers(0, 6)))
+def test_integer_weight_path_matches_the_fraction_oracle(text, expected_n):
+    """(d, p), or the ParseError text and line, equal the per-line Fraction parser's."""
+    assert _weights_outcome(parse_weights_text, text, expected_n) == \
+        _weights_outcome(parse_weights_oracle, text, expected_n)
+
+
+def test_integer_weight_path_pinned_tokens():
+    """The int() path and the Fraction path agree on each edge of the fast-path test."""
+    vectors = {
+        "0002/0008\n3/4\n": (4, (1, 3)),
+        "1_0/40\n0.25\n25e-2\n2/8\n": (4, (1, 1, 1, 1)),
+        "0\n1\n": (1, (0, 1)),
+        "00/5\n5/5\n": (1, (0, 1)),
+        "١/٢\n1/2\n": (2, (1, 1)),  # Fraction and int() read Unicode decimal digits
+        f"{10**1080}/{2 * 10**1080}\n1/2\n": (2, (1, 1)),  # reduced before the digit limit
+    }
+    for text, expected in vectors.items():
+        assert _weights_outcome(parse_weights_text, text, None) == expected
+        assert _weights_outcome(parse_weights_oracle, text, None) == expected
+    errors = {
+        "1/0\n1\n": "w.txt:1: bad rational '1/0'",
+        "1\n0/0\n": "w.txt:2: bad rational '0/0'",
+        "1" + "0" * 4300 + "\n": "w.txt:1: bad rational '1" + "0" * 4300 + "'",
+        "²/3\n1/2\n": "w.txt:1: bad rational '²/3'",
+        "2\n-1\n": "w.txt:2: negative weight '-1'",
+        "5/4\n-1/4\n": "w.txt:2: negative weight '-1/4'",
+        "5/4\n0\n": "w.txt:1: weight '5/4' exceeds 1",
+    }
+    for text, message in errors.items():
+        oracle = _weights_outcome(parse_weights_oracle, text, None)
+        assert _weights_outcome(parse_weights_text, text, None) == oracle
+        assert oracle[:2] == ("error", message)

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from trilag.fileio import parse_weights_text
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.lagrangian import (
     WeightVector,
@@ -59,6 +60,44 @@ def test_weight_vector_numerators():
         w.denominator = 12
     with pytest.raises(AttributeError):
         w.numerators = (0, 2, 10)
+    # the parser builds the vector from (d, p): d is least for unreduced tokens,
+    # and the vector equals the one built from the entries
+    assert parse_weights_text("2/4\n3/6\n") == WeightVector([Fraction(1, 2)] * 2)
+    parsed = parse_weights_text("0/9\n2/12\n10/12\n")
+    assert parsed == w and (parsed.denominator, parsed.numerators) == (6, (0, 1, 5))
+    assert parse_weights_text("4/8\n1/4\n2/8\n").denominator == 4
+    # the entries are Fractions made on demand, as the stored ones were
+    assert list(w) == [0, Fraction(1, 6), Fraction(5, 6)] == list(w.entries)
+    assert [w[0], w[1], w[2], w[-1]] == [0, Fraction(1, 6), Fraction(5, 6), Fraction(5, 6)]
+    assert w[1:] == (Fraction(1, 6), Fraction(5, 6))
+    assert all(type(x) is Fraction for x in (*w, *w.entries, w[0], w[-1], *w[:2]))
+    assert len(w) == 3
+    assert repr(w) == "WeightVector([Fraction(0, 1), Fraction(1, 6), Fraction(5, 6)])"
+    assert repr(uniform_weights(1)) == "WeightVector([Fraction(1, 1)])"
+    with pytest.raises(IndexError):
+        w[3]
+    assert w != WeightVector([Fraction(1, 6), 0, Fraction(5, 6)]) and w != list(w)
+
+
+def test_weight_vector_from_numerators():
+    """The second constructor takes (d, p), reduces d to least and shares the validator."""
+    w = WeightVector.from_numerators(12, [0, 2, 10])
+    assert (w.denominator, w.numerators) == (6, (0, 1, 5))
+    assert w == WeightVector([0, Fraction(1, 6), Fraction(5, 6)])
+    assert WeightVector.from_numerators(1, (1,)) == uniform_weights(1)
+    with pytest.raises(ValueError, match="^weights sum to 3/4, expected 1$"):
+        WeightVector.from_numerators(4, [2, 1])
+    with pytest.raises(ValueError, match="^negative weight$"):
+        WeightVector.from_numerators(2, [3, -1])
+    with pytest.raises(ValueError, match="^weight vector must be nonempty$"):
+        WeightVector.from_numerators(1, [])
+    with pytest.raises(ValueError, match="^denominator must be positive, got 0$"):
+        WeightVector.from_numerators(0, [0, 0])
+    with pytest.raises(ValueError, match="^denominator must be positive, got -2$"):
+        WeightVector.from_numerators(-2, [-1, -1])
+    for d, p in ((2.0, [1, 1]), (2, [1.0, 1]), (2, [Fraction(1), 1])):
+        with pytest.raises(ValueError, match="^denominator and numerators must be integers$"):
+            WeightVector.from_numerators(d, p)
 
 
 def test_uniform_weights():

@@ -37,7 +37,8 @@ sum_u p_u^2 s+_u for CF.  One evaluation costs O(n + m) integer operations
 for n vertices and m edges, plus one set intersection per edge for T.
 These sums, and the branch terms of a merge below, run as plain loops
 over the neighbour sets: on the small neighbourhoods of most inputs a
-generator frame per sum costs more than the sum.
+generator frame per sum costs more than the sum.  The out-sums s+_u and
+r+_u of CF come from one loop over the arcs, with no out-neighbour sets.
 
 Merges.  For a non-edge (a,b) with weights a,b, deleting b and giving its
 weight to a yields G_a (and symmetrically G_b).  With S_a, S_b the
@@ -93,7 +94,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-from .graphs import OrientedGraph, UndirectedGraph, underlying
+from .graphs import OrientedGraph
 
 
 class WeightVector:
@@ -186,11 +187,6 @@ def uniform_weights(n: int) -> WeightVector:
     return WeightVector([Fraction(1, n)] * n)
 
 
-def _check_order(w: WeightVector, n: int) -> None:
-    if len(w) != n:
-        raise ValueError(f"weight length {len(w)} != vertex count {n}")
-
-
 def _adjacency(n: int, pairs) -> list[set[int]]:
     """Neighbour sets of the undirected graph on 0..n-1 with the given vertex pairs."""
     adj = [set() for _ in range(n)]
@@ -198,14 +194,6 @@ def _adjacency(n: int, pairs) -> list[set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def _arc_adjacency(g: OrientedGraph) -> tuple[list[set[int]], list[set[int]]]:
-    """(out-neighbour sets, neighbour sets of the underlying graph) of an orientation."""
-    out = [set() for _ in range(g.n)]
-    for (u, v) in g.arcs:
-        out[u].add(v)
-    return out, _adjacency(g.n, g.arcs)
 
 
 def _bf_sums(adj, p) -> tuple[int, int, int]:
@@ -239,24 +227,32 @@ def _bf_sums(adj, p) -> tuple[int, int, int]:
     return (centres - 4 * triangles) // 2, pairs, edges // 2
 
 
-def _cf_sums(out, p, bf_triples: int) -> tuple[int, int]:
+def _graph_sums(g, w: WeightVector):
+    """(neighbour sets, _bf_sums at w) of an undirected graph, or of an
+    orientation's underlying graph; raises unless w has one weight per vertex."""
+    if len(w) != g.n:
+        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
+    adj = _adjacency(g.n, g.arcs if isinstance(g, OrientedGraph) else g.edges)
+    return adj, _bf_sums(adj, w.numerators)
+
+
+def _cf_sums(g: OrientedGraph, p, bf_triples: int) -> tuple[int, int]:
     """(triples, arcs): d^3 and 2 d^3 times the triple and the arc term of L_CF.
 
-    The CF triple sum is the BF one, ``bf_triples``, less the triples with a
-    dominator: ``dominated`` is 2 sum_u p_u e2(N+(u)).
+    One loop over the arcs u->v adds up s+_u and r+_u, the sums of p_v and
+    p_v^2 over the out-neighbours of u.  The CF triple sum is the BF one,
+    ``bf_triples``, less the triples with a dominator: ``dominated`` is
+    2 sum_u p_u e2(N+(u)).
     """
+    s, r = [0] * g.n, [0] * g.n
+    for u, v in g.arcs:
+        y = p[v]
+        s[u] += y
+        r[u] += y * y
     dominated = arcs = 0
-    for u, ahead in enumerate(out):
-        if not ahead:
-            continue
-        x = p[u]
-        s = r = 0
-        for v in ahead:
-            y = p[v]
-            s += y
-            r += y * y
-        dominated += x * (s * s - r)
-        arcs += x * x * s
+    for x, s_u, r_u in zip(p, s, r):
+        dominated += x * (s_u * s_u - r_u)
+        arcs += x * x * s_u
     return bf_triples - dominated // 2, arcs
 
 
@@ -270,26 +266,16 @@ def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
     return 2 * d * triples + d * pairs - edges * edges
 
 
-def _orientation_sums(g: OrientedGraph, w: WeightVector):
-    """(the _cf_sums of g, the _bf_sums of its underlying graph, that graph's
-    neighbour sets) at w, from one adjacency and one BF sum."""
-    _check_order(w, g.n)
-    out, adj = _arc_adjacency(g)
-    p = w.numerators
-    sums = _bf_sums(adj, p)
-    return _cf_sums(out, p, sums[0]), sums, adj
-
-
 def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> Fraction:
     """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
-    return Fraction(_cf_numerator(*_orientation_sums(g, w)[0]), 2 * w.denominator**3)
+    triples = _graph_sums(g, w)[1][0]
+    return Fraction(_cf_numerator(*_cf_sums(g, w.numerators, triples)), 2 * w.denominator**3)
 
 
-def lagrangian_bf(g: UndirectedGraph, w: WeightVector) -> Fraction:
-    """L_BF of an undirected graph, edges summed once each."""
-    _check_order(w, g.n)
-    sums = _bf_sums(_adjacency(g.n, g.edges), w.numerators)
-    return Fraction(_bf_numerator(w.denominator, *sums), 2 * w.denominator**4)
+def lagrangian_bf(g, w: WeightVector) -> Fraction:
+    """L_BF of an undirected graph, edges summed once each; an orientation
+    is read as its underlying graph."""
+    return Fraction(_bf_numerator(w.denominator, *_graph_sums(g, w)[1]), 2 * w.denominator**4)
 
 
 def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
@@ -322,19 +308,18 @@ def _first_non_edge(adj, alive):
     return None
 
 
-def merge_chain(g: UndirectedGraph, w: WeightVector):
+def merge_chain(g, w: WeightVector):
     """Merge lexicographically-smallest non-edges of g until the graph is complete.
 
-    Both branches are evaluated exactly and the larger kept (ties keep the
-    smaller vertex index), so L_BF never decreases along the chain.
-    Returns the integers (d, q, rows, N_start, N_final) of _reduce.
+    An orientation is read as its underlying graph.  Both branches are
+    evaluated exactly and the larger kept (ties keep the smaller vertex
+    index), so L_BF never decreases along the chain.  Returns the integers
+    (d, q, rows, N_start, N_final) of _reduce.
     """
-    _check_order(w, g.n)
-    adj = _adjacency(g.n, g.edges)
-    return _reduce(adj, w, _bf_sums(adj, w.numerators))
+    return _reduce(*_graph_sums(g, w), w)
 
 
-def _reduce(adj, w: WeightVector, sums: tuple[int, int, int]):
+def _reduce(adj, sums: tuple[int, int, int], w: WeightVector):
     """The merge chain on integers, from the neighbour sets ``adj`` of the
     input graph and its ``_bf_sums`` at w; ``adj`` is updated in place by
     each merge.
@@ -439,18 +424,16 @@ def lagrangian_report(g, w: WeightVector) -> dict:
     """L_CF of an orientation and L_BF of its underlying graph, or L_BF of an
     undirected graph, each with its terms."""
     d = w.denominator
+    sums = _graph_sums(g, w)[1]
     if isinstance(g, OrientedGraph):
-        cf, bf, _ = _orientation_sums(g, w)
-        return {"lagrangian_cf": _lag_json(d, *cf), "lagrangian_bf_underlying": _lag_json(d, *bf)}
-    _check_order(w, g.n)
-    return {"lagrangian_bf": _lag_json(d, *_bf_sums(_adjacency(g.n, g.edges), w.numerators))}
+        cf = _cf_sums(g, w.numerators, sums[0])
+        return {"lagrangian_cf": _lag_json(d, *cf), "lagrangian_bf_underlying": _lag_json(d, *sums)}
+    return {"lagrangian_bf": _lag_json(d, *sums)}
 
 
 def reduce_report(g, w: WeightVector) -> dict:
     """The merge chain of an undirected graph, or of an orientation's
     underlying graph: its rows, the final weights and L_BF."""
-    if isinstance(g, OrientedGraph):
-        g = underlying(g)
     d, final, rows, _, end = merge_chain(g, w)
     return {
         "trace": _trace_rows(d, rows),
@@ -476,9 +459,9 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
     c <= c_g, and 32 c_g <= 72 d^4.
     """
     d = w.denominator
-    cf, sums, adj = _orientation_sums(g, w)
-    lcf = _cf_numerator(*cf)
-    _, final, rows, start, end = _reduce(adj, w, sums)
+    adj, sums = _graph_sums(g, w)
+    lcf = _cf_numerator(*_cf_sums(g, w.numerators, sums[0]))
+    _, final, rows, start, end = _reduce(adj, sums, w)
     _check_numerators(d, final)
     q = sorted(final, reverse=True) + [0] * (3 - len(final))
     closed = _closed_form_numerator(d, final)

@@ -217,7 +217,7 @@ def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
     Returns the form and its denominator S D^n.
     """
     if p.k != 3:
-        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
+        raise ValueError(f"a Bernstein form on a tetrahedron needs a polynomial in 3 variables, not {p.k}")
     n = p.degree()
     b = n + 1  # the products' base; for n < 6 their keys are cached small ints
     unit = (0, 1, b, b * b)  # unit[i] is the key of l_i

@@ -56,7 +56,7 @@ def test_lagrangian(capsys, cherry_files):
 def test_lagrangian_of_a_digraph_takes_one_bf_sum(capsys, monkeypatch, cherry_files):
     """L_CF and L_BF of the underlying graph share one adjacency and one BF triple sum."""
     calls = []
-    for name in ("_adjacency", "_arc_adjacency", "_bf_sums"):
+    for name in ("_graph_sums", "_adjacency", "_bf_sums"):
 
         def counting(*args, name=name, fn=getattr(lagrangian, name)):
             calls.append(name)
@@ -66,7 +66,7 @@ def test_lagrangian_of_a_digraph_takes_one_bf_sum(capsys, monkeypatch, cherry_fi
     code, out = run(capsys, ["lagrangian", *cherry_files])
     assert code == 0
     assert json.loads(out)["lagrangian_bf_underlying"]["value"] == "7/81"
-    assert calls == ["_arc_adjacency", "_adjacency", "_bf_sums"]
+    assert calls == ["_graph_sums", "_adjacency", "_bf_sums"]
 
 
 def test_undirected_input(capsys, tmp_path):

@@ -311,7 +311,7 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     counted = ((simplex, "closed_form"), (lagrangian, "_closed_form_numerator"), (lagrangian, "_g_numerator"),
                (lagrangian, "_majorized"),
                (lagrangian, "lagrangian_bf"), (lagrangian, "lagrangian_cf"), (lagrangian, "_adjacency"),
-               (lagrangian, "_arc_adjacency"), (lagrangian, "_bf_sums"), (lagrangian, "merge_chain"),
+               (lagrangian, "_graph_sums"), (lagrangian, "_bf_sums"), (lagrangian, "merge_chain"),
                (graphs, "build_bf"), (graphs, "build_cf"), (graphs, "complete_graph"))
     for module, name in counted:
         fn = getattr(module, name)
@@ -335,14 +335,14 @@ def test_pipeline_evaluates_closed_form_and_g_once(monkeypatch):
     monkeypatch.setattr(WeightVector, "__init__", counting_init)
     report = pipeline_report(g, w)
     assert report["all_pass"] and report["reduction_trace"]
-    # one adjacency (the neighbour sets of _adjacency, with the out-neighbour
-    # sets of _arc_adjacency) and one BF triple sum serve L_CF and every L_BF:
+    # one adjacency (the neighbour sets that _graph_sums builds with
+    # _adjacency) and one BF triple sum serve L_CF and every L_BF:
     # no Lagrangian is evaluated on its own, each merge's branches come from
     # integer sums, and no triple system is built.  The tail runs each integer
     # core of the chain once, on the final numerators, and builds no weight
     # vector or complete graph for them.
-    assert sorted(calls) == ["_adjacency", "_arc_adjacency", "_bf_sums", "_closed_form_numerator",
-                             "_g_numerator", "_majorized"]
+    assert sorted(calls) == ["_adjacency", "_bf_sums", "_closed_form_numerator", "_g_numerator",
+                             "_graph_sums", "_majorized"]
 
 
 def _chain_values(d, q, start, end, lcf):

@@ -8,13 +8,15 @@ from trilag.fileio import parse_weights_text
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.lagrangian import (
     WeightVector,
-    _adjacency,
-    _bf_sums,
+    _cf_sums,
+    _graph_sums,
     _lag_json,
-    _orientation_sums,
     lagrangian_bf,
     lagrangian_cf,
+    lagrangian_report,
+    merge_chain,
     pipeline_report,
+    reduce_report,
     uniform_weights,
 )
 
@@ -111,7 +113,7 @@ def test_uniform_weights():
 def test_lagrangian_cf_values():
     g = OrientedGraph(3, [(0, 1), (2, 1)])
     assert lagrangian_cf(g, UNIFORM3) == Fraction(2, 27)
-    rendered = _lag_json(3, *_orientation_sums(g, UNIFORM3)[0])
+    rendered = _lag_json(3, *_cf_sums(g, UNIFORM3.numerators, _graph_sums(g, UNIFORM3)[1][0]))
     assert rendered == {"value": "2/27", "triple_term": "1/27", "pair_term": "1/27", "quadratic_term": "0"}
 
     assert lagrangian_cf(OrientedGraph(3, [(0, 1), (0, 2)]), UNIFORM3) == Fraction(1, 27)
@@ -124,7 +126,7 @@ def test_lagrangian_cf_values():
 def test_lagrangian_bf_values():
     path = UndirectedGraph(3, [(0, 1), (1, 2)])
     assert lagrangian_bf(path, UNIFORM3) == Fraction(7, 81)
-    rendered = _lag_json(3, *_bf_sums(_adjacency(3, path.edges), UNIFORM3.numerators))
+    rendered = _lag_json(3, *_graph_sums(path, UNIFORM3)[1])
     assert rendered == {"value": "7/81", "triple_term": "1/27", "pair_term": "2/27", "quadratic_term": "2/81"}
     value, triple, pair, quadratic = (Fraction(rendered[key]) for key in
                                       ("value", "triple_term", "pair_term", "quadratic_term"))
@@ -144,6 +146,25 @@ def test_length_mismatch():
         lagrangian_bf(UndirectedGraph(2, []), UNIFORM3)
     with pytest.raises(ValueError, match="^weight length 3 != vertex count 4$"):
         pipeline_report(OrientedGraph(4, [(0, 1)]), UNIFORM3)
+    for g in (OrientedGraph(2, [(0, 1)]), UndirectedGraph(2, [(0, 1)])):
+        for entrance in (lagrangian_bf, merge_chain, lagrangian_report, reduce_report):
+            with pytest.raises(ValueError, match="^weight length 3 != vertex count 2$"):
+                entrance(g, UNIFORM3)
+
+
+def test_bf_entrances_read_an_orientation_as_its_underlying_graph():
+    """merge_chain, lagrangian_bf, reduce_report and lagrangian_report's L_BF
+    give on an orientation what they give on its underlying graph."""
+    rng = random.Random(31)
+    cases = [(OrientedGraph(4, []), rand_weights(rng, 4)), (OrientedGraph(1, []), uniform_weights(1))]
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        cases.append((rand_orientation(rng, n), rand_weights(rng, n)))
+    for g, w in cases:
+        und = underlying(g)
+        for entrance in (merge_chain, lagrangian_bf, reduce_report):
+            assert entrance(g, w) == entrance(und, w)
+        assert lagrangian_report(g, w)["lagrangian_bf_underlying"] == lagrangian_report(und, w)["lagrangian_bf"]
 
 
 def _oracle_json(triple, pair, quadratic) -> dict:
@@ -157,10 +178,10 @@ def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
     d = w.denominator
     und = underlying(g)
     cf_json, bf_json = _oracle_json(*brute_cf_terms(g, w)), _oracle_json(*brute_bf_terms(und, w))
-    cf, bf, _ = _orientation_sums(g, w)
-    assert _lag_json(d, *cf) == cf_json
+    bf = _graph_sums(g, w)[1]
+    assert _lag_json(d, *_cf_sums(g, w.numerators, bf[0])) == cf_json
     assert _lag_json(d, *bf) == bf_json
-    assert _lag_json(d, *_bf_sums(_adjacency(und.n, und.edges), w.numerators)) == bf_json
+    assert _lag_json(d, *_graph_sums(und, w)[1]) == bf_json
     assert str(lagrangian_cf(g, w)) == cf_json["value"]
     assert str(lagrangian_bf(und, w)) == bf_json["value"]
 
@@ -246,5 +267,6 @@ def test_uniform_cf_triple_term_counts_cf():
     for _ in range(100):
         n = rng.randint(3, 6)
         g = rand_orientation(rng, n)
-        (triples, _), _, _ = _orientation_sums(g, uniform_weights(n))  # d = n: n^3 times the triple term
+        w = uniform_weights(n)
+        triples, _ = _cf_sums(g, w.numerators, _graph_sums(g, w)[1][0])  # d = n: n^3 times the triple term
         assert triples == len(build_cf(g))

@@ -2,18 +2,18 @@
 
 Orientations on labeled vertices are indexed 0..3^C(n,2)-1: each vertex
 pair contributes one base-3 digit (0 absent, 1 forward, 2 backward), so
-every witness is reproducible from its index.  The sweeps look every triple
-and 4-set up in tables, by its row: its pair digits read in ``combinations``
-order as a base-3 number.
+every witness is reproducible from its index.  A k-subset's fact is a table
+over its C(k,2) pair digits, read in ``combinations`` order.
 
-A row is linear in the pair digits.  For ``start`` a multiple of 3^low and
-j < 3^low, index start + j has j's digits in the low slots and start's in
-the others, and nothing carries, so rows(start + j) = rows(j) + rows(start).
-A sweep builds the rows of 0..3^low-1 and of each block's first index once,
-and each block of 3^low indices costs one add.  The four triple facts share
-one int32 table in 5-bit fields, since a sum over at most C(6, 3) = 20
-triples fits one field, and the two 4-set facts one int8 table, so a block
-takes one table lookup per subset size.
+A sweep takes the indices in blocks of 3^low, whose low digits vary and the
+others stay fixed.  Seen as an array with one axis per slot of a subset and
+the runs between them merged, a block is what the subset's table, its high
+digits fixed by the block, broadcasts over: one in-place add (triples) or OR
+(4-sets) per subset and block, and no index array.  The subsets with every
+slot below low are the same in each block; they are reduced once per sweep
+and each block starts from a copy.  The four triple facts share one int32
+table in 5-bit fields, since a sum over at most C(6, 3) = 20 triples fits
+one field, and the two 4-set facts one int8 table.
 
 This module and trilag.simplex's optimizer are the only ones that import
 numpy.  The package and the command line load them on first use, so the
@@ -31,16 +31,9 @@ from math import comb
 
 import numpy as np
 
-from .graphs import (
-    OrientedGraph,
-    build_bf,
-    build_cf,
-    build_f,
-    has_induced_directed_c4,
-    underlying,
-)
+from .graphs import OrientedGraph, build_bf, build_cf, build_f, has_induced_directed_c4, underlying
 
-BLOCK_DIGITS = 8  # 3^8 = 6561 orientations per block keeps memory flat at n = 6
+BLOCK_DIGITS = 9  # 3^9 = 19683 orientations per block keeps memory flat at n = 6
 FIELD_BITS = 5  # a sum over at most C(6, 3) = 20 triples fits one field
 TRIPLE_FIELDS = ("cf", "bf", "partition_bad", "containment_bad")
 
@@ -70,9 +63,9 @@ def lookup_tables() -> dict[str, np.ndarray]:
     triple of F).  Each fact depends only on the arcs inside the subset.
 
     The triple facts and ``c4`` come from the object-level constructions.
-    ``independent`` comes from the F rows: ``_table_rows`` gives each 4-set
-    row its four triples' rows, and the 4-set is independent exactly when
-    none of them is in F.
+    ``independent`` comes from the F rows: the 4-set is independent exactly
+    when none of its four triples is in F, an OR over them that ``_blocks``
+    takes on the 729 orientations of 4 vertices.
     """
     triples = [orientation_from_index(3, t) for t in range(27)]
     in_f = np.array([len(build_f(g)) for g in triples], dtype=bool)
@@ -85,69 +78,72 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
-        "independent": ~in_f.take(_table_rows(4, 3, _digit_grid(6, 0, 6))).any(axis=0),
+        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[2],
     }
     for table in tables.values():
         table.flags.writeable = False
     return tables
 
 
-def _digit_grid(width: int, lo: int, hi: int) -> np.ndarray:
-    """(width x 3^(hi-lo)) pair digits of the indices c 3^lo, c < 3^(hi-lo): slots lo..hi-1 vary."""
-    grid = np.zeros((width, 3 ** (hi - lo)), dtype=np.int8)
-    grid[lo:hi] = np.indices((3,) * (hi - lo), dtype=np.int8).reshape(grid[lo:hi].shape)[::-1]
-    return grid
-
-
-def _table_rows(n: int, k: int, digits: np.ndarray) -> np.ndarray:
-    """(k-subsets x orientations) table rows of pair digits, subsets in ``combinations`` order."""
+def _subset_slots(n: int, k: int) -> list[list[int]]:
+    """Per k-subset in ``combinations`` order, the (increasing) slots of its C(k,2) pairs."""
     slot = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
-    subsets = itertools.combinations(range(n), k)
-    slots = np.array([[slot[p] for p in itertools.combinations(s, 2)] for s in subsets])
-    rows = np.zeros((len(slots), digits.shape[1]), dtype=np.int16)
-    for e, col in enumerate(slots.T):
-        rows += digits[col] * np.int16(3**e)
-    return rows
+    return [[slot[p] for p in itertools.combinations(s, 2)] for s in itertools.combinations(range(n), k)]
 
 
-def _block_rows(n: int, k: int):
-    """Yield (first index, arc counts, k-subset table rows) per block of 3^BLOCK_DIGITS indices.
+def _spread(slots: list[int], top: int, bottom: int = 0) -> list[int]:
+    """Axes of the digits bottom..top-1, highest first: one per slot, the runs between merged."""
+    shape = []
+    for s in reversed(slots):
+        shape += [3 ** (top - s - 1), 3]
+        top = s
+    return shape + [3 ** (top - bottom)]
 
-    The rows array is reused: a block's rows are the rows of 0..3^low-1 plus
-    the rows of the block's first index, and both are built once per call.
+
+def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
+    """Yield (first index, arc counts, ``op`` over the k-subsets' entries) per block of 3^low indices.
+
+    ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded arrays are
+    reused from block to block.  Over the digits below low // 2 each
+    subset's table is laid out once, so that every op runs along 3^(low//2)
+    contiguous entries, not along the 3 of a subset's lowest slot.
     """
+    if op is np.add and comb(n, k) >= 2**FIELD_BITS:
+        raise ValueError(f"{comb(n, k)} triples overflow a {FIELD_BITS}-bit field")
     pairs = comb(n, 2)
     low = min(pairs, BLOCK_DIGITS)
-    base, starts = _digit_grid(pairs, 0, low), _digit_grid(pairs, low, pairs)
-    base_rows, start_rows = _table_rows(n, k, base), _table_rows(n, k, starts)
-    base_arcs, start_arcs = np.count_nonzero(base, axis=0), np.count_nonzero(starts, axis=0)
-    rows = np.empty_like(base_rows)
-    for block in range(starts.shape[1]):
-        np.add(base_rows, start_rows[:, block, None], out=rows)
-        yield block * 3**low, base_arcs + start_arcs[block], rows
+    inner = low // 2
+    base, out = np.zeros(3**low, dtype=table.dtype), np.empty(3**low, dtype=table.dtype)
+    moving = []  # (view of out, table, positions of the high digits) of subsets with a slot >= low
+    for slots in _subset_slots(n, k):
+        tiled = [s for s in slots if s < inner]
+        mid = [s for s in slots if inner <= s < low]
+        high = [s - low for s in reversed(slots) if s >= low]  # digits of the block's number
+        outer = (3,) * (len(slots) - len(tiled))
+        sub = table.reshape(outer + (1, 3) * len(tiled) + (1,))
+        if tiled:
+            sub = np.broadcast_to(sub, outer + tuple(_spread(tiled, inner))).reshape(outer + (3**inner,))
+        sub = sub.reshape((3,) * len(high) + (1, 3) * len(mid) + (1, sub.shape[-1]))
+        shape = _spread(mid, low, inner) + [3**inner]
+        if high:
+            moving.append((out.reshape(shape), sub, high))
+        else:
+            view = base.reshape(shape)
+            op(view, sub, out=view)
+    arcs = np.zeros(1, dtype=np.int32)
+    for _ in range(low):
+        arcs = np.concatenate((arcs, arcs + 1, arcs + 1))
+    for block in range(3 ** (pairs - low)):
+        digits = [block // 3**i % 3 for i in range(pairs - low)]
+        np.copyto(out, base)
+        for view, sub, high in moving:
+            op(view, sub[tuple(digits[i] for i in high)], out=view)
+        yield block * 3**low, arcs + (len(digits) - digits.count(0)), out
 
 
-def _packed(names: tuple[str, ...], dtype) -> np.ndarray:
-    """The named tables of ``lookup_tables()`` in one, entry i of table t in field t of entry i."""
-    tables = lookup_tables()
+def _packed(tables: dict, names: tuple[str, ...], dtype) -> np.ndarray:
+    """The named tables in one, entry i of table t in field t of entry i."""
     return sum(tables[name].astype(dtype) << (FIELD_BITS * t) for t, name in enumerate(names))
-
-
-def triple_counts(rows: np.ndarray):
-    """Per orientation (column of triple rows): |CF|, |BF|, and whether some
-    triple breaks the F/CF partition or CF within BF."""
-    if len(rows) >= 2**FIELD_BITS:
-        raise ValueError(f"{len(rows)} triples overflow a {FIELD_BITS}-bit field")
-    total = _packed(TRIPLE_FIELDS, np.int32).take(rows).sum(axis=0, dtype=np.int32)
-    cf, bf, partition, containment = (total >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(4))
-    return cf, bf, partition != 0, containment != 0
-
-
-def quad_flags(rows: np.ndarray):
-    """Per orientation (column of 4-set rows): whether some 4-set induces a
-    directed C4, and the (4-sets x orientations) flags of 4-sets independent in F."""
-    flags = _packed(("c4", "independent"), np.int8).take(rows)
-    return np.bitwise_or.reduce(flags, axis=0) & 1 != 0, flags >> FIELD_BITS != 0
 
 
 def enumerate_orientations(n: int) -> dict:
@@ -164,22 +160,26 @@ def enumerate_orientations(n: int) -> dict:
     t0 = time.perf_counter()
     best_cf = best_lcf = (-1, 0)  # (numerator, minus the smallest achieving index)
     violations = []
-    for start, arcs, rows in _block_rows(n, 3):
-        cf, bf, partition, containment = triple_counts(rows)
+    packed = _packed(lookup_tables(), TRIPLE_FIELDS, np.int32)
+    mask = 2**FIELD_BITS - 1
+    for start, arcs, total in _blocks(n, 3, packed, np.add):
+        cf, bf = total & mask, total >> FIELD_BITS & mask
         lcf = 2 * cf + arcs
-        lcf_bound = 32 * lcf > 6 * n**3
         step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
-        checks = {"partition": partition, "containment": containment,
-                  "lcf_bound": lcf_bound, "step_inequality": step}
-        for j in np.flatnonzero(partition | containment | lcf_bound | step):
+        # total >= 2^(2 FIELD_BITS): the partition or containment field is nonzero
+        for j in np.flatnonzero((total >= 1 << 2 * FIELD_BITS) | (32 * lcf > 6 * n**3) | step):
+            bad = int(total[j]) >> 2 * FIELD_BITS
+            checks = {"partition": bad & mask, "containment": bad >> FIELD_BITS,
+                      "lcf_bound": 32 * lcf[j] > 6 * n**3, "step_inequality": step[j]}
             for check, failed in checks.items():
-                if failed[j]:
+                if failed:
                     violation = {"index": start + int(j), "check": check}
                     if check == "lcf_bound":
                         violation["lcf"] = str(Fraction(int(lcf[j]), 2 * n**3))
                     violations.append(violation)
-        best_cf = max(best_cf, (int(cf.max()), -start - int(cf.argmax())))
-        best_lcf = max(best_lcf, (int(lcf.max()), -start - int(lcf.argmax())))
+        top_cf, top_lcf = int(cf.argmax()), int(lcf.argmax())
+        best_cf = max(best_cf, (int(cf[top_cf]), -start - top_cf))
+        best_lcf = max(best_lcf, (int(lcf[top_lcf]), -start - top_lcf))
 
     def witness(index: int) -> dict:
         return {"index": index, "arcs": orientation_from_index(n, index).sorted_arcs()}
@@ -209,18 +209,18 @@ def validate_fdf_family(n: int) -> dict:
     if not 4 <= n <= 6:
         raise ValueError("family validation supports 4 <= n <= 6")
     t0 = time.perf_counter()
-    quads = list(itertools.combinations(range(n), 4))
-    c4_free = 0
-    counterexamples = []
-    for start, _, rows in _block_rows(n, 4):
-        has_c4, independent = quad_flags(rows)
-        c4_free += int(np.count_nonzero(~has_c4))
-        for j in np.flatnonzero(~has_c4 & independent.any(axis=0)):
+    tables = lookup_tables()
+    quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
+    c4_free, counterexamples = 0, []
+    for start, _, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
+        c4_free += int(np.count_nonzero(flags & 1 == 0))
+        for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)
             counterexamples.append({
                 "index": index,
                 "arcs": orientation_from_index(n, index).sorted_arcs(),
-                "independent_4set": list(quads[int(np.argmax(independent[:, j]))]),
+                "independent_4set": next(list(quad) for quad, slots in quads if tables["independent"][
+                    sum(index // 3**s % 3 * 3**e for e, s in enumerate(slots))]),
             })
     return {
         "n": n,

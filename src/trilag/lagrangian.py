@@ -236,6 +236,12 @@ def _graph_sums(g, w: WeightVector):
     return adj, _bf_sums(adj, w.numerators)
 
 
+def _require_orientation(g) -> None:
+    """L_CF is defined on orientations: refuse any other graph before summing."""
+    if not isinstance(g, OrientedGraph):
+        raise ValueError(f"L_CF needs an OrientedGraph, not {type(g).__name__}")
+
+
 def _cf_sums(g: OrientedGraph, p, bf_triples: int) -> tuple[int, int]:
     """(triples, arcs): d^3 and 2 d^3 times the triple and the arc term of L_CF.
 
@@ -268,6 +274,7 @@ def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
 
 def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> Fraction:
     """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
+    _require_orientation(g)
     triples = _graph_sums(g, w)[1][0]
     return Fraction(_cf_numerator(*_cf_sums(g, w.numerators, triples)), 2 * w.denominator**3)
 
@@ -458,6 +465,7 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
     N_start <= N_final, 12 N_final == c, the majorization of q with
     c <= c_g, and 32 c_g <= 72 d^4.
     """
+    _require_orientation(g)
     d = w.denominator
     adj, sums = _graph_sums(g, w)
     lcf = _cf_numerator(*_cf_sums(g, w.numerators, sums[0]))

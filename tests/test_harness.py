@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -17,13 +18,13 @@ from trilag.graphs import (
 )
 from trilag.harness import (
     BLOCK_DIGITS,
-    _block_rows,
-    _table_rows,
+    FIELD_BITS,
+    TRIPLE_FIELDS,
+    _blocks,
+    _packed,
     enumerate_orientations,
     lookup_tables,
     orientation_from_index,
-    quad_flags,
-    triple_counts,
     validate_fdf_family,
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, pipeline_report, uniform_weights
@@ -95,14 +96,37 @@ def _kernel_indices(n):
     return random.Random(n).sample(range(total), 300)
 
 
+def _rows(n, k, indices):
+    """(k-subsets x indices) table rows from each index's own pair digits, subsets in combinations order."""
+    slot = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    digits = pair_digits(indices, comb(n, 2)).astype(np.int64)
+    rows = [sum(digits[slot[p]] * 3**e for e, p in enumerate(itertools.combinations(s, 2)))
+            for s in itertools.combinations(range(n), k)]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(indices))
+
+
+def _fields_at(n, k, names, dtype, op, indices):
+    """Arc counts and each named field of the packed k-subset reduction at the given indices."""
+    indices = np.asarray(indices)
+    value, arcs = np.zeros(len(indices), dtype=np.int64), np.zeros(len(indices), dtype=np.int64)
+    for start, block_arcs, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
+        here = (start <= indices) & (indices < start + len(out))
+        value[here], arcs[here] = out[indices[here] - start], block_arcs[indices[here] - start]
+    return arcs, [value >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(len(names))]
+
+
+def _triple_counts(n, indices):
+    """|CF|, |BF|, partition and containment flags, and arc counts at the indices, as the enumeration reads them."""
+    arcs, (cf, bf, partition, containment) = _fields_at(n, 3, TRIPLE_FIELDS, np.int32, np.add, indices)
+    return cf, bf, partition != 0, containment != 0, arcs
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_kernel_matches_object_oracle(n):
     """Per orientation, the table kernel agrees with the object-level constructions."""
     indices = _kernel_indices(n)
-    digits = pair_digits(indices, comb(n, 2))
-    cf, bf, partition, containment = triple_counts(_table_rows(n, 3, digits))
-    has_c4, independent = quad_flags(_table_rows(n, 4, digits))
-    arcs = np.count_nonzero(digits, axis=0)
+    cf, bf, partition, containment, arcs = _triple_counts(n, indices)
+    _, (has_c4, independent) = _fields_at(n, 4, ("c4", "independent"), np.int8, np.bitwise_or, indices)
     w = uniform_weights(n)
     for j, idx in enumerate(indices):
         g = orientation_from_index(n, idx)
@@ -115,28 +139,33 @@ def test_kernel_matches_object_oracle(n):
         assert Fraction(int(2 * cf[j] + arcs[j]), 2 * n**3) == lagrangian_cf(g, w)
         lbf = 2 * n * bf[j] + 2 * n * arcs[j] - arcs[j] ** 2
         assert Fraction(int(lbf), 2 * n**4) == lagrangian_bf(und, w)
-        assert has_c4[j] == has_induced_directed_c4(g)[0], idx
+        assert (has_c4[j] != 0) == has_induced_directed_c4(g)[0], idx
         indep = n >= 4 and has_independent_4set(n, f)[0]
-        assert independent[:, j].any() == indep, idx
+        assert (independent[j] != 0) == indep, idx
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_block_rows_match_rows_of_each_index(n):
-    """Each block's rows and arc counts equal those built from its indices' own digits.
+def test_block_reductions_match_a_lookup_of_each_index(n):
+    """Each block's sum over triples and OR over 4-sets of a random table, and
+    its arc counts, equal a lookup by the rows of its indices' own digits.
 
-    Every block for n <= 5; at n = 6, 20 seeded blocks of the 2187, the last among them.
+    Random tables leave no wrong slot or axis hidden behind the sparse real
+    facts.  Every block for n <= 5; at n = 6, 20 seeded blocks of the 729,
+    the last among them.
     """
+    rng = np.random.default_rng(n)
     pairs = comb(n, 2)
     size = 3 ** min(pairs, BLOCK_DIGITS)
     count = 3**pairs // size
     checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
-    for k in (3, 4):
-        for block, (start, arcs, rows) in enumerate(_block_rows(n, k)):
+    for k, op in ((3, np.add), (4, np.bitwise_or)):
+        table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
+        for block, (start, arcs, out) in enumerate(_blocks(n, k, table, op)):
             assert start == block * size
             if block in checked:
-                digits = pair_digits(np.arange(start, start + size), pairs)
-                assert np.array_equal(rows, _table_rows(n, k, digits)), (k, block)
-                assert np.array_equal(arcs, np.count_nonzero(digits, axis=0)), (k, block)
+                indices = np.arange(start, start + size)
+                assert np.array_equal(out, op.reduce(table[_rows(n, k, indices)], axis=0)), (k, block)
+                assert np.array_equal(arcs, np.count_nonzero(pair_digits(indices, pairs), axis=0)), (k, block)
         assert block == count - 1
 
 
@@ -145,25 +174,25 @@ def test_triple_fields_hold_every_sum(monkeypatch):
 
     With every table row set to 1, an n = 6 orientation fills all four fields
     with its C(6, 3) = 20 triples.  With only the empty triple's row set, the
-    first and last blocks at n = 6 give each field the sums 0..13, 16 and 20.
+    first and last 3^8 indices at n = 6 give each field the sums 0..13, 16 and 20.
     """
-    names = ("cf", "bf", "partition_bad", "containment_bad")
+    names = TRIPLE_FIELDS
     tables = dict(lookup_tables())
     dtypes = {name: tables[name].dtype for name in names}
     monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
     indices = np.r_[0 : 3**8, 3**15 - 3**8 : 3**15]
-    rows = _table_rows(6, 3, pair_digits(indices, 15))
     tables.update((name, np.ones(27, dtype=dtypes[name])) for name in names)
-    cf, bf, partition, containment = triple_counts(rows)
+    cf, bf, partition, containment, _ = _triple_counts(6, indices)
     assert (cf == 20).all() and (bf == 20).all() and partition.all() and containment.all()
-    empty = np.count_nonzero(rows == 0, axis=0)
+    empty = np.count_nonzero(_rows(6, 3, indices) == 0, axis=0)
+    assert set(empty.tolist()) == {*range(14), 16, 20}
     for full in (names, *((name,) for name in names)):
         tables.update((name, np.array([name in full] + [0] * 26, dtype=dtypes[name])) for name in names)
-        for name, value in zip(names, triple_counts(rows)):
+        for name, value in zip(names, _triple_counts(6, indices)):
             expected = empty if name in full else np.zeros_like(empty)
             assert np.array_equal(value, expected if name in ("cf", "bf") else expected != 0), (full, name)
     with pytest.raises(ValueError, match="35 triples overflow a 5-bit field"):
-        triple_counts(_table_rows(7, 3, pair_digits([0], 21)))
+        next(_blocks(7, 3, _packed(tables, names, np.int32), np.add))
 
 
 def test_lookup_tables(monkeypatch):
@@ -217,6 +246,20 @@ def test_enumerate_reports_violations(monkeypatch):
         {"index": complete, "check": "lcf_bound", "lcf": "7/64"},
         {"index": complete, "check": "step_inequality"},
     ]
+
+
+def test_enumerate_reports_a_lone_partition_or_containment_fault(monkeypatch):
+    """With the real tables and one triple row marked bad, the violations are
+    exactly the indices with a triple on that row, though no other check fails."""
+    for name, check in (("partition_bad", "partition"), ("containment_bad", "containment")):
+        tables = dict(lookup_tables())
+        tables[name] = np.arange(27) == 5
+        monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+        for n in (4, 5):
+            indices = np.arange(3 ** comb(n, 2))
+            expected = indices[(_rows(n, 3, indices) == 5).any(axis=0)]
+            assert len(expected) > 0
+            assert enumerate_orientations(n)["violations"] == [{"index": int(i), "check": check} for i in expected]
 
 
 def test_validate_fdf_reports_counterexamples(monkeypatch):

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from trilag import lagrangian
 from trilag.fileio import parse_weights_text
 from trilag.graphs import OrientedGraph, UndirectedGraph, build_cf, underlying
 from trilag.lagrangian import (
@@ -150,6 +151,18 @@ def test_length_mismatch():
         for entrance in (lagrangian_bf, merge_chain, lagrangian_report, reduce_report):
             with pytest.raises(ValueError, match="^weight length 3 != vertex count 2$"):
                 entrance(g, UNIFORM3)
+
+
+def test_cf_entrances_refuse_an_undirected_graph(monkeypatch):
+    """lagrangian_cf and pipeline_report name the input kind before any sum, whatever the weights."""
+    summed = []
+    monkeypatch.setattr(lagrangian, "_graph_sums", lambda *args: summed.append(args))
+    for g in (UndirectedGraph(3, [(0, 1)]), UndirectedGraph(1, []), underlying(OrientedGraph(4, [(0, 1), (2, 3)]))):
+        for w in (uniform_weights(g.n), UNIFORM3):
+            for entrance in (lagrangian_cf, pipeline_report):
+                with pytest.raises(ValueError, match="^L_CF needs an OrientedGraph, not UndirectedGraph$"):
+                    entrance(g, w)
+    assert summed == []
 
 
 def test_bf_entrances_read_an_orientation_as_its_underlying_graph():

@@ -3,8 +3,8 @@
 Everything here is rational arithmetic: no floats, no rounding modes, no
 computer algebra system.  A ``Poly`` is a sparse map from exponent tuples
 of k nonnegative ints, checked on the way in, to int or Fraction
-coefficients.  g and h use k = 3 and are expanded on integers, from 24 g
-and 96 h, with one Fraction per coefficient at the end.
+coefficients.  h uses k = 3 and is expanded on integers, from 96 h, with
+one Fraction per coefficient at the end.
 ``simplex_bernstein`` writes a polynomial in the Bernstein-Bezier basis of
 a tetrahedron; the least coefficient is a certified lower bound for the
 polynomial there, and the coefficient at a vertex is its exact value at
@@ -166,34 +166,20 @@ class Poly:
         return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
 
 
-def _from_q(cubes: int, square: int, const: int, den: int) -> Poly:
-    """(cubes (x1^3 + x2^3 + x3^3) + square q^2 + const) / den, expanded on integers.
+def h_polynomial() -> Poly:
+    """h = 3/32 - g; nonnegativity of h on D is the certified claim.
 
-    q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3 is the bracket of g; one
-    Fraction is made per coefficient, at the end.
+    g = (1 - sum x^3)/6 - q^2/8 is the trivariate domination function, with
+    q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3.  h is built on integers from
+    96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7; one Fraction is made per
+    coefficient, at the end.
     """
     q = Poly(
         {(0, 0, 0): 1, (2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 1, 1): 1}
     )
-    rest = Poly({(3, 0, 0): cubes, (0, 3, 0): cubes, (0, 0, 3): cubes, (0, 0, 0): const})
-    form = square * (q * q) + rest
-    return Poly._from_valid({m: Fraction(c, den) for m, c in form.coeffs.items()}, 3)
-
-
-def g_polynomial() -> Poly:
-    """The trivariate domination function g = (1 - sum x^3)/6 - q^2/8, expanded exactly.
-
-    Built from 24 g = 4 - 4 (x1^3 + x2^3 + x3^3) - 3 q^2.
-    """
-    return _from_q(-4, -3, 4, 24)
-
-
-def h_polynomial() -> Poly:
-    """h = 3/32 - g; nonnegativity of h on D is the certified claim.
-
-    Built from 96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7.
-    """
-    return _from_q(16, 12, -7, 96)
+    rest = Poly({(3, 0, 0): 16, (0, 3, 0): 16, (0, 0, 3): 16, (0, 0, 0): -7})
+    form = 12 * (q * q) + rest
+    return Poly._from_valid({m: Fraction(c, 96) for m, c in form.coeffs.items()}, 3)
 
 
 def _multi_indices(n: int):

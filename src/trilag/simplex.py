@@ -6,15 +6,17 @@ sums alone:
     f(x) = (1/6)(1 - sum x_i^3) - (1/8)(1 - sum x_i^2)^2
 
 which is maximized over the probability simplex by projected gradient
-ascent with backtracking line search from seeded random restarts.  All
-restarts run as one (restarts x n) array: the float objective, gradient
+ascent with backtracking line search from RESTARTS seeded random starts.
+They run as one (RESTARTS x n) array: the float objective, gradient
 and projection work along the last axis, and each row keeps its own step
 and stopping rule.  The rows still ascending are held in compact arrays and
 written back into the batch only as each one stops.  The objective of each
 accepted point is computed once, and its s2 = sum x^2 serves the gradient
 at the next step.  The float argmax is then rounded to rationals and
 re-evaluated exactly, so maximize, which builds the optimize report,
-reports a value with no floating-point doubt.
+reports a value with no floating-point doubt.  The seed is the only
+setting: the restart count RESTARTS, the stopping tolerance TOL and the
+iteration cap MAX_ITER are module constants, read at call time.
 
 The first trial step, STEP = 6, comes from the curvature at the maximizer
 v = (1/2, 1/2, 0, ...), where the gradient vanishes.  To first order in
@@ -35,7 +37,6 @@ numpy, and the package loads it only when one of its names is first used.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,9 @@ FLOAT_SIMPLEX_TOL = 1e-9
 # the float sums at one optimum up to about 1.3e-16 apart (n = 2..12)
 RANK_TOL = 1e-15
 MAX_DENOMINATOR = 10**6
+RESTARTS = 100
+TOL = 1e-8
+MAX_ITER = 4000
 
 
 def _objective(arr):
@@ -109,16 +113,16 @@ MAX_HALVINGS = 60
 STEP = 6.0  # first trial step; the module docstring derives it
 
 
-def ascend(starts, tol: float, max_iter: int = 4000):
+def ascend(starts):
     """Projected gradient ascent with Armijo backtracking, one start per row.
 
     Each row follows its own ascent: from step STEP, halve up to
     MAX_HALVINGS times until the Armijo condition holds.  A row stops when
     its residual, the gradient-mapping norm |P(x + STEP grad) - x| / STEP,
-    falls below tol (converged) or when no step is accepted; only the rows
-    still active are advanced.  Returns the final points, their objective
-    values, residuals and converged flags, and the number of outer
-    iterations run.
+    falls below TOL (converged) or when no step is accepted; only the rows
+    still active are advanced, for at most MAX_ITER iterations.  Returns
+    the final points, their objective values, residuals and converged
+    flags, and the number of outer iterations run.
 
     The active rows live in compact arrays: live[i] is the row of the
     batch whose point, value and s2 are xa[i], fa[i] and s2a[i].  A row is
@@ -130,13 +134,13 @@ def ascend(starts, tol: float, max_iter: int = 4000):
     converged = np.zeros(len(x), dtype=bool)
     live, xa, fa, s2a, res = np.arange(len(x)), x, fx, s2, residual
     iterations = 0
-    while live.size and iterations < max_iter:
+    while live.size and iterations < MAX_ITER:
         iterations += 1
         grad = _gradient(xa, s2a[:, None])
         moved = project_to_simplex(xa + STEP * grad)
         delta = moved - xa
         res = np.sqrt((delta**2).sum(axis=-1)) / STEP
-        done = res < tol
+        done = res < TOL
         if done.any():
             rows = live[done]
             x[rows], fx[rows], residual[rows] = xa[done], fa[done], res[done]
@@ -170,7 +174,7 @@ def ascend(starts, tol: float, max_iter: int = 4000):
                 keep[refused] = False
                 live, moved, ft, s2t, res = (a[keep] for a in (live, moved, ft, s2t, res))
         xa, fa, s2a = moved, ft, s2t
-    if live.size:  # stopped by max_iter
+    if live.size:  # stopped by MAX_ITER
         x[live], fx[live], residual[live] = xa, fa, res
     return x, fx, residual, converged, iterations
 
@@ -185,25 +189,24 @@ def round_point_exact(point):
     return tuple(f / total for f in fracs)
 
 
-def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def maximize(n: int, seed: int = 0) -> dict:
     """The optimize report: the best closed-form value on the (n-1)-simplex.
 
-    Flat-Dirichlet starts are ascended as one (restarts x n) batch.  Every
-    restart within RANK_TOL of the best float objective ties, so last-bit
-    differences in the sums cannot pick among symmetric optima; the
-    lexicographically smallest tied point wins.  It is rounded by
-    round_point_exact and re-evaluated exactly as value_exact.  stats counts
-    the outer iterations of the batch (the most any one start took) and
-    restarts_converged, the starts that ended with residual < tol.
+    RESTARTS flat-Dirichlet starts drawn from seed are ascended as one
+    (RESTARTS x n) batch.  Every restart within RANK_TOL of the best float
+    objective ties, so last-bit differences in the sums cannot pick among
+    symmetric optima; the lexicographically smallest tied point wins.  It
+    is rounded by round_point_exact and re-evaluated exactly as
+    value_exact.  stats counts the outer iterations of the batch (the most
+    any one start took, at most MAX_ITER) and restarts_converged, the
+    starts that ended with residual < TOL.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=restarts)
-    x, fx, residual, converged, iterations = ascend(starts, tol)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=RESTARTS)
+    x, fx, residual, converged, iterations = ascend(starts)
     tied = np.flatnonzero(fx >= fx.max() - RANK_TOL)
     points = x[tied].tolist()
     best = tied[min(range(len(tied)), key=points.__getitem__)]
@@ -216,7 +219,7 @@ def maximize(n: int, restarts: int = 100, seed: int = 0, tol: float = 1e-8) -> d
         "value_exact": str(value),
         "point": [float(v) for v in x[best]],
         "exact_point": [str(v) for v in exact_point],
-        "restarts": restarts,
+        "restarts": RESTARTS,
         "seed": seed,
         "residual": float(residual[best]),
         "converged": bool(converged[best]),

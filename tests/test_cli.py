@@ -310,8 +310,8 @@ def test_optimize(capsys):
 
 
 def test_optimize_report_is_maximize(capsys):
-    """The optimize payload is maximize's report at 100 restarts and tol 1e-8,
-    which no flag changes."""
+    """The optimize payload is maximize's report at the module constants
+    RESTARTS and TOL, which no flag changes."""
     for n, seed in ((1, 5), (2, 0), (4, 3), (8, 23)):
         code, out = run(capsys, ["--seed", str(seed), "optimize", "--n", str(n)])
         assert code == 0 and json.loads(out) == maximize(n, seed=seed), (n, seed)
@@ -320,6 +320,14 @@ def test_optimize_report_is_maximize(capsys):
             main(["optimize", "--n", "3", *flag])
         assert exc.value.code == 1, flag
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_optimize_refuses_a_negative_seed(capsys):
+    """maximize refuses the seed by name, before numpy sees it."""
+    code = main(["--seed", "-1", "optimize", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"  # one line, no traceback
 
 
 def test_enumerate_json_and_csv(capsys):
@@ -442,7 +450,7 @@ def test_usage_errors(capsys, tmp_path):
         ["certify", "--delta", "1/8"],
         ["certify", "--method", "interval"],
         ["certify", "--max-depth", "3"],
-        ["optimize", "--n", "3", "--tol", "nan"],  # no such flag: maximize's tol is fixed
+        ["optimize", "--n", "3", "--tol", "nan"],  # no such flag: TOL is a module constant
         ["optimize", "--n", "3", "--tol", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:

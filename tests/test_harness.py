@@ -28,11 +28,12 @@ from trilag.harness import (
     validate_fdf_family,
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, pipeline_report, uniform_weights
-from trilag.polynomials import g_polynomial, h_polynomial
+from trilag.polynomials import h_polynomial
 
 from helpers import (
     brute_lagrangian_bf,
     brute_lagrangian_cf,
+    g_polynomial_oracle,
     has_independent_4set,
     huge_denominator_weights,
     pair_digits,
@@ -337,9 +338,9 @@ def test_pipeline_single_arc_k2():
 
 
 def test_pipeline_point_values_match_certified_polynomials():
-    """h_at_point = 3/32 - g is the certified h, and g is g_polynomial, at the pipeline's point."""
+    """h_at_point = 3/32 - g is the certified h, and g is the paper's formula, at the pipeline's point."""
     rng = random.Random(300)
-    h, g = h_polynomial(), g_polynomial()
+    h, g = h_polynomial(), g_polynomial_oracle()
     for _ in range(300):
         n = rng.randint(2, 7)
         report = pipeline_report(rand_orientation(rng, n), rand_weights(rng, n))

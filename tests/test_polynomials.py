@@ -9,7 +9,7 @@ import pytest
 from helpers import bernstein_oracle, elevate_oracle, g_polynomial_oracle, multi_indices, stability_polynomial
 from trilag.certify import DOMAIN_VERTICES
 from trilag.lagrangian import WeightVector, _g_numerator
-from trilag.polynomials import Poly, _bernstein_numerators, _elevate, _power_form, g_polynomial, h_polynomial, simplex_bernstein
+from trilag.polynomials import Poly, _bernstein_numerators, _elevate, _power_form, h_polynomial, simplex_bernstein
 
 HALF = Fraction(1, 2)
 # the halves of D on either side of its longest edge's midpoint; both have
@@ -33,7 +33,8 @@ def test_h_key_values():
 
 
 def test_g_poly_matches_direct_expression():
-    g = g_polynomial()
+    """The paper's g, expanded in Fraction Polys, equals g's integer core at random points."""
+    g = g_polynomial_oracle()
     rng = random.Random(3)
     hits = 0
     while hits < 300:
@@ -47,11 +48,10 @@ def test_g_poly_matches_direct_expression():
 
 
 def test_g_and_h_expand_the_papers_formula():
-    """g and h, built on integers from 24 g and 96 h, equal g's formula in Fraction Polys."""
-    g, h = g_polynomial(), h_polynomial()
-    assert g == g_polynomial_oracle()
-    assert h == Poly.constant(Fraction(3, 32)) - g
-    assert all(type(c) is Fraction for p in (g, h) for c in p.coeffs.values())
+    """h, built on integers from 96 h, is 3/32 minus g's formula in Fraction Polys."""
+    h = h_polynomial()
+    assert h == Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
+    assert all(type(c) is Fraction for c in h.coeffs.values())
 
 
 @pytest.mark.parametrize(

@@ -198,16 +198,17 @@ def test_batch_rows_equal_vector_calls():
 @pytest.mark.parametrize(
     "seed,restarts,tol", [(0, 100, 1e-8), (1, 10, 1e-8), (2, 10, 1e-8), (3, 10, 1e-300)]
 )
-def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
+def test_ascend_rows_match_per_start_oracle(monkeypatch, seed, restarts, tol):
     """Every row of the batch ends exactly where the per-start loop ends.
 
     Seed 0 with 100 restarts is the CLI default run.  No row can meet
-    tol = 1e-300, so there every row backtracks until no step is accepted.
+    TOL = 1e-300, so there every row backtracks until no step is accepted.
     """
+    monkeypatch.setattr(simplex, "TOL", tol)
     for n in range(1, 13):
         starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=restarts)
-        x, fx, residual, converged, iterations = ascend(starts, tol)
-        assert 1 <= iterations <= 4000
+        x, fx, residual, converged, iterations = ascend(starts)
+        assert 1 <= iterations <= simplex.MAX_ITER
         for i, start in enumerate(starts):
             ox, ofx, oresidual, oconverged = ascend_one(start, tol)
             assert np.array_equal(x[i], ox), (n, i)
@@ -215,24 +216,28 @@ def test_ascend_rows_match_per_start_oracle(seed, restarts, tol):
 
 
 def _stall_and_converge_batch(n):
-    """The exact maximizer, which converges at iteration 1 for any tol > 0; the
-    end point of a row that stalled at tol = 1e-300, which at that tol stalls
+    """The exact maximizer, which converges at iteration 1 for any TOL > 0; the
+    end point of a row that stalled at TOL = 1e-300, which at that TOL stalls
     again at iteration 1; and fresh flat-Dirichlet starts."""
     maximizer = np.zeros(n)
     maximizer[:2] = 0.5
-    stalled = ascend(np.random.default_rng(n).dirichlet(np.ones(n), size=1), 1e-300)[0][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "TOL", 1e-300)
+        stalled = ascend(np.random.default_rng(n).dirichlet(np.ones(n), size=1))[0][0]
     fresh = np.random.default_rng(0).dirichlet(np.ones(n), size=10)
     return np.vstack([maximizer, fresh[:5], stalled, fresh[5:]])
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 17])
 @pytest.mark.parametrize("tol", [1e-8, 1e-300])
-def test_ascend_rows_match_oracle_under_a_cap(max_iter, tol):
-    """With max_iter = k every row ends where the per-start loop capped at k
+def test_ascend_rows_match_oracle_under_a_cap(monkeypatch, max_iter, tol):
+    """With MAX_ITER = k every row ends where the per-start loop capped at k
     ends, also when one row converges and another stalls in the same step."""
-    for n in range(2, 13):
-        starts = _stall_and_converge_batch(n)
-        x, fx, residual, converged, iterations = ascend(starts, tol, max_iter=max_iter)
+    batches = {n: _stall_and_converge_batch(n) for n in range(2, 13)}  # built uncapped
+    monkeypatch.setattr(simplex, "MAX_ITER", max_iter)
+    monkeypatch.setattr(simplex, "TOL", tol)
+    for n, starts in batches.items():
+        x, fx, residual, converged, iterations = ascend(starts)
         assert iterations == max_iter, n  # fresh rows are still live at the cap
         ends = [ascend_one(start, tol, max_iter) for start in starts]
         for i, (ox, ofx, oresidual, oconverged) in enumerate(ends):
@@ -248,13 +253,13 @@ def test_ascend_rows_match_oracle_under_a_cap(max_iter, tol):
 
 def test_maximize_seed23_n8_converges_every_restart():
     """With step 1 this run hit the 4000-iteration cap with 99 of 100 restarts converged."""
-    res = maximize(8, restarts=100, seed=23)
+    res = maximize(8, seed=23)
     assert res["value_exact"] == "3/32"
     assert res["stats"] == {"iterations": 756, "restarts_converged": 100}
 
 
 @pytest.mark.parametrize("n", [3, 8])
-def test_one_step_halves_the_error_at_the_maximizer(n):
+def test_one_step_halves_the_error_at_the_maximizer(monkeypatch, n):
     """From v + eps d, v = (1/2, 1/2, 0, ...), one ascent step lands at v - (eps/2) d
     along the split d = (1, -1, 0, ...) and at v + (eps/2) d into the zero
     coordinate, d = (-1/2, -1/2, 1, 0, ...): factors 1 - STEP/4 and 1 - STEP/12."""
@@ -264,18 +269,20 @@ def test_one_step_halves_the_error_at_the_maximizer(n):
     split, into_zero = np.zeros(n), np.zeros(n)
     split[:2] = 1.0, -1.0
     into_zero[:3] = -0.5, -0.5, 1.0
-    x, *_ = ascend(np.array([v + eps * split, v + eps * into_zero]), tol=1e-12, max_iter=1)
+    monkeypatch.setattr(simplex, "TOL", 1e-12)
+    monkeypatch.setattr(simplex, "MAX_ITER", 1)
+    x, *_ = ascend(np.array([v + eps * split, v + eps * into_zero]))
     for row, d, factor in ((x[0], split, -0.5), (x[1], into_zero, 0.5)):
         assert np.allclose(row - v, factor * eps * d, rtol=0, atol=1e-3 * eps), (n, factor)
 
 
 def test_final_rows_meet_tol_at_step_one():
-    """Every final row's step-1 residual |P(x + grad) - x| is below tol too, so
+    """Every final row's step-1 residual |P(x + grad) - x| is below TOL too, so
     stopping on the step-STEP gradient mapping is no looser than stopping on it."""
-    tol = 1e-8
+    tol = simplex.TOL
     for n in range(2, 13):
         starts = np.random.default_rng(0).dirichlet(np.ones(n), size=100)
-        x, _, _, converged, _ = ascend(starts, tol)
+        x, _, _, converged, _ = ascend(starts)
         assert converged.all(), n
         residual = np.sqrt(((project_to_simplex(x + gradient(x)) - x) ** 2).sum(axis=-1))
         assert (residual < tol).all(), (n, residual.max())
@@ -299,18 +306,21 @@ def test_maximize_n2_against_grid_oracle():
     """Dense 1e-3 grid on the 1-simplex as the independent global-max oracle."""
     grid_best = max(closed_form_float(np.array([t / 1000, 1 - t / 1000])) for t in range(1001))
     assert abs(grid_best - 3 / 32) < 1e-6  # oracle locates the extremum itself
-    res = maximize(2, restarts=20, seed=4)
+    res = maximize(2, seed=4)
     assert abs(res["value"] - grid_best) < 1e-9
     assert abs(res["point"][0] - 0.5) < 1e-4 and abs(res["point"][1] - 0.5) < 1e-4
 
 
 def test_maximize_n1():
-    res = maximize(1, restarts=1, seed=0)
-    assert res["value_exact"] == "0" and res["point"] == [1.0]
+    res = maximize(1, seed=0)
+    assert res["value_exact"] == "0" and res["exact_point"] == ["1"]
+    # the Dirichlet draw puts some rows one ulp below 1.0, where they converge
+    # at once, and the lexicographic tie-break picks such a row
+    assert res["point"] == [np.nextafter(1.0, 0.0)]
 
 
 def test_maximize_n8_two_point_support():
-    res = maximize(8, restarts=60, seed=2)
+    res = maximize(8, seed=2)
     assert abs(res["value"] - 3 / 32) < 1e-9
     top = sorted(res["point"], reverse=True)
     assert abs(top[0] - 0.5) < 1e-4 and abs(top[1] - 0.5) < 1e-4
@@ -319,21 +329,16 @@ def test_maximize_n8_two_point_support():
 
 def test_maximize_never_exceeds_bound():
     for n in range(1, 13):
-        res = maximize(n, restarts=12, seed=n)
+        res = maximize(n, seed=n)
         assert Fraction(res["value_exact"]) <= Fraction(3, 32)
         assert closed_form(res["point"]) <= 3 / 32 + 1e-9
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
-def test_maximize_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        maximize(3, restarts=2, tol=tol)
-
-
-def test_maximize_stats_without_convergence():
-    res = maximize(4, restarts=15, seed=3, tol=1e-300)  # no row can get that close
+def test_maximize_stats_without_convergence(monkeypatch):
+    monkeypatch.setattr(simplex, "TOL", 1e-300)  # no row can get that close
+    res = maximize(4, seed=3)
     assert res["stats"]["restarts_converged"] == 0 and not res["converged"]
-    assert 1 <= res["stats"]["iterations"] <= 4000
+    assert 1 <= res["stats"]["iterations"] <= simplex.MAX_ITER
 
 
 @pytest.mark.parametrize("first", [np.inf, -np.inf])
@@ -341,8 +346,8 @@ def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
     """Nudging each restart's fx by one ulp, in alternating directions, keeps the point."""
     reported = {n: maximize(n) for n in range(2, 13)}
 
-    def nudged_ascend(starts, tol):
-        x, fx, *rest = ascend(starts, tol)
+    def nudged_ascend(starts):
+        x, fx, *rest = ascend(starts)
         toward = np.where(np.arange(len(fx)) % 2, -first, first)
         return (x, np.nextafter(fx, toward), *rest)
 
@@ -366,18 +371,18 @@ def test_maximize_tie_break_keeps_the_tuple_key(monkeypatch):
         x, fx = np.array(rows)[order], np.array(values)[order]
         residual = np.arange(len(rows), dtype=float)  # names the reported row
 
-        def fake_ascend(starts, tol):
+        def fake_ascend(starts):
             return x.copy(), fx.copy(), residual, np.ones(len(x), dtype=bool), 1
 
         monkeypatch.setattr(simplex, "ascend", fake_ascend)
         old = min(np.flatnonzero(fx >= fx.max() - simplex.RANK_TOL), key=lambda i: tuple(x[i]))
-        assert maximize(3, restarts=len(rows))["residual"] == residual[old]
+        assert maximize(3)["residual"] == residual[old]
         assert rows[order[old]] in ([-0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
 
 
 def test_maximize_deterministic_in_seed():
-    a = maximize(5, restarts=10, seed=123)
-    b = maximize(5, restarts=10, seed=123)
+    a = maximize(5, seed=123)
+    b = maximize(5, seed=123)
     assert a == b
 
 

@@ -6,16 +6,19 @@ written once in the barycentric coordinates of D and its degree is raised
 one step at a time, by Polya degree elevation, until no Bernstein-Bezier
 coefficient is negative.  The Bernstein basis of any degree is >= 0 on D
 and sums to 1 there, so h >= 0 on all of D.  The witness is one degree m:
-recomputing h's coefficients at degree m, with ``simplex_bernstein`` and
-elevation, checks it.
+a fresh Bernstein conversion of the paper's 3/32 - g at degree m, in
+Fractions, checks it.
 
-The form is kept as integer numerators over one denominator S D^n on
-``_power_form``'s packed keys; a coefficient's sign is its numerator's,
-so each degree is tested without a factorial or a Fraction, and the
-factorials are applied once, at the final degree, for the least
-coefficient.  h vanishes at the vertex (1/2,1/2,0), where its coefficient
-is exactly 0 at every degree; at degree 8 all 165 coefficients are >= 0.
-A run elevates up to MAX_DEGREE.
+The form of h is converted from the integer 96 h (``h96_polynomial``),
+the 96 folded into the denominator, and kept as integer numerators over
+one denominator on ``_power_form``'s packed keys.  b[a] = form[a] a! /
+(S D^m m!) has form[a]'s sign, so each degree is tested without a
+factorial or a Fraction.  The least coefficient is found by its sign too:
+when the least form value is 0 it is 0, at the first zero; otherwise only
+the values of the least sign (all of them when every one is positive) are
+weighed by their factorials.  h vanishes at the vertex (1/2,1/2,0), where
+its coefficient is exactly 0 at every degree; at degree 8 all 165
+coefficients are >= 0.  A run elevates up to MAX_DEGREE.
 
 The certificate is the report that ``trilag certify`` prints: certify
 returns it as a dict of ints and p/q strings, with no record in between.
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polynomials import Poly, _bernstein_numerators, _elevate, _power_form, h_polynomial
+from .polynomials import Poly, _elevate, _multi_indices, _power_form, h96_polynomial
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -60,21 +63,31 @@ def certify(poly: Poly | None = None) -> dict:
     MAX_DEGREE (or at poly's degree, if that is higher): insufficient work,
     or poly really is negative somewhere on D, never a disproof.
     """
-    p = h_polynomial() if poly is None else poly
+    p, scale = (h96_polynomial(), 96) if poly is None else (poly, 1)
     m = p.degree()
     base = max(m, MAX_DEGREE) + 1
     form, den = _power_form(p, DOMAIN_VERTICES, base)
-    while m < MAX_DEGREE and min(form.values()) < 0:
+    low = min(form.values())
+    while m < MAX_DEGREE and low < 0:
         form = _elevate(form, base)
         m += 1
+        low = min(form.values())
 
-    nums = _bernstein_numerators(form, m, base)  # over den m!
-    least_at = min(nums, key=nums.get)  # the first of equal values
-    least = Fraction(nums[least_at], den * factorial(m))
+    # the form is dense, and b[a] has form[a]'s sign
+    entries = ((a, form[a[1] + base * (a[2] + base * a[3])]) for a in _multi_indices(m))
+    if low == 0:
+        least_at, num = next((a, c) for a, c in entries if c == 0)
+    else:
+        fact = [factorial(e) for e in range(m + 1)]
+        weighed = (
+            (a, c * fact[a[0]] * fact[a[1]] * fact[a[2]] * fact[a[3]]) for a, c in entries if c < 0 or low > 0
+        )
+        least_at, num = min(weighed, key=lambda e: e[1])  # the first of equal values
+    least = Fraction(num, scale * den * factorial(m))
     return {
         "result": CERTIFIED if least >= 0 else INDETERMINATE,
         "degree": m,
-        "coefficients": len(nums),
+        "coefficients": len(form),
         "least": str(least),
         "least_at": list(least_at),
     }

@@ -3,8 +3,8 @@
 Everything here is rational arithmetic: no floats, no rounding modes, no
 computer algebra system.  A ``Poly`` is a sparse map from exponent tuples
 of k nonnegative ints, checked on the way in, to int or Fraction
-coefficients.  h uses k = 3 and is expanded on integers, from 96 h, with
-one Fraction per coefficient at the end.
+coefficients.  h uses k = 3 and is expanded on integers, as 96 h
+(``h96_polynomial``), with one Fraction per coefficient at the end.
 ``simplex_bernstein`` writes a polynomial in the Bernstein-Bezier basis of
 a tetrahedron; the least coefficient is a certified lower bound for the
 polynomial there, and the coefficient at a vertex is its exact value at
@@ -166,20 +166,25 @@ class Poly:
         return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
 
 
-def h_polynomial() -> Poly:
-    """h = 3/32 - g; nonnegativity of h on D is the certified claim.
+def h96_polynomial() -> Poly:
+    """96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7, on integers.
 
-    g = (1 - sum x^3)/6 - q^2/8 is the trivariate domination function, with
-    q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3.  h is built on integers from
-    96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7; one Fraction is made per
-    coefficient, at the end.
+    h = 3/32 - g, with g = (1 - sum x^3)/6 - q^2/8 the trivariate
+    domination function and q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3.
     """
     q = Poly(
         {(0, 0, 0): 1, (2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 1, 1): 1}
     )
     rest = Poly({(3, 0, 0): 16, (0, 3, 0): 16, (0, 0, 3): 16, (0, 0, 0): -7})
-    form = 12 * (q * q) + rest
-    return Poly._from_valid({m: Fraction(c, 96) for m, c in form.coeffs.items()}, 3)
+    return 12 * (q * q) + rest
+
+
+def h_polynomial() -> Poly:
+    """h = 3/32 - g; nonnegativity of h on D is the certified claim.
+
+    It is ``h96_polynomial()`` with one Fraction per coefficient, over 96.
+    """
+    return Poly._from_valid({m: Fraction(c, 96) for m, c in h96_polynomial().coeffs.items()}, 3)
 
 
 def _multi_indices(n: int):
@@ -207,7 +212,7 @@ def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
     n = p.degree()
     b = n + 1  # the products' base; for n < 6 their keys are cached small ints
     unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    verts = [[c if type(c) is int or type(c) is Fraction else Fraction(c) for c in v] for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
     scale = lcm(*(c.denominator for c in p.coeffs.values()))
     forms = [  # D x1, D x2 and D x3 in l, then D

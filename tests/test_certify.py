@@ -96,12 +96,13 @@ def test_stability_bound_with_sharp_constant():
 def test_insufficient_depth_is_indeterminate(monkeypatch):
     """Fewer than 4 elevation steps from h's degree 4 leave a negative
     coefficient: a cap below degree 8 ends INDETERMINATE, and a cap below
-    h's own degree converts h at degree 4 and does not elevate."""
+    h's own degree converts h at degree 4 and does not elevate.  certify()
+    converts the integer 96 h, and its report is the one of the Fraction h."""
     for cap, degree, least in ((7, 7, None), (4, 4, "-1/32"), (0, 4, "-1/32")):
         monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
         cert = certify()
         assert (cert["result"], cert["degree"]) == (INDETERMINATE, degree)
-        assert cert == report_oracle(h_polynomial(), cap)
+        assert cert == certify(h_polynomial()) == report_oracle(h_polynomial(), cap)
         if least is not None:
             assert cert["least"] == least
 
@@ -147,7 +148,7 @@ def test_certificate_tiling_and_coverage():
 def test_certificate_json_shape():
     js = certify()
     assert js == {"result": CERTIFIED, "degree": 8, "coefficients": 165, "least": "0", "least_at": [0, 0, 7, 1]}
-    assert certify() == js
+    assert certify() == js == certify(h_polynomial())
     assert json.loads(json.dumps(js)) == js
 
 
@@ -166,31 +167,40 @@ def test_h_nonnegative_on_domain_grid():
     assert all(h.evaluate(*pt) >= 0 for pt in points)
 
 
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
 @pytest.mark.parametrize(
     "depth, poly, shape",
     [
-        (None, None, (CERTIFIED, 8)),
-        (None, stability_polynomial(), (CERTIFIED, 9)),
-        (None, Poly.constant(Fraction(3, 32)), (CERTIFIED, 0)),
-        (0, None, (INDETERMINATE, 4)),
-        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 10)),
-        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 13)),
-        (8, stability_polynomial() - Fraction(1, 10**6), (INDETERMINATE, 12)),
+        (None, None, (CERTIFIED, 8, 0)),
+        (None, stability_polynomial(), (CERTIFIED, 9, 0)),
+        (None, Poly.constant(Fraction(3, 32)), (CERTIFIED, 0, 1)),
+        (None, h_polynomial() + Fraction(1, 100), (CERTIFIED, 5, 1)),
+        (None, stability_polynomial() + Fraction(1, 10**6), (CERTIFIED, 9, 1)),
+        (0, None, (INDETERMINATE, 4, -1)),
+        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 10, -1)),
+        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 13, -1)),
+        (8, stability_polynomial() - Fraction(1, 10**6), (INDETERMINATE, 12, -1)),
     ],
-    ids=["h", "stability", "constant", "depth0", "h-1/1000-depth6", "h-1/1000-depth9", "stability-1/10^6-depth8"],
+    ids=["h", "stability", "constant", "h+1/100", "stability+1/10^6",
+         "depth0", "h-1/1000-depth6", "h-1/1000-depth9", "stability-1/10^6-depth8"],
 )
 def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, poly, shape):
     """certify's report is the one a fresh Fraction conversion on D, the one
     simplex, gives at each degree, and the one Fraction elevation gives.
 
     depth is the number of elevation steps allowed, MAX_DEGREE less the
-    polynomial's degree 4; None keeps MAX_DEGREE.
+    polynomial's degree 4; None keeps MAX_DEGREE.  The cases cover the three
+    signs of the least coefficient: 0 (found as the first zero), positive
+    (every coefficient weighed) and negative (only the negative ones weighed).
     """
     p = h_polynomial() if poly is None else poly
     cap = MAX_DEGREE if depth is None else p.degree() + depth
     monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
     cert = certify(poly=poly)
-    assert (cert["result"], cert["degree"]) == shape
+    assert (cert["result"], cert["degree"], sign(Fraction(cert["least"]))) == shape
     assert cert == report_oracle(p, cap, fresh_conversion) == report_oracle(p, cap)
 
 

@@ -9,7 +9,15 @@ import pytest
 from helpers import bernstein_oracle, elevate_oracle, g_polynomial_oracle, multi_indices, stability_polynomial
 from trilag.certify import DOMAIN_VERTICES
 from trilag.lagrangian import WeightVector, _g_numerator
-from trilag.polynomials import Poly, _bernstein_numerators, _elevate, _power_form, h_polynomial, simplex_bernstein
+from trilag.polynomials import (
+    Poly,
+    _bernstein_numerators,
+    _elevate,
+    _power_form,
+    h96_polynomial,
+    h_polynomial,
+    simplex_bernstein,
+)
 
 HALF = Fraction(1, 2)
 # the halves of D on either side of its longest edge's midpoint; both have
@@ -48,10 +56,13 @@ def test_g_poly_matches_direct_expression():
 
 
 def test_g_and_h_expand_the_papers_formula():
-    """h, built on integers from 96 h, is 3/32 minus g's formula in Fraction Polys."""
-    h = h_polynomial()
+    """h is 3/32 minus g's formula in Fraction Polys, and it is the integer
+    polynomial 96 h with every coefficient over 96."""
+    h, h96 = h_polynomial(), h96_polynomial()
     assert h == Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
     assert all(type(c) is Fraction for c in h.coeffs.values())
+    assert all(type(c) is int for c in h96.coeffs.values())
+    assert h == Poly({m: Fraction(c, 96) for m, c in h96.coeffs.items()})
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,9 @@ The form of h is converted from the integer 96 h (``h96_polynomial``),
 the 96 folded into the denominator, and kept as integer numerators over
 one denominator on ``_power_form``'s packed keys.  b[a] = form[a] a! /
 (S D^m m!) has form[a]'s sign, so each degree is tested without a
-factorial or a Fraction.  The least coefficient is found by its sign too:
-when the least form value is 0 it is 0, at the first zero; otherwise only
-the values of the least sign (all of them when every one is positive) are
-weighed by their factorials.  h vanishes at the vertex (1/2,1/2,0), where
+factorial or a Fraction.  When the least form value is 0, so is the least
+coefficient, at the first zero; otherwise every value is weighed by its
+factorials, once, at the final degree.  h vanishes at the vertex (1/2,1/2,0), where
 its coefficient is exactly 0 at every degree; at degree 8 all 165
 coefficients are >= 0.  A run elevates up to MAX_DEGREE.
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polynomials import Poly, _elevate, _multi_indices, _power_form, h96_polynomial
+from .polynomials import Poly, _bernstein_numerators, _elevate, _multi_indices, _power_form, h96_polynomial
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -73,16 +72,12 @@ def certify(poly: Poly | None = None) -> dict:
         m += 1
         low = min(form.values())
 
-    # the form is dense, and b[a] has form[a]'s sign
-    entries = ((a, form[a[1] + base * (a[2] + base * a[3])]) for a in _multi_indices(m))
-    if low == 0:
-        least_at, num = next((a, c) for a, c in entries if c == 0)
+    if low == 0:  # b[a] has form[a]'s sign, so the least is 0, at the first zero
+        num = 0
+        least_at = next(a for a in _multi_indices(m) if form[a[1] + base * (a[2] + base * a[3])] == 0)
     else:
-        fact = [factorial(e) for e in range(m + 1)]
-        weighed = (
-            (a, c * fact[a[0]] * fact[a[1]] * fact[a[2]] * fact[a[3]]) for a, c in entries if c < 0 or low > 0
-        )
-        least_at, num = min(weighed, key=lambda e: e[1])  # the first of equal values
+        nums = _bernstein_numerators(form, m, base)  # over den m!
+        least_at, num = min(nums.items(), key=lambda e: e[1])  # the first of equal values
     least = Fraction(num, scale * den * factorial(m))
     return {
         "result": CERTIFIED if least >= 0 else INDETERMINATE,

@@ -78,7 +78,7 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
-        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[1],
+        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[2],
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -101,7 +101,7 @@ def _spread(slots: list[int], top: int, bottom: int = 0) -> list[int]:
 
 
 def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
-    """Yield (first index, ``op`` over the k-subsets' entries) per block of 3^low indices.
+    """Yield (first index, arc counts, ``op`` over the k-subsets' entries) per block of 3^low indices.
 
     ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded arrays are
     reused from block to block.  Over the digits below low // 2 each
@@ -130,24 +130,15 @@ def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
         else:
             view = base.reshape(shape)
             op(view, sub, out=view)
-    for block in range(3 ** (pairs - low)):
-        digits = [block // 3**i % 3 for i in range(pairs - low)]
-        np.copyto(out, base)
-        for view, sub, high in moving:
-            op(view, sub[tuple(digits[i] for i in high)], out=view)
-        yield block * 3**low, out
-
-
-def _block_arcs(n: int):
-    """Yield the arc counts of each of ``_blocks``' blocks, in its order: the nonzero digits of each index."""
-    pairs = comb(n, 2)
-    low = min(pairs, BLOCK_DIGITS)
     arcs = np.zeros(1, dtype=np.int32)
     for _ in range(low):
         arcs = np.concatenate((arcs, arcs + 1, arcs + 1))
     for block in range(3 ** (pairs - low)):
         digits = [block // 3**i % 3 for i in range(pairs - low)]
-        yield arcs + (len(digits) - digits.count(0))
+        np.copyto(out, base)
+        for view, sub, high in moving:
+            op(view, sub[tuple(digits[i] for i in high)], out=view)
+        yield block * 3**low, arcs + (len(digits) - digits.count(0)), out
 
 
 def _packed(tables: dict, names: tuple[str, ...], dtype) -> np.ndarray:
@@ -171,7 +162,7 @@ def enumerate_orientations(n: int) -> dict:
     violations = []
     packed = _packed(lookup_tables(), TRIPLE_FIELDS, np.int32)
     mask = 2**FIELD_BITS - 1
-    for (start, total), arcs in zip(_blocks(n, 3, packed, np.add), _block_arcs(n)):
+    for start, arcs, total in _blocks(n, 3, packed, np.add):
         cf, bf = total & mask, total >> FIELD_BITS & mask
         lcf = 2 * cf + arcs
         step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
@@ -221,7 +212,7 @@ def validate_fdf_family(n: int) -> dict:
     tables = lookup_tables()
     quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
     c4_free, counterexamples = 0, []
-    for start, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
+    for start, _, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
         c4_free += int(np.count_nonzero(flags & 1 == 0))
         for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)

@@ -194,7 +194,7 @@ def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, p
     depth is the number of elevation steps allowed, MAX_DEGREE less the
     polynomial's degree 4; None keeps MAX_DEGREE.  The cases cover the three
     signs of the least coefficient: 0 (found as the first zero), positive
-    (every coefficient weighed) and negative (only the negative ones weighed).
+    and negative (found by weighing every coefficient).
     """
     p = h_polynomial() if poly is None else poly
     cap = MAX_DEGREE if depth is None else p.degree() + depth

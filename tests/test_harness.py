@@ -20,7 +20,6 @@ from trilag.harness import (
     BLOCK_DIGITS,
     FIELD_BITS,
     TRIPLE_FIELDS,
-    _block_arcs,
     _blocks,
     _packed,
     enumerate_orientations,
@@ -111,8 +110,7 @@ def _fields_at(n, k, names, dtype, op, indices):
     """Arc counts and each named field of the packed k-subset reduction at the given indices."""
     indices = np.asarray(indices)
     value, arcs = np.zeros(len(indices), dtype=np.int64), np.zeros(len(indices), dtype=np.int64)
-    blocks = _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op)
-    for (start, out), block_arcs in zip(blocks, _block_arcs(n)):
+    for start, block_arcs, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
         here = (start <= indices) & (indices < start + len(out))
         value[here], arcs[here] = out[indices[here] - start], block_arcs[indices[here] - start]
     return arcs, [value >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(len(names))]
@@ -149,9 +147,8 @@ def test_kernel_matches_object_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_block_reductions_match_a_lookup_of_each_index(n):
-    """Each block's sum over triples and OR over 4-sets of a random table equals
-    a lookup by the rows of its indices' own digits, and ``_block_arcs``
-    yields, block for block, its indices' counts of nonzero digits.
+    """Each block's sum over triples and OR over 4-sets of a random table, and
+    its arc counts, equal a lookup by the rows of its indices' own digits.
 
     Random tables leave no wrong slot or axis hidden behind the sparse real
     facts.  Every block for n <= 5; at n = 6, 20 seeded blocks of the 729,
@@ -164,17 +161,13 @@ def test_block_reductions_match_a_lookup_of_each_index(n):
     checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
     for k, op in ((3, np.add), (4, np.bitwise_or)):
         table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
-        for block, (start, out) in enumerate(_blocks(n, k, table, op)):
+        for block, (start, arcs, out) in enumerate(_blocks(n, k, table, op)):
             assert start == block * size
             if block in checked:
                 indices = np.arange(start, start + size)
                 assert np.array_equal(out, op.reduce(table[_rows(n, k, indices)], axis=0)), (k, block)
+                assert np.array_equal(arcs, np.count_nonzero(pair_digits(indices, pairs), axis=0)), (k, block)
         assert block == count - 1
-    for block, arcs in enumerate(_block_arcs(n)):
-        if block in checked:
-            indices = np.arange(block * size, (block + 1) * size)
-            assert np.array_equal(arcs, np.count_nonzero(pair_digits(indices, pairs), axis=0)), block
-    assert block == count - 1
 
 
 def test_triple_fields_hold_every_sum(monkeypatch):

@@ -2,8 +2,8 @@
 
 Subcommands: construct, lagrangian, reduce, optimize, certify, enumerate,
 validate-fdf, pipeline.  Reports default to JSON (sorted keys, so output
-is reproducible); CSV covers the enumeration maxima table; text gives a
-one-screen summary.
+is reproducible), each report one line from json's C encoder; CSV covers
+the enumeration maxima table; text gives a one-screen summary.
 
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a mathematical
 check failed (a violation, a failed chain link, or an indeterminate
@@ -38,7 +38,7 @@ EXIT_MATH_FAIL = 2
 
 def _emit(payload, args, text_lines, csv_rows=None) -> None:
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rendered = json.dumps(payload, sort_keys=True) + "\n"  # no indent: json runs its C encoder only without one
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

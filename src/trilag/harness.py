@@ -78,7 +78,7 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
-        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[2],
+        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[3],
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -101,10 +101,13 @@ def _spread(slots: list[int], top: int, bottom: int = 0) -> list[int]:
 
 
 def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
-    """Yield (first index, arc counts, ``op`` over the k-subsets' entries) per block of 3^low indices.
+    """Yield (first index, low arcs, high arcs, ``op`` over the k-subsets' entries) per block of 3^low indices.
 
-    ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded arrays are
-    reused from block to block.  Over the digits below low // 2 each
+    An index's arc count is its number of nonzero digits: the low arcs, one
+    array built once per sweep, count those below low, and the high arcs, an
+    int, those of the block's number; a caller that needs the counts adds
+    them.  ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded arrays
+    are reused from block to block.  Over the digits below low // 2 each
     subset's table is laid out once, so that every op runs along 3^(low//2)
     contiguous entries, not along the 3 of a subset's lowest slot.
     """
@@ -138,7 +141,7 @@ def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
         np.copyto(out, base)
         for view, sub, high in moving:
             op(view, sub[tuple(digits[i] for i in high)], out=view)
-        yield block * 3**low, arcs + (len(digits) - digits.count(0)), out
+        yield block * 3**low, arcs, len(digits) - digits.count(0), out
 
 
 def _packed(tables: dict, names: tuple[str, ...], dtype) -> np.ndarray:
@@ -162,7 +165,8 @@ def enumerate_orientations(n: int) -> dict:
     violations = []
     packed = _packed(lookup_tables(), TRIPLE_FIELDS, np.int32)
     mask = 2**FIELD_BITS - 1
-    for start, arcs, total in _blocks(n, 3, packed, np.add):
+    for start, low_arcs, high_arcs, total in _blocks(n, 3, packed, np.add):
+        arcs = low_arcs + high_arcs
         cf, bf = total & mask, total >> FIELD_BITS & mask
         lcf = 2 * cf + arcs
         step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
@@ -212,7 +216,7 @@ def validate_fdf_family(n: int) -> dict:
     tables = lookup_tables()
     quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
     c4_free, counterexamples = 0, []
-    for start, _, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
+    for start, _, _, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
         c4_free += int(np.count_nonzero(flags & 1 == 0))
         for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)

@@ -214,11 +214,39 @@ def test_reduce_report_matches_object_oracle(capsys, tmp_path):
         code, out = run(capsys, ["reduce", *_write_instance(tmp_path, g, w)])
         expected = reduce_report_oracle(underlying(g) if i % 2 else g, w)
         assert code == 0
-        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
         merges.update((step["branch"], step["lagrangian_before"] == step["lagrangian_after"])
                       for step in expected["trace"])
     # both branches are kept, each with and without a change of L_BF
     assert merges == {("a", True), ("a", False), ("b", True), ("b", False)}
+
+
+def test_json_reports_use_the_c_encoder(capsys, monkeypatch, tmp_path, cherry_files):
+    """Every command's JSON report is one sorted line from json's C encoder,
+    which runs only without indent: the pure-Python encoder is refused.
+    certify --out writes the bytes it prints."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    g, w = cherry_files
+    for argv in (
+        ["construct", g],
+        ["lagrangian", g, w],
+        ["reduce", g, w],
+        ["pipeline", g, w],
+        ["optimize", "--n", "3"],
+        ["certify"],
+        ["enumerate", "--n", "4"],
+        ["validate-fdf", "--n", "4"],
+    ):
+        code, out = run(capsys, argv)
+        assert code == 0, argv
+        assert out.count("\n") == 1 and out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+    path = tmp_path / "cert.json"
+    assert run(capsys, ["certify", "--out", str(path)]) == (0, "")
+    assert path.read_bytes() == run(capsys, ["certify"])[1].encode()
 
 
 REPORTS = {"pipeline": "pipeline_report", "reduce": "reduce_report", "lagrangian": "lagrangian_report"}

@@ -110,9 +110,9 @@ def _fields_at(n, k, names, dtype, op, indices):
     """Arc counts and each named field of the packed k-subset reduction at the given indices."""
     indices = np.asarray(indices)
     value, arcs = np.zeros(len(indices), dtype=np.int64), np.zeros(len(indices), dtype=np.int64)
-    for start, block_arcs, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
+    for start, low_arcs, high_arcs, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
         here = (start <= indices) & (indices < start + len(out))
-        value[here], arcs[here] = out[indices[here] - start], block_arcs[indices[here] - start]
+        value[here], arcs[here] = out[indices[here] - start], low_arcs[indices[here] - start] + high_arcs
     return arcs, [value >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(len(names))]
 
 
@@ -161,12 +161,13 @@ def test_block_reductions_match_a_lookup_of_each_index(n):
     checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
     for k, op in ((3, np.add), (4, np.bitwise_or)):
         table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
-        for block, (start, arcs, out) in enumerate(_blocks(n, k, table, op)):
+        for block, (start, low_arcs, high_arcs, out) in enumerate(_blocks(n, k, table, op)):
             assert start == block * size
             if block in checked:
                 indices = np.arange(start, start + size)
                 assert np.array_equal(out, op.reduce(table[_rows(n, k, indices)], axis=0)), (k, block)
-                assert np.array_equal(arcs, np.count_nonzero(pair_digits(indices, pairs), axis=0)), (k, block)
+                arcs = np.count_nonzero(pair_digits(indices, pairs), axis=0)
+                assert np.array_equal(low_arcs + high_arcs, arcs), (k, block)
         assert block == count - 1
 
 

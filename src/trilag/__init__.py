@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for 3-graph Lagrangian bounds.
 
 Import names from the module that defines them; the package itself
-imports nothing, so ``import trilag.polynomials`` loads the polynomials
+imports nothing, so ``import trilag.certify`` loads the certificate
 alone.
 
 - ``trilag.graphs``: constructions and checkers of oriented graphs.
@@ -10,11 +10,9 @@ alone.
   one instance.
 - ``trilag.simplex``: simplex maximization of the complete graph closed
   form (numpy).
-- ``trilag.polynomials``: exact polynomials, g and h, and their
-  Bernstein form on a tetrahedron, with its degree elevation.
-- ``trilag.certify``: the exact certificate of the final trivariate
-  inequality, one Bernstein form on D raised to the first degree with no
-  negative coefficient.
+- ``trilag.certify``: exact polynomials, h, and the exact certificate of
+  the final trivariate inequality, one Bernstein form on D raised to the
+  first degree with no negative coefficient.
 - ``trilag.harness``: exhaustive sweeps over orientations (numpy).
 - ``trilag.fileio``: the graph and weight file formats.
 - ``trilag.cli``: the ``trilag`` command line.

@@ -15,13 +15,16 @@ that they check.  trace_to_jsonable renders an oracle trace with
 str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
 reference for the integer rows and the gcd renderer of pipeline_report
 and trilag reduce.
-elevate_oracle raises simplex_bernstein's coefficients to a higher degree in
-Fractions, one degree at a time, where certify elevates integer numerators
-on packed keys.
 bernstein_oracle is the conversion built from Poly products of barycentric
-forms, with tuple keys; simplex_bernstein runs it on packed int keys.  At a
-degree above p's it is a fresh conversion, the oracle of certify's elevation.
-g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys.
+forms, with tuple keys; certify runs it on packed int keys.  At a degree
+above p's it is a fresh conversion, the oracle of certify's elevation.
+elevate_oracle raises bernstein_oracle's coefficients to a higher degree in
+Fractions, one degree at a time, where certify elevates integer numerators
+on packed keys; neither calls the packed code.  packed_coefficients is the
+packed route itself, certify's _power_form, _elevate and
+_bernstein_numerators, made Fractions for the tests to compare.
+g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys,
+and h_oracle is 3/32 minus it.
 parse_weights_oracle parses weights one Fraction per line, through
 parse_rational; parse_weights_text reads p/q and integer tokens with int()
 and builds the vector from (d, p).
@@ -35,11 +38,10 @@ from math import factorial, lcm
 
 import numpy as np
 
-from trilag.certify import DOMAIN_VERTICES
+from trilag.certify import DOMAIN_VERTICES, Poly, _bernstein_numerators, _elevate, _power_form
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
-from trilag.polynomials import Poly, h_polynomial, simplex_bernstein
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -439,7 +441,7 @@ def stability_polynomial() -> Poly:
     """h - |x - (1/2, 1/2, 0)|^2 / 144, the stability form of the certified bound."""
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
     half = Fraction(1, 2)
-    return h_polynomial() - Fraction(1, 144) * ((x1 - half) ** 2 + (x2 - half) ** 2 + x3**2)
+    return h_oracle() - Fraction(1, 144) * ((x1 - half) ** 2 + (x2 - half) ** 2 + x3**2)
 
 
 def g_polynomial_oracle() -> Poly:
@@ -455,8 +457,14 @@ def g_polynomial_oracle() -> Poly:
     return Fraction(1, 6) * cubic - Fraction(1, 8) * (inner * inner)
 
 
+def h_oracle() -> Poly:
+    """The paper's h = 3/32 - g, from g_polynomial_oracle, in Fraction Polys."""
+    return Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
+
+
 def bernstein_oracle(p: Poly, vertices, degree: int | None = None) -> dict[tuple[int, int, int, int], Fraction]:
-    """simplex_bernstein from Poly products of the barycentric forms, with tuple keys.
+    """The Bernstein coefficients of p on a tetrahedron from Poly products of
+    the barycentric forms, with tuple keys.
 
     D x1, D x2, D x3 and D (D the vertices' common denominator) are Polys
     linear in l over k = 4; with S the common denominator of p's
@@ -466,7 +474,7 @@ def bernstein_oracle(p: Poly, vertices, degree: int | None = None) -> dict[tuple
     with no elevation.
     """
     if p.k != 3:
-        raise ValueError(f"simplex_bernstein needs a polynomial in 3 variables, not {p.k}")
+        raise ValueError(f"bernstein_oracle needs a polynomial in 3 variables, not {p.k}")
     n = max((sum(m) for m in p.coeffs), default=0)
     if degree is not None:
         if degree < n:
@@ -509,7 +517,7 @@ def point_in_domain(x1, x2, x3) -> bool:
 
 
 def multi_indices(m: int):
-    """The multi-indices (a_0, a_1, a_2, a_3) with sum m, in simplex_bernstein's order."""
+    """The multi-indices (a_0, a_1, a_2, a_3) with sum m: a_0, then a_1, then a_2 ascending."""
     return [
         (a0, a1, a2, m - a0 - a1 - a2)
         for a0 in range(m + 1)
@@ -521,13 +529,12 @@ def multi_indices(m: int):
 def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
     """The Bernstein coefficients of p at a degree >= p's, by Fraction degree elevation.
 
-    Starts from simplex_bernstein(p, vertices) at n = p's degree and raises
+    Starts from bernstein_oracle(p, vertices) at n = p's degree and raises
     the degree one step at a time: at degree m + 1,
     b'[a] = sum_i a_i b[a - e_i] / (m + 1), over the i with a_i > 0.  The
-    keys are in simplex_bernstein's order (a_0, then a_1, then a_2
-    ascending).
+    keys are in multi_indices order.
     """
-    coeffs = simplex_bernstein(p, vertices)
+    coeffs = bernstein_oracle(p, vertices)
     m = max((sum(mono) for mono in p.coeffs), default=0)
     if degree < m:
         raise ValueError(f"degree {degree} is below the polynomial's {m}")
@@ -542,6 +549,22 @@ def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple
             for a in multi_indices(m)
         }
     return coeffs
+
+
+def packed_coefficients(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
+    """The coefficients at a degree from _power_form, _elevate and _bernstein_numerators.
+
+    Asserts on the way that the form is dense at the degree and that the
+    numerators come in multi_indices order.
+    """
+    base = degree + 1
+    form, den = _power_form(p, vertices, base)
+    for _ in range(degree - p.degree()):
+        form = _elevate(form, base)
+    assert len(form) == len(multi_indices(degree))  # dense at every degree
+    nums = _bernstein_numerators(form, degree, base)
+    assert list(nums) == multi_indices(degree)
+    return {a: Fraction(c, den * factorial(degree)) for a, c in nums.items()}
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

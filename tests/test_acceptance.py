@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, Poly, certify, h96_polynomial
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -23,7 +23,6 @@ from trilag.lagrangian import (
     pipeline_report,
     uniform_weights,
 )
-from trilag.polynomials import Poly, h_polynomial
 from trilag.simplex import gradient, maximize
 
 from helpers import (
@@ -172,7 +171,7 @@ def test_criterion_5_optimizer():
 
 def test_criterion_6_certifier():
     cert = certify()
-    h = h_polynomial()
+    h96 = h96_polynomial()
     m = cert["degree"]
     # every coefficient at the reported degree, a fresh conversion of the paper's 3/32 - g
     coeffs = bernstein_oracle(Poly.constant(BOUND) - g_polynomial_oracle(), DOMAIN_VERTICES, m)
@@ -195,7 +194,7 @@ def test_criterion_6_certifier():
             continue
         w = WeightVector([x1, x2, x3, 1 - x1 - x2 - x3])
         g = Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
-        if h.evaluate(x1, x2, x3) != BOUND - g:
+        if h96.evaluate(x1, x2, x3) / 96 != BOUND - g:
             break
         agree += 1
 

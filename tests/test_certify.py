@@ -5,9 +5,8 @@ from math import factorial, prod
 import pytest
 
 import trilag.certify as certify_module
-from helpers import bernstein_oracle, elevate_oracle, multi_indices, point_in_domain, stability_polynomial
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, certify
-from trilag.polynomials import Poly, _power_form, h_polynomial
+from helpers import bernstein_oracle, elevate_oracle, h_oracle, multi_indices, point_in_domain, stability_polynomial
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, Poly, _power_form, certify
 
 HALF = Fraction(1, 2)
 
@@ -57,12 +56,12 @@ def test_negative_counts_and_the_first_certified_degree():
     """h has 3, 5, 3, 1 and 0 negative coefficients at degrees 4..8, and the
     stability form first has none at degree 9: certify reports those degrees."""
     counts = {}
-    for name, p, degrees in (("h", h_polynomial(), range(4, 9)),
+    for name, p, degrees in (("h", h_oracle(), range(4, 9)),
                              ("stability", stability_polynomial(), range(4, 10))):
         counts[name] = [sum(b < 0 for b in elevate_oracle(p, m).values()) for m in degrees]
         assert certify(poly=p)["degree"] == degrees.start + counts[name].index(0)
     assert counts == {"h": [3, 5, 3, 1, 0], "stability": [3, 5, 6, 3, 1, 0]}
-    coeffs = elevate_oracle(h_polynomial(), 8)
+    coeffs = elevate_oracle(h_oracle(), 8)
     assert len(coeffs) == 165
     # six are 0, the one at the vertex (1/2, 1/2, 0) among them
     assert [a for a, b in coeffs.items() if b == 0] == [
@@ -78,7 +77,7 @@ def test_stability_bound_with_sharp_constant():
     and false for 1/143: that form's coefficient at the vertex is its
     negative value at every degree, and certify stops at MAX_DEGREE.
     """
-    h = h_polynomial()
+    h = h_oracle()
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
     dist = (x1 - HALF) ** 2 + (x2 - HALF) ** 2 + x3**2
     third = Fraction(1, 3)
@@ -102,7 +101,7 @@ def test_insufficient_depth_is_indeterminate(monkeypatch):
         monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
         cert = certify()
         assert (cert["result"], cert["degree"]) == (INDETERMINATE, degree)
-        assert cert == certify(h_polynomial()) == report_oracle(h_polynomial(), cap)
+        assert cert == certify(h_oracle()) == report_oracle(h_oracle(), cap)
         if least is not None:
             assert cert["least"] == least
 
@@ -110,7 +109,7 @@ def test_insufficient_depth_is_indeterminate(monkeypatch):
 def test_degree_cap_ends_a_run_that_cannot_certify():
     """h - 1/1000 is negative near (1/2, 1/2, 0), so no degree certifies it:
     the run ends at MAX_DEGREE, with the vertex's coefficient -1/1000 least."""
-    cert = certify(poly=h_polynomial() - Fraction(1, 1000))
+    cert = certify(poly=h_oracle() - Fraction(1, 1000))
     assert cert == {
         "result": INDETERMINATE,
         "degree": MAX_DEGREE,
@@ -124,7 +123,7 @@ def test_certificate_tiling_and_coverage():
     """The certificate's one form covers D: at the reported degree it has one
     coefficient per multi-index, and sum_a b[a] B_a is h at points across D,
     so its least coefficient 0 bounds h from below on all of D."""
-    h = h_polynomial()
+    h = h_oracle()
     cert = certify()
     m = cert["degree"]
     coeffs = fresh_conversion(h, m)
@@ -148,12 +147,12 @@ def test_certificate_tiling_and_coverage():
 def test_certificate_json_shape():
     js = certify()
     assert js == {"result": CERTIFIED, "degree": 8, "coefficients": 165, "least": "0", "least_at": [0, 0, 7, 1]}
-    assert certify() == js == certify(h_polynomial())
+    assert certify() == js == certify(h_oracle())
     assert json.loads(json.dumps(js)) == js
 
 
 def test_h_nonnegative_on_domain_grid():
-    h = h_polynomial()
+    h = h_oracle()
     den = 48
     points = [
         (Fraction(a, den), Fraction(b, den), Fraction(c, den))
@@ -177,11 +176,11 @@ def sign(x) -> int:
         (None, None, (CERTIFIED, 8, 0)),
         (None, stability_polynomial(), (CERTIFIED, 9, 0)),
         (None, Poly.constant(Fraction(3, 32)), (CERTIFIED, 0, 1)),
-        (None, h_polynomial() + Fraction(1, 100), (CERTIFIED, 5, 1)),
+        (None, h_oracle() + Fraction(1, 100), (CERTIFIED, 5, 1)),
         (None, stability_polynomial() + Fraction(1, 10**6), (CERTIFIED, 9, 1)),
         (0, None, (INDETERMINATE, 4, -1)),
-        (6, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 10, -1)),
-        (9, h_polynomial() - Fraction(1, 1000), (INDETERMINATE, 13, -1)),
+        (6, h_oracle() - Fraction(1, 1000), (INDETERMINATE, 10, -1)),
+        (9, h_oracle() - Fraction(1, 1000), (INDETERMINATE, 13, -1)),
         (8, stability_polynomial() - Fraction(1, 10**6), (INDETERMINATE, 12, -1)),
     ],
     ids=["h", "stability", "constant", "h+1/100", "stability+1/10^6",
@@ -196,7 +195,7 @@ def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, p
     signs of the least coefficient: 0 (found as the first zero), positive
     and negative (found by weighing every coefficient).
     """
-    p = h_polynomial() if poly is None else poly
+    p = h_oracle() if poly is None else poly
     cap = MAX_DEGREE if depth is None else p.degree() + depth
     monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
     cert = certify(poly=poly)
@@ -214,7 +213,7 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
     # certify looks the conversion up in its own module's namespace
     monkeypatch.setattr(certify_module, "_power_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
-    assert certify(poly=h_polynomial() - Fraction(1, 1000))["degree"] == 12
+    assert certify(poly=h_oracle() - Fraction(1, 1000))["degree"] == 12
     assert calls == [DOMAIN_VERTICES]
 
 

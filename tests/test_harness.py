@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trilag import graphs, harness, lagrangian, simplex
+from trilag.certify import h96_polynomial
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -28,7 +29,6 @@ from trilag.harness import (
     validate_fdf_family,
 )
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, pipeline_report, uniform_weights
-from trilag.polynomials import h_polynomial
 
 from helpers import (
     brute_lagrangian_bf,
@@ -339,14 +339,15 @@ def test_pipeline_single_arc_k2():
 
 
 def test_pipeline_point_values_match_certified_polynomials():
-    """h_at_point = 3/32 - g is the certified h, and g is the paper's formula, at the pipeline's point."""
+    """h_at_point = 3/32 - g is 96 h over 96, the polynomial certify converts, and g is the
+    paper's formula, at the pipeline's point."""
     rng = random.Random(300)
-    h, g = h_polynomial(), g_polynomial_oracle()
+    h96, g = h96_polynomial(), g_polynomial_oracle()
     for _ in range(300):
         n = rng.randint(2, 7)
         report = pipeline_report(rand_orientation(rng, n), rand_weights(rng, n))
         point = [Fraction(x) for x in report["trivariate_point"]]
-        assert Fraction(report["h_at_point"]) == h.evaluate(*point)
+        assert Fraction(report["h_at_point"]) == h96.evaluate(*point) / 96
         assert Fraction(report["trivariate_value"]) == g.evaluate(*point)
         assert report["all_pass"]
 

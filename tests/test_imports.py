@@ -2,8 +2,8 @@
 
 The exact modules import neither numpy nor a numpy-backed module at module
 level, and the exact commands start without numpy.  The package exports
-no names: ``import trilag`` loads no submodule, ``import trilag.polynomials``
-loads the polynomials alone, and ``trilag.certify`` is always the module.
+no names: ``import trilag`` loads no submodule, ``import trilag.certify``
+loads the certificate alone, and ``trilag.certify`` is always the module.
 """
 
 import ast
@@ -18,7 +18,7 @@ import pytest
 import trilag
 
 SRC = Path(trilag.__file__).resolve().parents[1]
-NUMPY_FREE = ("certify", "polynomials", "graphs", "lagrangian", "fileio", "cli")
+NUMPY_FREE = ("certify", "graphs", "lagrangian", "fileio", "cli")
 
 
 def _module_level_imports(source: str):
@@ -42,8 +42,9 @@ def _module_level_imports(source: str):
 
 def test_numpy_free_modules_import_only_stdlib_and_each_other():
     """At module level the exact modules and the package import the standard
-    library and one another only: no numpy, no simplex, no harness.  Of
-    trilag, the certificate imports the polynomials alone."""
+    library and one another only: no numpy, no simplex, no harness.  The
+    certificate imports no trilag module, and of the standard library only
+    __future__, fractions and math."""
     imports = {name: {module for module, _ in _module_level_imports((SRC / "trilag" / f"{name}.py").read_text())}
                for name in ("__init__", *NUMPY_FREE)}
     for name, imported in imports.items():
@@ -52,8 +53,7 @@ def test_numpy_free_modules_import_only_stdlib_and_each_other():
                 assert module[1:] in NUMPY_FREE, (name, module)
             else:
                 assert module.partition(".")[0] in sys.stdlib_module_names, (name, module)
-    own = {module for module in imports["certify"] | imports["polynomials"] if module.startswith(".")}
-    assert own == {".polynomials"}
+    assert imports["certify"] == {"__future__", "fractions", "math"}
 
 
 def test_cli_imports_only_public_names_of_the_chain():
@@ -132,7 +132,7 @@ OLD_EXPORTS = (
 
 
 def test_package_exports_nothing_and_loads_only_what_is_imported(tmp_path):
-    """The polynomial checker's trusted base is the polynomials module alone,
+    """The polynomial checker's trusted base is the certify module alone,
     and trilag.certify names the module whichever of its names comes first."""
     code = f"""
 import sys
@@ -147,17 +147,12 @@ for name in {(*OLD_EXPORTS, "certify")!r}:  # no module is an attribute before i
         assert f"has no attribute '{{name}}'" in str(exc), exc
     else:
         raise AssertionError(name)
-import trilag.polynomials
-steps.append(loaded())
 import trilag.certify
 steps.append(loaded())
 assert trilag.certify is sys.modules['trilag.certify']
 print(steps)
 """
-    assert _run(code, tmp_path) == (
-        "[['trilag'], ['trilag', 'trilag.polynomials'], "
-        "['trilag', 'trilag.certify', 'trilag.polynomials']]\n"
-    )
+    assert _run(code, tmp_path) == "[['trilag'], ['trilag', 'trilag.certify']]\n"
     for first, then in (("from trilag.certify import certify", "import trilag.certify"),
                         ("import trilag.certify", "from trilag.certify import certify"),
                         ("import trilag.cli", "from trilag.certify import certify")):
@@ -168,6 +163,7 @@ print(steps)
     for name in (*OLD_EXPORTS, "no_such_name"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(trilag, name)
-    for module in ("trilag.reduction", "trilag.pipeline"):  # folded into trilag.lagrangian
+    # reduction and pipeline were folded into trilag.lagrangian, polynomials into trilag.certify
+    for module in ("trilag.reduction", "trilag.pipeline", "trilag.polynomials"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)

@@ -6,18 +6,16 @@ from math import factorial
 
 import pytest
 
-from helpers import bernstein_oracle, elevate_oracle, g_polynomial_oracle, multi_indices, stability_polynomial
-from trilag.certify import DOMAIN_VERTICES
-from trilag.lagrangian import WeightVector, _g_numerator
-from trilag.polynomials import (
-    Poly,
-    _bernstein_numerators,
-    _elevate,
-    _power_form,
-    h96_polynomial,
-    h_polynomial,
-    simplex_bernstein,
+from helpers import (
+    bernstein_oracle,
+    elevate_oracle,
+    g_polynomial_oracle,
+    h_oracle,
+    packed_coefficients,
+    stability_polynomial,
 )
+from trilag.certify import DOMAIN_VERTICES, Poly, certify, h96_polynomial
+from trilag.lagrangian import WeightVector, _g_numerator
 
 HALF = Fraction(1, 2)
 # the halves of D on either side of its longest edge's midpoint; both have
@@ -33,11 +31,12 @@ def rand_rational(rng, den=64):
 
 
 def test_h_key_values():
-    h = h_polynomial()
-    assert h.evaluate(Fraction(1, 2), Fraction(1, 2), Fraction(0)) == 0
-    assert h.evaluate(Fraction(1), Fraction(0), Fraction(0)) == Fraction(3, 32)
-    assert h.evaluate(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == Fraction(1, 864)
-    assert max(sum(m) for m in h.coeffs) == 4
+    """h and 96 h over 96 at three vertices of D; both have degree 4."""
+    h, h96 = h_oracle(), h96_polynomial()
+    for point, value in (((HALF, HALF, 0), 0), ((1, 0, 0), Fraction(3, 32)),
+                         ((Fraction(1, 3),) * 3, Fraction(1, 864))):
+        assert h.evaluate(*point) == h96.evaluate(*point) / 96 == value
+    assert h.degree() == h96.degree() == max(sum(m) for m in h.coeffs) == 4
 
 
 def test_g_poly_matches_direct_expression():
@@ -56,10 +55,9 @@ def test_g_poly_matches_direct_expression():
 
 
 def test_g_and_h_expand_the_papers_formula():
-    """h is 3/32 minus g's formula in Fraction Polys, and it is the integer
-    polynomial 96 h with every coefficient over 96."""
-    h, h96 = h_polynomial(), h96_polynomial()
-    assert h == Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
+    """3/32 minus g's formula in Fraction Polys is the integer polynomial
+    96 h with every coefficient over 96."""
+    h, h96 = h_oracle(), h96_polynomial()
     assert all(type(c) is Fraction for c in h.coeffs.values())
     assert all(type(c) is int for c in h96.coeffs.values())
     assert h == Poly({m: Fraction(c, 96) for m, c in h96.coeffs.items()})
@@ -83,7 +81,7 @@ def test_poly_refuses_a_malformed_monomial(monomial, k):
     with pytest.raises(ValueError, match=message):
         Poly({(0,) * k: 1, monomial: 0}, k)  # a zero coefficient does not excuse it
     with pytest.raises(ValueError, match=message):
-        simplex_bernstein(Poly({monomial: 1}, k), DOMAIN_VERTICES)
+        certify(Poly({monomial: 1}, k))
 
 
 @pytest.mark.parametrize("axis, k", [(3, 3), (-1, 3), (0, 0), (2, 2), (4, 4), (-1, 1)])
@@ -168,11 +166,11 @@ def vertex_index(n, i):
 
 
 def test_bernstein_form_reproduces_h_on_each_leaf():
-    h = h_polynomial()
+    h = h_oracle()
     rng = random.Random(400)
     simplices = [DOMAIN_VERTICES, *HALVES]
     for vertices in simplices:
-        coeffs = simplex_bernstein(h, vertices)
+        coeffs = packed_coefficients(h, h.degree(), vertices)
         assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
         for _ in range(150):
             lam = rand_barycentric(rng)
@@ -184,52 +182,52 @@ def test_bernstein_linear_poly_is_exact_corner_min():
     rng = random.Random(7)
     for _ in range(20):
         vertices = rand_simplex(rng)
-        coeffs = simplex_bernstein(p, vertices)
+        coeffs = packed_coefficients(p, p.degree(), vertices)
         assert sorted(coeffs.values()) == sorted(p.evaluate(*v) for v in vertices)
 
 
 def test_bernstein_corner_coefficients_are_exact_values():
-    h = h_polynomial()
+    h = h_oracle()
     rng = random.Random(11)
     simplices = [*HALVES] + [rand_simplex(rng) for _ in range(5)]
     for vertices in simplices:
-        coeffs = simplex_bernstein(h, vertices)
+        coeffs = packed_coefficients(h, h.degree(), vertices)
         for i, v in enumerate(vertices):
             assert coeffs[vertex_index(4, i)] == h.evaluate(*v)
 
 
 def test_bernstein_zero_corner_cell():
     # both halves have the equality point of h as a vertex, with coefficient 0
-    h = h_polynomial()
+    h = h_oracle()
     zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     for vertices in HALVES:
-        coeffs = simplex_bernstein(h, vertices)
+        coeffs = packed_coefficients(h, h.degree(), vertices)
         assert coeffs[vertex_index(4, vertices.index(zero))] == 0
         assert min(coeffs.values()) == 0
 
 
 def test_bernstein_soundness_by_sampling():
-    h = h_polynomial()
+    h = h_oracle()
     rng = random.Random(23)
     for _ in range(20):
         vertices = rand_simplex(rng)
-        coeffs = simplex_bernstein(h, vertices)
+        coeffs = packed_coefficients(h, h.degree(), vertices)
         low, high = min(coeffs.values()), max(coeffs.values())
         for _ in range(100):
             assert low <= h.evaluate(*at(vertices, rand_barycentric(rng))) <= high
 
 
 def test_bernstein_coefficients_are_fractions():
-    h = h_polynomial()
+    h = h_oracle()
     for vertices in HALVES:
-        assert all(type(b) is Fraction for b in simplex_bernstein(h, vertices).values())
+        assert all(type(b) is Fraction for b in packed_coefficients(h, h.degree(), vertices).values())
     # integer coefficients on an integer-vertex simplex (common denominator 1): an
     # int / int division would give floats here
     p = Poly.variable(0) - 2 * Poly.variable(1) + 1
     corner = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     rng = random.Random(5)
     for q in (p, p * p):
-        coeffs = simplex_bernstein(q, corner)
+        coeffs = packed_coefficients(q, q.degree(), corner)
         assert all(type(b) is Fraction for b in coeffs.values())
         for _ in range(20):
             lam = rand_barycentric(rng)
@@ -240,7 +238,7 @@ def test_bernstein_coefficients_are_fractions():
 def test_bernstein_refuses_a_poly_not_in_three_variables(k):
     for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k), Poly(k=k)):
         with pytest.raises(ValueError, match=f"3 variables, not {k}"):
-            simplex_bernstein(poly, DOMAIN_VERTICES)
+            packed_coefficients(poly, poly.degree())
 
 
 def rand_poly(rng, degree):
@@ -255,22 +253,11 @@ def rand_poly(rng, degree):
     return Poly(coeffs)
 
 
-def packed_coefficients(p, degree, vertices=DOMAIN_VERTICES):
-    """The coefficients at a degree from _power_form, _elevate and _bernstein_numerators."""
-    base = degree + 1
-    form, den = _power_form(p, vertices, base)
-    for _ in range(degree - p.degree()):
-        form = _elevate(form, base)
-    assert len(form) == len(multi_indices(degree))  # dense at every degree
-    nums = _bernstein_numerators(form, degree, base)
-    assert list(nums) == multi_indices(degree)
-    return {a: Fraction(c, den * factorial(degree)) for a, c in nums.items()}
-
-
 def test_elevation_equals_the_fraction_oracle_at_every_degree():
-    """The packed elevation equals Fraction elevation of simplex_bernstein's coefficients."""
+    """The packed elevation equals Fraction elevation of bernstein_oracle's coefficients."""
     rng = random.Random(28)
-    cases = [(h_polynomial(), DOMAIN_VERTICES, range(4, 9)),
+    h = h_oracle()
+    cases = [(h, DOMAIN_VERTICES, range(4, 9)),
              (stability_polynomial(), DOMAIN_VERTICES, range(4, 10)),
              (Poly.constant(Fraction(-5, 7)), DOMAIN_VERTICES, range(0, 4))]
     for d in range(5):
@@ -280,10 +267,10 @@ def test_elevation_equals_the_fraction_oracle_at_every_degree():
         for m in degrees:
             assert packed_coefficients(p, m, vertices) == elevate_oracle(p, m, vertices)
     # the form's value is kept: at degree 9, h's coefficients still give h
-    coeffs = packed_coefficients(h_polynomial(), 9)
+    coeffs = packed_coefficients(h, 9)
     for _ in range(20):
         lam = rand_barycentric(rng)
-        assert bernstein_value(coeffs, lam) == h_polynomial().evaluate(*at(DOMAIN_VERTICES, lam))
+        assert bernstein_value(coeffs, lam) == h.evaluate(*at(DOMAIN_VERTICES, lam))
 
 
 def test_bernstein_equals_the_poly_product_oracle():
@@ -293,12 +280,12 @@ def test_bernstein_equals_the_poly_product_oracle():
         Poly.variable(0) ** 9,
         Poly(),
         Poly.constant(Fraction(-5, 7)),
-        h_polynomial(),
+        h_oracle(),
         stability_polynomial(),
     ]
     simplices = [DOMAIN_VERTICES] + [signed_simplex(rng, den) for den in (7, 64, 360)]
     for p in polys:
         for vertices in simplices:
-            got = simplex_bernstein(p, vertices)
+            got = packed_coefficients(p, p.degree(), vertices)
             assert list(got.items()) == list(bernstein_oracle(p, vertices).items())
             assert all(type(b) is Fraction for b in got.values())

@@ -30,6 +30,23 @@ gives -1/2 and 1/2; at t = 8 the split factor reaches -1 and the ascent
 no longer converges.  The stopping residual is the gradient-mapping norm
 |P(x + t grad) - x| / t at t = STEP.
 
+STEP alone is slow near a face barycentre such as (1/3, 1/3, 1/3, 0, ...),
+a saddle of value 5/54.  There the curvature along (1, -1, 0, ...) is 0,
+so from an offset e a step of 6 escapes only as fast as 1/e: 102, 270 and
+740 iterations from e = 1e-2, 3e-3 and 1e-3.  So from its second
+iteration each row also tries a long step, the Barzilai-Borwein length
+ss/sy of its last step s and gradient change y, sy = -s.y: the inverse of
+the downward curvature that step met.  Where sy <= 0 it met none, and the
+length is the cap T_MAX.  The row takes the long trial only when it passes
+the Armijo condition and beats the STEP trial, so each row still ascends
+and the stopping rule is unchanged.  T_MAX = 96 comes from the outer
+iterations of the runs for n = 2..12 at seeds 0-39.  Their worst run takes
+462, 236, 127, 88, 51 and 54 at caps 24, 48, 96, 192, 384 and 1000
+(1071 with no long step), and their total is least at 96: 13889, against
+15494 at 48, 14073 at 192, 14648 at 384 and 15936 at 1000.  Their time
+in process (seeds 0-19, 2-core Xeon) is flat from 96 to 384, 2.01-2.04 s,
+and higher at 48 and 1000, 2.37 and 2.23 s.
+
 The exact value comes from the integer core _closed_form_numerator of
 trilag.lagrangian, on the (d, p) of a WeightVector.  This module imports
 numpy, and the package loads it only when one of its names is first used.
@@ -111,32 +128,55 @@ def project_to_simplex(v) -> np.ndarray:
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
 STEP = 6.0  # first trial step; the module docstring derives it
+T_MAX = 96.0  # cap on the long trial step; the module docstring gives the reason
+
+
+def _long_step(s, y):
+    """Each row's long trial step from its last step s and gradient change y.
+
+    The Barzilai-Borwein length ss/sy, with sy = -s.y, capped at T_MAX;
+    T_MAX where sy <= 0, where the step met no downward curvature.
+    """
+    ss = (s * s).sum(axis=-1)
+    sy = -(s * y).sum(axis=-1)
+    t = np.full(len(s), T_MAX)
+    curved = sy > 0
+    t[curved] = np.minimum(ss[curved] / sy[curved], T_MAX)
+    return t
 
 
 def ascend(starts):
     """Projected gradient ascent with Armijo backtracking, one start per row.
 
-    Each row follows its own ascent: from step STEP, halve up to
+    Each row follows its own ascent.  From the second iteration on, a row
+    whose long step (_long_step) exceeds STEP also tries P(x + t grad) and
+    takes it if it passes the Armijo condition and beats the objective of
+    the step-STEP trial.  Otherwise it steps from STEP, halving up to
     MAX_HALVINGS times until the Armijo condition holds.  A row stops when
     its residual, the gradient-mapping norm |P(x + STEP grad) - x| / STEP,
     falls below TOL (converged) or when no step is accepted; only the rows
     still active are advanced, for at most MAX_ITER iterations.  Returns
     the final points, their objective values, residuals and converged
-    flags, and the number of outer iterations run.
+    flags, the number of outer iterations run and the number of long
+    trials taken.
 
     The active rows live in compact arrays: live[i] is the row of the
-    batch whose point, value and s2 are xa[i], fa[i] and s2a[i].  A row is
-    written back into the full arrays only when it stops.
+    batch whose point, value and s2 are xa[i], fa[i] and s2a[i], and whose
+    last step and the gradient it was taken along are s[i] and gprev[i].
+    A row is written back into the full arrays only when it stops.
     """
     x = np.array(starts, dtype=float)
     fx, s2 = _objective(x)
     residual = np.full(len(x), np.inf)
     converged = np.zeros(len(x), dtype=bool)
     live, xa, fa, s2a, res = np.arange(len(x)), x, fx, s2, residual
-    iterations = 0
+    t = np.zeros(len(x))  # no step taken yet, so no long trial in the first iteration
+    iterations = long_steps = 0
     while live.size and iterations < MAX_ITER:
         iterations += 1
         grad = _gradient(xa, s2a[:, None])
+        if iterations > 1:
+            t = _long_step(s, grad - gprev)
         moved = project_to_simplex(xa + STEP * grad)
         delta = moved - xa
         res = np.sqrt((delta**2).sum(axis=-1)) / STEP
@@ -146,13 +186,23 @@ def ascend(starts):
             x[rows], fx[rows], residual[rows] = xa[done], fa[done], res[done]
             converged[rows] = True
             keep = ~done
-            live, xa, fa, grad, moved, delta, res = (
-                a[keep] for a in (live, xa, fa, grad, moved, delta, res)
+            live, xa, fa, grad, moved, delta, res, t = (
+                a[keep] for a in (live, xa, fa, grad, moved, delta, res, t)
             )
             if not live.size:
                 break
         ft, s2t = _objective(moved)
         accepted = ft > fa + ARMIJO * (grad * delta).sum(axis=-1)
+        long = np.flatnonzero(t > STEP)
+        if long.size:
+            xl, gl = xa[long], grad[long]
+            trial = project_to_simplex(xl + t[long, None] * gl)
+            fl, s2l = _objective(trial)
+            ok = (fl > ft[long]) & (fl > fa[long] + ARMIJO * (gl * (trial - xl)).sum(axis=-1))
+            took = long[ok]
+            moved[took], ft[took], s2t[took] = trial[ok], fl[ok], s2l[ok]
+            accepted[took] = True
+            long_steps += took.size
         if not accepted.all():
             # halve the step for the refused rows; moved, ft and s2t take what they accept
             refused = np.flatnonzero(~accepted)
@@ -172,11 +222,14 @@ def ascend(starts):
                 x[rows], fx[rows], residual[rows] = xa[refused], fa[refused], res[refused]
                 keep = np.ones(live.size, dtype=bool)
                 keep[refused] = False
-                live, moved, ft, s2t, res = (a[keep] for a in (live, moved, ft, s2t, res))
+                live, xa, grad, moved, ft, s2t, res = (
+                    a[keep] for a in (live, xa, grad, moved, ft, s2t, res)
+                )
+        s, gprev = moved - xa, grad
         xa, fa, s2a = moved, ft, s2t
     if live.size:  # stopped by MAX_ITER
         x[live], fx[live], residual[live] = xa, fa, res
-    return x, fx, residual, converged, iterations
+    return x, fx, residual, converged, iterations, long_steps
 
 
 def round_point_exact(point):
@@ -198,15 +251,21 @@ def maximize(n: int, seed: int = 0) -> dict:
     symmetric optima; the lexicographically smallest tied point wins.  It
     is rounded by round_point_exact and re-evaluated exactly as
     value_exact.  stats counts the outer iterations of the batch (the most
-    any one start took, at most MAX_ITER) and restarts_converged, the
-    starts that ended with residual < TOL.
+    any one start took, at most MAX_ITER), long_steps, the long trials the
+    starts took, and restarts_converged, the starts that ended with
+    residual < TOL.  At n = 1 every start is the simplex's one point (1).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=RESTARTS)
-    x, fx, residual, converged, iterations = ascend(starts)
+    if n == 1:
+        # the 0-simplex is the one point (1); numpy scales each drawn row by
+        # the reciprocal of its sum, which leaves some rows one ulp below 1
+        starts = np.ones((RESTARTS, 1))
+    else:
+        starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=RESTARTS)
+    x, fx, residual, converged, iterations, long_steps = ascend(starts)
     tied = np.flatnonzero(fx >= fx.max() - RANK_TOL)
     points = x[tied].tolist()
     best = tied[min(range(len(tied)), key=points.__getitem__)]
@@ -223,5 +282,9 @@ def maximize(n: int, seed: int = 0) -> dict:
         "seed": seed,
         "residual": float(residual[best]),
         "converged": bool(converged[best]),
-        "stats": {"iterations": iterations, "restarts_converged": int(converged.sum())},
+        "stats": {
+            "iterations": iterations,
+            "long_steps": long_steps,
+            "restarts_converged": int(converged.sum()),
+        },
     }

@@ -602,30 +602,49 @@ def ascend_one(x: np.ndarray, tol: float, max_iter: int = 4000):
     The per-start oracle for the batched ``simplex.ascend``, with its own
     vector objective, gradient and projection.  Its sums are plain
     ``np.sum`` reductions, the arithmetic the batch does on each row, not
-    BLAS dot products, whose last bits depend on the BLAS kernel.  Returns
-    the final point, its objective value, the last residual and the
-    converged flag.
+    BLAS dot products, whose last bits depend on the BLAS kernel.  From the
+    second iteration on it first tries the long step t = min(ss/sy, 96),
+    or 96 when sy <= 0, where s is the last step, y the gradient change
+    and sy = -s.y, when t > 6; it keeps that trial if it passes Armijo and
+    beats the step-6 trial.  Returns the final point, its objective value,
+    the last residual, the converged flag and the number of long trials
+    taken.
     """
-    step0 = 6.0
+    step0, t_max = 6.0, 96.0
     fx = _closed_form_1d(x)
     residual = np.inf
+    s = g_prev = None
+    long_steps = 0
     for _ in range(max_iter):
         grad = _gradient_1d(x)
         moved = _project_1d(x + step0 * grad)
         residual = float(np.sqrt(np.sum((moved - x) ** 2)) / step0)
         if residual < tol:
-            return x, fx, residual, True
-        step = step0
-        accepted = False
-        # Armijo backtracking on the projected step
-        for _ in range(60):
-            trial = _project_1d(x + step * grad) if step != step0 else moved
-            ft = _closed_form_1d(trial)
-            if ft > fx + 1e-4 * float(np.sum(grad * (trial - x))):
-                x, fx = trial, ft
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return x, fx, residual, residual < tol
-    return x, fx, residual, False
+            return x, fx, residual, True, long_steps
+        new = None
+        if s is not None:
+            ss = float(np.sum(s * s))
+            sy = -float(np.sum(s * (grad - g_prev)))
+            t = min(ss / sy, t_max) if sy > 0 else t_max
+            if t > step0:
+                trial = _project_1d(x + t * grad)
+                fl = _closed_form_1d(trial)
+                armijo = fl > fx + 1e-4 * float(np.sum(grad * (trial - x)))
+                if armijo and fl > _closed_form_1d(moved):
+                    new, fnew = trial, fl
+                    long_steps += 1
+        if new is None:
+            step = step0
+            # Armijo backtracking on the projected step
+            for _ in range(60):
+                trial = _project_1d(x + step * grad) if step != step0 else moved
+                ft = _closed_form_1d(trial)
+                if ft > fx + 1e-4 * float(np.sum(grad * (trial - x))):
+                    new, fnew = trial, ft
+                    break
+                step *= 0.5
+        if new is None:
+            return x, fx, residual, residual < tol, long_steps
+        s, g_prev = new - x, grad
+        x, fx = new, fnew
+    return x, fx, residual, False, long_steps

@@ -333,8 +333,9 @@ def test_optimize(capsys):
     payload = json.loads(out)
     assert payload["value_exact"] == "3/32"
     assert len(payload["point"]) == 4 and payload["restarts"] == 100
-    # the most outer iterations any of the 100 starts took, and how many converged
-    assert payload["stats"] == {"iterations": 84, "restarts_converged": 100}
+    # the most outer iterations any of the 100 starts took, the long trials
+    # taken, and how many starts converged
+    assert payload["stats"] == {"iterations": 32, "long_steps": 277, "restarts_converged": 100}
 
 
 def test_optimize_report_is_maximize(capsys):

@@ -33,19 +33,32 @@ no longer converges.  The stopping residual is the gradient-mapping norm
 STEP alone is slow near a face barycentre such as (1/3, 1/3, 1/3, 0, ...),
 a saddle of value 5/54.  There the curvature along (1, -1, 0, ...) is 0,
 so from an offset e a step of 6 escapes only as fast as 1/e: 102, 270 and
-740 iterations from e = 1e-2, 3e-3 and 1e-3.  So from its second
-iteration each row also tries a long step, the Barzilai-Borwein length
-ss/sy of its last step s and gradient change y, sy = -s.y: the inverse of
-the downward curvature that step met.  Where sy <= 0 it met none, and the
-length is the cap T_MAX.  The row takes the long trial only when it passes
-the Armijo condition and beats the STEP trial, so each row still ascends
-and the stopping rule is unchanged.  T_MAX = 96 comes from the outer
-iterations of the runs for n = 2..12 at seeds 0-39.  Their worst run takes
-462, 236, 127, 88, 51 and 54 at caps 24, 48, 96, 192, 384 and 1000
-(1071 with no long step), and their total is least at 96: 13889, against
-15494 at 48, 14073 at 192, 14648 at 384 and 15936 at 1000.  Their time
-in process (seeds 0-19, 2-core Xeon) is flat from 96 to 384, 2.01-2.04 s,
-and higher at 48 and 1000, 2.37 and 2.23 s.
+740 iterations from e = 1e-2, 3e-3 and 1e-3.  So each iteration builds
+two trials of every row, the STEP trial and a long trial, stacked for one
+projection and one objective call.  The long step is the Barzilai-Borwein
+length ss/sy of the row's last step s and gradient change y, sy = -s.y:
+the inverse of the downward curvature that step met.  Where sy <= 0 it
+met none, and the length is the cap T_MAX.  From its second iteration a
+row takes the long trial whenever it passes the Armijo condition, also
+when it is shorter than STEP; near the maximizer ss/sy lies between 4 and
+12, the inverse curvatures 1/4 and 1/12 above, where STEP alone contracts
+only by 1/2 per step.  Otherwise the row takes the STEP trial or backtracks
+from it, so each row still ascends, and the residual and the stopping rule
+are those of the STEP trial.  T_MAX = 384 comes from the outer iterations
+of the runs for n = 2..12 at seeds 0-39 under this rule:
+
+    T_MAX   worst run   total   seed 0
+       96         126    9394      246
+      192          69    9070      224
+      384          41    8983      229
+
+against a worst run of 127 and a total of 13889 (338 at seed 0) when the
+long trial was taken only beyond STEP and only when it beat the STEP
+trial.  At 192 one final row at seed 0, n = 4, misses TOL at step 1 (see
+test_final_rows_meet_tol_at_step_one); at 384 every test passes.  On
+seeds 40-99 the worst run is 260, 45 and 31 and the total 14281, 13491
+and 13474 at the three caps.  Time in process for seeds 0-9 is the same
+at 96 and 384, 0.396 s (2-core Xeon, medians of 8 alternating rounds).
 
 The exact value comes from the integer core _closed_form_numerator of
 trilag.lagrangian, on the (d, p) of a WeightVector.  This module imports
@@ -128,14 +141,15 @@ def project_to_simplex(v) -> np.ndarray:
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
 STEP = 6.0  # first trial step; the module docstring derives it
-T_MAX = 96.0  # cap on the long trial step; the module docstring gives the reason
+T_MAX = 384.0  # cap on the long trial step; the module docstring gives the reason
 
 
 def _long_step(s, y):
     """Each row's long trial step from its last step s and gradient change y.
 
     The Barzilai-Borwein length ss/sy, with sy = -s.y, capped at T_MAX;
-    T_MAX where sy <= 0, where the step met no downward curvature.
+    T_MAX where sy <= 0, where the step met no downward curvature.  It can
+    be shorter than STEP, and ascend tries it all the same.
     """
     ss = (s * s).sum(axis=-1)
     sy = -(s * y).sum(axis=-1)
@@ -148,17 +162,20 @@ def _long_step(s, y):
 def ascend(starts):
     """Projected gradient ascent with Armijo backtracking, one start per row.
 
-    Each row follows its own ascent.  From the second iteration on, a row
-    whose long step (_long_step) exceeds STEP also tries P(x + t grad) and
-    takes it if it passes the Armijo condition and beats the objective of
-    the step-STEP trial.  Otherwise it steps from STEP, halving up to
+    Each row follows its own ascent.  Every iteration builds two trials of
+    each row, the STEP trial P(x + STEP grad) and the long trial
+    P(x + t grad) with t = _long_step(s, y) (t = STEP in the first
+    iteration), stacked in one (2, rows, n) array for one projection and
+    one objective call.  From the second iteration on a row takes the long
+    trial if it passes the Armijo condition; otherwise it takes the STEP
+    trial if that passes, and otherwise it halves the step from STEP up to
     MAX_HALVINGS times until the Armijo condition holds.  A row stops when
     its residual, the gradient-mapping norm |P(x + STEP grad) - x| / STEP,
     falls below TOL (converged) or when no step is accepted; only the rows
     still active are advanced, for at most MAX_ITER iterations.  Returns
     the final points, their objective values, residuals and converged
     flags, the number of outer iterations run and the number of long
-    trials taken.
+    trials taken, shorter than STEP or not.
 
     The active rows live in compact arrays: live[i] is the row of the
     batch whose point, value and s2 are xa[i], fa[i] and s2a[i], and whose
@@ -170,42 +187,33 @@ def ascend(starts):
     residual = np.full(len(x), np.inf)
     converged = np.zeros(len(x), dtype=bool)
     live, xa, fa, s2a, res = np.arange(len(x)), x, fx, s2, residual
-    t = np.zeros(len(x))  # no step taken yet, so no long trial in the first iteration
     iterations = long_steps = 0
     while live.size and iterations < MAX_ITER:
         iterations += 1
         grad = _gradient(xa, s2a[:, None])
-        if iterations > 1:
-            t = _long_step(s, grad - gprev)
-        moved = project_to_simplex(xa + STEP * grad)
-        delta = moved - xa
-        res = np.sqrt((delta**2).sum(axis=-1)) / STEP
+        # no step taken yet in the first iteration, so no long step either
+        t = _long_step(s, grad - gprev)[:, None] if iterations > 1 else STEP
+        trials = project_to_simplex(np.stack((xa + STEP * grad, xa + t * grad)))
+        res = np.sqrt(((trials[0] - xa) ** 2).sum(axis=-1)) / STEP
         done = res < TOL
         if done.any():
             rows = live[done]
             x[rows], fx[rows], residual[rows] = xa[done], fa[done], res[done]
             converged[rows] = True
             keep = ~done
-            live, xa, fa, grad, moved, delta, res, t = (
-                a[keep] for a in (live, xa, fa, grad, moved, delta, res, t)
-            )
+            live, xa, fa, grad, res = (a[keep] for a in (live, xa, fa, grad, res))
             if not live.size:
                 break
-        ft, s2t = _objective(moved)
-        accepted = ft > fa + ARMIJO * (grad * delta).sum(axis=-1)
-        long = np.flatnonzero(t > STEP)
-        if long.size:
-            xl, gl = xa[long], grad[long]
-            trial = project_to_simplex(xl + t[long, None] * gl)
-            fl, s2l = _objective(trial)
-            ok = (fl > ft[long]) & (fl > fa[long] + ARMIJO * (gl * (trial - xl)).sum(axis=-1))
-            took = long[ok]
-            moved[took], ft[took], s2t[took] = trial[ok], fl[ok], s2l[ok]
-            accepted[took] = True
-            long_steps += took.size
-        if not accepted.all():
+            trials = trials[:, keep]
+        ft, s2t = _objective(trials)
+        ok = ft > fa + ARMIJO * (grad * (trials - xa)).sum(axis=-1)
+        long = ok[1] & (iterations > 1)
+        long_steps += int(np.count_nonzero(long))
+        moved = np.where(long[:, None], trials[1], trials[0])
+        ft, s2t = np.where(long, ft[1], ft[0]), np.where(long, s2t[1], s2t[0])
+        refused = np.flatnonzero(~(long | ok[0]))
+        if refused.size:
             # halve the step for the refused rows; moved, ft and s2t take what they accept
-            refused = np.flatnonzero(~accepted)
             for k in range(1, MAX_HALVINGS):
                 xr, gr = xa[refused], grad[refused]
                 trial = project_to_simplex(xr + STEP * 0.5**k * gr)
@@ -251,9 +259,10 @@ def maximize(n: int, seed: int = 0) -> dict:
     symmetric optima; the lexicographically smallest tied point wins.  It
     is rounded by round_point_exact and re-evaluated exactly as
     value_exact.  stats counts the outer iterations of the batch (the most
-    any one start took, at most MAX_ITER), long_steps, the long trials the
-    starts took, and restarts_converged, the starts that ended with
-    residual < TOL.  At n = 1 every start is the simplex's one point (1).
+    any one start took, at most MAX_ITER), long_steps, the Barzilai-Borwein
+    trials the starts took in place of the STEP trial, shorter than STEP or
+    not, and restarts_converged, the starts that ended with residual < TOL.
+    At n = 1 every start is the simplex's one point (1).
     """
     if n < 1:
         raise ValueError("need at least one vertex")

@@ -603,14 +603,14 @@ def ascend_one(x: np.ndarray, tol: float, max_iter: int = 4000):
     vector objective, gradient and projection.  Its sums are plain
     ``np.sum`` reductions, the arithmetic the batch does on each row, not
     BLAS dot products, whose last bits depend on the BLAS kernel.  From the
-    second iteration on it first tries the long step t = min(ss/sy, 96),
-    or 96 when sy <= 0, where s is the last step, y the gradient change
-    and sy = -s.y, when t > 6; it keeps that trial if it passes Armijo and
-    beats the step-6 trial.  Returns the final point, its objective value,
-    the last residual, the converged flag and the number of long trials
-    taken.
+    second iteration on it first tries the long step t = min(ss/sy, 384),
+    or 384 when sy <= 0, where s is the last step, y the gradient change
+    and sy = -s.y, and keeps that trial if it passes Armijo, whatever t
+    is.  Otherwise it backtracks from step 6.  Returns the final point, its
+    objective value, the last residual, the converged flag and the number
+    of long trials taken.
     """
-    step0, t_max = 6.0, 96.0
+    step0, t_max = 6.0, 384.0
     fx = _closed_form_1d(x)
     residual = np.inf
     s = g_prev = None
@@ -626,13 +626,11 @@ def ascend_one(x: np.ndarray, tol: float, max_iter: int = 4000):
             ss = float(np.sum(s * s))
             sy = -float(np.sum(s * (grad - g_prev)))
             t = min(ss / sy, t_max) if sy > 0 else t_max
-            if t > step0:
-                trial = _project_1d(x + t * grad)
-                fl = _closed_form_1d(trial)
-                armijo = fl > fx + 1e-4 * float(np.sum(grad * (trial - x)))
-                if armijo and fl > _closed_form_1d(moved):
-                    new, fnew = trial, fl
-                    long_steps += 1
+            trial = _project_1d(x + t * grad)
+            fl = _closed_form_1d(trial)
+            if fl > fx + 1e-4 * float(np.sum(grad * (trial - x))):
+                new, fnew = trial, fl
+                long_steps += 1
         if new is None:
             step = step0
             # Armijo backtracking on the projected step

@@ -335,7 +335,7 @@ def test_optimize(capsys):
     assert len(payload["point"]) == 4 and payload["restarts"] == 100
     # the most outer iterations any of the 100 starts took, the long trials
     # taken, and how many starts converged
-    assert payload["stats"] == {"iterations": 32, "long_steps": 277, "restarts_converged": 100}
+    assert payload["stats"] == {"iterations": 19, "long_steps": 649, "restarts_converged": 100}
 
 
 def test_optimize_report_is_maximize(capsys):

@@ -10,9 +10,9 @@ alone.
   one instance.
 - ``trilag.simplex``: simplex maximization of the complete graph closed
   form (numpy).
-- ``trilag.certify``: exact polynomials, h, and the exact certificate of
-  the final trivariate inequality, one Bernstein form on D raised to the
-  first degree with no negative coefficient.
+- ``trilag.certify``: h as a dict of integer terms, and the exact
+  certificate of the final trivariate inequality, one Bernstein form on D
+  raised to the first degree with no negative coefficient.
 - ``trilag.harness``: exhaustive sweeps over orientations (numpy).
 - ``trilag.fileio``: the graph and weight file formats.
 - ``trilag.cli``: the ``trilag`` command line.

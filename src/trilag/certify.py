@@ -10,17 +10,17 @@ a fresh Bernstein conversion of the paper's 3/32 - g at degree m, in
 Fractions, checks it.
 
 Everything here is rational arithmetic: no floats, no rounding modes, no
-computer algebra system.  A ``Poly`` is a sparse map from exponent tuples
-of k nonnegative ints, checked on the way in, to int or Fraction
-coefficients.  h uses k = 3 and is expanded on integers, as 96 h
-(``h96_polynomial``).
+computer algebra system.  A polynomial in x1, x2, x3 is a plain dict of
+its terms, {(i, j, k): c} for c x1^i x2^j x3^k, with int or Fraction
+coefficients; certify checks every key and coefficient once, on the way
+in.  h is expanded on integers, as 96 h (``h96_polynomial``).
 
 There is one product loop, on packed keys: the exponent tuple m is the int
 m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
-product, so multiplying two monomials is one integer addition.  ``Poly``'s
-product packs its operands and unpacks the result.  The Bernstein
+product, so multiplying two monomials is one integer addition.
+``h96_polynomial`` squares q on keys of base 5.  The Bernstein
 conversion, ``_power_form``, keeps its four barycentric linear forms
-packed throughout and makes no Poly and no Fraction: its result is a form
+packed throughout and makes no Fraction: its result is a form
 homogeneous of degree n in l_0..l_3, so l^a is keyed on (a_1, a_2, a_3)
 alone and l_0's key is 0.  ``_elevate`` raises that form's degree by one,
 a copy and three shifted sums, for Polya degree elevation: the
@@ -73,14 +73,6 @@ DOMAIN_VERTICES = (
 MAX_DEGREE = 32
 
 
-def _key(m: tuple[int, ...], base: int) -> int:
-    """The packed key m_0 + base m_1 + base^2 m_2 + ... of an exponent tuple."""
-    key = 0
-    for e in reversed(m):
-        key = key * base + e
-    return key
-
-
 def _mul_packed(f: dict, g: dict, out: dict) -> dict:
     """Add the product of two polynomials on packed keys to out, and return out.
 
@@ -95,131 +87,33 @@ def _mul_packed(f: dict, g: dict, out: dict) -> dict:
     return out
 
 
-class Poly:
-    """Polynomial in k variables as a sparse map exponent tuple -> int or Fraction.
+def _terms(p: dict) -> tuple[dict, int]:
+    """p's nonzero terms and its degree, once every term is checked.
 
-    k is fixed when the polynomial is built, and every monomial must be a
-    tuple of k nonnegative ints.  Integer coefficients stay integers under
-    +, - and *: every sum starts from the int 0.  Any other coefficient or
-    scalar is made a Fraction, exactly, on the way in.
+    Every key must be a tuple of 3 nonnegative int exponents, even where
+    its coefficient is 0, and every coefficient an int or a Fraction.
     """
-
-    __slots__ = ("coeffs", "k")
-
-    def __init__(self, coeffs=None, k: int = 3) -> None:
-        self.coeffs = {}
-        self.k = k
-        for m, c in (coeffs or {}).items():
-            if not (
-                type(m) is tuple and len(m) == k and all(type(e) is int and e >= 0 for e in m)
-            ):
-                raise ValueError(
-                    f"monomial {m!r} is not a tuple of k = {k} nonnegative int exponents"
-                )
-            if c:
-                self.coeffs[m] = c if type(c) is int or type(c) is Fraction else Fraction(c)
-
-    @classmethod
-    def _from_valid(cls, coeffs: dict, k: int) -> "Poly":
-        """A Poly without __init__'s checks, for monomials of valid Polys.
-
-        The coefficients must be ints or Fractions; zeros are dropped.
-        """
-        p = cls.__new__(cls)
-        p.coeffs = {m: c for m, c in coeffs.items() if c}
-        p.k = k
-        return p
-
-    @staticmethod
-    def constant(c, k: int = 3) -> "Poly":
-        return Poly({(0,) * k: c}, k)
-
-    @staticmethod
-    def variable(axis: int, k: int = 3) -> "Poly":
-        if not 0 <= axis < k:
-            raise ValueError(f"axis {axis} is not a variable of a polynomial in k = {k} variables")
-        return Poly({tuple(int(i == axis) for i in range(k)): 1}, k)
-
-    def degree(self) -> int:
-        """Total degree; 0 for constants and the zero polynomial."""
-        return max((sum(m) for m in self.coeffs), default=0)
-
-    def _check_k(self, other: "Poly") -> None:
-        if other.k != self.k:
-            raise ValueError(f"polynomials in {self.k} and {other.k} variables")
-
-    def __add__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(other, self.k)
-        self._check_k(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return Poly._from_valid(out, self.k)
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly._from_valid({m: -c for m, c in self.coeffs.items()}, self.k)
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            other = other if type(other) is int else Fraction(other)
-            return Poly._from_valid({m: c * other for m, c in self.coeffs.items()}, self.k)
-        self._check_k(other)
-        base = self.degree() + other.degree() + 1  # exceeds every exponent of the product
-        f = {_key(m, base): c for m, c in self.coeffs.items()}
-        g = {_key(m, base): c for m, c in other.coeffs.items()}
-        out = {}
-        for key, c in _mul_packed(f, g, {}).items():
-            m = []
-            for _ in range(self.k):
-                key, e = divmod(key, base)
-                m.append(e)
-            out[tuple(m)] = c
-        return Poly._from_valid(out, self.k)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(1, self.k)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and (self.k, self.coeffs) == (other.k, other.coeffs)
-
-    def evaluate(self, *xs) -> Fraction:
-        """Exact value at k rational (Fraction or int) arguments."""
-        if len(xs) != self.k:
-            raise TypeError(f"{len(xs)} arguments for {self.k} variables")
-        xs = [Fraction(x) for x in xs]
-        total = Fraction(0)
-        for m, c in self.coeffs.items():
-            for x, e in zip(xs, m):
-                c = c * x**e
-            total += c
-        return total
-
-    def __repr__(self) -> str:
-        return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
+    for m, c in p.items():
+        if not (type(m) is tuple and len(m) == 3 and all(type(e) is int and e >= 0 for e in m)):
+            raise ValueError(f"monomial {m!r} is not a tuple of 3 nonnegative int exponents")
+        if type(c) is not int and type(c) is not Fraction:
+            raise TypeError(f"coefficient {c!r} of {m!r} is not an int or a Fraction")
+    terms = {m: c for m, c in p.items() if c}
+    return terms, max(map(sum, terms), default=0)
 
 
-def h96_polynomial() -> Poly:
-    """96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7, on integers.
+def h96_polynomial() -> dict[tuple[int, int, int], int]:
+    """96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7, as its 24 integer terms.
 
     h = 3/32 - g, with g = (1 - sum x^3)/6 - q^2/8 the trivariate
     domination function and q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3.
+    Every exponent of 96 h is at most 4, so its terms are packed on the
+    keys i + 5 j + 25 k: 12 q q is one _mul_packed call, added to the rest.
     """
-    q = Poly(
-        {(0, 0, 0): 1, (2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 1): -1, (1, 0, 1): 1, (0, 1, 1): 1}
-    )
-    rest = Poly({(3, 0, 0): 16, (0, 3, 0): 16, (0, 0, 3): 16, (0, 0, 0): -7})
-    return 12 * (q * q) + rest
+    q = {0: 1, 2: -1, 10: -1, 25: -1, 26: 1, 30: 1}
+    rest = {3: 16, 15: 16, 75: 16, 0: -7}  # 16 x1^3, 16 x2^3, 16 x3^3 and -7
+    packed = _mul_packed(q, {key: 12 * c for key, c in q.items()}, rest)
+    return {(key % 5, key // 5 % 5, key // 25): c for key, c in packed.items() if c}
 
 
 def _multi_indices(n: int):
@@ -230,8 +124,8 @@ def _multi_indices(n: int):
                 yield a0, a1, a2, n - a0 - a1 - a2
 
 
-def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
-    """The form S D^n p of degree n = p.degree() in the barycentric coordinates l.
+def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
+    """The form S D^n p of degree n, p's, in the barycentric coordinates l.
 
     With D the vertices' common denominator and S that of p's coefficients,
     D x1, D x2, D x3 and D are linear in l with integer coefficients, and
@@ -240,16 +134,15 @@ def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
     is dense: every l^a with |a| = n has an entry, 0 included, in
     ``_multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
     with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
+    p is a term dict as ``_terms`` returns it, checked and with no zero.
     Returns the form and its denominator S D^n.
     """
-    if p.k != 3:
-        raise ValueError(f"a Bernstein form on a tetrahedron needs a polynomial in 3 variables, not {p.k}")
-    n = p.degree()
+    n = max(map(sum, p), default=0)
     b = n + 1  # the products' base; for n < 6 their keys are cached small ints
     unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
     verts = [[c if type(c) is int or type(c) is Fraction else Fraction(c) for c in v] for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
-    scale = lcm(*(c.denominator for c in p.coeffs.values()))
+    scale = lcm(*(c.denominator for c in p.values()))
     forms = [  # D x1, D x2 and D x3 in l, then D
         {u: v[x].numerator * (den // v[x].denominator) for u, v in zip(unit, verts) if v[x]}
         for x in range(3)
@@ -265,7 +158,7 @@ def _power_form(p: Poly, vertices, base: int) -> tuple[dict[int, int], int]:
     # total = S D^n p, summed over p's terms grouped by (i, j): each group is
     # (D x1)^i (D x2)^j times the sum of its S c (D x3)^k D^(n - i - j - k)
     by_ij = {}
-    for (i, j, k), c in p.coeffs.items():
+    for (i, j, k), c in p.items():
         by_ij.setdefault((i, j), []).append((k, c.numerator * (scale // c.denominator)))
     total = {}
     for (i, j), terms in by_ij.items():
@@ -311,8 +204,12 @@ def _bernstein_numerators(form: dict[int, int], degree: int, base: int) -> dict[
     }
 
 
-def certify(poly: Poly | None = None) -> dict:
+def certify(poly: dict | None = None) -> dict:
     """Certify poly >= 0 (default: h) on D by Bernstein degree elevation.
+
+    poly is a term dict {(i, j, k): int or Fraction}; a key that is not a
+    tuple of 3 nonnegative ints is a ValueError, and a coefficient of any
+    other type a TypeError.
 
     Returns the report that ``trilag certify`` prints: ``result``, the
     ``degree`` m of the form, the number of its ``coefficients``, the
@@ -325,7 +222,7 @@ def certify(poly: Poly | None = None) -> dict:
     or poly really is negative somewhere on D, never a disproof.
     """
     p, scale = (h96_polynomial(), 96) if poly is None else (poly, 1)
-    m = p.degree()
+    p, m = _terms(p)
     base = max(m, MAX_DEGREE) + 1
     form, den = _power_form(p, DOMAIN_VERTICES, base)
     low = min(form.values())

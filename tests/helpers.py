@@ -15,16 +15,20 @@ that they check.  trace_to_jsonable renders an oracle trace with
 str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
 reference for the integer rows and the gcd renderer of pipeline_report
 and trilag reduce.
-bernstein_oracle is the conversion built from Poly products of barycentric
-forms, with tuple keys; certify runs it on packed int keys.  At a degree
-above p's it is a fresh conversion, the oracle of certify's elevation.
-elevate_oracle raises bernstein_oracle's coefficients to a higher degree in
-Fractions, one degree at a time, where certify elevates integer numerators
-on packed keys; neither calls the packed code.  packed_coefficients is the
-packed route itself, certify's _power_form, _elevate and
-_bernstein_numerators, made Fractions for the tests to compare.
-g_polynomial_oracle expands the paper's g with Fraction-coefficient Polys,
-and h_oracle is 3/32 minus it.
+Poly is the polynomial of the certificate's oracles, a sparse map from
+exponent tuples to coefficients whose product adds the tuples; trilag.certify
+has no polynomial class and takes a polynomial as Poly's coeffs, a plain
+term dict.  bernstein_oracle is the conversion built from Poly products of
+barycentric forms, with tuple keys; certify runs it on packed int keys.  At
+a degree above p's it is a fresh conversion, the oracle of certify's
+elevation.  elevate_oracle raises bernstein_oracle's coefficients to a
+higher degree in Fractions, one degree at a time, where certify elevates
+integer numerators on packed keys.  g_polynomial_oracle expands the paper's
+g with Fraction-coefficient Polys, and h_oracle is 3/32 minus it.  None of
+these shares code with the prover: they call no function of trilag.certify.
+packed_coefficients is the packed route itself, certify's _terms,
+_power_form, _elevate and _bernstein_numerators, made Fractions for the
+tests to compare.
 parse_weights_oracle parses weights one Fraction per line, through
 parse_rational; parse_weights_text reads p/q and integer tokens with int()
 and builds the vector from (d, p).
@@ -35,10 +39,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 
 import numpy as np
 
-from trilag.certify import DOMAIN_VERTICES, Poly, _bernstein_numerators, _elevate, _power_form
+from trilag.certify import DOMAIN_VERTICES, _bernstein_numerators, _elevate, _power_form, _terms
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
@@ -437,6 +442,116 @@ def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
     return report
 
 
+class Poly:
+    """Polynomial in k variables as a sparse map exponent tuple -> int or Fraction.
+
+    k is fixed when the polynomial is built, and every monomial must be a
+    tuple of k nonnegative ints.  Integer coefficients stay integers under
+    +, - and *: every sum starts from the int 0.  Any other coefficient or
+    scalar is made a Fraction, exactly, on the way in.  The product adds
+    exponent tuples, term by term, with no packing.
+    """
+
+    __slots__ = ("coeffs", "k")
+
+    def __init__(self, coeffs=None, k: int = 3) -> None:
+        self.coeffs = {}
+        self.k = k
+        for m, c in (coeffs or {}).items():
+            if not (
+                type(m) is tuple and len(m) == k and all(type(e) is int and e >= 0 for e in m)
+            ):
+                raise ValueError(
+                    f"monomial {m!r} is not a tuple of k = {k} nonnegative int exponents"
+                )
+            if c:
+                self.coeffs[m] = c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+    @classmethod
+    def _from_valid(cls, coeffs: dict, k: int) -> "Poly":
+        """A Poly without __init__'s checks, for monomials of valid Polys.
+
+        The coefficients must be ints or Fractions; zeros are dropped.
+        """
+        p = cls.__new__(cls)
+        p.coeffs = {m: c for m, c in coeffs.items() if c}
+        p.k = k
+        return p
+
+    @staticmethod
+    def constant(c, k: int = 3) -> "Poly":
+        return Poly({(0,) * k: c}, k)
+
+    @staticmethod
+    def variable(axis: int, k: int = 3) -> "Poly":
+        if not 0 <= axis < k:
+            raise ValueError(f"axis {axis} is not a variable of a polynomial in k = {k} variables")
+        return Poly({tuple(int(i == axis) for i in range(k)): 1}, k)
+
+    def degree(self) -> int:
+        """Total degree; 0 for constants and the zero polynomial."""
+        return max((sum(m) for m in self.coeffs), default=0)
+
+    def _check_k(self, other: "Poly") -> None:
+        if other.k != self.k:
+            raise ValueError(f"polynomials in {self.k} and {other.k} variables")
+
+    def __add__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = Poly.constant(other, self.k)
+        self._check_k(other)
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0) + c
+        return Poly._from_valid(out, self.k)
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-other)
+
+    def __neg__(self) -> "Poly":
+        return Poly._from_valid({m: -c for m, c in self.coeffs.items()}, self.k)
+
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = other if type(other) is int else Fraction(other)
+            return Poly._from_valid({m: c * other for m, c in self.coeffs.items()}, self.k)
+        self._check_k(other)
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly._from_valid(out, self.k)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ValueError("negative power")
+        out = Poly.constant(1, self.k)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and (self.k, self.coeffs) == (other.k, other.coeffs)
+
+    def evaluate(self, *xs) -> Fraction:
+        """Exact value at k rational (Fraction or int) arguments."""
+        if len(xs) != self.k:
+            raise TypeError(f"{len(xs)} arguments for {self.k} variables")
+        xs = [Fraction(x) for x in xs]
+        total = Fraction(0)
+        for m, c in self.coeffs.items():
+            for x, e in zip(xs, m):
+                c = c * x**e
+            total += c
+        return total
+
+    def __repr__(self) -> str:
+        return f"Poly({dict(sorted(self.coeffs.items()))}, k={self.k})"
+
+
 def stability_polynomial() -> Poly:
     """h - |x - (1/2, 1/2, 0)|^2 / 144, the stability form of the certified bound."""
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
@@ -551,15 +666,17 @@ def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple
     return coeffs
 
 
-def packed_coefficients(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
-    """The coefficients at a degree from _power_form, _elevate and _bernstein_numerators.
+def packed_coefficients(p: dict, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
+    """The coefficients of a term dict at a degree from _terms, _power_form,
+    _elevate and _bernstein_numerators.
 
     Asserts on the way that the form is dense at the degree and that the
     numerators come in multi_indices order.
     """
     base = degree + 1
+    p, n = _terms(p)
     form, den = _power_form(p, vertices, base)
-    for _ in range(degree - p.degree()):
+    for _ in range(degree - n):
         form = _elevate(form, base)
     assert len(form) == len(multi_indices(degree))  # dense at every degree
     nums = _bernstein_numerators(form, degree, base)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, Poly, certify, h96_polynomial
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify, h96_polynomial
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -26,6 +26,7 @@ from trilag.lagrangian import (
 from trilag.simplex import gradient, maximize
 
 from helpers import (
+    Poly,
     bernstein_oracle,
     g_polynomial_oracle,
     merge_identity_sides,
@@ -171,7 +172,7 @@ def test_criterion_5_optimizer():
 
 def test_criterion_6_certifier():
     cert = certify()
-    h96 = h96_polynomial()
+    h96 = Poly(h96_polynomial())
     m = cert["degree"]
     # every coefficient at the reported degree, a fresh conversion of the paper's 3/32 - g
     coeffs = bernstein_oracle(Poly.constant(BOUND) - g_polynomial_oracle(), DOMAIN_VERTICES, m)

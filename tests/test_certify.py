@@ -1,12 +1,13 @@
 import json
+import re
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
 import trilag.certify as certify_module
-from helpers import bernstein_oracle, elevate_oracle, h_oracle, multi_indices, point_in_domain, stability_polynomial
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, Poly, _power_form, certify
+from helpers import Poly, bernstein_oracle, elevate_oracle, h_oracle, multi_indices, point_in_domain, stability_polynomial
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, _power_form, certify
 
 HALF = Fraction(1, 2)
 
@@ -45,11 +46,11 @@ def test_point_domain_checks():
 
 def test_constant_poly_certifies_at_depth_zero():
     """A constant certifies with no elevation step, at degree 0."""
-    cert = certify(poly=Poly.constant(Fraction(3, 32)))
+    cert = certify(poly={(0, 0, 0): Fraction(3, 32)})
     assert cert == {
         "result": CERTIFIED, "degree": 0, "coefficients": 1, "least": "3/32", "least_at": [0, 0, 0, 0],
     }
-    assert certify(poly=Poly())["least"] == "0"
+    assert certify(poly={})["least"] == "0"
 
 
 def test_negative_counts_and_the_first_certified_degree():
@@ -59,7 +60,7 @@ def test_negative_counts_and_the_first_certified_degree():
     for name, p, degrees in (("h", h_oracle(), range(4, 9)),
                              ("stability", stability_polynomial(), range(4, 10))):
         counts[name] = [sum(b < 0 for b in elevate_oracle(p, m).values()) for m in degrees]
-        assert certify(poly=p)["degree"] == degrees.start + counts[name].index(0)
+        assert certify(poly=p.coeffs)["degree"] == degrees.start + counts[name].index(0)
     assert counts == {"h": [3, 5, 3, 1, 0], "stability": [3, 5, 6, 3, 1, 0]}
     coeffs = elevate_oracle(h_oracle(), 8)
     assert len(coeffs) == 165
@@ -82,12 +83,12 @@ def test_stability_bound_with_sharp_constant():
     dist = (x1 - HALF) ** 2 + (x2 - HALF) ** 2 + x3**2
     third = Fraction(1, 3)
     stable = stability_polynomial()
-    cert = certify(poly=stable)
+    cert = certify(poly=stable.coeffs)
     assert (cert["result"], cert["degree"], cert["coefficients"], cert["least"]) == (CERTIFIED, 9, 220, "0")
     assert stable.evaluate(third, third, third) == 0
     loose = h - Fraction(1, 143) * dist
     assert loose.evaluate(third, third, third) == Fraction(1, 864) - Fraction(1, 6 * 143) < 0
-    cert = certify(poly=loose)
+    cert = certify(poly=loose.coeffs)
     assert (cert["result"], cert["degree"]) == (INDETERMINATE, MAX_DEGREE)
     assert Fraction(cert["least"]) <= loose.evaluate(third, third, third)
 
@@ -101,7 +102,7 @@ def test_insufficient_depth_is_indeterminate(monkeypatch):
         monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
         cert = certify()
         assert (cert["result"], cert["degree"]) == (INDETERMINATE, degree)
-        assert cert == certify(h_oracle()) == report_oracle(h_oracle(), cap)
+        assert cert == certify(h_oracle().coeffs) == report_oracle(h_oracle(), cap)
         if least is not None:
             assert cert["least"] == least
 
@@ -109,7 +110,7 @@ def test_insufficient_depth_is_indeterminate(monkeypatch):
 def test_degree_cap_ends_a_run_that_cannot_certify():
     """h - 1/1000 is negative near (1/2, 1/2, 0), so no degree certifies it:
     the run ends at MAX_DEGREE, with the vertex's coefficient -1/1000 least."""
-    cert = certify(poly=h_oracle() - Fraction(1, 1000))
+    cert = certify(poly=(h_oracle() - Fraction(1, 1000)).coeffs)
     assert cert == {
         "result": INDETERMINATE,
         "degree": MAX_DEGREE,
@@ -147,7 +148,7 @@ def test_certificate_tiling_and_coverage():
 def test_certificate_json_shape():
     js = certify()
     assert js == {"result": CERTIFIED, "degree": 8, "coefficients": 165, "least": "0", "least_at": [0, 0, 7, 1]}
-    assert certify() == js == certify(h_oracle())
+    assert certify() == js == certify(h_oracle().coeffs)
     assert json.loads(json.dumps(js)) == js
 
 
@@ -198,7 +199,7 @@ def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, p
     p = h_oracle() if poly is None else poly
     cap = MAX_DEGREE if depth is None else p.degree() + depth
     monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
-    cert = certify(poly=poly)
+    cert = certify(poly=None if poly is None else poly.coeffs)
     assert (cert["result"], cert["degree"], sign(Fraction(cert["least"]))) == shape
     assert cert == report_oracle(p, cap, fresh_conversion) == report_oracle(p, cap)
 
@@ -213,19 +214,30 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
     # certify looks the conversion up in its own module's namespace
     monkeypatch.setattr(certify_module, "_power_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
-    assert certify(poly=h_oracle() - Fraction(1, 1000))["degree"] == 12
+    assert certify(poly=(h_oracle() - Fraction(1, 1000)).coeffs)["degree"] == 12
     assert calls == [DOMAIN_VERTICES]
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_certify_refuses_a_poly_not_in_three_variables(k):
-    message = f"^a Bernstein form on a tetrahedron needs a polynomial in 3 variables, not {k}$"
-    for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k)):
-        with pytest.raises(ValueError, match=message):
-            certify(poly=poly)
+    """x1 and 1 written on keys of k exponents."""
+    for monomial in ((1,) + (0,) * (k - 1), (0,) * k):
+        message = re.escape(f"monomial {monomial!r} is not a tuple of 3 nonnegative int exponents")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certify(poly={(0, 0, 0): 1, monomial: 1})
 
 
 def test_certify_refuses_a_malformed_monomial():
-    for monomial in ((-1, 0, 0), (1, 0), (1, 0, 0, 0), (0.5, 0, 0)):
-        with pytest.raises(ValueError, match="nonnegative int exponents"):
-            certify(poly=Poly({monomial: 1}))
+    """Every key is checked, even one whose coefficient is 0; a bool is not an int exponent."""
+    for monomial in ((-1, 0, 0), (1, 0), (1, 0, 0, 0), (0.5, 0, 0), (True, 0, 0), "x1"):
+        for c in (1, 0):
+            with pytest.raises(ValueError, match="nonnegative int exponents"):
+                certify(poly={(0, 0, 0): 1, monomial: c})
+
+
+def test_certify_refuses_a_coefficient_not_int_or_fraction():
+    """A float is refused, not made exact: 0.1 is not 1/10."""
+    for c in (0.5, 1.0, "1/2", True, None):
+        message = re.escape(f"coefficient {c!r} of (1, 0, 0) is not an int or a Fraction")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            certify(poly={(0, 0, 0): 1, (1, 0, 0): c})

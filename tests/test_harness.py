@@ -31,6 +31,7 @@ from trilag.harness import (
 from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf, pipeline_report, uniform_weights
 
 from helpers import (
+    Poly,
     brute_lagrangian_bf,
     brute_lagrangian_cf,
     g_polynomial_oracle,
@@ -342,7 +343,7 @@ def test_pipeline_point_values_match_certified_polynomials():
     """h_at_point = 3/32 - g is 96 h over 96, the polynomial certify converts, and g is the
     paper's formula, at the pipeline's point."""
     rng = random.Random(300)
-    h96, g = h96_polynomial(), g_polynomial_oracle()
+    h96, g = Poly(h96_polynomial()), g_polynomial_oracle()
     for _ in range(300):
         n = rng.randint(2, 7)
         report = pipeline_report(rand_orientation(rng, n), rand_weights(rng, n))

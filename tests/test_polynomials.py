@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from helpers import (
+    Poly,
     bernstein_oracle,
     elevate_oracle,
     g_polynomial_oracle,
@@ -14,7 +15,7 @@ from helpers import (
     packed_coefficients,
     stability_polynomial,
 )
-from trilag.certify import DOMAIN_VERTICES, Poly, certify, h96_polynomial
+from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify, h96_polynomial
 from trilag.lagrangian import WeightVector, _g_numerator
 
 HALF = Fraction(1, 2)
@@ -32,7 +33,7 @@ def rand_rational(rng, den=64):
 
 def test_h_key_values():
     """h and 96 h over 96 at three vertices of D; both have degree 4."""
-    h, h96 = h_oracle(), h96_polynomial()
+    h, h96 = h_oracle(), Poly(h96_polynomial())
     for point, value in (((HALF, HALF, 0), 0), ((1, 0, 0), Fraction(3, 32)),
                          ((Fraction(1, 3),) * 3, Fraction(1, 864))):
         assert h.evaluate(*point) == h96.evaluate(*point) / 96 == value
@@ -59,8 +60,8 @@ def test_g_and_h_expand_the_papers_formula():
     96 h with every coefficient over 96."""
     h, h96 = h_oracle(), h96_polynomial()
     assert all(type(c) is Fraction for c in h.coeffs.values())
-    assert all(type(c) is int for c in h96.coeffs.values())
-    assert h == Poly({m: Fraction(c, 96) for m, c in h96.coeffs.items()})
+    assert len(h96) == 24 and all(type(c) is int and c for c in h96.values())
+    assert h == Poly({m: Fraction(c, 96) for m, c in h96.items()})
 
 
 @pytest.mark.parametrize(
@@ -80,8 +81,12 @@ def test_poly_refuses_a_malformed_monomial(monomial, k):
         Poly({monomial: 1}, k)
     with pytest.raises(ValueError, match=message):
         Poly({(0,) * k: 1, monomial: 0}, k)  # a zero coefficient does not excuse it
-    with pytest.raises(ValueError, match=message):
-        certify(Poly({monomial: 1}, k))
+    # certify takes a plain term dict in 3 variables, where (1, 0, 0) is x1
+    if (monomial, k) == ((1, 0, 0), 4):
+        assert certify({monomial: 1})["result"] == CERTIFIED
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"monomial {monomial!r} is not a tuple of 3 ")):
+            certify({monomial: 1})
 
 
 @pytest.mark.parametrize("axis, k", [(3, 3), (-1, 3), (0, 0), (2, 2), (4, 4), (-1, 1)])
@@ -170,7 +175,7 @@ def test_bernstein_form_reproduces_h_on_each_leaf():
     rng = random.Random(400)
     simplices = [DOMAIN_VERTICES, *HALVES]
     for vertices in simplices:
-        coeffs = packed_coefficients(h, h.degree(), vertices)
+        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
         assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
         for _ in range(150):
             lam = rand_barycentric(rng)
@@ -182,7 +187,7 @@ def test_bernstein_linear_poly_is_exact_corner_min():
     rng = random.Random(7)
     for _ in range(20):
         vertices = rand_simplex(rng)
-        coeffs = packed_coefficients(p, p.degree(), vertices)
+        coeffs = packed_coefficients(p.coeffs, p.degree(), vertices)
         assert sorted(coeffs.values()) == sorted(p.evaluate(*v) for v in vertices)
 
 
@@ -191,7 +196,7 @@ def test_bernstein_corner_coefficients_are_exact_values():
     rng = random.Random(11)
     simplices = [*HALVES] + [rand_simplex(rng) for _ in range(5)]
     for vertices in simplices:
-        coeffs = packed_coefficients(h, h.degree(), vertices)
+        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
         for i, v in enumerate(vertices):
             assert coeffs[vertex_index(4, i)] == h.evaluate(*v)
 
@@ -201,7 +206,7 @@ def test_bernstein_zero_corner_cell():
     h = h_oracle()
     zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     for vertices in HALVES:
-        coeffs = packed_coefficients(h, h.degree(), vertices)
+        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
         assert coeffs[vertex_index(4, vertices.index(zero))] == 0
         assert min(coeffs.values()) == 0
 
@@ -211,7 +216,7 @@ def test_bernstein_soundness_by_sampling():
     rng = random.Random(23)
     for _ in range(20):
         vertices = rand_simplex(rng)
-        coeffs = packed_coefficients(h, h.degree(), vertices)
+        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
         low, high = min(coeffs.values()), max(coeffs.values())
         for _ in range(100):
             assert low <= h.evaluate(*at(vertices, rand_barycentric(rng))) <= high
@@ -220,14 +225,14 @@ def test_bernstein_soundness_by_sampling():
 def test_bernstein_coefficients_are_fractions():
     h = h_oracle()
     for vertices in HALVES:
-        assert all(type(b) is Fraction for b in packed_coefficients(h, h.degree(), vertices).values())
+        assert all(type(b) is Fraction for b in packed_coefficients(h.coeffs, h.degree(), vertices).values())
     # integer coefficients on an integer-vertex simplex (common denominator 1): an
     # int / int division would give floats here
     p = Poly.variable(0) - 2 * Poly.variable(1) + 1
     corner = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     rng = random.Random(5)
     for q in (p, p * p):
-        coeffs = packed_coefficients(q, q.degree(), corner)
+        coeffs = packed_coefficients(q.coeffs, q.degree(), corner)
         assert all(type(b) is Fraction for b in coeffs.values())
         for _ in range(20):
             lam = rand_barycentric(rng)
@@ -236,9 +241,10 @@ def test_bernstein_coefficients_are_fractions():
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_bernstein_refuses_a_poly_not_in_three_variables(k):
-    for poly in (Poly.variable(0, k=k), Poly.constant(1, k=k), Poly(k=k)):
-        with pytest.raises(ValueError, match=f"3 variables, not {k}"):
-            packed_coefficients(poly, poly.degree())
+    """x1, 1 and 0 written on keys of k exponents; the zero is refused too."""
+    for poly in ({(1,) + (0,) * (k - 1): 1}, {(0,) * k: 1}, {(0,) * k: 0}):
+        with pytest.raises(ValueError, match="is not a tuple of 3 nonnegative int exponents"):
+            packed_coefficients(poly, 1)
 
 
 def rand_poly(rng, degree):
@@ -265,9 +271,9 @@ def test_elevation_equals_the_fraction_oracle_at_every_degree():
             cases.append((rand_poly(rng, d), signed_simplex(rng, den), range(d, d + 4)))
     for p, vertices, degrees in cases:
         for m in degrees:
-            assert packed_coefficients(p, m, vertices) == elevate_oracle(p, m, vertices)
+            assert packed_coefficients(p.coeffs, m, vertices) == elevate_oracle(p, m, vertices)
     # the form's value is kept: at degree 9, h's coefficients still give h
-    coeffs = packed_coefficients(h, 9)
+    coeffs = packed_coefficients(h.coeffs, 9)
     for _ in range(20):
         lam = rand_barycentric(rng)
         assert bernstein_value(coeffs, lam) == h.evaluate(*at(DOMAIN_VERTICES, lam))
@@ -286,6 +292,6 @@ def test_bernstein_equals_the_poly_product_oracle():
     simplices = [DOMAIN_VERTICES] + [signed_simplex(rng, den) for den in (7, 64, 360)]
     for p in polys:
         for vertices in simplices:
-            got = packed_coefficients(p, p.degree(), vertices)
+            got = packed_coefficients(p.coeffs, p.degree(), vertices)
             assert list(got.items()) == list(bernstein_oracle(p, vertices).items())
             assert all(type(b) is Fraction for b in got.values())

@@ -328,6 +328,21 @@ def test_final_rows_meet_tol_at_step_one():
         assert (residual < tol).all(), (n, residual.max())
 
 
+def test_final_rows_bound_the_step_one_residual():
+    """At every seed, a final row's step-1 residual r1 = |P(x + grad) - x|
+    lies between its step-STEP residual and STEP times it, so below
+    STEP * TOL.  |P(x + t grad) - x| does not decrease with t, and the same
+    length over t does not increase; 1e-15 allows for rounding."""
+    for seed in range(10):
+        for n in range(2, 13):
+            starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=100)
+            x, _, residual, *_ = ascend(starts)
+            r1 = np.sqrt(((project_to_simplex(x + gradient(x)) - x) ** 2).sum(axis=-1))
+            assert (residual <= r1 + 1e-15).all(), (seed, n, (residual - r1).max())
+            assert (r1 <= simplex.STEP * residual).all(), (seed, n)
+            assert (simplex.STEP * residual < simplex.STEP * simplex.TOL).all(), (seed, n, residual.max())
+
+
 def test_maximize_draws_starts_as_one_batch():
     """The (restarts x n) Dirichlet draw equals the sequential one-start draws."""
     for n in (1, 2, 5, 12):

@@ -12,8 +12,8 @@ and the sum must be exactly 1.  A token of ASCII digits, ``p/q`` or a
 plain integer, is read with int() and put in lowest terms with one gcd;
 any other token (a decimal, an exponent, a sign, underscores, Unicode
 digits) goes through parse_rational and Fraction.  The parser keeps D,
-the least common denominator so far, and hands D and the numerators
-p = D w to WeightVector.from_numerators.
+the least common denominator so far, and builds WeightVector(D, p) from
+the numerators p = D w.
 Reports print values of degree <= 4 in the weights, at most 1 in
 magnitude, whose denominators divide 96 D^4: a D of more than
 MAX_DENOMINATOR_DIGITS digits is rejected, as Python could not print them.
@@ -182,7 +182,7 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
         line_no = line_nos[expected_n] if len(nums) > expected_n else last
         raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(nums)}")
     try:
-        return WeightVector.from_numerators(denominator, [a * (denominator // b) for a, b in zip(nums, dens)])
+        return WeightVector(denominator, [a * (denominator // b) for a, b in zip(nums, dens)])
     except ValueError as exc:  # empty, or the sum is not 1
         raise ParseError(path, last, str(exc)) from None
 

@@ -14,13 +14,13 @@ For an undirected graph G with triple system BF:
 The arc term of L_CF takes x^2 y only (ordered arc x->y); the edge term
 of L_BF takes both x^2 y and x y^2 per unordered edge.  Every link runs
 on integers: with d the least common denominator of the weights and
-p = d x their numerators, the only fields of a WeightVector (the weight
-parser builds one from them, with no Fraction), d^3, 2 d^3 and 2 d^4
-times the triple, pair and quadratic terms are integers, and
-so are a = 2 d^3 L_CF and N = 2 d^4 L_BF.  lagrangian_cf and lagrangian_bf
-make one Fraction, the value; the reports render each value num / den
-with _ratio, which gives str(Fraction(num, den)) from one gcd.  Floats
-appear only in the optimizer module.
+p = d x their numerators, a WeightVector is built from (d, p) and stores
+nothing else, and d^3, 2 d^3 and 2 d^4 times the triple, pair and
+quadratic terms are integers, and so are a = 2 d^3 L_CF and
+N = 2 d^4 L_BF.  lagrangian_cf and lagrangian_bf make one Fraction, the
+value; the reports render each value num / den with _ratio, which gives
+str(Fraction(num, den)) from one gcd.  Floats appear only in the
+optimizer module.
 
 Neither triple sum visits the C(n,3) triples; both are sums over
 neighbourhoods.  With s_v and r_v the sums of p and of p^2 over the
@@ -79,9 +79,11 @@ Tail.  On the complete graph with numerators q, the closed form and g are
         Q = d^2 - q1^2 - q2^2 - q3(d - q1 - q2),
 
 and the majorization reads sum q^2 <= q1^2 + q2^2 + q3(d - q1 - q2) for q
-sorted descending.  The tail cores do not validate their input:
-pipeline_report checks the final numerators with _check_numerators, and
-the optimizer in trilag.simplex takes (d, p) from a WeightVector.
+sorted descending.  The tail cores do not validate their input.
+_check_numerators, the one check of simplex numerators, validates every
+WeightVector, and pipeline_report calls it on the final numerators, for
+which it builds no vector; the optimizer in trilag.simplex takes (d, p)
+from a WeightVector.
 
 lagrangian_report, reduce_report and pipeline_report build the payloads
 of trilag lagrangian, reduce and pipeline.  This module, like trilag.graphs,
@@ -91,7 +93,7 @@ loads no numpy.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 from .graphs import OrientedGraph
@@ -100,27 +102,16 @@ from .graphs import OrientedGraph
 class WeightVector:
     """Nonnegative rational vertex weights summing to exactly one.
 
-    A vector is stored as d, the least common denominator of its entries,
-    and the integer numerators p = d * w, read-only as ``denominator`` and
-    ``numerators`` (a tuple).  ``WeightVector(entries)`` takes Fractions or
-    ints; ``WeightVector.from_numerators(d, p)`` takes the integers, as the
-    weight parser hands them over.  Both validate on (d, p): every p >= 0
-    and sum(p) == d.  The entries, by ``entries``, iteration or index, are
-    Fractions made on demand; equality compares (d, p).
+    ``WeightVector(d, p)`` is the vector p / d, for integers d >= 1 and p.
+    Both are divided by their gcd and pass _check_numerators, and are kept
+    read-only as ``denominator``, the least common denominator of the
+    entries, and ``numerators`` (a tuple).  ``entries`` makes the Fractions
+    p / d on each call; equality compares (d, p).
     """
 
     __slots__ = ("_denominator", "_numerators")
 
-    def __init__(self, entries) -> None:
-        entries = tuple(entries)
-        if not all(isinstance(w, (Fraction, int)) for w in entries):
-            raise ValueError("weights must be rationals (Fraction or int)")
-        d = lcm(*(w.denominator for w in entries))
-        self._validate(d, tuple(w.numerator * (d // w.denominator) for w in entries))
-
-    @classmethod
-    def from_numerators(cls, d: int, numerators) -> WeightVector:
-        """The vector p / d, for integers d >= 1 and p; d need not be least."""
+    def __init__(self, d: int, numerators) -> None:
         try:
             d, p = index(d), tuple(map(index, numerators))
         except TypeError:
@@ -130,18 +121,7 @@ class WeightVector:
         g = gcd(d, *p)
         if g != 1:
             d, p = d // g, tuple(v // g for v in p)
-        w = cls.__new__(cls)
-        w._validate(d, p)
-        return w
-
-    def _validate(self, d: int, p: tuple[int, ...]) -> None:
-        """Store (d, p) after the checks of both constructors, d least."""
-        if not p:
-            raise ValueError("weight vector must be nonempty")
-        if any(v < 0 for v in p):
-            raise ValueError("negative weight")
-        if sum(p) != d:
-            raise ValueError(f"weights sum to {_ratio(sum(p), d)}, expected 1")
+        _check_numerators(d, p)
         self._denominator = d
         self._numerators = p
 
@@ -164,27 +144,29 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self._numerators)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.entries[i]
-        return Fraction(self._numerators[i], self._denominator)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightVector) and self._denominator == other._denominator
                 and self._numerators == other._numerators)
 
     def __repr__(self) -> str:
-        return f"WeightVector({list(self.entries)})"
+        return f"WeightVector({self._denominator}, {self._numerators})"
+
+
+def _check_numerators(d: int, p) -> None:
+    """Raise unless p / d is on the simplex: p nonempty, every p >= 0 and sum(p) == d."""
+    if not p:
+        raise ValueError("weight vector must be nonempty")
+    if any(v < 0 for v in p):
+        raise ValueError("negative weight")
+    if sum(p) != d:
+        raise ValueError(f"weights sum to {_ratio(sum(p), d)}, expected 1")
 
 
 def uniform_weights(n: int) -> WeightVector:
     """All entries 1/n, exact."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return WeightVector([Fraction(1, n)] * n)
+    return WeightVector(n, (1,) * n)
 
 
 def _adjacency(n: int, pairs) -> list[set[int]]:
@@ -369,14 +351,6 @@ def _reduce(adj, sums: tuple[int, int, int], w: WeightVector):
         for y in adj[dropped]:
             adj[y].discard(dropped)
     return d, [p[v] for v in alive], rows, start, level
-
-
-def _check_numerators(d: int, p) -> None:
-    """Raise unless p / d is on the simplex: every p >= 0 and sum(p) == d."""
-    if any(v < 0 for v in p):
-        raise ValueError("negative coordinate")
-    if sum(p) != d:
-        raise ValueError("coordinates must sum to 1")
 
 
 def _closed_form_numerator(d: int, p) -> int:

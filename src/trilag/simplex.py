@@ -52,13 +52,10 @@ of the runs for n = 2..12 at seeds 0-39 under this rule:
       192          69    9070      224
       384          41    8983      229
 
-against a worst run of 127 and a total of 13889 (338 at seed 0) when the
-long trial was taken only beyond STEP and only when it beat the STEP
-trial.  At 192 one final row at seed 0, n = 4, misses TOL at step 1 (see
+At 192 one final row at seed 0, n = 4, misses TOL at step 1 (see
 test_final_rows_meet_tol_at_step_one); at 384 every test passes.  On
 seeds 40-99 the worst run is 260, 45 and 31 and the total 14281, 13491
-and 13474 at the three caps.  Time in process for seeds 0-9 is the same
-at 96 and 384, 0.396 s (2-core Xeon, medians of 8 alternating rounds).
+and 13474 at the three caps.
 
 The exact value comes from the integer core _closed_form_numerator of
 trilag.lagrangian, on the (d, p) of a WeightVector.  This module imports
@@ -68,6 +65,7 @@ numpy, and the package loads it only when one of its names is first used.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -240,14 +238,16 @@ def ascend(starts):
     return x, fx, residual, converged, iterations, long_steps
 
 
-def round_point_exact(point):
-    """Round floats to rationals with denominator at most MAX_DENOMINATOR and renormalize to sum 1."""
-    fracs = [Fraction(float(p)).limit_denominator(MAX_DENOMINATOR) for p in point]
-    fracs = [max(f, Fraction(0)) for f in fracs]
-    total = sum(fracs)
-    if total == 0:
+def round_point_exact(point) -> WeightVector:
+    """Round floats to rationals with denominator at most MAX_DENOMINATOR,
+    clamp them at 0 and renormalize to sum 1: the WeightVector(sum(p), p)
+    of their numerators p over their least common denominator."""
+    fracs = [max(Fraction(float(v)).limit_denominator(MAX_DENOMINATOR), 0) for v in point]
+    d = lcm(*(f.denominator for f in fracs))
+    p = [f.numerator * (d // f.denominator) for f in fracs]
+    if not any(p):
         raise ValueError("cannot renormalize the zero vector")
-    return tuple(f / total for f in fracs)
+    return WeightVector(sum(p), p)
 
 
 def maximize(n: int, seed: int = 0) -> dict:
@@ -278,15 +278,14 @@ def maximize(n: int, seed: int = 0) -> dict:
     tied = np.flatnonzero(fx >= fx.max() - RANK_TOL)
     points = x[tied].tolist()
     best = tied[min(range(len(tied)), key=points.__getitem__)]
-    exact_point = round_point_exact(x[best])
-    w = WeightVector(exact_point)
+    w = round_point_exact(x[best])
     value = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
     return {
         "n": n,
         "value": float(value),
         "value_exact": str(value),
         "point": [float(v) for v in x[best]],
-        "exact_point": [str(v) for v in exact_point],
+        "exact_point": [str(v) for v in w.entries],
         "restarts": RESTARTS,
         "seed": seed,
         "residual": float(residual[best]),

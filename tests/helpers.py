@@ -30,8 +30,10 @@ packed_coefficients is the packed route itself, certify's _terms,
 _power_form, _elevate and _bernstein_numerators, made Fractions for the
 tests to compare.
 parse_weights_oracle parses weights one Fraction per line, through
-parse_rational; parse_weights_text reads p/q and integer tokens with int()
-and builds the vector from (d, p).
+parse_rational, and takes their lcm itself; parse_weights_text reads p/q
+and integer tokens with int().  Both build WeightVector(d, p), the one
+constructor.  fraction_weights builds it from rational entries, and the
+oracles read a vector's Fractions from its entries.
 """
 
 from __future__ import annotations
@@ -65,13 +67,19 @@ def rand_graph(rng, n: int, p: float = 0.5) -> UndirectedGraph:
     return UndirectedGraph(n, edges)
 
 
+def fraction_weights(entries) -> WeightVector:
+    """The WeightVector of a list of rationals (Fractions or ints), over their lcm."""
+    d = lcm(*(v.denominator for v in entries))
+    return WeightVector(d, [v.numerator * (d // v.denominator) for v in entries])
+
+
 def rand_weights(rng, n: int, max_part: int = 30) -> WeightVector:
     """Random exact rational point on the simplex."""
     while True:
         parts = [rng.randint(0, max_part) for _ in range(n)]
         total = sum(parts)
         if total:
-            return WeightVector([Fraction(a, total) for a in parts])
+            return WeightVector(total, parts)
 
 
 def shaped_orientation(rng, n: int, shape: int) -> OrientedGraph:
@@ -95,7 +103,7 @@ def huge_denominator_weights(rng, n: int) -> WeightVector:
     cuts = sorted(rng.randrange(1, big) for _ in range(n - 2))
     parts = [1] + [b - a for a, b in zip([1] + cuts, cuts + [big])]
     rng.shuffle(parts)
-    return WeightVector([Fraction(x, big) for x in parts])
+    return WeightVector(big, parts)
 
 
 def parse_weights_oracle(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
@@ -131,7 +139,7 @@ def parse_weights_oracle(text: str, expected_n: int | None = None, path: str = "
         line_no = line_nos[expected_n] if len(entries) > expected_n else last
         raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(entries)}")
     try:
-        return WeightVector(entries)
+        return WeightVector(denominator, [w.numerator * (denominator // w.denominator) for w in entries])
     except ValueError as exc:
         raise ParseError(path, last, str(exc)) from None
 
@@ -184,6 +192,7 @@ def has_independent_4set(n: int, triples):
 
 def brute_cf_terms(g: OrientedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
     """(triple, pair, quadratic) terms of L_CF from the raw definition: classify each triple by hand."""
+    w = w.entries
     triple = Fraction(0)
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         arcs = [
@@ -201,6 +210,7 @@ def brute_cf_terms(g: OrientedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
 
 def brute_bf_terms(g: UndirectedGraph, w) -> tuple[Fraction, Fraction, Fraction]:
     """(triple, pair, quadratic) terms of L_BF from the raw definition: triple scan plus edge sums."""
+    w = w.entries
     triple = Fraction(0)
     for (x, y, z) in itertools.combinations(range(g.n), 3):
         k = sum(
@@ -242,6 +252,7 @@ def non_edges(g: UndirectedGraph) -> list[tuple[int, int]]:
 def neighbor_sums(g: UndirectedGraph, w, a: int, b: int):
     """(S_a, S_b, S_ab): the weight sums over the neighbours of a, of b, and of both."""
     _check_order(g, w)
+    w = w.entries
     near_a, near_b = ({x for x in range(g.n) if (min(v, x), max(v, x)) in g.edges} for v in (a, b))
     return tuple(sum((w[x] for x in near), Fraction(0)) for near in (near_a, near_b, near_a & near_b))
 
@@ -258,8 +269,9 @@ def merge(g: UndirectedGraph, w, a: int, b: int, keep: int):
         return x if x < drop else x - 1
 
     edges = [(shift(u), shift(v)) for (u, v) in g.edges if drop not in (u, v)]
-    weights = [w[a] + w[b] if v == keep else w[v] for v in range(g.n) if v != drop]
-    return UndirectedGraph(g.n - 1, edges), WeightVector(weights)
+    p = w.numerators
+    weights = [p[a] + p[b] if v == keep else p[v] for v in range(g.n) if v != drop]
+    return UndirectedGraph(g.n - 1, edges), WeightVector(w.denominator, weights)
 
 
 def merge_identity_sides(g: UndirectedGraph, w, a: int, b: int):
@@ -269,7 +281,7 @@ def merge_identity_sides(g: UndirectedGraph, w, a: int, b: int):
     rhs = x y (x + y) ((1/2)(S_a + S_b - (S_a - S_b)^2) - S_ab)
     """
     s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
-    x, y = w[a], w[b]
+    x, y = w.entries[a], w.entries[b]
     lhs = (
         x * lagrangian_bf(*merge(g, w, a, b, keep=a))
         + y * lagrangian_bf(*merge(g, w, a, b, keep=b))
@@ -316,7 +328,7 @@ def chain_fractions(d: int, q, rows, start: int, final: int):
     trace = [(pair, kept, branch, Fraction(s_a, d), Fraction(s_b, d), Fraction(s_ab, d),
               Fraction(before, scale), Fraction(after, scale))
              for pair, kept, branch, s_a, s_b, s_ab, before, after in rows]
-    return WeightVector(Fraction(v, d) for v in q), trace, Fraction(start, scale), Fraction(final, scale)
+    return WeightVector(d, q), trace, Fraction(start, scale), Fraction(final, scale)
 
 
 def merges_complete(g: UndirectedGraph, rows, q) -> bool:
@@ -358,7 +370,7 @@ def reduce_report_oracle(g: UndirectedGraph, w: WeightVector) -> dict:
     return {
         "trace": trace_to_jsonable(trace),
         "final_order": final_graph.n,
-        "final_weights": [str(v) for v in final_weights],
+        "final_weights": [str(v) for v in final_weights.entries],
         "final_lagrangian": str(final),
         "monotone": all(after >= before for *_, before, after in trace),
     }
@@ -436,7 +448,7 @@ def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
     """pipeline_report from lagrangian_cf, the object-level reduce_oracle and
     pipeline_tail_oracle."""
     final_graph, final_weights, trace, lbf, lfinal = reduce_oracle(underlying(g), w)
-    report = pipeline_tail_oracle(lagrangian_cf(g, w), lbf, lfinal, list(final_weights))
+    report = pipeline_tail_oracle(lagrangian_cf(g, w), lbf, lfinal, list(final_weights.entries))
     assert report["final_order"] == final_graph.n
     report["reduction_trace"] = trace_to_jsonable(trace)
     return report

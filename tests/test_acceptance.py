@@ -28,6 +28,7 @@ from trilag.simplex import gradient, maximize
 from helpers import (
     Poly,
     bernstein_oracle,
+    fraction_weights,
     g_polynomial_oracle,
     merge_identity_sides,
     merges_complete,
@@ -50,7 +51,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_extremal_value():
-    w = WeightVector([HALF, HALF])
+    w = WeightVector(2, (1, 1))
     cf = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
     k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), w)
     _report(
@@ -99,10 +100,11 @@ def test_criterion_3_cf_bf_comparison_suite():
         und = underlying(g)
         lbf = lagrangian_bf(und, w)
         quad = Fraction(0)
+        p = w.entries
         for x in range(n):
-            s = sum((w[y] for (u, y) in g.arcs if u == x), Fraction(0))
-            quad += w[x] * s * s
-        esum = sum((w[u] * w[v] for (u, v) in und.edges), Fraction(0))
+            s = sum((p[y] for (u, y) in g.arcs if u == x), Fraction(0))
+            quad += p[x] * s * s
+        esum = sum((p[u] * p[v] for (u, v) in und.edges), Fraction(0))
         identity = (lbf - lcf) == Fraction(1, 2) * quad - Fraction(1, 2) * esum * esum
         if not (lcf <= lbf and identity):
             failures += 1
@@ -193,7 +195,7 @@ def test_criterion_6_certifier():
         x1, x2, x3 = vals
         if x1 + x2 + x3 > 1:
             continue
-        w = WeightVector([x1, x2, x3, 1 - x1 - x2 - x3])
+        w = fraction_weights([x1, x2, x3, 1 - x1 - x2 - x3])
         g = Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
         if h96.evaluate(x1, x2, x3) / 96 != BOUND - g:
             break

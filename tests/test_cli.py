@@ -195,7 +195,7 @@ def _write_instance(directory, g, w):
     directory.mkdir(exist_ok=True)
     gpath, wpath = directory / "g.txt", directory / "w.txt"
     gpath.write_text(f"{kind} {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(pairs)))
-    wpath.write_text("".join(f"{x}\n" for x in w))
+    wpath.write_text("".join(f"{x}\n" for x in w.entries))
     return str(gpath), str(wpath)
 
 
@@ -336,6 +336,18 @@ def test_optimize(capsys):
     # the most outer iterations any of the 100 starts took, the long trials
     # taken, and how many starts converged
     assert payload["stats"] == {"iterations": 19, "long_steps": 649, "restarts_converged": 100}
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["--n", "2"], ["n=2: max ~ 0.093750000000 (exact 3/32)", "argmax ~ (0.5, 0.5)"]),
+    (["--seed", "23", "--n", "8"], ["n=8: max ~ 0.093750000000 (exact 3/32)",
+                                    "argmax ~ (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)"]),
+    (["--n", "1"], ["n=1: max ~ 0.000000000000 (exact 0)", "argmax ~ (1.0,)"]),
+], ids=["n2", "seed23-n8", "n1"])
+def test_optimize_text(capsys, argv, lines):
+    """The text report of optimize: the value in floats and exactly, and the float argmax."""
+    code, out = run(capsys, ["--format", "text", "optimize", *argv])
+    assert code == 0 and out.splitlines() == lines
 
 
 def test_optimize_report_is_maximize(capsys):

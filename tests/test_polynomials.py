@@ -10,13 +10,14 @@ from helpers import (
     Poly,
     bernstein_oracle,
     elevate_oracle,
+    fraction_weights,
     g_polynomial_oracle,
     h_oracle,
     packed_coefficients,
     stability_polynomial,
 )
 from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify, h96_polynomial
-from trilag.lagrangian import WeightVector, _g_numerator
+from trilag.lagrangian import _g_numerator
 
 HALF = Fraction(1, 2)
 # the halves of D on either side of its longest edge's midpoint; both have
@@ -49,7 +50,7 @@ def test_g_poly_matches_direct_expression():
         x = sorted((rand_rational(rng) for _ in range(3)), reverse=True)
         if sum(x) > 1:
             continue
-        w = WeightVector([*x, 1 - sum(x)])  # g's core takes the numerators over d
+        w = fraction_weights([*x, 1 - sum(x)])  # g's core takes the numerators over d
         d = w.denominator
         assert g.evaluate(*x) == Fraction(_g_numerator(d, *w.numerators[:3]), 24 * d**4)
         hits += 1

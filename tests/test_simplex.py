@@ -22,6 +22,7 @@ from helpers import (
     _project_1d,
     ascend_one,
     closed_form_oracle,
+    fraction_weights,
     majorization_oracle,
     rand_weights,
     trivariate_g_oracle,
@@ -30,28 +31,27 @@ from helpers import (
 HALF = Fraction(1, 2)
 
 
-def exact_closed_form(w) -> Fraction:
+def exact_closed_form(w: WeightVector) -> Fraction:
     """The closed form from its integer core, on the (d, p) of a WeightVector."""
-    w = WeightVector(w)
     return Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
 
 
 def exact_g(x1, x2, x3) -> Fraction:
     """g from its integer core; the point is completed to the simplex by 1 - x1 - x2 - x3."""
-    w = WeightVector([x1, x2, x3, 1 - x1 - x2 - x3])
+    w = fraction_weights([x1, x2, x3, 1 - x1 - x2 - x3])
     return Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
 
 
 def majorized(w) -> bool:
-    """The majorization core on the (d, p) of sorted-descending w."""
-    w = WeightVector(w)
+    """The majorization core on the (d, p) of sorted-descending rational entries w."""
+    w = fraction_weights(w)
     return _majorized(w.denominator, w.numerators)
 
 
 def test_closed_form_values():
-    assert exact_closed_form([HALF, HALF]) == Fraction(3, 32)
-    assert exact_closed_form([Fraction(1)]) == 0
-    assert exact_closed_form([Fraction(1, 3)] * 3) == Fraction(5, 54)
+    assert exact_closed_form(WeightVector(2, (1, 1))) == Fraction(3, 32)
+    assert exact_closed_form(WeightVector(1, (1,))) == 0
+    assert exact_closed_form(WeightVector(3, (1, 1, 1))) == Fraction(5, 54)
 
 
 def test_closed_form_exact_and_float():
@@ -96,8 +96,8 @@ def test_closed_form_messages_and_empty_input():
 
 
 def test_closed_form_matches_definition_examples():
-    for w in ([HALF, HALF], [Fraction(1, 3)] * 3, [Fraction(1)]):
-        assert lagrangian_bf(complete_graph(len(w)), WeightVector(w)) == exact_closed_form(w)
+    for w in (WeightVector(2, (1, 1)), WeightVector(3, (1, 1, 1)), WeightVector(1, (1,))):
+        assert lagrangian_bf(complete_graph(len(w)), w) == exact_closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
@@ -353,8 +353,13 @@ def test_maximize_draws_starts_as_one_batch():
 
 def test_round_point_exact():
     pt = round_point_exact([0.4999999997, 0.5000000003])
-    assert pt == (HALF, HALF)
-    assert sum(round_point_exact([0.1234, 0.8766])) == 1
+    assert pt.entries == (HALF, HALF)
+    assert sum(round_point_exact([0.1234, 0.8766]).entries) == 1
+    # coordinates below 0 round to 0; a point that rounds to all zeros is refused
+    assert round_point_exact([-1e-12, 0.5, 0.5]).entries == (0, HALF, HALF)
+    for point in ([0.0, 0.0], [-0.3, 0.0]):
+        with pytest.raises(ValueError, match="^cannot renormalize the zero vector$"):
+            round_point_exact(point)
 
 
 def test_maximize_n2_against_grid_oracle():
@@ -457,9 +462,10 @@ def test_majorization_random_sorted():
     rng = random.Random(67)
     for _ in range(400):
         n = rng.randint(3, 9)
-        w = sorted(rand_weights(rng, n), reverse=True)
+        v = rand_weights(rng, n)
+        w = sorted(v.entries, reverse=True)
         assert majorized(w)
-        assert exact_closed_form(w) <= exact_g(w[0], w[1], w[2])
+        assert exact_closed_form(v) <= exact_g(w[0], w[1], w[2])
 
 
 def _tail_cases():
@@ -467,7 +473,7 @@ def _tail_cases():
     for _ in range(2000):
         n = rng.randint(1, 9)
         # small parts give zero weights and equal weights often
-        w = list(rand_weights(rng, n, max_part=rng.choice((2, 5, 30))))
+        w = rand_weights(rng, n, max_part=rng.choice((2, 5, 30))).entries
         # entries 0 and 1 given as ints as well
         yield [int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in w]
     for n in range(1, 10):
@@ -476,7 +482,7 @@ def _tail_cases():
     yield [0, 1, 0, 0]
     yield [Fraction(0), HALF, 0, HALF, Fraction(0)]
     # a common denominator of 1073 digits
-    yield list(parse_weights_text("1e-1072\n1/2\n0.4" + "9" * 1071 + "\n"))
+    yield list(parse_weights_text("1e-1072\n1/2\n0.4" + "9" * 1071 + "\n").entries)
 
 
 def test_integer_tail_matches_fraction_oracles():
@@ -484,7 +490,7 @@ def test_integer_tail_matches_fraction_oracles():
     (d, p) of a WeightVector, equal their Fraction oracles."""
     count = 0
     for w in _tail_cases():
-        value = exact_closed_form(w)
+        value = exact_closed_form(fraction_weights(w))
         assert type(value) is Fraction and value == closed_form_oracle(w)
         padded = sorted(w, reverse=True) + [0] * (3 - len(w))
         assert majorized(padded) is majorization_oracle(padded)

@@ -1,30 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: one table of commands, read by a plain argv scan.
 
-Subcommands: construct, lagrangian, reduce, optimize, certify, enumerate,
-validate-fdf, pipeline.  Reports default to JSON (sorted keys, so output
-is reproducible), each report one line from json's C encoder; CSV covers
-the enumeration maxima table; text gives a one-screen summary.
+Each COMMANDS row gives a command's positionals, whether it requires --n,
+its help line and its handler; --format, --out and --seed go before or
+after the command, and the last one given wins.  Reports default to JSON
+(sorted keys, one line from json's C encoder); CSV covers the enumeration
+maxima table; text gives a one-screen summary.
 
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a mathematical
 check failed (a violation, a failed chain link, or an indeterminate
-certificate -- worth a bug report either way).
-
-The payloads of lagrangian, reduce and pipeline come from the report
-builders of trilag.lagrangian, optimize's from trilag.simplex.maximize,
-certify's from trilag.certify.certify; this module parses arguments,
-makes the text lines, emits reports and picks exit codes.  Only optimize,
-enumerate and validate-fdf load numpy, importing trilag.simplex or
-trilag.harness when they run.
+certificate -- worth a bug report either way).  The payloads come from
+the report builders of trilag.lagrangian, trilag.simplex.maximize and
+trilag.certify.certify.  Only optimize, enumerate and validate-fdf load
+numpy, importing trilag.simplex or trilag.harness when they run.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import functools
 import io
 import json
 import sys
+import types
 
 from .certify import CERTIFIED, certify
 from .fileio import ParseError, _content_lines, _read_text, parse_graph, parse_graph_text, parse_weights
@@ -40,10 +35,10 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, sort_keys=True) + "\n"  # no indent: json runs its C encoder only without one
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(csv_rows)
         rendered = buf.getvalue()
     else:
         rendered = "\n".join(text_lines) + "\n"
@@ -183,82 +178,87 @@ def _cmd_pipeline(args) -> int:
 
 
 GLOBAL_DEFAULTS = {"format": "json", "out": None, "seed": 0}
+GLOBAL_FLAGS = tuple(f"--{name}" for name in GLOBAL_DEFAULTS)
+FORMATS = ("json", "csv", "text")
+
+# name: (positionals, whether it takes --n, which it then requires; help; handler)
+COMMANDS = {
+    "construct": (("graph",), False, "build F/CF/BF triple systems from a graph file", _cmd_construct),
+    "lagrangian": (("graph", "weights"), False, "evaluate the Lagrangians at given weights", _cmd_lagrangian),
+    "reduce": (("graph", "weights"), False, "symmetrize to a complete graph, tracing each merge", _cmd_reduce),
+    "optimize": ((), True, "maximize the closed form on the simplex", _cmd_optimize),
+    "certify": ((), False, "Bernstein certificate of 3/32 - g >= 0 on D by degree elevation", _cmd_certify),
+    "enumerate": ((), True, "exhaustive checks over all labeled orientations", _cmd_enumerate),
+    "validate-fdf": ((), True, "independent-4-set check for C4-free orientations", _cmd_validate_fdf),
+    "pipeline": (("graph", "weights"), False, "full inequality chain on one instance", _cmd_pipeline),
+}
+USAGE = "usage: trilag [-h] [--format {json,csv,text}] [--out PATH] [--seed N] <command> ..."
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage, but 2 means a failed mathematical check here."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _usage_error(message):
+    sys.stderr.write(f"{USAGE}\ntrilag: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    """Flags accepted both before and after the subcommand."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS, help="write the report to this path")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    return common
+def _is_flag(token) -> bool:
+    """A dash starts a flag, except a lone "-" and a negative integer such as a --seed value."""
+    return token[:1] == "-" and token != "-" and not token[1:].isdigit()
 
 
-@functools.cache  # built once, on the first main call: a build costs about 2 ms
-def build_parser() -> argparse.ArgumentParser:
-    common = _global_flags()
-    parser = _Parser(
-        prog="trilag",
-        description="Exact toolkit for 3-graph Lagrangian bounds and their certification.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add("construct", help="build F/CF/BF triple systems from a graph file")
-    p.add_argument("graph")
-    p.set_defaults(run=_cmd_construct)
-
-    p = add("lagrangian", help="evaluate the Lagrangians at given weights")
-    p.add_argument("graph")
-    p.add_argument("weights")
-    p.set_defaults(run=_cmd_lagrangian)
-
-    p = add("reduce", help="symmetrize to a complete graph, tracing each merge")
-    p.add_argument("graph")
-    p.add_argument("weights")
-    p.set_defaults(run=_cmd_reduce)
-
-    p = add("optimize", help="maximize the closed form on the simplex")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(run=_cmd_optimize)
-
-    p = add("certify", help="Bernstein certificate of 3/32 - g >= 0 on D by degree elevation")
-    p.set_defaults(run=_cmd_certify)
-
-    p = add("enumerate", help="exhaustive checks over all labeled orientations")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(run=_cmd_enumerate)
-
-    p = add("validate-fdf", help="independent-4-set check for C4-free orientations")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(run=_cmd_validate_fdf)
-
-    p = add("pipeline", help="full inequality chain on one instance")
-    p.add_argument("graph")
-    p.add_argument("weights")
-    p.set_defaults(run=_cmd_pipeline)
-    return parser
+def _parse(argv):
+    """(args, handler) of argv; exits 1 on a usage error and 0 after --help."""
+    args = types.SimpleNamespace(**GLOBAL_DEFAULTS, subcommand=None, n=None)
+    flags, positionals = GLOBAL_FLAGS, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            rows = [f"  {' '.join([name, *map(str.upper, names)]) + ' --n N' * takes_n:<26}{text}"
+                    for name, (names, takes_n, text, _) in COMMANDS.items()]
+            print(USAGE, "--format, --out and --seed go before or after the command.", "commands:", *rows, sep="\n")
+            raise SystemExit(EXIT_OK)
+        if not _is_flag(token):
+            if args.subcommand is not None:
+                positionals.append(token)
+            elif token in COMMANDS:
+                args.subcommand = token
+                flags = GLOBAL_FLAGS + ("--n",) * COMMANDS[token][1]
+            else:
+                _usage_error(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            continue
+        flag, eq, value = token.partition("=")  # --flag=value or --flag value
+        if flag not in flags:
+            _usage_error(f"unrecognized arguments: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                _usage_error(f"argument {flag}: expected one argument")
+        if flag == "--format" and value not in FORMATS:
+            _usage_error(f"argument --format: invalid choice {value!r} (choose from {', '.join(FORMATS)})")
+        elif flag in ("--n", "--seed"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid int value {value!r}")
+        setattr(args, flag[2:], value)
+    if args.subcommand is None:
+        _usage_error(f"a command is required (choose from {', '.join(COMMANDS)})")
+    names, takes_n, _, run = COMMANDS[args.subcommand]
+    if len(positionals) > len(names):
+        _usage_error(f"unrecognized arguments: {' '.join(positionals[len(names):])}")
+    if len(positionals) < len(names) or takes_n and args.n is None:
+        _usage_error(f"the following arguments are required: {', '.join(names[len(positionals):]) or '--n'}")
+    vars(args).update(zip(names, positionals))
+    return args, run
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
+    args, run = _parse(sys.argv[1:] if argv is None else argv)
     if args.format == "csv" and args.subcommand != "enumerate":
         # refused before the command runs: only the enumeration maxima have a table
         print(f"error: csv format not supported for {args.subcommand}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.run(args)
+        return run(args)
     # ValueError covers ParseError; MemoryError a batch too large to allocate
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,12 @@ import json
 import os
 import random
 import threading
-from fractions import Fraction
 
 import pytest
 
 from trilag import cli, graphs, harness, lagrangian
 from trilag.certify import certify
-from trilag.cli import build_parser, main
+from trilag.cli import main
 from trilag.fileio import parse_graph, parse_weights
 from trilag.graphs import OrientedGraph, underlying
 from trilag.simplex import maximize
@@ -432,15 +431,35 @@ def test_certify_report_is_certify(capsys, tmp_path):
     assert out == "result: CERTIFIED\ndegree: 8, coefficients: 165, least: 0 at (0, 0, 7, 1)\n"
 
 
-def test_global_flags_after_subcommand(capsys, cherry_files):
+def test_accepted_argv_forms(capsys, tmp_path, cherry_files):
+    """--format, --out and --seed go before or after the command, as --flag value
+    or --flag=value, and the last one given wins; --seed -1 is read as a value;
+    --help and -h list every command on stdout and exit 0, also after a command."""
     g, w = cherry_files
-    code, out = run(capsys, ["pipeline", g, w, "--format", "text"])
-    assert code == 0
-    assert out.startswith("chain:")
-    code_a, out_a = run(capsys, ["optimize", "--n", "3", "--seed", "9"])
-    code_b, out_b = run(capsys, ["--seed", "9", "optimize", "--n", "3"])
-    assert code_a == code_b == 0
-    assert out_a == out_b
+    text = run(capsys, ["--format", "text", "pipeline", g, w])
+    assert text[0] == 0 and text[1].startswith("chain:")
+    for argv in (["pipeline", g, w, "--format", "text"], ["--format=text", "pipeline", g, w],
+                 ["pipeline", "--format=text", g, w], ["--format", "json", "pipeline", g, "--format", "text", w]):
+        assert run(capsys, argv) == text, argv
+    optimize = run(capsys, ["--seed", "9", "optimize", "--n", "3"])
+    assert optimize[0] == 0 and json.loads(optimize[1])["seed"] == 9
+    for argv in (["optimize", "--n", "3", "--seed", "9"], ["--seed=9", "optimize", "--n=3"],
+                 ["--seed", "-1", "optimize", "--seed", "9", "--n", "2", "--n", "3"]):
+        assert run(capsys, argv) == optimize, argv
+    assert main(["optimize", "--n", "3", "--seed", "-1"]) == 1  # refused by maximize, not by the scan
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    assert run(capsys, ["--out", str(first), "certify", f"--out={last}"]) == (0, "")
+    assert not first.exists() and json.loads(last.read_text())["result"] == "CERTIFIED"
+    for argv in (["--help"], ["-h"], ["pipeline", "--help"], ["--format", "text", "optimize", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: trilag"), argv
+        listed = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")]
+        assert listed == ["construct", "lagrangian", "reduce", "optimize", "certify", "enumerate",
+                          "validate-fdf", "pipeline"], argv
 
 
 def test_out_file(tmp_path, capsys, cherry_files):
@@ -452,7 +471,7 @@ def test_out_file(tmp_path, capsys, cherry_files):
 
 
 def test_repeated_main_calls_share_no_state(tmp_path, capsys, cherry_files):
-    """main reuses one parser; no flag or argument of one call carries into the next."""
+    """No flag or argument of one main call carries into the next."""
     g, w = cherry_files
     out_path = tmp_path / "report.json"
     assert run(capsys, ["--out", str(out_path), "--seed", "9", "enumerate", "--n", "3"]) == (0, "")
@@ -465,7 +484,6 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, cherry_files):
     code, out = run(capsys, ["--format", "csv", "enumerate", "--n", "4"])
     assert code == 0 and out.splitlines()[1].startswith("4,729,")
     assert json.loads(out_path.read_text())["n"] == 3
-    assert build_parser() is build_parser()
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -483,21 +501,32 @@ def test_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, ["--format", "csv", "construct", str(g)])
     assert code == 1
 
-    # argparse errors exit 1, like other usage errors; 2 means a failed check
-    for argv in (
-        ["bogus"],
-        ["enumerate"],
-        ["--threads", "0", "enumerate", "--n", "3"],  # no such flag
-        ["certify", "--delta", "1/8"],
-        ["certify", "--method", "interval"],
-        ["certify", "--max-depth", "3"],
-        ["optimize", "--n", "3", "--tol", "nan"],  # no such flag: TOL is a module constant
-        ["optimize", "--n", "3", "--tol", "-1"],
+    # usage errors exit 1 with the usage line and a message naming the token;
+    # exit code 2 means a failed check
+    for argv, named in (
+        (["bogus"], "'bogus'"),
+        (["enumerate"], "--n"),
+        (["--threads", "0", "enumerate", "--n", "3"], "--threads"),  # no such flag
+        (["certify", "--delta", "1/8"], "--delta"),
+        (["certify", "--method", "interval"], "--method"),
+        (["certify", "--max-depth", "3"], "--max-depth"),
+        (["optimize", "--n", "3", "--tol", "nan"], "--tol"),  # no such flag: TOL is a module constant
+        (["optimize", "--n", "3", "--tol", "-1"], "--tol"),
+        (["optimize", "--n", "x"], "'x'"),
+        (["--format", "xml", "certify"], "'xml'"),
+        (["certify", "--out"], "--out"),
+        (["pipeline", str(g), str(g), "third.txt"], "third.txt"),
+        (["certify", "--n", "3"], "--n"),
+        ([], "command"),
+        (["--form", "text", "certify"], "--form"),  # no prefix of a flag is accepted
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
-    capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: trilag"), argv
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("trilag: error: ") and named in error, argv
 
     # a batch too large to allocate: petabytes, so it fails at once
     assert main(["optimize", "--n", str(10**15)]) == 1

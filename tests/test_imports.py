@@ -89,20 +89,26 @@ print(loaded)
     assert _run(code, tmp_path) == f"{[False] * 6}\n"
 
 
-def test_cli_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
+def test_cli_start_up_loads_no_dataclasses_inspect_argparse_gettext_or_csv(tmp_path):
     """No module that ``import trilag.cli``, certify or pipeline loads defines a
-    dataclass: dataclasses would bring inspect, ast, dis, tokenize and copy."""
+    dataclass: dataclasses would bring inspect, ast, dis, tokenize and copy.
+    The command table reads argv without argparse and its gettext, and only
+    a csv report imports csv."""
     (tmp_path / "g.txt").write_text("digraph 3\n0 1\n2 1\n")
     (tmp_path / "w.txt").write_text("1/3\n1/3\n1/3\n")
     code = """
 import contextlib, io, sys
+def loaded():
+    return sorted(name for name in ("dataclasses", "inspect", "argparse", "gettext", "csv") if name in sys.modules)
 import trilag.cli
+steps = [loaded()]
 for argv in (["certify"], ["pipeline", "g.txt", "w.txt"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert trilag.cli.main(argv) == 0, argv
-print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+    steps.append(loaded())
+print(steps)
 """
-    assert _run(code, tmp_path) == "[]\n"
+    assert _run(code, tmp_path) == "[[], [], []]\n"
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--n", "3"], ["validate-fdf", "--n", "4"],

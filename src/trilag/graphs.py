@@ -123,10 +123,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def complete_graph(n: int) -> UndirectedGraph:
-    return UndirectedGraph(n, itertools.combinations(range(n), 2))
-
-
 def _induced_arcs(g: OrientedGraph, x: int, y: int, z: int):
     """Arcs of g inside {x,y,z}."""
     out = []

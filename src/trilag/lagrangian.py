@@ -17,10 +17,9 @@ on integers: with d the least common denominator of the weights and
 p = d x their numerators, a WeightVector is built from (d, p) and stores
 nothing else, and d^3, 2 d^3 and 2 d^4 times the triple, pair and
 quadratic terms are integers, and so are a = 2 d^3 L_CF and
-N = 2 d^4 L_BF.  lagrangian_cf and lagrangian_bf make one Fraction, the
-value; the reports render each value num / den with _ratio, which gives
-str(Fraction(num, den)) from one gcd.  Floats appear only in the
-optimizer module.
+N = 2 d^4 L_BF.  No link makes a Fraction: the reports render each
+value num / den with _ratio, which gives str(Fraction(num, den)) from one
+gcd.  Floats appear only in the optimizer module.
 
 Neither triple sum visits the C(n,3) triples; both are sums over
 neighbourhoods.  With s_v and r_v the sums of p and of p^2 over the
@@ -162,13 +161,6 @@ def _check_numerators(d: int, p) -> None:
         raise ValueError(f"weights sum to {_ratio(sum(p), d)}, expected 1")
 
 
-def uniform_weights(n: int) -> WeightVector:
-    """All entries 1/n, exact."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return WeightVector(n, (1,) * n)
-
-
 def _adjacency(n: int, pairs) -> list[set[int]]:
     """Neighbour sets of the undirected graph on 0..n-1 with the given vertex pairs."""
     adj = [set() for _ in range(n)]
@@ -218,12 +210,6 @@ def _graph_sums(g, w: WeightVector):
     return adj, _bf_sums(adj, w.numerators)
 
 
-def _require_orientation(g) -> None:
-    """L_CF is defined on orientations: refuse any other graph before summing."""
-    if not isinstance(g, OrientedGraph):
-        raise ValueError(f"L_CF needs an OrientedGraph, not {type(g).__name__}")
-
-
 def _cf_sums(g: OrientedGraph, p, bf_triples: int) -> tuple[int, int]:
     """(triples, arcs): d^3 and 2 d^3 times the triple and the arc term of L_CF.
 
@@ -252,19 +238,6 @@ def _cf_numerator(triples: int, arcs: int) -> int:
 def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
     """N = 2 d^4 L_BF from the integer sums of ``_bf_sums``."""
     return 2 * d * triples + d * pairs - edges * edges
-
-
-def lagrangian_cf(g: OrientedGraph, w: WeightVector) -> Fraction:
-    """L_CF of an orientation: CF triple products plus half the arc x^2 y sum."""
-    _require_orientation(g)
-    triples = _graph_sums(g, w)[1][0]
-    return Fraction(_cf_numerator(*_cf_sums(g, w.numerators, triples)), 2 * w.denominator**3)
-
-
-def lagrangian_bf(g, w: WeightVector) -> Fraction:
-    """L_BF of an undirected graph, edges summed once each; an orientation
-    is read as its underlying graph."""
-    return Fraction(_bf_numerator(w.denominator, *_graph_sums(g, w)[1]), 2 * w.denominator**4)
 
 
 def _branch_terms(adj, p, v: int, a: int, b: int) -> tuple[int, int]:
@@ -439,7 +412,8 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
     N_start <= N_final, 12 N_final == c, the majorization of q with
     c <= c_g, and 32 c_g <= 72 d^4.
     """
-    _require_orientation(g)
+    if not isinstance(g, OrientedGraph):  # L_CF is defined on orientations: refuse before any sum
+        raise ValueError(f"L_CF needs an OrientedGraph, not {type(g).__name__}")
     d = w.denominator
     adj, sums = _graph_sums(g, w)
     lcf = _cf_numerator(*_cf_sums(g, w.numerators, sums[0]))

@@ -84,8 +84,9 @@ MAX_ITER = 4000
 def _objective(arr):
     """The checked closed form of each row of a float array, and s2 = sum x^2.
 
-    The one place the objective is computed: closed_form returns its value,
-    and ascend keeps s2 for the gradient at the point.
+    The one place the objective is computed: ascend keeps s2 for the
+    gradient at the point.  Raises ValueError when any row is off the
+    simplex by more than FLOAT_SIMPLEX_TOL, or has a NaN coordinate.
     """
     if (arr < -FLOAT_SIMPLEX_TOL).any():
         raise ValueError("negative coordinate")
@@ -97,29 +98,10 @@ def _objective(arr):
     return (1.0 - s3) / 6.0 - (1.0 - s2) ** 2 / 8.0, s2
 
 
-def closed_form(x):
-    """(1/6)(1 - sum x^3) - (1/8)(1 - sum x^2)^2 on the simplex, in floats.
-
-    Reduced along the last axis: a vector gives a float, a (rows x n) array
-    one value per row.  Raises ValueError when any row is off the simplex
-    by more than FLOAT_SIMPLEX_TOL, or has a NaN coordinate.
-    """
-    return _objective(np.asarray(x, dtype=float))[0]
-
-
 def _gradient(arr, s2):
-    """The gradient at arr, given s2 = sum x^2 with its last axis kept."""
+    """The gradient at arr along the last axis, given s2 = sum x^2 with that
+    axis kept: component i is -x_i^2/2 + (1 - s2) x_i / 2."""
     return -(arr**2) / 2.0 + (1.0 - s2) * arr / 2.0
-
-
-def gradient(x) -> np.ndarray:
-    """Gradient of the closed form along the last axis.
-
-    Component i is -x_i^2/2 + (1 - sum x^2) x_i / 2; a (rows x n) array
-    gives one gradient per row.
-    """
-    arr = np.asarray(x, dtype=float)
-    return _gradient(arr, (arr * arr).sum(axis=-1, keepdims=True))
 
 
 def project_to_simplex(v) -> np.ndarray:

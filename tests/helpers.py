@@ -2,19 +2,19 @@
 
 The oracles recompute everything from the raw definitions (no reuse of
 library construction or summation code), so library results are checked
-against a second, independently written path.  The one library call of
-the merge oracles (neighbor_sums, merge, merge_identity_sides and
-reduce_oracle) is lagrangian_bf, itself checked against
-brute_lagrangian_bf.  reduce_oracle records each merge as a tuple of the
-fields of merge_chain's rows, its rationals as Fractions; chain_fractions
-turns merge_chain's integers into that form, and merges_complete replays
-merge_chain's rows on the input's edge set.  The pipeline oracles take
-L_CF from lagrangian_cf and the closed form, g and the majorization from
-the Fraction oracles below, not from the integer cores of trilag.lagrangian
-that they check.  trace_to_jsonable renders an oracle trace with
-str(Fraction): through pipeline_oracle and reduce_report_oracle it is the
-reference for the integer rows and the gcd renderer of pipeline_report
-and trilag reduce.
+against a second, independently written path.  Of trilag.lagrangian they
+import WeightVector alone.  The merge oracles (neighbor_sums, merge,
+merge_identity_sides and reduce_oracle) evaluate every Lagrangian with
+brute_lagrangian_bf, the scan of all C(n,3) triples.  reduce_oracle
+records each merge as a tuple of the fields of merge_chain's rows, its
+rationals as Fractions; chain_fractions turns merge_chain's integers into
+that form, and merges_complete replays merge_chain's rows on the input's
+edge set.  The pipeline oracles take L_CF from brute_lagrangian_cf and
+the closed form, g and the majorization from the Fraction oracles below,
+not from the integer cores of trilag.lagrangian that they check.
+trace_to_jsonable renders an oracle trace with str(Fraction): through
+pipeline_oracle and reduce_report_oracle it is the reference for the
+integer rows and the gcd renderer of pipeline_report and trilag reduce.
 Poly is the polynomial of the certificate's oracles, a sparse map from
 exponent tuples to coefficients whose product adds the tuples; trilag.certify
 has no polynomial class and takes a polynomial as Poly's coeffs, a plain
@@ -32,8 +32,9 @@ tests to compare.
 parse_weights_oracle parses weights one Fraction per line, through
 parse_rational, and takes their lcm itself; parse_weights_text reads p/q
 and integer tokens with int().  Both build WeightVector(d, p), the one
-constructor.  fraction_weights builds it from rational entries, and the
-oracles read a vector's Fractions from its entries.
+constructor.  fraction_weights builds it from rational entries,
+uniform_weights the weights 1/n, and the oracles read a vector's Fractions
+from its entries.  complete_graph is K_n as an UndirectedGraph.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from trilag.certify import DOMAIN_VERTICES, _bernstein_numerators, _elevate, _power_form, _terms
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
-from trilag.lagrangian import WeightVector, lagrangian_bf, lagrangian_cf
+from trilag.lagrangian import WeightVector
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -71,6 +72,15 @@ def fraction_weights(entries) -> WeightVector:
     """The WeightVector of a list of rationals (Fractions or ints), over their lcm."""
     d = lcm(*(v.denominator for v in entries))
     return WeightVector(d, [v.numerator * (d // v.denominator) for v in entries])
+
+
+def uniform_weights(n: int) -> WeightVector:
+    """All entries 1/n, exact."""
+    return WeightVector(n, (1,) * n)
+
+
+def complete_graph(n: int) -> UndirectedGraph:
+    return UndirectedGraph(n, itertools.combinations(range(n), 2))
 
 
 def rand_weights(rng, n: int, max_part: int = 30) -> WeightVector:
@@ -283,9 +293,9 @@ def merge_identity_sides(g: UndirectedGraph, w, a: int, b: int):
     s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
     x, y = w.entries[a], w.entries[b]
     lhs = (
-        x * lagrangian_bf(*merge(g, w, a, b, keep=a))
-        + y * lagrangian_bf(*merge(g, w, a, b, keep=b))
-        - (x + y) * lagrangian_bf(g, w)
+        x * brute_lagrangian_bf(*merge(g, w, a, b, keep=a))
+        + y * brute_lagrangian_bf(*merge(g, w, a, b, keep=b))
+        - (x + y) * brute_lagrangian_bf(g, w)
     )
     rhs = x * y * (x + y) * (Fraction(1, 2) * (s_a + s_b - (s_a - s_b) ** 2) - s_ab)
     return lhs, rhs
@@ -295,22 +305,22 @@ def reduce_oracle(g: UndirectedGraph, w: WeightVector):
     """merge_chain at the object level: build both merged graphs.
 
     Each step merges the lexicographically smallest non-edge both ways,
-    evaluates lagrangian_bf of each branch and keeps the larger (ties keep
-    the smaller index).  Returns (final graph, final weights, trace, start,
+    evaluates brute_lagrangian_bf of each branch and keeps the larger (ties
+    keep the smaller index).  Returns (final graph, final weights, trace, start,
     final): one (pair, kept, branch, S_a, S_b, S_ab, L_before, L_after)
     tuple per merge, in the original labels, and L_BF of the input and of
     the final graph.
     """
     labels = list(range(g.n))
     trace = []
-    l_start = l_before = lagrangian_bf(g, w)
+    l_start = l_before = brute_lagrangian_bf(g, w)
     while pairs := non_edges(g):
         a, b = pairs[0]
         s_a, s_b, s_ab = neighbor_sums(g, w, a, b)
         cand_a = merge(g, w, a, b, keep=a)
         cand_b = merge(g, w, a, b, keep=b)
-        val_a = lagrangian_bf(*cand_a)
-        val_b = lagrangian_bf(*cand_b)
+        val_a = brute_lagrangian_bf(*cand_a)
+        val_b = brute_lagrangian_bf(*cand_b)
         if val_a >= val_b:
             (g, w), l_after, kept, dropped, branch = cand_a, val_a, a, b, "a"
         else:
@@ -445,10 +455,10 @@ def pipeline_tail_oracle(lcf, lbf, lfinal, final_weights) -> dict:
 
 
 def pipeline_oracle(g: OrientedGraph, w: WeightVector) -> dict:
-    """pipeline_report from lagrangian_cf, the object-level reduce_oracle and
-    pipeline_tail_oracle."""
+    """pipeline_report from brute_lagrangian_cf, the object-level reduce_oracle
+    and pipeline_tail_oracle."""
     final_graph, final_weights, trace, lbf, lfinal = reduce_oracle(underlying(g), w)
-    report = pipeline_tail_oracle(lagrangian_cf(g, w), lbf, lfinal, list(final_weights.entries))
+    report = pipeline_tail_oracle(brute_lagrangian_cf(g, w), lbf, lfinal, list(final_weights.entries))
     assert report["final_order"] == final_graph.n
     report["reduction_trace"] = trace_to_jsonable(trace)
     return report

@@ -17,17 +17,16 @@ from trilag.lagrangian import (
     WeightVector,
     _closed_form_numerator,
     _g_numerator,
-    lagrangian_bf,
-    lagrangian_cf,
+    lagrangian_report,
     merge_chain,
     pipeline_report,
-    uniform_weights,
 )
-from trilag.simplex import gradient, maximize
+from trilag.simplex import _gradient, maximize
 
 from helpers import (
     Poly,
     bernstein_oracle,
+    brute_lagrangian_cf,
     fraction_weights,
     g_polynomial_oracle,
     merge_identity_sides,
@@ -36,6 +35,7 @@ from helpers import (
     rand_graph,
     rand_orientation,
     rand_weights,
+    uniform_weights,
 )
 
 BOUND = Fraction(3, 32)
@@ -53,7 +53,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 def test_criterion_1_extremal_value():
     w = WeightVector(2, (1, 1))
     cf = Fraction(_closed_form_numerator(w.denominator, w.numerators), 24 * w.denominator**4)
-    k2 = lagrangian_bf(UndirectedGraph(2, [(0, 1)]), w)
+    k2 = Fraction(lagrangian_report(UndirectedGraph(2, [(0, 1)]), w)["lagrangian_bf"]["value"])
     _report(
         "criterion 1 (extremal value attained)",
         cf == BOUND and k2 == BOUND,
@@ -79,7 +79,7 @@ def test_criterion_2_exhaustive_small_orders():
         density == ("3/4", 285993)
         and lcf == ("5/54", 2380656)
         and edge_density(density_witness.n, build_cf(density_witness)) == Fraction(3, 4)
-        and lagrangian_cf(lcf_witness, uniform_weights(6)) == Fraction(5, 54)
+        and brute_lagrangian_cf(lcf_witness, uniform_weights(6)) == Fraction(5, 54)
     )
     details.append(
         f"n=6 max CF density {density[0]} at {density[1]}, "
@@ -96,9 +96,9 @@ def test_criterion_3_cf_bf_comparison_suite():
         n = rng.randint(2, 8)
         g = rand_orientation(rng, n)
         w = rand_weights(rng, n)
-        lcf = lagrangian_cf(g, w)
+        report = lagrangian_report(g, w)
+        lcf, lbf = (Fraction(report[key]["value"]) for key in ("lagrangian_cf", "lagrangian_bf_underlying"))
         und = underlying(g)
-        lbf = lagrangian_bf(und, w)
         quad = Fraction(0)
         p = w.entries
         for x in range(n):
@@ -156,7 +156,7 @@ def test_criterion_5_optimizer():
         grad_ok = True
         for _ in range(100):
             x = rng.dirichlet(np.ones(n))
-            grad = gradient(x)
+            grad = _gradient(x, (x * x).sum(axis=-1, keepdims=True))
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = step

@@ -286,8 +286,7 @@ def test_main_emits_reports_without_fraction(capsys, monkeypatch, tmp_path):
 
 def test_reduce_evaluates_each_lagrangian_once(capsys, monkeypatch, tmp_path):
     calls = []
-    for module, name in ((lagrangian, "lagrangian_bf"), (lagrangian, "_bf_sums"),
-                         (graphs, "build_bf"), (graphs, "build_cf")):
+    for module, name in ((lagrangian, "_bf_sums"), (graphs, "build_bf"), (graphs, "build_cf")):
 
         def counting(*args, name=name, fn=getattr(module, name)):
             calls.append(name)

@@ -11,14 +11,10 @@ from trilag.lagrangian import (
     WeightVector,
     _cf_sums,
     _graph_sums,
-    _lag_json,
-    lagrangian_bf,
-    lagrangian_cf,
     lagrangian_report,
     merge_chain,
     pipeline_report,
     reduce_report,
-    uniform_weights,
 )
 
 from helpers import (
@@ -30,9 +26,16 @@ from helpers import (
     rand_weights,
     relabel,
     shaped_orientation,
+    uniform_weights,
 )
 
 UNIFORM3 = WeightVector(3, (1, 1, 1))
+
+
+def report_values(g, w) -> list[Fraction]:
+    """The values that trilag lagrangian reports, as Fractions: [L_CF, L_BF of
+    the underlying graph] of an orientation, [L_BF] of an undirected graph."""
+    return [Fraction(part["value"]) for part in lagrangian_report(g, w).values()]
 
 
 def test_weight_vector_invariants():
@@ -88,71 +91,60 @@ def test_weight_vector_from_numerators():
             WeightVector(d, p)
 
 
-def test_uniform_weights():
-    assert uniform_weights(1).entries == (1,)
-    assert uniform_weights(2).entries == (Fraction(1, 2),) * 2
-    assert (uniform_weights(4).denominator, uniform_weights(4).numerators) == (4, (1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        uniform_weights(0)
-
-
 def test_lagrangian_cf_values():
     g = OrientedGraph(3, [(0, 1), (2, 1)])
-    assert lagrangian_cf(g, UNIFORM3) == Fraction(2, 27)
-    rendered = _lag_json(3, *_cf_sums(g, UNIFORM3.numerators, _graph_sums(g, UNIFORM3)[1][0]))
+    rendered = lagrangian_report(g, UNIFORM3)["lagrangian_cf"]
     assert rendered == {"value": "2/27", "triple_term": "1/27", "pair_term": "1/27", "quadratic_term": "0"}
 
-    assert lagrangian_cf(OrientedGraph(3, [(0, 1), (0, 2)]), UNIFORM3) == Fraction(1, 27)
+    assert report_values(OrientedGraph(3, [(0, 1), (0, 2)]), UNIFORM3)[0] == Fraction(1, 27)
 
     spike = WeightVector(1, (1, 0, 0))
     for arcs in ([(0, 1), (2, 1)], [(0, 1), (0, 2)], [(1, 2)]):
-        assert lagrangian_cf(OrientedGraph(3, arcs), spike) == 0
+        assert report_values(OrientedGraph(3, arcs), spike)[0] == 0
 
 
 def test_lagrangian_bf_values():
     path = UndirectedGraph(3, [(0, 1), (1, 2)])
-    assert lagrangian_bf(path, UNIFORM3) == Fraction(7, 81)
-    rendered = _lag_json(3, *_graph_sums(path, UNIFORM3)[1])
+    rendered = lagrangian_report(path, UNIFORM3)["lagrangian_bf"]
     assert rendered == {"value": "7/81", "triple_term": "1/27", "pair_term": "2/27", "quadratic_term": "2/81"}
     value, triple, pair, quadratic = (Fraction(rendered[key]) for key in
                                       ("value", "triple_term", "pair_term", "quadratic_term"))
     assert value == triple + pair - quadratic
 
     single = UndirectedGraph(3, [(0, 1)])
-    assert lagrangian_bf(single, UNIFORM3) == Fraction(5, 162)
+    assert report_values(single, UNIFORM3) == [Fraction(5, 162)]
 
     k2 = UndirectedGraph(2, [(0, 1)])
-    assert lagrangian_bf(k2, WeightVector(2, (1, 1))) == Fraction(3, 32)
+    assert report_values(k2, WeightVector(2, (1, 1))) == [Fraction(3, 32)]
 
 
 def test_length_mismatch():
     with pytest.raises(ValueError, match="^weight length 3 != vertex count 4$"):
-        lagrangian_cf(OrientedGraph(4, []), UNIFORM3)
+        lagrangian_report(OrientedGraph(4, []), UNIFORM3)
     with pytest.raises(ValueError, match="^weight length 3 != vertex count 2$"):
-        lagrangian_bf(UndirectedGraph(2, []), UNIFORM3)
+        lagrangian_report(UndirectedGraph(2, []), UNIFORM3)
     with pytest.raises(ValueError, match="^weight length 3 != vertex count 4$"):
         pipeline_report(OrientedGraph(4, [(0, 1)]), UNIFORM3)
     for g in (OrientedGraph(2, [(0, 1)]), UndirectedGraph(2, [(0, 1)])):
-        for entrance in (lagrangian_bf, merge_chain, lagrangian_report, reduce_report):
+        for entrance in (merge_chain, lagrangian_report, reduce_report):
             with pytest.raises(ValueError, match="^weight length 3 != vertex count 2$"):
                 entrance(g, UNIFORM3)
 
 
 def test_cf_entrances_refuse_an_undirected_graph(monkeypatch):
-    """lagrangian_cf and pipeline_report name the input kind before any sum, whatever the weights."""
+    """pipeline_report names the input kind before any sum, whatever the weights."""
     summed = []
     monkeypatch.setattr(lagrangian, "_graph_sums", lambda *args: summed.append(args))
     for g in (UndirectedGraph(3, [(0, 1)]), UndirectedGraph(1, []), underlying(OrientedGraph(4, [(0, 1), (2, 3)]))):
         for w in (uniform_weights(g.n), UNIFORM3):
-            for entrance in (lagrangian_cf, pipeline_report):
-                with pytest.raises(ValueError, match="^L_CF needs an OrientedGraph, not UndirectedGraph$"):
-                    entrance(g, w)
+            with pytest.raises(ValueError, match="^L_CF needs an OrientedGraph, not UndirectedGraph$"):
+                pipeline_report(g, w)
     assert summed == []
 
 
 def test_bf_entrances_read_an_orientation_as_its_underlying_graph():
-    """merge_chain, lagrangian_bf, reduce_report and lagrangian_report's L_BF
-    give on an orientation what they give on its underlying graph."""
+    """merge_chain, reduce_report and lagrangian_report's L_BF give on an
+    orientation what they give on its underlying graph."""
     rng = random.Random(31)
     cases = [(OrientedGraph(4, []), rand_weights(rng, 4)), (OrientedGraph(1, []), uniform_weights(1))]
     for _ in range(200):
@@ -160,7 +152,7 @@ def test_bf_entrances_read_an_orientation_as_its_underlying_graph():
         cases.append((rand_orientation(rng, n), rand_weights(rng, n)))
     for g, w in cases:
         und = underlying(g)
-        for entrance in (merge_chain, lagrangian_bf, reduce_report):
+        for entrance in (merge_chain, reduce_report):
             assert entrance(g, w) == entrance(und, w)
         assert lagrangian_report(g, w)["lagrangian_bf_underlying"] == lagrangian_report(und, w)["lagrangian_bf"]
 
@@ -171,17 +163,12 @@ def _oracle_json(triple, pair, quadratic) -> dict:
 
 
 def _assert_matches_oracles(g: OrientedGraph, w: WeightVector) -> None:
-    """The rendered breakdowns of trilag lagrangian, on the orientation's
-    sums and on the underlying graph's own, and both values."""
-    d = w.denominator
+    """The report of trilag lagrangian on the orientation and on its
+    underlying graph, every value and term."""
     und = underlying(g)
     cf_json, bf_json = _oracle_json(*brute_cf_terms(g, w)), _oracle_json(*brute_bf_terms(und, w))
-    bf = _graph_sums(g, w)[1]
-    assert _lag_json(d, *_cf_sums(g, w.numerators, bf[0])) == cf_json
-    assert _lag_json(d, *bf) == bf_json
-    assert _lag_json(d, *_graph_sums(und, w)[1]) == bf_json
-    assert str(lagrangian_cf(g, w)) == cf_json["value"]
-    assert str(lagrangian_bf(und, w)) == bf_json["value"]
+    assert lagrangian_report(g, w) == {"lagrangian_cf": cf_json, "lagrangian_bf_underlying": bf_json}
+    assert lagrangian_report(und, w) == {"lagrangian_bf": bf_json}
 
 
 def test_against_brute_force_oracles():
@@ -211,9 +198,8 @@ def test_step_inequality_and_difference_identity():
         n = rng.randint(2, 6)
         g = rand_orientation(rng, n)
         w = rand_weights(rng, n)
-        lcf = lagrangian_cf(g, w)
+        lcf, lbf = report_values(g, w)
         und = underlying(g)
-        lbf = lagrangian_bf(und, w)
         assert Fraction(0) <= lcf <= lbf
         rhs = Fraction(0)
         p = w.entries
@@ -236,9 +222,9 @@ def test_permutation_equivariance():
         for v in range(n):
             wp[perm[v]] = w.numerators[v]
         wp = WeightVector(w.denominator, wp)
-        assert lagrangian_cf(g, w) == lagrangian_cf(relabel(g, perm), wp)
+        assert report_values(g, w) == report_values(relabel(g, perm), wp)
         und = underlying(g)
-        assert lagrangian_bf(und, w) == lagrangian_bf(relabel(und, perm), wp)
+        assert report_values(und, w) == report_values(relabel(und, perm), wp)
 
 
 def test_zero_weight_vertex_deletion():
@@ -250,14 +236,7 @@ def test_zero_weight_vertex_deletion():
         v = rng.randrange(n)
         p = w.numerators
         padded = WeightVector(w.denominator, p[:v] + (0,) + p[v:])
-        assert (
-            lagrangian_cf(g, padded)
-            == lagrangian_cf(delete_vertex_oriented(g, v), w)
-        )
-        assert (
-            lagrangian_bf(underlying(g), padded)
-            == lagrangian_bf(underlying(delete_vertex_oriented(g, v)), w)
-        )
+        assert report_values(g, padded) == report_values(delete_vertex_oriented(g, v), w)
 
 
 def test_uniform_cf_triple_term_counts_cf():

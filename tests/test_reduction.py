@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trilag.fileio import parse_weights_text
-from trilag.graphs import UndirectedGraph, complete_graph
-from trilag.lagrangian import WeightVector, _ratio, lagrangian_bf, merge_chain, uniform_weights
+from trilag.graphs import UndirectedGraph
+from trilag.lagrangian import WeightVector, _ratio, merge_chain
 
 from helpers import (
     brute_lagrangian_bf,
     chain_fractions,
+    complete_graph,
     merge,
     merge_identity_sides,
     merges_complete,
@@ -21,6 +22,7 @@ from helpers import (
     rand_graph,
     rand_weights,
     reduce_oracle,
+    uniform_weights,
 )
 
 CHERRY = (
@@ -47,14 +49,14 @@ def test_merge_examples():
     graph, weights = merge(*CHERRY, 0, 1, keep=0)
     assert graph == UndirectedGraph(2, [(0, 1)])
     assert weights.entries == (Fraction(1, 2), Fraction(1, 2))
-    assert lagrangian_bf(graph, weights) == Fraction(3, 32)
+    assert brute_lagrangian_bf(graph, weights) == Fraction(3, 32)
 
 
 def test_merge_zero_weight_branch_keeps_lagrangian():
     g = UndirectedGraph(4, [(0, 2), (1, 2), (2, 3)])
     w = WeightVector(4, (0, 2, 1, 1))
-    before = lagrangian_bf(g, w)
-    after = lagrangian_bf(*merge(g, w, 0, 1, keep=1))  # discards the zero-weight vertex
+    before = brute_lagrangian_bf(g, w)
+    after = brute_lagrangian_bf(*merge(g, w, 0, 1, keep=1))  # discards the zero-weight vertex
     assert after == before
 
 
@@ -101,7 +103,7 @@ def test_reduce_complete_input_is_identity():
         assert merges_complete(complete_graph(n), rows, q)
         assert (d, q) == (w.denominator, list(w.numerators))
         assert start == final
-        assert Fraction(start, 2 * d**4) == lagrangian_bf(complete_graph(n), w)
+        assert Fraction(start, 2 * d**4) == brute_lagrangian_bf(complete_graph(n), w)
 
 
 def test_reduce_empty_graph_collapses_to_point():
@@ -110,7 +112,7 @@ def test_reduce_empty_graph_collapses_to_point():
     assert q == [d]
     assert len(rows) == 2
     assert merges_complete(g, rows, q)
-    assert lagrangian_bf(complete_graph(1), WeightVector(1, (1,))) == final == 0 == start
+    assert brute_lagrangian_bf(complete_graph(1), WeightVector(1, (1,))) == final == 0 == start
 
 
 def test_reduce_cherry():
@@ -122,7 +124,7 @@ def test_reduce_cherry():
     pair, *_, before, after = trace[0]
     assert pair == (0, 1)
     assert after == final == Fraction(3, 32)
-    assert before == start == lagrangian_bf(*CHERRY)
+    assert before == start == brute_lagrangian_bf(*CHERRY)
 
 
 def test_reduce_monotone_and_terminates():
@@ -131,7 +133,7 @@ def test_reduce_monotone_and_terminates():
         n = rng.randint(2, 7)
         g = rand_graph(rng, n, p=rng.random())
         w = rand_weights(rng, n)
-        start = lagrangian_bf(g, w)
+        start = brute_lagrangian_bf(g, w)
         d, q, rows, *ends = merge_chain(g, w)
         assert merges_complete(g, rows, q)
         weights, trace, returned_start, final = chain_fractions(d, q, rows, *ends)
@@ -144,7 +146,7 @@ def test_reduce_monotone_and_terminates():
             assert 0 <= s_ab <= min(s_a, s_b)
             assert abs(s_a - s_b) <= 1
             level = after
-        assert lagrangian_bf(complete_graph(len(q)), weights) == level == final
+        assert brute_lagrangian_bf(complete_graph(len(q)), weights) == level == final
         assert level >= start
 
 
@@ -173,8 +175,6 @@ def test_reduce_matches_object_oracle():
         graph, weights, trace, l_start, l_final = reduce_oracle(g, w)
         assert chain_fractions(d, q, rows, start, final) == (weights, trace, l_start, l_final)
         assert graph == complete_graph(len(q))
-        assert l_start == brute_lagrangian_bf(g, w)
-        assert l_final == brute_lagrangian_bf(graph, weights)
         count += 1
     assert count >= 2000
 

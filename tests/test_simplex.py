@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from trilag import simplex
-from trilag.graphs import complete_graph
-from trilag.lagrangian import WeightVector, _closed_form_numerator, _g_numerator, _majorized, lagrangian_bf
+from trilag.lagrangian import WeightVector, _closed_form_numerator, _g_numerator, _majorized, lagrangian_report
 from trilag.simplex import (
+    _gradient,
+    _objective,
     ascend,
-    closed_form,
-    gradient,
     maximize,
     project_to_simplex,
     round_point_exact,
@@ -21,7 +20,9 @@ from trilag.fileio import parse_weights_text
 from helpers import (
     _project_1d,
     ascend_one,
+    brute_lagrangian_bf,
     closed_form_oracle,
+    complete_graph,
     fraction_weights,
     majorization_oracle,
     rand_weights,
@@ -55,21 +56,22 @@ def test_closed_form_values():
 
 
 def test_closed_form_exact_and_float():
-    """Exact input is evaluated in floats too: only maximize evaluates exactly."""
-    value = closed_form([Fraction(1, 3)] * 3)
+    """The float objective, on exact input made floats: only maximize evaluates exactly."""
+    value = _objective(np.asarray([Fraction(1, 3)] * 3, dtype=float))[0]
     assert type(value) is not Fraction and abs(value - 5 / 54) < 1e-15
-    assert abs(closed_form([0.5, 0.5]) - 3 / 32) < 1e-15
-    rows = closed_form(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    assert rows.shape == (2,) and abs(rows[0] - 3 / 32) < 1e-15 and rows[1] == 0
+    assert abs(_objective(np.array([0.5, 0.5]))[0] - 3 / 32) < 1e-15
+    rows, s2 = _objective(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    assert rows.shape == s2.shape == (2,) and abs(rows[0] - 3 / 32) < 1e-15 and rows[1] == 0
+    assert list(s2) == [0.5, 1.0]
     with pytest.raises(ValueError):
-        closed_form(np.array([[0.5, 0.5], [0.5, 0.25]]))
+        _objective(np.array([[0.5, 0.5], [0.5, 0.25]]))
 
 
 def test_closed_form_rejects_off_simplex():
     with pytest.raises(ValueError):
-        closed_form([Fraction(1, 2), Fraction(1, 4)])
+        _objective(np.asarray([Fraction(1, 2), Fraction(1, 4)], dtype=float))
     with pytest.raises(ValueError):
-        closed_form([Fraction(3, 2), Fraction(-1, 2)])
+        _objective(np.asarray([Fraction(3, 2), Fraction(-1, 2)], dtype=float))
 
 
 NAN = float("nan")
@@ -81,38 +83,39 @@ NAN = float("nan")
 def test_closed_form_rejects_nan(x):
     """A NaN coordinate puts a row off the simplex: its sum fails the check."""
     with pytest.raises(ValueError, match="coordinates must sum to 1"):
-        closed_form(x)
+        _objective(np.asarray(x, dtype=float))
 
 
 def test_closed_form_messages_and_empty_input():
     with pytest.raises(ValueError, match="negative coordinate"):
-        closed_form([1.5, -0.5])
+        _objective(np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="coordinates must sum to 1"):
-        closed_form([0.5, 0.25])
+        _objective(np.array([0.5, 0.25]))
     with pytest.raises(ValueError, match="coordinates must sum to 1"):
-        closed_form([])
-    empty = closed_form(np.zeros((0, 3)))
+        _objective(np.asarray([], dtype=float))
+    empty = _objective(np.zeros((0, 3)))[0]
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_closed_form_matches_definition_examples():
+    """The integer closed form is L_BF of the complete graph from the raw definition."""
     for w in (WeightVector(2, (1, 1)), WeightVector(3, (1, 1, 1)), WeightVector(1, (1,))):
-        assert lagrangian_bf(complete_graph(len(w)), w) == exact_closed_form(w)
+        assert brute_lagrangian_bf(complete_graph(len(w)), w) == exact_closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
+    """The integer closed form is the L_BF that trilag lagrangian reports on the complete graph."""
     rng = random.Random(59)
     for _ in range(10_000):
         n = rng.randint(1, 10)
         w = rand_weights(rng, n, max_part=12)
-        assert lagrangian_bf(complete_graph(n), w) == exact_closed_form(w)
+        assert lagrangian_report(complete_graph(n), w)["lagrangian_bf"]["value"] == str(exact_closed_form(w))
 
 
 def test_gradient_hand_values():
-    g = gradient([0.5, 0.5])
-    assert np.allclose(g, [0.0, 0.0], atol=1e-15)
-    g = gradient([1.0, 0.0])
-    assert np.allclose(g, [-0.5, 0.0], atol=1e-15)
+    for x, want in (([0.5, 0.5], [0.0, 0.0]), ([1.0, 0.0], [-0.5, 0.0])):
+        x = np.array(x)
+        assert np.allclose(_gradient(x, (x * x).sum(axis=-1, keepdims=True)), want, atol=1e-15)
 
 
 def test_gradient_matches_finite_differences():
@@ -121,7 +124,7 @@ def test_gradient_matches_finite_differences():
     for n in (2, 5, 8):
         for _ in range(100):
             x = rng.dirichlet(np.ones(n))
-            grad = gradient(x)
+            grad = _gradient(x, (x * x).sum(axis=-1, keepdims=True))
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = step
@@ -182,17 +185,19 @@ def test_projection_matches_its_oracle_bit_for_bit():
 
 
 def test_batch_rows_equal_vector_calls():
-    """gradient, project_to_simplex and the float closed_form reduce along the last axis."""
+    """_gradient, project_to_simplex and the float objective reduce along the last axis."""
     rng = np.random.default_rng(11)
     for n in range(1, 13):
         points = rng.dirichlet(np.ones(n), size=9)
         v = rng.normal(size=(9, n))
-        grads, projections, values = gradient(points), project_to_simplex(v), closed_form(points)
+        grads = _gradient(points, (points * points).sum(axis=-1, keepdims=True))
+        projections, values = project_to_simplex(v), _objective(points)[0]
         assert grads.shape == projections.shape == (9, n) and values.shape == (9,)
         for i in range(9):
-            assert np.array_equal(grads[i], gradient(points[i]))
+            x = points[i]
+            assert np.array_equal(grads[i], _gradient(x, (x * x).sum(axis=-1, keepdims=True)))
             assert np.array_equal(projections[i], project_to_simplex(v[i]))
-            assert values[i] == closed_form(points[i])
+            assert values[i] == _objective(x)[0]
 
 
 @pytest.mark.parametrize(
@@ -250,7 +255,7 @@ def test_ascend_rows_match_oracle_under_a_cap(monkeypatch, max_iter, tol):
         for i, (ox, ofx, oresidual, oconverged, _) in enumerate(ends):
             assert np.array_equal(x[i], ox), (n, i)
             assert (residual[i], converged[i]) == (oresidual, oconverged), (n, i)
-            assert fx[i] == closed_form(ox[None])[0], (n, i)
+            assert fx[i] == _objective(ox[None])[0][0], (n, i)
             assert fx[i] == ofx, (n, i)
         assert converged[0] and residual[0] == 0.0, n
         if tol == 1e-300:  # row 6 stalls in step 1, where row 0 converges
@@ -324,7 +329,8 @@ def test_final_rows_meet_tol_at_step_one():
         starts = np.random.default_rng(0).dirichlet(np.ones(n), size=100)
         x, _, _, converged, *_ = ascend(starts)
         assert converged.all(), n
-        residual = np.sqrt(((project_to_simplex(x + gradient(x)) - x) ** 2).sum(axis=-1))
+        grad = _gradient(x, (x * x).sum(axis=-1, keepdims=True))
+        residual = np.sqrt(((project_to_simplex(x + grad) - x) ** 2).sum(axis=-1))
         assert (residual < tol).all(), (n, residual.max())
 
 
@@ -337,7 +343,8 @@ def test_final_rows_bound_the_step_one_residual():
         for n in range(2, 13):
             starts = np.random.default_rng(seed).dirichlet(np.ones(n), size=100)
             x, _, residual, *_ = ascend(starts)
-            r1 = np.sqrt(((project_to_simplex(x + gradient(x)) - x) ** 2).sum(axis=-1))
+            grad = _gradient(x, (x * x).sum(axis=-1, keepdims=True))
+            r1 = np.sqrt(((project_to_simplex(x + grad) - x) ** 2).sum(axis=-1))
             assert (residual <= r1 + 1e-15).all(), (seed, n, (residual - r1).max())
             assert (r1 <= simplex.STEP * residual).all(), (seed, n)
             assert (simplex.STEP * residual < simplex.STEP * simplex.TOL).all(), (seed, n, residual.max())
@@ -389,7 +396,7 @@ def test_maximize_never_exceeds_bound():
     for n in range(1, 13):
         res = maximize(n, seed=n)
         assert Fraction(res["value_exact"]) <= Fraction(3, 32)
-        assert closed_form(res["point"]) <= 3 / 32 + 1e-9
+        assert _objective(np.asarray(res["point"], dtype=float))[0] <= 3 / 32 + 1e-9
 
 
 def test_maximize_stats_without_convergence(monkeypatch):

@@ -19,13 +19,14 @@ There is one product loop, on packed keys: the exponent tuple m is the int
 m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
 product, so multiplying two monomials is one integer addition.
 ``h96_polynomial`` squares q on keys of base 5.  The Bernstein
-conversion, ``_power_form``, keeps its four barycentric linear forms
-packed throughout and makes no Fraction: its result is a form
-homogeneous of degree n in l_0..l_3, so l^a is keyed on (a_1, a_2, a_3)
-alone and l_0's key is 0.  ``_elevate`` raises that form's degree by one,
-a copy and three shifted sums, for Polya degree elevation: the
-coefficients of a form of high enough degree are all >= 0 wherever the
-polynomial is > 0 on the tetrahedron.
+conversion, ``_power_form``, keeps D x1, D x2 and D x3 and their powers
+packed in the barycentric coordinates and makes no Fraction: its result
+is a form homogeneous of degree n in l_0..l_3, so l^a is keyed on
+(a_1, a_2, a_3) alone and l_0's key is 0.  ``_elevate`` multiplies such a
+form by l_0 + l_1 + l_2 + l_3 = 1, a copy and three shifted sums: it sums
+p's degrees by Horner in ``_power_form``, and it is Polya degree
+elevation: the coefficients of a form of high enough degree are all >= 0
+wherever the polynomial is > 0 on the tetrahedron.
 
 In barycentric coordinates l (x = sum_i l_i v_i, sum_i l_i = 1) the
 form's coefficient of l^a divided by the multinomial n!/(a_0! a_1! a_2! a_3!)
@@ -128,9 +129,12 @@ def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
     """The form S D^n p of degree n, p's, in the barycentric coordinates l.
 
     With D the vertices' common denominator and S that of p's coefficients,
-    D x1, D x2, D x3 and D are linear in l with integer coefficients, and
-    each monomial of degree d of p is multiplied by D^(n - d), which is
-    (D (l_0 + l_1 + l_2 + l_3))^(n - d) since the l sum to 1.  The result
+    D x1, D x2 and D x3 are linear in l with integer coefficients.  Write
+    p_d for p's terms of degree d; since the l sum to 1,
+    S D^n p = sum_d D^(n - d) S p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
+    which is summed by Horner in the degree: for d = 0..n the sum so far is
+    raised one degree by ``_elevate`` and D^(n - d) S p_d(D x) is added,
+    with D^(n - d) folded into each term's integer coefficient.  The result
     is dense: every l^a with |a| = n has an entry, 0 included, in
     ``_multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
     with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
@@ -143,30 +147,28 @@ def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
     verts = [[c if type(c) is int or type(c) is Fraction else Fraction(c) for c in v] for v in vertices]
     den = lcm(*(c.denominator for v in verts for c in v))
     scale = lcm(*(c.denominator for c in p.values()))
-    forms = [  # D x1, D x2 and D x3 in l, then D
-        {u: v[x].numerator * (den // v[x].denominator) for u, v in zip(unit, verts) if v[x]}
-        for x in range(3)
-    ]
-    forms.append(dict.fromkeys(unit, den))
-    powers = []  # powers[axis][e] is the e-th power of forms[axis]
-    for form in forms:
+    powers = []  # powers[x][e] is the e-th power of D x_(x+1) in l
+    for x in range(3):
+        form = {u: v[x].numerator * (den // v[x].denominator) for u, v in zip(unit, verts) if v[x]}
         row = [{0: 1}]
         for _ in range(n):
             row.append(_mul_packed(row[-1], form, {}))
         powers.append(row)
 
-    # total = S D^n p, summed over p's terms grouped by (i, j): each group is
-    # (D x1)^i (D x2)^j times the sum of its S c (D x3)^k D^(n - i - j - k)
-    by_ij = {}
+    # layers[d][i] lists p's terms of degree d with x1^i, as (j, k, D^(n - d) S c);
+    # layer d is the sum over i of (D x1)^i times the sum of its (D x2)^j (D x3)^k c
+    layers = [{} for _ in range(n + 1)]
     for (i, j, k), c in p.items():
-        by_ij.setdefault((i, j), []).append((k, c.numerator * (scale // c.denominator)))
+        c = c.numerator * (scale // c.denominator) * den ** (n - i - j - k)
+        layers[i + j + k].setdefault(i, []).append((j, k, c))
     total = {}
-    for (i, j), terms in by_ij.items():
-        tail = {}
-        for k, c in terms:
-            scaled = {m: c * t for m, t in powers[3][n - i - j - k].items()}
-            _mul_packed(powers[2][k], scaled, tail)
-        _mul_packed(_mul_packed(powers[0][i], powers[1][j], {}), tail, total)
+    for layer in layers:
+        total = _elevate(total, b)
+        for i, terms in layer.items():
+            inner = {}
+            for j, k, c in terms:
+                _mul_packed(powers[1][j], {m: c * t for m, t in powers[2][k].items()}, inner)
+            _mul_packed(powers[0][i], inner, total)
 
     return {
         a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)

@@ -260,6 +260,14 @@ def rand_poly(rng, degree):
     return Poly(coeffs)
 
 
+def empty_layer_polys():
+    """Polynomials with no term of some degree below their own: x1^3 x3 - 5
+    (degrees 1-3 empty), x3 - 7/3 x1^3 (degrees 0 and 2) and the
+    homogeneous quartic x1^2 x3^2 + x2^4."""
+    x1, x2, x3 = (Poly.variable(i) for i in range(3))
+    return [x1**3 * x3 - 5, x3 - Fraction(7, 3) * x1**3, x1**2 * x3**2 + x2**4]
+
+
 def test_elevation_equals_the_fraction_oracle_at_every_degree():
     """The packed elevation equals Fraction elevation of bernstein_oracle's coefficients."""
     rng = random.Random(28)
@@ -270,6 +278,10 @@ def test_elevation_equals_the_fraction_oracle_at_every_degree():
     for d in range(5):
         for den in (7, 64, 360):
             cases.append((rand_poly(rng, d), signed_simplex(rng, den), range(d, d + 4)))
+    layer_rng = random.Random(31)
+    for p in empty_layer_polys():
+        for vertices in (DOMAIN_VERTICES, *(signed_simplex(layer_rng, den) for den in (7, 64, 360))):
+            cases.append((p, vertices, range(p.degree(), p.degree() + 4)))
     for p, vertices, degrees in cases:
         for m in degrees:
             assert packed_coefficients(p.coeffs, m, vertices) == elevate_oracle(p, m, vertices)
@@ -289,6 +301,7 @@ def test_bernstein_equals_the_poly_product_oracle():
         Poly.constant(Fraction(-5, 7)),
         h_oracle(),
         stability_polynomial(),
+        *empty_layer_polys(),
     ]
     simplices = [DOMAIN_VERTICES] + [signed_simplex(rng, den) for den in (7, 64, 360)]
     for p in polys:

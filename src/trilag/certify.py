@@ -1,13 +1,13 @@
 """Exact certificate that h = 3/32 - g is nonnegative on the sorted domain.
 
 The domain D = {x1 >= x2 >= x3 >= 0, x1 + x2 + x3 <= 1} is the tetrahedron
-with vertices (0,0,0), (1,0,0), (1/2,1/2,0) and (1/3,1/3,1/3).  h is
-written once in the barycentric coordinates of D and its degree is raised
-one step at a time, by Polya degree elevation, until no Bernstein-Bezier
-coefficient is negative.  The Bernstein basis of any degree is >= 0 on D
-and sums to 1 there, so h >= 0 on all of D.  The witness is one degree m:
-a fresh Bernstein conversion of the paper's 3/32 - g at degree m, in
-Fractions, checks it.
+with vertices (0,0,0), (1,0,0), (1/2,1/2,0) and (1/3,1/3,1/3), kept as the
+integers DOMAIN over 6.  h is written once in the barycentric coordinates
+of D and its degree is raised one step at a time, by Polya degree
+elevation, until no Bernstein-Bezier coefficient is negative.  The
+Bernstein basis of any degree is >= 0 on D and sums to 1 there, so h >= 0
+on all of D.  The witness is one degree m: a fresh Bernstein conversion of
+the paper's 3/32 - g at degree m, in Fractions, checks it.
 
 Everything here is rational arithmetic: no floats, no rounding modes, no
 computer algebra system.  A polynomial in x1, x2, x3 is a plain dict of
@@ -19,8 +19,8 @@ There is one product loop, on packed keys: the exponent tuple m is the int
 m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
 product, so multiplying two monomials is one integer addition.
 ``h96_polynomial`` squares q on keys of base 5.  The Bernstein
-conversion, ``_power_form``, keeps D x1, D x2 and D x3 and their powers
-packed in the barycentric coordinates and makes no Fraction: its result
+conversion, ``_power_form``, keeps 6 x1, 6 x2 and 6 x3 and their powers
+packed in the barycentric coordinates of D and makes no Fraction: its result
 is a form homogeneous of degree n in l_0..l_3, so l^a is keyed on
 (a_1, a_2, a_3) alone and l_0's key is 0.  ``_elevate`` multiplies such a
 form by l_0 + l_1 + l_2 + l_3 = 1, a copy and three shifted sums: it sums
@@ -63,12 +63,8 @@ from math import factorial, lcm
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
 
-DOMAIN_VERTICES = (
-    (Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-)
+# D's vertices times 6, their least common denominator
+DOMAIN = ((0, 0, 0), (6, 0, 0), (3, 3, 0), (2, 2, 2))
 
 # the degree at which certify stops elevating
 MAX_DEGREE = 32
@@ -125,12 +121,13 @@ def _multi_indices(n: int):
                 yield a0, a1, a2, n - a0 - a1 - a2
 
 
-def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
-    """The form S D^n p of degree n, p's, in the barycentric coordinates l.
+def _power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
+    """The form S D^n p of degree n, p's, in the barycentric coordinates l of D.
 
-    With D the vertices' common denominator and S that of p's coefficients,
-    D x1, D x2 and D x3 are linear in l with integer coefficients.  Write
-    p_d for p's terms of degree d; since the l sum to 1,
+    With D = 6 the vertices' least common denominator and S that of p's
+    coefficients, D x1, D x2 and D x3 are linear in l, with DOMAIN's
+    integers as their coefficients.  Write p_d for p's terms of degree d;
+    since the l sum to 1,
     S D^n p = sum_d D^(n - d) S p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
     which is summed by Horner in the degree: for d = 0..n the sum so far is
     raised one degree by ``_elevate`` and D^(n - d) S p_d(D x) is added,
@@ -144,12 +141,10 @@ def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
     n = max(map(sum, p), default=0)
     b = n + 1  # the products' base; for n < 6 their keys are cached small ints
     unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
-    verts = [[c if type(c) is int or type(c) is Fraction else Fraction(c) for c in v] for v in vertices]
-    den = lcm(*(c.denominator for v in verts for c in v))
     scale = lcm(*(c.denominator for c in p.values()))
     powers = []  # powers[x][e] is the e-th power of D x_(x+1) in l
     for x in range(3):
-        form = {u: v[x].numerator * (den // v[x].denominator) for u, v in zip(unit, verts) if v[x]}
+        form = {u: v[x] for u, v in zip(unit, DOMAIN) if v[x]}
         row = [{0: 1}]
         for _ in range(n):
             row.append(_mul_packed(row[-1], form, {}))
@@ -159,7 +154,7 @@ def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
     # layer d is the sum over i of (D x1)^i times the sum of its (D x2)^j (D x3)^k c
     layers = [{} for _ in range(n + 1)]
     for (i, j, k), c in p.items():
-        c = c.numerator * (scale // c.denominator) * den ** (n - i - j - k)
+        c = c.numerator * (scale // c.denominator) * 6 ** (n - i - j - k)
         layers[i + j + k].setdefault(i, []).append((j, k, c))
     total = {}
     for layer in layers:
@@ -173,7 +168,7 @@ def _power_form(p: dict, vertices, base: int) -> tuple[dict[int, int], int]:
     return {
         a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)
         for _, a1, a2, a3 in _multi_indices(n)
-    }, scale * den**n
+    }, scale * 6**n
 
 
 def _elevate(form: dict[int, int], base: int) -> dict[int, int]:
@@ -226,7 +221,7 @@ def certify(poly: dict | None = None) -> dict:
     p, scale = (h96_polynomial(), 96) if poly is None else (poly, 1)
     p, m = _terms(p)
     base = max(m, MAX_DEGREE) + 1
-    form, den = _power_form(p, DOMAIN_VERTICES, base)
+    form, den = _power_form(p, base)
     low = min(form.values())
     while m < MAX_DEGREE and low < 0:
         form = _elevate(form, base)

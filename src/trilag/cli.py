@@ -9,9 +9,12 @@ maxima table; text gives a one-screen summary.
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a mathematical
 check failed (a violation, a failed chain link, or an indeterminate
 certificate -- worth a bug report either way).  The payloads come from
-the report builders of trilag.lagrangian, trilag.simplex.maximize and
-trilag.certify.certify.  Only optimize, enumerate and validate-fdf load
-numpy, importing trilag.simplex or trilag.harness when they run.
+the report builders of trilag.lagrangian (lagrangian, reduce, pipeline),
+trilag.simplex.maximize (optimize), trilag.harness (enumerate and
+validate-fdf) and trilag.certify.certify (certify); construct's payload is
+built here, from the triple systems of trilag.graphs.  Only optimize,
+enumerate and validate-fdf load numpy, importing trilag.simplex or
+trilag.harness when they run.
 """
 
 from __future__ import annotations

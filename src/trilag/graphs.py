@@ -18,7 +18,8 @@ the test suite.
 
 A 3-graph is a plain set of triples: build_f, build_cf and build_bf each
 return a frozenset of vertex triples, every triple sorted ascending.
-edge_density takes the vertex count beside it.
+edge_density takes the vertex count beside it, and
+has_induced_directed_c4 answers with a bool alone.
 """
 
 from __future__ import annotations
@@ -123,13 +124,9 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def _induced_arcs(g: OrientedGraph, x: int, y: int, z: int):
-    """Arcs of g inside {x,y,z}."""
-    out = []
-    for (u, v) in itertools.permutations((x, y, z), 2):
-        if (u, v) in g.arcs:
-            out.append((u, v))
-    return out
+def _arc_count(g: OrientedGraph, x: int, y: int, z: int) -> int:
+    """The number of arcs of g inside {x,y,z}."""
+    return sum((u, v) in g.arcs for (u, v) in itertools.permutations((x, y, z), 2))
 
 
 def _dominator(g: OrientedGraph, x: int, y: int, z: int):
@@ -148,7 +145,7 @@ def build_f(g: OrientedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples with at most one induced arc, or with a dominator."""
     triples = []
     for (x, y, z) in itertools.combinations(range(g.n), 3):
-        if len(_induced_arcs(g, x, y, z)) <= 1 or _dominator(g, x, y, z) is not None:
+        if _arc_count(g, x, y, z) <= 1 or _dominator(g, x, y, z) is not None:
             triples.append((x, y, z))
     return frozenset(triples)
 
@@ -160,7 +157,7 @@ def build_cf(g: OrientedGraph) -> frozenset[tuple[int, int, int]]:
     """
     triples = []
     for (x, y, z) in itertools.combinations(range(g.n), 3):
-        if len(_induced_arcs(g, x, y, z)) >= 2 and _dominator(g, x, y, z) is None:
+        if _arc_count(g, x, y, z) >= 2 and _dominator(g, x, y, z) is None:
             triples.append((x, y, z))
     return frozenset(triples)
 
@@ -187,26 +184,15 @@ def edge_density(n: int, triples) -> Fraction:
     return Fraction(len(triples), comb(n, 3))
 
 
-def has_induced_directed_c4(g: OrientedGraph):
-    """Detect an induced directed 4-cycle.
+def has_induced_directed_c4(g: OrientedGraph) -> bool:
+    """Whether some 4-set induces a directed 4-cycle.
 
-    Returns (True, (a,b,c,d)) with the witness in cycle order when some
-    4-set induces exactly the four arcs a->b->c->d->a, else (False, None).
+    A 4-set does exactly when each of its vertices has one out-arc and one
+    in-arc inside it.  Those four arcs send each vertex to the next, and
+    with no loop and no antiparallel pair they close into one 4-cycle.
     """
     for quad in itertools.combinations(range(g.n), 4):
-        induced = sum(
-            1 for (u, v) in itertools.permutations(quad, 2) if (u, v) in g.arcs
-        )
-        if induced != 4:
-            continue
-        a = quad[0]
-        for (b, c, d) in itertools.permutations(quad[1:]):
-            if (
-                (a, b) in g.arcs
-                and (b, c) in g.arcs
-                and (c, d) in g.arcs
-                and (d, a) in g.arcs
-            ):
-                return True, (a, b, c, d)
-    return False, None
-
+        arcs = [(u, v) for (u, v) in itertools.permutations(quad, 2) if (u, v) in g.arcs]
+        if len(arcs) == 4 and {u for u, _ in arcs} == {v for _, v in arcs} == set(quad):
+            return True
+    return False

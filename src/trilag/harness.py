@@ -77,7 +77,7 @@ def lookup_tables() -> dict[str, np.ndarray]:
         "bf": np.array(in_bf, dtype=np.int8),
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
-        "c4": np.array([has_induced_directed_c4(g)[0] for g in quads]),
+        "c4": np.array([has_induced_directed_c4(g) for g in quads]),
         "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[3],
     }
     for table in tables.values():

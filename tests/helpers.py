@@ -28,7 +28,9 @@ g with Fraction-coefficient Polys, and h_oracle is 3/32 minus it.  None of
 these shares code with the prover: they call no function of trilag.certify.
 packed_coefficients is the packed route itself, certify's _terms,
 _power_form, _elevate and _bernstein_numerators, made Fractions for the
-tests to compare.
+tests to compare.  certify converts on D alone, as the integers
+trilag.certify.DOMAIN over 6; DOMAIN_VERTICES is D in Fractions, the
+oracles' D, and elevate_oracle and packed_coefficients convert on it.
 parse_weights_oracle parses weights one Fraction per line, through
 parse_rational, and takes their lcm itself; parse_weights_text reads p/q
 and integer tokens with int().  Both build WeightVector(d, p), the one
@@ -46,7 +48,7 @@ from operator import add
 
 import numpy as np
 
-from trilag.certify import DOMAIN_VERTICES, _bernstein_numerators, _elevate, _power_form, _terms
+from trilag.certify import _bernstein_numerators, _elevate, _power_form, _terms
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector
@@ -647,6 +649,15 @@ def bernstein_oracle(p: Poly, vertices, degree: int | None = None) -> dict[tuple
     return coeffs
 
 
+# D, the sorted domain, as Fractions: the vertices of the oracles' conversions
+DOMAIN_VERTICES = (
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+)
+
+
 def point_in_domain(x1, x2, x3) -> bool:
     """Exact membership in D (rationals only)."""
     x1, x2, x3 = Fraction(x1), Fraction(x2), Fraction(x3)
@@ -663,15 +674,15 @@ def multi_indices(m: int):
     ]
 
 
-def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
-    """The Bernstein coefficients of p at a degree >= p's, by Fraction degree elevation.
+def elevate_oracle(p: Poly, degree: int) -> dict[tuple[int, int, int, int], Fraction]:
+    """The Bernstein coefficients of p on D at a degree >= p's, by Fraction degree elevation.
 
-    Starts from bernstein_oracle(p, vertices) at n = p's degree and raises
+    Starts from bernstein_oracle(p, DOMAIN_VERTICES) at n = p's degree and raises
     the degree one step at a time: at degree m + 1,
     b'[a] = sum_i a_i b[a - e_i] / (m + 1), over the i with a_i > 0.  The
     keys are in multi_indices order.
     """
-    coeffs = bernstein_oracle(p, vertices)
+    coeffs = bernstein_oracle(p, DOMAIN_VERTICES)
     m = max((sum(mono) for mono in p.coeffs), default=0)
     if degree < m:
         raise ValueError(f"degree {degree} is below the polynomial's {m}")
@@ -688,16 +699,16 @@ def elevate_oracle(p: Poly, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple
     return coeffs
 
 
-def packed_coefficients(p: dict, degree: int, vertices=DOMAIN_VERTICES) -> dict[tuple[int, int, int, int], Fraction]:
-    """The coefficients of a term dict at a degree from _terms, _power_form,
-    _elevate and _bernstein_numerators.
+def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int], Fraction]:
+    """The coefficients of a term dict on D at a degree from _terms,
+    _power_form, _elevate and _bernstein_numerators.
 
     Asserts on the way that the form is dense at the degree and that the
     numerators come in multi_indices order.
     """
     base = degree + 1
     p, n = _terms(p)
-    form, den = _power_form(p, vertices, base)
+    form, den = _power_form(p, base)
     for _ in range(degree - n):
         form = _elevate(form, base)
     assert len(form) == len(multi_indices(degree))  # dense at every degree

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify, h96_polynomial
+from trilag.certify import CERTIFIED, certify, h96_polynomial
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -24,6 +24,7 @@ from trilag.lagrangian import (
 from trilag.simplex import _gradient, maximize
 
 from helpers import (
+    DOMAIN_VERTICES,
     Poly,
     bernstein_oracle,
     brute_lagrangian_cf,

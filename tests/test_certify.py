@@ -1,13 +1,22 @@
 import json
 import re
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
 import trilag.certify as certify_module
-from helpers import Poly, bernstein_oracle, elevate_oracle, h_oracle, multi_indices, point_in_domain, stability_polynomial
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, INDETERMINATE, MAX_DEGREE, _power_form, certify
+from helpers import (
+    DOMAIN_VERTICES,
+    Poly,
+    bernstein_oracle,
+    elevate_oracle,
+    h_oracle,
+    multi_indices,
+    point_in_domain,
+    stability_polynomial,
+)
+from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _power_form, certify
 
 HALF = Fraction(1, 2)
 
@@ -42,6 +51,14 @@ def test_point_domain_checks():
     assert not point_in_domain(Fraction(1, 4), HALF, 0)
     assert not point_in_domain(HALF, HALF, HALF)
     assert all(point_in_domain(*v) for v in DOMAIN_VERTICES)
+
+
+def test_the_provers_domain_is_the_papers_d_over_6():
+    """certify converts on integers: each of DOMAIN's vertices over 6 is D's
+    vertex, in order, and 6 is the least common denominator of D's vertices."""
+    assert all(type(c) is int for v in DOMAIN for c in v)
+    assert tuple(tuple(Fraction(c, 6) for c in v) for v in DOMAIN) == DOMAIN_VERTICES
+    assert lcm(*(c.denominator for v in DOMAIN_VERTICES for c in v)) == 6
 
 
 def test_constant_poly_certifies_at_depth_zero():
@@ -187,9 +204,9 @@ def sign(x) -> int:
     ids=["h", "stability", "constant", "h+1/100", "stability+1/10^6",
          "depth0", "h-1/1000-depth6", "h-1/1000-depth9", "stability-1/10^6-depth8"],
 )
-def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, poly, shape):
-    """certify's report is the one a fresh Fraction conversion on D, the one
-    simplex, gives at each degree, and the one Fraction elevation gives.
+def test_certify_matches_fresh_conversion_and_elevation(monkeypatch, depth, poly, shape):
+    """certify's report is the one a fresh Fraction conversion on D gives at
+    each degree, and the one Fraction elevation gives.
 
     depth is the number of elevation steps allowed, MAX_DEGREE less the
     polynomial's degree 4; None keeps MAX_DEGREE.  The cases cover the three
@@ -207,15 +224,15 @@ def test_certify_matches_fresh_conversion_on_every_simplex(monkeypatch, depth, p
 def test_certify_converts_once_on_the_domain(monkeypatch):
     calls = []
 
-    def counted(p, vertices, base):
-        calls.append(vertices)
-        return _power_form(p, vertices, base)
+    def counted(p, base):
+        calls.append(base)
+        return _power_form(p, base)
 
     # certify looks the conversion up in its own module's namespace
     monkeypatch.setattr(certify_module, "_power_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
     assert certify(poly=(h_oracle() - Fraction(1, 1000)).coeffs)["degree"] == 12
-    assert calls == [DOMAIN_VERTICES]
+    assert calls == [13]  # one conversion, on keys above the cap 12
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -104,14 +104,16 @@ def test_edge_density():
 
 def test_directed_c4_detection():
     c4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    found, witness = has_induced_directed_c4(c4)
-    assert found
-    a, b, c, d = witness
-    assert {(a, b), (b, c), (c, d), (d, a)} <= c4.arcs
+    assert has_induced_directed_c4(c4) is True
     chorded = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert has_induced_directed_c4(chorded) == (False, None)
+    assert has_induced_directed_c4(chorded) is False
     tri = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert has_induced_directed_c4(tri) == (False, None)
+    assert has_induced_directed_c4(tri) is False
+    # a directed triangle with a pendant arc: four arcs, and every vertex has
+    # out-degree 1 (the arc into the triangle) or in-degree 1 (the arc out of it)
+    for pendant in ((3, 0), (0, 3)):
+        g = OrientedGraph(4, [(0, 1), (1, 2), (2, 0), pendant])
+        assert has_induced_directed_c4(g) is False
 
 
 def test_independent_4set():

@@ -4,8 +4,8 @@ The exact modules import neither numpy nor a numpy-backed module at module
 level, and the exact commands start without numpy.  The package exports
 no names: ``import trilag`` loads no submodule, ``import trilag.certify``
 loads the certificate alone, and ``trilag.certify`` is always the module.
-Every top-level function and class of the package is used by its own code,
-so none is an entrance that only the tests call.
+Every top-level function, class and constant of the package is used by its
+own code, so none is an entrance or a value that only the tests read.
 """
 
 import ast
@@ -178,19 +178,26 @@ print(steps)
 
 
 def _unreferenced_definitions(package: Path) -> list[str]:
-    """module.name of each top-level def or class of the package's modules that
-    no code of the package refers to outside that definition.
+    """module.name of each top-level def, class or constant of the package's
+    modules that no code of the package refers to outside its own statement.
 
-    A reference is a Name, an Attribute or an import alias; docstrings and
-    comments are not code, so they do not count.
+    A constant is a name a module-level assignment binds; dunders such as
+    __version__ are exempt.  A reference is a Name, an Attribute or an
+    import alias; docstrings and comments are not code, so they do not count.
     """
     defined, references = [], set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = (path.stem, stmt.name)
-                defined.append(owner)
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+                names = [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+            else:
+                names = []
+            owner = frozenset((path.stem, name) for name in names)
+            defined.extend(owner)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -201,14 +208,15 @@ def _unreferenced_definitions(package: Path) -> list[str]:
                 else:
                     continue
                 references.add((owner, name))
-    return [f"{module}.{name}" for module, name in defined
-            if not any(ref == name and owner != (module, name) for owner, ref in references)]
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not any(ref == name and (module, name) not in owner for owner, ref in references))
 
 
 def test_every_definition_is_used_by_the_package():
-    """A function or class that only the tests call leaves src: each command
-    reaches the chain through the report builders, which the tests check
-    against the raw-definition oracles of tests/helpers."""
+    """A function, class or constant that only the tests read leaves src:
+    each command reaches the chain through the report builders, which the
+    tests check against the raw-definition oracles of tests/helpers, and
+    D's Fraction vertices are the oracles' own."""
     assert _unreferenced_definitions(SRC / "trilag") == []
 
 

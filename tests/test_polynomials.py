@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from helpers import (
+    DOMAIN_VERTICES,
     Poly,
     bernstein_oracle,
     elevate_oracle,
@@ -16,16 +17,10 @@ from helpers import (
     packed_coefficients,
     stability_polynomial,
 )
-from trilag.certify import CERTIFIED, DOMAIN_VERTICES, certify, h96_polynomial
+from trilag.certify import CERTIFIED, certify, h96_polynomial
 from trilag.lagrangian import _g_numerator
 
 HALF = Fraction(1, 2)
-# the halves of D on either side of its longest edge's midpoint; both have
-# the zero of h, (1/2, 1/2, 0), as a vertex
-HALVES = (
-    (DOMAIN_VERTICES[0], (HALF, Fraction(0), Fraction(0)), *DOMAIN_VERTICES[2:]),
-    ((HALF, Fraction(0), Fraction(0)), *DOMAIN_VERTICES[1:]),
-)
 
 
 def rand_rational(rng, den=64):
@@ -128,23 +123,6 @@ def test_poly_arithmetic():
             mixed()
 
 
-def rand_simplex(rng, den=64):
-    while True:
-        verts = tuple(tuple(rand_rational(rng, den) for _ in range(3)) for _ in range(4))
-        if len(set(verts)) == 4:
-            return verts
-
-
-def signed_simplex(rng, den):
-    """Four distinct vertices with coordinates in [-1, 1] over den."""
-    while True:
-        verts = tuple(
-            tuple(Fraction(rng.randint(-den, den), den) for _ in range(3)) for _ in range(4)
-        )
-        if len(set(verts)) == 4:
-            return verts
-
-
 def rand_barycentric(rng):
     weights = [Fraction(rng.randint(0, 1000)) for _ in range(4)]
     if not any(weights):
@@ -163,81 +141,79 @@ def bernstein_value(coeffs, lam):
     return total
 
 
-def at(vertices, lam):
-    return tuple(sum(l * v[k] for l, v in zip(lam, vertices)) for k in range(3))
+def at(lam):
+    """The point of D with barycentric coordinates lam."""
+    return tuple(sum(l * v[k] for l, v in zip(lam, DOMAIN_VERTICES)) for k in range(3))
 
 
 def vertex_index(n, i):
     return tuple(n if j == i else 0 for j in range(4))
 
 
-def test_bernstein_form_reproduces_h_on_each_leaf():
+def test_bernstein_form_reproduces_h_on_the_domain():
     h = h_oracle()
     rng = random.Random(400)
-    simplices = [DOMAIN_VERTICES, *HALVES]
-    for vertices in simplices:
-        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
-        assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
-        for _ in range(150):
-            lam = rand_barycentric(rng)
-            assert bernstein_value(coeffs, lam) == h.evaluate(*at(vertices, lam))
+    coeffs = packed_coefficients(h.coeffs, h.degree())
+    assert len(coeffs) == 35  # degree 4 in four barycentric coordinates
+    for _ in range(150):
+        lam = rand_barycentric(rng)
+        assert bernstein_value(coeffs, lam) == h.evaluate(*at(lam))
 
 
 def test_bernstein_linear_poly_is_exact_corner_min():
-    p = Poly.variable(0) - 2 * Poly.variable(1) + Poly.constant(Fraction(1, 4))
+    """A linear polynomial's four coefficients are its values at D's vertices."""
     rng = random.Random(7)
+    x1, x2, x3 = (Poly.variable(i) for i in range(3))
     for _ in range(20):
-        vertices = rand_simplex(rng)
-        coeffs = packed_coefficients(p.coeffs, p.degree(), vertices)
-        assert sorted(coeffs.values()) == sorted(p.evaluate(*v) for v in vertices)
+        a, b, c, e = (Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4))
+        p = a * x1 + b * x2 + c * x3 + e
+        coeffs = packed_coefficients(p.coeffs, 1)
+        assert sorted(coeffs.values()) == sorted(p.evaluate(*v) for v in DOMAIN_VERTICES)
 
 
 def test_bernstein_corner_coefficients_are_exact_values():
-    h = h_oracle()
     rng = random.Random(11)
-    simplices = [*HALVES] + [rand_simplex(rng) for _ in range(5)]
-    for vertices in simplices:
-        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
-        for i, v in enumerate(vertices):
-            assert coeffs[vertex_index(4, i)] == h.evaluate(*v)
+    polys = [h_oracle(), stability_polynomial()] + [rand_poly(rng, d) for d in range(1, 7)]
+    for p in polys:
+        coeffs = packed_coefficients(p.coeffs, p.degree())
+        for i, v in enumerate(DOMAIN_VERTICES):
+            assert coeffs[vertex_index(p.degree(), i)] == p.evaluate(*v)
 
 
 def test_bernstein_zero_corner_cell():
-    # both halves have the equality point of h as a vertex, with coefficient 0
+    """h's coefficient at D's vertex (1/2, 1/2, 0), its zero, is 0 at every
+    degree; the least coefficient is -1/32 at degree 4 and 0 at degree 8."""
     h = h_oracle()
-    zero = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    for vertices in HALVES:
-        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
-        assert coeffs[vertex_index(4, vertices.index(zero))] == 0
-        assert min(coeffs.values()) == 0
+    i = DOMAIN_VERTICES.index((HALF, HALF, Fraction(0)))
+    for m in range(4, 10):
+        assert packed_coefficients(h.coeffs, m)[vertex_index(m, i)] == 0
+    assert min(packed_coefficients(h.coeffs, 4).values()) == Fraction(-1, 32)
+    assert min(packed_coefficients(h.coeffs, 8).values()) == 0
 
 
 def test_bernstein_soundness_by_sampling():
-    h = h_oracle()
     rng = random.Random(23)
-    for _ in range(20):
-        vertices = rand_simplex(rng)
-        coeffs = packed_coefficients(h.coeffs, h.degree(), vertices)
+    polys = [h_oracle()] + [rand_poly(rng, 1 + r % 6) for r in range(19)]
+    for p in polys:
+        coeffs = packed_coefficients(p.coeffs, p.degree())
         low, high = min(coeffs.values()), max(coeffs.values())
         for _ in range(100):
-            assert low <= h.evaluate(*at(vertices, rand_barycentric(rng))) <= high
+            assert low <= p.evaluate(*at(rand_barycentric(rng))) <= high
 
 
 def test_bernstein_coefficients_are_fractions():
     h = h_oracle()
-    for vertices in HALVES:
-        assert all(type(b) is Fraction for b in packed_coefficients(h.coeffs, h.degree(), vertices).values())
-    # integer coefficients on an integer-vertex simplex (common denominator 1): an
-    # int / int division would give floats here
+    assert all(type(b) is Fraction for b in packed_coefficients(h.coeffs, h.degree()).values())
+    # integer coefficients: the form's ints over its int denominator are
+    # Fractions, where an int / int division would give floats
     p = Poly.variable(0) - 2 * Poly.variable(1) + 1
-    corner = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     rng = random.Random(5)
     for q in (p, p * p):
-        coeffs = packed_coefficients(q.coeffs, q.degree(), corner)
+        coeffs = packed_coefficients(q.coeffs, q.degree())
         assert all(type(b) is Fraction for b in coeffs.values())
         for _ in range(20):
             lam = rand_barycentric(rng)
-            assert bernstein_value(coeffs, lam) == q.evaluate(*at(corner, lam))
+            assert bernstein_value(coeffs, lam) == q.evaluate(*at(lam))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -272,24 +248,17 @@ def test_elevation_equals_the_fraction_oracle_at_every_degree():
     """The packed elevation equals Fraction elevation of bernstein_oracle's coefficients."""
     rng = random.Random(28)
     h = h_oracle()
-    cases = [(h, DOMAIN_VERTICES, range(4, 9)),
-             (stability_polynomial(), DOMAIN_VERTICES, range(4, 10)),
-             (Poly.constant(Fraction(-5, 7)), DOMAIN_VERTICES, range(0, 4))]
-    for d in range(5):
-        for den in (7, 64, 360):
-            cases.append((rand_poly(rng, d), signed_simplex(rng, den), range(d, d + 4)))
-    layer_rng = random.Random(31)
-    for p in empty_layer_polys():
-        for vertices in (DOMAIN_VERTICES, *(signed_simplex(layer_rng, den) for den in (7, 64, 360))):
-            cases.append((p, vertices, range(p.degree(), p.degree() + 4)))
-    for p, vertices, degrees in cases:
+    cases = [(h, range(4, 9)), (stability_polynomial(), range(4, 10)), (Poly.constant(Fraction(-5, 7)), range(0, 4))]
+    cases += [(rand_poly(rng, d), range(d, d + 4)) for d in range(5) for _ in range(3)]
+    cases += [(p, range(p.degree(), p.degree() + 4)) for p in empty_layer_polys()]
+    for p, degrees in cases:
         for m in degrees:
-            assert packed_coefficients(p.coeffs, m, vertices) == elevate_oracle(p, m, vertices)
+            assert packed_coefficients(p.coeffs, m) == elevate_oracle(p, m)
     # the form's value is kept: at degree 9, h's coefficients still give h
     coeffs = packed_coefficients(h.coeffs, 9)
     for _ in range(20):
         lam = rand_barycentric(rng)
-        assert bernstein_value(coeffs, lam) == h.evaluate(*at(DOMAIN_VERTICES, lam))
+        assert bernstein_value(coeffs, lam) == h.evaluate(*at(lam))
 
 
 def test_bernstein_equals_the_poly_product_oracle():
@@ -303,9 +272,7 @@ def test_bernstein_equals_the_poly_product_oracle():
         stability_polynomial(),
         *empty_layer_polys(),
     ]
-    simplices = [DOMAIN_VERTICES] + [signed_simplex(rng, den) for den in (7, 64, 360)]
     for p in polys:
-        for vertices in simplices:
-            got = packed_coefficients(p.coeffs, p.degree(), vertices)
-            assert list(got.items()) == list(bernstein_oracle(p, vertices).items())
-            assert all(type(b) is Fraction for b in got.values())
+        got = packed_coefficients(p.coeffs, p.degree())
+        assert list(got.items()) == list(bernstein_oracle(p, DOMAIN_VERTICES).items())
+        assert all(type(b) is Fraction for b in got.values())

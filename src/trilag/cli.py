@@ -45,7 +45,7 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
         rendered = buf.getvalue()
     else:
         rendered = "\n".join(text_lines) + "\n"
-    if args.out:
+    if args.out is not None:  # an empty path fails to open like any other
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
@@ -55,31 +55,30 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
 def _cmd_construct(args) -> int:
     g = parse_graph(args.graph)
     if isinstance(g, OrientedGraph):
-        f, cf = build_f(g), build_cf(g)
-        bf = build_bf(underlying(g))
+        f, cf, bf = sorted(build_f(g)), sorted(build_cf(g)), sorted(build_bf(underlying(g)))
         payload = {
             "input": "digraph",
             "n": g.n,
-            "f_triples": sorted(f),
-            "cf_triples": sorted(cf),
-            "bf_triples": sorted(bf),
+            "f_triples": f,
+            "cf_triples": cf,
+            "bf_triples": bf,
             "cf_density": str(edge_density(g.n, cf)) if g.n >= 3 else None,
         }
         text = [
             f"digraph on {g.n} vertices",
-            f"F  triples: {sorted(f)}",
-            f"CF triples: {sorted(cf)}",
-            f"BF triples: {sorted(bf)}",
+            f"F  triples: {f}",
+            f"CF triples: {cf}",
+            f"BF triples: {bf}",
         ]
     else:
-        bf = build_bf(g)
+        bf = sorted(build_bf(g))
         payload = {
             "input": "graph",
             "n": g.n,
-            "bf_triples": sorted(bf),
+            "bf_triples": bf,
             "bf_density": str(edge_density(g.n, bf)) if g.n >= 3 else None,
         }
-        text = [f"graph on {g.n} vertices", f"BF triples: {sorted(bf)}"]
+        text = [f"graph on {g.n} vertices", f"BF triples: {bf}"]
     _emit(payload, args, text_lines=text)
     return EXIT_OK
 

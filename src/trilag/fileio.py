@@ -14,6 +14,8 @@ any other token (a decimal, an exponent, a sign, underscores, Unicode
 digits) goes through parse_rational and Fraction.  The parser keeps D,
 the least common denominator so far, and builds WeightVector(D, p) from
 the numerators p = D w.
+Bad input raises ParseError, a ValueError whose message is
+``path:line: message`` and which keeps no other field.
 Reports print values of degree <= 4 in the weights, at most 1 in
 magnitude, whose denominators divide 96 D^4: a D of more than
 MAX_DENOMINATOR_DIGITS digits is rejected, as Python could not print them.
@@ -31,10 +33,10 @@ from .lagrangian import WeightVector
 
 
 class ParseError(ValueError):
+    """A bad input line; the message alone carries the path and line number."""
+
     def __init__(self, path: str, line_no: int, message: str) -> None:
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
 
 def _lines(text: str) -> list[str]:

@@ -19,7 +19,9 @@ the test suite.
 A 3-graph is a plain set of triples: build_f, build_cf and build_bf each
 return a frozenset of vertex triples, every triple sorted ascending.
 edge_density takes the vertex count beside it, and
-has_induced_directed_c4 answers with a bool alone.
+has_induced_directed_c4 answers with a bool alone.  An OrientedGraph
+keeps n and its frozenset of arcs, an UndirectedGraph n and its edges,
+and neither defines equality, a hash or a repr: compare those fields.
 """
 
 from __future__ import annotations
@@ -69,22 +71,6 @@ class OrientedGraph:
         self.n = n
         self.arcs = arcset
 
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientedGraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"OrientedGraph(n={self.n}, arcs={self.sorted_arcs()})"
-
 
 class UndirectedGraph:
     """Simple graph; edges stored once as (min,max) pairs."""
@@ -103,25 +89,6 @@ class UndirectedGraph:
             canon.add((min(u, v), max(u, v)))
         self.n = n
         self.edges = frozenset(canon)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
 def _arc_count(g: OrientedGraph, x: int, y: int, z: int) -> int:
@@ -165,8 +132,8 @@ def build_cf(g: OrientedGraph) -> frozenset[tuple[int, int, int]]:
 def build_bf(g: UndirectedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples spanning at least two edges of g."""
     triples = []
-    for (x, y, z) in itertools.combinations(range(g.n), 3):
-        k = g.has_edge(x, y) + g.has_edge(x, z) + g.has_edge(y, z)
+    for (x, y, z) in itertools.combinations(range(g.n), 3):  # x < y < z: each pair is an edge key
+        k = ((x, y) in g.edges) + ((x, z) in g.edges) + ((y, z) in g.edges)
         if k >= 2:
             triples.append((x, y, z))
     return frozenset(triples)

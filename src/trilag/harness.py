@@ -186,7 +186,7 @@ def enumerate_orientations(n: int) -> dict:
         best_lcf = max(best_lcf, (int(lcf[top_lcf]), -start - top_lcf))
 
     def witness(index: int) -> dict:
-        return {"index": index, "arcs": orientation_from_index(n, index).sorted_arcs()}
+        return {"index": index, "arcs": sorted(orientation_from_index(n, index).arcs)}
 
     return {
         "n": n,
@@ -222,7 +222,7 @@ def validate_fdf_family(n: int) -> dict:
             index = start + int(j)
             counterexamples.append({
                 "index": index,
-                "arcs": orientation_from_index(n, index).sorted_arcs(),
+                "arcs": sorted(orientation_from_index(n, index).arcs),
                 "independent_4set": next(list(quad) for quad, slots in quads if tables["independent"][
                     sum(index // 3**s % 3 * 3**e for e, s in enumerate(slots))]),
             })

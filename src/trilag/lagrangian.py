@@ -85,8 +85,10 @@ which it builds no vector; the optimizer in trilag.simplex takes (d, p)
 from a WeightVector.
 
 lagrangian_report, reduce_report and pipeline_report build the payloads
-of trilag lagrangian, reduce and pipeline.  This module, like trilag.graphs,
-loads no numpy.
+of trilag lagrangian, reduce and pipeline, and are the module's only
+entrances: each takes its sums from _graph_sums, and the last two run the
+merge chain as _reduce on them.  This module, like trilag.graphs, loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class WeightVector:
     Both are divided by their gcd and pass _check_numerators, and are kept
     read-only as ``denominator``, the least common denominator of the
     entries, and ``numerators`` (a tuple).  ``entries`` makes the Fractions
-    p / d on each call; equality compares (d, p).
+    p / d on each call.  A vector has no equality or repr of its own:
+    compare (denominator, numerators).
     """
 
     __slots__ = ("_denominator", "_numerators")
@@ -142,13 +145,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return len(self._numerators)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightVector) and self._denominator == other._denominator
-                and self._numerators == other._numerators)
-
-    def __repr__(self) -> str:
-        return f"WeightVector({self._denominator}, {self._numerators})"
 
 
 def _check_numerators(d: int, p) -> None:
@@ -270,21 +266,15 @@ def _first_non_edge(adj, alive):
     return None
 
 
-def merge_chain(g, w: WeightVector):
-    """Merge lexicographically-smallest non-edges of g until the graph is complete.
-
-    An orientation is read as its underlying graph.  Both branches are
-    evaluated exactly and the larger kept (ties keep the smaller vertex
-    index), so L_BF never decreases along the chain.  Returns the integers
-    (d, q, rows, N_start, N_final) of _reduce.
-    """
-    return _reduce(*_graph_sums(g, w), w)
-
-
 def _reduce(adj, sums: tuple[int, int, int], w: WeightVector):
     """The merge chain on integers, from the neighbour sets ``adj`` of the
     input graph and its ``_bf_sums`` at w; ``adj`` is updated in place by
     each merge.
+
+    Each merge takes the lexicographically smallest non-edge, evaluates both
+    branches exactly and keeps the larger (ties keep the smaller vertex
+    index), so L_BF never decreases along the chain, which ends when the
+    graph is complete.
 
     Returns (d, q, rows, N_start, N_final): d the denominator of w, q the
     numerators over d of the final weights in input-label order, one row
@@ -388,7 +378,7 @@ def lagrangian_report(g, w: WeightVector) -> dict:
 def reduce_report(g, w: WeightVector) -> dict:
     """The merge chain of an undirected graph, or of an orientation's
     underlying graph: its rows, the final weights and L_BF."""
-    d, final, rows, _, end = merge_chain(g, w)
+    d, final, rows, _, end = _reduce(*_graph_sums(g, w), w)
     return {
         "trace": _trace_rows(d, rows),
         "final_order": len(final),

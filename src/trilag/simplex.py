@@ -52,10 +52,12 @@ of the runs for n = 2..12 at seeds 0-39 under this rule:
       192          69    9070      224
       384          41    8983      229
 
-At 192 one final row at seed 0, n = 4, misses TOL at step 1 (see
-test_final_rows_meet_tol_at_step_one); at 384 every test passes.  On
-seeds 40-99 the worst run is 260, 45 and 31 and the total 14281, 13491
-and 13474 at the three caps.
+384 takes the fewest, in the worst run and in total.  On seeds 40-99 the
+worst run is 260, 45 and 31 and the total 14281, 13491 and 13474 at the
+three caps.  At any cap the stopping rule bounds a final row's step-1
+residual |P(x + grad) - x| by STEP * TOL, not by TOL
+(test_final_rows_bound_the_step_one_residual): at 384 some row exceeds
+TOL at seeds 4-7 and 9, by up to 48%.
 
 The exact value comes from the integer core _closed_form_numerator of
 trilag.lagrangian, on the (d, p) of a WeightVector.  This module imports

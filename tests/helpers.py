@@ -3,7 +3,9 @@
 The oracles recompute everything from the raw definitions (no reuse of
 library construction or summation code), so library results are checked
 against a second, independently written path.  Of trilag.lagrangian they
-import WeightVector alone.  The merge oracles (neighbor_sums, merge,
+use WeightVector alone; merge_chain is not an oracle but the library's own
+route, _reduce on _graph_sums, for the tests that run the chain without a
+report.  The merge oracles (neighbor_sums, merge,
 merge_identity_sides and reduce_oracle) evaluate every Lagrangian with
 brute_lagrangian_bf, the scan of all C(n,3) triples.  reduce_oracle
 records each merge as a tuple of the fields of merge_chain's rows, its
@@ -51,7 +53,7 @@ import numpy as np
 from trilag.certify import _bernstein_numerators, _elevate, _power_form, _terms
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
-from trilag.lagrangian import WeightVector
+from trilag.lagrangian import WeightVector, _graph_sums, _reduce
 
 
 def rand_orientation(rng, n: int) -> OrientedGraph:
@@ -331,6 +333,12 @@ def reduce_oracle(g: UndirectedGraph, w: WeightVector):
         del labels[dropped]
         l_before = l_after
     return g, w, trace, l_start, l_before
+
+
+def merge_chain(g, w: WeightVector):
+    """The integers (d, q, rows, N_start, N_final) of trilag's merge chain of g,
+    or of an orientation's underlying graph, at w: the route of reduce_report."""
+    return _reduce(*_graph_sums(g, w), w)
 
 
 def chain_fractions(d: int, q, rows, start: int, final: int):

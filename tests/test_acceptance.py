@@ -18,7 +18,6 @@ from trilag.lagrangian import (
     _closed_form_numerator,
     _g_numerator,
     lagrangian_report,
-    merge_chain,
     pipeline_report,
 )
 from trilag.simplex import _gradient, maximize
@@ -30,6 +29,7 @@ from helpers import (
     brute_lagrangian_cf,
     fraction_weights,
     g_polynomial_oracle,
+    merge_chain,
     merge_identity_sides,
     merges_complete,
     non_edges,

@@ -462,11 +462,19 @@ def test_accepted_argv_forms(capsys, tmp_path, cherry_files):
 
 
 def test_out_file(tmp_path, capsys, cherry_files):
+    """--out writes the report to its path.  An empty path is one that cannot
+    be opened, not a request for stdout: exit 1, the error on stderr and
+    nothing on stdout."""
     g, w = cherry_files
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, ["--out", str(out_path), "pipeline", g, w])
     assert code == 0
     assert json.loads(out_path.read_text())["all_pass"]
+    for argv in (["--out=", "--format", "text", "certify"], ["--out", "", "certify"], ["certify", "--out="]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n", argv
 
 
 def test_repeated_main_calls_share_no_state(tmp_path, capsys, cherry_files):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,12 @@ from helpers import parse_weights_oracle
 
 def test_parse_digraph():
     g = parse_graph_text("digraph 3\n0 1\n2 1\n")
-    assert g == OrientedGraph(3, [(0, 1), (2, 1)])
+    assert (type(g), g.n, g.arcs) == (OrientedGraph, 3, {(0, 1), (2, 1)})
 
 
 def test_parse_graph_undirected():
     g = parse_graph_text("graph 2\n0 1\n")
-    assert g == UndirectedGraph(2, [(0, 1)])
+    assert (type(g), g.n, g.edges) == (UndirectedGraph, 2, {(0, 1)})
 
 
 def test_parse_rejects_antiparallel():
@@ -29,7 +30,7 @@ def test_parse_rejects_antiparallel():
 def test_parse_comments_and_blank_lines():
     text = "# a comment\ndigraph 4\n\n0 1  # trailing comment\n# another\n2 3\n"
     g = parse_graph_text(text)
-    assert g == OrientedGraph(4, [(0, 1), (2, 3)])
+    assert (type(g), g.n, g.arcs) == (OrientedGraph, 4, {(0, 1), (2, 3)})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -157,9 +158,12 @@ def test_parse_files_skip_a_utf8_byte_order_mark(tmp_path):
         for name, data in (("g", graph), ("w", weights), ("bom_g", bom + graph), ("bom_w", bom + weights)):
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_bytes(data)
-        cherry = OrientedGraph(3, [(0, 2), (1, 2)])
-        assert parse_graph(str(paths["bom_g"])) == parse_graph(str(paths["g"])) == cherry
-        assert parse_weights(str(paths["bom_w"])) == parse_weights(str(paths["w"]))
+        for name in ("g", "bom_g"):
+            g = parse_graph(str(paths[name]))
+            assert (type(g), g.n, g.arcs) == (OrientedGraph, 3, {(0, 2), (1, 2)})
+        for name in ("w", "bom_w"):
+            w = parse_weights(str(paths[name]))
+            assert (w.denominator, w.numerators) == (4, (1, 1, 2))
     bad = tmp_path / "bad.txt"
     bad.write_bytes(bom + b"1/2\n# note\n\xfe\n")
     with pytest.raises(ParseError, match=f"^{bad}:3: not UTF-8 text \\(byte 0xfe\\)$"):
@@ -183,12 +187,13 @@ def test_lines_end_only_at_line_feeds_and_carriage_returns(tmp_path, brk, eol):
     """A comment may hold a character at which str.splitlines breaks; it stays
     a comment, and the lines after it keep their numbers."""
     graph = eol.join(["digraph 3", f"# note{brk}(see page 2)", "0 1", f"1 2  # {brk}2 0", ""])
-    assert parse_graph_text(graph) == OrientedGraph(3, [(0, 1), (1, 2)])
+    assert parse_graph_text(graph).arcs == {(0, 1), (1, 2)}
     bad = eol.join(["digraph 3", f"# note{brk}(see page 2)", "0 1", "0 5", ""])
     with pytest.raises(ParseError, match="^g.txt:4: endpoint out of range"):
         parse_graph_text(bad, path="g.txt")
     weights = eol.join([f"1/2 # half{brk}note", "1/2", ""])
-    assert parse_weights_text(weights, expected_n=2) == WeightVector(2, (1, 1))
+    w = parse_weights_text(weights, expected_n=2)
+    assert (w.denominator, w.numerators) == (2, (1, 1))
     with pytest.raises(ParseError, match="^w.txt:3: bad rational 'x'$"):
         parse_weights_text(eol.join([f"1/2 # half{brk}note", "1/2", "x"]), path="w.txt")
     g, w = tmp_path / "g.txt", tmp_path / "w.txt"
@@ -209,9 +214,9 @@ TEXTS = st.lists(LINES, max_size=8).map("\n".join)
 
 
 def _assert_line_in_text(exc: ParseError, text: str) -> None:
-    # lines end at \n, \r\n or \r only, unlike str.splitlines
-    assert 1 <= exc.line_no <= len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
-    assert str(exc).startswith(f"f.txt:{exc.line_no}: ")
+    # the message starts "f.txt:<line>: "; lines end at \n, \r\n or \r only, unlike str.splitlines
+    cited = re.match(r"f\.txt:([0-9]+): ", str(exc))
+    assert cited and 1 <= int(cited[1]) <= len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -279,7 +284,7 @@ def _weights_outcome(parse, text, expected_n):
     try:
         w = parse(text, expected_n=expected_n, path="w.txt")
     except ParseError as exc:
-        return "error", str(exc), exc.line_no
+        return "error", str(exc)
     assert type(w.denominator) is int and all(type(v) is int for v in w.numerators)
     return w.denominator, w.numerators
 
@@ -288,7 +293,7 @@ def _weights_outcome(parse, text, expected_n):
 @given(st.one_of(st.lists(TOKENS, max_size=6).map("\n".join), exact_vectors()),
        st.one_of(st.none(), st.integers(0, 6)))
 def test_integer_weight_path_matches_the_fraction_oracle(text, expected_n):
-    """(d, p), or the ParseError text and line, equal the per-line Fraction parser's."""
+    """(d, p), or the ParseError text with its line, equal the per-line Fraction parser's."""
     assert _weights_outcome(parse_weights_text, text, expected_n) == \
         _weights_outcome(parse_weights_oracle, text, expected_n)
 
@@ -318,4 +323,4 @@ def test_integer_weight_path_pinned_tokens():
     for text, message in errors.items():
         oracle = _weights_outcome(parse_weights_oracle, text, None)
         assert _weights_outcome(parse_weights_text, text, None) == oracle
-        assert oracle[:2] == ("error", message)
+        assert oracle == ("error", message)

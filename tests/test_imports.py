@@ -4,8 +4,9 @@ The exact modules import neither numpy nor a numpy-backed module at module
 level, and the exact commands start without numpy.  The package exports
 no names: ``import trilag`` loads no submodule, ``import trilag.certify``
 loads the certificate alone, and ``trilag.certify`` is always the module.
-Every top-level function, class and constant of the package is used by its
-own code, so none is an entrance or a value that only the tests read.
+Every top-level function, class and constant of the package, and every
+member of its classes, is used by its own code, so none is an entrance, a
+value or a method that only the tests read.
 """
 
 import ast
@@ -177,25 +178,65 @@ print(steps)
             importlib.import_module(module)
 
 
+# the only special methods a class of the package may define: len(w) in _graph_sums reads __len__
+SPECIAL_METHODS = ("__init__", "__len__")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned_names(stmt) -> list[str]:
+    """The names an Assign or AnnAssign binds, dunders such as __version__ or
+    __slots__ left out; none for any other statement."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not _is_dunder(node.id)]
+
+
+def _class_members(cls: ast.ClassDef):
+    """(name, node) of each method, property and class constant of cls, node
+    its statement, and of each attribute a method assigns on its first
+    argument, ``self.<attr> = ...``, node that assignment's target."""
+    for stmt in cls.body:
+        yield from ((name, stmt) for name in _assigned_names(stmt))
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+            receiver = stmt.args.args[0].arg if stmt.args.args else None
+            yield from ((node.attr, node) for node in ast.walk(stmt)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == receiver)
+
+
 def _unreferenced_definitions(package: Path) -> list[str]:
     """module.name of each top-level def, class or constant of the package's
-    modules that no code of the package refers to outside its own statement.
+    modules that no code of the package refers to outside its own statement,
+    and module.Class.member of each class member that no code of the package
+    reads outside its own definition.
 
     A constant is a name a module-level assignment binds; dunders such as
     __version__ are exempt.  A reference is a Name, an Attribute or an
     import alias; docstrings and comments are not code, so they do not count.
+    A member is a method, a property, a class constant or an attribute its
+    methods set on self; it is read by an Attribute load of its name, such
+    as ``g.arcs`` or ``self._numerators``.  Of the special methods only those
+    in SPECIAL_METHODS may be defined, and __slots__ is exempt like any
+    dunder constant.
     """
-    defined, references = [], set()
+    defined, references, members, reads = [], set(), [], []
     for path in sorted(package.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.extend((node.attr, node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
-                names = [name for name in names if not (name.startswith("__") and name.endswith("__"))]
             else:
-                names = []
+                names = _assigned_names(stmt)
+            if isinstance(stmt, ast.ClassDef):
+                members.extend((f"{path.stem}.{stmt.name}", name, node) for name, node in _class_members(stmt))
             owner = frozenset((path.stem, name) for name in names)
             defined.extend(owner)
             for node in ast.walk(stmt):
@@ -208,21 +249,33 @@ def _unreferenced_definitions(package: Path) -> list[str]:
                 else:
                     continue
                 references.add((owner, name))
-    return sorted(f"{module}.{name}" for module, name in defined
-                  if not any(ref == name and (module, name) not in owner for owner, ref in references))
+    unused = {f"{module}.{name}" for module, name in defined
+              if not any(ref == name and (module, name) not in owner for owner, ref in references)}
+    for cls, name, node in members:
+        if _is_dunder(name):
+            if name not in SPECIAL_METHODS:  # a dunder constant is never yielded
+                unused.add(f"{cls}.{name}")
+            continue
+        inside = {id(child) for child in ast.walk(node)}
+        if not any(attr == name and id(read) not in inside for attr, read in reads):
+            unused.add(f"{cls}.{name}")
+    return sorted(unused)
 
 
 def test_every_definition_is_used_by_the_package():
-    """A function, class or constant that only the tests read leaves src:
-    each command reaches the chain through the report builders, which the
-    tests check against the raw-definition oracles of tests/helpers, and
-    D's Fraction vertices are the oracles' own."""
+    """A function, class, constant or class member that only the tests read
+    leaves src: each command reaches the chain through the report builders,
+    which the tests check against the raw-definition oracles of
+    tests/helpers, D's Fraction vertices are the oracles' own, and the tests
+    compare graphs and weights by their fields and read a ParseError's line
+    from its message."""
     assert _unreferenced_definitions(SRC / "trilag") == []
 
 
 # the entrances that no command ran, deleted once the scan above found them
 DELETED = (("lagrangian", "lagrangian_cf"), ("lagrangian", "lagrangian_bf"), ("lagrangian", "uniform_weights"),
-           ("simplex", "closed_form"), ("simplex", "gradient"), ("graphs", "complete_graph"))
+           ("simplex", "closed_form"), ("simplex", "gradient"), ("graphs", "complete_graph"),
+           ("lagrangian", "merge_chain"))
 
 
 @pytest.mark.parametrize("module,name", DELETED, ids=[name for _, name in DELETED])

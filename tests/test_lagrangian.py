@@ -12,7 +12,6 @@ from trilag.lagrangian import (
     _cf_sums,
     _graph_sums,
     lagrangian_report,
-    merge_chain,
     pipeline_report,
     reduce_report,
 )
@@ -22,6 +21,7 @@ from helpers import (
     brute_cf_terms,
     delete_vertex_oriented,
     huge_denominator_weights,
+    merge_chain,
     rand_orientation,
     rand_weights,
     relabel,
@@ -61,25 +61,23 @@ def test_weight_vector_numerators():
     with pytest.raises(AttributeError):
         w.numerators = (0, 2, 10)
     # the parser builds the vector from (d, p), d least for unreduced tokens
-    assert parse_weights_text("2/4\n3/6\n") == WeightVector(2, (1, 1))
+    parsed = parse_weights_text("2/4\n3/6\n")
+    assert (parsed.denominator, parsed.numerators) == (2, (1, 1))
     parsed = parse_weights_text("0/9\n2/12\n10/12\n")
-    assert parsed == w and (parsed.denominator, parsed.numerators) == (6, (0, 1, 5))
+    assert (parsed.denominator, parsed.numerators) == (6, (0, 1, 5))
     assert parse_weights_text("4/8\n1/4\n2/8\n").denominator == 4
     # the entries are Fractions made on demand
     assert w.entries == (0, Fraction(1, 6), Fraction(5, 6))
     assert all(type(x) is Fraction for x in w.entries)
     assert len(w) == 3
-    assert repr(w) == "WeightVector(6, (0, 1, 5))"
-    assert repr(uniform_weights(1)) == "WeightVector(1, (1,))"
-    assert w != WeightVector(6, (1, 0, 5)) and w != w.entries and w != (6, (0, 1, 5))
 
 
 def test_weight_vector_from_numerators():
     """The one constructor takes (d, p), d not necessarily least, and reduces d to least."""
     w = WeightVector(12, [0, 2, 10])
     assert (w.denominator, w.numerators) == (6, (0, 1, 5))
-    assert w == WeightVector(6, (0, 1, 5))
-    assert WeightVector(3, (3,)) == WeightVector(1, (1,)) == uniform_weights(1)
+    for w in (WeightVector(3, (3,)), WeightVector(1, (1,)), uniform_weights(1)):
+        assert (w.denominator, w.numerators) == (1, (1,))
     with pytest.raises(ValueError, match="^weights sum to 3/4, expected 1$"):
         WeightVector(8, [4, 2])
     with pytest.raises(ValueError, match="^denominator must be positive, got 0$"):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from trilag.fileio import parse_weights_text
 from trilag.graphs import UndirectedGraph
-from trilag.lagrangian import WeightVector, _ratio, merge_chain
+from trilag.lagrangian import WeightVector, _ratio
 
 from helpers import (
     brute_lagrangian_bf,
     chain_fractions,
     complete_graph,
     merge,
+    merge_chain,
     merge_identity_sides,
     merges_complete,
     neighbor_sums,
@@ -47,7 +48,7 @@ def test_merge_examples():
     assert graph.n == 1 and weights.entries == (1,)
 
     graph, weights = merge(*CHERRY, 0, 1, keep=0)
-    assert graph == UndirectedGraph(2, [(0, 1)])
+    assert (graph.n, graph.edges) == (2, {(0, 1)})
     assert weights.entries == (Fraction(1, 2), Fraction(1, 2))
     assert brute_lagrangian_bf(graph, weights) == Fraction(3, 32)
 
@@ -173,8 +174,9 @@ def test_reduce_matches_object_oracle():
     for g, w in _oracle_cases():
         d, q, rows, start, final = merge_chain(g, w)
         graph, weights, trace, l_start, l_final = reduce_oracle(g, w)
-        assert chain_fractions(d, q, rows, start, final) == (weights, trace, l_start, l_final)
-        assert graph == complete_graph(len(q))
+        final_weights, *values = chain_fractions(d, q, rows, start, final)
+        assert (final_weights.entries, *values) == (weights.entries, trace, l_start, l_final)
+        assert (graph.n, graph.edges) == (len(q), complete_graph(len(q)).edges)
         count += 1
     assert count >= 2000
 

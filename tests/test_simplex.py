@@ -319,21 +319,6 @@ def test_one_step_halves_the_error_at_the_maximizer(monkeypatch, n):
         assert np.allclose(row - v, factor * eps * d, rtol=0, atol=1e-3 * eps), (n, factor)
 
 
-def test_final_rows_meet_tol_at_step_one():
-    """Every final row's step-1 residual |P(x + grad) - x| is below TOL too at
-    seed 0.  |P(x + t grad) - x| / t does not increase with t, so the step-1
-    residual is at least the step-STEP one: stopping on the step-STEP
-    gradient mapping can be looser, and here it is not."""
-    tol = simplex.TOL
-    for n in range(2, 13):
-        starts = np.random.default_rng(0).dirichlet(np.ones(n), size=100)
-        x, _, _, converged, *_ = ascend(starts)
-        assert converged.all(), n
-        grad = _gradient(x, (x * x).sum(axis=-1, keepdims=True))
-        residual = np.sqrt(((project_to_simplex(x + grad) - x) ** 2).sum(axis=-1))
-        assert (residual < tol).all(), (n, residual.max())
-
-
 def test_final_rows_bound_the_step_one_residual():
     """At every seed, a final row's step-1 residual r1 = |P(x + grad) - x|
     lies between its step-STEP residual and STEP times it, so below

@@ -9,11 +9,12 @@ Bernstein basis of any degree is >= 0 on D and sums to 1 there, so h >= 0
 on all of D.  The witness is one degree m: a fresh Bernstein conversion of
 the paper's 3/32 - g at degree m, in Fractions, checks it.
 
-Everything here is rational arithmetic: no floats, no rounding modes, no
-computer algebra system.  A polynomial in x1, x2, x3 is a plain dict of
-its terms, {(i, j, k): c} for c x1^i x2^j x3^k, with int or Fraction
-coefficients; certify checks every key and coefficient once, on the way
-in.  h is expanded on integers, as 96 h (``h96_polynomial``).
+Everything here is integer arithmetic, with one Fraction for the least
+coefficient: no floats, no rounding modes, no computer algebra system.  A
+polynomial in x1, x2, x3 is a plain dict of its terms, {(i, j, k): c} for
+c x1^i x2^j x3^k, with nonzero int coefficients.  h is expanded on
+integers, as 96 h (``h96_polynomial``), and certify proves it alone: it
+takes no polynomial.
 
 There is one product loop, on packed keys: the exponent tuple m is the int
 m_0 + b m_1 + b^2 m_2 + ..., with the base b above every exponent of the
@@ -37,7 +38,7 @@ min b <= p <= max b there, and b at n * e_i is p at vertex i.
 
 The form of h is converted from the integer 96 h, the 96 folded into the
 denominator, and kept as integer numerators over one denominator on
-``_power_form``'s packed keys.  b[a] = form[a] a! / (S D^m m!) has
+``_power_form``'s packed keys.  b[a] = form[a] a! / (96 D^m m!) has
 form[a]'s sign, so each degree is tested without a factorial or a
 Fraction.  When the least form value is 0, so is the least coefficient,
 at the first zero; otherwise every value is weighed by its factorials
@@ -58,7 +59,7 @@ that it equals 96 h over 96, h96_polynomial() evaluated there.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 CERTIFIED = "CERTIFIED"
 INDETERMINATE = "INDETERMINATE"
@@ -84,21 +85,6 @@ def _mul_packed(f: dict, g: dict, out: dict) -> dict:
     return out
 
 
-def _terms(p: dict) -> tuple[dict, int]:
-    """p's nonzero terms and its degree, once every term is checked.
-
-    Every key must be a tuple of 3 nonnegative int exponents, even where
-    its coefficient is 0, and every coefficient an int or a Fraction.
-    """
-    for m, c in p.items():
-        if not (type(m) is tuple and len(m) == 3 and all(type(e) is int and e >= 0 for e in m)):
-            raise ValueError(f"monomial {m!r} is not a tuple of 3 nonnegative int exponents")
-        if type(c) is not int and type(c) is not Fraction:
-            raise TypeError(f"coefficient {c!r} of {m!r} is not an int or a Fraction")
-    terms = {m: c for m, c in p.items() if c}
-    return terms, max(map(sum, terms), default=0)
-
-
 def h96_polynomial() -> dict[tuple[int, int, int], int]:
     """96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7, as its 24 integer terms.
 
@@ -122,26 +108,24 @@ def _multi_indices(n: int):
 
 
 def _power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
-    """The form S D^n p of degree n, p's, in the barycentric coordinates l of D.
+    """The form D^n p of degree n, p's, in the barycentric coordinates l of D.
 
-    With D = 6 the vertices' least common denominator and S that of p's
-    coefficients, D x1, D x2 and D x3 are linear in l, with DOMAIN's
-    integers as their coefficients.  Write p_d for p's terms of degree d;
-    since the l sum to 1,
-    S D^n p = sum_d D^(n - d) S p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
+    With D = 6 the vertices' least common denominator, D x1, D x2 and D x3
+    are linear in l, with DOMAIN's integers as their coefficients.  Write
+    p_d for p's terms of degree d; since the l sum to 1,
+    D^n p = sum_d D^(n - d) p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
     which is summed by Horner in the degree: for d = 0..n the sum so far is
-    raised one degree by ``_elevate`` and D^(n - d) S p_d(D x) is added,
+    raised one degree by ``_elevate`` and D^(n - d) p_d(D x) is added,
     with D^(n - d) folded into each term's integer coefficient.  The result
     is dense: every l^a with |a| = n has an entry, 0 included, in
     ``_multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
     with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
-    p is a term dict as ``_terms`` returns it, checked and with no zero.
-    Returns the form and its denominator S D^n.
+    p is a term dict with nonzero int coefficients, as ``h96_polynomial``
+    returns it.  Returns the form and its denominator D^n.
     """
-    n = max(map(sum, p), default=0)
+    n = max(map(sum, p))
     b = n + 1  # the products' base; for n < 6 their keys are cached small ints
     unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
-    scale = lcm(*(c.denominator for c in p.values()))
     powers = []  # powers[x][e] is the e-th power of D x_(x+1) in l
     for x in range(3):
         form = {u: v[x] for u, v in zip(unit, DOMAIN) if v[x]}
@@ -150,12 +134,11 @@ def _power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
             row.append(_mul_packed(row[-1], form, {}))
         powers.append(row)
 
-    # layers[d][i] lists p's terms of degree d with x1^i, as (j, k, D^(n - d) S c);
+    # layers[d][i] lists p's terms of degree d with x1^i, as (j, k, D^(n - d) c);
     # layer d is the sum over i of (D x1)^i times the sum of its (D x2)^j (D x3)^k c
     layers = [{} for _ in range(n + 1)]
     for (i, j, k), c in p.items():
-        c = c.numerator * (scale // c.denominator) * 6 ** (n - i - j - k)
-        layers[i + j + k].setdefault(i, []).append((j, k, c))
+        layers[i + j + k].setdefault(i, []).append((j, k, c * 6 ** (n - i - j - k)))
     total = {}
     for layer in layers:
         total = _elevate(total, b)
@@ -168,7 +151,7 @@ def _power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
     return {
         a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)
         for _, a1, a2, a3 in _multi_indices(n)
-    }, scale * 6**n
+    }, 6**n
 
 
 def _elevate(form: dict[int, int], base: int) -> dict[int, int]:
@@ -201,25 +184,22 @@ def _bernstein_numerators(form: dict[int, int], degree: int, base: int) -> dict[
     }
 
 
-def certify(poly: dict | None = None) -> dict:
-    """Certify poly >= 0 (default: h) on D by Bernstein degree elevation.
-
-    poly is a term dict {(i, j, k): int or Fraction}; a key that is not a
-    tuple of 3 nonnegative ints is a ValueError, and a coefficient of any
-    other type a TypeError.
+def certify() -> dict:
+    """Certify h = 3/32 - g >= 0 on D by Bernstein degree elevation of 96 h.
 
     Returns the report that ``trilag certify`` prints: ``result``, the
     ``degree`` m of the form, the number of its ``coefficients``, the
     ``least`` coefficient (a p/q string) and ``least_at``, the first
     multi-index in ``_multi_indices`` order where it occurs.
 
-    m is the first degree from poly's own with no negative coefficient.
-    The result is INDETERMINATE when a coefficient is still negative at
-    MAX_DEGREE (or at poly's degree, if that is higher): insufficient work,
-    or poly really is negative somewhere on D, never a disproof.
+    m is the first degree from h's own, 4, with no negative coefficient;
+    the 96 is folded into the least coefficient's denominator.  The result
+    is INDETERMINATE when a coefficient is still negative at MAX_DEGREE (or
+    at degree 4, if that is higher): insufficient work, or the polynomial
+    really is negative somewhere on D, never a disproof.
     """
-    p, scale = (h96_polynomial(), 96) if poly is None else (poly, 1)
-    p, m = _terms(p)
+    p = h96_polynomial()
+    m = max(map(sum, p))
     base = max(m, MAX_DEGREE) + 1
     form, den = _power_form(p, base)
     low = min(form.values())
@@ -234,7 +214,7 @@ def certify(poly: dict | None = None) -> dict:
     else:
         nums = _bernstein_numerators(form, m, base)  # over den m!
         least_at, num = min(nums.items(), key=lambda e: e[1])  # the first of equal values
-    least = Fraction(num, scale * den * factorial(m))
+    least = Fraction(num, 96 * den * factorial(m))
     return {
         "result": CERTIFIED if least >= 0 else INDETERMINATE,
         "degree": m,

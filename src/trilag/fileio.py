@@ -51,7 +51,7 @@ def _content_lines(text: str):
             yield i, line
 
 
-def parse_graph_text(text: str, path: str = "<string>"):
+def parse_graph_text(text: str, path: str):
     """Parse graph text into an OrientedGraph or UndirectedGraph."""
     lines = list(_content_lines(text))
     if not lines:
@@ -131,7 +131,7 @@ def _ascii_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
+def parse_weights_text(text: str, expected_n: int, path: str) -> WeightVector:
     """The weights of ``text`` as a WeightVector, built from (d, p).
 
     A token of ASCII digits, ``p/q`` or a plain integer, is read with int()
@@ -179,7 +179,7 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
     if too_big is not None:
         raise too_big
     last = line_nos[-1] if line_nos else 1
-    if expected_n is not None and len(nums) != expected_n:
+    if len(nums) != expected_n:
         # cite the first surplus weight, or the last one when weights are missing
         line_no = line_nos[expected_n] if len(nums) > expected_n else last
         raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(nums)}")
@@ -189,5 +189,5 @@ def parse_weights_text(text: str, expected_n: int | None = None, path: str = "<s
         raise ParseError(path, last, str(exc)) from None
 
 
-def parse_weights(path: str, expected_n: int | None = None) -> WeightVector:
+def parse_weights(path: str, expected_n: int) -> WeightVector:
     return parse_weights_text(_read_text(path), expected_n=expected_n, path=path)

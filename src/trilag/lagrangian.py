@@ -143,9 +143,6 @@ class WeightVector:
         d = self._denominator
         return tuple(Fraction(v, d) for v in self._numerators)
 
-    def __len__(self) -> int:
-        return len(self._numerators)
-
 
 def _check_numerators(d: int, p) -> None:
     """Raise unless p / d is on the simplex: p nonempty, every p >= 0 and sum(p) == d."""
@@ -200,10 +197,11 @@ def _bf_sums(adj, p) -> tuple[int, int, int]:
 def _graph_sums(g, w: WeightVector):
     """(neighbour sets, _bf_sums at w) of an undirected graph, or of an
     orientation's underlying graph; raises unless w has one weight per vertex."""
-    if len(w) != g.n:
-        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
+    p = w.numerators
+    if len(p) != g.n:
+        raise ValueError(f"weight length {len(p)} != vertex count {g.n}")
     adj = _adjacency(g.n, g.arcs if isinstance(g, OrientedGraph) else g.edges)
-    return adj, _bf_sums(adj, w.numerators)
+    return adj, _bf_sums(adj, p)
 
 
 def _cf_sums(g: OrientedGraph, p, bf_triples: int) -> tuple[int, int]:

@@ -234,7 +234,7 @@ def round_point_exact(point) -> WeightVector:
     return WeightVector(sum(p), p)
 
 
-def maximize(n: int, seed: int = 0) -> dict:
+def maximize(n: int, seed: int) -> dict:
     """The optimize report: the best closed-form value on the (n-1)-simplex.
 
     RESTARTS flat-Dirichlet starts drawn from seed are ascended as one

@@ -19,8 +19,8 @@ pipeline_oracle and reduce_report_oracle it is the reference for the
 integer rows and the gcd renderer of pipeline_report and trilag reduce.
 Poly is the polynomial of the certificate's oracles, a sparse map from
 exponent tuples to coefficients whose product adds the tuples; trilag.certify
-has no polynomial class and takes a polynomial as Poly's coeffs, a plain
-term dict.  bernstein_oracle is the conversion built from Poly products of
+has no polynomial class, and certify proves one polynomial, its own integer
+term dict 96 h, alone.  bernstein_oracle is the conversion built from Poly products of
 barycentric forms, with tuple keys; certify runs it on packed int keys.  At
 a degree above p's it is a fresh conversion, the oracle of certify's
 elevation.  elevate_oracle raises bernstein_oracle's coefficients to a
@@ -28,9 +28,10 @@ higher degree in Fractions, one degree at a time, where certify elevates
 integer numerators on packed keys.  g_polynomial_oracle expands the paper's
 g with Fraction-coefficient Polys, and h_oracle is 3/32 minus it.  None of
 these shares code with the prover: they call no function of trilag.certify.
-packed_coefficients is the packed route itself, certify's _terms,
-_power_form, _elevate and _bernstein_numerators, made Fractions for the
-tests to compare.  certify converts on D alone, as the integers
+packed_coefficients is the prover's engine itself, certify's _power_form,
+_elevate and _bernstein_numerators, run on a Poly's coeffs scaled to ints
+and made Fractions for the tests to compare: the tests reach the stability
+form and polynomials other than h through it.  certify converts on D alone, as the integers
 trilag.certify.DOMAIN over 6; DOMAIN_VERTICES is D in Fractions, the
 oracles' D, and elevate_oracle and packed_coefficients convert on it.
 parse_weights_oracle parses weights one Fraction per line, through
@@ -50,7 +51,7 @@ from operator import add
 
 import numpy as np
 
-from trilag.certify import _bernstein_numerators, _elevate, _power_form, _terms
+from trilag.certify import _bernstein_numerators, _elevate, _power_form
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, _graph_sums, _reduce
@@ -120,7 +121,7 @@ def huge_denominator_weights(rng, n: int) -> WeightVector:
     return WeightVector(big, parts)
 
 
-def parse_weights_oracle(text: str, expected_n: int | None = None, path: str = "<string>") -> WeightVector:
+def parse_weights_oracle(text: str, expected_n: int, path: str) -> WeightVector:
     """The weight parser on one Fraction per line, from parse_rational, and
     a vector from its entries: the oracle of parse_weights_text, with the
     same checks in the same order, so the same (d, p) or the same ParseError.
@@ -149,7 +150,7 @@ def parse_weights_oracle(text: str, expected_n: int | None = None, path: str = "
     if too_big is not None:
         raise too_big
     last = line_nos[-1] if line_nos else 1
-    if expected_n is not None and len(entries) != expected_n:
+    if len(entries) != expected_n:
         line_no = line_nos[expected_n] if len(entries) > expected_n else last
         raise ParseError(path, line_no, f"expected {expected_n} weights, got {len(entries)}")
     try:
@@ -254,8 +255,8 @@ def brute_lagrangian_bf(g: UndirectedGraph, w) -> Fraction:
 
 
 def _check_order(g: UndirectedGraph, w) -> None:
-    if len(w) != g.n:
-        raise ValueError(f"weight length {len(w)} != vertex count {g.n}")
+    if len(w.numerators) != g.n:
+        raise ValueError(f"weight length {len(w.numerators)} != vertex count {g.n}")
 
 
 def non_edges(g: UndirectedGraph) -> list[tuple[int, int]]:
@@ -708,21 +709,27 @@ def elevate_oracle(p: Poly, degree: int) -> dict[tuple[int, int, int, int], Frac
 
 
 def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int], Fraction]:
-    """The coefficients of a term dict on D at a degree from _terms,
-    _power_form, _elevate and _bernstein_numerators.
+    """The coefficients of a term dict on D at a degree >= p's from the
+    prover's engine, _power_form, _elevate and _bernstein_numerators.
 
+    p's nonzero terms are scaled to ints by S, the lcm of their
+    denominators, as _power_form takes them, and S joins the denominator;
+    the zero polynomial's coefficients are all 0, with no conversion.
     Asserts on the way that the form is dense at the degree and that the
     numerators come in multi_indices order.
     """
+    scale = lcm(*(c.denominator for c in p.values()))
+    terms = {m: c.numerator * (scale // c.denominator) for m, c in p.items() if c}
+    if not terms:
+        return {a: Fraction(0) for a in multi_indices(degree)}
     base = degree + 1
-    p, n = _terms(p)
-    form, den = _power_form(p, base)
-    for _ in range(degree - n):
+    form, den = _power_form(terms, base)
+    for _ in range(degree - max(map(sum, terms))):
         form = _elevate(form, base)
     assert len(form) == len(multi_indices(degree))  # dense at every degree
     nums = _bernstein_numerators(form, degree, base)
     assert list(nums) == multi_indices(degree)
-    return {a: Fraction(c, den * factorial(degree)) for a, c in nums.items()}
+    return {a: Fraction(c, scale * den * factorial(degree)) for a, c in nums.items()}
 
 
 def delete_vertex_oriented(g: OrientedGraph, v: int) -> OrientedGraph:

@@ -1,5 +1,4 @@
 import json
-import re
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -13,10 +12,11 @@ from helpers import (
     elevate_oracle,
     h_oracle,
     multi_indices,
+    packed_coefficients,
     point_in_domain,
     stability_polynomial,
 )
-from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _power_form, certify
+from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _power_form, certify, h96_polynomial
 
 HALF = Fraction(1, 2)
 
@@ -24,6 +24,15 @@ HALF = Fraction(1, 2)
 def fresh_conversion(p: Poly, degree: int) -> dict:
     """p's Bernstein coefficients on D at this degree, converted from scratch."""
     return bernstein_oracle(p, DOMAIN_VERTICES, degree)
+
+
+def shift_h(monkeypatch, shift: int) -> Poly:
+    """Make certify prove 96 h + shift in place of 96 h, whose constant term
+    is 5, and return h + shift/96 in Fractions."""
+    terms = h96_polynomial()
+    terms[(0, 0, 0)] += shift
+    monkeypatch.setattr(certify_module, "h96_polynomial", lambda: dict(terms))
+    return h_oracle() + Fraction(shift, 96)
 
 
 def report_oracle(p: Poly, cap: int, convert=elevate_oracle) -> dict:
@@ -61,24 +70,17 @@ def test_the_provers_domain_is_the_papers_d_over_6():
     assert lcm(*(c.denominator for v in DOMAIN_VERTICES for c in v)) == 6
 
 
-def test_constant_poly_certifies_at_depth_zero():
-    """A constant certifies with no elevation step, at degree 0."""
-    cert = certify(poly={(0, 0, 0): Fraction(3, 32)})
-    assert cert == {
-        "result": CERTIFIED, "degree": 0, "coefficients": 1, "least": "3/32", "least_at": [0, 0, 0, 0],
-    }
-    assert certify(poly={})["least"] == "0"
-
-
 def test_negative_counts_and_the_first_certified_degree():
     """h has 3, 5, 3, 1 and 0 negative coefficients at degrees 4..8, and the
-    stability form first has none at degree 9: certify reports those degrees."""
+    stability form first has none at degree 9: the prover's packed engine
+    counts the same, and certify reports h's degree 8."""
     counts = {}
     for name, p, degrees in (("h", h_oracle(), range(4, 9)),
                              ("stability", stability_polynomial(), range(4, 10))):
         counts[name] = [sum(b < 0 for b in elevate_oracle(p, m).values()) for m in degrees]
-        assert certify(poly=p.coeffs)["degree"] == degrees.start + counts[name].index(0)
+        assert [sum(b < 0 for b in packed_coefficients(p.coeffs, m).values()) for m in degrees] == counts[name]
     assert counts == {"h": [3, 5, 3, 1, 0], "stability": [3, 5, 6, 3, 1, 0]}
+    assert certify()["degree"] == 4 + counts["h"].index(0)
     coeffs = elevate_oracle(h_oracle(), 8)
     assert len(coeffs) == 165
     # six are 0, the one at the vertex (1/2, 1/2, 0) among them
@@ -90,24 +92,28 @@ def test_negative_counts_and_the_first_certified_degree():
 def test_stability_bound_with_sharp_constant():
     """3/32 - g >= |x - (1/2, 1/2, 0)|^2 / 144 on D, and 1/144 cannot be raised.
 
-    The bound certifies at degree 9.  At the vertex (1/3, 1/3, 1/3),
+    The bound's coefficients on D, from the prover's packed engine and from
+    Fraction elevation, have a negative one at degree 8 and none at degree
+    9, where the least of 220 is 0.  At the vertex (1/3, 1/3, 1/3),
     h = 1/864 and the squared distance is 1/6, so the bound is tight there
     and false for 1/143: that form's coefficient at the vertex is its
-    negative value at every degree, and certify stops at MAX_DEGREE.
+    negative value there at every degree, so no degree certifies it.
     """
     h = h_oracle()
     x1, x2, x3 = (Poly.variable(d) for d in range(3))
     dist = (x1 - HALF) ** 2 + (x2 - HALF) ** 2 + x3**2
     third = Fraction(1, 3)
     stable = stability_polynomial()
-    cert = certify(poly=stable.coeffs)
-    assert (cert["result"], cert["degree"], cert["coefficients"], cert["least"]) == (CERTIFIED, 9, 220, "0")
+    at8, at9 = (packed_coefficients(stable.coeffs, m) for m in (8, 9))
+    assert at8 == elevate_oracle(stable, 8) and at9 == elevate_oracle(stable, 9)
+    assert min(at8.values()) < 0 and (len(at9), min(at9.values())) == (220, 0)
     assert stable.evaluate(third, third, third) == 0
     loose = h - Fraction(1, 143) * dist
-    assert loose.evaluate(third, third, third) == Fraction(1, 864) - Fraction(1, 6 * 143) < 0
-    cert = certify(poly=loose.coeffs)
-    assert (cert["result"], cert["degree"]) == (INDETERMINATE, MAX_DEGREE)
-    assert Fraction(cert["least"]) <= loose.evaluate(third, third, third)
+    value = loose.evaluate(third, third, third)
+    assert value == Fraction(1, 864) - Fraction(1, 6 * 143) < 0
+    assert packed_coefficients(loose.coeffs, 9) == elevate_oracle(loose, 9)
+    for m in (4, 9, 16, MAX_DEGREE):
+        assert packed_coefficients(loose.coeffs, m)[(0, 0, 0, m)] == value
 
 
 def test_insufficient_depth_is_indeterminate(monkeypatch):
@@ -119,20 +125,21 @@ def test_insufficient_depth_is_indeterminate(monkeypatch):
         monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
         cert = certify()
         assert (cert["result"], cert["degree"]) == (INDETERMINATE, degree)
-        assert cert == certify(h_oracle().coeffs) == report_oracle(h_oracle(), cap)
+        assert cert == report_oracle(h_oracle(), cap)
         if least is not None:
             assert cert["least"] == least
 
 
-def test_degree_cap_ends_a_run_that_cannot_certify():
-    """h - 1/1000 is negative near (1/2, 1/2, 0), so no degree certifies it:
-    the run ends at MAX_DEGREE, with the vertex's coefficient -1/1000 least."""
-    cert = certify(poly=(h_oracle() - Fraction(1, 1000)).coeffs)
+def test_degree_cap_ends_a_run_that_cannot_certify(monkeypatch):
+    """h - 1/96 is negative at and near (1/2, 1/2, 0), so no degree certifies
+    it: the run ends at MAX_DEGREE, with the vertex's coefficient -1/96 least."""
+    shift_h(monkeypatch, -1)
+    cert = certify()
     assert cert == {
         "result": INDETERMINATE,
         "degree": MAX_DEGREE,
         "coefficients": (MAX_DEGREE + 1) * (MAX_DEGREE + 2) * (MAX_DEGREE + 3) // 6,
-        "least": "-1/1000",
+        "least": "-1/96",
         "least_at": [0, 0, MAX_DEGREE - 1, 1],
     }
 
@@ -165,7 +172,7 @@ def test_certificate_tiling_and_coverage():
 def test_certificate_json_shape():
     js = certify()
     assert js == {"result": CERTIFIED, "degree": 8, "coefficients": 165, "least": "0", "least_at": [0, 0, 7, 1]}
-    assert certify() == js == certify(h_oracle().coeffs)
+    assert certify() == js
     assert json.loads(json.dumps(js)) == js
 
 
@@ -184,40 +191,31 @@ def test_h_nonnegative_on_domain_grid():
     assert all(h.evaluate(*pt) >= 0 for pt in points)
 
 
-def sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 @pytest.mark.parametrize(
-    "depth, poly, shape",
+    "shift, cap, shape",
     [
-        (None, None, (CERTIFIED, 8, 0)),
-        (None, stability_polynomial(), (CERTIFIED, 9, 0)),
-        (None, Poly.constant(Fraction(3, 32)), (CERTIFIED, 0, 1)),
-        (None, h_oracle() + Fraction(1, 100), (CERTIFIED, 5, 1)),
-        (None, stability_polynomial() + Fraction(1, 10**6), (CERTIFIED, 9, 1)),
-        (0, None, (INDETERMINATE, 4, -1)),
-        (6, h_oracle() - Fraction(1, 1000), (INDETERMINATE, 10, -1)),
-        (9, h_oracle() - Fraction(1, 1000), (INDETERMINATE, 13, -1)),
-        (8, stability_polynomial() - Fraction(1, 10**6), (INDETERMINATE, 12, -1)),
+        (0, MAX_DEGREE, (CERTIFIED, 8, "0")),
+        (1, MAX_DEGREE, (CERTIFIED, 5, "1/240")),
+        (0, 4, (INDETERMINATE, 4, "-1/32")),
+        (-1, 6, (INDETERMINATE, 6, "-1/60")),
+        (-1, 10, (INDETERMINATE, 10, "-1/96")),
+        (-1, 13, (INDETERMINATE, 13, "-1/96")),
     ],
-    ids=["h", "stability", "constant", "h+1/100", "stability+1/10^6",
-         "depth0", "h-1/1000-depth6", "h-1/1000-depth9", "stability-1/10^6-depth8"],
+    ids=["h", "h+1/96", "depth0", "h-1/96-depth2", "h-1/96-depth6", "h-1/96-depth9"],
 )
-def test_certify_matches_fresh_conversion_and_elevation(monkeypatch, depth, poly, shape):
+def test_certify_matches_fresh_conversion_and_elevation(monkeypatch, shift, cap, shape):
     """certify's report is the one a fresh Fraction conversion on D gives at
     each degree, and the one Fraction elevation gives.
 
-    depth is the number of elevation steps allowed, MAX_DEGREE less the
-    polynomial's degree 4; None keeps MAX_DEGREE.  The cases cover the three
-    signs of the least coefficient: 0 (found as the first zero), positive
-    and negative (found by weighing every coefficient).
+    certify proves 96 h + shift at the cap MAX_DEGREE, h's degree 4 plus
+    the depth in the id.  The cases cover the three signs of the least
+    coefficient: 0 (found as the first zero), positive and negative (found
+    by weighing every coefficient).
     """
-    p = h_oracle() if poly is None else poly
-    cap = MAX_DEGREE if depth is None else p.degree() + depth
+    p = shift_h(monkeypatch, shift)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
-    cert = certify(poly=None if poly is None else poly.coeffs)
-    assert (cert["result"], cert["degree"], sign(Fraction(cert["least"]))) == shape
+    cert = certify()
+    assert (cert["result"], cert["degree"], cert["least"]) == shape
     assert cert == report_oracle(p, cap, fresh_conversion) == report_oracle(p, cap)
 
 
@@ -231,30 +229,6 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
     # certify looks the conversion up in its own module's namespace
     monkeypatch.setattr(certify_module, "_power_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
-    assert certify(poly=(h_oracle() - Fraction(1, 1000)).coeffs)["degree"] == 12
+    shift_h(monkeypatch, -1)
+    assert certify()["degree"] == 12
     assert calls == [13]  # one conversion, on keys above the cap 12
-
-
-@pytest.mark.parametrize("k", [2, 4])
-def test_certify_refuses_a_poly_not_in_three_variables(k):
-    """x1 and 1 written on keys of k exponents."""
-    for monomial in ((1,) + (0,) * (k - 1), (0,) * k):
-        message = re.escape(f"monomial {monomial!r} is not a tuple of 3 nonnegative int exponents")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            certify(poly={(0, 0, 0): 1, monomial: 1})
-
-
-def test_certify_refuses_a_malformed_monomial():
-    """Every key is checked, even one whose coefficient is 0; a bool is not an int exponent."""
-    for monomial in ((-1, 0, 0), (1, 0), (1, 0, 0, 0), (0.5, 0, 0), (True, 0, 0), "x1"):
-        for c in (1, 0):
-            with pytest.raises(ValueError, match="nonnegative int exponents"):
-                certify(poly={(0, 0, 0): 1, monomial: c})
-
-
-def test_certify_refuses_a_coefficient_not_int_or_fraction():
-    """A float is refused, not made exact: 0.1 is not 1/10."""
-    for c in (0.5, 1.0, "1/2", True, None):
-        message = re.escape(f"coefficient {c!r} of (1, 0, 0) is not an int or a Fraction")
-        with pytest.raises(TypeError, match=f"^{message}$"):
-            certify(poly={(0, 0, 0): 1, (1, 0, 0): c})

@@ -268,8 +268,10 @@ def _report_cases(capsys, tmp_path):
 
 def test_reports_build_no_fraction(capsys, monkeypatch, tmp_path):
     """The report builders of pipeline, reduce and lagrangian render their integers without a Fraction."""
-    cases = [(parse_graph(files[0]), parse_weights(files[1]), reports)
-             for files, reports in _report_cases(capsys, tmp_path)]
+    cases = []
+    for files, reports in _report_cases(capsys, tmp_path):
+        g = parse_graph(files[0])
+        cases.append((g, parse_weights(files[1], g.n), reports))
     monkeypatch.setattr(lagrangian, "Fraction", _refused)
     for g, w, reports in cases:
         built = [getattr(lagrangian, name)(g, w) for name in REPORTS.values()]

@@ -6,7 +6,9 @@ no names: ``import trilag`` loads no submodule, ``import trilag.certify``
 loads the certificate alone, and ``trilag.certify`` is always the module.
 Every top-level function, class and constant of the package, and every
 member of its classes, is used by its own code, so none is an entrance, a
-value or a method that only the tests read.
+value or a method that only the tests read; and each default of a
+parameter is both passed and left in place by some call of the package,
+so none is a parameter or a default that only the tests use.
 """
 
 import ast
@@ -178,8 +180,8 @@ print(steps)
             importlib.import_module(module)
 
 
-# the only special methods a class of the package may define: len(w) in _graph_sums reads __len__
-SPECIAL_METHODS = ("__init__", "__len__")
+# the only special method a class of the package may define
+SPECIAL_METHODS = ("__init__",)
 
 
 def _is_dunder(name: str) -> bool:
@@ -270,6 +272,65 @@ def test_every_definition_is_used_by_the_package():
     compare graphs and weights by their fields and read a ParseError's line
     from its message."""
     assert _unreferenced_definitions(SRC / "trilag") == []
+
+
+# called with no argument by the console script and `python -m trilag.cli`, and with argv by in-process callers
+PARAMETER_EXEMPT = ("cli.main",)
+
+
+def _one_way_defaults(package: Path) -> list[str]:
+    """module.function(parameter) of each defaulted parameter that the
+    package's calls always pass, or never pass.
+
+    Only functions outside class bodies that the package's code reaches by
+    calling their bare name are weighed, and only when no such call spreads
+    ``*args`` or ``**kwargs``: a function that is also read as a value, or
+    read as an attribute, may be called in ways the scan cannot see, and
+    so may a name that two functions share.  A parameter is passed by a call that gives it by position or by keyword.
+    A function with no call at all is left to the scan of unused
+    definitions.
+    """
+    functions, calls, opaque = [], {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(node) not in methods:
+                functions.append((path.stem, node))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callees.add(id(node.func))
+                if any(isinstance(arg, ast.Starred) for arg in node.args) or any(kw.arg is None for kw in node.keywords):
+                    opaque.add(node.func.id)
+                else:
+                    calls.setdefault(node.func.id, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in callees:
+                opaque.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                opaque.add(node.attr)
+    defined = [node.name for _, node in functions]
+    one_way = []
+    for module, node in functions:
+        name = node.name
+        if f"{module}.{name}" in PARAMETER_EXEMPT or name in opaque or defined.count(name) > 1:
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(node.args.defaults)]
+        defaulted += [(None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+        for index, param in defaulted:
+            passed = [(index is not None and index < len(call.args)) or any(kw.arg == param for kw in call.keywords)
+                      for call in calls.get(name, ())]
+            if passed and (all(passed) or not any(passed)):
+                one_way.append(f"{module}.{name}({param})")
+    return sorted(one_way)
+
+
+def test_every_default_is_both_given_and_left_by_the_package():
+    """A default that no package call leaves in place, or a parameter that no
+    package call passes, serves only the tests: the parameter becomes
+    required, or leaves with the code that only the tests reach."""
+    assert _one_way_defaults(SRC / "trilag") == []
 
 
 # the entrances that no command ran, deleted once the scan above found them

@@ -51,7 +51,7 @@ def test_weight_vector_numerators():
     rng = random.Random(79)
     for _ in range(300):
         w = rand_weights(rng, rng.randint(1, 9), max_part=rng.choice((2, 30)))
-        assert isinstance(w.numerators, tuple) and len(w.numerators) == len(w)
+        assert isinstance(w.numerators, tuple) and len(w.numerators) == len(w.entries)
         assert sum(w.numerators) == w.denominator == lcm(*(x.denominator for x in w.entries))
         assert all(Fraction(p, w.denominator) == x for p, x in zip(w.numerators, w.entries))
     w = WeightVector(6, (0, 1, 5))
@@ -61,15 +61,14 @@ def test_weight_vector_numerators():
     with pytest.raises(AttributeError):
         w.numerators = (0, 2, 10)
     # the parser builds the vector from (d, p), d least for unreduced tokens
-    parsed = parse_weights_text("2/4\n3/6\n")
+    parsed = parse_weights_text("2/4\n3/6\n", 2, "w.txt")
     assert (parsed.denominator, parsed.numerators) == (2, (1, 1))
-    parsed = parse_weights_text("0/9\n2/12\n10/12\n")
+    parsed = parse_weights_text("0/9\n2/12\n10/12\n", 3, "w.txt")
     assert (parsed.denominator, parsed.numerators) == (6, (0, 1, 5))
-    assert parse_weights_text("4/8\n1/4\n2/8\n").denominator == 4
+    assert parse_weights_text("4/8\n1/4\n2/8\n", 3, "w.txt").denominator == 4
     # the entries are Fractions made on demand
     assert w.entries == (0, Fraction(1, 6), Fraction(5, 6))
     assert all(type(x) is Fraction for x in w.entries)
-    assert len(w) == 3
 
 
 def test_weight_vector_from_numerators():

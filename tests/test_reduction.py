@@ -166,7 +166,7 @@ def _oracle_cases():
     yield UndirectedGraph(5, []), zeros
     # a common denominator of 1073 digits
     tiny = Fraction(1, 10**1072)
-    yield UndirectedGraph(4, [(0, 1), (1, 2)]), parse_weights_text(f"{tiny}\n1/4\n1/4\n{Fraction(1, 2) - tiny}\n")
+    yield UndirectedGraph(4, [(0, 1), (1, 2)]), parse_weights_text(f"{tiny}\n1/4\n1/4\n{Fraction(1, 2) - tiny}\n", 4, "w.txt")
 
 
 def test_reduce_matches_object_oracle():

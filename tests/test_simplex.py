@@ -100,7 +100,7 @@ def test_closed_form_messages_and_empty_input():
 def test_closed_form_matches_definition_examples():
     """The integer closed form is L_BF of the complete graph from the raw definition."""
     for w in (WeightVector(2, (1, 1)), WeightVector(3, (1, 1, 1)), WeightVector(1, (1,))):
-        assert brute_lagrangian_bf(complete_graph(len(w)), w) == exact_closed_form(w)
+        assert brute_lagrangian_bf(complete_graph(len(w.numerators)), w) == exact_closed_form(w)
 
 
 def test_closed_form_matches_definition_random():
@@ -394,7 +394,7 @@ def test_maximize_stats_without_convergence(monkeypatch):
 @pytest.mark.parametrize("first", [np.inf, -np.inf])
 def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
     """Nudging each restart's fx by one ulp, in alternating directions, keeps the point."""
-    reported = {n: maximize(n) for n in range(2, 13)}
+    reported = {n: maximize(n, seed=0) for n in range(2, 13)}
 
     def nudged_ascend(starts):
         x, fx, *rest = ascend(starts)
@@ -404,7 +404,7 @@ def test_maximize_point_ignores_last_bit_of_objective(monkeypatch, first):
     monkeypatch.setattr(simplex, "ascend", nudged_ascend)
     for n, res in reported.items():
         assert res["value_exact"] == "3/32"
-        assert maximize(n)["point"] == res["point"]
+        assert maximize(n, seed=0)["point"] == res["point"]
 
 
 def test_maximize_tie_break_keeps_the_tuple_key(monkeypatch):
@@ -426,7 +426,7 @@ def test_maximize_tie_break_keeps_the_tuple_key(monkeypatch):
 
         monkeypatch.setattr(simplex, "ascend", fake_ascend)
         old = min(np.flatnonzero(fx >= fx.max() - simplex.RANK_TOL), key=lambda i: tuple(x[i]))
-        assert maximize(3)["residual"] == residual[old]
+        assert maximize(3, seed=0)["residual"] == residual[old]
         assert rows[order[old]] in ([-0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
 
 
@@ -474,7 +474,7 @@ def _tail_cases():
     yield [0, 1, 0, 0]
     yield [Fraction(0), HALF, 0, HALF, Fraction(0)]
     # a common denominator of 1073 digits
-    yield list(parse_weights_text("1e-1072\n1/2\n0.4" + "9" * 1071 + "\n").entries)
+    yield list(parse_weights_text("1e-1072\n1/2\n0.4" + "9" * 1071 + "\n", 3, "w.txt").entries)
 
 
 def test_integer_tail_matches_fraction_oracles():

@@ -35,6 +35,15 @@ def shift_h(monkeypatch, shift: int) -> Poly:
     return h_oracle() + Fraction(shift, 96)
 
 
+def prove(monkeypatch, p: Poly) -> Poly:
+    """Make certify prove 96 k p in place of 96 h, k the least positive int
+    that makes it integral, and return k p, the polynomial it reports on."""
+    k = lcm(*(Fraction(96 * c).denominator for c in p.coeffs.values()))
+    terms = {m: int(96 * k * c) for m, c in p.coeffs.items() if c}
+    monkeypatch.setattr(certify_module, "h96_polynomial", lambda: dict(terms))
+    return k * p
+
+
 def report_oracle(p: Poly, cap: int, convert=elevate_oracle) -> dict:
     """certify's report from Fraction coefficients at each degree (by default by
     elevation): the first degree from p's own with no negative coefficient,
@@ -195,24 +204,30 @@ def test_h_nonnegative_on_domain_grid():
     "shift, cap, shape",
     [
         (0, MAX_DEGREE, (CERTIFIED, 8, "0")),
+        (None, MAX_DEGREE, (CERTIFIED, 9, "0")),
         (1, MAX_DEGREE, (CERTIFIED, 5, "1/240")),
         (0, 4, (INDETERMINATE, 4, "-1/32")),
         (-1, 6, (INDETERMINATE, 6, "-1/60")),
         (-1, 10, (INDETERMINATE, 10, "-1/96")),
         (-1, 13, (INDETERMINATE, 13, "-1/96")),
     ],
-    ids=["h", "h+1/96", "depth0", "h-1/96-depth2", "h-1/96-depth6", "h-1/96-depth9"],
+    ids=["h", "stability", "h+1/96", "depth0", "h-1/96-depth2", "h-1/96-depth6", "h-1/96-depth9"],
 )
 def test_certify_matches_fresh_conversion_and_elevation(monkeypatch, shift, cap, shape):
     """certify's report is the one a fresh Fraction conversion on D gives at
     each degree, and the one Fraction elevation gives.
 
     certify proves 96 h + shift at the cap MAX_DEGREE, h's degree 4 plus
-    the depth in the id.  The cases cover the three signs of the least
-    coefficient: 0 (found as the first zero), positive and negative (found
-    by weighing every coefficient).
+    the depth in the id; a shift of None makes it prove the stability form
+    times 3 * 96, whose 0 least coefficient the factor 3 leaves as it is.
+    The cases cover the three signs of the least coefficient: 0 (found as
+    the first zero), positive and negative (found by weighing every
+    coefficient).
     """
-    p = shift_h(monkeypatch, shift)
+    if shift is None:
+        p = prove(monkeypatch, stability_polynomial())
+    else:
+        p = shift_h(monkeypatch, shift)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", cap)
     cert = certify()
     assert (cert["result"], cert["degree"], cert["least"]) == shape

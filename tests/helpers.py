@@ -19,21 +19,25 @@ pipeline_oracle and reduce_report_oracle it is the reference for the
 integer rows and the gcd renderer of pipeline_report and trilag reduce.
 Poly is the polynomial of the certificate's oracles, a sparse map from
 exponent tuples to coefficients whose product adds the tuples; trilag.certify
-has no polynomial class, and certify proves one polynomial, its own integer
-term dict 96 h, alone.  bernstein_oracle is the conversion built from Poly products of
-barycentric forms, with tuple keys; certify runs it on packed int keys.  At
-a degree above p's it is a fresh conversion, the oracle of certify's
-elevation.  elevate_oracle raises bernstein_oracle's coefficients to a
-higher degree in Fractions, one degree at a time, where certify elevates
-integer numerators on packed keys.  g_polynomial_oracle expands the paper's
-g with Fraction-coefficient Polys, and h_oracle is 3/32 minus it.  None of
-these shares code with the prover: they call no function of trilag.certify.
-packed_coefficients is the prover's engine itself, certify's _power_form,
-_elevate and _bernstein_numerators, run on a Poly's coeffs scaled to ints
-and made Fractions for the tests to compare: the tests reach the stability
-form and polynomials other than h through it.  certify converts on D alone, as the integers
-trilag.certify.DOMAIN over 6; DOMAIN_VERTICES is D in Fractions, the
-oracles' D, and elevate_oracle and packed_coefficients convert on it.
+has no polynomial class, and certify proves 96 h alone, built as a form on
+D by its own _h96_form.  bernstein_oracle is the conversion built from Poly
+products of barycentric forms, with tuple keys; certify works on packed int
+keys.  At a degree above p's it is a fresh conversion, the oracle of
+certify's elevation.  elevate_oracle raises bernstein_oracle's coefficients
+to a higher degree in Fractions, one degree at a time, where certify
+elevates integer numerators on packed keys.  g_polynomial_oracle expands
+the paper's g with Fraction-coefficient Polys, and h_oracle is 3/32 minus
+it.  None of these shares code with the prover: they call no function of
+trilag.certify.  power_form converts a term dict with int coefficients to
+its form on D by Horner in the degree, on the prover's packed keys and
+with its _mul_packed and _elevate: the tests' term-dict engine, for the
+polynomials certify does not build.  packed_coefficients runs power_form
+and the prover's _elevate and _bernstein_numerators on a Poly's coeffs
+scaled to ints, and makes Fractions for the tests to compare: the tests
+reach the stability form and polynomials other than h through it.
+certify converts on D alone, as the integers trilag.certify.DOMAIN over 6;
+DOMAIN_VERTICES is D in Fractions, the oracles' D, and elevate_oracle and
+packed_coefficients convert on it.
 parse_weights_oracle parses weights one Fraction per line, through
 parse_rational, and takes their lcm itself; parse_weights_text reads p/q
 and integer tokens with int().  Both build WeightVector(d, p), the one
@@ -51,7 +55,7 @@ from operator import add
 
 import numpy as np
 
-from trilag.certify import _bernstein_numerators, _elevate, _power_form
+from trilag.certify import DOMAIN, _bernstein_numerators, _elevate, _mul_packed
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, _graph_sums, _reduce
@@ -708,12 +712,59 @@ def elevate_oracle(p: Poly, degree: int) -> dict[tuple[int, int, int, int], Frac
     return coeffs
 
 
+def power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
+    """The form D^n p of degree n, p's, in the barycentric coordinates l of D.
+
+    With D = 6 the vertices' least common denominator, D x1, D x2 and D x3
+    are linear in l, with DOMAIN's integers as their coefficients.  Write
+    p_d for p's terms of degree d; since the l sum to 1,
+    D^n p = sum_d D^(n - d) p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
+    which is summed by Horner in the degree: for d = 0..n the sum so far is
+    raised one degree by ``_elevate`` and D^(n - d) p_d(D x) is added,
+    with D^(n - d) folded into each term's integer coefficient.  The result
+    is dense: every l^a with |a| = n has an entry, 0 included, in
+    ``multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
+    with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
+    p is a term dict with nonzero int coefficients.  Returns the form and
+    its denominator D^n.
+    """
+    n = max(map(sum, p))
+    b = n + 1  # the products' base; for n < 6 their keys are cached small ints
+    unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
+    powers = []  # powers[x][e] is the e-th power of D x_(x+1) in l
+    for x in range(3):
+        form = {u: v[x] for u, v in zip(unit, DOMAIN) if v[x]}
+        row = [{0: 1}]
+        for _ in range(n):
+            row.append(_mul_packed(row[-1], form, {}))
+        powers.append(row)
+
+    # layers[d][i] lists p's terms of degree d with x1^i, as (j, k, D^(n - d) c);
+    # layer d is the sum over i of (D x1)^i times the sum of its (D x2)^j (D x3)^k c
+    layers = [{} for _ in range(n + 1)]
+    for (i, j, k), c in p.items():
+        layers[i + j + k].setdefault(i, []).append((j, k, c * 6 ** (n - i - j - k)))
+    total = {}
+    for layer in layers:
+        total = _elevate(total, b)
+        for i, terms in layer.items():
+            inner = {}
+            for j, k, c in terms:
+                _mul_packed(powers[1][j], {m: c * t for m, t in powers[2][k].items()}, inner)
+            _mul_packed(powers[0][i], inner, total)
+
+    return {
+        a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)
+        for _, a1, a2, a3 in multi_indices(n)
+    }, 6**n
+
+
 def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int], Fraction]:
-    """The coefficients of a term dict on D at a degree >= p's from the
-    prover's engine, _power_form, _elevate and _bernstein_numerators.
+    """The coefficients of a term dict on D at a degree >= p's from
+    power_form and the prover's _elevate and _bernstein_numerators.
 
     p's nonzero terms are scaled to ints by S, the lcm of their
-    denominators, as _power_form takes them, and S joins the denominator;
+    denominators, as power_form takes them, and S joins the denominator;
     the zero polynomial's coefficients are all 0, with no conversion.
     Asserts on the way that the form is dense at the degree and that the
     numerators come in multi_indices order.
@@ -723,7 +774,7 @@ def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int],
     if not terms:
         return {a: Fraction(0) for a in multi_indices(degree)}
     base = degree + 1
-    form, den = _power_form(terms, base)
+    form, den = power_form(terms, base)
     for _ in range(degree - max(map(sum, terms))):
         form = _elevate(form, base)
     assert len(form) == len(multi_indices(degree))  # dense at every degree

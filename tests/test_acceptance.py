@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trilag.certify import CERTIFIED, certify, h96_polynomial
+from trilag.certify import CERTIFIED, certify
 from trilag.graphs import UndirectedGraph, build_cf, edge_density, underlying
 from trilag.harness import enumerate_orientations, orientation_from_index, validate_fdf_family
 from trilag.lagrangian import (
@@ -24,11 +24,10 @@ from trilag.simplex import _gradient, maximize
 
 from helpers import (
     DOMAIN_VERTICES,
-    Poly,
     bernstein_oracle,
     brute_lagrangian_cf,
     fraction_weights,
-    g_polynomial_oracle,
+    h_oracle,
     merge_chain,
     merge_identity_sides,
     merges_complete,
@@ -175,10 +174,10 @@ def test_criterion_5_optimizer():
 
 def test_criterion_6_certifier():
     cert = certify()
-    h96 = Poly(h96_polynomial())
+    h = h_oracle()
     m = cert["degree"]
-    # every coefficient at the reported degree, a fresh conversion of the paper's 3/32 - g
-    coeffs = bernstein_oracle(Poly.constant(BOUND) - g_polynomial_oracle(), DOMAIN_VERTICES, m)
+    # every coefficient at the reported degree, a fresh conversion of the paper's h = 3/32 - g
+    coeffs = bernstein_oracle(h, DOMAIN_VERTICES, m)
     least = min(coeffs.values())
     coeffs_ok = (
         len(coeffs) == cert["coefficients"]
@@ -198,7 +197,7 @@ def test_criterion_6_certifier():
             continue
         w = fraction_weights([x1, x2, x3, 1 - x1 - x2 - x3])
         g = Fraction(_g_numerator(w.denominator, *w.numerators[:3]), 24 * w.denominator**4)
-        if h96.evaluate(x1, x2, x3) / 96 != BOUND - g:
+        if h.evaluate(x1, x2, x3) != BOUND - g:
             break
         agree += 1
 

@@ -10,13 +10,15 @@ from helpers import (
     Poly,
     bernstein_oracle,
     elevate_oracle,
+    g_polynomial_oracle,
     h_oracle,
     multi_indices,
     packed_coefficients,
     point_in_domain,
+    power_form,
     stability_polynomial,
 )
-from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _power_form, certify, h96_polynomial
+from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _elevate, _h96_form, certify
 
 HALF = Fraction(1, 2)
 
@@ -27,20 +29,28 @@ def fresh_conversion(p: Poly, degree: int) -> dict:
 
 
 def shift_h(monkeypatch, shift: int) -> Poly:
-    """Make certify prove 96 h + shift in place of 96 h, whose constant term
-    is 5, and return h + shift/96 in Fractions."""
-    terms = h96_polynomial()
-    terms[(0, 0, 0)] += shift
-    monkeypatch.setattr(certify_module, "h96_polynomial", lambda: dict(terms))
+    """Make certify prove 96 h + shift in place of 96 h, and return h + shift/96
+    in Fractions: the form gains shift 6^4 E^4, E = l_0 + l_1 + l_2 + l_3 = 1."""
+    build = certify_module._h96_form
+
+    def shifted(base):
+        form, power = build(base), {0: shift * 6**4}
+        for _ in range(4):
+            power = _elevate(power, base)
+        return {key: c + power[key] for key, c in form.items()}
+
+    monkeypatch.setattr(certify_module, "_h96_form", shifted)
     return h_oracle() + Fraction(shift, 96)
 
 
 def prove(monkeypatch, p: Poly) -> Poly:
-    """Make certify prove 96 k p in place of 96 h, k the least positive int
-    that makes it integral, and return k p, the polynomial it reports on."""
+    """Make certify prove 96 k p, p of degree 4, in place of 96 h, k the least
+    positive int that makes it integral, and return k p, the polynomial it
+    reports on.  The form of 96 k p comes from the tests' term-dict engine."""
     k = lcm(*(Fraction(96 * c).denominator for c in p.coeffs.values()))
     terms = {m: int(96 * k * c) for m, c in p.coeffs.items() if c}
-    monkeypatch.setattr(certify_module, "h96_polynomial", lambda: dict(terms))
+    assert max(map(sum, terms)) == 4
+    monkeypatch.setattr(certify_module, "_h96_form", lambda base: power_form(terms, base)[0])
     return k * p
 
 
@@ -236,14 +246,31 @@ def test_certify_matches_fresh_conversion_and_elevation(monkeypatch, shift, cap,
 
 def test_certify_converts_once_on_the_domain(monkeypatch):
     calls = []
+    build = certify_module._h96_form
 
-    def counted(p, base):
+    def counted(base):
         calls.append(base)
-        return _power_form(p, base)
+        return build(base)
 
-    # certify looks the conversion up in its own module's namespace
-    monkeypatch.setattr(certify_module, "_power_form", counted)
+    # certify looks the builder up in its own module's namespace
+    monkeypatch.setattr(certify_module, "_h96_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
     shift_h(monkeypatch, -1)
     assert certify()["degree"] == 12
-    assert calls == [13]  # one conversion, on keys above the cap 12
+    assert calls == [13]  # one form, on keys above the cap 12
+
+
+def test_the_h96_form_is_the_papers_h_on_d():
+    """_h96_form is dense at degree 4, and its coefficient of l^a is
+    6^4 96 4!/a! times the Bernstein coefficient b[a] of the paper's
+    3/32 - g, converted in Fractions; the tests' term-dict engine gives the
+    same form from 96 h's terms."""
+    base = MAX_DEGREE + 1
+    form = _h96_form(base)
+    h = Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
+    coeffs = bernstein_oracle(h, DOMAIN_VERTICES, 4)
+    assert len(form) == len(multi_indices(4)) == len(coeffs)
+    for a, b in coeffs.items():
+        weight = Fraction(96 * 6**4 * factorial(4), prod(map(factorial, a)))
+        assert form[a[1] + base * (a[2] + base * a[3])] == weight * b
+    assert form == power_form({m: int(96 * c) for m, c in h.coeffs.items()}, base)[0]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from trilag import graphs, harness, lagrangian
-from trilag.certify import h96_polynomial
 from trilag.graphs import (
     OrientedGraph,
     build_bf,
@@ -30,10 +29,10 @@ from trilag.harness import (
 from trilag.lagrangian import WeightVector, pipeline_report
 
 from helpers import (
-    Poly,
     brute_lagrangian_bf,
     brute_lagrangian_cf,
     g_polynomial_oracle,
+    h_oracle,
     has_independent_4set,
     huge_denominator_weights,
     pair_digits,
@@ -340,15 +339,15 @@ def test_pipeline_single_arc_k2():
 
 
 def test_pipeline_point_values_match_certified_polynomials():
-    """h_at_point = 3/32 - g is 96 h over 96, the polynomial certify converts, and g is the
+    """h_at_point is h = 3/32 - g, the polynomial certify converts, and g is the
     paper's formula, at the pipeline's point."""
     rng = random.Random(300)
-    h96, g = Poly(h96_polynomial()), g_polynomial_oracle()
+    h, g = h_oracle(), g_polynomial_oracle()
     for _ in range(300):
         n = rng.randint(2, 7)
         report = pipeline_report(rand_orientation(rng, n), rand_weights(rng, n))
         point = [Fraction(x) for x in report["trivariate_point"]]
-        assert Fraction(report["h_at_point"]) == h96.evaluate(*point) / 96
+        assert Fraction(report["h_at_point"]) == h.evaluate(*point)
         assert Fraction(report["trivariate_value"]) == g.evaluate(*point)
         assert report["all_pass"]
 

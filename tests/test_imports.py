@@ -336,7 +336,7 @@ def test_every_default_is_both_given_and_left_by_the_package():
 # the entrances that no command ran, deleted once the scan above found them
 DELETED = (("lagrangian", "lagrangian_cf"), ("lagrangian", "lagrangian_bf"), ("lagrangian", "uniform_weights"),
            ("simplex", "closed_form"), ("simplex", "gradient"), ("graphs", "complete_graph"),
-           ("lagrangian", "merge_chain"))
+           ("lagrangian", "merge_chain"), ("certify", "h96_polynomial"), ("certify", "_power_form"))
 
 
 @pytest.mark.parametrize("module,name", DELETED, ids=[name for _, name in DELETED])

@@ -17,7 +17,7 @@ from helpers import (
     packed_coefficients,
     stability_polynomial,
 )
-from trilag.certify import h96_polynomial
+from trilag.certify import _h96_form
 from trilag.lagrangian import _g_numerator
 
 HALF = Fraction(1, 2)
@@ -28,12 +28,14 @@ def rand_rational(rng, den=64):
 
 
 def test_h_key_values():
-    """h and 96 h over 96 at three vertices of D; both have degree 4."""
-    h, h96 = h_oracle(), Poly(h96_polynomial())
+    """h at three vertices of D, and there the prover's form of 6^4 96 h:
+    its coefficient at 4 e_i is 6^4 96 times h at vertex i.  h has degree 4."""
+    h, form = h_oracle(), _h96_form(5)
     for point, value in (((HALF, HALF, 0), 0), ((1, 0, 0), Fraction(3, 32)),
                          ((Fraction(1, 3),) * 3, Fraction(1, 864))):
-        assert h.evaluate(*point) == h96.evaluate(*point) / 96 == value
-    assert h.degree() == h96.degree() == max(sum(m) for m in h.coeffs) == 4
+        key = 4 * (0, 1, 5, 25)[DOMAIN_VERTICES.index(point)]  # l_i^4 on keys of base 5
+        assert h.evaluate(*point) == Fraction(form[key], 6**4 * 96) == value
+    assert h.degree() == max(sum(m) for m in h.coeffs) == 4
 
 
 def test_g_poly_matches_direct_expression():
@@ -52,12 +54,16 @@ def test_g_poly_matches_direct_expression():
 
 
 def test_g_and_h_expand_the_papers_formula():
-    """3/32 minus g's formula in Fraction Polys is the integer polynomial
-    96 h with every coefficient over 96."""
-    h, h96 = h_oracle(), h96_polynomial()
+    """3/32 minus g's formula in Fraction Polys is, over 96, the integer
+    polynomial 96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7 of 24 terms, with
+    q = 1 - x1^2 - x2^2 - x3 + x1 x3 + x2 x3."""
+    h = h_oracle()
+    x1, x2, x3 = (Poly.variable(d) for d in range(3))
+    q = Poly.constant(1) - x1**2 - x2**2 - x3 + x1 * x3 + x2 * x3
+    h96 = 16 * (x1**3 + x2**3 + x3**3) + 12 * q * q - 7
     assert all(type(c) is Fraction for c in h.coeffs.values())
-    assert len(h96) == 24 and all(type(c) is int and c for c in h96.values())
-    assert h == Poly({m: Fraction(c, 96) for m, c in h96.items()})
+    assert len(h96.coeffs) == 24 and all(type(c) is int for c in h96.coeffs.values())
+    assert 96 * h == h96
 
 
 @pytest.mark.parametrize(

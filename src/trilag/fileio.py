@@ -4,7 +4,10 @@ Files are UTF-8, read unbuffered to EOF in one call (a pipe too), and one
 leading byte-order mark is dropped.  Lines end at ``\\n``, ``\\r\\n`` or
 ``\\r``.  Graph files: first line ``digraph <n>`` or ``graph <n>``; each
 following non-empty line is one arc/edge ``u v`` (0-based); ``#`` starts
-a comment.  Arcs are ordered u->v, edges unordered.
+a comment.  Arcs are ordered u->v, edges unordered.  The graph rules
+(count, range, self-loop, duplicate, antiparallel) are trilag.graphs':
+its constructor checks each pair as this module reads it, and a broken
+rule is cited at the line of that pair, or the header's for the count.
 
 Weight files hold one rational per line: ``p/q``, an integer, or a
 decimal; the count must match the graph order, no weight may exceed 1,
@@ -64,34 +67,26 @@ def parse_graph_text(text: str, path: str):
         n = int(parts[1])
     except ValueError:
         raise ParseError(path, line_no, f"bad vertex count {parts[1]!r}") from None
-    if n < 0:
-        raise ParseError(path, line_no, "vertex count must be nonnegative")
     directed = parts[0] == "digraph"
 
-    pairs = []
-    seen = set()
-    for line_no, line in lines[1:]:
-        tok = line.split()
-        if len(tok) != 2:
-            raise ParseError(path, line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(tok[0]), int(tok[1])
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer endpoint in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(path, line_no, f"endpoint out of range 0..{n - 1}")
-        if u == v:
-            raise ParseError(path, line_no, f"self-loop at {u}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(path, line_no, f"duplicate {'arc' if directed else 'edge'} {u} {v}")
-        if directed and (v, u) in seen:
-            raise ParseError(path, line_no, f"antiparallel pair {u}<->{v}: not an orientation")
-        seen.add(key)
-        pairs.append((u, v))
-    if directed:
-        return OrientedGraph(n, pairs)
-    return UndirectedGraph(n, pairs)
+    def pairs():
+        nonlocal line_no
+        for line_no, line in lines[1:]:
+            tok = line.split()
+            if len(tok) != 2:
+                raise ParseError(path, line_no, f"expected 'u v', got {line!r}")
+            try:
+                u, v = int(tok[0]), int(tok[1])
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer endpoint in {line!r}") from None
+            yield u, v
+
+    try:
+        return (OrientedGraph if directed else UndirectedGraph)(n, pairs())
+    except ParseError:  # raised inside pairs(): a ParseError is a ValueError too
+        raise
+    except ValueError as exc:  # a graph rule, broken by the pair on line_no
+        raise ParseError(path, line_no, str(exc)) from None
 
 
 def _read_text(path: str) -> str:

@@ -22,6 +22,8 @@ edge_density takes the vertex count beside it, and
 has_induced_directed_c4 answers with a bool alone.  An OrientedGraph
 keeps n and its frozenset of arcs, an UndirectedGraph n and its edges,
 and neither defines equality, a hash or a repr: compare those fields.
+Both check their pairs in the order given and refuse the first bad one,
+a duplicate pair included; these are the only checks of the graph rules.
 """
 
 from __future__ import annotations
@@ -30,16 +32,6 @@ import itertools
 import operator
 from fractions import Fraction
 from math import comb
-
-
-def _endpoints(pair) -> tuple[int, int]:
-    """The two vertex labels of an arc or edge as ints; a non-integer label,
-    such as 1.0 or 3/2, is a ValueError that names the pair."""
-    u, v = pair
-    try:
-        return operator.index(u), operator.index(v)
-    except TypeError:
-        raise ValueError(f"non-integer vertex label in {(u, v)}") from None
 
 
 def _vertex_count(n) -> int:
@@ -53,23 +45,40 @@ def _vertex_count(n) -> int:
     return n
 
 
+def _checked(n, pairs, directed: bool) -> tuple[int, frozenset[tuple[int, int]]]:
+    """n as an int and the pairs as a frozenset, edges keyed (min,max).
+
+    The count is checked first, then each pair in the order given: integer
+    labels, range, self-loop, duplicate and, for arcs, antiparallel.  The
+    first broken rule is a ValueError, so fileio cites that pair's line.
+    """
+    n = _vertex_count(n)
+    seen = set()
+    for u, v in pairs:
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise ValueError(f"non-integer vertex label in {(u, v)}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"endpoint out of range 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        key = (u, v) if directed or u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate {'arc' if directed else 'edge'} {u} {v}")
+        if directed and (v, u) in seen:
+            raise ValueError(f"antiparallel pair {u}<->{v}: not an orientation")
+        seen.add(key)
+    return n, frozenset(seen)
+
+
 class OrientedGraph:
     """Loopless digraph with no antiparallel arcs, on vertices 0..n-1."""
 
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs) -> None:
-        n = _vertex_count(n)
-        arcset = frozenset(_endpoints(a) for a in arcs)
-        for (u, v) in arcset:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if (v, u) in arcset:
-                raise ValueError(f"antiparallel pair {u}<->{v}: not an orientation")
-        self.n = n
-        self.arcs = arcset
+        self.n, self.arcs = _checked(n, arcs, directed=True)
 
 
 class UndirectedGraph:
@@ -78,17 +87,7 @@ class UndirectedGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges) -> None:
-        n = _vertex_count(n)
-        canon = set()
-        for e in edges:
-            u, v = _endpoints(e)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {{{u},{v}}} out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            canon.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = frozenset(canon)
+        self.n, self.edges = _checked(n, edges, directed=False)
 
 
 def _arc_count(g: OrientedGraph, x: int, y: int, z: int) -> int:

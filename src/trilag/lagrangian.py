@@ -224,11 +224,6 @@ def _cf_sums(g: OrientedGraph, p, bf_triples: int) -> tuple[int, int]:
     return bf_triples - dominated // 2, arcs
 
 
-def _cf_numerator(triples: int, arcs: int) -> int:
-    """a = 2 d^3 L_CF from the integer sums of ``_cf_sums``."""
-    return 2 * triples + arcs
-
-
 def _bf_numerator(d: int, triples: int, pairs: int, edges: int) -> int:
     """N = 2 d^4 L_BF from the integer sums of ``_bf_sums``."""
     return 2 * d * triples + d * pairs - edges * edges
@@ -404,7 +399,8 @@ def pipeline_report(g: OrientedGraph, w: WeightVector) -> dict:
         raise ValueError(f"L_CF needs an OrientedGraph, not {type(g).__name__}")
     d = w.denominator
     adj, sums = _graph_sums(g, w)
-    lcf = _cf_numerator(*_cf_sums(g, w.numerators, sums[0]))
+    cf_triples, cf_arcs = _cf_sums(g, w.numerators, sums[0])
+    lcf = 2 * cf_triples + cf_arcs  # a = 2 d^3 L_CF
     _, final, rows, start, end = _reduce(adj, sums, w)
     _check_numerators(d, final)
     q = sorted(final, reverse=True) + [0] * (3 - len(final))

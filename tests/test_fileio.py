@@ -50,6 +50,21 @@ def test_parse_errors_carry_line_numbers():
         parse_graph_text("# nothing here\n", "g.txt")
 
 
+def test_parse_cites_the_line_of_the_first_fault():
+    """The graph rules run as the pairs are read, so a file with two faults
+    cites the first; a negative count cites the header, before any pair."""
+    with pytest.raises(ParseError, match=r"^g.txt:2: endpoint out of range 0\.\.2$"):
+        parse_graph_text("digraph 3\n0 5\n0 x\n", "g.txt")
+    with pytest.raises(ParseError, match="^g.txt:2: non-integer endpoint in '0 x'$"):
+        parse_graph_text("digraph 3\n0 x\n0 5\n", "g.txt")
+    with pytest.raises(ParseError, match="^g.txt:1: vertex count must be nonnegative$"):
+        parse_graph_text("graph -1\n0 1\n", "g.txt")
+    with pytest.raises(ParseError, match="^g.txt:4: duplicate edge 2 1$"):
+        parse_graph_text("graph 3\n1 2\n# a note\n2 1\n1 1\n", "g.txt")
+    with pytest.raises(ParseError, match="^g.txt:3: antiparallel pair 1<->0: not an orientation$"):
+        parse_graph_text("digraph 3\n0 1\n1 0\n0 1 2\n", "g.txt")
+
+
 def test_parse_weights_formats():
     w = parse_weights_text("1/2\n0.25\n1/4\n", 3, "w.txt")
     assert w.entries == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))

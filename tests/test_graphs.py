@@ -32,12 +32,40 @@ from helpers import (
 
 
 def test_oriented_graph_rejects_digons_and_loops():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^antiparallel pair 1<->0: not an orientation$"):
         OrientedGraph(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^self-loop at 1$"):
         OrientedGraph(2, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^endpoint out of range 0\.\.1$"):
         OrientedGraph(2, [(0, 2)])
+
+
+# pairs that break a rule, more than one in most, and the message of the
+# first bad pair in the order given, from OrientedGraph and UndirectedGraph
+FIRST_BAD_PAIR = [
+    (3, [(0, 1), (3, 0), (1, 1)], "endpoint out of range 0..2", None),
+    (3, [(0, 1), (-1, 2)], "endpoint out of range 0..2", None),
+    (0, [(0, 1)], "endpoint out of range 0..-1", None),
+    (3, [(0, 1), (2, 2), (0, 5)], "self-loop at 2", None),
+    (3, [(0, 1), (1, 2), (0, 1), (2, 2)], "duplicate arc 0 1", "duplicate edge 0 1"),
+    (3, [(0, 1), (1, 0), (0, 0)], "antiparallel pair 1<->0: not an orientation", "duplicate edge 1 0"),
+    (3, [(0, 1), (2, 1), (1, 2), (0, 5)], "antiparallel pair 1<->2: not an orientation", "duplicate edge 1 2"),
+    (3, [(0, 1), (0, 1.5), (9, 9)], "non-integer vertex label in (0, 1.5)", None),
+]
+
+
+@pytest.mark.parametrize("cls", [OrientedGraph, UndirectedGraph])
+@pytest.mark.parametrize("n,pairs,arc_message,edge_message", FIRST_BAD_PAIR,
+                         ids=["range", "negative", "empty", "loop", "duplicate", "reversed", "antiparallel",
+                              "label"])
+def test_graphs_refuse_the_first_bad_pair_in_order(cls, n, pairs, arc_message, edge_message):
+    """Each rule raises its message for the first pair that breaks one; an
+    undirected pair given twice, in either order, is a duplicate edge."""
+    message = arc_message if cls is OrientedGraph or edge_message is None else edge_message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(n, pairs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(n, iter(pairs))  # read once, as fileio feeds it
 
 
 @pytest.mark.parametrize("cls", [OrientedGraph, UndirectedGraph])

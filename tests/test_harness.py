@@ -421,11 +421,13 @@ def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
     rng = random.Random(304)
     case = {}  # kind and delta of the current perturbation, and the values the pipeline saw
     # the originals, taken before they are patched in the module that calls them
-    cf_numerator, reduce_chain = lagrangian._cf_numerator, lagrangian._reduce
+    cf_sums, reduce_chain = lagrangian._cf_sums, lagrangian._reduce
 
-    def perturbed_cf(*sums):
-        case["lcf"] = cf_numerator(*sums) + (case["delta"] if case["kind"] == 0 else 0)
-        return case["lcf"]
+    def perturbed_cf(*args):
+        triples, arcs = cf_sums(*args)
+        arcs += case["delta"] if case["kind"] == 0 else 0  # moves a = 2 triples + arcs by delta
+        case["lcf"] = 2 * triples + arcs
+        return triples, arcs
 
     def perturbed_reduce(*args):
         d, q, trace, start, end = reduce_chain(*args)
@@ -439,7 +441,7 @@ def test_pipeline_links_match_oracle_on_perturbed_chains(monkeypatch):
         case["chain"] = d, q, start, end
         return d, q, trace, start, end
 
-    monkeypatch.setattr(lagrangian, "_cf_numerator", perturbed_cf)
+    monkeypatch.setattr(lagrangian, "_cf_sums", perturbed_cf)
     monkeypatch.setattr(lagrangian, "_reduce", perturbed_reduce)
     seen = set()
     for i in range(400):

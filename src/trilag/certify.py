@@ -15,16 +15,16 @@ no polynomial in x1, x2, x3.  certify proves h alone: it takes no
 polynomial.
 
 A form homogeneous of degree n in l_0..l_3 is a dict on packed keys: l^a
-is keyed on the int a_1 + b a_2 + b^2 a_3, with the base b above every
-exponent, so l_0's key is 0 and multiplying two monomials is one integer
-addition (``_mul_packed``).  ``_h96_form`` evaluates the paper's formula
-for 96 h over such forms, from 6 x1, 6 x2 and 6 x3, which are linear in l
-with DOMAIN's integers as their coefficients; it expands no monomial and
-makes no Fraction.  ``_elevate`` multiplies a form by
-E = l_0 + l_1 + l_2 + l_3 = 1, a copy and three shifted sums: it makes
-the formula's constants homogeneous, and it is Polya degree elevation:
-the coefficients of a form of high enough degree are all >= 0 wherever
-the polynomial is > 0 on the tetrahedron.
+is keyed on the int a_1 + b a_2 + b^2 a_3, with the one base b = BASE
+above every exponent up to MAX_DEGREE, so l_0's key is 0 and multiplying
+two monomials is one integer addition (``_mul_packed``).  ``_h96_form``
+evaluates the paper's formula for 96 h over such forms, from 6 x1, 6 x2
+and 6 x3, which are linear in l with DOMAIN's integers as their
+coefficients; it expands no monomial and makes no Fraction.  ``_elevate``
+multiplies a form by E = l_0 + l_1 + l_2 + l_3 = 1, a copy and three
+shifted sums: it makes the formula's constants homogeneous, and it is
+Polya degree elevation: the coefficients of a form of high enough degree
+are all >= 0 wherever the polynomial is > 0 on the tetrahedron.
 
 In barycentric coordinates l (x = sum_i l_i v_i, sum_i l_i = 1) the
 form's coefficient of l^a divided by the multinomial n!/(a_0! a_1! a_2! a_3!)
@@ -64,6 +64,7 @@ DOMAIN = ((0, 0, 0), (6, 0, 0), (3, 3, 0), (2, 2, 2))
 
 # the degree at which certify stops elevating
 MAX_DEGREE = 32
+BASE = MAX_DEGREE + 1  # the base of every packed key, above every exponent up to MAX_DEGREE
 
 
 def _mul_packed(f: dict, g: dict, out: dict) -> dict:
@@ -88,7 +89,7 @@ def _multi_indices(n: int):
                 yield a0, a1, a2, n - a0 - a1 - a2
 
 
-def _h96_form(base: int) -> dict[int, int]:
+def _h96_form() -> dict[int, int]:
     """The form 6^4 96 h of degree 4 in the barycentric coordinates l of D.
 
     96 h = 16 (x1^3 + x2^3 + x3^3) + 12 q^2 - 7, with h = 3/32 - g,
@@ -100,40 +101,40 @@ def _h96_form(base: int) -> dict[int, int]:
     Q = 36 q = (36 E - 6 y3) E - y1^2 - y2^2 + (y1 + y2) y3.  Each factor E
     is one ``_elevate`` step, so the form is dense: every l^a with |a| = 4
     has an entry, 0 included, keyed on the packed int a_1 + b a_2 + b^2 a_3
-    with b = base, a_0 being 4 - a_1 - a_2 - a_3; base must exceed 4.
+    with b = BASE, a_0 being 4 - a_1 - a_2 - a_3.
     """
-    unit = (0, 1, base, base * base)  # unit[v] is the key of l_v
+    unit = (0, 1, BASE, BASE * BASE)  # unit[v] is the key of l_v
     y = [{u: v[i] for u, v in zip(unit, DOMAIN) if v[i]} for i in range(3)]  # y[i] is 6 x_(i+1)
     # -9072 E^3, then 96 y_i^3 added for each i
-    cubic = _elevate(_elevate(_elevate({0: -9072}, base), base), base)
+    cubic = _elevate(_elevate(_elevate({0: -9072})))
     for yi in y:
         _mul_packed(_mul_packed(yi, yi, {}), {u: 96 * c for u, c in yi.items()}, cubic)
     # (36 E - 6 y3) E, then -y_i^2 and y_i y3 added for y1 and y2
-    q = _elevate(_mul_packed(y[2], {0: -6}, _elevate({0: 36}, base)), base)
+    q = _elevate(_mul_packed(y[2], {0: -6}, _elevate({0: 36})))
     for yi in y[:2]:
         _mul_packed(yi, {u: -c for u, c in yi.items()}, q)
         _mul_packed(yi, y[2], q)
-    return _mul_packed(q, {u: 12 * c for u, c in q.items()}, _elevate(cubic, base))
+    return _mul_packed(q, {u: 12 * c for u, c in q.items()}, _elevate(cubic))
 
 
-def _elevate(form: dict[int, int], base: int) -> dict[int, int]:
-    """The form times E = l_0 + l_1 + l_2 + l_3, on ``_h96_form``'s packed keys.
+def _elevate(form: dict[int, int]) -> dict[int, int]:
+    """The form times E = l_0 + l_1 + l_2 + l_3, on packed keys of BASE.
 
     l_0's key is 0, so its product is a copy of the form; l_1, l_2 and l_3
-    shift every key by 1, base and base^2.  The product has the degree one
-    higher and the same value on the simplex; base must exceed that degree.
+    shift every key by 1, BASE and BASE^2.  The product has the degree one
+    higher and the same value on the simplex; that degree must be below BASE.
     """
     out = dict(form)
     get = out.get
-    for shift in (1, base, base * base):
+    for shift in (1, BASE, BASE * BASE):
         for key, c in form.items():
             key += shift
             out[key] = get(key, 0) + c
     return out
 
 
-def _bernstein_numerators(form: dict[int, int], degree: int, base: int) -> dict[tuple[int, int, int, int], int]:
-    """The Bernstein numerators of a form of this degree on ``_h96_form``'s keys.
+def _bernstein_numerators(form: dict[int, int], degree: int) -> dict[tuple[int, int, int, int], int]:
+    """The Bernstein numerators of a form of this degree on packed keys of BASE.
 
     Each is the coefficient of l^a times a_0! a_1! a_2! a_3!, keyed by the
     multi-index a in ``_multi_indices`` order; over the form's denominator
@@ -141,7 +142,7 @@ def _bernstein_numerators(form: dict[int, int], degree: int, base: int) -> dict[
     """
     fact = [factorial(e) for e in range(degree + 1)]
     return {
-        a: form[a[1] + base * (a[2] + base * a[3])] * fact[a[0]] * fact[a[1]] * fact[a[2]] * fact[a[3]]
+        a: form[a[1] + BASE * (a[2] + BASE * a[3])] * fact[a[0]] * fact[a[1]] * fact[a[2]] * fact[a[3]]
         for a in _multi_indices(degree)
     }
 
@@ -161,19 +162,18 @@ def certify() -> dict:
     the polynomial really is negative somewhere on D, never a disproof.
     """
     m = 4
-    base = max(m, MAX_DEGREE) + 1
-    form = _h96_form(base)
+    form = _h96_form()
     low = min(form.values())
     while m < MAX_DEGREE and low < 0:
-        form = _elevate(form, base)
+        form = _elevate(form)
         m += 1
         low = min(form.values())
 
     if low == 0:  # b[a] has form[a]'s sign, so the least is 0, at the first zero
         num = 0
-        least_at = next(a for a in _multi_indices(m) if form[a[1] + base * (a[2] + base * a[3])] == 0)
+        least_at = next(a for a in _multi_indices(m) if form[a[1] + BASE * (a[2] + BASE * a[3])] == 0)
     else:
-        nums = _bernstein_numerators(form, m, base)  # over 6^4 m!
+        nums = _bernstein_numerators(form, m)  # over 6^4 m!
         least_at, num = min(nums.items(), key=lambda e: e[1])  # the first of equal values
     least = Fraction(num, 96 * 6**4 * factorial(m))
     return {

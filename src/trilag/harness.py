@@ -11,9 +11,11 @@ the runs between them merged, a block is what the subset's table, its high
 digits fixed by the block, broadcasts over: one in-place add (triples) or OR
 (4-sets) per subset and block, and no index array.  The subsets with every
 slot below low are the same in each block; they are reduced once per sweep
-and each block starts from a copy.  The four triple facts share one int32
-table in 5-bit fields, since a sum over at most C(6, 3) = 20 triples fits
-one field, and the two 4-set facts one int8 table.
+and each block starts from a copy.  The five triple facts share one int32
+table in 6-bit fields, since a sum over at most C(6, 3) = 20 triples, each
+row at most 3, fits one field, and the two 4-set facts one int8 table.
+Every count a sweep reads comes from that triple table: |A| too, as the
+sum of the arcs inside each triple over n - 2, the triples through a pair.
 
 This module and trilag.simplex's optimizer are the only ones that import
 numpy.  The package and the command line load them on first use, so the
@@ -34,8 +36,8 @@ import numpy as np
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, has_induced_directed_c4, underlying
 
 BLOCK_DIGITS = 9  # 3^9 = 19683 orientations per block keeps memory flat at n = 6
-FIELD_BITS = 5  # a sum over at most C(6, 3) = 20 triples fits one field
-TRIPLE_FIELDS = ("cf", "bf", "partition_bad", "containment_bad")
+FIELD_BITS = 6  # a sum over at most C(6, 3) = 20 triples, each row at most 3, fits one field
+TRIPLE_FIELDS = ("cf", "bf", "arcs", "partition_bad", "containment_bad")
 
 
 def orientation_from_index(n: int, index: int) -> OrientedGraph:
@@ -57,10 +59,11 @@ def lookup_tables() -> dict[str, np.ndarray]:
     Row t describes ``orientation_from_index(k, t)``: a subset's row reads its
     pair digits in ``combinations`` order as a base-3 number, so a triple's
     row is d_xy + 3 d_xz + 9 d_yz.  Per triple: ``cf``, ``bf`` (membership
-    in CF, and in BF of the underlying graph), ``partition_bad`` (not in
-    exactly one of F and CF), ``containment_bad`` (in CF, not in BF).  Per
-    4-set: ``c4`` (induces a directed 4-cycle), ``independent`` (holds no
-    triple of F).  Each fact depends only on the arcs inside the subset.
+    in CF, and in BF of the underlying graph), ``arcs`` (the number of arcs
+    inside it, 0..3), ``partition_bad`` (not in exactly one of F and CF),
+    ``containment_bad`` (in CF, not in BF).  Per 4-set: ``c4`` (induces a
+    directed 4-cycle), ``independent`` (holds no triple of F).  Each fact
+    depends only on the arcs inside the subset.
 
     The triple facts and ``c4`` come from the object-level constructions.
     ``independent`` comes from the F rows: the 4-set is independent exactly
@@ -75,10 +78,11 @@ def lookup_tables() -> dict[str, np.ndarray]:
     tables = {
         "cf": np.array(in_cf, dtype=np.int8),
         "bf": np.array(in_bf, dtype=np.int8),
+        "arcs": np.array([len(g.arcs) for g in triples], dtype=np.int8),
         "partition_bad": np.array([f + cf != 1 for f, cf in zip(in_f, in_cf)]),
         "containment_bad": np.array([cf > bf for cf, bf in zip(in_cf, in_bf)]),
         "c4": np.array([has_induced_directed_c4(g) for g in quads]),
-        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[3],
+        "independent": ~next(_blocks(4, 3, in_f, np.bitwise_or))[1],
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -101,18 +105,15 @@ def _spread(slots: list[int], top: int, bottom: int = 0) -> list[int]:
 
 
 def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
-    """Yield (first index, low arcs, high arcs, ``op`` over the k-subsets' entries) per block of 3^low indices.
+    """Yield (first index, ``op`` over the k-subsets' entries) per block of 3^low indices.
 
-    An index's arc count is its number of nonzero digits: the low arcs, one
-    array built once per sweep, count those below low, and the high arcs, an
-    int, those of the block's number; a caller that needs the counts adds
-    them.  ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded arrays
-    are reused from block to block.  Over the digits below low // 2 each
+    ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded array is
+    reused from block to block.  Over the digits below low // 2 each
     subset's table is laid out once, so that every op runs along 3^(low//2)
     contiguous entries, not along the 3 of a subset's lowest slot.
     """
-    if op is np.add and comb(n, k) >= 2**FIELD_BITS:
-        raise ValueError(f"{comb(n, k)} triples overflow a {FIELD_BITS}-bit field")
+    if op is np.add and 3 * comb(n, k) >= 2**FIELD_BITS:
+        raise ValueError(f"{comb(n, k)} triples of up to 3 arcs overflow a {FIELD_BITS}-bit field")
     pairs = comb(n, 2)
     low = min(pairs, BLOCK_DIGITS)
     inner = low // 2
@@ -133,20 +134,22 @@ def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
         else:
             view = base.reshape(shape)
             op(view, sub, out=view)
-    arcs = np.zeros(1, dtype=np.int32)
-    for _ in range(low):
-        arcs = np.concatenate((arcs, arcs + 1, arcs + 1))
     for block in range(3 ** (pairs - low)):
         digits = [block // 3**i % 3 for i in range(pairs - low)]
         np.copyto(out, base)
         for view, sub, high in moving:
             op(view, sub[tuple(digits[i] for i in high)], out=view)
-        yield block * 3**low, arcs, len(digits) - digits.count(0), out
+        yield block * 3**low, out
 
 
 def _packed(tables: dict, names: tuple[str, ...], dtype) -> np.ndarray:
     """The named tables in one, entry i of table t in field t of entry i."""
     return sum(tables[name].astype(dtype) << (FIELD_BITS * t) for t, name in enumerate(names))
+
+
+def _witness(n: int, index: int) -> dict:
+    """An orientation's index and its sorted arcs, as the reports cite it."""
+    return {"index": index, "arcs": sorted(orientation_from_index(n, index).arcs)}
 
 
 def enumerate_orientations(n: int) -> dict:
@@ -156,7 +159,8 @@ def enumerate_orientations(n: int) -> dict:
     L_CF <= 3/32 and L_CF <= L_BF, all exact.  Maxima are reported with
     the smallest achieving index, and its arcs, as witness.  At weights 1/n,
     2n^3 L_CF = 2|CF| + |A| and 2n^4 L_BF = 2n|BF| + 2n|E| - |E|^2 with
-    |E| = |A|, so every check is an integer comparison.
+    |E| = |A|, so every check is an integer comparison.  Each arc lies in
+    n - 2 triples, so |A| is the packed table's ``arcs`` field over n - 2.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supports 3 <= n <= 6")
@@ -165,14 +169,14 @@ def enumerate_orientations(n: int) -> dict:
     violations = []
     packed = _packed(lookup_tables(), TRIPLE_FIELDS, np.int32)
     mask = 2**FIELD_BITS - 1
-    for start, low_arcs, high_arcs, total in _blocks(n, 3, packed, np.add):
-        arcs = low_arcs + high_arcs
+    for start, total in _blocks(n, 3, packed, np.add):
         cf, bf = total & mask, total >> FIELD_BITS & mask
+        arcs = (total >> 2 * FIELD_BITS & mask) // (n - 2)
         lcf = 2 * cf + arcs
         step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
-        # total >= 2^(2 FIELD_BITS): the partition or containment field is nonzero
-        for j in np.flatnonzero((total >= 1 << 2 * FIELD_BITS) | (32 * lcf > 6 * n**3) | step):
-            bad = int(total[j]) >> 2 * FIELD_BITS
+        # total >= 2^(3 FIELD_BITS): the partition or containment field is nonzero
+        for j in np.flatnonzero((total >= 1 << 3 * FIELD_BITS) | (32 * lcf > 6 * n**3) | step):
+            bad = int(total[j]) >> 3 * FIELD_BITS
             checks = {"partition": bad & mask, "containment": bad >> FIELD_BITS,
                       "lcf_bound": 32 * lcf[j] > 6 * n**3, "step_inequality": step[j]}
             for check, failed in checks.items():
@@ -185,16 +189,13 @@ def enumerate_orientations(n: int) -> dict:
         best_cf = max(best_cf, (int(cf[top_cf]), -start - top_cf))
         best_lcf = max(best_lcf, (int(lcf[top_lcf]), -start - top_lcf))
 
-    def witness(index: int) -> dict:
-        return {"index": index, "arcs": sorted(orientation_from_index(n, index).arcs)}
-
     return {
         "n": n,
         "count": 3 ** comb(n, 2),
         "max_cf_density": str(Fraction(best_cf[0], comb(n, 3))),
-        "max_cf_density_witness": witness(-best_cf[1]),
+        "max_cf_density_witness": _witness(n, -best_cf[1]),
         "max_uniform_lcf": str(Fraction(best_lcf[0], 2 * n**3)),
-        "max_uniform_lcf_witness": witness(-best_lcf[1]),
+        "max_uniform_lcf_witness": _witness(n, -best_lcf[1]),
         "violations": violations,
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -216,13 +217,11 @@ def validate_fdf_family(n: int) -> dict:
     tables = lookup_tables()
     quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
     c4_free, counterexamples = 0, []
-    for start, _, _, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
+    for start, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
         c4_free += int(np.count_nonzero(flags & 1 == 0))
         for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)
-            counterexamples.append({
-                "index": index,
-                "arcs": sorted(orientation_from_index(n, index).arcs),
+            counterexamples.append(_witness(n, index) | {
                 "independent_4set": next(list(quad) for quad, slots in quads if tables["independent"][
                     sum(index // 3**s % 3 * 3**e for e, s in enumerate(slots))]),
             })

@@ -55,7 +55,7 @@ from operator import add
 
 import numpy as np
 
-from trilag.certify import DOMAIN, _bernstein_numerators, _elevate, _mul_packed
+from trilag.certify import BASE, DOMAIN, _bernstein_numerators, _elevate, _mul_packed
 from trilag.fileio import MAX_DENOMINATOR_DIGITS, ParseError, _content_lines, parse_rational
 from trilag.graphs import OrientedGraph, UndirectedGraph, underlying
 from trilag.lagrangian import WeightVector, _graph_sums, _reduce
@@ -712,7 +712,7 @@ def elevate_oracle(p: Poly, degree: int) -> dict[tuple[int, int, int, int], Frac
     return coeffs
 
 
-def power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
+def power_form(p: dict) -> tuple[dict[int, int], int]:
     """The form D^n p of degree n, p's, in the barycentric coordinates l of D.
 
     With D = 6 the vertices' least common denominator, D x1, D x2 and D x3
@@ -721,16 +721,15 @@ def power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
     D^n p = sum_d D^(n - d) p_d(D x) (l_0 + l_1 + l_2 + l_3)^(n - d),
     which is summed by Horner in the degree: for d = 0..n the sum so far is
     raised one degree by ``_elevate`` and D^(n - d) p_d(D x) is added,
-    with D^(n - d) folded into each term's integer coefficient.  The result
-    is dense: every l^a with |a| = n has an entry, 0 included, in
-    ``multi_indices`` order, keyed on the packed int a_1 + b a_2 + b^2 a_3
-    with b = base, a_0 being n - a_1 - a_2 - a_3; base must exceed n.
-    p is a term dict with nonzero int coefficients.  Returns the form and
-    its denominator D^n.
+    with D^(n - d) folded into each term's integer coefficient.  The sum
+    starts from the zero constant, so every elevation keeps it dense: every
+    l^a with |a| = n has an entry, 0 included, keyed on the packed int
+    a_1 + b a_2 + b^2 a_3 with b = BASE, a_0 being n - a_1 - a_2 - a_3.
+    p is a term dict with nonzero int coefficients, of degree below BASE.
+    Returns the form and its denominator D^n.
     """
     n = max(map(sum, p))
-    b = n + 1  # the products' base; for n < 6 their keys are cached small ints
-    unit = (0, 1, b, b * b)  # unit[i] is the key of l_i
+    unit = (0, 1, BASE, BASE * BASE)  # unit[i] is the key of l_i
     powers = []  # powers[x][e] is the e-th power of D x_(x+1) in l
     for x in range(3):
         form = {u: v[x] for u, v in zip(unit, DOMAIN) if v[x]}
@@ -746,17 +745,13 @@ def power_form(p: dict, base: int) -> tuple[dict[int, int], int]:
         layers[i + j + k].setdefault(i, []).append((j, k, c * 6 ** (n - i - j - k)))
     total = {}
     for layer in layers:
-        total = _elevate(total, b)
+        total = _elevate(total) or {0: 0}  # the zero constant, at degree 0
         for i, terms in layer.items():
             inner = {}
             for j, k, c in terms:
                 _mul_packed(powers[1][j], {m: c * t for m, t in powers[2][k].items()}, inner)
             _mul_packed(powers[0][i], inner, total)
-
-    return {
-        a1 + base * (a2 + base * a3): total.get(a1 + b * (a2 + b * a3), 0)
-        for _, a1, a2, a3 in multi_indices(n)
-    }, 6**n
+    return total, 6**n
 
 
 def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int], Fraction]:
@@ -773,12 +768,11 @@ def packed_coefficients(p: dict, degree: int) -> dict[tuple[int, int, int, int],
     terms = {m: c.numerator * (scale // c.denominator) for m, c in p.items() if c}
     if not terms:
         return {a: Fraction(0) for a in multi_indices(degree)}
-    base = degree + 1
-    form, den = power_form(terms, base)
+    form, den = power_form(terms)
     for _ in range(degree - max(map(sum, terms))):
-        form = _elevate(form, base)
+        form = _elevate(form)
     assert len(form) == len(multi_indices(degree))  # dense at every degree
-    nums = _bernstein_numerators(form, degree, base)
+    nums = _bernstein_numerators(form, degree)
     assert list(nums) == multi_indices(degree)
     return {a: Fraction(c, scale * den * factorial(degree)) for a, c in nums.items()}
 

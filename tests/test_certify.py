@@ -18,7 +18,7 @@ from helpers import (
     power_form,
     stability_polynomial,
 )
-from trilag.certify import CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _elevate, _h96_form, certify
+from trilag.certify import BASE, CERTIFIED, DOMAIN, INDETERMINATE, MAX_DEGREE, _elevate, _h96_form, certify
 
 HALF = Fraction(1, 2)
 
@@ -33,10 +33,10 @@ def shift_h(monkeypatch, shift: int) -> Poly:
     in Fractions: the form gains shift 6^4 E^4, E = l_0 + l_1 + l_2 + l_3 = 1."""
     build = certify_module._h96_form
 
-    def shifted(base):
-        form, power = build(base), {0: shift * 6**4}
+    def shifted():
+        form, power = build(), {0: shift * 6**4}
         for _ in range(4):
-            power = _elevate(power, base)
+            power = _elevate(power)
         return {key: c + power[key] for key, c in form.items()}
 
     monkeypatch.setattr(certify_module, "_h96_form", shifted)
@@ -50,7 +50,7 @@ def prove(monkeypatch, p: Poly) -> Poly:
     k = lcm(*(Fraction(96 * c).denominator for c in p.coeffs.values()))
     terms = {m: int(96 * k * c) for m, c in p.coeffs.items() if c}
     assert max(map(sum, terms)) == 4
-    monkeypatch.setattr(certify_module, "_h96_form", lambda base: power_form(terms, base)[0])
+    monkeypatch.setattr(certify_module, "_h96_form", lambda: power_form(terms)[0])
     return k * p
 
 
@@ -248,16 +248,16 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
     calls = []
     build = certify_module._h96_form
 
-    def counted(base):
-        calls.append(base)
-        return build(base)
+    def counted():
+        calls.append("_h96_form")
+        return build()
 
     # certify looks the builder up in its own module's namespace
     monkeypatch.setattr(certify_module, "_h96_form", counted)
     monkeypatch.setattr(certify_module, "MAX_DEGREE", 12)
     shift_h(monkeypatch, -1)
     assert certify()["degree"] == 12
-    assert calls == [13]  # one form, on keys above the cap 12
+    assert calls == ["_h96_form"]  # one form
 
 
 def test_the_h96_form_is_the_papers_h_on_d():
@@ -265,12 +265,11 @@ def test_the_h96_form_is_the_papers_h_on_d():
     6^4 96 4!/a! times the Bernstein coefficient b[a] of the paper's
     3/32 - g, converted in Fractions; the tests' term-dict engine gives the
     same form from 96 h's terms."""
-    base = MAX_DEGREE + 1
-    form = _h96_form(base)
+    form = _h96_form()
     h = Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
     coeffs = bernstein_oracle(h, DOMAIN_VERTICES, 4)
     assert len(form) == len(multi_indices(4)) == len(coeffs)
     for a, b in coeffs.items():
         weight = Fraction(96 * 6**4 * factorial(4), prod(map(factorial, a)))
-        assert form[a[1] + base * (a[2] + base * a[3])] == weight * b
-    assert form == power_form({m: int(96 * c) for m, c in h.coeffs.items()}, base)[0]
+        assert form[a[1] + BASE * (a[2] + BASE * a[3])] == weight * b
+    assert form == power_form({m: int(96 * c) for m, c in h.coeffs.items()})[0]

@@ -107,27 +107,27 @@ def _rows(n, k, indices):
 
 
 def _fields_at(n, k, names, dtype, op, indices):
-    """Arc counts and each named field of the packed k-subset reduction at the given indices."""
+    """Each named field of the packed k-subset reduction at the given indices."""
     indices = np.asarray(indices)
-    value, arcs = np.zeros(len(indices), dtype=np.int64), np.zeros(len(indices), dtype=np.int64)
-    for start, low_arcs, high_arcs, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
+    value = np.zeros(len(indices), dtype=np.int64)
+    for start, out in _blocks(n, k, _packed(harness.lookup_tables(), names, dtype), op):
         here = (start <= indices) & (indices < start + len(out))
-        value[here], arcs[here] = out[indices[here] - start], low_arcs[indices[here] - start] + high_arcs
-    return arcs, [value >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(len(names))]
+        value[here] = out[indices[here] - start]
+    return [value >> (FIELD_BITS * t) & (2**FIELD_BITS - 1) for t in range(len(names))]
 
 
 def _triple_counts(n, indices):
-    """|CF|, |BF|, partition and containment flags, and arc counts at the indices, as the enumeration reads them."""
-    arcs, (cf, bf, partition, containment) = _fields_at(n, 3, TRIPLE_FIELDS, np.int32, np.add, indices)
-    return cf, bf, partition != 0, containment != 0, arcs
+    """|CF|, |BF|, |A| and the partition and containment flags at the indices, as the enumeration reads them."""
+    cf, bf, arcs, partition, containment = _fields_at(n, 3, TRIPLE_FIELDS, np.int32, np.add, indices)
+    return cf, bf, arcs // (n - 2), partition != 0, containment != 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_kernel_matches_object_oracle(n):
     """Per orientation, the table kernel agrees with the object-level constructions."""
     indices = _kernel_indices(n)
-    cf, bf, partition, containment, arcs = _triple_counts(n, indices)
-    _, (has_c4, independent) = _fields_at(n, 4, ("c4", "independent"), np.int8, np.bitwise_or, indices)
+    cf, bf, arcs, partition, containment = _triple_counts(n, indices)
+    has_c4, independent = _fields_at(n, 4, ("c4", "independent"), np.int8, np.bitwise_or, indices)
     w = uniform_weights(n)
     for j, idx in enumerate(indices):
         g = orientation_from_index(n, idx)
@@ -147,8 +147,8 @@ def test_kernel_matches_object_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_block_reductions_match_a_lookup_of_each_index(n):
-    """Each block's sum over triples and OR over 4-sets of a random table, and
-    its arc counts, equal a lookup by the rows of its indices' own digits.
+    """Each block's sum over triples and OR over 4-sets of a random table
+    equals a lookup by the rows of its indices' own digits.
 
     Random tables leave no wrong slot or axis hidden behind the sparse real
     facts.  Every block for n <= 5; at n = 6, 20 seeded blocks of the 729,
@@ -161,39 +161,42 @@ def test_block_reductions_match_a_lookup_of_each_index(n):
     checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
     for k, op in ((3, np.add), (4, np.bitwise_or)):
         table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
-        for block, (start, low_arcs, high_arcs, out) in enumerate(_blocks(n, k, table, op)):
+        for block, (start, out) in enumerate(_blocks(n, k, table, op)):
             assert start == block * size
             if block in checked:
                 indices = np.arange(start, start + size)
                 assert np.array_equal(out, op.reduce(table[_rows(n, k, indices)], axis=0)), (k, block)
-                arcs = np.count_nonzero(pair_digits(indices, pairs), axis=0)
-                assert np.array_equal(low_arcs + high_arcs, arcs), (k, block)
         assert block == count - 1
 
 
 def test_triple_fields_hold_every_sum(monkeypatch):
     """Each field of the packed triple table reads its own table's sum, alone or beside the others.
 
-    With every table row set to 1, an n = 6 orientation fills all four fields
-    with its C(6, 3) = 20 triples.  With only the empty triple's row set, the
-    first and last 3^8 indices at n = 6 give each field the sums 0..13, 16 and 20.
+    With every ``arcs`` row set to 3 and every other row to 1, an n = 6
+    orientation reads 3 C(6, 3) = 60 in the ``arcs`` field and its
+    C(6, 3) = 20 triples in each of the other four.  With only the empty
+    triple's row set, the first and last 3^8 indices at n = 6 give each
+    field the sums 0..13, 16 and 20.
     """
     names = TRIPLE_FIELDS
     tables = dict(lookup_tables())
     dtypes = {name: tables[name].dtype for name in names}
     monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
     indices = np.r_[0 : 3**8, 3**15 - 3**8 : 3**15]
-    tables.update((name, np.ones(27, dtype=dtypes[name])) for name in names)
-    cf, bf, partition, containment, _ = _triple_counts(6, indices)
-    assert (cf == 20).all() and (bf == 20).all() and partition.all() and containment.all()
+
+    def fields():
+        return dict(zip(names, _fields_at(6, 3, names, np.int32, np.add, indices)))
+
+    tables.update((name, np.full(27, 3 if name == "arcs" else 1, dtype=dtypes[name])) for name in names)
+    assert {name: set(value.tolist()) for name, value in fields().items()} == {
+        "cf": {20}, "bf": {20}, "arcs": {60}, "partition_bad": {20}, "containment_bad": {20}}
     empty = np.count_nonzero(_rows(6, 3, indices) == 0, axis=0)
     assert set(empty.tolist()) == {*range(14), 16, 20}
     for full in (names, *((name,) for name in names)):
         tables.update((name, np.array([name in full] + [0] * 26, dtype=dtypes[name])) for name in names)
-        for name, value in zip(names, _triple_counts(6, indices)):
-            expected = empty if name in full else np.zeros_like(empty)
-            assert np.array_equal(value, expected if name in ("cf", "bf") else expected != 0), (full, name)
-    with pytest.raises(ValueError, match="35 triples overflow a 5-bit field"):
+        for name, value in fields().items():
+            assert np.array_equal(value, empty if name in full else np.zeros_like(empty)), (full, name)
+    with pytest.raises(ValueError, match="35 triples of up to 3 arcs overflow a 6-bit field"):
         next(_blocks(7, 3, _packed(tables, names, np.int32), np.add))
 
 

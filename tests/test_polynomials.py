@@ -17,7 +17,7 @@ from helpers import (
     packed_coefficients,
     stability_polynomial,
 )
-from trilag.certify import _h96_form
+from trilag.certify import BASE, _h96_form
 from trilag.lagrangian import _g_numerator
 
 HALF = Fraction(1, 2)
@@ -30,10 +30,10 @@ def rand_rational(rng, den=64):
 def test_h_key_values():
     """h at three vertices of D, and there the prover's form of 6^4 96 h:
     its coefficient at 4 e_i is 6^4 96 times h at vertex i.  h has degree 4."""
-    h, form = h_oracle(), _h96_form(5)
+    h, form = h_oracle(), _h96_form()
     for point, value in (((HALF, HALF, 0), 0), ((1, 0, 0), Fraction(3, 32)),
                          ((Fraction(1, 3),) * 3, Fraction(1, 864))):
-        key = 4 * (0, 1, 5, 25)[DOMAIN_VERTICES.index(point)]  # l_i^4 on keys of base 5
+        key = 4 * (0, 1, BASE, BASE**2)[DOMAIN_VERTICES.index(point)]  # l_i^4 on keys of BASE
         assert h.evaluate(*point) == Fraction(form[key], 6**4 * 96) == value
     assert h.degree() == max(sum(m) for m in h.coeffs) == 4
 

@@ -261,7 +261,7 @@ def test_certify_converts_once_on_the_domain(monkeypatch):
 
 
 def test_the_h96_form_is_the_papers_h_on_d():
-    """_h96_form is dense at degree 4, and its coefficient of l^a is
+    """_h96_form is dense at degree 4 with int values, and its coefficient of l^a is
     6^4 96 4!/a! times the Bernstein coefficient b[a] of the paper's
     3/32 - g, converted in Fractions; the tests' term-dict engine gives the
     same form from 96 h's terms."""
@@ -269,6 +269,7 @@ def test_the_h96_form_is_the_papers_h_on_d():
     h = Poly.constant(Fraction(3, 32)) - g_polynomial_oracle()
     coeffs = bernstein_oracle(h, DOMAIN_VERTICES, 4)
     assert len(form) == len(multi_indices(4)) == len(coeffs)
+    assert all(type(c) is int for c in form.values())
     for a, b in coeffs.items():
         weight = Fraction(96 * 6**4 * factorial(4), prod(map(factorial, a)))
         assert form[a[1] + BASE * (a[2] + BASE * a[3])] == weight * b

@@ -154,14 +154,21 @@ def test_pipeline_reads_a_piped_graph_once(capsys, tmp_path):
 def test_pipeline_reads_graph_and_weights_from_pipes(capsys, tmp_path):
     """Both files on named pipes, the weights behind a comment line longer than
     a pipe's 64 KiB buffer: the unbuffered read loops to EOF, and stdout
-    equals the run on regular files."""
+    equals the run on regular files, on reduced p/q weights, and on both
+    files with a UTF-8 byte-order mark and CRLF line ends."""
     graph = "digraph 3\n0 2\n1 2\n"
     weights = "# " + "x" * (1 << 17) + "\n1/4\n0.25\n2/4\n"
-    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g, w, reduced = tmp_path / "g.txt", tmp_path / "w.txt", tmp_path / "reduced_w.txt"
+    bom_g, bom_w = tmp_path / "bom_g.txt", tmp_path / "bom_w.txt"
     g.write_text(graph)
     w.write_text(weights)
+    reduced.write_text("1/4\n1/4\n1/2\n")
+    bom_g.write_bytes(b"\xef\xbb\xbfdigraph 3\r\n0 2\r\n1 2\r\n")
+    bom_w.write_bytes(b"\xef\xbb\xbf1/4\r\n1/4\r\n1/2\r\n")
     code, expected = run(capsys, ["pipeline", str(g), str(w)])
     assert code == 0 and json.loads(expected)["all_pass"]
+    for argv in ([str(g), str(reduced)], [str(bom_g), str(bom_w)]):
+        assert run(capsys, ["pipeline", *argv]) == (0, expected)
     with _fifo(tmp_path / "g.fifo", graph) as g_fifo, _fifo(tmp_path / "w.fifo", weights) as w_fifo:
         code, out = run(capsys, ["pipeline", g_fifo, w_fifo])
     assert code == 0

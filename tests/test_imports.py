@@ -69,11 +69,29 @@ def test_cli_imports_only_public_names_of_the_chain():
     assert imported and not [name for names in imported for name in names if name.startswith("_")]
 
 
-def _run(code: str, cwd: Path) -> str:
+def _python(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on args, src first on its path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _run(code: str, cwd: Path) -> str:
+    done = _python(cwd, "-c", code)
+    done.check_returncode()
     return done.stdout
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    """``python -m trilag.cli`` runs main and exits with its code: 0 with the
+    two-line certificate, and 1 with the error alone on undirected input."""
+    (tmp_path / "path.txt").write_text("graph 3\n0 1\n1 2\n")
+    (tmp_path / "w.txt").write_text("1/3\n1/3\n1/3\n")
+    runs = [_python(tmp_path, "-m", "trilag.cli", *argv)
+            for argv in (["--format", "text", "certify"], ["pipeline", "path.txt", "w.txt"])]
+    assert [(done.returncode, done.stdout, done.stderr) for done in runs] == [
+        (0, "result: CERTIFIED\ndegree: 8, coefficients: 165, least: 0 at (0, 0, 7, 1)\n", ""),
+        (1, "", "error: path.txt:1: pipeline expects a digraph\n"),
+    ]
 
 
 def test_exact_commands_start_without_numpy(tmp_path):

@@ -11,9 +11,12 @@ exact payload of its float search.
 
 The instances of ``pipeline``, ``reduce`` and ``lagrangian`` come from
 this file's own ``random.Random`` and ``helpers.rand_orientation``, so
-the digests depend on no benchmark input.  Files are written to a fresh
-directory and named relative to it, so no message carries a temporary
-path.
+the digests depend on no benchmark input.  The reports of the named
+graphs and weights are also read by value: ``CI_FIELDS`` holds fields
+they must carry, ``CI_SAME`` argvs that must print the same bytes, and
+``REFUSALS`` the one error line of each refused input.  Files are
+written to a fresh directory and named relative to it, so no message
+carries a temporary path.
 
 After a change that is meant to alter a report, rewrite the file with
 
@@ -44,7 +47,8 @@ MASKED = ("wall_time_s", "stats")
 OPTIMIZE_FIELDS = ("value_exact", "exact_point", "converged")
 INSTANCES = 150
 
-# the graphs of the CI steps
+# the graphs and weights of the shell steps CI once ran: these files are
+# now their only copy, and the tables below hold the values those steps asserted
 CI_GRAPHS = {
     "cherry.txt": "digraph 3\n0 2\n1 2\n",
     "cherry_graph.txt": "graph 3\n0 2\n1 2\n",
@@ -72,6 +76,37 @@ CI_WEIGHTS = {
 CI_PAIRS = [("cherry.txt", "cherry_w.txt"), ("cherry.txt", "uniform3_w.txt"), ("cherry.txt", "mixed_w.txt"),
             ("cherry.txt", "mixed2_w.txt"), ("ff_cherry.txt", "vt_w.txt"),
             ("arc.txt", "arc_w.txt"), ("k3.txt", "k3_w.txt"), ("c30.txt", "c30_w.txt"), ("tt40.txt", "tt40_w.txt")]
+
+JSON = ("--format", "json")
+CHERRY_MERGE = {"S_a": "1/2", "S_ab": "1/2", "S_b": "1/2", "branch": "a", "kept": 0,
+                "lagrangian_after": "3/32", "lagrangian_before": "3/32", "pair": [0, 1]}
+CHERRY_BF = {"value": "7/81", "triple_term": "1/27", "pair_term": "2/27", "quadratic_term": "2/81"}
+# fields a report must carry, by argv
+CI_FIELDS = {
+    (*JSON, "construct", "cherry.txt"): {"cf_triples": [[0, 1, 2]], "f_triples": []},
+    (*JSON, "construct", "path.txt"): {"bf_triples": [[0, 1, 2], [1, 2, 3]], "bf_density": "1/2"},
+    (*JSON, "pipeline", "cherry.txt", "cherry_w.txt"): {"all_pass": True, "lagrangian_cf": "1/16",
+                                                        "reduction_trace": [CHERRY_MERGE]},
+    (*JSON, "reduce", "cherry.txt", "cherry_w.txt"): {"monotone": True, "final_lagrangian": "3/32",
+                                                      "trace": [CHERRY_MERGE]},
+    (*JSON, "lagrangian", "cherry.txt", "uniform3_w.txt"): {
+        "lagrangian_cf": {"value": "2/27", "triple_term": "1/27", "pair_term": "1/27", "quadratic_term": "0"},
+        "lagrangian_bf_underlying": CHERRY_BF},
+    ("lagrangian", "cherry_graph.txt", "uniform3_w.txt"): {"lagrangian_bf": CHERRY_BF},
+    ("lagrangian", "path.txt", "uniform4_w.txt"): {
+        "lagrangian_bf": {"value": "31/512", "triple_term": "1/32", "pair_term": "3/64", "quadratic_term": "9/512"}},
+    (*JSON, "pipeline", "arc.txt", "arc_w.txt"): {"all_pass": True, "h_at_point": "0"},
+    (*JSON, "pipeline", "k3.txt", "k3_w.txt"): {"all_pass": True},
+    (*JSON, "pipeline", "c30.txt", "c30_w.txt"): {"all_pass": True, "closed_form_value": "1477/50625"},
+    (*JSON, "pipeline", "tt40.txt", "tt40_w.txt"): {"all_pass": True, "lagrangian_cf": "39/6400",
+                                                    "lagrangian_bf": "611/12800"},
+}
+# argvs that must print the same bytes as the run on reduced p/q weights, or on the same pairs as a graph
+CI_SAME = {
+    **{(*JSON, "pipeline", g, w): (*JSON, "pipeline", "cherry.txt", "cherry_w.txt")
+       for g, w in (("cherry.txt", "mixed_w.txt"), ("cherry.txt", "mixed2_w.txt"), ("ff_cherry.txt", "vt_w.txt"))},
+    (*JSON, "reduce", "cherry.txt", "uniform3_w.txt"): ("reduce", "cherry_graph.txt", "uniform3_w.txt"),
+}
 
 # inputs each command must refuse with exit code 1 and a line-numbered message
 BAD_GRAPHS = {
@@ -102,6 +137,16 @@ BAD_WEIGHTS = {
     "big_w.txt": "1e4300\n0\n0\n",
     "long_den_w.txt": "1/" + "7" * 1100 + "\n0\n1\n",
     "long_int_w.txt": "1" * 4400 + "\n0\n0\n",
+}
+# refused argvs and the error each prints, one line on stderr with exit code 1
+REFUSALS = {
+    ("pipeline", "ff_bad.txt", "uniform3_w.txt"): "ff_bad.txt:4: endpoint out of range 0..2",
+    ("pipeline", "duplicate_arc.txt", "uniform3_w.txt"): "duplicate_arc.txt:3: duplicate arc 0 1",
+    ("pipeline", "antiparallel.txt", "uniform3_w.txt"): "antiparallel.txt:3: antiparallel pair 1<->0: not an orientation",
+    ("pipeline", "commented_path.txt", "uniform3_w.txt"): "commented_path.txt:3: pipeline expects a digraph",
+    ("lagrangian", "cherry.txt", "huge_exponent_w.txt"):
+        "huge_exponent_w.txt:1: decimal exponent of '1e-100000000' is beyond +-4300",
+    ("pipeline", "cherry.txt", "big_w.txt"): "big_w.txt:1: weight '1e4300' exceeds 1",
 }
 BAD_ARGVS = [
     [], ["nope"], ["--format", "xml", "certify"], ["certify", "extra"], ["optimize"], ["optimize", "--n", "x"],
@@ -180,46 +225,60 @@ def _mask(value):
     return value
 
 
-def _record(argv: list[str]) -> bytes:
-    """argv, exit code, stdout with its timing masked, and stderr, as bytes."""
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr on argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    out = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _record(argv: list[str], code: int, out: str, err: str) -> bytes:
+    """argv, exit code, stdout with its timing masked, and stderr, as bytes."""
     if out.startswith("{"):
         report = json.loads(out)
         assert json.dumps(report, sort_keys=True) + "\n" == out, argv  # the masking below hides no layout
         if "optimize" in argv:
             report = {key: report[key] for key in OPTIMIZE_FIELDS}
         out = json.dumps(_mask(report), sort_keys=True) + "\n"
-    return json.dumps([argv, code, out, err.getvalue()]).encode() + b"\n"
+    return json.dumps([argv, code, out, err]).encode() + b"\n"
 
 
-def digests(directory: Path) -> dict[str, dict]:
-    """Each group's number of argvs and the SHA-256 of their records, run in directory."""
+def digests(directory: Path) -> tuple[dict[str, dict], dict[tuple, tuple[int, str, str]]]:
+    """Each group's number of argvs and the SHA-256 of their records, run in
+    directory, and each argv's exit code, stdout and stderr."""
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        result = {}
+        result, runs = {}, {}
         for group, argvs in _argvs(directory).items():
             sha = hashlib.sha256()
             for argv in argvs:
-                sha.update(_record(argv))
+                runs[tuple(argv)] = _run(argv)
+                sha.update(_record(argv, *runs[tuple(argv)]))
             result[group] = {"argvs": len(argvs), "sha256": sha.hexdigest()}
-        return result
+        return result, runs
     finally:
         os.chdir(cwd)
 
 
 def test_every_report_matches_the_committed_digests(tmp_path):
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert digests(tmp_path) == expected
+    result, runs = digests(tmp_path)
+    for argv, fields in CI_FIELDS.items():
+        code, out, err = runs[argv]
+        report = json.loads(out)
+        assert (code, err, {key: report[key] for key in fields}) == (0, "", fields), argv
+    for argv, same in CI_SAME.items():
+        assert runs[argv] == runs[same], argv
+    for argv, message in REFUSALS.items():
+        assert runs[argv] == (1, "", f"error: {message}\n"), argv
+    assert result == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.write_text(json.dumps(digests(Path(tmp)), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        DIGESTS.write_text(json.dumps(digests(Path(tmp))[0], indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write(DIGESTS.read_text(encoding="utf-8"))

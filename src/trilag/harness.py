@@ -17,6 +17,13 @@ row at most 3, fits one field, and the two 4-set facts one int8 table.
 Every count a sweep reads comes from that triple table: |A| too, as the
 sum of the arcs inside each triple over n - 2, the triples through a pair.
 
+A block is then decided by a few reductions over it (a largest value, a
+first argmax, a count), and only a block that fails one is scanned entry by
+entry for its violations or counterexamples.  ``enumerate`` compares in
+integers scaled by k = n - 2: k|A| is the ``arcs`` field as summed, so k
+times L_CF and k^2 times the step's slack are built from the fields by
+in-place products and sums, and no array is divided.
+
 This module and trilag.simplex's optimizer are the only ones that import
 numpy.  The package and the command line load them on first use, so the
 exact commands, the pipeline (trilag.lagrangian) among them, start without
@@ -126,7 +133,9 @@ def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
         outer = (3,) * (len(slots) - len(tiled))
         sub = table.reshape(outer + (1, 3) * len(tiled) + (1,))
         if tiled:
-            sub = np.broadcast_to(sub, outer + tuple(_spread(tiled, inner))).reshape(outer + (3**inner,))
+            laid = np.empty(outer + tuple(_spread(tiled, inner)), dtype=table.dtype)
+            laid[...] = sub
+            sub = laid.reshape(outer + (3**inner,))
         sub = sub.reshape((3,) * len(high) + (1, 3) * len(mid) + (1, sub.shape[-1]))
         shape = _spread(mid, low, inner) + [3**inner]
         if high:
@@ -152,6 +161,32 @@ def _witness(n: int, index: int) -> dict:
     return {"index": index, "arcs": sorted(orientation_from_index(n, index).arcs)}
 
 
+def _scaled(n: int, total: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|CF|, k L_CF and the step slack of each packed triple sum, k = n - 2, in integers.
+
+    With a = k|A|, the ``arcs`` field, k 2n^3 L_CF is 2k|CF| + a, and the
+    slack a(a - nk) - 2nk^2(|BF| - |CF|) is 2n^4 k^2 (L_CF - L_BF), positive
+    exactly where L_CF <= L_BF fails.  The three are rows of ``scratch``, a
+    (4, total.size) array, built in place: nothing is divided and ``total``
+    is only read.
+    """
+    k, mask = n - 2, 2**FIELD_BITS - 1
+    cf, kl, slack, part = scratch
+    np.bitwise_and(total, mask, out=cf)
+    np.right_shift(total, 2 * FIELD_BITS, out=part)
+    part &= mask  # a = k|A|
+    np.multiply(cf, 2 * k, out=kl)
+    kl += part
+    np.subtract(part, n * k, out=slack)
+    slack *= part
+    np.right_shift(total, FIELD_BITS, out=part)
+    part &= mask
+    part -= cf
+    part *= 2 * n * k * k  # 2nk^2(|BF| - |CF|)
+    slack -= part
+    return cf, kl, slack
+
+
 def enumerate_orientations(n: int) -> dict:
     """Sweep all 3^C(n,2) labeled orientations, 3 <= n <= 6.
 
@@ -160,7 +195,13 @@ def enumerate_orientations(n: int) -> dict:
     the smallest achieving index, and its arcs, as witness.  At weights 1/n,
     2n^3 L_CF = 2|CF| + |A| and 2n^4 L_BF = 2n|BF| + 2n|E| - |E|^2 with
     |E| = |A|, so every check is an integer comparison.  Each arc lies in
-    n - 2 triples, so |A| is the packed table's ``arcs`` field over n - 2.
+    k = n - 2 triples, so the packed table's ``arcs`` field is k|A|, and
+    the comparisons are made on k times L_CF and k^2 times the step's slack
+    (``_scaled``): no array is divided.  Four reductions decide a block,
+    the largest packed sum (a partition or containment field is nonzero),
+    the first largest |CF| and k L_CF, and the largest slack; only a block
+    that fails one is scanned entry by entry.  ``stats`` counts the blocks
+    and the scanned ones.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supports 3 <= n <= 6")
@@ -168,26 +209,30 @@ def enumerate_orientations(n: int) -> dict:
     best_cf = best_lcf = (-1, 0)  # (numerator, minus the smallest achieving index)
     violations = []
     packed = _packed(lookup_tables(), TRIPLE_FIELDS, np.int32)
-    mask = 2**FIELD_BITS - 1
+    k, mask = n - 2, 2**FIELD_BITS - 1
+    bound = 6 * n**3 * k  # 32 k 2n^3 L_CF may not exceed it: L_CF <= 3/32
+    faulty = 1 << 3 * FIELD_BITS  # a packed sum at least this has a nonzero partition or containment field
+    scratch = np.empty((4, 3 ** min(comb(n, 2), BLOCK_DIGITS)), dtype=packed.dtype)
+    blocks = scanned = 0
     for start, total in _blocks(n, 3, packed, np.add):
-        cf, bf = total & mask, total >> FIELD_BITS & mask
-        arcs = (total >> 2 * FIELD_BITS & mask) // (n - 2)
-        lcf = 2 * cf + arcs
-        step = n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs
-        # total >= 2^(3 FIELD_BITS): the partition or containment field is nonzero
-        for j in np.flatnonzero((total >= 1 << 3 * FIELD_BITS) | (32 * lcf > 6 * n**3) | step):
-            bad = int(total[j]) >> 3 * FIELD_BITS
-            checks = {"partition": bad & mask, "containment": bad >> FIELD_BITS,
-                      "lcf_bound": 32 * lcf[j] > 6 * n**3, "step_inequality": step[j]}
+        cf, kl, slack = _scaled(n, total, scratch)
+        top_cf, top_lcf = int(cf.argmax()), int(kl.argmax())
+        best_cf = max(best_cf, (int(cf[top_cf]), -start - top_cf))
+        best_lcf = max(best_lcf, (int(kl[top_lcf]) // k, -start - top_lcf))
+        blocks += 1
+        if total.max() < faulty and 32 * int(kl[top_lcf]) <= bound and slack.max() <= 0:
+            continue
+        scanned += 1
+        for j in np.flatnonzero((total >= faulty) | (32 * kl > bound) | (slack > 0)):
+            fields = int(total[j]) >> 3 * FIELD_BITS
+            checks = {"partition": fields & mask, "containment": fields >> FIELD_BITS,
+                      "lcf_bound": 32 * kl[j] > bound, "step_inequality": slack[j] > 0}
             for check, failed in checks.items():
                 if failed:
                     violation = {"index": start + int(j), "check": check}
                     if check == "lcf_bound":
-                        violation["lcf"] = str(Fraction(int(lcf[j]), 2 * n**3))
+                        violation["lcf"] = str(Fraction(int(kl[j]) // k, 2 * n**3))
                     violations.append(violation)
-        top_cf, top_lcf = int(cf.argmax()), int(lcf.argmax())
-        best_cf = max(best_cf, (int(cf[top_cf]), -start - top_cf))
-        best_lcf = max(best_lcf, (int(lcf[top_lcf]), -start - top_lcf))
 
     return {
         "n": n,
@@ -197,6 +242,7 @@ def enumerate_orientations(n: int) -> dict:
         "max_uniform_lcf": str(Fraction(best_lcf[0], 2 * n**3)),
         "max_uniform_lcf_witness": _witness(n, -best_lcf[1]),
         "violations": violations,
+        "stats": {"blocks": blocks, "scanned": scanned},
         "wall_time_s": time.perf_counter() - t0,
     }
 
@@ -210,6 +256,11 @@ def validate_fdf_family(n: int) -> dict:
     independent 4-set in ``combinations`` order.  None can exist at any n:
     of the 729 orientations of 4 vertices exactly 6 induce a directed C4,
     and they are the only 6 that span no triple of F (pinned in the tests).
+
+    Each block's packed OR is 0 or 1 in each field, so its nonzero entries
+    without the C4 bit are its counterexamples: two counts decide a block,
+    and only a block where they differ is scanned.  ``stats`` counts the
+    blocks and the scanned ones.
     """
     if not 4 <= n <= 6:
         raise ValueError("family validation supports 4 <= n <= 6")
@@ -217,8 +268,14 @@ def validate_fdf_family(n: int) -> dict:
     tables = lookup_tables()
     quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
     c4_free, counterexamples = 0, []
+    blocks = scanned = 0
     for start, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
-        c4_free += int(np.count_nonzero(flags & 1 == 0))
+        with_c4 = int(np.count_nonzero(flags & 1))
+        c4_free += flags.size - with_c4
+        blocks += 1
+        if np.count_nonzero(flags) == with_c4:
+            continue
+        scanned += 1
         for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)
             counterexamples.append(_witness(n, index) | {
@@ -230,5 +287,6 @@ def validate_fdf_family(n: int) -> dict:
         "count": 3 ** comb(n, 2),
         "c4_free_count": c4_free,
         "counterexamples": counterexamples,
+        "stats": {"blocks": blocks, "scanned": scanned},
         "wall_time_s": time.perf_counter() - t0,
     }

@@ -40,6 +40,7 @@ from helpers import (
 
 BOUND = Fraction(3, 32)
 HALF = Fraction(1, 2)
+BLOCKS = {3: 1, 4: 1, 5: 3, 6: 729}  # per sweep, 3^(C(n,2) - 9) blocks of 3^9 orientations, one up to n = 4
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -67,7 +68,8 @@ def test_criterion_2_exhaustive_small_orders():
     details = []
     for n, count in expected.items():
         report = enumerate_orientations(n)
-        good = report["count"] == count and report["violations"] == []
+        good = report["count"] == count and report["violations"] == [] and report["stats"] == {
+            "blocks": BLOCKS[n], "scanned": 0}
         ok = ok and good
         details.append(f"n={n}: {report['count']} orientations, {len(report['violations'])} violations")
     # n = 6 maxima, each witness re-checked on the object-level path
@@ -223,7 +225,8 @@ def test_criterion_7_family_check():
     c4_free = {4: 723, 5: 56799, 6: 12853407}
     for n in (4, 5, 6):
         report = validate_fdf_family(n)
-        good = report["counterexamples"] == [] and report["c4_free_count"] == c4_free[n]
+        good = (report["counterexamples"] == [] and report["c4_free_count"] == c4_free[n]
+                and report["stats"] == {"blocks": BLOCKS[n], "scanned": 0})
         ok = ok and good
         details.append(
             f"n={n}: {report['c4_free_count']} C4-free of {report['count']}, "

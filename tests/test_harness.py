@@ -21,6 +21,7 @@ from trilag.harness import (
     TRIPLE_FIELDS,
     _blocks,
     _packed,
+    _scaled,
     enumerate_orientations,
     lookup_tables,
     orientation_from_index,
@@ -267,6 +268,99 @@ def test_enumerate_reports_a_lone_partition_or_containment_fault(monkeypatch):
             assert enumerate_orientations(n)["violations"] == [{"index": int(i), "check": check} for i in expected]
 
 
+def _enumeration_oracle(n):
+    """``enumerate_orientations(n)`` less its timing, orientation by orientation from the unscaled formulas.
+
+    A block is scanned exactly when it holds a violation.
+    """
+    indices = np.arange(3 ** comb(n, 2))
+    cf, bf, arcs, partition, containment = _triple_counts(n, indices)
+    lcf = 2 * cf + arcs
+    checks = {"partition": partition, "containment": containment, "lcf_bound": 32 * lcf > 6 * n**3,
+              "step_inequality": n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs}
+    violations = []
+    for i in np.flatnonzero(np.logical_or.reduce(list(checks.values()))).tolist():
+        for check, failed in checks.items():
+            if failed[i]:
+                violations.append({"index": i, "check": check})
+                if check == "lcf_bound":
+                    violations[-1]["lcf"] = str(Fraction(int(lcf[i]), 2 * n**3))
+    size = 3 ** min(comb(n, 2), BLOCK_DIGITS)
+
+    def witness(i):
+        return {"index": int(i), "arcs": sorted(orientation_from_index(n, int(i)).arcs)}
+
+    return {
+        "n": n,
+        "count": len(indices),
+        "max_cf_density": str(Fraction(int(cf.max()), comb(n, 3))),
+        "max_cf_density_witness": witness(cf.argmax()),
+        "max_uniform_lcf": str(Fraction(int(lcf.max()), 2 * n**3)),
+        "max_uniform_lcf_witness": witness(lcf.argmax()),
+        "violations": violations,
+        "stats": {"blocks": len(indices) // size, "scanned": len({v["index"] // size for v in violations})},
+    }
+
+
+ALL_CHECKS = {"partition", "containment", "lcf_bound", "step_inequality"}
+# seed, {table: (rows replaced, values drawn)}, and per n the checks that fail and the blocks scanned, of
+# 1 at n = 4 and 3 at n = 5; each check fails alone in some table, and the table with seed 2 in one block of 3
+CORRUPTIONS = [
+    (0, {"partition_bad": (2, (True,))}, {4: ({"partition"}, 1), 5: ({"partition"}, 3)}),
+    (0, {"containment_bad": (2, (True,))}, {4: ({"containment"}, 1), 5: ({"containment"}, 3)}),
+    (0, {"cf": (8, (1,)), "bf": (27, (3,))}, {4: ({"lcf_bound"}, 1), 5: ({"lcf_bound"}, 3)}),
+    (2, {"cf": (4, (1,)), "bf": (27, (3,))}, {4: (set(), 0), 5: ({"lcf_bound"}, 1)}),
+    (0, {"bf": (6, (0, 1, 2, 3))}, {4: ({"step_inequality"}, 1), 5: ({"step_inequality"}, 3)}),
+    (4, {"bf": (6, (0, 1, 2, 3))}, {4: (set(), 0), 5: (set(), 0)}),
+    (3, {"cf": (6, (0, 1, 2, 3)), "bf": (6, (0, 1, 2, 3)), "partition_bad": (2, (False, True)),
+         "containment_bad": (2, (False, True))}, {4: (ALL_CHECKS, 1), 5: (ALL_CHECKS, 3)}),
+]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed, rows, expected", CORRUPTIONS)
+def test_enumerate_gate_hides_no_violation(monkeypatch, n, seed, rows, expected):
+    """On tables with seeded rows of cf, bf, partition_bad and containment_bad
+    replaced, and the real arcs (so |A| stays exact), the whole report equals
+    the unscaled oracle's: every violation of a block is found, and exactly
+    the blocks holding one are scanned."""
+    rng = np.random.default_rng(seed)
+    tables = dict(lookup_tables())
+    for name, (count, values) in rows.items():
+        table = tables[name].copy()
+        table[rng.choice(27, size=count, replace=False)] = rng.choice(values, size=count)
+        tables[name] = table
+    monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+    report = enumerate_orientations(n)
+    del report["wall_time_s"]
+    assert report == _enumeration_oracle(n)
+    assert ({v["check"] for v in report["violations"]}, report["stats"]["scanned"]) == expected[n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scaled_comparisons_match_the_unscaled_ones(n):
+    """For every |CF| and |BF| in 0..C(n,3) and |A| in 0..C(n,2), scaled by
+    k = n - 2 the bound and step checks fail exactly where the unscaled ones
+    do, k L_CF is exact, and every intermediate value fits int32."""
+    k, triples = n - 2, comb(n, 3)
+    cf, bf, arcs = (v.ravel() for v in np.meshgrid(
+        np.arange(triples + 1), np.arange(triples + 1), np.arange(comb(n, 2) + 1), indexing="ij"))
+    a = k * arcs
+    total = cf + (bf << FIELD_BITS) + (a << 2 * FIELD_BITS)
+    got = _scaled(n, total.astype(np.int32), np.empty((4, total.size), dtype=np.int32))
+    wide = _scaled(n, total, np.empty((4, total.size), dtype=np.int64))
+    assert all(np.array_equal(x, y) for x, y in zip(got, wide))
+    got_cf, kl, slack = wide
+    lcf = 2 * cf + arcs
+    assert np.array_equal(got_cf, cf) and np.array_equal(kl, k * lcf)
+    assert np.array_equal(slack > 0, n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs)
+    assert np.array_equal(32 * kl > 6 * n**3 * k, 32 * lcf > 6 * n**3)
+    # the values _scaled and the block checks build, each in turn
+    steps = [a, 2 * k * cf, kl, a - n * k, (a - n * k) * a, bf - cf, 2 * n * k * k * (bf - cf), slack,
+             32 * kl, np.array([6 * n**3 * k])]
+    assert max(int(np.abs(v).max()) for v in steps) < 2**31
+
+
 def test_validate_fdf_reports_counterexamples(monkeypatch):
     """With the C4 table cleared, every independent 4-set is a counterexample,
     reported with the first such 4-set in combinations order."""
@@ -278,6 +372,7 @@ def test_validate_fdf_reports_counterexamples(monkeypatch):
     assert report["counterexamples"]
     indices = [c["index"] for c in report["counterexamples"]]
     assert indices == sorted(indices)
+    assert report["stats"] == {"blocks": 3, "scanned": len({i // 3**BLOCK_DIGITS for i in indices})}
     for c in report["counterexamples"]:
         g = orientation_from_index(5, c["index"])
         assert c["arcs"] == sorted(g.arcs)

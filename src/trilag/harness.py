@@ -8,10 +8,14 @@ over its C(k,2) pair digits, read in ``combinations`` order.
 A sweep takes the indices in blocks of 3^low, whose low digits vary and the
 others stay fixed.  Seen as an array with one axis per slot of a subset and
 the runs between them merged, a block is what the subset's table, its high
-digits fixed by the block, broadcasts over: one in-place add (triples) or OR
-(4-sets) per subset and block, and no index array.  The subsets with every
-slot below low are the same in each block; they are reduced once per sweep
-and each block starts from a copy.  The five triple facts share one int32
+digits fixed by the block, broadcasts over.  That broadcast is made once per
+process and table content: each subset's table laid out over the 3^low
+entries of a block, one row per value of its high digits, and a subset with
+no slot below low a scalar.  So each subset and block costs one contiguous
+in-place add (triples) or OR (4-sets), and no index array.  The subsets with
+every slot below low are the same in each block; they are reduced once per
+sweep and each block starts from a copy.  No sum over subsets is kept from
+one sweep to the next.  The five triple facts share one int32
 table in 6-bit fields, since a sum over at most C(6, 3) = 20 triples, each
 row at most 3, fits one field, and the two 4-set facts one int8 table.
 Every count a sweep reads comes from that triple table: |A| too, as the
@@ -42,7 +46,7 @@ import numpy as np
 
 from .graphs import OrientedGraph, build_bf, build_cf, build_f, has_induced_directed_c4, underlying
 
-BLOCK_DIGITS = 9  # 3^9 = 19683 orientations per block keeps memory flat at n = 6
+BLOCK_DIGITS = 9  # 3^9 = 19683 orientations per block; at n = 6 the layouts of both tables take 7.8 MB
 FIELD_BITS = 6  # a sum over at most C(6, 3) = 20 triples, each row at most 3, fits one field
 TRIPLE_FIELDS = ("cf", "bf", "arcs", "partition_bad", "containment_bad")
 
@@ -102,52 +106,69 @@ def _subset_slots(n: int, k: int) -> list[list[int]]:
     return [[slot[p] for p in itertools.combinations(s, 2)] for s in itertools.combinations(range(n), k)]
 
 
-def _spread(slots: list[int], top: int, bottom: int = 0) -> list[int]:
-    """Axes of the digits bottom..top-1, highest first: one per slot, the runs between merged."""
+def _spread(slots: list[int], top: int) -> list[int]:
+    """Axes of the digits 0..top-1, highest first: one per slot, the runs between merged."""
     shape = []
     for s in reversed(slots):
         shape += [3 ** (top - s - 1), 3]
         top = s
-    return shape + [3 ** (top - bottom)]
+    return shape + [3**top]
+
+
+@functools.lru_cache(maxsize=4)
+def _layout(n: int, k: int, raw: bytes, dtype: np.dtype) -> list[tuple[np.ndarray, list[int]]]:
+    """Per k-subset in ``combinations`` order, (laid, positions of its high digits), read-only.
+
+    ``raw`` is the table's bytes, so the cache is keyed on its content.  A
+    subset with a slot below low has its table laid out over the 3^low
+    entries of a block: ``laid`` has one contiguous row per value of the
+    subset's high digits, shape (3,)*len(high) + (3^low,).  A subset with
+    no slot below low keeps its table indexed by its high digits, one
+    scalar per block.
+    """
+    table = np.frombuffer(raw, dtype=dtype)
+    low = min(comb(n, 2), BLOCK_DIGITS)
+    plan = []
+    for slots in _subset_slots(n, k):
+        tiled = [s for s in slots if s < low]
+        high = [s - low for s in reversed(slots) if s >= low]  # digits of the block's number
+        outer = (3,) * len(high)
+        if tiled:
+            laid = np.empty(outer + tuple(_spread(tiled, low)), dtype=dtype)
+            laid[...] = table.reshape(outer + (1, 3) * len(tiled) + (1,))
+            laid = laid.reshape(outer + (3**low,))
+        else:
+            laid = table.reshape(outer)
+        laid.flags.writeable = False
+        plan.append((laid, high))
+    return plan
 
 
 def _blocks(n: int, k: int, table: np.ndarray, op: np.ufunc):
     """Yield (first index, ``op`` over the k-subsets' entries) per block of 3^low indices.
 
     ``op`` is ``np.add`` or ``np.bitwise_or``, and the yielded array is
-    reused from block to block.  Over the digits below low // 2 each
-    subset's table is laid out once, so that every op runs along 3^(low//2)
-    contiguous entries, not along the 3 of a subset's lowest slot.
+    reused from block to block.  Each subset's table is laid out over a
+    block once per process and table content (``_layout``), so every op is
+    one contiguous add or OR of a row, or of a scalar.  Only layouts are
+    cached: every call reduces every subset into every block.
     """
     if op is np.add and 3 * comb(n, k) >= 2**FIELD_BITS:
         raise ValueError(f"{comb(n, k)} triples of up to 3 arcs overflow a {FIELD_BITS}-bit field")
     pairs = comb(n, 2)
     low = min(pairs, BLOCK_DIGITS)
-    inner = low // 2
     base, out = np.zeros(3**low, dtype=table.dtype), np.empty(3**low, dtype=table.dtype)
-    moving = []  # (view of out, table, positions of the high digits) of subsets with a slot >= low
-    for slots in _subset_slots(n, k):
-        tiled = [s for s in slots if s < inner]
-        mid = [s for s in slots if inner <= s < low]
-        high = [s - low for s in reversed(slots) if s >= low]  # digits of the block's number
-        outer = (3,) * (len(slots) - len(tiled))
-        sub = table.reshape(outer + (1, 3) * len(tiled) + (1,))
-        if tiled:
-            laid = np.empty(outer + tuple(_spread(tiled, inner)), dtype=table.dtype)
-            laid[...] = sub
-            sub = laid.reshape(outer + (3**inner,))
-        sub = sub.reshape((3,) * len(high) + (1, 3) * len(mid) + (1, sub.shape[-1]))
-        shape = _spread(mid, low, inner) + [3**inner]
+    moving = []  # (laid, positions of the high digits) of subsets with a slot >= low
+    for laid, high in _layout(n, k, table.tobytes(), table.dtype):
         if high:
-            moving.append((out.reshape(shape), sub, high))
+            moving.append((laid, high))
         else:
-            view = base.reshape(shape)
-            op(view, sub, out=view)
+            op(base, laid, out=base)
     for block in range(3 ** (pairs - low)):
         digits = [block // 3**i % 3 for i in range(pairs - low)]
         np.copyto(out, base)
-        for view, sub, high in moving:
-            op(view, sub[tuple(digits[i] for i in high)], out=view)
+        for laid, high in moving:
+            op(out, laid[tuple(digits[i] for i in high)], out=out)
         yield block * 3**low, out
 
 
@@ -266,7 +287,6 @@ def validate_fdf_family(n: int) -> dict:
         raise ValueError("family validation supports 4 <= n <= 6")
     t0 = time.perf_counter()
     tables = lookup_tables()
-    quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
     c4_free, counterexamples = 0, []
     blocks = scanned = 0
     for start, flags in _blocks(n, 4, _packed(tables, ("c4", "independent"), np.int8), np.bitwise_or):
@@ -276,6 +296,7 @@ def validate_fdf_family(n: int) -> dict:
         if np.count_nonzero(flags) == with_c4:
             continue
         scanned += 1
+        quads = list(zip(itertools.combinations(range(n), 4), _subset_slots(n, 4)))
         for j in np.flatnonzero(flags == 1 << FIELD_BITS):  # an independent 4-set, no C4
             index = start + int(j)
             counterexamples.append(_witness(n, index) | {

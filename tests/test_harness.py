@@ -152,8 +152,11 @@ def test_block_reductions_match_a_lookup_of_each_index(n):
     equals a lookup by the rows of its indices' own digits.
 
     Random tables leave no wrong slot or axis hidden behind the sparse real
-    facts.  Every block for n <= 5; at n = 6, 20 seeded blocks of the 729,
-    the last among them.
+    facts, and a second table of the same size and dtype reads no layout
+    cached for the first.  Two sweeps of one table, run interleaved, yield
+    arrays of their own; the cached layouts are read-only, and the cache
+    never holds more than its size.  Every block for n <= 5; at n = 6, 20
+    seeded blocks of the 729, the last among them.
     """
     rng = np.random.default_rng(n)
     pairs = comb(n, 2)
@@ -161,13 +164,22 @@ def test_block_reductions_match_a_lookup_of_each_index(n):
     count = 3**pairs // size
     checked = set(range(count)) if n <= 5 else {count - 1, *random.Random(n).sample(range(count - 1), 19)}
     for k, op in ((3, np.add), (4, np.bitwise_or)):
-        table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
-        for block, (start, out) in enumerate(_blocks(n, k, table, op)):
-            assert start == block * size
-            if block in checked:
-                indices = np.arange(start, start + size)
-                assert np.array_equal(out, op.reduce(table[_rows(n, k, indices)], axis=0)), (k, block)
-        assert block == count - 1
+        for _ in range(2):
+            table = rng.integers(0, 2**20, size=3 ** comb(k, 2), dtype=np.int32)
+            sweeps = zip(_blocks(n, k, table, op), _blocks(n, k, table.copy(), op))
+            for block, ((start, out), (again, other)) in enumerate(sweeps):
+                assert start == again == block * size
+                assert not np.shares_memory(out, other)
+                if block in checked:
+                    indices = np.arange(start, start + size)
+                    expected = op.reduce(table[_rows(n, k, indices)], axis=0)
+                    assert np.array_equal(out, expected) and np.array_equal(other, expected), (k, block)
+            assert block == count - 1
+            cache = harness._layout.cache_info()
+            assert cache.currsize <= cache.maxsize
+        for laid, _ in harness._layout(n, k, table.tobytes(), table.dtype):
+            with pytest.raises(ValueError, match="read-only"):
+                laid[...] = 0
 
 
 def test_triple_fields_hold_every_sum(monkeypatch):
@@ -233,12 +245,20 @@ def test_lookup_tables(monkeypatch):
 
 
 def test_enumerate_reports_violations(monkeypatch):
-    """Corrupted tables give violations in index order, each index's checks in fixed order."""
+    """Corrupted tables give violations in index order, each index's checks in
+    fixed order, and exactly the oracle's, after a sweep of the real tables at
+    the same n."""
+    for n in (3, 4):
+        assert enumerate_orientations(n)["violations"] == []
     tables = dict(lookup_tables())
     tables["cf"] = np.ones(27, dtype=np.int8)  # every triple in CF: L_CF too large
     tables["partition_bad"] = np.arange(27) == 0
     tables["containment_bad"] = np.arange(27) == 1
     monkeypatch.setattr(harness, "lookup_tables", lambda: tables)
+    for n in (3, 4):
+        report = enumerate_orientations(n)
+        del report["wall_time_s"]
+        assert report == _enumeration_oracle(n)
     violations = enumerate_orientations(3)["violations"]
     assert violations[:3] == [
         {"index": 0, "check": "partition"},
@@ -271,10 +291,15 @@ def test_enumerate_reports_a_lone_partition_or_containment_fault(monkeypatch):
 def _enumeration_oracle(n):
     """``enumerate_orientations(n)`` less its timing, orientation by orientation from the unscaled formulas.
 
-    A block is scanned exactly when it holds a violation.
+    The counts are lookups of each index's triple rows in the tables as
+    patched, not sweeps, so they read no cached layout.  A block is scanned
+    exactly when it holds a violation.
     """
     indices = np.arange(3 ** comb(n, 2))
-    cf, bf, arcs, partition, containment = _triple_counts(n, indices)
+    rows, tables = _rows(n, 3, indices), harness.lookup_tables()
+    cf, bf, arcs, partition, containment = (tables[name][rows].sum(axis=0, dtype=np.int64) for name in TRIPLE_FIELDS)
+    arcs //= n - 2
+    partition, containment = partition != 0, containment != 0
     lcf = 2 * cf + arcs
     checks = {"partition": partition, "containment": containment, "lcf_bound": 32 * lcf > 6 * n**3,
               "step_inequality": n * lcf > 2 * n * bf + 2 * n * arcs - arcs * arcs}
